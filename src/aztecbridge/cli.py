@@ -15,13 +15,7 @@ from fractions import Fraction
 
 import click
 
-from .engine import (
-    CapacityError,
-    count_lozenge_tilings,
-    count_tilings,
-    enumerate_tilings,
-    is_vertical,
-)
+from .engine import CapacityError, count_lozenge_tilings, count_tilings, enumerate_tilings
 from .formulas import (
     ResampleError,
     aztec_genfun,
@@ -45,10 +39,9 @@ from .matchgraph import (
 )
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .planepart import q_genfun_brute
-from .polyring import LaurentPoly2
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling, render_to_file
-from .stats import minimal_tiling, rank_table, rank_via_area, vertical_halfcount
+from .stats import minimal_tiling, rank_table, rank_via_area, tq_sum, vertical_halfcount
 
 DEFAULT_SEED = 20240
 
@@ -78,17 +71,6 @@ def _region_or_usage(spec: str):
         return parse_spec(spec)
     except ConstraintError as exc:
         raise click.UsageError(str(exc)) from exc
-
-
-def tq_sum(region: Region) -> LaurentPoly2:
-    """Enumerated sum of t^(half vertical count) q^rank over all tilings."""
-    table = rank_table(region)
-    terms: dict[tuple[int, int], int] = {}
-    for t in enumerate_tilings(region):
-        nv = sum(1 for d in t if is_vertical(d))
-        key = (nv, 2 * table[t])
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly2(terms)
 
 
 @click.group()
@@ -123,7 +105,7 @@ def count(region_spec: str, out: str | None) -> None:
 )
 @click.option("--out", default=None)
 def genfun(region_spec: str, convention: str, out: str | None) -> None:
-    """Enumerated bivariate sum vs product formula, with a verdict."""
+    """Transfer-matrix bivariate sum vs product formula, with a verdict."""
     region = _region_or_usage(region_spec)
     if isinstance(region, TriRegion) or region.kind == "aztec_rectangle":
         raise click.UsageError("genfun needs an aztec diamond or double rectangle")
@@ -181,16 +163,16 @@ def rank(region_spec: str, out: str | None) -> None:
     if isinstance(region, TriRegion):
         raise click.UsageError("rank is defined for square-lattice regions only")
     try:
-        table = rank_table(region)
-    except (KindError, CapacityError) as exc:
+        poly = tq_sum(region)
+    except (KindError, ConstraintError, CapacityError) as exc:
         raise click.UsageError(str(exc)) from exc
     hist: dict[int, int] = {}
-    for r in table.values():
-        hist[r] = hist.get(r, 0) + 1
+    for (_, eq), c in poly.items():  # sum out t; eq is 2 * rank
+        hist[eq // 2] = hist.get(eq // 2, 0) + c
     _emit(
         {
             "region": region.spec_string(),
-            "tilings": len(table),
+            "tilings": sum(hist.values()),
             "ranks": {str(r): hist[r] for r in sorted(hist)},
         },
         out=out,
@@ -199,7 +181,10 @@ def rank(region_spec: str, out: str | None) -> None:
 
 def _pick_tiling(region: Region, which: str):
     if which == "minimal":
-        return minimal_tiling(region)
+        try:
+            return minimal_tiling(region)
+        except (KindError, ConstraintError) as exc:
+            raise click.UsageError(str(exc)) from exc
     try:
         index = int(which)
     except ValueError:
@@ -300,17 +285,18 @@ def suite_aztec(bound: int) -> list[dict]:
     for n in range(1, bound + 1):
         region = build_aztec_diamond(n)
         ok = count_tilings(region) == 2 ** (n * (n + 1) // 2)
-        if n <= 4:
-            ok = ok and tq_sum(region) == aztec_genfun(n)
+        ok = ok and tq_sum(region) == aztec_genfun(n)
         cases.append({"order": n, "ok": ok})
     return cases
 
 
-def suite_main() -> list[dict]:
+def suite_main(max_cells: int | None = None) -> list[dict]:
+    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
     from .regions import build_double_rectangle
 
+    tuples = SUITE_TUPLES if max_cells is None else small_double_rectangles(max_cells)
     cases = []
-    for tup in SUITE_TUPLES:
+    for tup in tuples:
         region = build_double_rectangle(*tup)
         enum_poly = tq_sum(region)
         base = main_genfun(*tup)
@@ -467,7 +453,7 @@ def verify(suite: str, bound: int | None, trials: int | None, seed: int, out: st
     elif suite == "aztec":
         cases = suite_aztec(bound or 6)
     elif suite == "main":
-        cases = suite_main()
+        cases = suite_main(bound)
     elif suite == "weighted":
         cases = suite_weighted(trials or 5, seed)
     elif suite == "lemmas":

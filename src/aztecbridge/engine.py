@@ -65,7 +65,6 @@ def count_tilings(region: Region) -> int:
     cells = region.cells
     if not cells:
         return 1
-    max_x = max(c.x for c in cells)
     max_y = max(c.y for c in cells)
     if max_y + 1 > MAX_PROFILE_ROWS:
         raise CapacityError(
@@ -74,19 +73,32 @@ def count_tilings(region: Region) -> int:
     # states: mask of rows in the *next* column already covered by a
     # horizontal domino sticking out of the current column.
     states: dict[int, int] = {0: 1}
-    for x in range(0, max_x + 1):
-        col = [y for y in range(max_y + 1) if Cell(x, y) in cells]
+    for x, col in _columns(region):
         next_states: dict[int, int] = {}
         for incoming, ways in states.items():
-            _fill_column(x, col, cells, incoming, 0, 0, ways, next_states)
+            _fill_column(x, col, cells, incoming, 0, 0, ways, next_states, 0)
         states = next_states
         if not states:
             return 0
     return states.get(0, 0)
 
 
-def _fill_column(x, col, cells, incoming, idx, outgoing, ways, sink):
-    """Cover column cells from col[idx] on; accumulate completions in sink."""
+def _columns(region: Region) -> list[tuple[int, list[int]]]:
+    """(x, rows of the region in column x) for every column, left to right."""
+    rows: dict[int, list[int]] = {}
+    for c in region.sorted_cells:
+        rows.setdefault(c.x, []).append(c.y)
+    return [(x, rows.get(x, [])) for x in range(max(rows, default=-1) + 1)]
+
+
+def _fill_column(x, col, cells, incoming, idx, outgoing, ways, sink, vstep):
+    """Cover column cells from col[idx] on; accumulate completions in sink.
+
+    A completed column adds ``ways`` to ``sink[key]``.  The key is the
+    outgoing mask plus ``vstep`` per vertical domino placed, so ``vstep = 0``
+    aggregates by mask alone, and ``vstep = 1 << rows`` (above every mask
+    bit) keys each move by its mask and its vertical-domino count together.
+    """
     # iterative fast-forward over already-covered cells
     while idx < len(col) and incoming >> col[idx] & 1:
         idx += 1
@@ -97,10 +109,12 @@ def _fill_column(x, col, cells, incoming, idx, outgoing, ways, sink):
     # vertical domino with the cell above
     above = Cell(x, y + 1)
     if above in cells and not incoming >> (y + 1) & 1:
-        _fill_column(x, col, cells, incoming | 1 << y | 1 << (y + 1), idx + 1, outgoing, ways, sink)
+        _fill_column(
+            x, col, cells, incoming | 1 << y | 1 << (y + 1), idx + 1, outgoing + vstep, ways, sink, vstep
+        )
     # horizontal domino into the next column
     if Cell(x + 1, y) in cells:
-        _fill_column(x, col, cells, incoming | 1 << y, idx + 1, outgoing | 1 << y, ways, sink)
+        _fill_column(x, col, cells, incoming | 1 << y, idx + 1, outgoing | 1 << y, ways, sink, vstep)
 
 
 def enumerate_lozenge_tilings(region: TriRegion) -> Iterator[Tiling]:

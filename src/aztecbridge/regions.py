@@ -90,11 +90,17 @@ class Region:
         # block, so the balance guard applies to the other kinds only.
         if self.kind == "aztec_rectangle":
             return
-        whites = sum(1 for c in self.cells if self.color[c] == WHITE)
-        if 2 * whites != len(self.cells):
+        excess = self.imbalance()
+        if excess:
+            whites = (len(self.cells) + excess) // 2
             raise ConstraintError(
                 f"color imbalance: {whites} white vs {len(self.cells) - whites} black"
             )
+
+    def imbalance(self) -> int:
+        """White cells minus black cells; a tileable region has 0."""
+        whites = sum(1 for c in self.cells if self.color[c] == WHITE)
+        return 2 * whites - len(self.cells)
 
     @property
     def sorted_cells(self) -> list[Cell]:

@@ -13,14 +13,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import Domino, Tiling, is_vertical, piece
-from .regions import BLACK, WHITE, Cell, KindError, Region
+# The q-weighted sweep shares the column-fill recursion of count_tilings.
+from .engine import Domino, Tiling, _columns, _fill_column, is_vertical, piece
+from .polyring import LaurentPoly2
+from .regions import BLACK, WHITE, Cell, ConstraintError, KindError, Region
 
 _RANK_CACHE: dict = {}
 
 
 class UnreachableError(RuntimeError):
     """A tiling is not connected to the minimal tiling by elementary moves."""
+
+
+class InvariantError(RuntimeError):
+    """An identity that guards a computed result does not hold."""
 
 
 def vertical_halfcount(tiling: Tiling) -> Fraction:
@@ -100,7 +106,8 @@ def height_function(region: Region, tiling: Tiling) -> dict:
         for b, step in adj.get(a, []):
             hb = h[a] + step
             if b in h:
-                assert h[b] == hb, "inconsistent height function"
+                if h[b] != hb:
+                    raise InvariantError("inconsistent height function")
             else:
                 h[b] = hb
                 stack.append(b)
@@ -141,8 +148,8 @@ def _extreme_tiling(region: Region, maximal: bool) -> Tiling:
             elif b in h and a not in h:
                 h[a] = h[b] - s
                 changed = True
-            elif a in h and b in h:
-                assert h[b] - h[a] == s, "boundary heights are inconsistent"
+            elif a in h and b in h and h[b] - h[a] != s:
+                raise InvariantError("boundary heights are inconsistent")
     boundary = dict(h)
     # Bellman-Ford relaxation; the largest solution of the difference
     # constraints relaxes downward from +inf, the smallest upward from -inf.
@@ -173,9 +180,8 @@ def _extreme_tiling(region: Region, maximal: bool) -> Tiling:
             pieces.add(piece(left, other))
     tiling = tuple(sorted(pieces))
     covered = [c for d in tiling for c in d]
-    assert len(covered) == len(cells) and set(covered) == set(cells), (
-        "extreme height function did not yield a perfect tiling"
-    )
+    if len(covered) != len(cells) or set(covered) != set(cells):
+        raise InvariantError("extreme height function did not yield a perfect tiling")
     return tiling
 
 
@@ -183,6 +189,11 @@ def minimal_tiling(region: Region) -> Tiling:
     """The rank-zero tiling (all-horizontal for an Aztec diamond)."""
     if region.kind not in ("aztec_diamond", "double_aztec_rectangle", "aztec_rectangle"):
         raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
+    excess = region.imbalance()
+    if excess:
+        raise ConstraintError(
+            f"{region.spec_string()} has {excess:+d} white cells over black, so it has no tilings"
+        )
     # The calibrated choice of extreme: with this region coloring the maximal
     # height function gives the all-horizontal tiling on a diamond and the
     # unique path-area minimizer on a double rectangle (see tests).
@@ -257,5 +268,94 @@ def rank_via_area(region: Region, tiling: Tiling) -> int:
         raise KindError("area rank is defined for double Aztec rectangles only")
     base = underneath_area(tiling_to_paths(region, minimal_tiling(region)))
     diff = underneath_area(tiling_to_paths(region, tiling)) - base
-    assert diff.denominator == 1, "area excess must be a whole number of cells"
+    if diff.denominator != 1:
+        raise InvariantError("area excess must be a whole number of cells")
     return int(diff)
+
+
+# -- bivariate generating function --------------------------------------------
+
+
+def tq_sum(region: Region) -> LaurentPoly2:
+    """Sum of t^(vertical/2) q^rank over all tilings, by a q-weighted column sweep.
+
+    Rank is the height deficit below the minimal tiling summed over all
+    vertices, divided by 4 (Thurston 1990; Elkies-Kuperberg-Larsen-Propp
+    1992): the minimal tiling has the pointwise largest height function and
+    every flip moves one vertex by 4.  The heights on the vertical line x
+    are fixed by the profile mask entering column x, so the profile DP of
+    ``count_tilings`` carries, per mask, a map from doubled exponents
+    (vertical dominoes so far, 2 * rank so far) to tiling counts.  No tiling
+    is listed and no flip is made.
+    """
+    t0 = minimal_tiling(region)
+    h0 = height_function(region, t0)
+    cells = region.cells
+    columns = _columns(region)
+    rows = max(c.y for c in cells) + 1
+    some = min(cells)
+    white = (some.x + some.y + (region.color[some] != WHITE)) % 2  # x + y parity of white
+
+    def line_q2(x: int, mask: int) -> int:
+        """Doubled q exponent, deficit / 2, of line x under a profile mask.
+
+        Every state is visited once, so the deficit is not cached.
+        """
+        deficit = 0
+        h = None
+        for y in range(rows):
+            if Cell(x - 1, y) not in cells and Cell(x, y) not in cells:
+                h = None  # no edge: the next edge starts a new run
+                continue
+            if h is None:
+                h = h0[(x, y)]  # run bottom: a boundary vertex, same in every tiling
+            step = 1 if (x - 1 + y) % 2 == white else -1
+            h += -3 * step if mask >> y & 1 else step
+            deficit += h0[(x, y + 1)] - h
+        if deficit < 0 or deficit % 4:
+            raise InvariantError(
+                f"height deficit {deficit} on line x={x} is not a non-negative multiple of 4"
+            )
+        return deficit // 2
+
+    # Moves of every reachable profile, then only those that can still end
+    # in the empty profile: a dead partial tiling may rise above the minimal
+    # tiling's heights, a live one never does.
+    vstep = 1 << rows
+    moves_at: list[dict[int, dict[int, int]]] = []
+    reach = {0}
+    for x, col in columns:
+        table: dict[int, dict[int, int]] = {}
+        for incoming in reach:
+            table[incoming] = {}
+            _fill_column(x, col, cells, incoming, 0, 0, 1, table[incoming], vstep)
+        moves_at.append(table)
+        reach = {key % vstep for moves in table.values() for key in moves}
+    live = {0}
+    for table in reversed(moves_at):
+        for incoming, moves in list(table.items()):
+            kept = {key: mult for key, mult in moves.items() if key % vstep in live}
+            if kept:
+                table[incoming] = kept
+            else:
+                del table[incoming]
+        live = set(table)
+
+    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    for (x, _), table in zip(columns, moves_at):
+        nxt: dict[int, dict[tuple[int, int], int]] = {}
+        for incoming, terms in states.items():
+            dq = line_q2(x, incoming)
+            for key, mult in table[incoming].items():
+                nv, outgoing = divmod(key, vstep)
+                sink = nxt.setdefault(outgoing, {})
+                for (et, eq), c in terms.items():
+                    k = (et + nv, eq + dq)
+                    sink[k] = sink.get(k, 0) + c * mult
+        states = nxt
+    dq = line_q2(len(columns), 0)
+    poly = LaurentPoly2({(et, eq + dq): c for (et, eq), c in states.get(0, {}).items()})
+    ground = [(key, c) for key, c in poly.items() if key[1] == 0]
+    if ground != [((sum(1 for d in t0 if is_vertical(d)), 0), 1)]:
+        raise InvariantError(f"q^0 part {ground} is not the minimal tiling alone")
+    return poly

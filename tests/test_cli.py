@@ -1,9 +1,14 @@
 """Command-line contract: JSON schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import aztecbridge
 from aztecbridge.cli import main
 
 runner = CliRunner()
@@ -27,6 +32,23 @@ def test_usage_errors_exit_two():
     assert run("count", "dr:2,1,0,2,1").exit_code == 2
     assert run("genfun", "hex:1,1,1").exit_code == 2
     assert run("render", "dr:1,2,0,1,2", "99999").exit_code == 2
+    # a color-imbalanced region has no minimal tiling and no ranks
+    assert run("render", "ar:2x3", "minimal").exit_code == 2
+    assert run("rank", "ar:2x3").exit_code == 2
+
+
+def test_domain_error_exit_code_survives_optimized_mode():
+    src = str(Path(aztecbridge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "aztecbridge.cli", "rank", "ar:2x3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "no tilings" in proc.stderr
 
 
 def test_genfun_reports_convention():
@@ -87,6 +109,15 @@ def test_verify_small_suites():
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["status"] == "ok" and doc["failures"] == 0
+
+
+def test_verify_main_honours_max():
+    result = run("verify", "main", "--max", "30")
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["failures"] == 0
+    assert len(doc["cases"]) == 21 and all(c["ok"] for c in doc["cases"])
+    assert len(json.loads(run("verify", "main").output)["cases"]) == 5
 
 
 def test_verify_is_seed_deterministic():

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from aztecbridge.cli import small_double_rectangles
 from aztecbridge.engine import enumerate_tilings, is_vertical
+from aztecbridge.formulas import aztec_genfun, main_genfun
+from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import build_aztec_diamond, build_double_rectangle, build_hexagon
 from aztecbridge.stats import (
     UnreachableError,
@@ -14,6 +17,7 @@ from aztecbridge.stats import (
     rank_bfs,
     rank_table,
     rank_via_area,
+    tq_sum,
     vertical_halfcount,
 )
 
@@ -99,3 +103,27 @@ def test_minimal_tiling_wrong_kind():
 
     with pytest.raises((KindError, AttributeError, TypeError)):
         minimal_tiling(build_hexagon(1, 1, 1))
+
+
+def _tq_sum_by_enumeration(region):
+    """Oracle: list every tiling and rank it through the flip BFS table."""
+    table = rank_table(region)
+    terms = {}
+    for t in enumerate_tilings(region):
+        key = (sum(1 for d in t if is_vertical(d)), 2 * table[t])
+        terms[key] = terms.get(key, 0) + 1
+    return LaurentPoly2(terms)
+
+
+def test_tq_sum_sweep_equals_enumeration_and_flip_bfs():
+    regions = [build_aztec_diamond(n) for n in range(1, 5)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(32)]
+    assert len(regions) == 32
+    for region in regions:
+        assert tq_sum(region) == _tq_sum_by_enumeration(region), region.spec_string()
+
+
+def test_tq_sum_matches_the_product_beyond_enumeration():
+    # 2,007,040 and 2,097,152 tilings: out of reach of enumeration plus flip BFS
+    assert tq_sum(build_double_rectangle(3, 5, 1, 3, 5)) == main_genfun(3, 5, 1, 3, 5)
+    assert tq_sum(build_aztec_diamond(6)) == aztec_genfun(6)
