@@ -1,19 +1,20 @@
 """Tiling enumeration and exact counting.
 
-Enumeration branches on the lexicographically first uncovered cell, which
-makes the emitted order canonical and reproducible.  Counting uses a
-broken-profile dynamic program sweeping columns left to right with a bitmask
-over the rows of the current column; counts are exact Python integers.
+One enumerator serves both lattices: it lists the perfect matchings of the
+dual graph (dominoes on cells, lozenges on triangles) by branching on the
+lexicographically first uncovered vertex, which makes the emitted order
+canonical and reproducible.  Counting uses a broken-profile dynamic program
+sweeping columns left to right with a bitmask over the rows of the current
+column; counts are exact Python integers.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .regions import Cell, Region, Tri, TriRegion, tri_neighbors
+from .regions import Cell, Region, TriRegion, tri_neighbors
 
 Domino = tuple[Cell, Cell]
-Lozenge = tuple[Tri, Tri]
 Tiling = tuple  # sorted tuple of pieces
 
 #: Maximum number of rows supported by the counting profile mask.
@@ -32,32 +33,44 @@ def piece(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def enumerate_tilings(region: Region) -> Iterator[Tiling]:
-    """Yield every domino tiling exactly once, in canonical order."""
-    order = region.sorted_cells
-    cells = region.cells
-    covered: set[Cell] = set()
-    pieces: list[Domino] = []
+def _matchings(later: dict) -> Iterator[Tiling]:
+    """Every perfect matching, as a sorted tuple of (vertex, partner) pieces.
 
-    def rec(start: int) -> Iterator[Tiling]:
-        i = start
+    ``later`` maps each vertex, in sorted order, to its sorted neighbours
+    that come after it.  The first uncovered vertex has every earlier vertex
+    covered, so only those later neighbours can be its partner.
+    """
+    order = list(later)
+    covered: set = set()
+    pieces: list = []
+
+    def rec(i: int) -> Iterator[Tiling]:
         while i < len(order) and order[i] in covered:
             i += 1
         if i == len(order):
             yield tuple(sorted(pieces))
             return
-        c = order[i]
-        for d in (Cell(c.x, c.y + 1), Cell(c.x + 1, c.y)):
-            if d in cells and d not in covered:
-                covered.add(c)
-                covered.add(d)
-                pieces.append(piece(c, d))
+        v = order[i]
+        for w in later[v]:
+            if w not in covered:
+                covered.add(w)
+                pieces.append((v, w))
                 yield from rec(i + 1)
                 pieces.pop()
-                covered.discard(c)
-                covered.discard(d)
+                covered.discard(w)
 
     yield from rec(0)
+
+
+def enumerate_tilings(region: Region) -> Iterator[Tiling]:
+    """Yield every domino tiling exactly once, in canonical order."""
+    cells = region.cells
+    yield from _matchings(
+        {
+            c: [d for d in (Cell(c.x, c.y + 1), Cell(c.x + 1, c.y)) if d in cells]
+            for c in region.sorted_cells
+        }
+    )
 
 
 def count_tilings(region: Region) -> int:
@@ -119,30 +132,10 @@ def _fill_column(x, col, cells, incoming, idx, outgoing, ways, sink, vstep):
 
 def enumerate_lozenge_tilings(region: TriRegion) -> Iterator[Tiling]:
     """Yield every lozenge tiling exactly once, in canonical order."""
-    order = region.sorted_tris
     tris = region.tris
-    covered: set[Tri] = set()
-    pieces: list[Lozenge] = []
-
-    def rec(start: int) -> Iterator[Tiling]:
-        i = start
-        while i < len(order) and order[i] in covered:
-            i += 1
-        if i == len(order):
-            yield tuple(sorted(pieces))
-            return
-        t = order[i]
-        for nb in sorted(tri_neighbors(t, tris)):
-            if nb not in covered:
-                covered.add(t)
-                covered.add(nb)
-                pieces.append(piece(t, nb))
-                yield from rec(i + 1)
-                pieces.pop()
-                covered.discard(t)
-                covered.discard(nb)
-
-    yield from rec(0)
+    yield from _matchings(
+        {t: sorted(nb for nb in tri_neighbors(t, tris) if nb > t) for t in region.sorted_tris}
+    )
 
 
 def count_lozenge_tilings(region: TriRegion) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .polyring import LaurentPoly2, _exact_sqrt, one, q_integer
-from .regions import _check_dr_params
+from .regions import InvariantError, _check_dr_params
 
 
 class ResampleError(ArithmeticError):
@@ -63,7 +63,8 @@ def macmahon_count(a: int, b: int, c: int) -> int:
         for j in range(1, b + 1):
             for t in range(1, c + 1):
                 total *= Fraction(i + j + t - 1, i + j + t - 2)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InvariantError(f"MacMahon product {total} for {(a, b, c)} is not an integer")
     return total.numerator
 
 
@@ -101,9 +102,11 @@ def main_constants(m1: int, n1: int, k: int, m2: int, n2: int) -> MainConstants:
         + (m2 - k + 1) * (m2 + n2 - 1) * (n1 - m1)
         + Fraction(m1 * (m1 + 1) * (2 * k + 2 * m1 + 2 * n2 - 1), 2)
     )
-    assert A2.denominator == 1, "exponent constant A must be an integer"
+    if A2.denominator != 1:
+        raise InvariantError(f"exponent constant A = {A2} must be an integer")
     A = A2.numerator
-    assert A == _a_sum_form(m1, n1, k, m2, n2), "the two forms of A must agree"
+    if A != _a_sum_form(m1, n1, k, m2, n2):
+        raise InvariantError("the two forms of the exponent constant A must agree")
     star = tuple(
         LaurentPoly2({(0, 0): 1, (-2, -2 * (2 * i + 1)): 1}).shift(
             0, 2 * (2 * m2 + 2 * n2 - 3)
@@ -128,7 +131,8 @@ def _a_sum_form(m1, n1, k, m2, n2):
         2 * (m1 - i) * (k + n2 + 2 * i) + (m1 - i) ** 2 for i in range(m1)
     )
     total = base + tail
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InvariantError(f"summed exponent constant A = {total} must be an integer")
     return total.numerator
 
 
@@ -234,7 +238,8 @@ def weighted_formula_rhs(
             - 2 * g * m1
             + g * (g - 3)
         )
-        assert e2 % 2 == 0, "monomial exponent must be an integer"
+        if e2 % 2:
+            raise InvariantError(f"monomial exponent {e2}/2 must be an integer")
         total *= q ** (e2 // 2)
     for i in range(1, n1 - m1 + 1):
         for j in range(1, m2 - k + 2):

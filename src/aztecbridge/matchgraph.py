@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .engine import CapacityError
-from .regions import WHITE, Cell, Region
+from .regions import Cell, Region
 
 #: Brute-force matching bound.
 MAX_MATCH_VERTICES = 40
@@ -147,8 +147,7 @@ def domino_weight(
     domino at level L weighs d * q^L with L the bottom cell's row, a graded
     horizontal one weighs c * q^(L-1) with L its row.
     """
-    dmin = min(c.y - c.x for c in region.cells)
-    ymin = min(c.y for c in region.cells)
+    dmin, ymin = region.dmin, region.ymin
     if c1.x == c2.x:  # vertical
         bot = c1 if c1.y < c2.y else c2
         if (bot.y - bot.x - dmin) % 2 == anchor_parity % 2:
@@ -183,8 +182,7 @@ def dual_graph(
                     else domino_weight(region, c, d, scheme, anchor_parity)
                 )
                 edges.append((c, d, w))
-    dmin = min(c.y - c.x for c in cells)
-    marked = sorted((c for c in cells if c.y - c.x == dmin), key=lambda c: c.x + c.y)
+    marked = sorted((c for c in cells if c.y - c.x == region.dmin), key=lambda c: c.x + c.y)
     return WeightedGraph(cells, edges, marked)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import Tiling, is_vertical
-from .regions import WHITE, Region, boundary_markers
+from .regions import Region
 
 UP, DOWN, LEVEL = "U", "D", "L"
 
@@ -41,12 +41,12 @@ class PathFamily(NamedTuple):
 def _segments(region: Region, tiling: Tiling) -> dict:
     """Map from segment start point to (end point, step letter)."""
     segs: dict = {}
-    color = region.color
+    white = region.white_parity
     for d in tiling:
         c1, c2 = d
         if is_vertical(d):
             bot, top = (c1, c2) if c1.y < c2.y else (c2, c1)
-            if color[bot] == WHITE:
+            if (bot.x + bot.y) % 2 == white:
                 start = (top.x, 2 * top.y + 1)
                 segs[start] = ((top.x + 1, 2 * bot.y + 1), DOWN)
             else:
@@ -54,7 +54,7 @@ def _segments(region: Region, tiling: Tiling) -> dict:
                 segs[start] = ((bot.x + 1, 2 * top.y + 1), UP)
         else:
             left = c1 if c1.x < c2.x else c2
-            if color[left] != WHITE:
+            if (left.x + left.y) % 2 != white:
                 start = (left.x, 2 * left.y + 1)
                 segs[start] = ((left.x + 2, 2 * left.y + 1), LEVEL)
     return segs
@@ -63,7 +63,7 @@ def _segments(region: Region, tiling: Tiling) -> dict:
 def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     """Assemble the decorated segments into the marker-joined path family."""
     segs = _segments(region, tiling)
-    markers = boundary_markers(region)
+    markers = region.markers
     v_index = {p: i for i, p in enumerate(markers.v)}
     seen: set = set()
     used_starts: set = set()
@@ -108,12 +108,12 @@ def underneath_area(family: PathFamily) -> Fraction:
 
     A step at heights h -> h' (in whole units above the ground) contributes
     the trapezoid (h + h')/2 per unit of horizontal run, so a level step at
-    height h counts 2h and a diagonal step h + 1/2 or h - 1/2.
+    height h counts 2h and a diagonal step h + 1/2 or h - 1/2.  With
+    h = (y2 - 1) / 2 each step adds (y2 + y2' - 2) * run / 4, so the sum is
+    kept in integer quarter units.
     """
-    total = Fraction(0)
+    total = 0
     for p in family.paths:
         for (x0, y0), (x1, y1) in zip(p.points, p.points[1:]):
-            h0 = Fraction(y0 - 1, 2)
-            h1 = Fraction(y1 - 1, 2)
-            total += (h0 + h1) * (x1 - x0) / 2
-    return total
+            total += (y0 + y1 - 2) * (x1 - x0)
+    return Fraction(total, 4)

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .engine import CapacityError, Tiling, piece
 from .polyring import LaurentPoly2
-from .regions import Tri, TriRegion, build_hexagon
+from .regions import InvariantError, Tri, TriRegion, build_hexagon
 
 PlanePartition = tuple  # tuple of row tuples
 
@@ -110,7 +110,8 @@ def _face_lozenge(base: tuple[int, int, int], e1, e2) -> tuple[Tri, Tri]:
             tris.append(Tri(x, y, True))
         if {(x + 1, y), (x, y + 1), (x + 1, y + 1)} <= pts:
             tris.append(Tri(x, y, False))
-    assert len(tris) == 2, f"face does not project to a lozenge: {sorted(pts)}"
+    if len(tris) != 2:
+        raise InvariantError(f"face does not project to a lozenge: {sorted(pts)}")
     return piece(*tris)
 
 
@@ -153,7 +154,8 @@ def _hex_offset(a: int, b: int, c: int) -> tuple[int, int, TriRegion]:
     dx = min(t.x for t in region.tris) - min(t.x for t in raw)
     dy = min(t.y for t in region.tris) - min(t.y for t in raw)
     moved = {Tri(t.x + dx, t.y + dy, t.up) for t in raw}
-    assert moved == set(region.tris), "projected surface must tile the hexagon exactly"
+    if moved != region.tris:
+        raise InvariantError("projected surface must tile the hexagon exactly")
     return dx, dy, region
 
 

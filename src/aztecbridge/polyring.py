@@ -220,8 +220,9 @@ def _half_power(base: Fraction, root: Fraction | None, e2: int) -> Fraction:
     """base^(e2/2) as an exact rational."""
     if e2 % 2 == 0:
         e = e2 // 2
+    elif root is None:
+        raise ValueError(f"the half-integer exponent {e2}/2 needs the square root of the base")
     else:
-        assert root is not None
         base, e = root, e2
     if e < 0 and base == 0:
         raise ValueError("zero base with negative exponent")

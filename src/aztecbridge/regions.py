@@ -20,8 +20,10 @@ corners (x, y), (x+1, y), (x, y+1); a down-triangle D(x, y) has corners
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 
 class ConstraintError(ValueError):
@@ -30,6 +32,10 @@ class ConstraintError(ValueError):
 
 class KindError(TypeError):
     """Operation applied to a region of the wrong kind."""
+
+
+class InvariantError(RuntimeError):
+    """An identity that guards a computed result does not hold."""
 
 
 class Cell(NamedTuple):
@@ -47,16 +53,20 @@ WHITE = "white"
 BLACK = "black"
 
 
+class BoundaryMarkers(NamedTuple):
+    """Schroeder-path endpoints: points (x, y2) with y2 = 2*y_actual."""
+
+    u: list[tuple[int, int]]
+    v: list[tuple[int, int]]
+
+
 def _ar_cells(m: int, n: int) -> set[Cell]:
     """Raw Aztec-rectangle cells in diagonal coordinates (untranslated)."""
     cells = set()
     for d in range(0, 2 * m + 1):
         # s and d have opposite parity because s + d = 2y + 1.
-        for s in range(0, 2 * n + 1):
-            if (s + d) % 2 == 1:
-                x, r = divmod(s - 1 - d, 2)
-                assert r == 0
-                cells.add(Cell(x, (s - 1 + d) // 2))
+        for s in range((d + 1) % 2, 2 * n + 1, 2):
+            cells.add(Cell((s - 1 - d) // 2, (s - 1 + d) // 2))
     return cells
 
 
@@ -75,12 +85,18 @@ def glue_offset(m1: int, n1: int, k: int, m2: int, n2: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Region:
-    """An immutable square-lattice region with checkerboard coloring."""
+    """An immutable square-lattice region with checkerboard coloring.
+
+    A cell (x, y) is white when x + y has the parity ``white_parity``.  The
+    derived invariants below (grid edges, boundary markers, minimal tiling,
+    its path area, rank table) are each computed on first use and kept on
+    the instance, so no module keeps a cache of its own.
+    """
 
     kind: str
     params: tuple[int, ...]
     cells: frozenset[Cell]
-    color: dict[Cell, str] = field(compare=False, repr=False)
+    white_parity: int
     upper: frozenset[Cell] | None = None
     lower: frozenset[Cell] | None = None
 
@@ -97,9 +113,12 @@ class Region:
                 f"color imbalance: {whites} white vs {len(self.cells) - whites} black"
             )
 
+    def color(self, c: Cell) -> str:
+        return WHITE if (c.x + c.y) % 2 == self.white_parity else BLACK
+
     def imbalance(self) -> int:
         """White cells minus black cells; a tileable region has 0."""
-        whites = sum(1 for c in self.cells if self.color[c] == WHITE)
+        whites = sum(1 for c in self.cells if (c.x + c.y) % 2 == self.white_parity)
         return 2 * whites - len(self.cells)
 
     @property
@@ -112,6 +131,68 @@ class Region:
         if self.kind == "aztec_rectangle":
             return "ar:%dx%d" % self.params
         return "dr:%d,%d,%d,%d,%d" % self.params
+
+    # -- derived invariants -------------------------------------------------
+
+    @cached_property
+    def dmin(self) -> int:
+        """The bottommost diagonal, min(y - x) over the cells."""
+        return min(c.y - c.x for c in self.cells)
+
+    @cached_property
+    def ymin(self) -> int:
+        """The bottom row."""
+        return min(c.y for c in self.cells)
+
+    @cached_property
+    def grid_edges(self) -> dict:
+        """Height steps along the cell edges; see ``stats.height_function``."""
+        from .stats import _grid_edges
+
+        return _grid_edges(self)
+
+    @cached_property
+    def markers(self) -> BoundaryMarkers:
+        """Boundary markers of a double Aztec rectangle; see ``boundary_markers``."""
+        if self.kind != "double_aztec_rectangle":
+            raise KindError("boundary markers are defined for double Aztec rectangles only")
+        if self.upper is None or self.lower is None:
+            raise KindError("a double Aztec rectangle needs its upper and lower parts")
+        # u: left edges of the lower SW fringe (minimal x+y diagonal) and of the
+        # upper NW fringe (maximal y-x diagonal); v: right edges of the lower SE
+        # fringe (minimal y-x) and upper NE fringe (maximal x+y).  Each fringe is
+        # ordered bottom-to-top.
+        low_sw = _diagonal_fringe(self.lower, lambda c: c.x + c.y, minimal=True)
+        up_nw = _diagonal_fringe(self.upper, lambda c: c.y - c.x, minimal=False)
+        low_se = _diagonal_fringe(self.lower, lambda c: c.y - c.x, minimal=True)
+        up_ne = _diagonal_fringe(self.upper, lambda c: c.x + c.y, minimal=False)
+        u = [(c.x, 2 * c.y + 1) for c in low_sw + up_nw]
+        v = [(c.x + 1, 2 * c.y + 1) for c in low_se + up_ne]
+        m1, n1, k, m2, n2 = self.params
+        if len(u) != m2 + n1 or len(v) != n2 + m1:
+            raise InvariantError(f"{len(u)} and {len(v)} markers, expected {m2 + n1} and {n2 + m1}")
+        return BoundaryMarkers(u=u, v=v)
+
+    @cached_property
+    def minimal_tiling(self) -> tuple:
+        """The rank-zero tiling; see ``stats.minimal_tiling``."""
+        from .stats import _extreme_tiling
+
+        return _extreme_tiling(self)
+
+    @cached_property
+    def minimal_area(self):
+        """Underneath area of the minimal tiling's path family."""
+        from .paths import tiling_to_paths, underneath_area
+
+        return underneath_area(tiling_to_paths(self, self.minimal_tiling))
+
+    @cached_property
+    def rank_table(self) -> MappingProxyType:
+        """Read-only flip distances from the minimal tiling; see ``stats.rank_table``."""
+        from .stats import _flip_distances
+
+        return MappingProxyType(_flip_distances(self))
 
 
 @dataclass(frozen=True)
@@ -143,10 +224,6 @@ def _normalize(cells: set[Cell], *parts: set[Cell]):
     return moved, moved_parts, (minx + miny) % 2
 
 
-def _checkerboard(cells: Iterable[Cell], white_parity: int) -> dict[Cell, str]:
-    return {c: (WHITE if (c.x + c.y) % 2 == white_parity else BLACK) for c in cells}
-
-
 def build_aztec_diamond(n: int) -> Region:
     if n < 1:
         raise ConstraintError(f"aztec diamond needs n >= 1, got n={n}")
@@ -159,8 +236,7 @@ def build_aztec_rectangle(m: int, n: int, kind: str = "aztec_rectangle", params=
     raw = _ar_cells(m, n)
     cells, _, flip = _normalize(raw)
     # Raw white convention: x + y even.  Standalone regions just inherit it.
-    color = _checkerboard(cells, white_parity=flip)
-    return Region(kind=kind, params=params or (m, n), cells=frozenset(cells), color=color)
+    return Region(kind=kind, params=params or (m, n), cells=frozenset(cells), white_parity=flip)
 
 
 def build_double_rectangle(m1: int, n1: int, k: int, m2: int, n2: int) -> Region:
@@ -173,13 +249,11 @@ def build_double_rectangle(m1: int, n1: int, k: int, m2: int, n2: int) -> Region
     cells, (upper_n, lower_n), flip = _normalize(lower | upper, upper, lower)
     # The cells along the southwest side of the upper rectangle are white.
     sw_cell = min(upper_n, key=lambda c: (c.x + c.y, c.x))
-    white_parity = (sw_cell.x + sw_cell.y) % 2
-    color = _checkerboard(cells, white_parity)
     return Region(
         kind="double_aztec_rectangle",
         params=(m1, n1, k, m2, n2),
         cells=frozenset(cells),
-        color=color,
+        white_parity=(sw_cell.x + sw_cell.y) % 2,
         upper=frozenset(upper_n),
         lower=frozenset(lower_n),
     )
@@ -219,10 +293,10 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
                 tris.add(Tri(x, y, True))
             if inside(x + 1, y) and inside(x, y + 1) and inside(x + 1, y + 1):
                 tris.add(Tri(x, y, False))
-    region = TriRegion(kind="hexagon", params=(a, b, c), tris=frozenset(tris))
-    ups = sum(1 for t in region.tris if t.up)
-    assert 2 * ups == len(region.tris), "up/down triangle counts must match"
-    return region
+    ups = sum(1 for t in tris if t.up)
+    if 2 * ups != len(tris):
+        raise InvariantError(f"{ups} up-triangles among {len(tris)}: the counts must match")
+    return TriRegion(kind="hexagon", params=(a, b, c), tris=frozenset(tris))
 
 
 def tri_neighbors(t: Tri, tris: frozenset[Tri]) -> list[Tri]:
@@ -234,36 +308,15 @@ def tri_neighbors(t: Tri, tris: frozenset[Tri]) -> list[Tri]:
     return [c for c in cand if c in tris]
 
 
-class BoundaryMarkers(NamedTuple):
-    """Schroeder-path endpoints: points (x, y2) with y2 = 2*y_actual."""
-
-    u: list[tuple[int, int]]
-    v: list[tuple[int, int]]
-
-
 def boundary_markers(region: Region) -> BoundaryMarkers:
     """Centers of vertical boundary steps of a double Aztec rectangle.
 
     u lists the lower southwest then upper northwest markers bottom-to-top;
     v lists the lower southeast then upper northeast markers bottom-to-top.
     Points are (x, 2y+1): vertical edge midpoints in half-unit y coordinates.
+    Derived once per region and kept on it.
     """
-    if region.kind != "double_aztec_rectangle":
-        raise KindError("boundary markers are defined for double Aztec rectangles only")
-    assert region.upper is not None and region.lower is not None
-    # u: left edges of the lower SW fringe (minimal x+y diagonal) and of the
-    # upper NW fringe (maximal y-x diagonal); v: right edges of the lower SE
-    # fringe (minimal y-x) and upper NE fringe (maximal x+y).  Each fringe is
-    # ordered bottom-to-top.
-    low_sw = _diagonal_fringe(region.lower, lambda c: c.x + c.y, minimal=True)
-    up_nw = _diagonal_fringe(region.upper, lambda c: c.y - c.x, minimal=False)
-    low_se = _diagonal_fringe(region.lower, lambda c: c.y - c.x, minimal=True)
-    up_ne = _diagonal_fringe(region.upper, lambda c: c.x + c.y, minimal=False)
-    u = [(c.x, 2 * c.y + 1) for c in low_sw + up_nw]
-    v = [(c.x + 1, 2 * c.y + 1) for c in low_se + up_ne]
-    m1, n1, k, m2, n2 = region.params
-    assert len(u) == m2 + n1 and len(v) == n2 + m1
-    return BoundaryMarkers(u=u, v=v)
+    return region.markers
 
 
 def _diagonal_fringe(cells: frozenset[Cell], diag, minimal: bool) -> list[Cell]:

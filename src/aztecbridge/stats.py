@@ -7,26 +7,24 @@ diamond come out all-horizontal is the minimal tiling (for the glued double
 rectangle it reproduces the vertical-core decomposition and minimizes path
 area; tests check both).  Rank is the flip distance from the minimal tiling,
 where a flip rotates a 2x2 block of two parallel dominoes.
+
+The grid edges, the minimal tiling and the rank table are derived once per
+region and kept on the ``Region`` instance; this module computes them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 # The q-weighted sweep shares the column-fill recursion of count_tilings.
-from .engine import Domino, Tiling, _columns, _fill_column, is_vertical, piece
+from .engine import Tiling, _columns, _fill_column, is_vertical, piece
 from .polyring import LaurentPoly2
-from .regions import BLACK, WHITE, Cell, ConstraintError, KindError, Region
-
-_RANK_CACHE: dict = {}
+from .regions import Cell, ConstraintError, InvariantError, KindError, Region
 
 
 class UnreachableError(RuntimeError):
     """A tiling is not connected to the minimal tiling by elementary moves."""
-
-
-class InvariantError(RuntimeError):
-    """An identity that guards a computed result does not hold."""
 
 
 def vertical_halfcount(tiling: Tiling) -> Fraction:
@@ -37,38 +35,31 @@ def vertical_halfcount(tiling: Tiling) -> Fraction:
 # -- height functions -------------------------------------------------------
 
 
-def _edge_left_cell(a, b) -> Cell:
-    """The cell on the left of the directed lattice edge a -> b."""
-    (ax, ay), (bx, by) = a, b
-    if (bx - ax, by - ay) == (1, 0):
-        return Cell(ax, ay)
-    if (bx - ax, by - ay) == (-1, 0):
-        return Cell(bx, by - 1)
-    if (bx - ax, by - ay) == (0, 1):
-        return Cell(ax - 1, ay)
-    if (bx - ax, by - ay) == (0, -1):
-        return Cell(ax, by)
-    raise ValueError("not a unit edge")
+def _grid_edges(region: Region) -> dict:
+    """Height steps along the unit edges of the region's cells, by start vertex.
 
-
-def _grid_edges(region: Region):
-    """Directed unit edges with their left-cell membership and color."""
+    Maps each vertex a to its moves (b, step, domino).  Crossing a -> b
+    raises the height by step: +1 when the cell on the left of a -> b is
+    white in the checkerboard (extended past the region), -1 when it is
+    black.  domino is the pair of region cells the edge separates, or None
+    on the region boundary.
+    """
     cells = region.cells
-    vertices = set()
+    edges: dict = {}
     for c in cells:
-        vertices.update(
-            [(c.x, c.y), (c.x + 1, c.y), (c.x, c.y + 1), (c.x + 1, c.y + 1)]
-        )
-    edges = []
-    for a in vertices:
-        for b in ((a[0] + 1, a[1]), (a[0] - 1, a[1]), (a[0], a[1] + 1), (a[0], a[1] - 1)):
-            if b not in vertices:
-                continue
-            left = _edge_left_cell(a, b)
-            right = _edge_left_cell(b, a)
-            if left in cells or right in cells:
-                edges.append((a, b, left if left in cells else None, right in cells))
-    return vertices, edges
+        x, y = c
+        step = 1 if (x + y) % 2 == region.white_parity else -1
+        # counterclockwise around c, so c is on the left of each edge
+        corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+        across = (Cell(x, y - 1), Cell(x + 1, y), Cell(x, y + 1), Cell(x - 1, y))
+        for i, other in enumerate(across):
+            if other in cells and other < c:
+                continue  # added from the other side
+            a, b = corners[i], corners[(i + 1) % 4]
+            domino = piece(c, other) if other in cells else None
+            edges.setdefault(a, []).append((b, step, domino))
+            edges.setdefault(b, []).append((a, -step, domino))
+    return edges
 
 
 def height_function(region: Region, tiling: Tiling) -> dict:
@@ -78,33 +69,15 @@ def height_function(region: Region, tiling: Tiling) -> dict:
     unless a domino of the tiling crosses the edge, in which case it drops
     by 3 (and symmetrically for black).
     """
-    covered_edge = set()
-    for c1, c2 in tiling:
-        # the unit edge shared by the two cells of the domino
-        if c1.x == c2.x:  # vertical: shared horizontal edge at y = max(y)
-            y = max(c1.y, c2.y)
-            covered_edge.add(frozenset({(c1.x, y), (c1.x + 1, y)}))
-        else:  # horizontal: shared vertical edge at x = max(x)
-            x = max(c1.x, c2.x)
-            covered_edge.add(frozenset({(x, c1.y), (x, c1.y + 1)}))
-    vertices, edges = _grid_edges(region)
-    start = min(vertices)
+    dominoes = set(tiling)
+    edges = region.grid_edges
+    start = min(edges)
     h = {start: 0}
     stack = [start]
-    color = region.color
-    adj: dict = {}
-    for a, b, left, _ in edges:
-        if left is None:
-            continue
-        step = 1 if color[left] == WHITE else -1
-        if frozenset({a, b}) in covered_edge:
-            step = -3 * step
-        adj.setdefault(a, []).append((b, step))
-        adj.setdefault(b, []).append((a, -step))
     while stack:
         a = stack.pop()
-        for b, step in adj.get(a, []):
-            hb = h[a] + step
+        for b, step, domino in edges[a]:
+            hb = h[a] - 3 * step if domino in dominoes else h[a] + step
             if b in h:
                 if h[b] != hb:
                     raise InvariantError("inconsistent height function")
@@ -115,89 +88,66 @@ def height_function(region: Region, tiling: Tiling) -> dict:
     return {v: hv - m for v, hv in h.items()}
 
 
-def _extreme_tiling(region: Region, maximal: bool) -> Tiling:
-    """The tiling whose height function is pointwise extreme.
+def _extreme_tiling(region: Region) -> Tiling:
+    """The tiling whose height function is pointwise largest.
 
-    Boundary heights are forced; interior heights are relaxed against the
-    constraint h(b) <= h(a) + 1 across white-left edges and + 3 across
-    black-left edges (reversed for the maximal extreme), which is a
-    shortest-path problem solved by plain relaxation.
+    Boundary heights are forced; interior heights are relaxed downward
+    against the caps h(b) <= h(a) + 1 across a +1 edge and h(b) <= h(a) + 3
+    across a -1 edge (the allowed differences are {+1, -3} and {-1, +3}),
+    which is a shortest-path problem from the boundary.  With this region
+    coloring the largest height function gives the all-horizontal tiling on
+    a diamond and the unique path-area minimizer on a double rectangle (see
+    tests), so it is the minimal tiling.
     """
-    vertices, edges = _grid_edges(region)
-    color = region.color
-    # caps: h(b) - h(a) <= 1 across a white-left edge, <= 3 across black-left
-    # (the allowed differences are {+1, -3} and {-1, +3} respectively);
-    # boundary edges carry no domino, so their difference is forced exactly.
-    forced = []
-    caps: list[tuple] = []
-    for a, b, left, right_in in edges:
-        if left is None:
-            continue
-        if not right_in:
-            forced.append((a, b, 1 if color[left] == WHITE else -1))
-        caps.append((a, b, 1 if color[left] == WHITE else 3))
-    # propagate boundary equalities from an arbitrary anchor
-    h: dict = {forced[0][0]: 0}
-    changed = True
-    while changed:
-        changed = False
-        for a, b, s in forced:
-            if a in h and b not in h:
-                h[b] = h[a] + s
-                changed = True
-            elif b in h and a not in h:
-                h[a] = h[b] - s
-                changed = True
-            elif a in h and b in h and h[b] - h[a] != s:
-                raise InvariantError("boundary heights are inconsistent")
-    boundary = dict(h)
-    # Bellman-Ford relaxation; the largest solution of the difference
-    # constraints relaxes downward from +inf, the smallest upward from -inf.
-    big = 4 * (len(vertices) + 4)
-    val = {v: boundary.get(v, -big if maximal is False else big) for v in vertices}
-    # note: minimal extreme starts low and is pushed up by reversed caps,
-    # maximal starts high and is pulled down by forward caps
-    changed = True
-    while changed:
-        changed = False
-        for a, b, cap in caps:
-            if maximal:
-                if b not in boundary and val[b] > val[a] + cap:
-                    val[b] = val[a] + cap
-                    changed = True
-            else:
-                if a not in boundary and val[a] < val[b] - cap:
-                    val[a] = val[b] - cap
-                    changed = True
-    # read the dominoes off the height differences
-    cells = region.cells
-    pieces = set()
-    for a, b, left, right_in in edges:
-        if left is None or not right_in:
-            continue
-        if abs(val[b] - val[a]) == 3:
-            other = _edge_left_cell(b, a)
-            pieces.add(piece(left, other))
-    tiling = tuple(sorted(pieces))
-    covered = [c for d in tiling for c in d]
-    if len(covered) != len(cells) or set(covered) != set(cells):
-        raise InvariantError("extreme height function did not yield a perfect tiling")
-    return tiling
-
-
-def minimal_tiling(region: Region) -> Tiling:
-    """The rank-zero tiling (all-horizontal for an Aztec diamond)."""
-    if region.kind not in ("aztec_diamond", "double_aztec_rectangle", "aztec_rectangle"):
-        raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
     excess = region.imbalance()
     if excess:
         raise ConstraintError(
             f"{region.spec_string()} has {excess:+d} white cells over black, so it has no tilings"
         )
-    # The calibrated choice of extreme: with this region coloring the maximal
-    # height function gives the all-horizontal tiling on a diamond and the
-    # unique path-area minimizer on a double rectangle (see tests).
-    return _extreme_tiling(region, maximal=True)
+    edges = region.grid_edges
+    # boundary edges carry no domino, so their difference is forced exactly;
+    # the leftmost-lowest vertex is on the boundary
+    start = min(edges)
+    boundary = {start: 0}
+    stack = [start]
+    while stack:
+        a = stack.pop()
+        for b, step, domino in edges[a]:
+            if domino is not None:
+                continue
+            if b not in boundary:
+                boundary[b] = boundary[a] + step
+                stack.append(b)
+            elif boundary[b] != boundary[a] + step:
+                raise InvariantError("boundary heights are inconsistent")
+    val = dict.fromkeys(edges, 4 * (len(edges) + 4))
+    val.update(boundary)
+    stack = list(boundary)
+    while stack:
+        a = stack.pop()
+        for b, step, _ in edges[a]:
+            cap = val[a] + (1 if step > 0 else 3)
+            if val[b] > cap and b not in boundary:
+                val[b] = cap
+                stack.append(b)
+    # read the dominoes off the height differences
+    pieces = set()
+    for a, moves in edges.items():
+        for b, _, domino in moves:
+            if domino is not None and abs(val[b] - val[a]) == 3:
+                pieces.add(domino)
+    tiling = tuple(sorted(pieces))
+    covered = [c for d in tiling for c in d]
+    if len(covered) != len(region.cells) or set(covered) != region.cells:
+        raise InvariantError("extreme height function did not yield a perfect tiling")
+    return tiling
+
+
+def minimal_tiling(region: Region) -> Tiling:
+    """The rank-zero tiling (all-horizontal for an Aztec diamond), derived once per region."""
+    if region.kind not in ("aztec_diamond", "double_aztec_rectangle", "aztec_rectangle"):
+        raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
+    return region.minimal_tiling
 
 
 # -- flips and rank ---------------------------------------------------------
@@ -209,22 +159,12 @@ def flips(tiling: Tiling) -> list[Tiling]:
     out = []
     for d in tiling:
         c1, c2 = d
-        if is_vertical(d):
-            mate = piece(Cell(c1.x + 1, c1.y), Cell(c2.x + 1, c2.y))
-            if mate in have:
-                repl = [
-                    piece(c1, Cell(c1.x + 1, c1.y)),
-                    piece(c2, Cell(c2.x + 1, c2.y)),
-                ]
-                out.append(_replace(tiling, {d, mate}, repl))
-        else:
-            mate = piece(Cell(c1.x, c1.y + 1), Cell(c2.x, c2.y + 1))
-            if mate in have:
-                repl = [
-                    piece(c1, Cell(c1.x, c1.y + 1)),
-                    piece(c2, Cell(c2.x, c2.y + 1)),
-                ]
-                out.append(_replace(tiling, {d, mate}, repl))
+        # the parallel mate sits to the right of a vertical, above a horizontal
+        dx, dy = (1, 0) if is_vertical(d) else (0, 1)
+        a, b = Cell(c1.x + dx, c1.y + dy), Cell(c2.x + dx, c2.y + dy)
+        mate = piece(a, b)
+        if mate in have:
+            out.append(_replace(tiling, {d, mate}, [piece(c1, a), piece(c2, b)]))
     return out
 
 
@@ -232,11 +172,16 @@ def _replace(tiling: Tiling, drop: set, add: list) -> Tiling:
     return tuple(sorted([d for d in tiling if d not in drop] + add))
 
 
-def rank_table(region: Region) -> dict[Tiling, int]:
-    """Flip distance from the minimal tiling, for every reachable tiling."""
-    key = (region.kind, region.params)
-    if key in _RANK_CACHE:
-        return _RANK_CACHE[key]
+def rank_table(region: Region) -> Mapping[Tiling, int]:
+    """Flip distance from the minimal tiling, for every reachable tiling.
+
+    The table is derived once per region, kept on it and read-only.
+    """
+    return region.rank_table
+
+
+def _flip_distances(region: Region) -> dict[Tiling, int]:
+    """Breadth-first search over flips from the minimal tiling."""
     t0 = minimal_tiling(region)
     dist = {t0: 0}
     frontier = [t0]
@@ -248,7 +193,6 @@ def rank_table(region: Region) -> dict[Tiling, int]:
                     dist[t2] = dist[t] + 1
                     nxt.append(t2)
         frontier = nxt
-    _RANK_CACHE[key] = dist
     return dist
 
 
@@ -266,8 +210,7 @@ def rank_via_area(region: Region, tiling: Tiling) -> int:
 
     if region.kind != "double_aztec_rectangle":
         raise KindError("area rank is defined for double Aztec rectangles only")
-    base = underneath_area(tiling_to_paths(region, minimal_tiling(region)))
-    diff = underneath_area(tiling_to_paths(region, tiling)) - base
+    diff = underneath_area(tiling_to_paths(region, tiling)) - region.minimal_area
     if diff.denominator != 1:
         raise InvariantError("area excess must be a whole number of cells")
     return int(diff)
@@ -293,8 +236,7 @@ def tq_sum(region: Region) -> LaurentPoly2:
     cells = region.cells
     columns = _columns(region)
     rows = max(c.y for c in cells) + 1
-    some = min(cells)
-    white = (some.x + some.y + (region.color[some] != WHITE)) % 2  # x + y parity of white
+    white = region.white_parity
 
     def line_q2(x: int, mask: int) -> int:
         """Doubled q exponent, deficit / 2, of line x under a profile mask.

@@ -1,17 +1,22 @@
 """Enumeration vs counting, on both lattices."""
 
+import hashlib
+
 import pytest
 
 from aztecbridge.engine import (
     count_lozenge_tilings,
     count_tilings,
+    enumerate_lozenge_tilings,
     enumerate_tilings,
     is_vertical,
 )
 from aztecbridge.regions import (
+    TriRegion,
     build_aztec_diamond,
     build_double_rectangle,
     build_hexagon,
+    parse_spec,
 )
 
 
@@ -61,3 +66,21 @@ def test_vertical_predicate():
 @pytest.mark.parametrize("sides,expected", [((1, 1, 1), 2), ((2, 2, 2), 20)])
 def test_hexagon_counts(sides, expected):
     assert count_lozenge_tilings(build_hexagon(*sides)) == expected
+
+
+@pytest.mark.parametrize(
+    "spec,count,digest",
+    [
+        ("dr:2,3,1,2,3", 640, "6eb98e6e2019edb1"),
+        ("ad:3", 64, "4f798716fd777f5f"),
+        ("hex:2,2,2", 20, "f1f0e3416b29b051"),
+        ("hex:3,2,2", 50, "43770ab25a3df40f"),
+    ],
+)
+def test_enumeration_order_is_pinned(spec, count, digest):
+    # paths and render pick tilings by their index in this order
+    region = parse_spec(spec)
+    enumerate_ = enumerate_lozenge_tilings if isinstance(region, TriRegion) else enumerate_tilings
+    tilings = list(enumerate_(region))
+    assert len(tilings) == count
+    assert hashlib.sha256(repr(tilings).encode()).hexdigest()[:16] == digest

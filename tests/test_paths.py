@@ -90,6 +90,17 @@ def test_area_is_a_half_integer_and_rank_difference_whole():
     assert all(((a - base) * 1).denominator == 1 for a in areas)
 
 
+def test_underneath_area_is_pinned():
+    from aztecbridge.stats import minimal_tiling
+
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    tilings = list(enumerate_tilings(region))
+    area = lambda t: underneath_area(tiling_to_paths(region, t))
+    assert area(minimal_tiling(region)) == region.minimal_area == Fraction(111, 2)
+    assert area(tilings[0]) == Fraction(145, 2)
+    assert area(tilings[5]) == Fraction(139, 2)
+
+
 def test_wrong_kind_is_rejected():
     from aztecbridge.regions import KindError, build_aztec_diamond
     from aztecbridge.stats import minimal_tiling

@@ -28,20 +28,20 @@ def test_rectangle_cell_count_and_imbalance():
         for n in range(m, 5):
             region = build_aztec_rectangle(m, n)
             assert len(region.cells) == 2 * m * n + m + n
-            whites = sum(1 for c in region.cells if region.color[c] == WHITE)
+            whites = sum(1 for c in region.cells if region.color(c) == WHITE)
             blacks = len(region.cells) - whites
             assert abs(whites - blacks) == n - m
 
 
 def test_double_rectangle_balance_and_parts():
     region = build_double_rectangle(1, 2, 0, 1, 2)
-    whites = sum(1 for c in region.cells if region.color[c] == WHITE)
+    whites = sum(1 for c in region.cells if region.color(c) == WHITE)
     assert 2 * whites == len(region.cells)
     assert region.upper | region.lower == region.cells
     assert not (region.upper & region.lower)
     # the southwest-most upper cell is white
     sw = min(region.upper, key=lambda c: (c.x + c.y, c.x))
-    assert region.color[sw] == WHITE
+    assert region.color(sw) == WHITE
 
 
 def test_double_rectangle_bigger_instance_builds():
@@ -90,7 +90,7 @@ def test_checkerboard_is_proper():
     for c in region.cells:
         for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1)):
             if d in region.cells:
-                assert {region.color[c], region.color[d]} == {WHITE, BLACK}
+                assert {region.color(c), region.color(d)} == {WHITE, BLACK}
 
 
 def test_parse_spec_round_trip():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from aztecbridge.cli import small_double_rectangles
+from aztecbridge import stats
+from aztecbridge.cli import small_double_rectangles, suite_rank
 from aztecbridge.engine import enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.polyring import LaurentPoly2
@@ -98,10 +99,34 @@ def test_vertical_halfcount():
     assert halves == [Fraction(0), Fraction(1)]
 
 
+def test_region_invariants_are_derived_once(monkeypatch):
+    calls = []
+    extreme = stats._extreme_tiling
+
+    def counting(region):
+        calls.append(region.params)
+        return extreme(region)
+
+    monkeypatch.setattr(stats, "_extreme_tiling", counting)
+    cases = suite_rank(32)
+    assert len(cases) == 28 and all(c["ok"] for c in cases)
+    assert len(calls) == 28 and len(set(calls)) == 28
+
+
+def test_rank_table_is_kept_on_the_region_and_read_only():
+    region = build_double_rectangle(1, 2, 0, 1, 2)
+    table = rank_table(region)
+    assert rank_table(region) is table
+    assert rank_table(build_double_rectangle(1, 2, 0, 1, 2)) is not table
+    assert minimal_tiling(region) is minimal_tiling(region)
+    with pytest.raises(TypeError):
+        table[minimal_tiling(region)] = 1
+
+
 def test_minimal_tiling_wrong_kind():
     from aztecbridge.regions import KindError
 
-    with pytest.raises((KindError, AttributeError, TypeError)):
+    with pytest.raises(KindError):
         minimal_tiling(build_hexagon(1, 1, 1))
 
 
