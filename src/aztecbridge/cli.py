@@ -31,8 +31,8 @@ from .matchgraph import (
     ar_graph,
     ar_reduce,
     connected_sum,
-    dual_graph,
     matching_genfun,
+    region_matching_sum,
     spider_reduce,
     star_scale,
     vertex_split,
@@ -189,10 +189,10 @@ def _pick_tiling(region: Region, which: str):
         index = int(which)
     except ValueError:
         raise click.UsageError(f"tiling index must be an integer or 'minimal', got {which!r}")
-    for i, t in enumerate(enumerate_tilings(region)):
-        if i == index:
-            return t
-    raise click.UsageError(f"tiling index {index} out of range")
+    # the determinant count bounds the index before any tiling is listed
+    if not 0 <= index < count_tilings(region):
+        raise click.UsageError(f"tiling index {index} out of range")
+    return next(itertools.islice(enumerate_tilings(region), index, None))
 
 
 @main.command()
@@ -311,12 +311,14 @@ def suite_main(max_cells: int | None = None) -> list[dict]:
     return cases
 
 
-def suite_weighted(trials: int, seed: int) -> list[dict]:
+def suite_weighted(trials: int, seed: int, max_cells: int | None = None) -> list[dict]:
+    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
     from .regions import build_double_rectangle
 
     rng = random.Random(seed)
+    tuples = SUITE_TUPLES if max_cells is None else small_double_rectangles(max_cells)
     cases = []
-    for tup in SUITE_TUPLES:
+    for tup in tuples:
         region = build_double_rectangle(*tup)
         done = 0
         ok = True
@@ -326,7 +328,7 @@ def suite_weighted(trials: int, seed: int) -> list[dict]:
                 rhs = weighted_formula_rhs(*tup, *vals)
             except ResampleError:
                 continue
-            lhs = matching_genfun(dual_graph(region, WeightScheme(*vals)))
+            lhs = region_matching_sum(region, WeightScheme(*vals))
             ok = ok and lhs == rhs
             done += 1
         cases.append({"params": list(tup), "trials": done, "ok": ok})
@@ -453,7 +455,7 @@ def verify(suite: str, bound: int | None, trials: int | None, seed: int, out: st
     elif suite == "main":
         cases = suite_main(bound)
     elif suite == "weighted":
-        cases = suite_weighted(trials or 5, seed)
+        cases = suite_weighted(trials or 5, seed, bound)
     elif suite == "lemmas":
         cases = suite_lemmas(trials or 50, seed)
     elif suite == "rank":

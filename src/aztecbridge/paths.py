@@ -64,7 +64,7 @@ def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     """Assemble the decorated segments into the marker-joined path family."""
     segs = _segments(region, tiling)
     markers = region.markers
-    v_index = {p: i for i, p in enumerate(markers.v)}
+    v_index = region.v_index
     seen: set = set()
     used_starts: set = set()
     paths = []

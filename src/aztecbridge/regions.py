@@ -174,6 +174,11 @@ class Region:
         return BoundaryMarkers(u=u, v=v)
 
     @cached_property
+    def v_index(self) -> MappingProxyType:
+        """Read-only position of each v marker in ``markers.v``."""
+        return MappingProxyType({p: i for i, p in enumerate(self.markers.v)})
+
+    @cached_property
     def minimal_tiling(self) -> tuple:
         """The rank-zero tiling; see ``stats.minimal_tiling``."""
         from .stats import _extreme_tiling

@@ -14,10 +14,11 @@ region and kept on the ``Region`` instance; this module computes them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Mapping
 
-# The q-weighted sweep shares the column-fill recursion of count_tilings.
+# The column-fill recursion of the q-weighted sweep lives with the engine.
 from .engine import Tiling, _columns, _fill_column, is_vertical, piece
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
@@ -157,19 +158,22 @@ def flips(tiling: Tiling) -> list[Tiling]:
     """Tilings one elementary move away (rotating a 2x2 block)."""
     have = set(tiling)
     out = []
-    for d in tiling:
-        c1, c2 = d
-        # the parallel mate sits to the right of a vertical, above a horizontal
-        dx, dy = (1, 0) if is_vertical(d) else (0, 1)
-        a, b = Cell(c1.x + dx, c1.y + dy), Cell(c2.x + dx, c2.y + dy)
-        mate = piece(a, b)
-        if mate in have:
-            out.append(_replace(tiling, {d, mate}, [piece(c1, a), piece(c2, b)]))
+    for i, (c1, c2) in enumerate(tiling):
+        # The parallel mate sits to the right of a vertical, above a
+        # horizontal.  Shifting a sorted pair keeps it sorted, the mate sorts
+        # after (c1, c2), and (c1, a), (c2, b) are sorted too.  A plain tuple
+        # hashes and compares like the Cells, so Cells are built on a hit only.
+        dx, dy = (1, 0) if c1.x == c2.x else (0, 1)
+        a, b = (c1.x + dx, c1.y + dy), (c2.x + dx, c2.y + dy)
+        if (a, b) in have:
+            a, b = Cell(*a), Cell(*b)
+            flipped = list(tiling)
+            del flipped[bisect_left(tiling, (a, b))]  # the mate, then (c1, c2)
+            del flipped[i]
+            insort(flipped, (c1, a))
+            insort(flipped, (c2, b))
+            out.append(tuple(flipped))
     return out
-
-
-def _replace(tiling: Tiling, drop: set, add: list) -> Tiling:
-    return tuple(sorted([d for d in tiling if d not in drop] + add))
 
 
 def rank_table(region: Region) -> Mapping[Tiling, int]:
@@ -226,8 +230,8 @@ def tq_sum(region: Region) -> LaurentPoly2:
     vertices, divided by 4 (Thurston 1990; Elkies-Kuperberg-Larsen-Propp
     1992): the minimal tiling has the pointwise largest height function and
     every flip moves one vertex by 4.  The heights on the vertical line x
-    are fixed by the profile mask entering column x, so the profile DP of
-    ``count_tilings`` carries, per mask, a map from doubled exponents
+    are fixed by the profile mask entering column x, so a column-profile
+    sweep carries, per mask, a map from doubled exponents
     (vertical dominoes so far, 2 * rank so far) to tiling counts.  No tiling
     is listed and no flip is made.
     """
@@ -270,7 +274,7 @@ def tq_sum(region: Region) -> LaurentPoly2:
         table: dict[int, dict[int, int]] = {}
         for incoming in reach:
             table[incoming] = {}
-            _fill_column(x, col, cells, incoming, 0, 0, 1, table[incoming], vstep)
+            _fill_column(x, col, cells, incoming, 0, 0, table[incoming], vstep)
         moves_at.append(table)
         reach = {key % vstep for moves in table.values() for key in moves}
     live = {0}

@@ -9,6 +9,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import aztecbridge
+from aztecbridge import cli
 from aztecbridge.cli import main
 
 runner = CliRunner()
@@ -124,3 +125,24 @@ def test_verify_is_seed_deterministic():
     a = run("verify", "weighted", "--trials", "2", "--seed", "9").output
     b = run("verify", "weighted", "--trials", "2", "--seed", "9").output
     assert a == b
+
+
+def test_verify_weighted_honours_max():
+    result = run("verify", "weighted", "--max", "60")
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["status"] == "ok" and doc["failures"] == 0
+    assert len(doc["cases"]) == 96 and all(c["trials"] == 5 for c in doc["cases"])
+    fixed = json.loads(run("verify", "weighted").output)["cases"]
+    assert [tuple(c["params"]) for c in fixed] == list(cli.SUITE_TUPLES)
+
+
+def test_tiling_index_is_bounded_before_enumeration(monkeypatch):
+    def no_enumeration(region):
+        raise AssertionError("enumerated an out-of-range index")
+
+    monkeypatch.setattr(cli, "enumerate_tilings", no_enumeration)
+    for index in ("-1", "640", "99999"):
+        result = run("paths", "dr:2,3,1,2,3", "--", index)
+        assert result.exit_code == 2
+        assert f"tiling index {index} out of range" in result.output

@@ -108,3 +108,11 @@ def test_wrong_kind_is_rejected():
     region = build_aztec_diamond(2)
     with pytest.raises(KindError):
         tiling_to_paths(region, minimal_tiling(region))
+
+
+def test_v_marker_index_is_derived_once_per_region():
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    assert region.v_index is region.v_index
+    assert [region.v_index[p] for p in region.markers.v] == list(range(len(region.markers.v)))
+    with pytest.raises(TypeError):
+        region.v_index[(0, 0)] = 0

@@ -152,3 +152,17 @@ def test_tq_sum_matches_the_product_beyond_enumeration():
     # 2,007,040 and 2,097,152 tilings: out of reach of enumeration plus flip BFS
     assert tq_sum(build_double_rectangle(3, 5, 1, 3, 5)) == main_genfun(3, 5, 1, 3, 5)
     assert tq_sum(build_aztec_diamond(6)) == aztec_genfun(6)
+
+
+def test_flips_swap_exactly_one_block_and_stay_sorted():
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    for t in enumerate_tilings(region):
+        for t2 in flips(t):
+            assert t2 == tuple(sorted(t2))
+            assert all(type(c).__name__ == "Cell" for d in t2 for c in d)
+            gone, new = set(t) - set(t2), set(t2) - set(t)
+            assert len(gone) == len(new) == 2 and len(t2) == len(t)
+            block = {c for d in gone for c in d}
+            assert block == {c for d in new for c in d}
+            xs, ys = {c.x for c in block}, {c.y for c in block}
+            assert len(block) == 4 and len(xs) == len(ys) == 2
