@@ -84,13 +84,10 @@ def main() -> None:
 def count(region_spec: str, out: str | None) -> None:
     """Number of tilings of a region (ad:N, ar:MxN, dr:M1,N1,K,M2,N2, hex:A,B,C)."""
     region = _region_or_usage(region_spec)
-    try:
-        if isinstance(region, TriRegion):
-            n = count_lozenge_tilings(region)
-        else:
-            n = count_tilings(region)
-    except CapacityError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if isinstance(region, TriRegion):
+        n = count_lozenge_tilings(region)
+    else:
+        n = count_tilings(region)
     _emit({"region": region.spec_string(), "count": n}, out=out)
 
 

@@ -88,30 +88,33 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
 
 def count_tilings(region: Region) -> int:
     """Number of domino tilings: |det| of the region's Kasteleyn matrix."""
-    return abs(_domino_det(region, lambda c, d: 1))
+    return abs(region.kasteleyn_det)
 
 
-def _domino_det(region: Region, weight: Callable):
-    """det of the Kasteleyn matrix with entries sign * weight(white, black).
+def _unit_domino_det(region: Region) -> int:
+    """The unweighted determinant, once the region is known to be hole-free.
 
-    Every tiling enters with the same sign, so this is that sign times the
-    sum over tilings of the product of domino weights.
+    ``Region.kasteleyn_det`` keeps it, so the hole check and this
+    determinant run at most once per region.
     """
     cells = region.cells
-    adj = {
-        c: [
-            d
-            for d in (Cell(c.x - 1, c.y), Cell(c.x + 1, c.y), Cell(c.x, c.y - 1), Cell(c.x, c.y + 1))
-            if d in cells
-        ]
-        for c in cells
-    }
     blocks = sum(
         1
         for x, y in cells
         if Cell(x + 1, y) in cells and Cell(x, y + 1) in cells and Cell(x + 1, y + 1) in cells
     )
-    _require_hole_free(adj, blocks)
+    _require_hole_free(region.neighbours, blocks)
+    return _domino_det(region, lambda c, d: 1)
+
+
+def _domino_det(region: Region, weight: Callable):
+    """det of the Kasteleyn matrix with entries sign * weight(white, black).
+
+    Every tiling enters with the same sign, that of ``Region.kasteleyn_det``,
+    so this is that sign times the sum over tilings of the product of domino
+    weights.  The signs are only valid on a hole-free region: read
+    ``Region.kasteleyn_det`` first, which rejects a region with a hole.
+    """
     white = region.white_parity
     ordered = region.sorted_cells
     whites = [c for c in ordered if (c.x + c.y) % 2 == white]
@@ -121,7 +124,7 @@ def _domino_det(region: Region, weight: Callable):
         sign = -1 if w.x == b.x and w.x % 2 else 1
         return sign * weight(w, b)
 
-    return _kasteleyn_det(whites, blacks, adj, entry)
+    return _kasteleyn_det(whites, blacks, region.neighbours, entry)
 
 
 def _require_hole_free(adj: dict, unit_faces: int) -> None:

@@ -190,23 +190,16 @@ def dual_graph(
     return WeightedGraph(cells, edges, marked)
 
 
-def region_matching_sum(
-    region: Region,
-    scheme: WeightScheme,
-    anchor_parity: int = DOUBLE_ANCHOR_PARITY,
-) -> Fraction:
+def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     """Sum over tilings of the product of domino weights, as a determinant.
 
-    This equals ``matching_genfun(dual_graph(region, scheme, anchor_parity))``
-    in polynomial time.  det(K_w) is the weighted sum times a sign shared by
-    every tiling, and det(K_1), the tiling count times that sign, gives the
-    sign, so negative weights come out right.
+    This equals ``matching_genfun(dual_graph(region, scheme))`` in polynomial
+    time.  det(K_w) is the weighted sum times a sign shared by every tiling,
+    and the region's unweighted determinant, the tiling count times that
+    sign, gives the sign, so negative weights come out right.
     """
-    weighted = _domino_det(
-        region, lambda c, d: domino_weight(region, c, d, scheme, anchor_parity)
-    )
-    unit = _domino_det(region, lambda c, d: 1)
-    return Fraction(weighted) if unit > 0 else -Fraction(weighted)
+    sign = 1 if region.kasteleyn_det > 0 else -1  # also rejects a region with a hole
+    return sign * Fraction(_domino_det(region, lambda c, d: domino_weight(region, c, d, scheme)))
 
 
 # -- replacement rules ------------------------------------------------------

@@ -152,6 +152,38 @@ class Region:
         return _grid_edges(self)
 
     @cached_property
+    def neighbours(self) -> MappingProxyType:
+        """Read-only map from each cell to its edge-adjacent cells (W, E, S, N)."""
+        cells = self.cells
+        return MappingProxyType(
+            {
+                c: tuple(
+                    d
+                    for d in (
+                        Cell(c.x - 1, c.y),
+                        Cell(c.x + 1, c.y),
+                        Cell(c.x, c.y - 1),
+                        Cell(c.x, c.y + 1),
+                    )
+                    if d in cells
+                )
+                for c in cells
+            }
+        )
+
+    @cached_property
+    def kasteleyn_det(self) -> int:
+        """The unweighted Kasteleyn determinant; see ``engine._domino_det``.
+
+        Its absolute value is the tiling count, and its sign is the sign with
+        which every tiling enters a weighted determinant of the region.  A
+        region with a hole raises InvariantError.
+        """
+        from .engine import _unit_domino_det
+
+        return _unit_domino_det(self)
+
+    @cached_property
     def markers(self) -> BoundaryMarkers:
         """Boundary markers of a double Aztec rectangle; see ``boundary_markers``."""
         if self.kind != "double_aztec_rectangle":

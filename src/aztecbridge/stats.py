@@ -160,13 +160,10 @@ def flips(tiling: Tiling) -> list[Tiling]:
     out = []
     for i, (c1, c2) in enumerate(tiling):
         # The parallel mate sits to the right of a vertical, above a
-        # horizontal.  Shifting a sorted pair keeps it sorted, the mate sorts
-        # after (c1, c2), and (c1, a), (c2, b) are sorted too.  A plain tuple
-        # hashes and compares like the Cells, so Cells are built on a hit only.
+        # horizontal; it sorts after (c1, c2), and (c1, a), (c2, b) are sorted.
         dx, dy = (1, 0) if c1.x == c2.x else (0, 1)
-        a, b = (c1.x + dx, c1.y + dy), (c2.x + dx, c2.y + dy)
+        a, b = Cell(c1.x + dx, c1.y + dy), Cell(c2.x + dx, c2.y + dy)
         if (a, b) in have:
-            a, b = Cell(*a), Cell(*b)
             flipped = list(tiling)
             del flipped[bisect_left(tiling, (a, b))]  # the mate, then (c1, c2)
             del flipped[i]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from aztecbridge import engine
 from aztecbridge.cli import SUITE_TUPLES, small_double_rectangles
 from aztecbridge.engine import (
     _det,
@@ -99,6 +100,19 @@ def test_weighted_determinant_equals_brute_force_with_signed_weights():
             assert region_matching_sum(region, scheme) == matching_genfun(
                 dual_graph(region, scheme)
             )
+
+
+def test_the_unweighted_determinant_is_derived_once_per_region(monkeypatch):
+    calls = []
+    real = engine._unit_domino_det
+    monkeypatch.setattr(engine, "_unit_domino_det", lambda r: calls.append(r) or real(r))
+    rng = random.Random(7)
+    region = build_double_rectangle(*SUITE_TUPLES[0])
+    for _ in range(3):
+        scheme = WeightScheme(*(signed_fraction(rng) for _ in range(5)))
+        assert region_matching_sum(region, scheme) == matching_genfun(dual_graph(region, scheme))
+    assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
+    assert calls == [region]
 
 
 def test_counts_at_scale():
