@@ -176,6 +176,11 @@ def rank(region_spec: str, out: str | None) -> None:
     )
 
 
+#: Lets a negative tiling index such as -1 through as an argument, so that it
+#: reaches the range check instead of failing as an unknown option.
+_TILING_ARG = {"ignore_unknown_options": True}
+
+
 def _pick_tiling(region: Region, which: str):
     if which == "minimal":
         try:
@@ -192,7 +197,7 @@ def _pick_tiling(region: Region, which: str):
     return next(itertools.islice(enumerate_tilings(region), index, None))
 
 
-@main.command()
+@main.command(context_settings=_TILING_ARG)
 @click.argument("region_spec")
 @click.argument("tiling", default="minimal")
 @click.option("--out", default=None)
@@ -219,7 +224,7 @@ def paths(region_spec: str, tiling: str, out: str | None) -> None:
     )
 
 
-@main.command()
+@main.command(context_settings=_TILING_ARG)
 @click.argument("region_spec")
 @click.argument("tiling", default="minimal")
 @click.option(

@@ -12,6 +12,7 @@ serves general graphs, such as the non-planar hosts of the rewrite checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -42,7 +43,8 @@ class WeightedGraph:
         vs = set(self.vertices)
         emap: dict[frozenset, Fraction] = {}
         for u, v, w in edges:
-            w = Fraction(w)
+            if not isinstance(w, Fraction):  # Fraction(Fraction) is a slow copy
+                w = Fraction(w)
             if u == v or u not in vs or v not in vs:
                 raise ValueError(f"bad edge ({u!r}, {v!r})")
             if w == 0:
@@ -87,39 +89,57 @@ class WeightedGraph:
 
 
 def matching_genfun(graph: WeightedGraph) -> Fraction:
-    """Sum over perfect matchings of the product of edge weights."""
-    if len(graph.vertices) > MAX_MATCH_VERTICES:
-        raise CapacityError(
-            f"{len(graph.vertices)} vertices exceed the brute-force bound "
-            f"{MAX_MATCH_VERTICES}"
-        )
-    if len(graph.vertices) % 2:
-        return Fraction(0)
-    adj: dict = {v: [] for v in graph.vertices}
-    for key, w in graph.edges.items():
-        u, v = tuple(key)
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+    """Sum over perfect matchings of the product of edge weights.
 
-    def rec(alive: frozenset) -> Fraction:
+    Every perfect matching has n/2 edges, so the weights are scaled once by
+    the least common multiple L of their denominators, the search runs on
+    integers over a bitmask of alive vertices, and the sum is divided by
+    L^(n/2) at the end.
+    """
+    n = len(graph.vertices)
+    if n > MAX_MATCH_VERTICES:
+        raise CapacityError(
+            f"{n} vertices exceed the brute-force bound {MAX_MATCH_VERTICES}"
+        )
+    if n % 2:
+        return Fraction(0)
+    scale = math.lcm(*(w.denominator for w in graph.edges.values()))
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    nbmask = [0] * n
+    for (a, b), w in graph.edges.items():
+        u, v = index[a], index[b]
+        iw = w.numerator * (scale // w.denominator)
+        adj[u].append((1 << v, iw))
+        adj[v].append((1 << u, iw))
+        nbmask[u] |= 1 << v
+        nbmask[v] |= 1 << u
+
+    def rec(alive: int) -> int:
         if not alive:
-            return Fraction(1)
+            return 1
         # branch on a vertex of minimum remaining degree (forced edges first)
-        best, best_nb = None, None
-        for v in alive:
-            nb = [(u, w) for u, w in adj[v] if u in alive]
-            if not nb:
-                return Fraction(0)
-            if best_nb is None or len(nb) < len(best_nb):
-                best, best_nb = v, nb
-                if len(nb) == 1:
+        best, best_deg = -1, n
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            deg = (nbmask[v] & alive).bit_count()
+            if deg < best_deg:
+                if not deg:
+                    return 0
+                best, best_deg = v, deg
+                if deg == 1:
                     break
-        total = Fraction(0)
-        for u, w in best_nb:
-            total += w * rec(alive - {best, u})
+        alive ^= 1 << best
+        total = 0
+        for bit, w in adj[best]:
+            if alive & bit:
+                total += w * rec(alive ^ bit)
         return total
 
-    return rec(frozenset(graph.vertices))
+    return Fraction(rec((1 << n) - 1), scale ** (n // 2))
 
 
 # -- the domino weight scheme ----------------------------------------------

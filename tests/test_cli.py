@@ -146,3 +146,20 @@ def test_tiling_index_is_bounded_before_enumeration(monkeypatch):
         result = run("paths", "dr:2,3,1,2,3", "--", index)
         assert result.exit_code == 2
         assert f"tiling index {index} out of range" in result.output
+
+
+def test_a_negative_tiling_index_needs_no_double_dash(tmp_path):
+    svg = tmp_path / "t.svg"
+    for args in (
+        ("paths", "dr:2,3,1,2,3", "-1"),
+        ("paths", "dr:2,3,1,2,3", "-1", "--out", str(tmp_path / "p.json")),
+        ("render", "dr:2,3,1,2,3", "-1"),
+        ("render", "dr:2,3,1,2,3", "-1", "--overlay", "paths", "--out", str(svg)),
+    ):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert "tiling index -1 out of range" in result.output
+    assert not svg.exists()
+    # the options still parse around an index
+    result = run("render", "dr:2,3,1,2,3", "3", "--overlay", "paths", "--out", str(svg))
+    assert result.exit_code == 0 and "<svg" in svg.read_text()

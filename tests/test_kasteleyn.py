@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aztecbridge import engine
 from aztecbridge.cli import SUITE_TUPLES, small_double_rectangles
@@ -100,6 +102,46 @@ def test_weighted_determinant_equals_brute_force_with_signed_weights():
             assert region_matching_sum(region, scheme) == matching_genfun(
                 dual_graph(region, scheme)
             )
+
+
+BOX = frozenset(Cell(x, y) for x in range(4) for y in range(5))
+
+
+@st.composite
+def box_regions(draw):
+    """The empty or the full 4 x 5 box with dominoes toggled, then a pair of opposite colours."""
+    cells = set(BOX) if draw(st.booleans()) else set()
+    placements = draw(st.lists(st.tuples(st.sampled_from(sorted(BOX)), st.booleans()), max_size=12))
+    for c, horizontal in placements:
+        d = Cell(c.x + 1, c.y) if horizontal else Cell(c.x, c.y + 1)
+        if d in BOX and (c in cells) == (d in cells):
+            cells ^= {c, d}
+    if draw(st.booleans()):
+        # toggling a cell of each colour keeps the colour balance when both
+        # cells go in or both go out, and can make the region untileable
+        cells ^= {draw(st.sampled_from(sorted(c for c in BOX if (c.x + c.y) % 2 == p))) for p in (0, 1)}
+    assume(cells and 2 * sum((c.x + c.y) % 2 for c in cells) == len(cells))
+    return plain_region(cells)
+
+
+nonzero_fractions = st.builds(
+    lambda num, den, negative: Fraction(-num if negative else num, den),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(box_regions(), st.lists(nonzero_fractions, min_size=5, max_size=5))
+def test_determinant_enumeration_and_brute_force_agree_on_random_regions(region, weights):
+    try:
+        det = region.kasteleyn_det
+    except InvariantError:
+        assume(False)
+    assert abs(det) == sum(1 for _ in enumerate_tilings(region)) == matching_genfun(dual_graph(region))
+    scheme = WeightScheme(*weights)
+    assert region_matching_sum(region, scheme) == matching_genfun(dual_graph(region, scheme))
 
 
 def test_the_unweighted_determinant_is_derived_once_per_region(monkeypatch):

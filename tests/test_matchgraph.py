@@ -163,3 +163,64 @@ def test_graph_json_round_trip_fields():
     assert obj["vertices"] == 4
     assert len(obj["edges"]) == 4
     assert all(isinstance(w, str) for _, _, w in obj["edges"])
+
+
+def first_vertex_genfun(graph: WeightedGraph) -> Fraction:
+    """Reference matching sum: match the first alive vertex every way, in Fractions."""
+
+    def rec(alive: tuple) -> Fraction:
+        if not alive:
+            return Fraction(1)
+        v, rest = alive[0], alive[1:]
+        total = Fraction(0)
+        for i, u in enumerate(rest):
+            w = graph.edges.get(frozenset({v, u}))
+            if w is not None:
+                total += w * rec(rest[:i] + rest[i + 1 :])
+        return total
+
+    return rec(graph.vertices)
+
+
+def test_matching_sum_on_hand_built_graphs():
+    k4 = WeightedGraph(
+        range(4),
+        [
+            (0, 1, Fraction(1, 2)),
+            (1, 2, Fraction(-2, 3)),
+            (2, 3, Fraction(5, 7)),
+            (3, 0, Fraction(3)),
+            (0, 2, Fraction(1, 5)),
+            (1, 3, Fraction(-1, 4)),
+        ],
+    )
+    cancelling = WeightedGraph(
+        "abcd",
+        [("a", "b", Fraction(1, 2)), ("b", "c", Fraction(2, 3)), ("c", "d", Fraction(4, 3)), ("d", "a", -1)],
+    )
+    triangle = WeightedGraph("abc", [("a", "b", Fraction(1, 2)), ("b", "c", 3), ("c", "a", Fraction(1, 3))])
+    isolated = WeightedGraph(range(4), [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 3)), (2, 0, 5)])
+    for graph, expected in [
+        (k4, Fraction(-237, 140)),
+        (cancelling, 0),
+        (triangle, 0),
+        (isolated, 0),
+        (WeightedGraph((), ()), 1),
+        (WeightedGraph("ab", [("a", "b", Fraction(-3, 11))]), Fraction(-3, 11)),
+    ]:
+        assert matching_genfun(graph) == expected == first_vertex_genfun(graph)
+
+
+def test_matching_sum_equals_a_first_vertex_expansion_on_random_graphs():
+    gen = random.Random(11)
+    for trial in range(150):
+        n = gen.randint(0, 12)
+        density = gen.choice((0.3, 0.6, 0.9))
+        edges = [
+            (u, v, Fraction(gen.choice((-1, 1)) * gen.randint(1, 9), gen.choice((1, 2, 3, 5, 7, 11, 13))))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if gen.random() < density
+        ]
+        graph = WeightedGraph([("v", i) for i in range(n)], [(("v", u), ("v", v), w) for u, v, w in edges])
+        assert matching_genfun(graph) == first_vertex_genfun(graph), trial
