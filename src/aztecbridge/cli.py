@@ -41,7 +41,15 @@ from .paths import step_counts, tiling_to_paths, underneath_area
 from .planepart import q_genfun_brute
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling, render_to_file
-from .stats import minimal_tiling, rank_table, rank_via_area, tq_sum, vertical_halfcount
+from .stats import (
+    minimal_tiling,
+    rank_linear,
+    rank_table,
+    rank_via_area,
+    require_sweep_budget,
+    tq_sum,
+    vertical_halfcount,
+)
 
 DEFAULT_SEED = 20240
 
@@ -283,9 +291,12 @@ def suite_macmahon(bound: int) -> list[dict]:
 def suite_aztec(bound: int) -> list[dict]:
     from .regions import build_aztec_diamond
 
+    regions = []
+    for n in range(1, bound + 1):  # fail before the first sweep, not after the last
+        regions.append(build_aztec_diamond(n))
+        require_sweep_budget(regions[-1])
     cases = []
-    for n in range(1, bound + 1):
-        region = build_aztec_diamond(n)
+    for n, region in enumerate(regions, 1):
         ok = count_tilings(region) == 2 ** (n * (n + 1) // 2)
         ok = ok and tq_sum(region) == aztec_genfun(n)
         cases.append({"order": n, "ok": ok})
@@ -406,6 +417,7 @@ def suite_rank(max_cells: int) -> list[dict]:
         ok = set(table) == set(tilings)  # flip connectivity
         ranks = [rank_via_area(region, t) for t in tilings]
         ok = ok and ranks == [table.get(t) for t in tilings]
+        ok = ok and ranks == [rank_linear(region, t) for t in tilings]
         # the area rank is the area excess over the minimal tiling, so the
         # minimal tiling has the least area, uniquely, when exactly one
         # tiling has area rank 0 and none has a negative one
@@ -450,20 +462,23 @@ def suite_paths() -> list[dict]:
 @click.option("--out", default=None)
 def verify(suite: str, bound: int | None, trials: int | None, seed: int, out: str | None) -> None:
     """Run a verification suite; exit 1 if any case fails."""
-    if suite == "macmahon":
-        cases = suite_macmahon(bound or 3)
-    elif suite == "aztec":
-        cases = suite_aztec(bound or 6)
-    elif suite == "main":
-        cases = suite_main(bound)
-    elif suite == "weighted":
-        cases = suite_weighted(trials or 5, seed, bound)
-    elif suite == "lemmas":
-        cases = suite_lemmas(trials or 50, seed)
-    elif suite == "rank":
-        cases = suite_rank(bound or 40)
-    else:
-        cases = suite_paths()
+    try:
+        if suite == "macmahon":
+            cases = suite_macmahon(bound or 3)
+        elif suite == "aztec":
+            cases = suite_aztec(bound or 6)
+        elif suite == "main":
+            cases = suite_main(bound)
+        elif suite == "weighted":
+            cases = suite_weighted(trials or 5, seed, bound)
+        elif suite == "lemmas":
+            cases = suite_lemmas(trials or 50, seed)
+        elif suite == "rank":
+            cases = suite_rank(bound or 40)
+        else:
+            cases = suite_paths()
+    except CapacityError as exc:
+        raise click.UsageError(str(exc)) from exc
     bad = [c for c in cases if not c["ok"]]
     status = "ok" if not bad else "mismatch"
     _emit({"suite": suite, "cases": cases, "failures": len(bad)}, status=status, out=out)

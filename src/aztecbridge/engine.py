@@ -18,8 +18,8 @@ rule needs the faces to be those unit faces only, so a region with a hole
 is rejected up front.  The determinant is exact: fraction-free Bareiss
 elimination over int, with rational rows cleared of denominators first.
 
-The column helpers ``_columns`` and ``_fill_column`` serve the q-weighted
-sweep of ``stats.tq_sum``.
+The q-weighted column sweep, with its column fill on integer cell masks,
+lives with ``stats.tq_sum``.
 """
 
 from __future__ import annotations
@@ -222,40 +222,6 @@ def _det(rows: list[dict]):
             scale[j] = pivot
         prev = pivot
     return sign * prev
-
-
-def _columns(region: Region) -> list[tuple[int, list[int]]]:
-    """(x, rows of the region in column x) for every column, left to right."""
-    rows: dict[int, list[int]] = {}
-    for c in region.sorted_cells:
-        rows.setdefault(c.x, []).append(c.y)
-    return [(x, rows.get(x, [])) for x in range(max(rows, default=-1) + 1)]
-
-
-def _fill_column(x, col, cells, incoming, idx, outgoing, sink, vstep):
-    """Cover column cells from col[idx] on; count completions in sink.
-
-    A completed column adds 1 to ``sink[key]``.  The key is the outgoing
-    mask plus ``vstep`` per vertical domino placed; with ``vstep = 1 << rows``
-    (above every mask bit) it holds the mask and the vertical-domino count
-    together.
-    """
-    # iterative fast-forward over already-covered cells
-    while idx < len(col) and incoming >> col[idx] & 1:
-        idx += 1
-    if idx == len(col):
-        sink[outgoing] = sink.get(outgoing, 0) + 1
-        return
-    y = col[idx]
-    # vertical domino with the cell above
-    above = Cell(x, y + 1)
-    if above in cells and not incoming >> (y + 1) & 1:
-        _fill_column(
-            x, col, cells, incoming | 1 << y | 1 << (y + 1), idx + 1, outgoing + vstep, sink, vstep
-        )
-    # horizontal domino into the next column
-    if Cell(x + 1, y) in cells:
-        _fill_column(x, col, cells, incoming | 1 << y, idx + 1, outgoing | 1 << y, sink, vstep)
 
 
 def enumerate_lozenge_tilings(region: TriRegion) -> Iterator[Tiling]:

@@ -158,28 +158,41 @@ DOUBLE_ANCHOR_PARITY = 0
 RECT_ANCHOR_PARITY = 1
 
 
+def _level_powers(region: Region, q: Fraction) -> dict[int, Fraction]:
+    """q^e for every exponent a domino of the region can carry, -1 upward.
+
+    Built once per weighted graph or determinant and passed to
+    ``domino_weight``; q must be nonzero, since a graded horizontal domino
+    on the bottom row carries q^-1.
+    """
+    rows = max(c.y for c in region.cells) - region.ymin + 1
+    return {e: q ** e for e in range(-1, rows)}
+
+
 def domino_weight(
     region: Region,
     c1: Cell,
     c2: Cell,
     scheme: WeightScheme,
+    powers: dict[int, Fraction],
     anchor_parity: int = DOUBLE_ANCHOR_PARITY,
 ) -> Fraction:
     """Weight of the domino {c1, c2} under the level-graded scheme.
 
     Levels count rows from the bottom of the region: a graded vertical
     domino at level L weighs d * q^L with L the bottom cell's row, a graded
-    horizontal one weighs c * q^(L-1) with L its row.
+    horizontal one weighs c * q^(L-1) with L its row.  ``powers`` is
+    ``_level_powers(region, scheme.q)``.
     """
     dmin, ymin = region.dmin, region.ymin
     if c1.x == c2.x:  # vertical
         bot = c1 if c1.y < c2.y else c2
         if (bot.y - bot.x - dmin) % 2 == anchor_parity % 2:
-            return scheme.d * scheme.q ** (bot.y - ymin)
+            return scheme.d * powers[bot.y - ymin]
         return Fraction(scheme.a)
     left = c1 if c1.x < c2.x else c2
     if (left.y - left.x - dmin) % 2 != anchor_parity % 2:
-        return scheme.c * scheme.q ** (left.y - ymin - 1)
+        return scheme.c * powers[left.y - ymin - 1]
     return Fraction(scheme.b)
 
 
@@ -196,6 +209,7 @@ def dual_graph(
     """
     cells = region.sorted_cells
     cellset = region.cells
+    powers = None if scheme is None else _level_powers(region, scheme.q)
     edges = []
     for c in cells:
         for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1)):
@@ -203,7 +217,7 @@ def dual_graph(
                 w = (
                     Fraction(1)
                     if scheme is None
-                    else domino_weight(region, c, d, scheme, anchor_parity)
+                    else domino_weight(region, c, d, scheme, powers, anchor_parity)
                 )
                 edges.append((c, d, w))
     marked = sorted((c for c in cells if c.y - c.x == region.dmin), key=lambda c: c.x + c.y)
@@ -219,7 +233,10 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     sign, gives the sign, so negative weights come out right.
     """
     sign = 1 if region.kasteleyn_det > 0 else -1  # also rejects a region with a hole
-    return sign * Fraction(_domino_det(region, lambda c, d: domino_weight(region, c, d, scheme)))
+    powers = _level_powers(region, scheme.q)
+    return sign * Fraction(
+        _domino_det(region, lambda c, d: domino_weight(region, c, d, scheme, powers))
+    )
 
 
 # -- replacement rules ------------------------------------------------------

@@ -184,6 +184,13 @@ class Region:
         return _unit_domino_det(self)
 
     @cached_property
+    def line_weights(self) -> tuple:
+        """Per vertical grid line, the height-deficit weights; see ``stats._line_weights``."""
+        from .stats import _line_weights
+
+        return _line_weights(self)
+
+    @cached_property
     def markers(self) -> BoundaryMarkers:
         """Boundary markers of a double Aztec rectangle; see ``boundary_markers``."""
         if self.kind != "double_aztec_rectangle":

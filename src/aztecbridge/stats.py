@@ -6,10 +6,14 @@ one corresponds to a unique tiling, and the extreme that makes an Aztec
 diamond come out all-horizontal is the minimal tiling (for the glued double
 rectangle it reproduces the vertical-core decomposition and minimizes path
 area; tests check both).  Rank is the flip distance from the minimal tiling,
-where a flip rotates a 2x2 block of two parallel dominoes.
+where a flip rotates a 2x2 block of two parallel dominoes.  It is computed
+three ways: by breadth-first search over flips, by path area on a double
+rectangle, and as a linear function of the horizontal dominoes through the
+height deficit, which also weights the q-sweep of ``tq_sum``.
 
-The grid edges, the minimal tiling and the rank table are derived once per
-region and kept on the ``Region`` instance; this module computes them.
+The grid edges, the minimal tiling, the rank table and the line weights are
+derived once per region and kept on the ``Region`` instance; this module
+computes them.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Mapping
 
-# The column-fill recursion of the q-weighted sweep lives with the engine.
-from .engine import Tiling, _columns, _fill_column, is_vertical, piece
+from .engine import CapacityError, Tiling, is_vertical, piece
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
 
@@ -217,7 +220,161 @@ def rank_via_area(region: Region, tiling: Tiling) -> int:
     return int(diff)
 
 
+def rank_linear(region: Region, tiling: Tiling) -> int:
+    """Rank as a linear function of the tiling's horizontal dominoes.
+
+    The total height deficit below the minimal tiling is the sum of the
+    line constants C_x plus w_x[y] for each horizontal domino crossing line
+    x at row y (see ``_line_weights``); rank is that total divided by 4.
+    """
+    lines = region.line_weights
+    total = sum(const for const, _ in lines)
+    for (ax, ay), (bx, by) in tiling:
+        if ay == by:  # horizontal: it crosses the line at its right cell
+            total += lines[max(ax, bx)][1][ay]
+    if total < 0 or total % 4:
+        raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
+    return total // 4
+
+
 # -- bivariate generating function --------------------------------------------
+
+#: Tallest column, in cells, that the q-weighted sweep accepts.  The number of
+#: live profile masks on a line, and with it the sweep's time and memory,
+#: grows with the column height: ad:9, with columns of 18 cells, takes about
+#: 3 s and 210 MB on a 2-vCPU host, and each further diamond order costs
+#: several times more of both.  Every double rectangle that
+#: ``small_double_rectangles`` makes has columns of at most 14 cells.
+MAX_SWEEP_COLUMN = 18
+
+
+def _column_masks(region: Region) -> list[int]:
+    """Bit y of entry x is set when cell (x, y) is in the region."""
+    masks = [0] * (max(c.x for c in region.cells) + 1)
+    for x, y in region.cells:
+        masks[x] |= 1 << y
+    return masks
+
+
+def require_sweep_budget(region: Region) -> None:
+    """Raise CapacityError if a column is taller than ``MAX_SWEEP_COLUMN``."""
+    tallest = max(mask.bit_count() for mask in _column_masks(region))
+    if tallest > MAX_SWEEP_COLUMN:
+        raise CapacityError(
+            f"{region.spec_string()} has a column of {tallest} cells; "
+            f"the q-weighted sweep is bounded at {MAX_SWEEP_COLUMN}"
+        )
+
+
+def _fill_column(free: int, there: int, memo: dict[int, list[int]]) -> list[int]:
+    """Outgoing masks of every way to cover the cells of the mask ``free``.
+
+    ``free`` holds the column's cells that no incoming domino covers, and
+    ``there`` the cells of the next column.  The lowest free cell takes a
+    vertical domino with the cell above it or a horizontal one into the
+    next column.  The rest depends only on the cells still free, so the
+    answers are kept in ``memo``, one per column, and shared between the
+    incoming masks.  Every free cell not in the outgoing mask is half of a
+    vertical domino, so the outgoing mask fixes the vertical count.
+    """
+    if not free:
+        return [0]
+    outs = memo.get(free)
+    if outs is None:
+        low = free & -free
+        outs = []
+        if free & low << 1:
+            outs += _fill_column(free ^ low ^ low << 1, there, memo)
+        if there & low:
+            outs += [out | low for out in _fill_column(free ^ low, there, memo)]
+        memo[free] = outs
+    return outs
+
+
+def _live_moves(region: Region) -> list[dict[int, list[tuple[int, int]]]]:
+    """Per column, each live incoming mask's moves (outgoing mask, verticals).
+
+    A mask is kept when the empty profile reaches it from the left
+    (forward reach) and it can still end in the empty profile on the right
+    (backward liveness); a move is kept when its outgoing mask is live.  A
+    dead partial tiling may rise above the minimal tiling's heights, which
+    the deficit check rejects, and the q-packing of ``tq_sum`` needs every
+    partial count bounded by the tiling count, which only live ones are.
+    """
+    masks = _column_masks(region)
+    moves_at: list[dict[int, list[tuple[int, int]]]] = []
+    reach = {0}
+    for here, there in zip(masks, masks[1:] + [0]):
+        memo: dict[int, list[int]] = {}
+        table = {}
+        for incoming in reach:
+            free = here & ~incoming
+            table[incoming] = [
+                (out, (free.bit_count() - out.bit_count()) // 2)
+                for out in _fill_column(free, there, memo)
+            ]
+        moves_at.append(table)
+        reach = {outgoing for moves in table.values() for outgoing, _ in moves}
+    live = {0}
+    for table in reversed(moves_at):
+        for incoming, moves in list(table.items()):
+            kept = [move for move in moves if move[0] in live]
+            if kept:
+                table[incoming] = kept
+            else:
+                del table[incoming]
+        live = set(table)
+    return moves_at
+
+
+def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(C_x, w_x) for every vertical grid line x, left boundary to right.
+
+    Line x runs between columns x - 1 and x.  Its edges form runs, and each
+    run starts at a boundary vertex, whose height is the same in every
+    tiling.  Going up an edge raises the height by ``step`` (+1 with a white
+    cell on its left, else -1), or lowers it by 3 * step when a horizontal
+    domino crosses the edge: 4 * step less than the walk with no crossing.
+    So the height deficit below the minimal tiling, summed over the line's
+    vertices, is C_x plus w_x[y] for each crossing at row y, with
+    w_x[y] = 4 * step times the number of vertices above y in its run and
+    C_x the deficit of the walk with no crossing.
+    """
+    h0 = height_function(region, region.minimal_tiling)
+    masks = [0] + _column_masks(region) + [0]
+    rows = max(c.y for c in region.cells) + 1
+    lines = []
+    for x in range(len(masks) - 1):
+        edges = masks[x] | masks[x + 1]  # line x borders columns x - 1 and x
+        const, w = 0, [0] * rows
+        bottom = 0
+        while edges >> bottom:  # one run of edges per pass
+            while not edges >> bottom & 1:
+                bottom += 1
+            top = bottom
+            while edges >> top & 1:
+                top += 1
+            h = h0[(x, bottom)]
+            for y in range(bottom, top):
+                step = 1 if (x - 1 + y) % 2 == region.white_parity else -1
+                h += step
+                const += h0[(x, y + 1)] - h
+                w[y] = 4 * step * (top - y)
+            bottom = top
+        lines.append((const, tuple(w)))
+    return tuple(lines)
+
+
+def _deficit(line: tuple[int, tuple[int, ...]], mask: int) -> int:
+    """Height deficit summed over a line whose crossings are the mask's bits."""
+    deficit, w = line
+    while mask:
+        low = mask & -mask
+        deficit += w[low.bit_length() - 1]
+        mask ^= low
+    if deficit < 0 or deficit % 4:
+        raise InvariantError(f"height deficit {deficit} is not a non-negative multiple of 4")
+    return deficit
 
 
 def tq_sum(region: Region) -> LaurentPoly2:
@@ -226,78 +383,55 @@ def tq_sum(region: Region) -> LaurentPoly2:
     Rank is the height deficit below the minimal tiling summed over all
     vertices, divided by 4 (Thurston 1990; Elkies-Kuperberg-Larsen-Propp
     1992): the minimal tiling has the pointwise largest height function and
-    every flip moves one vertex by 4.  The heights on the vertical line x
-    are fixed by the profile mask entering column x, so a column-profile
-    sweep carries, per mask, a map from doubled exponents
-    (vertical dominoes so far, 2 * rank so far) to tiling counts.  No tiling
-    is listed and no flip is made.
+    every flip moves one vertex by 4.  The deficit on the vertical line x is
+    linear in the profile mask entering column x, with weights derived once
+    per region (``Region.line_weights``), so a column-profile sweep carries,
+    per mask, a map from the vertical dominoes so far to a q-packed count:
+    the number of partial tilings of rank r sits in bits [r * W, (r + 1) * W)
+    with W the bit length of the tiling count.  A line's deficit is then one
+    shift, and a move one add per vertical count.  No tiling is listed and
+    no flip is made.
+
+    The packing is safe because every state is both reachable and live
+    (``_live_moves``): distinct live partial tilings extend to distinct
+    tilings, so no slot ever exceeds the tiling count.  A slot that did
+    overflow would carry into the next and lower the coefficient sum, which
+    is checked against the determinant count, as is the q^0 part (the
+    minimal tiling alone).  A region with a column taller than
+    ``MAX_SWEEP_COLUMN`` raises CapacityError before any column is filled.
     """
+    require_sweep_budget(region)
     t0 = minimal_tiling(region)
-    h0 = height_function(region, t0)
-    cells = region.cells
-    columns = _columns(region)
-    rows = max(c.y for c in cells) + 1
-    white = region.white_parity
-
-    def line_q2(x: int, mask: int) -> int:
-        """Doubled q exponent, deficit / 2, of line x under a profile mask.
-
-        Every state is visited once, so the deficit is not cached.
-        """
-        deficit = 0
-        h = None
-        for y in range(rows):
-            if Cell(x - 1, y) not in cells and Cell(x, y) not in cells:
-                h = None  # no edge: the next edge starts a new run
-                continue
-            if h is None:
-                h = h0[(x, y)]  # run bottom: a boundary vertex, same in every tiling
-            step = 1 if (x - 1 + y) % 2 == white else -1
-            h += -3 * step if mask >> y & 1 else step
-            deficit += h0[(x, y + 1)] - h
-        if deficit < 0 or deficit % 4:
-            raise InvariantError(
-                f"height deficit {deficit} on line x={x} is not a non-negative multiple of 4"
-            )
-        return deficit // 2
-
-    # Moves of every reachable profile, then only those that can still end
-    # in the empty profile: a dead partial tiling may rise above the minimal
-    # tiling's heights, a live one never does.
-    vstep = 1 << rows
-    moves_at: list[dict[int, dict[int, int]]] = []
-    reach = {0}
-    for x, col in columns:
-        table: dict[int, dict[int, int]] = {}
-        for incoming in reach:
-            table[incoming] = {}
-            _fill_column(x, col, cells, incoming, 0, 0, table[incoming], vstep)
-        moves_at.append(table)
-        reach = {key % vstep for moves in table.values() for key in moves}
-    live = {0}
-    for table in reversed(moves_at):
-        for incoming, moves in list(table.items()):
-            kept = {key: mult for key, mult in moves.items() if key % vstep in live}
-            if kept:
-                table[incoming] = kept
-            else:
-                del table[incoming]
-        live = set(table)
-
-    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
-    for (x, _), table in zip(columns, moves_at):
-        nxt: dict[int, dict[tuple[int, int], int]] = {}
+    count = abs(region.kasteleyn_det)
+    width = count.bit_length()
+    lines = region.line_weights
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for line, table in zip(lines, _live_moves(region)):
+        nxt: dict[int, dict[int, int]] = {}
         for incoming, terms in states.items():
-            dq = line_q2(x, incoming)
-            for key, mult in table[incoming].items():
-                nv, outgoing = divmod(key, vstep)
+            shift = _deficit(line, incoming) // 4 * width
+            shifted = [(vt, packed << shift) for vt, packed in terms.items()]
+            for outgoing, nv in table[incoming]:
                 sink = nxt.setdefault(outgoing, {})
-                for (et, eq), c in terms.items():
-                    k = (et + nv, eq + dq)
-                    sink[k] = sink.get(k, 0) + c * mult
+                for vt, packed in shifted:
+                    sink[vt + nv] = sink.get(vt + nv, 0) + packed
         states = nxt
-    dq = line_q2(len(columns), 0)
-    poly = LaurentPoly2({(et, eq + dq): c for (et, eq), c in states.get(0, {}).items()})
+    shift = _deficit(lines[-1], 0) // 4 * width
+    slot = (1 << width) - 1
+    terms = {}
+    for vt, packed in states.get(0, {}).items():
+        packed <<= shift
+        r = 0
+        while packed:
+            if packed & slot:
+                terms[(vt, 2 * r)] = packed & slot
+            packed >>= width
+            r += 1
+    if sum(terms.values()) != count:
+        raise InvariantError(
+            f"q coefficients sum to {sum(terms.values())}, not the {count} tilings"
+        )
+    poly = LaurentPoly2(terms)
     ground = [(key, c) for key, c in poly.items() if key[1] == 0]
     if ground != [((sum(1 for d in t0 if is_vertical(d)), 0), 1)]:
         raise InvariantError(f"q^0 part {ground} is not the minimal tiling alone")

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from click.testing import CliRunner
 
 import aztecbridge
-from aztecbridge import cli
+from aztecbridge import cli, stats
 from aztecbridge.cli import main
 
 runner = CliRunner()
@@ -163,3 +164,16 @@ def test_a_negative_tiling_index_needs_no_double_dash(tmp_path):
     # the options still parse around an index
     result = run("render", "dr:2,3,1,2,3", "3", "--overlay", "paths", "--out", str(svg))
     assert result.exit_code == 0 and "<svg" in svg.read_text()
+
+
+def test_sweep_budget_exits_two_before_any_sweep(monkeypatch):
+    def no_fill(*args):
+        raise AssertionError("filled a column before checking the budget")
+
+    monkeypatch.setattr(stats, "_fill_column", no_fill)
+    for args in (("genfun", "ad:11"), ("verify", "aztec", "--max", "11")):
+        start = time.perf_counter()
+        result = run(*args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert "the q-weighted sweep is bounded at" in result.output

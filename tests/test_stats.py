@@ -1,4 +1,4 @@
-"""Height functions, minimal tilings, flips, and the two rank computations."""
+"""Height functions, minimal tilings, flips, the three rank computations and the sweep."""
 
 from fractions import Fraction
 
@@ -6,18 +6,26 @@ import pytest
 
 from aztecbridge import stats
 from aztecbridge.cli import small_double_rectangles, suite_rank
-from aztecbridge.engine import enumerate_tilings, is_vertical
+from aztecbridge.engine import CapacityError, enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.polyring import LaurentPoly2
-from aztecbridge.regions import build_aztec_diamond, build_double_rectangle, build_hexagon
+from aztecbridge.regions import (
+    Cell,
+    InvariantError,
+    build_aztec_diamond,
+    build_double_rectangle,
+    build_hexagon,
+)
 from aztecbridge.stats import (
     UnreachableError,
     flips,
     height_function,
     minimal_tiling,
     rank_bfs,
+    rank_linear,
     rank_table,
     rank_via_area,
+    require_sweep_budget,
     tq_sum,
     vertical_halfcount,
 )
@@ -152,6 +160,7 @@ def test_tq_sum_matches_the_product_beyond_enumeration():
     # 2,007,040 and 2,097,152 tilings: out of reach of enumeration plus flip BFS
     assert tq_sum(build_double_rectangle(3, 5, 1, 3, 5)) == main_genfun(3, 5, 1, 3, 5)
     assert tq_sum(build_aztec_diamond(6)) == aztec_genfun(6)
+    assert tq_sum(build_aztec_diamond(7)) == aztec_genfun(7)
 
 
 def test_flips_swap_exactly_one_block_and_stay_sorted():
@@ -166,3 +175,89 @@ def test_flips_swap_exactly_one_block_and_stay_sorted():
             assert block == {c for d in new for c in d}
             xs, ys = {c.x for c in block}, {c.y for c in block}
             assert len(block) == 4 and len(xs) == len(ys) == 2
+
+
+def _rank_regions():
+    regions = [build_aztec_diamond(n) for n in range(1, 5)]
+    return regions + [build_double_rectangle(*tup) for tup in small_double_rectangles(32)]
+
+
+def test_rank_linear_equals_the_flip_distance():
+    regions = _rank_regions()
+    assert len(regions) == 32
+    tilings = 0
+    for region in regions:
+        for t, r in rank_table(region).items():
+            assert rank_linear(region, t) == r, region.spec_string()
+            tilings += 1
+    assert tilings == 3566
+
+
+def _old_line_q2(region, h0, x, mask):
+    """The height walk the sweep used before its line weights were linear."""
+    cells = region.cells
+    rows = max(c.y for c in cells) + 1
+    deficit = 0
+    h = None
+    for y in range(rows):
+        if Cell(x - 1, y) not in cells and Cell(x, y) not in cells:
+            h = None
+            continue
+        if h is None:
+            h = h0[(x, y)]
+        step = 1 if (x - 1 + y) % 2 == region.white_parity else -1
+        h += -3 * step if mask >> y & 1 else step
+        deficit += h0[(x, y + 1)] - h
+    return deficit // 2
+
+
+def test_line_weights_equal_the_height_walk_on_every_live_mask():
+    regions = [build_aztec_diamond(n) for n in range(1, 7)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(60)]
+    checked = 0
+    for region in regions:
+        lines = region.line_weights
+        h0 = height_function(region, minimal_tiling(region))
+        moves = stats._live_moves(region)
+        assert len(lines) == len(moves) + 1
+        live = [list(table) for table in moves] + [[0]]
+        for x, masks in enumerate(live):
+            for mask in masks:
+                q2 = stats._deficit(lines[x], mask) // 2
+                assert q2 == _old_line_q2(region, h0, x, mask), (region.spec_string(), x, mask)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_a_too_narrow_packing_trips_the_coefficient_sum_guard():
+    region = build_aztec_diamond(3)
+    region.__dict__["kasteleyn_det"] = 7  # 64 tilings; 3-bit slots overflow
+    with pytest.raises(InvariantError, match="coefficients sum to"):
+        tq_sum(region)
+
+
+def test_a_shifted_rank_trips_the_ground_guard():
+    region = build_double_rectangle(1, 2, 0, 1, 2)
+    (const, w), *rest = region.line_weights
+    region.__dict__["line_weights"] = ((const + 4, w), *rest)  # every rank + 1
+    with pytest.raises(InvariantError, match=r"q\^0 part"):
+        tq_sum(region)
+
+
+def test_the_deficit_guard_rejects_a_negative_or_fractional_deficit():
+    for line in ((-4, (0, 0)), (2, (0, 0)), (0, (-4, 0))):
+        with pytest.raises(InvariantError, match="height deficit"):
+            stats._deficit(line, 1)
+
+
+def test_sweep_budget_admits_the_checked_regions_and_rejects_ad11(monkeypatch):
+    require_sweep_budget(build_aztec_diamond(9))
+    for tup in small_double_rectangles(104):
+        require_sweep_budget(build_double_rectangle(*tup))
+
+    def no_fill(*args):
+        raise AssertionError("filled a column over the budget")
+
+    monkeypatch.setattr(stats, "_fill_column", no_fill)
+    with pytest.raises(CapacityError, match="22 cells"):
+        tq_sum(build_aztec_diamond(11))
