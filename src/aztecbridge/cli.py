@@ -46,6 +46,7 @@ from .stats import (
     rank_linear,
     rank_table,
     rank_via_area,
+    require_listing_budget,
     require_sweep_budget,
     tq_sum,
     vertical_halfcount,
@@ -202,6 +203,10 @@ def _pick_tiling(region: Region, which: str):
     # the determinant count bounds the index before any tiling is listed
     if not 0 <= index < count_tilings(region):
         raise click.UsageError(f"tiling index {index} out of range")
+    try:
+        require_listing_budget(region, index + 1)
+    except CapacityError as exc:
+        raise click.UsageError(str(exc)) from exc
     return next(itertools.islice(enumerate_tilings(region), index, None))
 
 
@@ -409,8 +414,13 @@ def small_double_rectangles(max_cells: int):
 def suite_rank(max_cells: int) -> list[dict]:
     from .regions import build_double_rectangle
 
+    tuples = small_double_rectangles(max_cells)
+    for tup in tuples:  # fail before the first BFS, not after the last
+        region = build_double_rectangle(*tup)
+        require_listing_budget(region, count_tilings(region))
     cases = []
-    for tup in small_double_rectangles(max_cells):
+    for tup in tuples:
+        # built again rather than kept, so one region's tables are alive at a time
         region = build_double_rectangle(*tup)
         table = rank_table(region)
         tilings = list(enumerate_tilings(region))

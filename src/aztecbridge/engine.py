@@ -3,7 +3,8 @@
 One enumerator serves both lattices: it lists the perfect matchings of the
 dual graph (dominoes on cells, lozenges on triangles) by branching on the
 lexicographically first uncovered vertex, which makes the emitted order
-canonical and reproducible.
+canonical and reproducible.  It is iterative: the covered vertices are the
+bits of one int, and an explicit stack keeps one frame per placed piece.
 
 Counting is Kasteleyn's determinant (Kasteleyn 1961; Kenyon, "Lectures on
 dimers", 2009).  The matrix has a row per white cell (up-triangle) and a
@@ -51,28 +52,42 @@ def _matchings(later: dict) -> Iterator[Tiling]:
 
     ``later`` maps each vertex, in sorted order, to its sorted neighbours
     that come after it.  The first uncovered vertex has every earlier vertex
-    covered, so only those later neighbours can be its partner.
+    covered, so only those later neighbours can be its partner.  Vertex i
+    is bit i of the ``covered`` mask, so the first uncovered vertex is the
+    lowest clear bit.  The search is iterative: ``stack`` holds one frame
+    (vertex, next choice) per placed piece, and since each piece's first
+    vertex is larger than the one below it, ``pieces`` is always sorted.
     """
     order = list(later)
-    covered: set = set()
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    choices = [[(bit[v] | bit[w], (v, w)) for w in later[v]] for v in order]
+    full = (1 << len(order)) - 1
+    if not full:
+        yield ()
+        return
+    covered = 0
     pieces: list = []
-
-    def rec(i: int) -> Iterator[Tiling]:
-        while i < len(order) and order[i] in covered:
-            i += 1
-        if i == len(order):
-            yield tuple(sorted(pieces))
+    stack: list[tuple[int, int]] = []
+    v = choice = 0
+    while True:
+        options = choices[v]
+        while choice < len(options) and covered & options[choice][0]:
+            choice += 1
+        if choice < len(options):
+            pair, placed = options[choice]
+            covered |= pair
+            pieces.append(placed)
+            stack.append((v, choice + 1))
+            if covered != full:
+                v, choice = (~covered & (covered + 1)).bit_length() - 1, 0
+                continue
+            yield tuple(pieces)
+        elif not stack:
             return
-        v = order[i]
-        for w in later[v]:
-            if w not in covered:
-                covered.add(w)
-                pieces.append((v, w))
-                yield from rec(i + 1)
-                pieces.pop()
-                covered.discard(w)
-
-    yield from rec(0)
+        # take back the newest piece and try its vertex's next choice
+        v, choice = stack.pop()
+        covered ^= choices[v][choice - 1][0]
+        pieces.pop()
 
 
 def enumerate_tilings(region: Region) -> Iterator[Tiling]:

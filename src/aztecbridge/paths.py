@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .engine import Tiling, is_vertical
+from .engine import Tiling
 from .regions import Region
 
 UP, DOWN, LEVEL = "U", "D", "L"
@@ -38,44 +38,43 @@ class PathFamily(NamedTuple):
     paths: tuple  # SchroederPath, one per marker index
 
 
-def _segments(region: Region, tiling: Tiling) -> dict:
-    """Map from segment start point to (end point, step letter)."""
+def _path_segments(region: Region) -> dict:
+    """Map from each decorated domino of the region to (start, (end, letter))."""
     segs: dict = {}
     white = region.white_parity
-    for d in tiling:
-        c1, c2 = d
-        if is_vertical(d):
-            bot, top = (c1, c2) if c1.y < c2.y else (c2, c1)
-            if (bot.x + bot.y) % 2 == white:
-                start = (top.x, 2 * top.y + 1)
-                segs[start] = ((top.x + 1, 2 * bot.y + 1), DOWN)
-            else:
-                start = (bot.x, 2 * bot.y + 1)
-                segs[start] = ((bot.x + 1, 2 * top.y + 1), UP)
-        else:
-            left = c1 if c1.x < c2.x else c2
-            if (left.x + left.y) % 2 != white:
-                start = (left.x, 2 * left.y + 1)
-                segs[start] = ((left.x + 2, 2 * left.y + 1), LEVEL)
+    for c, nbs in region.neighbours.items():
+        for d in nbs:
+            if d < c:
+                continue
+            if c.x == d.x:  # vertical: c is the bottom cell
+                if (c.x + c.y) % 2 == white:
+                    segs[(c, d)] = ((d.x, 2 * d.y + 1), ((d.x + 1, 2 * c.y + 1), DOWN))
+                else:
+                    segs[(c, d)] = ((c.x, 2 * c.y + 1), ((c.x + 1, 2 * d.y + 1), UP))
+            elif (c.x + c.y) % 2 != white:  # horizontal with a black left cell
+                segs[(c, d)] = ((c.x, 2 * c.y + 1), ((c.x + 2, 2 * c.y + 1), LEVEL))
     return segs
+
+
+def _segments(region: Region, tiling: Tiling) -> dict:
+    """Map from segment start point to (end point, step letter)."""
+    return dict(filter(None, map(region.path_segments.get, tiling)))
 
 
 def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     """Assemble the decorated segments into the marker-joined path family."""
     segs = _segments(region, tiling)
-    markers = region.markers
     v_index = region.v_index
     seen: set = set()
-    used_starts: set = set()
+    used = 0
     paths = []
-    for i, u in enumerate(markers.u):
+    for i, u in enumerate(region.markers.u):
         pts = [u]
         steps = []
         p = u
         while p not in v_index:
             if p not in segs:
                 raise DecorationError(f"path {i + 1} dangles at {p}")
-            used_starts.add(p)
             p, letter = segs[p]
             steps.append(letter)
             pts.append(p)
@@ -83,14 +82,16 @@ def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
             raise DecorationError(
                 f"path from marker u_{i + 1} ends at v_{v_index[p] + 1}"
             )
-        for pt in pts:
-            if pt in seen:
-                raise DecorationError(f"paths intersect at {pt}")
-            seen.add(pt)
-        paths.append(SchroederPath(points=tuple(pts), steps=tuple(steps)))
-    if set(segs) - used_starts:
+        # every step moves right, so a path cannot meet itself
+        if not seen.isdisjoint(pts):
+            raise DecorationError(f"paths intersect at {next(pt for pt in pts if pt in seen)}")
+        seen.update(pts)
+        used += len(steps)
+        paths.append(SchroederPath(tuple(pts), tuple(steps)))
+    # the paths are disjoint, so each step used a segment of its own
+    if used != len(segs):
         raise DecorationError("decorated segments left over after assembly")
-    return PathFamily(paths=tuple(paths))
+    return PathFamily(tuple(paths))
 
 
 def step_counts(family: PathFamily) -> tuple[int, int, int]:
@@ -103,6 +104,15 @@ def step_counts(family: PathFamily) -> tuple[int, int, int]:
     return up, down, level
 
 
+def _quarter_area(family: PathFamily) -> int:
+    """Four times ``underneath_area``: each step adds (y2 + y2' - 2) * run."""
+    total = 0
+    for p in family.paths:
+        for (x0, y0), (x1, y1) in zip(p.points, p.points[1:]):
+            total += (y0 + y1 - 2) * (x1 - x0)
+    return total
+
+
 def underneath_area(family: PathFamily) -> Fraction:
     """Total lattice area between the paths and the ground line y2 = 1.
 
@@ -112,8 +122,4 @@ def underneath_area(family: PathFamily) -> Fraction:
     h = (y2 - 1) / 2 each step adds (y2 + y2' - 2) * run / 4, so the sum is
     kept in integer quarter units.
     """
-    total = 0
-    for p in family.paths:
-        for (x0, y0), (x1, y1) in zip(p.points, p.points[1:]):
-            total += (y0 + y1 - 2) * (x1 - x0)
-    return Fraction(total, 4)
+    return Fraction(_quarter_area(family), 4)

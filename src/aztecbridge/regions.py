@@ -126,11 +126,14 @@ class Region:
         return sorted(self.cells)
 
     def spec_string(self) -> str:
+        """The spec that parses back to this region; a description for a kind with none."""
         if self.kind == "aztec_diamond":
             return f"ad:{self.params[0]}"
         if self.kind == "aztec_rectangle":
             return "ar:%dx%d" % self.params
-        return "dr:%d,%d,%d,%d,%d" % self.params
+        if self.kind == "double_aztec_rectangle":
+            return "dr:%d,%d,%d,%d,%d" % self.params
+        return f"a {self.kind} region of {len(self.cells)} cells"
 
     # -- derived invariants -------------------------------------------------
 
@@ -216,6 +219,13 @@ class Region:
     def v_index(self) -> MappingProxyType:
         """Read-only position of each v marker in ``markers.v``."""
         return MappingProxyType({p: i for i, p in enumerate(self.markers.v)})
+
+    @cached_property
+    def path_segments(self) -> MappingProxyType:
+        """Read-only path step of each decorated domino; see ``paths._path_segments``."""
+        from .paths import _path_segments
+
+        return MappingProxyType(_path_segments(self))
 
     @cached_property
     def minimal_tiling(self) -> tuple:

@@ -7,22 +7,27 @@ diamond come out all-horizontal is the minimal tiling (for the glued double
 rectangle it reproduces the vertical-core decomposition and minimizes path
 area; tests check both).  Rank is the flip distance from the minimal tiling,
 where a flip rotates a 2x2 block of two parallel dominoes.  It is computed
-three ways: by breadth-first search over flips, by path area on a double
-rectangle, and as a linear function of the horizontal dominoes through the
-height deficit, which also weights the q-sweep of ``tq_sum``.
+three ways: by breadth-first search over flips, run on int masks of the
+region's dominoes, by path area on a double rectangle, and as a linear
+function of the horizontal dominoes through the height deficit, which also
+weights the q-sweep of ``tq_sum``.
 
 The grid edges, the minimal tiling, the rank table and the line weights are
 derived once per region and kept on the ``Region`` instance; this module
-computes them.
+computes them.  The exponential computations have budgets, checked before
+they start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an
+enumeration may list, through the determinant count, and
+``MAX_SWEEP_COLUMN`` bounds the sweep's columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping
 
-from .engine import CapacityError, Tiling, is_vertical, piece
+from .engine import CapacityError, Tiling, count_tilings, is_vertical, piece
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
 
@@ -176,6 +181,24 @@ def flips(tiling: Tiling) -> list[Tiling]:
     return out
 
 
+#: Most tilings of one region that may be listed, by the flip BFS or by
+#: enumeration.  Time and memory grow with the number listed: the 89,600
+#: tilings of dr:2,4,1,3,5, the most of any ``small_double_rectangles(60)``
+#: tuple, take about 1.5 s to rank by flips and 0.6 s to enumerate on a
+#: 2-vCPU host, with a peak RSS of 77 MB, and dr:3,5,1,3,5 has 2,007,040.
+#: The determinant count is checked against it before anything is listed.
+MAX_LISTED_TILINGS = 100_000
+
+
+def require_listing_budget(region: Region, listed: int) -> None:
+    """Raise CapacityError if listing ``listed`` tilings of the region is over budget."""
+    if listed > MAX_LISTED_TILINGS:
+        raise CapacityError(
+            f"{region.spec_string()}: listing {listed} tilings is over the budget "
+            f"of {MAX_LISTED_TILINGS}"
+        )
+
+
 def rank_table(region: Region) -> Mapping[Tiling, int]:
     """Flip distance from the minimal tiling, for every reachable tiling.
 
@@ -185,19 +208,48 @@ def rank_table(region: Region) -> Mapping[Tiling, int]:
 
 
 def _flip_distances(region: Region) -> dict[Tiling, int]:
-    """Breadth-first search over flips from the minimal tiling."""
-    t0 = minimal_tiling(region)
-    dist = {t0: 0}
-    frontier = [t0]
+    """Breadth-first search over flips from the minimal tiling, on domino bitmasks.
+
+    The region's dominoes are indexed in sorted order, so a tiling is an int
+    mask and its ascending bits give its sorted tuple.  Each 2x2 block of
+    the region is a pair of masks: its two horizontal and its two vertical
+    dominoes.  A block flips when the tiling holds either pair, and the flip
+    toggles all four bits.  The blocks are tried in the order of their lower
+    left cell, as ``flips`` finds them, so the table's order is that of a
+    BFS through ``flips``.  Each mask is decoded into its tiling once, at
+    the end.  A region with more than ``MAX_LISTED_TILINGS`` tilings raises
+    CapacityError before the search.
+    """
+    require_listing_budget(region, count_tilings(region))
+    cells = region.cells
+    dominoes = sorted((c, d) for c, nbs in region.neighbours.items() for d in nbs if c < d)
+    bit = {d: 1 << i for i, d in enumerate(dominoes)}
+    blocks = []
+    for c in region.sorted_cells:
+        right, up, corner = Cell(c.x + 1, c.y), Cell(c.x, c.y + 1), Cell(c.x + 1, c.y + 1)
+        if right in cells and up in cells and corner in cells:
+            h = bit[(c, right)] | bit[(up, corner)]
+            v = bit[(c, up)] | bit[(right, corner)]
+            blocks.append((h, v, h | v))
+    start = sum(bit[d] for d in region.minimal_tiling)
+    dist = {start: 0}
+    frontier = [start]
+    rank = 0
     while frontier:
+        rank += 1
         nxt = []
-        for t in frontier:
-            for t2 in flips(t):
-                if t2 not in dist:
-                    dist[t2] = dist[t] + 1
-                    nxt.append(t2)
+        for m in frontier:
+            for h, v, both in blocks:
+                if m & h == h or m & v == v:
+                    m2 = m ^ both
+                    if m2 not in dist:
+                        dist[m2] = rank
+                        nxt.append(m2)
         frontier = nxt
-    return dist
+    # bin(m)[:1:-1] spells the bits of m from the lowest up
+    return {
+        tuple(compress(dominoes, map("1".__eq__, bin(m)[:1:-1]))): r for m, r in dist.items()
+    }
 
 
 def rank_bfs(region: Region, tiling: Tiling) -> int:
@@ -210,14 +262,15 @@ def rank_bfs(region: Region, tiling: Tiling) -> int:
 
 def rank_via_area(region: Region, tiling: Tiling) -> int:
     """Rank as the underneath-area excess of the path family over minimal."""
-    from .paths import tiling_to_paths, underneath_area
+    from .paths import _quarter_area, tiling_to_paths
 
     if region.kind != "double_aztec_rectangle":
         raise KindError("area rank is defined for double Aztec rectangles only")
-    diff = underneath_area(tiling_to_paths(region, tiling)) - region.minimal_area
-    if diff.denominator != 1:
+    base = region.minimal_area  # a whole number of quarter cells
+    excess = _quarter_area(tiling_to_paths(region, tiling)) - base.numerator * 4 // base.denominator
+    if excess % 4:
         raise InvariantError("area excess must be a whole number of cells")
-    return int(diff)
+    return excess // 4
 
 
 def rank_linear(region: Region, tiling: Tiling) -> int:

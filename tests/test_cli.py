@@ -177,3 +177,22 @@ def test_sweep_budget_exits_two_before_any_sweep(monkeypatch):
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
         assert "the q-weighted sweep is bounded at" in result.output
+
+
+def test_listing_budget_exits_two_before_any_listing(monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("listed tilings before checking the budget")
+
+    monkeypatch.setattr(stats, "_flip_distances", no_listing)
+    monkeypatch.setattr(cli, "enumerate_tilings", no_listing)
+    # dr:1,6,1,3,8 has 150,528 tilings: every index from 100,000 on is over
+    for args in (
+        ("verify", "rank", "--max", "80"),
+        ("paths", "dr:1,6,1,3,8", "100000"),
+        ("render", "dr:1,6,1,3,8", "150527", "--out", os.devnull),
+    ):
+        start = time.perf_counter()
+        result = run(*args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert "over the budget of 100000" in result.output

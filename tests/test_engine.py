@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from test_kasteleyn import box_regions
 
 from aztecbridge.engine import (
     count_lozenge_tilings,
@@ -12,11 +14,13 @@ from aztecbridge.engine import (
     is_vertical,
 )
 from aztecbridge.regions import (
+    Cell,
     TriRegion,
     build_aztec_diamond,
     build_double_rectangle,
     build_hexagon,
     parse_spec,
+    tri_neighbors,
 )
 
 
@@ -84,3 +88,48 @@ def test_enumeration_order_is_pinned(spec, count, digest):
     tilings = list(enumerate_(region))
     assert len(tilings) == count
     assert hashlib.sha256(repr(tilings).encode()).hexdigest()[:16] == digest
+
+
+def _recursive_matchings(later):
+    """The recursive enumerator that the iterative one replaced."""
+    order = list(later)
+    covered = set()
+    pieces = []
+
+    def rec(i):
+        while i < len(order) and order[i] in covered:
+            i += 1
+        if i == len(order):
+            yield tuple(sorted(pieces))
+            return
+        v = order[i]
+        for w in later[v]:
+            if w not in covered:
+                covered.add(w)
+                pieces.append((v, w))
+                yield from rec(i + 1)
+                pieces.pop()
+                covered.discard(w)
+
+    yield from rec(0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(box_regions())
+def test_the_iterative_enumerator_keeps_the_recursive_order(region):
+    cells = region.cells
+    later = {
+        c: [d for d in (Cell(c.x, c.y + 1), Cell(c.x + 1, c.y)) if d in cells]
+        for c in region.sorted_cells
+    }
+    assert list(enumerate_tilings(region)) == list(_recursive_matchings(later))
+
+
+def test_the_iterative_enumerator_keeps_the_recursive_order_on_hexagons():
+    for sides in [(1, 1, 1), (1, 2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 3)]:
+        region = build_hexagon(*sides)
+        tris = region.tris
+        later = {
+            t: sorted(nb for nb in tri_neighbors(t, tris) if nb > t) for t in region.sorted_tris
+        }
+        assert list(enumerate_lozenge_tilings(region)) == list(_recursive_matchings(later)), sides

@@ -116,3 +116,63 @@ def test_v_marker_index_is_derived_once_per_region():
     assert [region.v_index[p] for p in region.markers.v] == list(range(len(region.markers.v)))
     with pytest.raises(TypeError):
         region.v_index[(0, 0)] = 0
+
+
+def _old_segments(region, tiling):
+    """The per-tiling segment derivation that the region's table replaced."""
+    segs = {}
+    white = region.white_parity
+    for c1, c2 in tiling:
+        if c1.x == c2.x:
+            bot, top = (c1, c2) if c1.y < c2.y else (c2, c1)
+            if (bot.x + bot.y) % 2 == white:
+                segs[(top.x, 2 * top.y + 1)] = ((top.x + 1, 2 * bot.y + 1), DOWN)
+            else:
+                segs[(bot.x, 2 * bot.y + 1)] = ((bot.x + 1, 2 * top.y + 1), UP)
+        else:
+            left = c1 if c1.x < c2.x else c2
+            if (left.x + left.y) % 2 != white:
+                segs[(left.x, 2 * left.y + 1)] = ((left.x + 2, 2 * left.y + 1), LEVEL)
+    return segs
+
+
+def test_path_segments_are_derived_once_per_region_and_read_only(monkeypatch):
+    from aztecbridge import paths
+
+    calls = []
+    real = paths._path_segments
+    monkeypatch.setattr(paths, "_path_segments", lambda r: calls.append(r) or real(r))
+    for tup in TUPLES:
+        region = build_double_rectangle(*tup)
+        for t in enumerate_tilings(region):
+            assert paths._segments(region, t) == _old_segments(region, t)
+            tiling_to_paths(region, t)
+        assert calls[-1] is region
+        assert region.path_segments is region.path_segments
+        with pytest.raises(TypeError):
+            region.path_segments[next(iter(region.path_segments))] = None
+    assert len(calls) == len(TUPLES)
+
+
+def test_decoration_guards_reject_broken_segment_sets():
+    from aztecbridge.paths import DecorationError
+    from aztecbridge.regions import BoundaryMarkers
+
+    region = build_double_rectangle(1, 2, 0, 1, 2)
+    # two level paths, (0, 1) -> (2, 1) and (0, 5) -> (2, 5), over stand-in dominoes
+    region.__dict__["markers"] = BoundaryMarkers(u=[(0, 1), (0, 5)], v=[(2, 1), (2, 5)])
+    region.__dict__["path_segments"] = {
+        "low": ((0, 1), ((2, 1), LEVEL)),
+        "high": ((0, 5), ((2, 5), LEVEL)),
+        "cross": ((0, 5), ((1, 3), DOWN)),
+        "on": ((1, 3), ((2, 1), DOWN)),
+        "spare": ((4, 3), ((5, 5), UP)),
+    }
+    family = tiling_to_paths(region, ("low", "high"))
+    assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]
+    with pytest.raises(DecorationError, match="path 2 dangles at"):
+        tiling_to_paths(region, ("low",))
+    with pytest.raises(DecorationError, match="ends at v_1"):
+        tiling_to_paths(region, ("low", "cross", "on"))
+    with pytest.raises(DecorationError, match="left over"):
+        tiling_to_paths(region, ("low", "high", "spare"))

@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from test_kasteleyn import box_regions
 
 from aztecbridge import stats
 from aztecbridge.cli import small_double_rectangles, suite_rank
-from aztecbridge.engine import CapacityError, enumerate_tilings, is_vertical
+from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import (
     Cell,
     InvariantError,
+    Region,
     build_aztec_diamond,
     build_double_rectangle,
     build_hexagon,
@@ -261,3 +264,113 @@ def test_sweep_budget_admits_the_checked_regions_and_rejects_ad11(monkeypatch):
     monkeypatch.setattr(stats, "_fill_column", no_fill)
     with pytest.raises(CapacityError, match="22 cells"):
         tq_sum(build_aztec_diamond(11))
+
+
+def _four_connected(cells):
+    start = min(cells)
+    seen = {start}
+    stack = [start]
+    while stack:
+        x, y = stack.pop()
+        for d in (Cell(x - 1, y), Cell(x + 1, y), Cell(x, y - 1), Cell(x, y + 1)):
+            if d in cells and d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return len(seen) == len(cells)
+
+
+def _pinched(cells):
+    """Some 2x2 window holds exactly one diagonal pair of cells."""
+    for x, y in cells:
+        for dx in (1, -1):  # the window above and to the right, then to the left
+            if (
+                Cell(x + dx, y + 1) in cells
+                and Cell(x + dx, y) not in cells
+                and Cell(x, y + 1) not in cells
+            ):
+                return True
+    return False
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(box_regions())
+def test_rank_linear_equals_the_flip_distance_on_random_regions(region):
+    # The minimal tiling's height function is not derived on a pinched
+    # region (one such region is in test_a_pinched_region_has_no_minimal_tiling).
+    assume(_four_connected(region.cells) and not _pinched(region.cells))
+    try:
+        tileable = count_tilings(region) > 0
+    except InvariantError:  # a hole
+        tileable = False
+    assume(tileable)
+    table = rank_table(region)
+    tilings = list(enumerate_tilings(region))
+    assert set(table) == set(tilings)
+    assert all(rank_linear(region, t) == table[t] for t in tilings)
+
+
+def test_a_pinched_region_has_no_minimal_tiling():
+    # tileable and hole-free, but its two parts touch only at a vertex
+    rows = ["####", ".###", "##..", "#.##", "####"]  # top row first
+    cells = {
+        Cell(x, y) for y, row in enumerate(reversed(rows)) for x, ch in enumerate(row) if ch == "#"
+    }
+    assert _four_connected(cells) and _pinched(cells)
+    region = Region(kind="plain", params=(), cells=frozenset(cells), white_parity=0)
+    assert count_tilings(region) == 4
+    with pytest.raises(InvariantError, match="inconsistent"):
+        rank_table(region)
+
+
+def test_the_bitmask_bfs_is_a_bfs_layering_under_flips():
+    regions = [build_aztec_diamond(n) for n in range(1, 5)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    for region in regions:
+        table = rank_table(region)
+        assert len(table) == count_tilings(region), region.spec_string()
+        assert table[minimal_tiling(region)] == 0
+        for t, r in table.items():
+            assert type(t) is tuple and t == tuple(sorted(t))
+            assert all(type(d) is tuple and len(d) == 2 for d in t)
+            assert all(type(c) is Cell for d in t for c in d)
+            ranks = [table[t2] for t2 in flips(t)]
+            assert all(abs(r2 - r) == 1 for r2 in ranks), region.spec_string()
+            assert r == 0 or r - 1 in ranks, region.spec_string()
+
+
+def test_listing_budget_admits_the_sixty_cell_tuples():
+    counts = [count_tilings(build_double_rectangle(*tup)) for tup in small_double_rectangles(60)]
+    assert max(counts) == 89_600 <= stats.MAX_LISTED_TILINGS
+    region = build_aztec_diamond(6)
+    stats.require_listing_budget(region, stats.MAX_LISTED_TILINGS)
+    with pytest.raises(CapacityError, match="over the budget"):
+        stats.require_listing_budget(region, stats.MAX_LISTED_TILINGS + 1)
+
+
+def test_an_over_budget_rank_table_fails_before_the_bfs():
+    square = frozenset(Cell(x, y) for x in range(8) for y in range(8))  # 12,988,816 tilings
+    for region, message in (
+        (build_aztec_diamond(6), "ad:6: listing 2097152 tilings"),
+        (Region(kind="plain", params=(), cells=square, white_parity=0), "64 cells: listing"),
+    ):
+        region.__dict__["minimal_tiling"] = None  # a BFS would fail at once on it
+        with pytest.raises(CapacityError, match=message):
+            rank_table(region)
+
+
+def test_suite_rank_checks_every_tuple_before_the_first_bfs(monkeypatch):
+    def no_bfs(region):
+        raise AssertionError("ran a flip BFS before checking every tuple")
+
+    monkeypatch.setattr(stats, "_flip_distances", no_bfs)
+    with pytest.raises(CapacityError, match="over the budget"):
+        suite_rank(80)
+
+
+def test_a_fractional_area_excess_trips_the_whole_cell_guard():
+    region = build_double_rectangle(1, 2, 0, 1, 2)
+    t0 = minimal_tiling(region)
+    assert rank_via_area(region, t0) == 0
+    region.__dict__["minimal_area"] = region.minimal_area + Fraction(1, 2)
+    with pytest.raises(InvariantError, match="whole number of cells"):
+        rank_via_area(region, t0)
