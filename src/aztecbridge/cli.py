@@ -9,59 +9,19 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 import sys
-from fractions import Fraction
 
 import click
 
 from .engine import CapacityError, count_lozenge_tilings, count_tilings, enumerate_tilings
-from .formulas import (
-    ResampleError,
-    aztec_genfun,
-    corollary_count,
-    macmahon_count,
-    macmahon_q,
-    main_genfun,
-    weighted_formula_rhs,
-)
-from .matchgraph import (
-    WeightScheme,
-    WeightedGraph,
-    ar_graph,
-    ar_reduce,
-    connected_sum,
-    matching_genfun,
-    region_matching_sum,
-    spider_reduce,
-    star_scale,
-    vertex_split,
-)
+from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
-from .planepart import q_genfun_brute
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling, render_to_file
-from .stats import (
-    minimal_tiling,
-    rank_linear,
-    rank_table,
-    rank_via_area,
-    require_listing_budget,
-    require_sweep_budget,
-    tq_sum,
-    vertical_halfcount,
-)
+from .stats import minimal_tiling, require_listing_budget, tq_sum
+from .verify import SUITES, compare_conventions
 
 DEFAULT_SEED = 20240
-
-#: The double-rectangle parameter tuples exercised by the verification suites.
-SUITE_TUPLES = (
-    (1, 2, 0, 1, 2),
-    (1, 2, 1, 1, 2),
-    (2, 3, 0, 2, 3),
-    (2, 3, 1, 2, 3),
-    (1, 3, 0, 2, 4),
-)
 
 
 def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
@@ -123,8 +83,7 @@ def genfun(region_spec: str, convention: str, out: str | None) -> None:
         base = aztec_genfun(region.params[0])
     else:
         base = main_genfun(*region.params)
-    sides = {"proof": base, "statement": base.swap_vars()}
-    matched = [name for name, poly in sides.items() if poly == enum_poly]
+    sides, matched = compare_conventions(enum_poly, base)
     verdict = "ok" if convention in matched else "mismatch"
     _emit(
         {
@@ -151,8 +110,7 @@ def formula(region_spec: str, out: str | None) -> None:
     if isinstance(region, TriRegion):
         value = macmahon_count(*region.params)
     elif region.kind == "aztec_diamond":
-        n = region.params[0]
-        value = 2 ** (n * (n + 1) // 2)
+        value = aztec_count(region.params[0])
     elif region.kind == "double_aztec_rectangle":
         value = corollary_count(*region.params)
     else:
@@ -260,233 +218,16 @@ def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
     _emit({"region": region.spec_string(), "tiling": tiling, "file": out})
 
 
-# -- verification suites -----------------------------------------------------
-
-
-def _rand_fraction(rng: random.Random) -> Fraction:
-    while True:
-        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        if v:
-            return v
-
-
-def _random_host(rng: random.Random, marked: int, partners: int) -> WeightedGraph:
-    """Bipartite-ish host with the given marked fringe and partner pool."""
-    ms = [("m", i) for i in range(marked)]
-    ps = [("p", j) for j in range(partners)]
-    edges = []
-    for u in ms:
-        for v in ps:
-            if rng.random() < 0.8:
-                edges.append((u, v, _rand_fraction(rng)))
-    return WeightedGraph(ms + ps, edges, ms)
-
-
-def suite_macmahon(bound: int) -> list[dict]:
-    cases = []
-    for a, b, c in itertools.product(range(1, bound + 1), repeat=3):
-        from .regions import build_hexagon
-
-        ok = q_genfun_brute(a, b, c) == macmahon_q(a, b, c)
-        ok = ok and count_lozenge_tilings(build_hexagon(a, b, c)) == macmahon_count(a, b, c)
-        cases.append({"box": [a, b, c], "ok": ok})
-    return cases
-
-
-def suite_aztec(bound: int) -> list[dict]:
-    from .regions import build_aztec_diamond
-
-    regions = []
-    for n in range(1, bound + 1):  # fail before the first sweep, not after the last
-        regions.append(build_aztec_diamond(n))
-        require_sweep_budget(regions[-1])
-    cases = []
-    for n, region in enumerate(regions, 1):
-        ok = count_tilings(region) == 2 ** (n * (n + 1) // 2)
-        ok = ok and tq_sum(region) == aztec_genfun(n)
-        cases.append({"order": n, "ok": ok})
-    return cases
-
-
-def suite_main(max_cells: int | None = None) -> list[dict]:
-    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
-    from .regions import build_double_rectangle
-
-    tuples = SUITE_TUPLES if max_cells is None else small_double_rectangles(max_cells)
-    cases = []
-    for tup in tuples:
-        region = build_double_rectangle(*tup)
-        enum_poly = tq_sum(region)
-        base = main_genfun(*tup)
-        matched = [
-            name
-            for name, poly in (("proof", base), ("statement", base.swap_vars()))
-            if poly == enum_poly
-        ]
-        ok = "proof" in matched
-        ok = ok and count_tilings(region) == corollary_count(*tup)
-        cases.append({"params": list(tup), "matched_conventions": matched, "ok": ok})
-    return cases
-
-
-def suite_weighted(trials: int, seed: int, max_cells: int | None = None) -> list[dict]:
-    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
-    from .regions import build_double_rectangle
-
-    rng = random.Random(seed)
-    tuples = SUITE_TUPLES if max_cells is None else small_double_rectangles(max_cells)
-    cases = []
-    for tup in tuples:
-        region = build_double_rectangle(*tup)
-        done = 0
-        ok = True
-        while done < trials:
-            vals = tuple(_rand_fraction(rng) for _ in range(5))
-            try:
-                rhs = weighted_formula_rhs(*tup, *vals)
-            except ResampleError:
-                continue
-            lhs = region_matching_sum(region, WeightScheme(*vals))
-            ok = ok and lhs == rhs
-            done += 1
-        cases.append({"params": list(tup), "trials": done, "ok": ok})
-    return cases
-
-
-def suite_lemmas(trials: int, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    split_ok = star_ok = spider_ok = reduce_ok = True
-    for _ in range(trials):
-        # vertex split on a small random graph (balanced so M is often nonzero)
-        side = rng.randint(2, 4)
-        g = _random_host(rng, side, side)
-        v = g.vertices[0]
-        nbs = g.neighbors(v)
-        part = [u for u in nbs if rng.random() < 0.5]
-        split_ok = split_ok and matching_genfun(vertex_split(g, v, part)) == matching_genfun(g)
-        # star scaling
-        factor = abs(_rand_fraction(rng))
-        star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * matching_genfun(g)
-        # spider on a wheel: 4-cycle with unit spokes to 4 tips, tips matched out
-        inner = [("i", j) for j in range(4)]
-        tips = [("t", j) for j in range(4)]
-        outer = [("o", j) for j in range(4)]
-        cyc = [abs(_rand_fraction(rng)) for _ in range(4)]
-        edges = [
-            (inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)
-        ]
-        edges += [(inner[j], tips[j], Fraction(1)) for j in range(4)]
-        edges += [(tips[j], outer[j], _rand_fraction(rng)) for j in range(4)]
-        edges += [(outer[0], outer[1], _rand_fraction(rng))]
-        g2 = WeightedGraph(inner + tips + outer, edges)
-        reduced, delta = spider_reduce(g2, tuple(inner))
-        spider_ok = spider_ok and matching_genfun(g2) == delta * matching_genfun(reduced)
-        # rectangle reduction against a random host
-        m = rng.randint(1, 2)
-        n = rng.randint(m + 1, 3)
-        scheme = WeightScheme(*(abs(_rand_fraction(rng)) for _ in range(5)))
-        host = _random_host(rng, n, n - m)
-        whole = connected_sum(host, ar_graph(m, n, scheme))
-        trimmed, fac = ar_reduce(host, m, n, scheme)
-        reduce_ok = reduce_ok and matching_genfun(whole) == fac * matching_genfun(trimmed)
-    return [
-        {"lemma": "vertex-split", "trials": trials, "ok": split_ok},
-        {"lemma": "star-scale", "trials": trials, "ok": star_ok},
-        {"lemma": "spider", "trials": trials, "ok": spider_ok},
-        {"lemma": "rectangle-reduce", "trials": trials, "ok": reduce_ok},
-    ]
-
-
-def small_double_rectangles(max_cells: int):
-    """Every valid double-rectangle parameter tuple with at most max_cells cells."""
-    out = []
-    for m1 in range(1, 4):
-        for n1 in range(m1, 8):
-            for m2 in range(1, 4):
-                n2 = m2 + (n1 - m1)
-                for k in range(0, min(m2, n2 - 1) + 1):
-                    cells = 2 * m1 * n1 + m1 + n1 + 2 * m2 * n2 + m2 + n2
-                    if cells <= max_cells:
-                        out.append((m1, n1, k, m2, n2))
-    return sorted(out)
-
-
-def suite_rank(max_cells: int) -> list[dict]:
-    from .regions import build_double_rectangle
-
-    tuples = small_double_rectangles(max_cells)
-    for tup in tuples:  # fail before the first BFS, not after the last
-        region = build_double_rectangle(*tup)
-        require_listing_budget(region, count_tilings(region))
-    cases = []
-    for tup in tuples:
-        # built again rather than kept, so one region's tables are alive at a time
-        region = build_double_rectangle(*tup)
-        table = rank_table(region)
-        tilings = list(enumerate_tilings(region))
-        ok = set(table) == set(tilings)  # flip connectivity
-        ranks = [rank_via_area(region, t) for t in tilings]
-        ok = ok and ranks == [table.get(t) for t in tilings]
-        ok = ok and ranks == [rank_linear(region, t) for t in tilings]
-        # the area rank is the area excess over the minimal tiling, so the
-        # minimal tiling has the least area, uniquely, when exactly one
-        # tiling has area rank 0 and none has a negative one
-        ok = ok and min(ranks) == 0 and ranks.count(0) == 1
-        cases.append({"params": list(tup), "tilings": len(tilings), "ok": ok})
-    return cases
-
-
-def suite_paths() -> list[dict]:
-    from .regions import build_double_rectangle
-
-    cases = []
-    for tup in SUITE_TUPLES:
-        m1, n1, k, m2, n2 = tup
-        g = n1 - m1
-        expected = (
-            m2 * (m2 + 1) + 2 * g * (m2 - k + 1) + g * (m1 + k) + m1 * (m1 + 1)
-        )
-        region = build_double_rectangle(*tup)
-        seen = set()
-        ok = True
-        for t in enumerate_tilings(region):
-            family = tiling_to_paths(region, t)
-            key = tuple(p.points for p in family.paths)
-            ok = ok and key not in seen
-            seen.add(key)
-            up, down, level = step_counts(family)
-            ok = ok and up + down + 2 * level == expected
-            ok = ok and Fraction(up + down, 2) == vertical_halfcount(t)
-        cases.append({"params": list(tup), "tilings": len(seen), "ok": ok})
-    return cases
-
-
 @main.command()
-@click.argument(
-    "suite",
-    type=click.Choice(["macmahon", "aztec", "main", "weighted", "lemmas", "rank", "paths"]),
-)
-@click.option("--max", "bound", default=None, type=int, help="Size bound for the suite.")
-@click.option("--trials", default=None, type=int, help="Randomized trial count.")
+@click.argument("suite", type=click.Choice(list(SUITES)))
+@click.option("--max", "bound", type=click.IntRange(min=1), help="Size bound for the suite.")
+@click.option("--trials", type=click.IntRange(min=1), help="Randomized trial count.")
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--out", default=None)
 def verify(suite: str, bound: int | None, trials: int | None, seed: int, out: str | None) -> None:
     """Run a verification suite; exit 1 if any case fails."""
     try:
-        if suite == "macmahon":
-            cases = suite_macmahon(bound or 3)
-        elif suite == "aztec":
-            cases = suite_aztec(bound or 6)
-        elif suite == "main":
-            cases = suite_main(bound)
-        elif suite == "weighted":
-            cases = suite_weighted(trials or 5, seed, bound)
-        elif suite == "lemmas":
-            cases = suite_lemmas(trials or 50, seed)
-        elif suite == "rank":
-            cases = suite_rank(bound or 40)
-        else:
-            cases = suite_paths()
+        cases = SUITES[suite](bound, trials, seed)
     except CapacityError as exc:
         raise click.UsageError(str(exc)) from exc
     bad = [c for c in cases if not c["ok"]]

@@ -68,6 +68,11 @@ def macmahon_count(a: int, b: int, c: int) -> int:
     return total.numerator
 
 
+def aztec_count(n: int) -> int:
+    """Number of domino tilings 2^(n(n+1)/2) of the order-n Aztec diamond."""
+    return 2 ** (n * (n + 1) // 2)
+
+
 def aztec_genfun(n: int) -> LaurentPoly2:
     """prod_{k=0}^{n-1} (1 + t q^{2k+1})^{n-k} for the order-n diamond."""
     if n < 1:

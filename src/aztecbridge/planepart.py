@@ -9,12 +9,11 @@ sides a, b, c.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .engine import CapacityError, Tiling, piece
 from .polyring import LaurentPoly2
-from .regions import InvariantError, Tri, TriRegion, build_hexagon
+from .regions import InvariantError, Tri, build_hexagon
 
 PlanePartition = tuple  # tuple of row tuples
 
@@ -142,8 +141,7 @@ def _surface_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> list:
     return pieces
 
 
-@lru_cache(maxsize=None)
-def _hex_offset(a: int, b: int, c: int) -> tuple[int, int, TriRegion]:
+def _hex_offset(a: int, b: int, c: int) -> tuple[int, int]:
     """Translation taking raw projected surface coordinates onto build_hexagon(a, b, c)."""
     region = build_hexagon(a, b, c)
     zero = tuple(tuple(0 for _ in range(b)) for _ in range(a))
@@ -156,12 +154,12 @@ def _hex_offset(a: int, b: int, c: int) -> tuple[int, int, TriRegion]:
     moved = {Tri(t.x + dx, t.y + dy, t.up) for t in raw}
     if moved != region.tris:
         raise InvariantError("projected surface must tile the hexagon exactly")
-    return dx, dy, region
+    return dx, dy
 
 
 def pp_to_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> Tiling:
     """The lozenge tiling of build_hexagon(a, b, c) encoding the stack pp."""
-    dx, dy, _ = _hex_offset(a, b, c)
+    dx, dy = _hex_offset(a, b, c)
     out = []
     for t1, t2 in _surface_lozenges(pp, a, b, c):
         out.append(piece(Tri(t1.x + dx, t1.y + dy, t1.up), Tri(t2.x + dx, t2.y + dy, t2.up)))
@@ -170,7 +168,7 @@ def pp_to_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> Tiling:
 
 def lozenges_to_pp(tiling: Tiling, a: int, b: int, c: int) -> PlanePartition:
     """Inverse of pp_to_lozenges; raises ValueError if no stack matches."""
-    dx, dy, _ = _hex_offset(a, b, c)
+    dx, dy = _hex_offset(a, b, c)
     have = set(tiling)
     rows: list[list[int]] = []
     for i in range(a):

@@ -10,7 +10,6 @@ coefficients).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple
 
@@ -193,9 +192,6 @@ class LaurentPoly2:
     @staticmethod
     def from_json_obj(obj) -> "LaurentPoly2":
         return LaurentPoly2({(int(et), int(eq)): int(c) for et, eq, c in obj})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:

@@ -49,10 +49,6 @@ class Tri(NamedTuple):
     up: bool
 
 
-WHITE = "white"
-BLACK = "black"
-
-
 class BoundaryMarkers(NamedTuple):
     """Schroeder-path endpoints: points (x, y2) with y2 = 2*y_actual."""
 
@@ -112,9 +108,6 @@ class Region:
             raise ConstraintError(
                 f"color imbalance: {whites} white vs {len(self.cells) - whites} black"
             )
-
-    def color(self, c: Cell) -> str:
-        return WHITE if (c.x + c.y) % 2 == self.white_parity else BLACK
 
     def imbalance(self) -> int:
         """White cells minus black cells; a tileable region has 0."""

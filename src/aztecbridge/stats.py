@@ -32,10 +32,6 @@ from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
 
 
-class UnreachableError(RuntimeError):
-    """A tiling is not connected to the minimal tiling by elementary moves."""
-
-
 def vertical_halfcount(tiling: Tiling) -> Fraction:
     """Half the number of vertical dominoes."""
     return Fraction(sum(1 for d in tiling if is_vertical(d)), 2)
@@ -183,8 +179,8 @@ def flips(tiling: Tiling) -> list[Tiling]:
 
 #: Most tilings of one region that may be listed, by the flip BFS or by
 #: enumeration.  Time and memory grow with the number listed: the 89,600
-#: tilings of dr:2,4,1,3,5, the most of any ``small_double_rectangles(60)``
-#: tuple, take about 1.5 s to rank by flips and 0.6 s to enumerate on a
+#: tilings of dr:2,4,1,3,5, the most of any double rectangle of at most 60
+#: cells, take about 1.5 s to rank by flips and 0.6 s to enumerate on a
 #: 2-vCPU host, with a peak RSS of 77 MB, and dr:3,5,1,3,5 has 2,007,040.
 #: The determinant count is checked against it before anything is listed.
 MAX_LISTED_TILINGS = 100_000
@@ -252,14 +248,6 @@ def _flip_distances(region: Region) -> dict[Tiling, int]:
     }
 
 
-def rank_bfs(region: Region, tiling: Tiling) -> int:
-    table = rank_table(region)
-    t = tuple(sorted(tiling))
-    if t not in table:
-        raise UnreachableError("tiling is not reachable from the minimal tiling")
-    return table[t]
-
-
 def rank_via_area(region: Region, tiling: Tiling) -> int:
     """Rank as the underneath-area excess of the path family over minimal."""
     from .paths import _quarter_area, tiling_to_paths
@@ -296,8 +284,8 @@ def rank_linear(region: Region, tiling: Tiling) -> int:
 #: live profile masks on a line, and with it the sweep's time and memory,
 #: grows with the column height: ad:9, with columns of 18 cells, takes about
 #: 3 s and 210 MB on a 2-vCPU host, and each further diamond order costs
-#: several times more of both.  Every double rectangle that
-#: ``small_double_rectangles`` makes has columns of at most 14 cells.
+#: several times more of both.  Every double rectangle of at most 104 cells
+#: has columns of at most 17 cells.
 MAX_SWEEP_COLUMN = 18
 
 

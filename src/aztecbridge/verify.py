@@ -1,0 +1,276 @@
+"""Verification suites: each checks one of the paper's identities by at least two methods.
+
+A suite returns a list of JSON-ready cases, each with an ``ok`` key.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections.abc import Sequence
+from fractions import Fraction
+
+from .engine import count_lozenge_tilings, count_tilings, enumerate_tilings
+from .formulas import (
+    ResampleError,
+    aztec_count,
+    aztec_genfun,
+    corollary_count,
+    macmahon_count,
+    macmahon_q,
+    main_genfun,
+    weighted_formula_rhs,
+)
+from .matchgraph import (
+    WeightScheme,
+    WeightedGraph,
+    ar_graph,
+    ar_reduce,
+    connected_sum,
+    matching_genfun,
+    region_matching_sum,
+    spider_reduce,
+    star_scale,
+    vertex_split,
+)
+from .paths import step_counts, tiling_to_paths
+from .planepart import q_genfun_brute
+from .polyring import LaurentPoly2
+from .regions import build_aztec_diamond, build_double_rectangle, build_hexagon
+from .stats import (
+    rank_linear,
+    rank_table,
+    rank_via_area,
+    require_listing_budget,
+    require_sweep_budget,
+    tq_sum,
+    vertical_halfcount,
+)
+
+#: The double-rectangle parameter tuples a suite checks when given no size bound.
+SUITE_TUPLES = (
+    (1, 2, 0, 1, 2),
+    (1, 2, 1, 1, 2),
+    (2, 3, 0, 2, 3),
+    (2, 3, 1, 2, 3),
+    (1, 3, 0, 2, 4),
+)
+
+
+def small_double_rectangles(max_cells: int) -> list[tuple[int, int, int, int, int]]:
+    """Every valid double-rectangle parameter tuple with at most max_cells cells, sorted."""
+
+    def cells(m, n):  # of one m x n Aztec rectangle, increasing in m and n
+        return 2 * m * n + m + n
+
+    out = []
+    m1 = 1
+    while cells(m1, m1) + cells(1, 1) <= max_cells:
+        n1 = m1
+        while cells(m1, n1) + cells(1, 1 + n1 - m1) <= max_cells:
+            m2 = 1
+            while cells(m1, n1) + cells(m2, m2 + n1 - m1) <= max_cells:
+                n2 = m2 + n1 - m1
+                out += [(m1, n1, k, m2, n2) for k in range(min(m2, n2 - 1) + 1)]
+                m2 += 1
+            n1 += 1
+        m1 += 1
+    return sorted(out)
+
+
+def suite_tuples(max_cells: int | None) -> Sequence[tuple[int, int, int, int, int]]:
+    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
+    return SUITE_TUPLES if max_cells is None else small_double_rectangles(max_cells)
+
+
+def compare_conventions(enum_poly: LaurentPoly2, base: LaurentPoly2) -> tuple[dict, list[str]]:
+    """The formula side in each (t, q) ordering, and the orderings equal to enum_poly.
+
+    ``proof`` is the product as proved; ``statement`` swaps t and q.
+    """
+    sides = {"proof": base, "statement": base.swap_vars()}
+    return sides, [name for name, poly in sides.items() if poly == enum_poly]
+
+
+def _rand_fraction(rng: random.Random) -> Fraction:
+    while True:
+        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        if v:
+            return v
+
+
+def _random_host(rng: random.Random, marked: int, partners: int) -> WeightedGraph:
+    """Bipartite-ish host with the given marked fringe and partner pool."""
+    ms = [("m", i) for i in range(marked)]
+    ps = [("p", j) for j in range(partners)]
+    edges = []
+    for u in ms:
+        for v in ps:
+            if rng.random() < 0.8:
+                edges.append((u, v, _rand_fraction(rng)))
+    return WeightedGraph(ms + ps, edges, ms)
+
+
+def suite_macmahon(bound: int) -> list[dict]:
+    cases = []
+    for a, b, c in itertools.product(range(1, bound + 1), repeat=3):
+        ok = q_genfun_brute(a, b, c) == macmahon_q(a, b, c)
+        ok = ok and count_lozenge_tilings(build_hexagon(a, b, c)) == macmahon_count(a, b, c)
+        cases.append({"box": [a, b, c], "ok": ok})
+    return cases
+
+
+def suite_aztec(bound: int) -> list[dict]:
+    regions = []
+    for n in range(1, bound + 1):  # fail before the first sweep, not after the last
+        regions.append(build_aztec_diamond(n))
+        require_sweep_budget(regions[-1])
+    cases = []
+    for n, region in enumerate(regions, 1):
+        ok = count_tilings(region) == aztec_count(n)
+        ok = ok and tq_sum(region) == aztec_genfun(n)
+        cases.append({"order": n, "ok": ok})
+    return cases
+
+
+def suite_main(max_cells: int | None = None) -> list[dict]:
+    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
+    tuples = suite_tuples(max_cells)
+    for tup in tuples:  # fail before the first sweep, not after the last
+        require_sweep_budget(build_double_rectangle(*tup))
+    cases = []
+    for tup in tuples:
+        # built again rather than kept, so one region's tables are alive at a time
+        region = build_double_rectangle(*tup)
+        _, matched = compare_conventions(tq_sum(region), main_genfun(*tup))
+        ok = "proof" in matched
+        ok = ok and count_tilings(region) == corollary_count(*tup)
+        cases.append({"params": list(tup), "matched_conventions": matched, "ok": ok})
+    return cases
+
+
+def suite_weighted(trials: int, seed: int, max_cells: int | None = None) -> list[dict]:
+    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
+    rng = random.Random(seed)
+    cases = []
+    for tup in suite_tuples(max_cells):
+        region = build_double_rectangle(*tup)
+        done = 0
+        ok = True
+        while done < trials:
+            vals = tuple(_rand_fraction(rng) for _ in range(5))
+            try:
+                rhs = weighted_formula_rhs(*tup, *vals)
+            except ResampleError:
+                continue
+            lhs = region_matching_sum(region, WeightScheme(*vals))
+            ok = ok and lhs == rhs
+            done += 1
+        cases.append({"params": list(tup), "trials": done, "ok": ok})
+    return cases
+
+
+def suite_lemmas(trials: int, seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    split_ok = star_ok = spider_ok = reduce_ok = True
+    for _ in range(trials):
+        # vertex split on a small random graph (balanced so M is often nonzero)
+        side = rng.randint(2, 4)
+        g = _random_host(rng, side, side)
+        v = g.vertices[0]
+        nbs = g.neighbors(v)
+        part = [u for u in nbs if rng.random() < 0.5]
+        split_ok = split_ok and matching_genfun(vertex_split(g, v, part)) == matching_genfun(g)
+        # star scaling
+        factor = abs(_rand_fraction(rng))
+        star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * matching_genfun(g)
+        # spider on a wheel: 4-cycle with unit spokes to 4 tips, tips matched out
+        inner = [("i", j) for j in range(4)]
+        tips = [("t", j) for j in range(4)]
+        outer = [("o", j) for j in range(4)]
+        cyc = [abs(_rand_fraction(rng)) for _ in range(4)]
+        edges = [
+            (inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)
+        ]
+        edges += [(inner[j], tips[j], Fraction(1)) for j in range(4)]
+        edges += [(tips[j], outer[j], _rand_fraction(rng)) for j in range(4)]
+        edges += [(outer[0], outer[1], _rand_fraction(rng))]
+        g2 = WeightedGraph(inner + tips + outer, edges)
+        reduced, delta = spider_reduce(g2, tuple(inner))
+        spider_ok = spider_ok and matching_genfun(g2) == delta * matching_genfun(reduced)
+        # rectangle reduction against a random host
+        m = rng.randint(1, 2)
+        n = rng.randint(m + 1, 3)
+        scheme = WeightScheme(*(abs(_rand_fraction(rng)) for _ in range(5)))
+        host = _random_host(rng, n, n - m)
+        whole = connected_sum(host, ar_graph(m, n, scheme))
+        trimmed, fac = ar_reduce(host, m, n, scheme)
+        reduce_ok = reduce_ok and matching_genfun(whole) == fac * matching_genfun(trimmed)
+    return [
+        {"lemma": "vertex-split", "trials": trials, "ok": split_ok},
+        {"lemma": "star-scale", "trials": trials, "ok": star_ok},
+        {"lemma": "spider", "trials": trials, "ok": spider_ok},
+        {"lemma": "rectangle-reduce", "trials": trials, "ok": reduce_ok},
+    ]
+
+
+def suite_rank(max_cells: int) -> list[dict]:
+    tuples = small_double_rectangles(max_cells)
+    for tup in tuples:  # fail before the first BFS, not after the last
+        region = build_double_rectangle(*tup)
+        require_listing_budget(region, count_tilings(region))
+    cases = []
+    for tup in tuples:
+        # built again rather than kept, so one region's tables are alive at a time
+        region = build_double_rectangle(*tup)
+        table = rank_table(region)
+        tilings = list(enumerate_tilings(region))
+        ok = set(table) == set(tilings)  # flip connectivity
+        ranks = [rank_via_area(region, t) for t in tilings]
+        ok = ok and ranks == [table.get(t) for t in tilings]
+        ok = ok and ranks == [rank_linear(region, t) for t in tilings]
+        # the area rank is the area excess over the minimal tiling, so the
+        # minimal tiling has the least area, uniquely, when exactly one
+        # tiling has area rank 0 and none has a negative one
+        ok = ok and min(ranks) == 0 and ranks.count(0) == 1
+        cases.append({"params": list(tup), "tilings": len(tilings), "ok": ok})
+    return cases
+
+
+def suite_paths() -> list[dict]:
+    cases = []
+    for tup in SUITE_TUPLES:
+        m1, n1, k, m2, n2 = tup
+        g = n1 - m1
+        expected = (
+            m2 * (m2 + 1) + 2 * g * (m2 - k + 1) + g * (m1 + k) + m1 * (m1 + 1)
+        )
+        region = build_double_rectangle(*tup)
+        seen = set()
+        ok = True
+        for t in enumerate_tilings(region):
+            family = tiling_to_paths(region, t)
+            key = tuple(p.points for p in family.paths)
+            ok = ok and key not in seen
+            seen.add(key)
+            up, down, level = step_counts(family)
+            ok = ok and up + down + 2 * level == expected
+            ok = ok and Fraction(up + down, 2) == vertical_halfcount(t)
+        cases.append({"params": list(tup), "tilings": len(seen), "ok": ok})
+    return cases
+
+
+def _given(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
+#: Each suite as a call on (bound, trials, seed); an option not given is None.
+SUITES = {
+    "macmahon": lambda bound, trials, seed: suite_macmahon(_given(bound, 3)),
+    "aztec": lambda bound, trials, seed: suite_aztec(_given(bound, 6)),
+    "main": lambda bound, trials, seed: suite_main(bound),
+    "weighted": lambda bound, trials, seed: suite_weighted(_given(trials, 5), seed, bound),
+    "lemmas": lambda bound, trials, seed: suite_lemmas(_given(trials, 50), seed),
+    "rank": lambda bound, trials, seed: suite_rank(_given(bound, 40)),
+    "paths": lambda bound, trials, seed: suite_paths(),
+}

@@ -1,13 +1,17 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Each criterion is an exact identity at desk scale; the verification suites
-in the CLI module do the actual work so the command-line surface and the
-gate can never drift apart.
+of the ``verify`` module do the actual work, for both the ``verify``
+command and this gate, so the two can never drift apart.
 """
 
 import itertools
 
-from aztecbridge.cli import (
+from aztecbridge.engine import count_tilings
+from aztecbridge.formulas import aztec_genfun, corollary_count, macmahon_q
+from aztecbridge.regions import build_aztec_diamond, build_double_rectangle
+from aztecbridge.stats import rank_table, tq_sum
+from aztecbridge.verify import (
     SUITE_TUPLES,
     suite_aztec,
     suite_lemmas,
@@ -16,12 +20,7 @@ from aztecbridge.cli import (
     suite_paths,
     suite_rank,
     suite_weighted,
-    tq_sum,
 )
-from aztecbridge.engine import count_tilings
-from aztecbridge.formulas import aztec_genfun, corollary_count, macmahon_q
-from aztecbridge.regions import build_aztec_diamond, build_double_rectangle
-from aztecbridge.stats import rank_table
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

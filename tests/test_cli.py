@@ -7,10 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import aztecbridge
-from aztecbridge import cli, stats
+from aztecbridge import cli, stats, verify
 from aztecbridge.cli import main
 
 runner = CliRunner()
@@ -133,9 +134,25 @@ def test_verify_weighted_honours_max():
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["status"] == "ok" and doc["failures"] == 0
-    assert len(doc["cases"]) == 96 and all(c["trials"] == 5 for c in doc["cases"])
+    assert len(doc["cases"]) == 118 and all(c["trials"] == 5 for c in doc["cases"])
     fixed = json.loads(run("verify", "weighted").output)["cases"]
-    assert [tuple(c["params"]) for c in fixed] == list(cli.SUITE_TUPLES)
+    assert [tuple(c["params"]) for c in fixed] == list(verify.SUITE_TUPLES)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "weighted", "--trials", "0"),
+        ("verify", "lemmas", "--trials", "0"),
+        ("verify", "macmahon", "--max", "0"),
+        ("verify", "aztec", "--max", "0"),
+        ("verify", "weighted", "--trials", "-3"),
+    ],
+)
+def test_verify_rejects_a_size_or_trial_count_below_one(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert "x>=1" in result.output
 
 
 def test_tiling_index_is_bounded_before_enumeration(monkeypatch):
@@ -171,7 +188,12 @@ def test_sweep_budget_exits_two_before_any_sweep(monkeypatch):
         raise AssertionError("filled a column before checking the budget")
 
     monkeypatch.setattr(stats, "_fill_column", no_fill)
-    for args in (("genfun", "ad:11"), ("verify", "aztec", "--max", "11")):
+    # dr:4,5,5,5,6, the first tuple over the budget at 120 cells, has a column of 19
+    for args in (
+        ("genfun", "ad:11"),
+        ("verify", "aztec", "--max", "11"),
+        ("verify", "main", "--max", "120"),
+    ):
         start = time.perf_counter()
         result = run(*args)
         assert time.perf_counter() - start < 1
@@ -185,6 +207,7 @@ def test_listing_budget_exits_two_before_any_listing(monkeypatch):
 
     monkeypatch.setattr(stats, "_flip_distances", no_listing)
     monkeypatch.setattr(cli, "enumerate_tilings", no_listing)
+    monkeypatch.setattr(verify, "enumerate_tilings", no_listing)
     # dr:1,6,1,3,8 has 150,528 tilings: every index from 100,000 on is over
     for args in (
         ("verify", "rank", "--max", "80"),

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aztecbridge import engine
-from aztecbridge.cli import SUITE_TUPLES, small_double_rectangles
 from aztecbridge.engine import (
     _det,
     count_lozenge_tilings,
@@ -34,6 +33,7 @@ from aztecbridge.regions import (
     build_hexagon,
 )
 from aztecbridge.stats import tq_sum
+from aztecbridge.verify import SUITE_TUPLES, small_double_rectangles
 
 
 def signed_fraction(rng):

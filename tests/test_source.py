@@ -1,9 +1,10 @@
-"""Source-level rules: checks that guard a result must survive ``python -O``."""
+"""Source-level rules: checks survive ``python -O``; the suites live outside the CLI."""
 
 import ast
 from pathlib import Path
 
 import aztecbridge
+from aztecbridge import cli, verify
 
 
 def test_no_assert_statements_in_the_package():
@@ -16,3 +17,11 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], "python -O strips these asserts: " + ", ".join(found)
+
+
+def test_the_cli_dispatches_every_suite_through_the_verify_module():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [name for name in defined if name.startswith("suite_")] == []
+    (suite,) = [p for p in cli.verify.params if p.name == "suite"]
+    assert list(suite.type.choices) == list(verify.SUITES)
