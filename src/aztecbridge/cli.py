@@ -19,9 +19,7 @@ from .paths import step_counts, tiling_to_paths, underneath_area
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling, render_to_file
 from .stats import minimal_tiling, require_listing_budget, tq_sum
-from .verify import SUITES, compare_conventions
-
-DEFAULT_SEED = 20240
+from .verify import DEFAULT_SEED, SUITES, compare_conventions
 
 
 def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
@@ -222,12 +220,21 @@ def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
 @click.argument("suite", type=click.Choice(list(SUITES)))
 @click.option("--max", "bound", type=click.IntRange(min=1), help="Size bound for the suite.")
 @click.option("--trials", type=click.IntRange(min=1), help="Randomized trial count.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", type=int, help=f"Seed of weighted and lemmas (default {DEFAULT_SEED}).")
 @click.option("--out", default=None)
-def verify(suite: str, bound: int | None, trials: int | None, seed: int, out: str | None) -> None:
-    """Run a verification suite; exit 1 if any case fails."""
+def verify(
+    suite: str, bound: int | None, trials: int | None, seed: int | None, out: str | None
+) -> None:
+    """Run a verification suite; exit 1 if any case fails.
+
+    An option the suite does not read is a usage error.
+    """
+    reads, run = SUITES[suite]
+    for option, value in (("--max", bound), ("--trials", trials), ("--seed", seed)):
+        if value is not None and option not in reads:
+            raise click.UsageError(f"verify {suite} does not read {option}")
     try:
-        cases = SUITES[suite](bound, trials, seed)
+        cases = run(bound, trials, seed)
     except CapacityError as exc:
         raise click.UsageError(str(exc)) from exc
     bad = [c for c in cases if not c["ok"]]

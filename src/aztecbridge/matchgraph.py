@@ -36,7 +36,7 @@ class WeightScheme(NamedTuple):
 class WeightedGraph:
     """Immutable simple undirected graph with rational edge weights."""
 
-    __slots__ = ("vertices", "edges", "marked")
+    __slots__ = ("vertices", "edges", "marked", "_neighbors")
 
     def __init__(self, vertices: Iterable, edges: Iterable, marked: Iterable = ()):
         self.vertices = tuple(vertices)
@@ -49,7 +49,7 @@ class WeightedGraph:
                 raise ValueError(f"bad edge ({u!r}, {v!r})")
             if w == 0:
                 raise ValueError("zero edge weight")
-            key = frozenset({u, v})
+            key = frozenset((u, v))
             if key in emap:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
             emap[key] = w
@@ -58,17 +58,24 @@ class WeightedGraph:
         for m in self.marked:
             if m not in vs:
                 raise ValueError(f"marked vertex {m!r} missing")
+        self._neighbors: dict | None = None
 
     def weight(self, u, v) -> Fraction:
-        return self.edges[frozenset({u, v})]
+        return self.edges[frozenset((u, v))]
 
     def neighbors(self, v) -> list:
-        out = []
-        for key in self.edges:
-            if v in key:
-                (other,) = key - {v}
-                out.append(other)
-        return out
+        """The vertices joined to v, in edge order.
+
+        Every vertex's list is built in one pass over the edges on the first
+        call and kept on the graph; most graphs are never asked.
+        """
+        if self._neighbors is None:
+            nbrs: dict = {u: [] for u in self.vertices}
+            for a, b in self.edges:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            self._neighbors = nbrs
+        return list(self._neighbors[v])
 
     def edge_list(self) -> list[tuple]:
         index = {v: i for i, v in enumerate(self.vertices)}

@@ -36,6 +36,7 @@ class SchroederPath(NamedTuple):
 
 class PathFamily(NamedTuple):
     paths: tuple  # SchroederPath, one per marker index
+    quarter_area: int  # four times ``underneath_area``, summed by the walk
 
 
 def _path_segments(region: Region) -> dict:
@@ -61,37 +62,54 @@ def _segments(region: Region, tiling: Tiling) -> dict:
     return dict(filter(None, map(region.path_segments.get, tiling)))
 
 
-def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
-    """Assemble the decorated segments into the marker-joined path family."""
+def _walk(region: Region, tiling: Tiling, paths: list | None = None) -> int:
+    """Follow every path from its u marker over the tiling's decorated segments.
+
+    Returns four times the family's underneath area: each step adds
+    (y2 + y2' - 2) * run.  When ``paths`` is a list, each path is also
+    appended to it as a SchroederPath.  Each segment leaves the tiling's
+    segment map as a path takes it, so a path that reaches a point an
+    earlier path has left finds no segment there: the paths intersect.
+    Every step moves right, so a path cannot meet itself, and a path that
+    runs onto an earlier path's end marker ends at the wrong one.
+    """
     segs = _segments(region, tiling)
+    take = segs.pop
     v_index = region.v_index
-    seen: set = set()
-    used = 0
-    paths = []
-    for i, u in enumerate(region.markers.u):
-        pts = [u]
-        steps = []
-        p = u
+    quarter = 0
+    for i, p in enumerate(region.markers.u):
+        if paths is not None:
+            pts, steps = [p], []
+        x0, y0 = p
         while p not in v_index:
-            if p not in segs:
+            seg = take(p, None)
+            if seg is None:
+                if p in _segments(region, tiling):
+                    raise DecorationError(f"paths intersect at {p}")
                 raise DecorationError(f"path {i + 1} dangles at {p}")
-            p, letter = segs[p]
-            steps.append(letter)
-            pts.append(p)
+            p, letter = seg
+            x1, y1 = p
+            quarter += (y0 + y1 - 2) * (x1 - x0)
+            x0, y0 = x1, y1
+            if paths is not None:
+                pts.append(p)
+                steps.append(letter)
         if v_index[p] != i:
             raise DecorationError(
                 f"path from marker u_{i + 1} ends at v_{v_index[p] + 1}"
             )
-        # every step moves right, so a path cannot meet itself
-        if not seen.isdisjoint(pts):
-            raise DecorationError(f"paths intersect at {next(pt for pt in pts if pt in seen)}")
-        seen.update(pts)
-        used += len(steps)
-        paths.append(SchroederPath(tuple(pts), tuple(steps)))
-    # the paths are disjoint, so each step used a segment of its own
-    if used != len(segs):
+        if paths is not None:
+            paths.append(SchroederPath(tuple(pts), tuple(steps)))
+    if segs:
         raise DecorationError("decorated segments left over after assembly")
-    return PathFamily(tuple(paths))
+    return quarter
+
+
+def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
+    """Assemble the decorated segments into the marker-joined path family."""
+    paths: list = []
+    quarter = _walk(region, tiling, paths)
+    return PathFamily(tuple(paths), quarter)
 
 
 def step_counts(family: PathFamily) -> tuple[int, int, int]:
@@ -104,15 +122,6 @@ def step_counts(family: PathFamily) -> tuple[int, int, int]:
     return up, down, level
 
 
-def _quarter_area(family: PathFamily) -> int:
-    """Four times ``underneath_area``: each step adds (y2 + y2' - 2) * run."""
-    total = 0
-    for p in family.paths:
-        for (x0, y0), (x1, y1) in zip(p.points, p.points[1:]):
-            total += (y0 + y1 - 2) * (x1 - x0)
-    return total
-
-
 def underneath_area(family: PathFamily) -> Fraction:
     """Total lattice area between the paths and the ground line y2 = 1.
 
@@ -120,6 +129,7 @@ def underneath_area(family: PathFamily) -> Fraction:
     the trapezoid (h + h')/2 per unit of horizontal run, so a level step at
     height h counts 2h and a diagonal step h + 1/2 or h - 1/2.  With
     h = (y2 - 1) / 2 each step adds (y2 + y2' - 2) * run / 4, so the sum is
-    kept in integer quarter units.
+    kept in integer quarter units, added up by the walk that assembles the
+    family.
     """
-    return Fraction(_quarter_area(family), 4)
+    return Fraction(family.quarter_area, 4)

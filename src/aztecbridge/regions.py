@@ -85,8 +85,9 @@ class Region:
 
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
     derived invariants below (grid edges, boundary markers, minimal tiling,
-    its path area, rank table) are each computed on first use and kept on
-    the instance, so no module keeps a cache of its own.
+    its path area, line and domino weights, rank table) are each computed
+    on first use and kept on the instance, so no module keeps a cache of
+    its own.
     """
 
     kind: str
@@ -187,6 +188,13 @@ class Region:
         return _line_weights(self)
 
     @cached_property
+    def domino_deficits(self) -> MappingProxyType:
+        """Read-only height-deficit weight of each domino; see ``stats._domino_deficits``."""
+        from .stats import _domino_deficits
+
+        return MappingProxyType(_domino_deficits(self))
+
+    @cached_property
     def markers(self) -> BoundaryMarkers:
         """Boundary markers of a double Aztec rectangle; see ``boundary_markers``."""
         if self.kind != "double_aztec_rectangle":
@@ -230,9 +238,11 @@ class Region:
     @cached_property
     def minimal_area(self):
         """Underneath area of the minimal tiling's path family."""
-        from .paths import tiling_to_paths, underneath_area
+        from fractions import Fraction
 
-        return underneath_area(tiling_to_paths(self, self.minimal_tiling))
+        from .paths import _walk
+
+        return Fraction(_walk(self, self.minimal_tiling), 4)
 
     @cached_property
     def rank_table(self) -> MappingProxyType:

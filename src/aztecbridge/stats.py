@@ -12,11 +12,11 @@ region's dominoes, by path area on a double rectangle, and as a linear
 function of the horizontal dominoes through the height deficit, which also
 weights the q-sweep of ``tq_sum``.
 
-The grid edges, the minimal tiling, the rank table and the line weights are
-derived once per region and kept on the ``Region`` instance; this module
-computes them.  The exponential computations have budgets, checked before
-they start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an
-enumeration may list, through the determinant count, and
+The grid edges, the minimal tiling, the rank table and the line and domino
+weights are derived once per region and kept on the ``Region`` instance;
+this module computes them.  The exponential computations have budgets,
+checked before they start: ``MAX_LISTED_TILINGS`` bounds the tilings the
+flip BFS or an enumeration may list, through the determinant count, and
 ``MAX_SWEEP_COLUMN`` bounds the sweep's columns.
 """
 
@@ -249,13 +249,16 @@ def _flip_distances(region: Region) -> dict[Tiling, int]:
 
 
 def rank_via_area(region: Region, tiling: Tiling) -> int:
-    """Rank as the underneath-area excess of the path family over minimal."""
-    from .paths import _quarter_area, tiling_to_paths
+    """Rank as the underneath-area excess of the path family over minimal.
+
+    The area comes from the walk that checks the paths, with no family built.
+    """
+    from .paths import _walk
 
     if region.kind != "double_aztec_rectangle":
         raise KindError("area rank is defined for double Aztec rectangles only")
     base = region.minimal_area  # a whole number of quarter cells
-    excess = _quarter_area(tiling_to_paths(region, tiling)) - base.numerator * 4 // base.denominator
+    excess = _walk(region, tiling) - base.numerator * 4 // base.denominator
     if excess % 4:
         raise InvariantError("area excess must be a whole number of cells")
     return excess // 4
@@ -266,13 +269,11 @@ def rank_linear(region: Region, tiling: Tiling) -> int:
 
     The total height deficit below the minimal tiling is the sum of the
     line constants C_x plus w_x[y] for each horizontal domino crossing line
-    x at row y (see ``_line_weights``); rank is that total divided by 4.
+    x at row y (see ``_line_weights``), read per domino from
+    ``Region.domino_deficits``; rank is that total divided by 4.
     """
-    lines = region.line_weights
-    total = sum(const for const, _ in lines)
-    for (ax, ay), (bx, by) in tiling:
-        if ay == by:  # horizontal: it crosses the line at its right cell
-            total += lines[max(ax, bx)][1][ay]
+    total = sum(const for const, _ in region.line_weights)
+    total += sum(map(region.domino_deficits.__getitem__, tiling))
     if total < 0 or total % 4:
         raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
     return total // 4
@@ -404,6 +405,22 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
             bottom = top
         lines.append((const, tuple(w)))
     return tuple(lines)
+
+
+def _domino_deficits(region: Region) -> dict:
+    """Height-deficit weight of every domino of the region.
+
+    A horizontal domino crosses line x at row y, where x is the column of
+    its right cell, and weighs w_x[y] of ``_line_weights``; a vertical
+    domino crosses no line and weighs 0.
+    """
+    lines = region.line_weights
+    return {
+        (c, d): lines[d.x][1][c.y] if c.y == d.y else 0
+        for c, nbs in region.neighbours.items()
+        for d in nbs
+        if c < d
+    }
 
 
 def _deficit(line: tuple[int, tuple[int, ...]], mask: int) -> int:

@@ -10,7 +10,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .engine import count_lozenge_tilings, count_tilings, enumerate_tilings
+from .engine import count_lozenge_tilings, count_tilings, enumerate_tilings, is_vertical
 from .formulas import (
     ResampleError,
     aztec_count,
@@ -44,7 +44,6 @@ from .stats import (
     require_listing_budget,
     require_sweep_budget,
     tq_sum,
-    vertical_halfcount,
 )
 
 #: The double-rectangle parameter tuples a suite checks when given no size bound.
@@ -180,10 +179,11 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
         v = g.vertices[0]
         nbs = g.neighbors(v)
         part = [u for u in nbs if rng.random() < 0.5]
-        split_ok = split_ok and matching_genfun(vertex_split(g, v, part)) == matching_genfun(g)
+        base = matching_genfun(g)
+        split_ok = split_ok and matching_genfun(vertex_split(g, v, part)) == base
         # star scaling
         factor = abs(_rand_fraction(rng))
-        star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * matching_genfun(g)
+        star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * base
         # spider on a wheel: 4-cycle with unit spokes to 4 tips, tips matched out
         inner = [("i", j) for j in range(4)]
         tips = [("t", j) for j in range(4)]
@@ -225,7 +225,7 @@ def suite_rank(max_cells: int) -> list[dict]:
         region = build_double_rectangle(*tup)
         table = rank_table(region)
         tilings = list(enumerate_tilings(region))
-        ok = set(table) == set(tilings)  # flip connectivity
+        ok = table.keys() == set(tilings)  # flip connectivity
         ranks = [rank_via_area(region, t) for t in tilings]
         ok = ok and ranks == [table.get(t) for t in tilings]
         ok = ok and ranks == [rank_linear(region, t) for t in tilings]
@@ -255,22 +255,35 @@ def suite_paths() -> list[dict]:
             seen.add(key)
             up, down, level = step_counts(family)
             ok = ok and up + down + 2 * level == expected
-            ok = ok and Fraction(up + down, 2) == vertical_halfcount(t)
+            ok = ok and up + down == sum(1 for d in t if is_vertical(d))
         cases.append({"params": list(tup), "tilings": len(seen), "ok": ok})
     return cases
+
+
+#: Seed of the randomized suites when --seed is not given.
+DEFAULT_SEED = 20240
 
 
 def _given(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
-#: Each suite as a call on (bound, trials, seed); an option not given is None.
+#: Each suite as the options it reads and a call on (bound, trials, seed);
+#: an option not given is None.
 SUITES = {
-    "macmahon": lambda bound, trials, seed: suite_macmahon(_given(bound, 3)),
-    "aztec": lambda bound, trials, seed: suite_aztec(_given(bound, 6)),
-    "main": lambda bound, trials, seed: suite_main(bound),
-    "weighted": lambda bound, trials, seed: suite_weighted(_given(trials, 5), seed, bound),
-    "lemmas": lambda bound, trials, seed: suite_lemmas(_given(trials, 50), seed),
-    "rank": lambda bound, trials, seed: suite_rank(_given(bound, 40)),
-    "paths": lambda bound, trials, seed: suite_paths(),
+    "macmahon": (("--max",), lambda bound, trials, seed: suite_macmahon(_given(bound, 3))),
+    "aztec": (("--max",), lambda bound, trials, seed: suite_aztec(_given(bound, 6))),
+    "main": (("--max",), lambda bound, trials, seed: suite_main(bound)),
+    "weighted": (
+        ("--max", "--trials", "--seed"),
+        lambda bound, trials, seed: suite_weighted(
+            _given(trials, 5), _given(seed, DEFAULT_SEED), bound
+        ),
+    ),
+    "lemmas": (
+        ("--trials", "--seed"),
+        lambda bound, trials, seed: suite_lemmas(_given(trials, 50), _given(seed, DEFAULT_SEED)),
+    ),
+    "rank": (("--max",), lambda bound, trials, seed: suite_rank(_given(bound, 40))),
+    "paths": ((), lambda bound, trials, seed: suite_paths()),
 }

@@ -155,6 +155,31 @@ def test_verify_rejects_a_size_or_trial_count_below_one(args):
     assert "x>=1" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (("verify", "paths", "--max", "1"), "--max"),
+        (("verify", "paths", "--max", "1", "--trials", "7"), "--max"),
+        (("verify", "rank", "--max", "20", "--trials", "3"), "--trials"),
+        (("verify", "main", "--seed", "5"), "--seed"),
+        (("verify", "aztec", "--max", "2", "--seed", "5"), "--seed"),
+        (("verify", "macmahon", "--trials", "2"), "--trials"),
+        (("verify", "lemmas", "--max", "3"), "--max"),
+    ],
+)
+def test_verify_rejects_an_option_its_suite_does_not_read(args, option):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"verify {args[1]} does not read {option}" in result.output
+
+
+def test_verify_seed_defaults_for_the_randomized_suites():
+    for suite in ("weighted", "lemmas"):
+        given = run("verify", suite, "--trials", "2", "--seed", str(verify.DEFAULT_SEED))
+        assert given.exit_code == 0
+        assert run("verify", suite, "--trials", "2").output == given.output
+
+
 def test_tiling_index_is_bounded_before_enumeration(monkeypatch):
     def no_enumeration(region):
         raise AssertionError("enumerated an out-of-range index")

@@ -224,3 +224,21 @@ def test_matching_sum_equals_a_first_vertex_expansion_on_random_graphs():
         ]
         graph = WeightedGraph([("v", i) for i in range(n)], [(("v", u), ("v", v), w) for u, v, w in edges])
         assert matching_genfun(graph) == first_vertex_genfun(graph), trial
+
+
+def test_graph_neighbour_lists_and_validation():
+    a, b, c = "a", "b", "c"
+    g = WeightedGraph([a, b, c], [(a, b, 1), (c, a, Fraction(2, 3))], [c])
+    assert [g.neighbors(v) for v in (a, b, c)] == [[b, c], [a], [a]]
+    assert g.weight(a, c) == g.weight(c, a) == Fraction(2, 3)
+    g.neighbors(a).append(b)  # a copy: the graph stays as built
+    assert g.neighbors(a) == [b, c]
+    for edges, marked, message in [
+        ([(a, a, 1)], (), "bad edge"),
+        ([(a, "z", 1)], (), "bad edge"),
+        ([(a, b, 0)], (), "zero edge weight"),
+        ([(a, b, 1), (b, a, 2)], (), "duplicate edge"),
+        ([(a, b, 1)], ("z",), "marked vertex 'z' missing"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            WeightedGraph([a, b, c], edges, marked)

@@ -157,6 +157,7 @@ def test_path_segments_are_derived_once_per_region_and_read_only(monkeypatch):
 def test_decoration_guards_reject_broken_segment_sets():
     from aztecbridge.paths import DecorationError
     from aztecbridge.regions import BoundaryMarkers
+    from aztecbridge.stats import rank_via_area
 
     region = build_double_rectangle(1, 2, 0, 1, 2)
     # two level paths, (0, 1) -> (2, 1) and (0, 5) -> (2, 5), over stand-in dominoes
@@ -166,13 +167,22 @@ def test_decoration_guards_reject_broken_segment_sets():
         "high": ((0, 5), ((2, 5), LEVEL)),
         "cross": ((0, 5), ((1, 3), DOWN)),
         "on": ((1, 3), ((2, 1), DOWN)),
+        "rise": ((0, 1), ((1, 3), UP)),
         "spare": ((4, 3), ((5, 5), UP)),
     }
+    region.__dict__["minimal_area"] = Fraction(4)  # the level paths at heights 0 and 2
     family = tiling_to_paths(region, ("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]
-    with pytest.raises(DecorationError, match="path 2 dangles at"):
-        tiling_to_paths(region, ("low",))
-    with pytest.raises(DecorationError, match="ends at v_1"):
-        tiling_to_paths(region, ("low", "cross", "on"))
-    with pytest.raises(DecorationError, match="left over"):
-        tiling_to_paths(region, ("low", "high", "spare"))
+    assert underneath_area(family) == 4
+    assert rank_via_area(region, ("low", "high")) == 0
+    broken = [
+        (("low",), "path 2 dangles at"),
+        (("low", "cross", "on"), "ends at v_1"),
+        # path 2 runs onto the point where path 1 turned down
+        (("rise", "on", "cross"), r"paths intersect at \(1, 3\)"),
+        (("low", "high", "spare"), "left over"),
+    ]
+    for tiling, message in broken:
+        for entry in (tiling_to_paths, rank_via_area):
+            with pytest.raises(DecorationError, match=message):
+                entry(region, tiling)

@@ -371,3 +371,33 @@ def test_a_fractional_area_excess_trips_the_whole_cell_guard():
     region.__dict__["minimal_area"] = region.minimal_area + Fraction(1, 2)
     with pytest.raises(InvariantError, match="whole number of cells"):
         rank_via_area(region, t0)
+
+
+def test_domino_deficits_equal_the_line_weights_on_every_domino():
+    regions = [build_aztec_diamond(n) for n in range(1, 6)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    checked = 0
+    for region in regions:
+        lines = region.line_weights
+        table = region.domino_deficits
+        dominoes = [(c, d) for c, nbs in region.neighbours.items() for d in nbs if c < d]
+        assert sorted(table) == sorted(dominoes), region.spec_string()
+        for (ax, ay), (bx, by) in dominoes:
+            # the per-line lookup rank_linear made before the table
+            old = lines[max(ax, bx)][1][ay] if ay == by else 0
+            assert table[((ax, ay), (bx, by))] == old, region.spec_string()
+            checked += 1
+    assert checked > 1_000
+
+
+def test_domino_deficits_are_derived_once_per_region_and_read_only(monkeypatch):
+    calls = []
+    real = stats._domino_deficits
+    monkeypatch.setattr(stats, "_domino_deficits", lambda r: calls.append(r) or real(r))
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    table = rank_table(region)
+    assert all(rank_linear(region, t) == r for t, r in table.items())
+    assert calls == [region]
+    assert region.domino_deficits is region.domino_deficits
+    with pytest.raises(TypeError):
+        region.domino_deficits[next(iter(region.domino_deficits))] = 0
