@@ -48,6 +48,12 @@ def _grid_edges(region: Region) -> dict:
     white in the checkerboard (extended past the region), -1 when it is
     black.  domino is the pair of region cells the edge separates, or None
     on the region boundary.
+
+    A pinched region raises ConstraintError: one with a vertex whose four
+    edges are all on the boundary, so that the 2x2 window of cells around it
+    holds exactly one diagonal pair.  Its boundary passes through that
+    vertex twice, so it is no single closed walk and does not force the
+    boundary heights.
     """
     cells = region.cells
     edges: dict = {}
@@ -64,6 +70,16 @@ def _grid_edges(region: Region) -> dict:
             domino = piece(c, other) if other in cells else None
             edges.setdefault(a, []).append((b, step, domino))
             edges.setdefault(b, []).append((a, -step, domino))
+    pinches = [
+        a
+        for a, moves in edges.items()
+        if len(moves) == 4 and all(domino is None for _, _, domino in moves)
+    ]
+    if pinches:
+        raise ConstraintError(
+            f"{region.spec_string()} is pinched at vertex {min(pinches)}: two of its cells "
+            "meet only at that corner, so its tilings have no height function"
+        )
     return edges
 
 
@@ -125,16 +141,25 @@ def _extreme_tiling(region: Region) -> Tiling:
                 stack.append(b)
             elif boundary[b] != boundary[a] + step:
                 raise InvariantError("boundary heights are inconsistent")
+    # Dial's bucket queue over height values, seeded with the boundary: every
+    # cap raises the height, so the lowest bucket's vertices are settled and
+    # each vertex relaxes its neighbours once
     val = dict.fromkeys(edges, 4 * (len(edges) + 4))
     val.update(boundary)
-    stack = list(boundary)
-    while stack:
-        a = stack.pop()
-        for b, step, _ in edges[a]:
-            cap = val[a] + (1 if step > 0 else 3)
-            if val[b] > cap and b not in boundary:
-                val[b] = cap
-                stack.append(b)
+    buckets: dict[int, list] = {}
+    for v, h in boundary.items():
+        buckets.setdefault(h, []).append(v)
+    level = min(buckets)
+    while buckets:
+        for a in buckets.pop(level, ()):
+            if val[a] != level:
+                continue  # lowered after it was queued here
+            for b, step, _ in edges[a]:
+                cap = level + (1 if step > 0 else 3)
+                if val[b] > cap and b not in boundary:
+                    val[b] = cap
+                    buckets.setdefault(cap, []).append(b)
+        level += 1
     # read the dominoes off the height differences
     pieces = set()
     for a, moves in edges.items():

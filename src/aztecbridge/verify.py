@@ -1,6 +1,10 @@
 """Verification suites: each checks one of the paper's identities by at least two methods.
 
-A suite returns a list of JSON-ready cases, each with an ``ok`` key.
+A suite returns a list of JSON-ready cases, each with an ``ok`` key.  Where a
+polynomial method exists the suites use it in place of a listing: the rank
+suite certifies that the flip BFS reached every tiling by the determinant
+count, and the enumerator, which lists them all, is the BFS's oracle in the
+tests only.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .matchgraph import (
 from .paths import step_counts, tiling_to_paths
 from .planepart import q_genfun_brute
 from .polyring import LaurentPoly2
-from .regions import build_aztec_diamond, build_double_rectangle, build_hexagon
+from .regions import Region, build_aztec_diamond, build_double_rectangle, build_hexagon
 from .stats import (
     rank_linear,
     rank_table,
@@ -214,27 +218,38 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
     ]
 
 
+def _rank_case(region: Region) -> dict:
+    """Check the flip BFS of one region against its count and the other two ranks."""
+    table = rank_table(region)
+    # every flip of a tiling is a tiling, so the table holds distinct tilings,
+    # and it holds all of them exactly when it is as long as the count
+    ok = len(table) == count_tilings(region)
+    ranks = [rank_via_area(region, t) for t in table]
+    ok = ok and ranks == list(table.values())
+    ok = ok and ranks == [rank_linear(region, t) for t in table]
+    # the area rank is the area excess over the minimal tiling, so the
+    # minimal tiling has the least area, uniquely, when exactly one
+    # tiling has area rank 0 and none has a negative one
+    ok = ok and min(ranks) == 0 and ranks.count(0) == 1
+    return {"params": list(region.params), "tilings": len(table), "ok": ok}
+
+
 def suite_rank(max_cells: int) -> list[dict]:
-    tuples = small_double_rectangles(max_cells)
-    for tup in tuples:  # fail before the first BFS, not after the last
-        region = build_double_rectangle(*tup)
-        require_listing_budget(region, count_tilings(region))
-    cases = []
-    for tup in tuples:
-        # built again rather than kept, so one region's tables are alive at a time
-        region = build_double_rectangle(*tup)
-        table = rank_table(region)
-        tilings = list(enumerate_tilings(region))
-        ok = table.keys() == set(tilings)  # flip connectivity
-        ranks = [rank_via_area(region, t) for t in tilings]
-        ok = ok and ranks == [table.get(t) for t in tilings]
-        ok = ok and ranks == [rank_linear(region, t) for t in tilings]
-        # the area rank is the area excess over the minimal tiling, so the
-        # minimal tiling has the least area, uniquely, when exactly one
-        # tiling has area rank 0 and none has a negative one
-        ok = ok and min(ranks) == 0 and ranks.count(0) == 1
-        cases.append({"params": list(tup), "tilings": len(tilings), "ok": ok})
-    return cases
+    """Every double rectangle of at most max_cells cells, ranked three ways.
+
+    The flip BFS ranks every tiling it reaches; the determinant count
+    certifies that it reached them all, and the path-area and linear ranks
+    of the same tilings must equal its flip distances.  No tiling is listed
+    outside the BFS: the enumerator checks the BFS in the tests instead.
+    Each region is built and counted once, and every one is checked against
+    the listing budget before the first BFS.
+    """
+    regions = []
+    for tup in small_double_rectangles(max_cells):  # fail before the first BFS
+        regions.append(build_double_rectangle(*tup))
+        require_listing_budget(regions[-1], count_tilings(regions[-1]))
+    regions.reverse()  # popped in tuple order, so one rank table is alive at a time
+    return [_rank_case(regions.pop()) for _ in range(len(regions))]
 
 
 def suite_paths() -> list[dict]:

@@ -12,6 +12,7 @@ from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import (
     Cell,
+    ConstraintError,
     InvariantError,
     Region,
     build_aztec_diamond,
@@ -33,9 +34,46 @@ from aztecbridge.verify import small_double_rectangles, suite_rank
 
 
 def test_minimal_diamond_tiling_is_all_horizontal():
-    for n in range(1, 4):
+    for n in (1, 2, 3, 20):
         t0 = minimal_tiling(build_aztec_diamond(n))
-        assert all(not is_vertical(d) for d in t0)
+        assert len(t0) == n * (n + 1) and all(not is_vertical(d) for d in t0)
+
+
+def _relaxed_heights(region):
+    """Oracle: lower interior heights against the caps until none is violated."""
+    edges = region.grid_edges
+    boundary = {min(edges): 0}
+    stack = [min(edges)]
+    while stack:
+        a = stack.pop()
+        for b, step, domino in edges[a]:
+            if domino is None and b not in boundary:
+                boundary[b] = boundary[a] + step
+                stack.append(b)
+    val = dict.fromkeys(edges, 4 * (len(edges) + 4))
+    val.update(boundary)
+    stack = list(boundary)
+    while stack:
+        a = stack.pop()
+        for b, step, _ in edges[a]:
+            if b not in boundary and val[b] > val[a] + (1 if step > 0 else 3):
+                val[b] = val[a] + (1 if step > 0 else 3)
+                stack.append(b)
+    return val
+
+
+def test_the_bucket_queue_finds_the_relaxed_heights():
+    regions = [build_aztec_diamond(n) for n in range(1, 9)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(60)]
+    for region in regions:
+        val = _relaxed_heights(region)
+        pieces = {
+            domino
+            for a, moves in region.grid_edges.items()
+            for b, _, domino in moves
+            if domino is not None and abs(val[b] - val[a]) == 3
+        }
+        assert minimal_tiling(region) == tuple(sorted(pieces)), region.spec_string()
 
 
 def test_minimal_tiling_has_rank_zero_and_least_area():
@@ -75,10 +113,12 @@ def test_flips_are_involutive_neighbors():
 
 
 def test_rank_table_covers_all_tilings():
-    for params in [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2)]:
+    # the enumerator is the flip BFS's oracle; the rank suite relies on the count
+    tuples = small_double_rectangles(32)
+    assert len(tuples) == 28
+    for params in tuples:
         region = build_double_rectangle(*params)
-        table = rank_table(region)
-        assert set(table) == set(enumerate_tilings(region))
+        assert set(rank_table(region)) == set(enumerate_tilings(region)), params
 
 
 def test_diamond_rank_multiset_order_two():
@@ -292,8 +332,8 @@ def _pinched(cells):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(box_regions())
 def test_rank_linear_equals_the_flip_distance_on_random_regions(region):
-    # The minimal tiling's height function is not derived on a pinched
-    # region (one such region is in test_a_pinched_region_has_no_minimal_tiling).
+    # A pinched region is rejected before any height is derived (one such
+    # region is in test_a_pinched_region_has_no_minimal_tiling).
     assume(_four_connected(region.cells) and not _pinched(region.cells))
     try:
         tileable = count_tilings(region) > 0
@@ -315,8 +355,11 @@ def test_a_pinched_region_has_no_minimal_tiling():
     assert _four_connected(cells) and _pinched(cells)
     region = Region(kind="plain", params=(), cells=frozenset(cells), white_parity=0)
     assert count_tilings(region) == 4
-    with pytest.raises(InvariantError, match="inconsistent"):
+    # rejected up front, before any height is computed
+    with pytest.raises(ConstraintError, match=r"pinched at vertex \(2, 2\)"):
         rank_table(region)
+    with pytest.raises(ConstraintError, match="pinched"):
+        height_function(region, next(enumerate_tilings(region)))
 
 
 def test_the_bitmask_bfs_is_a_bfs_layering_under_flips():

@@ -1,9 +1,15 @@
-"""The verification module's tuple generator and suite table."""
+"""The verification module's tuple generator, suite table and rank suite."""
 
 import itertools
+import json
+import weakref
 
+from click.testing import CliRunner
+
+from aztecbridge import engine, stats, verify
+from aztecbridge.cli import main
 from aztecbridge.regions import ConstraintError, _check_dr_params
-from aztecbridge.verify import SUITE_TUPLES, small_double_rectangles, suite_tuples
+from aztecbridge.verify import SUITE_TUPLES, small_double_rectangles, suite_rank, suite_tuples
 
 
 def _valid(tup):
@@ -33,3 +39,51 @@ def test_the_generator_yields_every_valid_tuple_in_a_box():
 def test_suite_tuples_fall_back_to_the_fixed_tuples():
     assert suite_tuples(None) is SUITE_TUPLES
     assert suite_tuples(30) == small_double_rectangles(30)
+
+
+def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
+    real = stats._flip_distances
+
+    def dropping(region):  # one BFS misses a tiling of nonzero rank
+        table = real(region)
+        if region.params == (1, 2, 1, 1, 2):
+            del table[next(t for t, r in table.items() if r)]
+        return table
+
+    monkeypatch.setattr(stats, "_flip_distances", dropping)
+    cases = suite_rank(32)
+    assert [c["params"] for c in cases if not c["ok"]] == [[1, 2, 1, 1, 2]]
+    result = CliRunner().invoke(main, ["verify", "rank", "--max", "32"])
+    assert result.exit_code == 1
+    doc = json.loads(result.output)
+    assert doc["status"] == "mismatch" and doc["failures"] == 1
+
+
+def test_suite_rank_builds_and_counts_each_region_once_and_lists_no_tiling(monkeypatch):
+    builds, dets = [], []
+    build, det = verify.build_double_rectangle, engine._unit_domino_det
+
+    def no_listing(region):
+        raise AssertionError("listed tilings outside the flip BFS")
+
+    monkeypatch.setattr(verify, "build_double_rectangle", lambda *t: builds.append(t) or build(*t))
+    monkeypatch.setattr(engine, "_unit_domino_det", lambda r: dets.append(r.params) or det(r))
+    monkeypatch.setattr(verify, "enumerate_tilings", no_listing)
+    cases = suite_rank(32)
+    assert len(cases) == 28 and all(c["ok"] for c in cases)
+    assert sum(c["tilings"] for c in cases) == 2_468
+    assert len(builds) == 28 and sorted(set(builds)) == builds
+    assert sorted(dets) == sorted(builds)
+
+
+def test_suite_rank_releases_each_region_after_its_case(monkeypatch):
+    refs = []
+    real = verify._rank_case
+
+    def checking(region):
+        assert all(ref() is None for ref in refs), "an earlier region is still alive"
+        refs.append(weakref.ref(region))
+        return real(region)
+
+    monkeypatch.setattr(verify, "_rank_case", checking)
+    assert len(suite_rank(24)) == len(refs) > 1
