@@ -189,10 +189,6 @@ class LaurentPoly2:
         """Canonical JSON form: list of [2*t_exp, 2*q_exp, coeff-as-string]."""
         return [[et, eq, str(c)] for (et, eq), c in self.items()]
 
-    @staticmethod
-    def from_json_obj(obj) -> "LaurentPoly2":
-        return LaurentPoly2({(int(et), int(eq)): int(c) for et, eq, c in obj})
-
 
 def _exact_sqrt(x: Fraction) -> Fraction:
     """Square root of a rational that must be a perfect square."""

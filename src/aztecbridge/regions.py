@@ -302,7 +302,9 @@ def build_double_rectangle(m1: int, n1: int, k: int, m2: int, n2: int) -> Region
     dx, dy = glue_offset(m1, n1, k, m2, n2)
     upper = {Cell(c.x + dx, c.y + dy) for c in _ar_cells(m1, n1)}
     if lower & upper:
-        raise AssertionError("double rectangle parts must be disjoint")
+        raise InvariantError(
+            f"the two parts of dr:{m1},{n1},{k},{m2},{n2} overlap in {len(lower & upper)} cells"
+        )
     cells, (upper_n, lower_n), flip = _normalize(lower | upper, upper, lower)
     # The cells along the southwest side of the upper rectangle are white.
     sw_cell = min(upper_n, key=lambda c: (c.x + c.y, c.x))

@@ -1,4 +1,4 @@
-"""Tiling statistics: vertical half-count, minimal tiling, flip distance.
+"""Tiling statistics: minimal tiling, flip distance, the q-weighted sweep.
 
 The minimal tiling is built through the height function of the region: among
 all height functions with the fixed boundary values, the pointwise extreme
@@ -10,7 +10,10 @@ where a flip rotates a 2x2 block of two parallel dominoes.  It is computed
 three ways: by breadth-first search over flips, run on int masks of the
 region's dominoes, by path area on a double rectangle, and as a linear
 function of the horizontal dominoes through the height deficit, which also
-weights the q-sweep of ``tq_sum``.
+weights the q-sweep of ``tq_sum``.  The sweep keeps a profile mask on a line
+only when it is live: a domino that crosses the line covers the same row on
+both sides of it, so the masks that can still end in the empty profile are
+those that the same sweep, run over the columns from the right, reaches.
 
 The grid edges, the minimal tiling, the rank table and the line and domino
 weights are derived once per region and kept on the ``Region`` instance;
@@ -23,18 +26,12 @@ flip BFS or an enumeration may list, through the determinant count, and
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from fractions import Fraction
 from itertools import compress
 from typing import Mapping
 
 from .engine import CapacityError, Tiling, count_tilings, is_vertical, piece
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
-
-
-def vertical_halfcount(tiling: Tiling) -> Fraction:
-    """Half the number of vertical dominoes."""
-    return Fraction(sum(1 for d in tiling if is_vertical(d)), 2)
 
 
 # -- height functions -------------------------------------------------------
@@ -309,7 +306,7 @@ def rank_linear(region: Region, tiling: Tiling) -> int:
 #: Tallest column, in cells, that the q-weighted sweep accepts.  The number of
 #: live profile masks on a line, and with it the sweep's time and memory,
 #: grows with the column height: ad:9, with columns of 18 cells, takes about
-#: 3 s and 210 MB on a 2-vCPU host, and each further diamond order costs
+#: 3 s and 160 MB on a 2-vCPU host, and each further diamond order costs
 #: several times more of both.  Every double rectangle of at most 104 cells
 #: has columns of at most 17 cells.
 MAX_SWEEP_COLUMN = 18
@@ -358,40 +355,24 @@ def _fill_column(free: int, there: int, memo: dict[int, list[int]]) -> list[int]
     return outs
 
 
-def _live_moves(region: Region) -> list[dict[int, list[tuple[int, int]]]]:
-    """Per column, each live incoming mask's moves (outgoing mask, verticals).
+def _reach(masks: list[int]) -> list[set[int]]:
+    """Per line, the profile masks the empty profile reaches, sweeping ``masks`` in order.
 
-    A mask is kept when the empty profile reaches it from the left
-    (forward reach) and it can still end in the empty profile on the right
-    (backward liveness); a move is kept when its outgoing mask is live.  A
-    dead partial tiling may rise above the minimal tiling's heights, which
-    the deficit check rejects, and the q-packing of ``tq_sum`` needs every
-    partial count bounded by the tiling count, which only live ones are.
+    Entry x holds the rows in which a domino of some partial tiling of the
+    first x columns crosses into column x, so entry 0 is the empty profile.
+    A domino that crosses a line covers the same row on both sides of it, so
+    the sweep over the reversed columns reaches, on each line, exactly the
+    masks that can still end in the empty profile on the right: liveness is
+    ``_reach(masks[::-1])[::-1]``.  Each column has its own ``_fill_column``
+    memo, and no move is kept.
     """
-    masks = _column_masks(region)
-    moves_at: list[dict[int, list[tuple[int, int]]]] = []
-    reach = {0}
+    reach = [{0}]
     for here, there in zip(masks, masks[1:] + [0]):
         memo: dict[int, list[int]] = {}
-        table = {}
-        for incoming in reach:
-            free = here & ~incoming
-            table[incoming] = [
-                (out, (free.bit_count() - out.bit_count()) // 2)
-                for out in _fill_column(free, there, memo)
-            ]
-        moves_at.append(table)
-        reach = {outgoing for moves in table.values() for outgoing, _ in moves}
-    live = {0}
-    for table in reversed(moves_at):
-        for incoming, moves in list(table.items()):
-            kept = [move for move in moves if move[0] in live]
-            if kept:
-                table[incoming] = kept
-            else:
-                del table[incoming]
-        live = set(table)
-    return moves_at
+        reach.append(
+            {out for incoming in reach[-1] for out in _fill_column(here & ~incoming, there, memo)}
+        )
+    return reach
 
 
 def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -475,12 +456,16 @@ def tq_sum(region: Region) -> LaurentPoly2:
     shift, and a move one add per vertical count.  No tiling is listed and
     no flip is made.
 
-    The packing is safe because every state is both reachable and live
-    (``_live_moves``): distinct live partial tilings extend to distinct
-    tilings, so no slot ever exceeds the tiling count.  A slot that did
-    overflow would carry into the next and lower the coefficient sum, which
-    is checked against the determinant count, as is the q^0 part (the
-    minimal tiling alone).  A region with a column taller than
+    The packing is safe because every state is both reachable and live.
+    The sweep reaches each of its masks from the left, and it drops every
+    outgoing mask that the same sweep, run over the columns from the right
+    (``_reach``), does not reach: such a partial tiling cannot end in the
+    empty profile, and it may rise above the minimal tiling's heights,
+    which the deficit check rejects.  Distinct live partial tilings extend
+    to distinct tilings, so no slot ever exceeds the tiling count.  A slot
+    that did overflow would carry into the next and lower the coefficient
+    sum, which is checked against the determinant count, as is the q^0 part
+    (the minimal tiling alone).  A region with a column taller than
     ``MAX_SWEEP_COLUMN`` raises CapacityError before any column is filled.
     """
     require_sweep_budget(region)
@@ -488,13 +473,20 @@ def tq_sum(region: Region) -> LaurentPoly2:
     count = abs(region.kasteleyn_det)
     width = count.bit_length()
     lines = region.line_weights
+    masks = _column_masks(region)
+    live = _reach(masks[::-1])[::-1]
     states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for line, table in zip(lines, _live_moves(region)):
+    for line, here, there, ahead in zip(lines, masks, masks[1:] + [0], live[1:]):
+        memo: dict[int, list[int]] = {}
         nxt: dict[int, dict[int, int]] = {}
         for incoming, terms in states.items():
             shift = _deficit(line, incoming) // 4 * width
             shifted = [(vt, packed << shift) for vt, packed in terms.items()]
-            for outgoing, nv in table[incoming]:
+            free = here & ~incoming
+            for outgoing in _fill_column(free, there, memo):
+                if outgoing not in ahead:
+                    continue
+                nv = (free.bit_count() - outgoing.bit_count()) // 2
                 sink = nxt.setdefault(outgoing, {})
                 for vt, packed in shifted:
                     sink[vt + nv] = sink.get(vt + nv, 0) + packed

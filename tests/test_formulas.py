@@ -58,19 +58,12 @@ def test_main_genfun_rank_normalization():
     for tup in SMALL_TUPLES:
         poly = main_genfun(*tup)
         assert min(eq for (_, eq), _ in poly.items()) == 0
-        published = main_genfun(*tup, as_published=True)
-        # the printed form differs from the normalized one by a pure q-power
-        keys = {(et, eq) for (et, eq), _ in poly.items()}
-        pkeys = {(et, eq) for (et, eq), _ in published.items()}
-        shifts = {pk[1] - k[1] for k, pk in zip(sorted(keys), sorted(pkeys))}
-        assert len(shifts) == 1
-        assert {pk[0] for pk in pkeys} == {k[0] for k in keys}
 
 
 def test_main_constants_are_consistent():
     cst = main_constants(2, 3, 1, 2, 3)
     assert len(cst.star) == 2 and len(cst.starp) == 2
-    assert isinstance(cst.N, int) and isinstance(cst.A, int)
+    assert isinstance(cst.N, int)
 
 
 def test_corollary_counts():
@@ -111,19 +104,10 @@ def test_weighted_formula_matches_matching_sum():
             done += 1
 
 
-def test_weighted_formula_published_agrees_at_q_one_limit():
-    # both variants degenerate to the same pole at q = 1, so compare at a
-    # point where the grading collapses: all four letters equal make every
-    # linear factor (ad + bc q^j) evaluate against the same ad = bc
+def test_weighted_formula_resamples_at_q_one():
+    # every q-integer ratio [i+j+t-1] / [i+j+t-2] has a pole at q = 1
     with pytest.raises(ResampleError):
         weighted_formula_rhs(1, 2, 0, 1, 2, 1, 1, 1, 1, 1)
-    with pytest.raises(ResampleError):
-        weighted_formula_rhs(1, 2, 0, 1, 2, 1, 1, 1, 1, 1, as_published=True)
-
-
-def test_weighted_formula_published_form_runs():
-    v = weighted_formula_rhs(1, 2, 0, 1, 2, 2, 3, 1, 1, 4, as_published=True)
-    assert isinstance(v, Fraction) and v > 0
 
 
 def test_weighted_formula_rejects_zero_q():

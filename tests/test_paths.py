@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from aztecbridge.engine import enumerate_tilings
+from aztecbridge.engine import enumerate_tilings, is_vertical
 from aztecbridge.paths import (
     DOWN,
     LEVEL,
@@ -14,7 +14,6 @@ from aztecbridge.paths import (
     underneath_area,
 )
 from aztecbridge.regions import build_double_rectangle
-from aztecbridge.stats import vertical_halfcount
 
 TUPLES = [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2), (2, 3, 1, 2, 3)]
 
@@ -78,7 +77,7 @@ def test_diagonal_steps_count_vertical_dominoes():
         region = build_double_rectangle(*tup)
         for t in enumerate_tilings(region):
             up, down, _ = step_counts(tiling_to_paths(region, t))
-            assert Fraction(up + down, 2) == vertical_halfcount(t)
+            assert up + down == sum(map(is_vertical, t))
 
 
 def test_area_is_a_half_integer_and_rank_difference_whole():

@@ -68,7 +68,10 @@ def test_swap_vars_is_an_involution(p):
 
 @given(polys)
 def test_json_round_trip(p):
-    assert LaurentPoly2.from_json_obj(p.to_json_obj()) == p
+    obj = p.to_json_obj()
+    assert all(type(et) is int and type(eq) is int and type(c) is str for et, eq, c in obj)
+    assert [(et, eq) for et, eq, _ in obj] == sorted({(et, eq) for et, eq, _ in obj})
+    assert LaurentPoly2({(et, eq): int(c) for et, eq, c in obj}) == p
 
 
 def test_half_exponent_evaluation():

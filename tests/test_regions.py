@@ -2,9 +2,11 @@
 
 import pytest
 
+from aztecbridge import regions
 from aztecbridge.regions import (
     Cell,
     ConstraintError,
+    InvariantError,
     KindError,
     boundary_markers,
     build_aztec_diamond,
@@ -98,3 +100,11 @@ def test_parse_spec_round_trip():
     for bad in ["", "xx:1", "ad:x", "dr:1,2", "ar:3"]:
         with pytest.raises(ConstraintError):
             parse_spec(bad)
+
+
+def test_overlapping_double_rectangle_parts_raise_invariant_error(monkeypatch):
+    # this offset puts the upper rectangle onto the lower one
+    monkeypatch.setattr(regions, "_GLUE_DX", 1)
+    monkeypatch.setattr(regions, "_GLUE_DY", -1)
+    with pytest.raises(InvariantError, match="dr:1,2,0,1,2 overlap"):
+        build_double_rectangle(1, 2, 0, 1, 2)

@@ -28,7 +28,6 @@ from aztecbridge.stats import (
     rank_via_area,
     require_sweep_budget,
     tq_sum,
-    vertical_halfcount,
 )
 from aztecbridge.verify import small_double_rectangles, suite_rank
 
@@ -143,7 +142,7 @@ def test_rank_rejects_foreign_tiling():
 
 def test_vertical_halfcount():
     region = build_aztec_diamond(1)
-    halves = sorted(vertical_halfcount(t) for t in enumerate_tilings(region))
+    halves = sorted(Fraction(sum(map(is_vertical, t)), 2) for t in enumerate_tilings(region))
     assert halves == [Fraction(0), Fraction(1)]
 
 
@@ -251,6 +250,29 @@ def _old_line_q2(region, h0, x, mask):
     return deficit // 2
 
 
+def _live_profiles(region):
+    """Per line, the masks the sweep reaches from the left that are live from the right."""
+    masks = stats._column_masks(region)
+    return [a & b for a, b in zip(stats._reach(masks), stats._reach(masks[::-1])[::-1])]
+
+
+def test_the_reach_from_both_sides_is_the_set_of_crossing_masks_of_the_tilings():
+    regions = [build_aztec_diamond(n) for n in range(1, 6)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    assert len(regions) == 54
+    for region in regions:
+        live = _live_profiles(region)
+        crossings = [set() for _ in live]
+        for t in enumerate_tilings(region):
+            profile = [0] * len(live)
+            for c, d in t:
+                if c.y == d.y:  # a horizontal domino crosses line d.x in row c.y
+                    profile[d.x] |= 1 << c.y
+            for seen, mask in zip(crossings, profile):
+                seen.add(mask)
+        assert crossings == live, region.spec_string()
+
+
 def test_line_weights_equal_the_height_walk_on_every_live_mask():
     regions = [build_aztec_diamond(n) for n in range(1, 7)]
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(60)]
@@ -258,9 +280,8 @@ def test_line_weights_equal_the_height_walk_on_every_live_mask():
     for region in regions:
         lines = region.line_weights
         h0 = height_function(region, minimal_tiling(region))
-        moves = stats._live_moves(region)
-        assert len(lines) == len(moves) + 1
-        live = [list(table) for table in moves] + [[0]]
+        live = _live_profiles(region)
+        assert len(lines) == len(live)
         for x, masks in enumerate(live):
             for mask in masks:
                 q2 = stats._deficit(lines[x], mask) // 2
