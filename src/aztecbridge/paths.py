@@ -12,12 +12,17 @@ southeast marker; see tests/test_paths.py for the calibration.
 Points live on vertical edge midpoints, stored as (x, y2) with y2 = 2*y + 1,
 so an up step is (+1, +2), a down step (+1, -2) and a level step (+2, 0).
 The ground line is y2 = 1, through the first marker pair.
+
+The walk reads a tiling as its int mask over ``Region.dominoes``: per
+region, one table maps a point to the bits of the decorated dominoes that
+start there and another maps a bit to its step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .engine import Tiling
 from .regions import Region
@@ -39,77 +44,93 @@ class PathFamily(NamedTuple):
     quarter_area: int  # four times ``underneath_area``, summed by the walk
 
 
-def _path_segments(region: Region) -> dict:
-    """Map from each decorated domino of the region to (start, (end, letter))."""
-    segs: dict = {}
-    white = region.white_parity
-    for c, nbs in region.neighbours.items():
-        for d in nbs:
-            if d < c:
-                continue
-            if c.x == d.x:  # vertical: c is the bottom cell
-                if (c.x + c.y) % 2 == white:
-                    segs[(c, d)] = ((d.x, 2 * d.y + 1), ((d.x + 1, 2 * c.y + 1), DOWN))
-                else:
-                    segs[(c, d)] = ((c.x, 2 * c.y + 1), ((c.x + 1, 2 * d.y + 1), UP))
-            elif (c.x + c.y) % 2 != white:  # horizontal with a black left cell
-                segs[(c, d)] = ((c.x, 2 * c.y + 1), ((c.x + 2, 2 * c.y + 1), LEVEL))
-    return segs
+class PathTables(NamedTuple):
+    starts: Mapping  # point -> OR of the bits of the decorated dominoes that start there
+    steps: Mapping  # bit -> (end point, step letter, quarter area of the step)
+    decorated: int  # OR of the bits of every decorated domino
 
 
-def _segments(region: Region, tiling: Tiling) -> dict:
-    """Map from segment start point to (end point, step letter)."""
-    return dict(filter(None, map(region.path_segments.get, tiling)))
+def _path_tables(region: Region) -> PathTables:
+    """The path step of every decorated domino of the region, keyed by its mask bit.
 
-
-def _walk(region: Region, tiling: Tiling, paths: list | None = None) -> int:
-    """Follow every path from its u marker over the tiling's decorated segments.
-
-    Returns four times the family's underneath area: each step adds
-    (y2 + y2' - 2) * run.  When ``paths`` is a list, each path is also
-    appended to it as a SchroederPath.  Each segment leaves the tiling's
-    segment map as a path takes it, so a path that reaches a point an
-    earlier path has left finds no segment there: the paths intersect.
-    Every step moves right, so a path cannot meet itself, and a path that
-    runs onto an earlier path's end marker ends at the wrong one.
+    A step from (x, y2) to (x', y2') adds (y2 + y2' - 2) * (x' - x) quarter
+    cells of area under the path; see ``underneath_area``.
     """
-    segs = _segments(region, tiling)
-    take = segs.pop
+    starts: dict = {}
+    steps: dict = {}
+    white = region.white_parity
+    for (c, d), bit in region.domino_bit.items():
+        if c.x == d.x:  # vertical: c is the bottom cell
+            if (c.x + c.y) % 2 == white:
+                start, end, letter = (d.x, 2 * d.y + 1), (d.x + 1, 2 * c.y + 1), DOWN
+            else:
+                start, end, letter = (c.x, 2 * c.y + 1), (c.x + 1, 2 * d.y + 1), UP
+        elif (c.x + c.y) % 2 != white:  # horizontal with a black left cell
+            start, end, letter = (c.x, 2 * c.y + 1), (c.x + 2, 2 * c.y + 1), LEVEL
+        else:
+            continue
+        starts[start] = starts.get(start, 0) | bit
+        steps[bit] = (end, letter, (start[1] + end[1] - 2) * (end[0] - start[0]))
+    return PathTables(MappingProxyType(starts), MappingProxyType(steps), sum(steps))
+
+
+def _walk(region: Region, mask: int, paths: list | None = None) -> int:
+    """Follow every path from its u marker over the decorated dominoes of a tiling mask.
+
+    Returns four times the family's underneath area, summed from the steps'
+    quarter areas.  When ``paths`` is a list, each path is also appended to
+    it as a SchroederPath.  A path takes the one decorated domino of the
+    mask that starts at its point and that no path has used yet, and stops
+    where there is none: no domino starts at a v marker, so a path stops
+    there or dangles.  A path that stops because the domino at its point
+    was used has met an earlier path, and a point where two unused ones
+    start is a branch.  Every step moves right, so a path cannot meet
+    itself, and a path that runs onto an earlier path's end marker ends at
+    the wrong one.
+    """
+    starts, steps, decorated = region.path_tables
     v_index = region.v_index
+    unused = mask
     quarter = 0
     for i, p in enumerate(region.markers.u):
         if paths is not None:
-            pts, steps = [p], []
-        x0, y0 = p
-        while p not in v_index:
-            seg = take(p, None)
-            if seg is None:
-                if p in _segments(region, tiling):
-                    raise DecorationError(f"paths intersect at {p}")
-                raise DecorationError(f"path {i + 1} dangles at {p}")
-            p, letter = seg
-            x1, y1 = p
-            quarter += (y0 + y1 - 2) * (x1 - x0)
-            x0, y0 = x1, y1
+            pts, letters = [p], []
+        while True:
+            here = starts.get(p, 0) & unused
+            step = steps.get(here)  # None unless here is one domino's bit
+            if step is None:
+                break
+            unused ^= here
+            p, letter, q = step
+            quarter += q
             if paths is not None:
                 pts.append(p)
-                steps.append(letter)
-        if v_index[p] != i:
-            raise DecorationError(
-                f"path from marker u_{i + 1} ends at v_{v_index[p] + 1}"
-            )
+                letters.append(letter)
+        if here or v_index.get(p) != i:
+            if here:
+                raise DecorationError(f"paths branch at {p}")
+            if p in v_index:
+                raise DecorationError(f"path from marker u_{i + 1} ends at v_{v_index[p] + 1}")
+            if starts.get(p, 0) & mask:
+                raise DecorationError(f"paths intersect at {p}")
+            raise DecorationError(f"path {i + 1} dangles at {p}")
         if paths is not None:
-            paths.append(SchroederPath(tuple(pts), tuple(steps)))
-    if segs:
+            paths.append(SchroederPath(tuple(pts), tuple(letters)))
+    if unused & decorated:
         raise DecorationError("decorated segments left over after assembly")
     return quarter
 
 
+def _family(region: Region, mask: int) -> PathFamily:
+    """The marker-joined path family of a tiling mask."""
+    paths: list = []
+    quarter = _walk(region, mask, paths)
+    return PathFamily(tuple(paths), quarter)
+
+
 def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     """Assemble the decorated segments into the marker-joined path family."""
-    paths: list = []
-    quarter = _walk(region, tiling, paths)
-    return PathFamily(tuple(paths), quarter)
+    return _family(region, region.tiling_mask(tiling))
 
 
 def step_counts(family: PathFamily) -> tuple[int, int, int]:
@@ -129,7 +150,7 @@ def underneath_area(family: PathFamily) -> Fraction:
     the trapezoid (h + h')/2 per unit of horizontal run, so a level step at
     height h counts 2h and a diagonal step h + 1/2 or h - 1/2.  With
     h = (y2 - 1) / 2 each step adds (y2 + y2' - 2) * run / 4, so the sum is
-    kept in integer quarter units, added up by the walk that assembles the
-    family.
+    kept in integer quarter units, read per step from the region's path
+    tables and added up by the walk that assembles the family.
     """
     return Fraction(family.quarter_area, 4)

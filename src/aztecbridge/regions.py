@@ -84,10 +84,12 @@ class Region:
     """An immutable square-lattice region with checkerboard coloring.
 
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
-    derived invariants below (grid edges, boundary markers, minimal tiling,
-    its path area, line and domino weights, rank table) are each computed
-    on first use and kept on the instance, so no module keeps a cache of
-    its own.
+    derived invariants below (grid edges, dominoes, boundary markers,
+    minimal tiling, its path area, path tables, line weights and deficit
+    masks, rank table) are each computed on first use and kept on the
+    instance, so no module keeps a cache of its own.  A tiling is a sorted
+    tuple of dominoes; the rank and path code works on its int mask over
+    ``dominoes`` (``tiling_mask``).
     """
 
     kind: str
@@ -169,6 +171,35 @@ class Region:
         )
 
     @cached_property
+    def dominoes(self) -> tuple:
+        """Every domino of the region, sorted; bit i of a tiling mask stands for ``dominoes[i]``."""
+        return tuple(sorted((c, d) for c, nbs in self.neighbours.items() for d in nbs if c < d))
+
+    @cached_property
+    def domino_bit(self) -> MappingProxyType:
+        """Read-only mask bit of each domino, 1 << its index in ``dominoes``."""
+        return MappingProxyType({d: 1 << i for i, d in enumerate(self.dominoes)})
+
+    def tiling_mask(self, tiling) -> int:
+        """The int mask of a tiling's dominoes over ``dominoes``.
+
+        A domino that is not one of the region's, or one listed twice,
+        raises ConstraintError.
+        """
+        bits = self.domino_bit
+        try:
+            mask = sum(map(bits.__getitem__, tiling))
+        except KeyError as exc:
+            raise ConstraintError(f"{exc.args[0]} is not a domino of {self.spec_string()}") from None
+        if mask.bit_count() != len(tiling):  # a repeated bit carries into another
+            seen: set = set()
+            for domino in tiling:
+                if domino in seen:
+                    raise ConstraintError(f"{domino} is listed twice in the tiling")
+                seen.add(domino)
+        return mask
+
+    @cached_property
     def kasteleyn_det(self) -> int:
         """The unweighted Kasteleyn determinant; see ``engine._domino_det``.
 
@@ -188,11 +219,11 @@ class Region:
         return _line_weights(self)
 
     @cached_property
-    def domino_deficits(self) -> MappingProxyType:
-        """Read-only height-deficit weight of each domino; see ``stats._domino_deficits``."""
-        from .stats import _domino_deficits
+    def deficit_masks(self) -> tuple:
+        """Height deficit as (C, ((w, weight-w domino mask), ...)); see ``stats._deficit_masks``."""
+        from .stats import _deficit_masks
 
-        return MappingProxyType(_domino_deficits(self))
+        return _deficit_masks(self)
 
     @cached_property
     def markers(self) -> BoundaryMarkers:
@@ -222,11 +253,11 @@ class Region:
         return MappingProxyType({p: i for i, p in enumerate(self.markers.v)})
 
     @cached_property
-    def path_segments(self) -> MappingProxyType:
-        """Read-only path step of each decorated domino; see ``paths._path_segments``."""
-        from .paths import _path_segments
+    def path_tables(self) -> tuple:
+        """Read-only path steps of the decorated dominoes, by bit; see ``paths._path_tables``."""
+        from .paths import _path_tables
 
-        return MappingProxyType(_path_segments(self))
+        return _path_tables(self)
 
     @cached_property
     def minimal_tiling(self) -> tuple:
@@ -242,11 +273,11 @@ class Region:
 
         from .paths import _walk
 
-        return Fraction(_walk(self, self.minimal_tiling), 4)
+        return Fraction(_walk(self, self.tiling_mask(self.minimal_tiling)), 4)
 
     @cached_property
     def rank_table(self) -> MappingProxyType:
-        """Read-only flip distances from the minimal tiling; see ``stats.rank_table``."""
+        """Read-only flip distances from the minimal tiling, by mask; see ``stats.rank_table``."""
         from .stats import _flip_distances
 
         return MappingProxyType(_flip_distances(self))

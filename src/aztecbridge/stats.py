@@ -7,17 +7,19 @@ diamond come out all-horizontal is the minimal tiling (for the glued double
 rectangle it reproduces the vertical-core decomposition and minimizes path
 area; tests check both).  Rank is the flip distance from the minimal tiling,
 where a flip rotates a 2x2 block of two parallel dominoes.  It is computed
-three ways: by breadth-first search over flips, run on int masks of the
-region's dominoes, by path area on a double rectangle, and as a linear
-function of the horizontal dominoes through the height deficit, which also
-weights the q-sweep of ``tq_sum``.  The sweep keeps a profile mask on a line
-only when it is live: a domino that crosses the line covers the same row on
-both sides of it, so the masks that can still end in the empty profile are
-those that the same sweep, run over the columns from the right, reaches.
+three ways: by breadth-first search over flips, by path area on a double
+rectangle, and as a linear function of the horizontal dominoes through the
+height deficit, which also weights the q-sweep of ``tq_sum``.  All three run
+on a tiling's int mask over ``Region.dominoes``: the flip BFS lists masks
+and decodes none, and a tiling tuple becomes its mask once, through
+``Region.tiling_mask``.  The sweep keeps a profile mask on a line only when
+it is live: a domino that crosses the line covers the same row on both
+sides of it, so the masks that can still end in the empty profile are those
+that the same sweep, run over the columns from the right, reaches.
 
-The grid edges, the minimal tiling, the rank table and the line and domino
-weights are derived once per region and kept on the ``Region`` instance;
-this module computes them.  The exponential computations have budgets,
+The grid edges, the minimal tiling, the rank table, the line weights and
+the deficit masks are derived once per region and kept on the ``Region``
+instance; this module computes them.  The exponential computations have budgets,
 checked before they start: ``MAX_LISTED_TILINGS`` bounds the tilings the
 flip BFS or an enumeration may list, through the determinant count, and
 ``MAX_SWEEP_COLUMN`` bounds the sweep's columns.
@@ -26,10 +28,10 @@ flip BFS or an enumeration may list, through the determinant count, and
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import compress
 from typing import Mapping
 
 from .engine import CapacityError, Tiling, count_tilings, is_vertical, piece
+from .paths import _walk
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
 
@@ -202,9 +204,10 @@ def flips(tiling: Tiling) -> list[Tiling]:
 #: Most tilings of one region that may be listed, by the flip BFS or by
 #: enumeration.  Time and memory grow with the number listed: the 89,600
 #: tilings of dr:2,4,1,3,5, the most of any double rectangle of at most 60
-#: cells, take about 1.5 s to rank by flips and 0.6 s to enumerate on a
-#: 2-vCPU host, with a peak RSS of 77 MB, and dr:3,5,1,3,5 has 2,007,040.
-#: The determinant count is checked against it before anything is listed.
+#: cells, take about 0.33 s to rank by flips (1.0 s with the two other ranks
+#: of ``verify rank``) and 0.3 s to enumerate on a 2-vCPU host, with a peak
+#: RSS of 28 MB for the flip BFS, and dr:3,5,1,3,5 has 2,007,040.  The
+#: determinant count is checked against it before anything is listed.
 MAX_LISTED_TILINGS = 100_000
 
 
@@ -217,31 +220,30 @@ def require_listing_budget(region: Region, listed: int) -> None:
         )
 
 
-def rank_table(region: Region) -> Mapping[Tiling, int]:
-    """Flip distance from the minimal tiling, for every reachable tiling.
+def rank_table(region: Region) -> Mapping[int, int]:
+    """Flip distance from the minimal tiling, for every reachable tiling's mask.
 
-    The table is derived once per region, kept on it and read-only.
+    The keys are tiling masks over ``Region.dominoes``; ``Region.tiling_mask``
+    gives the key of a tiling tuple.  The table is derived once per region,
+    kept on it and read-only.
     """
     return region.rank_table
 
 
-def _flip_distances(region: Region) -> dict[Tiling, int]:
-    """Breadth-first search over flips from the minimal tiling, on domino bitmasks.
+def _flip_distances(region: Region) -> dict[int, int]:
+    """Breadth-first search over flips from the minimal tiling, on tiling masks.
 
-    The region's dominoes are indexed in sorted order, so a tiling is an int
-    mask and its ascending bits give its sorted tuple.  Each 2x2 block of
+    A tiling is its int mask over ``Region.dominoes``.  Each 2x2 block of
     the region is a pair of masks: its two horizontal and its two vertical
     dominoes.  A block flips when the tiling holds either pair, and the flip
     toggles all four bits.  The blocks are tried in the order of their lower
     left cell, as ``flips`` finds them, so the table's order is that of a
-    BFS through ``flips``.  Each mask is decoded into its tiling once, at
-    the end.  A region with more than ``MAX_LISTED_TILINGS`` tilings raises
-    CapacityError before the search.
+    BFS through ``flips``.  No mask is decoded.  A region with more than
+    ``MAX_LISTED_TILINGS`` tilings raises CapacityError before the search.
     """
     require_listing_budget(region, count_tilings(region))
     cells = region.cells
-    dominoes = sorted((c, d) for c, nbs in region.neighbours.items() for d in nbs if c < d)
-    bit = {d: 1 << i for i, d in enumerate(dominoes)}
+    bit = region.domino_bit
     blocks = []
     for c in region.sorted_cells:
         right, up, corner = Cell(c.x + 1, c.y), Cell(c.x, c.y + 1), Cell(c.x + 1, c.y + 1)
@@ -249,7 +251,7 @@ def _flip_distances(region: Region) -> dict[Tiling, int]:
             h = bit[(c, right)] | bit[(up, corner)]
             v = bit[(c, up)] | bit[(right, corner)]
             blocks.append((h, v, h | v))
-    start = sum(bit[d] for d in region.minimal_tiling)
+    start = region.tiling_mask(region.minimal_tiling)
     dist = {start: 0}
     frontier = [start]
     rank = 0
@@ -264,23 +266,20 @@ def _flip_distances(region: Region) -> dict[Tiling, int]:
                         dist[m2] = rank
                         nxt.append(m2)
         frontier = nxt
-    # bin(m)[:1:-1] spells the bits of m from the lowest up
-    return {
-        tuple(compress(dominoes, map("1".__eq__, bin(m)[:1:-1]))): r for m, r in dist.items()
-    }
+    return dist
 
 
 def rank_via_area(region: Region, tiling: Tiling) -> int:
-    """Rank as the underneath-area excess of the path family over minimal.
-
-    The area comes from the walk that checks the paths, with no family built.
-    """
-    from .paths import _walk
-
+    """Rank as the underneath-area excess of the path family over minimal."""
     if region.kind != "double_aztec_rectangle":
         raise KindError("area rank is defined for double Aztec rectangles only")
+    return _area_rank(region, region.tiling_mask(tiling))
+
+
+def _area_rank(region: Region, mask: int) -> int:
+    """``rank_via_area`` of a tiling mask: the area comes from the walk, with no family built."""
     base = region.minimal_area  # a whole number of quarter cells
-    excess = _walk(region, tiling) - base.numerator * 4 // base.denominator
+    excess = _walk(region, mask) - base.numerator * 4 // base.denominator
     if excess % 4:
         raise InvariantError("area excess must be a whole number of cells")
     return excess // 4
@@ -291,11 +290,16 @@ def rank_linear(region: Region, tiling: Tiling) -> int:
 
     The total height deficit below the minimal tiling is the sum of the
     line constants C_x plus w_x[y] for each horizontal domino crossing line
-    x at row y (see ``_line_weights``), read per domino from
-    ``Region.domino_deficits``; rank is that total divided by 4.
+    x at row y (see ``_line_weights``); rank is that total divided by 4.
     """
-    total = sum(const for const, _ in region.line_weights)
-    total += sum(map(region.domino_deficits.__getitem__, tiling))
+    return _linear_rank(region, region.tiling_mask(tiling))
+
+
+def _linear_rank(region: Region, mask: int) -> int:
+    """``rank_linear`` of a tiling mask: one popcount per distinct weight (``_deficit_masks``)."""
+    total, weighted = region.deficit_masks
+    for w, dominoes in weighted:
+        total += w * (mask & dominoes).bit_count()
     if total < 0 or total % 4:
         raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
     return total // 4
@@ -413,20 +417,23 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(lines)
 
 
-def _domino_deficits(region: Region) -> dict:
-    """Height-deficit weight of every domino of the region.
+def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The height deficit of a tiling mask as C + sum of w * |mask & M_w|.
 
-    A horizontal domino crosses line x at row y, where x is the column of
-    its right cell, and weighs w_x[y] of ``_line_weights``; a vertical
-    domino crosses no line and weighs 0.
+    C is the sum of the line constants C_x of ``_line_weights``.  A
+    horizontal domino crosses line x at row y, where x is the column of its
+    right cell, and weighs w_x[y]; a vertical domino crosses no line and
+    weighs 0.  M_w is the mask of the dominoes of weight w, one per
+    distinct nonzero weight, in increasing order of w.
     """
     lines = region.line_weights
-    return {
-        (c, d): lines[d.x][1][c.y] if c.y == d.y else 0
-        for c, nbs in region.neighbours.items()
-        for d in nbs
-        if c < d
-    }
+    masks: dict[int, int] = {}
+    for (c, d), bit in region.domino_bit.items():
+        if c.y == d.y:
+            w = lines[d.x][1][c.y]
+            if w:
+                masks[w] = masks.get(w, 0) | bit
+    return sum(const for const, _ in lines), tuple(sorted(masks.items()))
 
 
 def _deficit(line: tuple[int, tuple[int, ...]], mask: int) -> int:

@@ -37,14 +37,14 @@ from .matchgraph import (
     star_scale,
     vertex_split,
 )
-from .paths import step_counts, tiling_to_paths
+from .paths import _family, step_counts
 from .planepart import q_genfun_brute
 from .polyring import LaurentPoly2
 from .regions import Region, build_aztec_diamond, build_double_rectangle, build_hexagon
 from .stats import (
-    rank_linear,
+    _area_rank,
+    _linear_rank,
     rank_table,
-    rank_via_area,
     require_listing_budget,
     require_sweep_budget,
     tq_sum,
@@ -219,14 +219,17 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
 
 
 def _rank_case(region: Region) -> dict:
-    """Check the flip BFS of one region against its count and the other two ranks."""
+    """Check the flip BFS of one region against its count and the other two ranks.
+
+    The other two rank the BFS's own tiling masks.
+    """
     table = rank_table(region)
     # every flip of a tiling is a tiling, so the table holds distinct tilings,
     # and it holds all of them exactly when it is as long as the count
     ok = len(table) == count_tilings(region)
-    ranks = [rank_via_area(region, t) for t in table]
+    ranks = [_area_rank(region, m) for m in table]
     ok = ok and ranks == list(table.values())
-    ok = ok and ranks == [rank_linear(region, t) for t in table]
+    ok = ok and ranks == [_linear_rank(region, m) for m in table]
     # the area rank is the area excess over the minimal tiling, so the
     # minimal tiling has the least area, uniquely, when exactly one
     # tiling has area rank 0 and none has a negative one
@@ -261,16 +264,18 @@ def suite_paths() -> list[dict]:
             m2 * (m2 + 1) + 2 * g * (m2 - k + 1) + g * (m1 + k) + m1 * (m1 + 1)
         )
         region = build_double_rectangle(*tup)
+        vertical = sum(bit for d, bit in region.domino_bit.items() if is_vertical(d))
         seen = set()
         ok = True
         for t in enumerate_tilings(region):
-            family = tiling_to_paths(region, t)
+            mask = region.tiling_mask(t)
+            family = _family(region, mask)
             key = tuple(p.points for p in family.paths)
             ok = ok and key not in seen
             seen.add(key)
             up, down, level = step_counts(family)
             ok = ok and up + down + 2 * level == expected
-            ok = ok and up + down == sum(1 for d in t if is_vertical(d))
+            ok = ok and up + down == (mask & vertical).bit_count()
         cases.append({"params": list(tup), "tilings": len(seen), "ok": ok})
     return cases
 

@@ -135,40 +135,58 @@ def _old_segments(region, tiling):
     return segs
 
 
-def test_path_segments_are_derived_once_per_region_and_read_only(monkeypatch):
+def _selected_segments(region, mask):
+    """The steps that the region's mask tables select for a tiling mask, by start point."""
+    starts, steps, _ = region.path_tables
+    return {p: steps[bits & mask][:2] for p, bits in starts.items() if bits & mask}
+
+
+def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
     from aztecbridge import paths
 
     calls = []
-    real = paths._path_segments
-    monkeypatch.setattr(paths, "_path_segments", lambda r: calls.append(r) or real(r))
+    real = paths._path_tables
+    monkeypatch.setattr(paths, "_path_tables", lambda r: calls.append(r) or real(r))
     for tup in TUPLES:
         region = build_double_rectangle(*tup)
         for t in enumerate_tilings(region):
-            assert paths._segments(region, t) == _old_segments(region, t)
+            assert _selected_segments(region, region.tiling_mask(t)) == _old_segments(region, t)
             tiling_to_paths(region, t)
         assert calls[-1] is region
-        assert region.path_segments is region.path_segments
-        with pytest.raises(TypeError):
-            region.path_segments[next(iter(region.path_segments))] = None
+        tables = region.path_tables
+        assert tables is region.path_tables
+        assert tables.decorated == sum(tables.steps)
+        # the walk stops where no domino starts, which every v marker is
+        assert not set(tables.starts) & set(region.markers.v)
+        for table in (tables.starts, tables.steps):
+            with pytest.raises(TypeError):
+                table[next(iter(table))] = None
     assert len(calls) == len(TUPLES)
 
 
 def test_decoration_guards_reject_broken_segment_sets():
-    from aztecbridge.paths import DecorationError
+    from aztecbridge.paths import DecorationError, PathTables
     from aztecbridge.regions import BoundaryMarkers
     from aztecbridge.stats import rank_via_area
 
     region = build_double_rectangle(1, 2, 0, 1, 2)
     # two level paths, (0, 1) -> (2, 1) and (0, 5) -> (2, 5), over stand-in dominoes
     region.__dict__["markers"] = BoundaryMarkers(u=[(0, 1), (0, 5)], v=[(2, 1), (2, 5)])
-    region.__dict__["path_segments"] = {
-        "low": ((0, 1), ((2, 1), LEVEL)),
-        "high": ((0, 5), ((2, 5), LEVEL)),
-        "cross": ((0, 5), ((1, 3), DOWN)),
-        "on": ((1, 3), ((2, 1), DOWN)),
-        "rise": ((0, 1), ((1, 3), UP)),
-        "spare": ((4, 3), ((5, 5), UP)),
+    segments = {
+        "low": ((0, 1), (2, 1), LEVEL),
+        "high": ((0, 5), (2, 5), LEVEL),
+        "cross": ((0, 5), (1, 3), DOWN),
+        "on": ((1, 3), (2, 1), DOWN),
+        "rise": ((0, 1), (1, 3), UP),
+        "spare": ((4, 3), (5, 5), UP),
     }
+    bit = {name: 1 << i for i, name in enumerate(segments)}
+    starts, steps = {}, {}
+    for name, ((x0, y0), (x1, y1), letter) in segments.items():
+        starts[(x0, y0)] = starts.get((x0, y0), 0) | bit[name]
+        steps[bit[name]] = ((x1, y1), letter, (y0 + y1 - 2) * (x1 - x0))
+    region.__dict__["domino_bit"] = bit
+    region.__dict__["path_tables"] = PathTables(starts, steps, sum(steps))
     region.__dict__["minimal_area"] = Fraction(4)  # the level paths at heights 0 and 2
     family = tiling_to_paths(region, ("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]
@@ -180,6 +198,8 @@ def test_decoration_guards_reject_broken_segment_sets():
         # path 2 runs onto the point where path 1 turned down
         (("rise", "on", "cross"), r"paths intersect at \(1, 3\)"),
         (("low", "high", "spare"), "left over"),
+        # two decorated dominoes start where path 1 starts
+        (("low", "rise", "high"), r"paths branch at \(0, 1\)"),
     ]
     for tiling, message in broken:
         for entry in (tiling_to_paths, rank_via_area):

@@ -1,5 +1,6 @@
 """Height functions, minimal tilings, flips, the three rank computations and the sweep."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from test_kasteleyn import box_regions
 from aztecbridge import stats
 from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
+from aztecbridge.paths import tiling_to_paths
 from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import (
     Cell,
@@ -76,12 +78,12 @@ def test_the_bucket_queue_finds_the_relaxed_heights():
 
 
 def test_minimal_tiling_has_rank_zero_and_least_area():
-    from aztecbridge.paths import tiling_to_paths, underneath_area
+    from aztecbridge.paths import underneath_area
 
     region = build_double_rectangle(1, 2, 0, 1, 2)
     t0 = minimal_tiling(region)
     table = rank_table(region)
-    assert table[t0] == 0
+    assert table[region.tiling_mask(t0)] == 0
     areas = {
         t: underneath_area(tiling_to_paths(region, t)) for t in enumerate_tilings(region)
     }
@@ -117,7 +119,8 @@ def test_rank_table_covers_all_tilings():
     assert len(tuples) == 28
     for params in tuples:
         region = build_double_rectangle(*params)
-        assert set(rank_table(region)) == set(enumerate_tilings(region)), params
+        masks = {region.tiling_mask(t) for t in enumerate_tilings(region)}
+        assert set(rank_table(region)) == masks, params
 
 
 def test_diamond_rank_multiset_order_two():
@@ -131,13 +134,29 @@ def test_rank_bfs_equals_area_rank():
     for params in [(1, 2, 0, 1, 2), (2, 3, 1, 2, 3)]:
         region = build_double_rectangle(*params)
         for t in enumerate_tilings(region):
-            assert rank_table(region)[t] == rank_via_area(region, t)
+            assert rank_table(region)[region.tiling_mask(t)] == rank_via_area(region, t)
 
 
 def test_rank_rejects_foreign_tiling():
     region = build_double_rectangle(1, 2, 0, 1, 2)
     other = minimal_tiling(build_double_rectangle(1, 2, 1, 1, 2))
-    assert other not in rank_table(region)
+    with pytest.raises(ConstraintError, match=r"\(Cell\(x=0, y=2\), Cell\(x=0, y=3\)\) is not"):
+        region.tiling_mask(other)
+
+
+@pytest.mark.parametrize(
+    "entry", [tiling_to_paths, rank_via_area, rank_linear], ids=lambda f: f.__name__
+)
+def test_a_foreign_or_repeated_domino_is_rejected_by_name(entry):
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    t0 = minimal_tiling(region)
+    foreign = (Cell(100, 100), Cell(101, 100))
+    for tiling, message in (
+        (t0 + (foreign,), re.escape(f"{foreign} is not a domino of dr:2,3,1,2,3")),
+        (t0[:3] + t0[2:], re.escape(f"{t0[2]} is listed twice")),
+    ):
+        with pytest.raises(ConstraintError, match=message):
+            entry(region, tiling)
 
 
 def test_vertical_halfcount():
@@ -167,7 +186,7 @@ def test_rank_table_is_kept_on_the_region_and_read_only():
     assert rank_table(build_double_rectangle(1, 2, 0, 1, 2)) is not table
     assert minimal_tiling(region) is minimal_tiling(region)
     with pytest.raises(TypeError):
-        table[minimal_tiling(region)] = 1
+        table[region.tiling_mask(minimal_tiling(region))] = 1
 
 
 def test_minimal_tiling_wrong_kind():
@@ -182,7 +201,7 @@ def _tq_sum_by_enumeration(region):
     table = rank_table(region)
     terms = {}
     for t in enumerate_tilings(region):
-        key = (sum(1 for d in t if is_vertical(d)), 2 * table[t])
+        key = (sum(1 for d in t if is_vertical(d)), 2 * table[region.tiling_mask(t)])
         terms[key] = terms.get(key, 0) + 1
     return LaurentPoly2(terms)
 
@@ -226,8 +245,9 @@ def test_rank_linear_equals_the_flip_distance():
     assert len(regions) == 32
     tilings = 0
     for region in regions:
-        for t, r in rank_table(region).items():
-            assert rank_linear(region, t) == r, region.spec_string()
+        table = rank_table(region)
+        for t in enumerate_tilings(region):
+            assert rank_linear(region, t) == table[region.tiling_mask(t)], region.spec_string()
             tilings += 1
     assert tilings == 3566
 
@@ -363,8 +383,8 @@ def test_rank_linear_equals_the_flip_distance_on_random_regions(region):
     assume(tileable)
     table = rank_table(region)
     tilings = list(enumerate_tilings(region))
-    assert set(table) == set(tilings)
-    assert all(rank_linear(region, t) == table[t] for t in tilings)
+    assert set(table) == {region.tiling_mask(t) for t in tilings}
+    assert all(rank_linear(region, t) == table[region.tiling_mask(t)] for t in tilings)
 
 
 def test_a_pinched_region_has_no_minimal_tiling():
@@ -389,12 +409,16 @@ def test_the_bitmask_bfs_is_a_bfs_layering_under_flips():
     for region in regions:
         table = rank_table(region)
         assert len(table) == count_tilings(region), region.spec_string()
-        assert table[minimal_tiling(region)] == 0
-        for t, r in table.items():
-            assert type(t) is tuple and t == tuple(sorted(t))
-            assert all(type(d) is tuple and len(d) == 2 for d in t)
-            assert all(type(c) is Cell for d in t for c in d)
-            ranks = [table[t2] for t2 in flips(t)]
+        assert table[region.tiling_mask(minimal_tiling(region))] == 0
+        dominoes = region.dominoes
+        assert type(dominoes) is tuple and dominoes == tuple(sorted(dominoes))
+        assert all(type(d) is tuple and len(d) == 2 for d in dominoes)
+        assert all(type(c) is Cell for d in dominoes for c in d)
+        for m, r in table.items():
+            assert type(m) is int
+            t = tuple(d for i, d in enumerate(dominoes) if m >> i & 1)
+            assert region.tiling_mask(t) == m
+            ranks = [table[region.tiling_mask(t2)] for t2 in flips(t)]
             assert all(abs(r2 - r) == 1 for r2 in ranks), region.spec_string()
             assert r == 0 or r - 1 in ranks, region.spec_string()
 
@@ -437,31 +461,38 @@ def test_a_fractional_area_excess_trips_the_whole_cell_guard():
         rank_via_area(region, t0)
 
 
-def test_domino_deficits_equal_the_line_weights_on_every_domino():
+def test_deficit_masks_equal_the_line_weights_on_every_domino():
     regions = [build_aztec_diamond(n) for n in range(1, 6)]
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
     checked = 0
     for region in regions:
         lines = region.line_weights
-        table = region.domino_deficits
+        const, weighted = region.deficit_masks
+        assert const == sum(c for c, _ in lines), region.spec_string()
+        weights = [w for w, _ in weighted]
+        assert 0 not in weights and weights == sorted(set(weights)), region.spec_string()
         dominoes = [(c, d) for c, nbs in region.neighbours.items() for d in nbs if c < d]
-        assert sorted(table) == sorted(dominoes), region.spec_string()
-        for (ax, ay), (bx, by) in dominoes:
-            # the per-line lookup rank_linear made before the table
+        assert region.dominoes == tuple(sorted(dominoes)), region.spec_string()
+        for i, ((ax, ay), (bx, by)) in enumerate(region.dominoes):
+            # the per-line lookup rank_linear made before the masks
             old = lines[max(ax, bx)][1][ay] if ay == by else 0
-            assert table[((ax, ay), (bx, by))] == old, region.spec_string()
+            holding = [w for w, mask in weighted if mask >> i & 1]
+            assert holding == ([old] if old else []), region.spec_string()
             checked += 1
     assert checked > 1_000
 
 
-def test_domino_deficits_are_derived_once_per_region_and_read_only(monkeypatch):
+def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(monkeypatch):
     calls = []
-    real = stats._domino_deficits
-    monkeypatch.setattr(stats, "_domino_deficits", lambda r: calls.append(r) or real(r))
+    real = stats._deficit_masks
+    monkeypatch.setattr(stats, "_deficit_masks", lambda r: calls.append(r) or real(r))
     region = build_double_rectangle(2, 3, 1, 2, 3)
     table = rank_table(region)
-    assert all(rank_linear(region, t) == r for t, r in table.items())
+    assert all(stats._linear_rank(region, m) == r for m, r in table.items())
     assert calls == [region]
-    assert region.domino_deficits is region.domino_deficits
+    assert region.deficit_masks is region.deficit_masks
+    assert region.dominoes is region.dominoes and region.domino_bit is region.domino_bit
     with pytest.raises(TypeError):
-        region.domino_deficits[next(iter(region.domino_deficits))] = 0
+        region.deficit_masks[1][0] = (0, 0)
+    with pytest.raises(TypeError):
+        region.domino_bit[region.dominoes[0]] = 0
