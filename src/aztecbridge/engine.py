@@ -136,8 +136,7 @@ def _domino_det(region: Region, weight: Callable):
     blacks = [c for c in ordered if (c.x + c.y) % 2 != white]
 
     def entry(w: Cell, b: Cell):
-        sign = -1 if w.x == b.x and w.x % 2 else 1
-        return sign * weight(w, b)
+        return -weight(w, b) if w.x == b.x and w.x % 2 else weight(w, b)
 
     return _kasteleyn_det(whites, blacks, region.neighbours, entry)
 

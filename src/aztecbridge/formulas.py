@@ -93,14 +93,19 @@ class MainConstants:
     starp: tuple[LaurentPoly2, ...]
 
 
-def main_constants(m1: int, n1: int, k: int, m2: int, n2: int) -> MainConstants:
-    _check_dr_params(m1, n1, k, m2, n2)
-    N = (
+def _exponent_n(m1: int, n1: int, k: int, m2: int, n2: int) -> int:
+    """The exponent constant N of ``MainConstants``."""
+    return (
         m1 * (m1 + 1) * (n1 - 1)
         - m2 * (m2 + 1) * (n2 - 1)
         + (n1 - m1)
         * (2 * m2 * m2 + m2 * m1 + m2 * n1 + k * k + 2 * k * m1 + m1 * n1 + k - m2)
     )
+
+
+def main_constants(m1: int, n1: int, k: int, m2: int, n2: int) -> MainConstants:
+    _check_dr_params(m1, n1, k, m2, n2)
+    N = _exponent_n(m1, n1, k, m2, n2)
     star = tuple(
         LaurentPoly2({(0, 0): 1, (-2, -2 * (2 * i + 1)): 1}).shift(
             0, 2 * (2 * m2 + 2 * n2 - 3)
@@ -177,22 +182,24 @@ def weighted_formula_rhs(
 
         2E = N + (m2+n2-2) m2 (m2+1) + (k+m2) m1 (m1+1) - 2 g m1 + g (g-3)
 
-    with g = n1 - m1, which is always an even total.  A sampled q that makes
-    a ratio denominator vanish raises ResampleError.
+    with g = n1 - m1, which is always an even total.  The MacMahon ratio
+    prod_{i<=g, j<=m2-k+1, t<=m1+k} (1 - q^(i+j+t-1)) / (1 - q^(i+j+t-2))
+    telescopes over t to prod_{i, j} (1 - q^(i+j+m1+k-1)) / (1 - q^(i+j-1)).
+    A sampled q at which a denominator of the untelescoped ratio vanishes,
+    q = 1 or q = -1 when g > 0, raises ResampleError.
     """
     _check_dr_params(m1, n1, k, m2, n2)
     a, b, c, d, q = (Fraction(v) for v in (a, b, c, d, q))
     if q == 0:
         raise ValueError("q must be nonzero")
     g = n1 - m1
-    cst = main_constants(m1, n1, k, m2, n2)
     total = c ** ((m2 - k + 1) * g) * d ** ((m1 + k) * g)
     for i in range(m1):
         total *= (a * d + b * c * q**i) ** (m1 - i)
     for i in range(m2):
         total *= (a * d + b * c * q ** (-(i + 1))) ** (m2 - i)
     e2 = (
-        cst.N
+        _exponent_n(m1, n1, k, m2, n2)
         + (m2 + n2 - 2) * m2 * (m2 + 1)
         + (k + m2) * m1 * (m1 + 1)
         - 2 * g * m1
@@ -201,13 +208,11 @@ def weighted_formula_rhs(
     if e2 % 2:
         raise InvariantError(f"monomial exponent {e2}/2 must be an integer")
     total *= q ** (e2 // 2)
-    for i in range(1, n1 - m1 + 1):
+    # the untelescoped exponents i+j+t-2 start 1, 2 and reach g+m1+m2-1 >= 2
+    # whenever g > 0, so its first pole is q^1 at q = 1 and q^2 at q = -1
+    if g and q in (1, -1):
+        raise ResampleError(f"q^{1 if q == 1 else 2} = 1 at the sampled point q={q}")
+    for i in range(1, g + 1):
         for j in range(1, m2 - k + 2):
-            for t in range(1, m1 + k + 1):
-                den = 1 - q ** (i + j + t - 2)
-                if den == 0:
-                    raise ResampleError(
-                        f"q^{i + j + t - 2} = 1 at the sampled point q={q}"
-                    )
-                total *= (1 - q ** (i + j + t - 1)) / den
+            total *= (1 - q ** (i + j + m1 + k - 1)) / (1 - q ** (i + j - 1))
     return total

@@ -6,7 +6,7 @@ factor by which the matching generating function changes, so the identity
 M(old) = factor * M(new) can be checked exactly.
 
 The weighted matching sum of a region's dual graph is a Kasteleyn
-determinant (``region_matching_sum``); the brute-force ``matching_genfun``
+determinant (``region_matching_sum``); the exponential ``matching_genfun``
 serves general graphs, such as the non-planar hosts of the rewrite checks.
 """
 
@@ -33,6 +33,21 @@ class WeightScheme(NamedTuple):
     q: Fraction
 
 
+def _add_edge(emap: dict, u, v, w: Fraction) -> None:
+    """Put the edge u-v of weight w into emap, checked as every new edge is.
+
+    The caller has checked that u and v are vertices of the graph.
+    """
+    if u == v:
+        raise ValueError(f"bad edge ({u!r}, {v!r})")
+    if w == 0:
+        raise ValueError("zero edge weight")
+    key = frozenset((u, v))
+    if key in emap:
+        raise ValueError(f"duplicate edge {u!r}-{v!r}")
+    emap[key] = w
+
+
 class WeightedGraph:
     """Immutable simple undirected graph with rational edge weights."""
 
@@ -45,20 +60,30 @@ class WeightedGraph:
         for u, v, w in edges:
             if not isinstance(w, Fraction):  # Fraction(Fraction) is a slow copy
                 w = Fraction(w)
-            if u == v or u not in vs or v not in vs:
+            if u not in vs or v not in vs:
                 raise ValueError(f"bad edge ({u!r}, {v!r})")
-            if w == 0:
-                raise ValueError("zero edge weight")
-            key = frozenset((u, v))
-            if key in emap:
-                raise ValueError(f"duplicate edge {u!r}-{v!r}")
-            emap[key] = w
+            _add_edge(emap, u, v, w)
         self.edges = emap
         self.marked = tuple(marked)
         for m in self.marked:
             if m not in vs:
                 raise ValueError(f"marked vertex {m!r} missing")
         self._neighbors: dict | None = None
+
+    @classmethod
+    def _derived(cls, vertices: tuple, edges: dict, marked: tuple) -> WeightedGraph:
+        """A graph on an edge map that is valid already; nothing is checked again.
+
+        For the rewrites of a valid graph: they copy or filter its edge map,
+        put each edge they add through ``_add_edge``, and check their own
+        marked vertices.
+        """
+        graph = object.__new__(cls)
+        graph.vertices = vertices
+        graph.edges = edges
+        graph.marked = marked
+        graph._neighbors = None
+        return graph
 
     def weight(self, u, v) -> Fraction:
         return self.edges[frozenset((u, v))]
@@ -101,7 +126,11 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
     Every perfect matching has n/2 edges, so the weights are scaled once by
     the least common multiple L of their denominators, the search runs on
     integers over a bitmask of alive vertices, and the sum is divided by
-    L^(n/2) at the end.
+    L^(n/2) at the end.  The search matches the lowest alive vertex, whose
+    partner must come after it, and keeps the sum of each alive mask it
+    reaches in a dict local to the call.  On a region's dual graph, whose
+    vertices are the cells in sorted order, an alive mask is a column
+    profile, so the search is a column-profile dynamic programme.
     """
     n = len(graph.vertices)
     if n > MAX_MATCH_VERTICES:
@@ -112,41 +141,26 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
         return Fraction(0)
     scale = math.lcm(*(w.denominator for w in graph.edges.values()))
     index = {v: i for i, v in enumerate(graph.vertices)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    nbmask = [0] * n
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (a, b), w in graph.edges.items():
-        u, v = index[a], index[b]
-        iw = w.numerator * (scale // w.denominator)
-        adj[u].append((1 << v, iw))
-        adj[v].append((1 << u, iw))
-        nbmask[u] |= 1 << v
-        nbmask[v] |= 1 << u
+        u, v = sorted((index[a], index[b]))
+        later[u].append((1 << v, w.numerator * (scale // w.denominator)))
+    memo = {0: 1}
 
     def rec(alive: int) -> int:
-        if not alive:
-            return 1
-        # branch on a vertex of minimum remaining degree (forced edges first)
-        best, best_deg = -1, n
-        rest = alive
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            deg = (nbmask[v] & alive).bit_count()
-            if deg < best_deg:
-                if not deg:
-                    return 0
-                best, best_deg = v, deg
-                if deg == 1:
-                    break
-        alive ^= 1 << best
+        low = alive & -alive
+        rest = alive ^ low
         total = 0
-        for bit, w in adj[best]:
-            if alive & bit:
-                total += w * rec(alive ^ bit)
+        for bit, w in later[low.bit_length() - 1]:
+            if rest & bit:
+                sub = memo.get(rest ^ bit)
+                if sub is None:
+                    sub = rec(rest ^ bit)
+                total += w * sub
+        memo[alive] = total
         return total
 
-    return Fraction(rec((1 << n) - 1), scale ** (n // 2))
+    return Fraction(rec((1 << n) - 1) if n else 1, scale ** (n // 2))
 
 
 # -- the domino weight scheme ----------------------------------------------
@@ -164,43 +178,34 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 DOUBLE_ANCHOR_PARITY = 0
 RECT_ANCHOR_PARITY = 1
 
+#: The scheme under which every domino weighs 1.
+_UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
 
-def _level_powers(region: Region, q: Fraction) -> dict[int, Fraction]:
-    """q^e for every exponent a domino of the region can carry, -1 upward.
 
-    Built once per weighted graph or determinant and passed to
-    ``domino_weight``; q must be nonzero, since a graded horizontal domino
-    on the bottom row carries q^-1.
+def _domino_weights(region: Region, scheme: WeightScheme, anchor_parity: int):
+    """weight(c1, c2) of the domino on cells c1, c2, read from per-level tables.
+
+    Levels count rows from the bottom of the region.  The scheme's weights
+    are computed once per level: d * q^L for a graded vertical domino whose
+    bottom cell is on row L, c * q^(L-1) for a graded horizontal one whose
+    left cell is on row L, and a or b for the others.  q must be nonzero,
+    since a graded horizontal domino on the bottom row carries q^-1.
     """
-    rows = max(c.y for c in region.cells) - region.ymin + 1
-    return {e: q ** e for e in range(-1, rows)}
+    a, b, c, d, q = map(Fraction, scheme)
+    levels = range(max(cell.y for cell in region.cells) - region.ymin + 1)
+    # table[vertical][class][level]; class 0 holds the dominoes whose bottom
+    # or left cell has the anchor's diagonal parity
+    table = (
+        ([b] * len(levels), [c * q ** (L - 1) for L in levels]),
+        ([d * q**L for L in levels], [a] * len(levels)),
+    )
+    shift, ymin = region.dmin + anchor_parity, region.ymin
 
+    def weight(c1: Cell, c2: Cell) -> Fraction:
+        low, high = (c1, c2) if c1 < c2 else (c2, c1)
+        return table[low.x == high.x][(low.y - low.x - shift) % 2][low.y - ymin]
 
-def domino_weight(
-    region: Region,
-    c1: Cell,
-    c2: Cell,
-    scheme: WeightScheme,
-    powers: dict[int, Fraction],
-    anchor_parity: int = DOUBLE_ANCHOR_PARITY,
-) -> Fraction:
-    """Weight of the domino {c1, c2} under the level-graded scheme.
-
-    Levels count rows from the bottom of the region: a graded vertical
-    domino at level L weighs d * q^L with L the bottom cell's row, a graded
-    horizontal one weighs c * q^(L-1) with L its row.  ``powers`` is
-    ``_level_powers(region, scheme.q)``.
-    """
-    dmin, ymin = region.dmin, region.ymin
-    if c1.x == c2.x:  # vertical
-        bot = c1 if c1.y < c2.y else c2
-        if (bot.y - bot.x - dmin) % 2 == anchor_parity % 2:
-            return scheme.d * powers[bot.y - ymin]
-        return Fraction(scheme.a)
-    left = c1 if c1.x < c2.x else c2
-    if (left.y - left.x - dmin) % 2 != anchor_parity % 2:
-        return scheme.c * powers[left.y - ymin - 1]
-    return Fraction(scheme.b)
+    return weight
 
 
 def dual_graph(
@@ -212,23 +217,22 @@ def dual_graph(
 
     The cells along the bottommost diagonal (minimal y - x) are marked, in
     southwest-to-northeast order; they are the attachment points for
-    connected sums.
+    connected sums.  Edges come cell by cell in sorted order, the east
+    neighbour before the north one.
     """
     cells = region.sorted_cells
     cellset = region.cells
-    powers = None if scheme is None else _level_powers(region, scheme.q)
-    edges = []
+    weight = _domino_weights(region, scheme or _UNIT_SCHEME, anchor_parity)
+    edges: dict[frozenset, Fraction] = {}
     for c in cells:
         for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1)):
             if d in cellset:
-                w = (
-                    Fraction(1)
-                    if scheme is None
-                    else domino_weight(region, c, d, scheme, powers, anchor_parity)
-                )
-                edges.append((c, d, w))
+                w = weight(c, d)
+                if not w:
+                    raise ValueError("zero edge weight")
+                edges[frozenset((c, d))] = w
     marked = sorted((c for c in cells if c.y - c.x == region.dmin), key=lambda c: c.x + c.y)
-    return WeightedGraph(cells, edges, marked)
+    return WeightedGraph._derived(tuple(cells), edges, tuple(marked))
 
 
 def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
@@ -240,13 +244,15 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     sign, gives the sign, so negative weights come out right.
     """
     sign = 1 if region.kasteleyn_det > 0 else -1  # also rejects a region with a hole
-    powers = _level_powers(region, scheme.q)
-    return sign * Fraction(
-        _domino_det(region, lambda c, d: domino_weight(region, c, d, scheme, powers))
-    )
+    weight = _domino_weights(region, scheme, DOUBLE_ANCHOR_PARITY)
+    return sign * Fraction(_domino_det(region, weight))
 
 
 # -- replacement rules ------------------------------------------------------
+#
+# Each rule copies or filters the edge map of a valid graph and checks only
+# the edges it adds, so it raises the same errors as building the result
+# through ``WeightedGraph`` would, and keeps the same edge order.
 
 
 def vertex_split(graph: WeightedGraph, v, part: Iterable) -> WeightedGraph:
@@ -260,18 +266,20 @@ def vertex_split(graph: WeightedGraph, v, part: Iterable) -> WeightedGraph:
     if not part <= nbs:
         raise ValueError("partition contains non-neighbors of v")
     vp, vpp, mid = (v, "split'"), (v, "split''"), (v, "split-mid")
-    vertices = [u for u in graph.vertices if u != v] + [vp, mid, vpp]
-    edges = []
-    for (key), w in graph.edges.items():
+    vertices = tuple(u for u in graph.vertices if u != v) + (vp, mid, vpp)
+    edges: dict[frozenset, Fraction] = {}
+    for key, w in graph.edges.items():
         if v in key:
             (u,) = key - {v}
-            edges.append((u, vp if u in part else vpp, w))
+            _add_edge(edges, u, vp if u in part else vpp, w)
+        elif key in edges:  # only if the graph already has a vertex named like v' or v''
+            _add_edge(edges, *key, w)
         else:
-            a, b = tuple(key)
-            edges.append((a, b, w))
-    edges += [(vp, mid, Fraction(1)), (mid, vpp, Fraction(1))]
+            edges[key] = w
+    _add_edge(edges, vp, mid, Fraction(1))
+    _add_edge(edges, mid, vpp, Fraction(1))
     marked = tuple(vp if m == v else m for m in graph.marked)
-    return WeightedGraph(vertices, edges, marked)
+    return WeightedGraph._derived(vertices, edges, marked)
 
 
 def star_scale(graph: WeightedGraph, v, factor: Fraction) -> WeightedGraph:
@@ -279,13 +287,8 @@ def star_scale(graph: WeightedGraph, v, factor: Fraction) -> WeightedGraph:
     factor = Fraction(factor)
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    edges = []
-    for key, w in graph.edges.items():
-        if v in key:
-            w = w * factor
-        a, b = tuple(key)
-        edges.append((a, b, w))
-    return WeightedGraph(graph.vertices, edges, graph.marked)
+    edges = {key: w * factor if v in key else w for key, w in graph.edges.items()}
+    return WeightedGraph._derived(graph.vertices, edges, graph.marked)
 
 
 def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, Fraction]:
@@ -314,20 +317,17 @@ def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, Fr
             raise ValueError("spokes must carry unit weight")
         tips.append(outside[0])
     a_, b_, c_, d_ = tips
-    vertices = [u for u in graph.vertices if u not in inner]
-    edges = [
-        (u, v, w)
-        for key, w in graph.edges.items()
-        if not (key & set(inner))
-        for u, v in [tuple(key)]
-    ]
-    edges += [
-        (a_, b_, z / delta),
-        (b_, c_, t / delta),
-        (c_, d_, x / delta),
-        (d_, a_, y / delta),
-    ]
-    return WeightedGraph(vertices, edges, graph.marked), delta
+    drop = set(inner)
+    vertices = tuple(u for u in graph.vertices if u not in drop)
+    edges = {key: w for key, w in graph.edges.items() if key.isdisjoint(drop)}
+    _add_edge(edges, a_, b_, z / delta)
+    _add_edge(edges, b_, c_, t / delta)
+    _add_edge(edges, c_, d_, x / delta)
+    _add_edge(edges, d_, a_, y / delta)
+    for m in graph.marked:
+        if m in drop:
+            raise ValueError(f"marked vertex {m!r} missing")
+    return WeightedGraph._derived(vertices, edges, graph.marked), delta
 
 
 def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
@@ -338,16 +338,11 @@ def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
         )
     glue = dict(zip(h.marked, g.marked))
     relabel = lambda u: glue.get(u, ("h", u))
-    vertices = list(g.vertices) + [
-        relabel(u) for u in h.vertices if u not in glue
-    ]
-    edges = [(u, v, w) for key, w in g.edges.items() for u, v in [tuple(key)]]
-    edges += [
-        (relabel(u), relabel(v), w)
-        for key, w in h.edges.items()
-        for u, v in [tuple(key)]
-    ]
-    return WeightedGraph(vertices, edges, ())
+    vertices = g.vertices + tuple(relabel(u) for u in h.vertices if u not in glue)
+    edges = dict(g.edges)
+    for (u, v), w in h.edges.items():
+        _add_edge(edges, relabel(u), relabel(v), w)
+    return WeightedGraph._derived(vertices, edges, ())
 
 
 def ar_graph(m: int, n: int, scheme: WeightScheme) -> WeightedGraph:
@@ -370,18 +365,14 @@ def half_ar_graph(m: int, n: int, scheme: WeightScheme) -> WeightedGraph:
     a, b, c, d, q = scheme
     inner = ar_graph(m, n - 1, WeightScheme(a / q, b, c, d, q))
     drop = set(inner.marked)
-    keep = [v for v in inner.vertices if v not in drop]
+    keep = tuple(v for v in inner.vertices if v not in drop)
     dmin = min(v.y - v.x for v in keep)
     exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
-    pendants = [("pend", i) for i in range(len(exposed))]
-    edges = [
-        (u, v, w)
-        for key, w in inner.edges.items()
-        if not (key & drop)
-        for u, v in [tuple(key)]
-    ]
-    edges += [(v, p, Fraction(1)) for v, p in zip(exposed, pendants)]
-    return WeightedGraph(keep + pendants, edges, pendants)
+    pendants = tuple(("pend", i) for i in range(len(exposed)))
+    edges = {key: w for key, w in inner.edges.items() if key.isdisjoint(drop)}
+    for v, p in zip(exposed, pendants):
+        _add_edge(edges, v, p, Fraction(1))
+    return WeightedGraph._derived(keep + pendants, edges, pendants)
 
 
 def ar_reduce(

@@ -20,6 +20,7 @@ corners (x, y), (x+1, y), (x, y+1); a down-triangle D(x, y) has corners
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -180,23 +181,52 @@ class Region:
         """Read-only mask bit of each domino, 1 << its index in ``dominoes``."""
         return MappingProxyType({d: 1 << i for i, d in enumerate(self.dominoes)})
 
+    @cached_property
+    def _tiling_keys(self) -> dict:
+        """Each domino's mask bit, plus its two-cell mask shifted past every domino bit.
+
+        Any numbering of the cells serves.  Summed over distinct dominoes,
+        the low len(dominoes) bits are their tiling mask and the bits above
+        are the sum of their cell masks, since the low part cannot carry.
+        """
+        cell_bit = {c: 1 << i for i, c in enumerate(self.cells)}
+        shift = len(self.dominoes)
+        return {
+            d: bit | (cell_bit[d[0]] | cell_bit[d[1]]) << shift
+            for d, bit in self.domino_bit.items()
+        }
+
     def tiling_mask(self, tiling) -> int:
         """The int mask of a tiling's dominoes over ``dominoes``.
 
-        A domino that is not one of the region's, or one listed twice,
-        raises ConstraintError.
+        A domino that is not one of the region's, one listed twice, or
+        dominoes that do not cover the region exactly raise ConstraintError.
+        Distinct dominoes cover it exactly when there are half as many as
+        cells and their cell masks sum to the full mask: a sum of len(cells)
+        powers of two is 2^len(cells) - 1 only if no power is repeated.
         """
-        bits = self.domino_bit
         try:
-            mask = sum(map(bits.__getitem__, tiling))
+            total = sum(map(self._tiling_keys.__getitem__, tiling))
         except KeyError as exc:
             raise ConstraintError(f"{exc.args[0]} is not a domino of {self.spec_string()}") from None
+        shift = len(self.dominoes)
+        mask = total & ((1 << shift) - 1)
         if mask.bit_count() != len(tiling):  # a repeated bit carries into another
             seen: set = set()
             for domino in tiling:
                 if domino in seen:
                     raise ConstraintError(f"{domino} is listed twice in the tiling")
                 seen.add(domino)
+        n = len(self.cells)
+        if 2 * len(tiling) != n or total >> shift != (1 << n) - 1:
+            covered: set = set()
+            for cell in itertools.chain.from_iterable(tiling):
+                if cell in covered:
+                    raise ConstraintError(f"{cell} is covered twice in the tiling")
+                covered.add(cell)
+            raise ConstraintError(
+                f"the tiling leaves {min(self.cells - covered)} of {self.spec_string()} uncovered"
+            )
         return mask
 
     @cached_property
@@ -377,8 +407,9 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
     def inside(px, py):
         return 0 <= py <= c + a and -c <= px <= b and 0 <= px + py <= a + b
 
-    for x in range(-c - 1, b + 1):
-        for y in range(0, c + a + 1):
+    for y in range(0, c + a + 1):
+        # every x with a triangle on row y, so the loop is linear in the triangles
+        for x in range(max(-c, -y) - 1, min(b, a + b - y) + 1):
             if inside(x, y) and inside(x + 1, y) and inside(x, y + 1):
                 tris.add(Tri(x, y, True))
             if inside(x + 1, y) and inside(x, y + 1) and inside(x + 1, y + 1):
@@ -414,26 +445,51 @@ def _diagonal_fringe(cells: frozenset[Cell], diag, minimal: bool) -> list[Cell]:
     return sorted((c for c in cells if diag(c) == target), key=lambda c: c.y)
 
 
+#: Most cells a parsed spec may have (triangles, for a hexagon).  It admits
+#: ad:70 (9,940 cells) and stops a spec such as ad:100000 before its
+#: 2 * 10^10 cells are built.
+MAX_SPEC_CELLS = 10_000
+
+
+def _spec_cells(tag: str, nums: tuple[int, ...]) -> int:
+    """The cell (triangle) count of a parsed spec, from its numbers alone.
+
+    A number below zero counts as zero, so a spec the builder rejects for
+    its parameters is not reported as over the budget.
+    """
+    nums = tuple(max(v, 0) for v in nums)
+    if tag == "hex":
+        a, b, c = nums
+        return 2 * (a * b + b * c + c * a)
+    rectangles = {"ad": [nums * 2], "ar": [nums], "dr": [nums[:2], nums[3:]]}[tag]
+    return sum(2 * m * n + m + n for m, n in rectangles)
+
+
 def parse_spec(text: str):
-    """Parse a compact region spec: ad:4, ar:3x5, dr:m1,n1,k,m2,n2, hex:a,b,c."""
+    """Parse a compact region spec: ad:4, ar:3x5, dr:m1,n1,k,m2,n2, hex:a,b,c.
+
+    A spec of more than ``MAX_SPEC_CELLS`` cells raises ConstraintError
+    before any cell is built.
+    """
+    # built per call, so a builder patched on the module is the one called
+    builders = {
+        "ad": (build_aztec_diamond, ",", 1),
+        "ar": (build_aztec_rectangle, "x", 2),
+        "dr": (build_double_rectangle, ",", 5),
+        "hex": (build_hexagon, ",", 3),
+    }
+    tag, colon, rest = text.partition(":")
+    if not colon:
+        raise ConstraintError(f"malformed region spec {text!r}")
+    if tag not in builders:
+        raise ConstraintError(f"unknown region kind {tag!r}")
+    build, sep, arity = builders[tag]
     try:
-        tag, rest = text.split(":", 1)
+        nums = tuple(int(p) for p in rest.split(sep))
     except ValueError:
         raise ConstraintError(f"malformed region spec {text!r}") from None
-    try:
-        if tag == "ad":
-            return build_aztec_diamond(int(rest))
-        if tag == "ar":
-            m, n = (int(p) for p in rest.split("x"))
-            return build_aztec_rectangle(m, n)
-        if tag == "dr":
-            m1, n1, k, m2, n2 = (int(p) for p in rest.split(","))
-            return build_double_rectangle(m1, n1, k, m2, n2)
-        if tag == "hex":
-            a, b, c = (int(p) for p in rest.split(","))
-            return build_hexagon(a, b, c)
-    except ConstraintError:
-        raise
-    except ValueError:
-        raise ConstraintError(f"malformed region spec {text!r}") from None
-    raise ConstraintError(f"unknown region kind {tag!r}")
+    if len(nums) != arity:
+        raise ConstraintError(f"malformed region spec {text!r}")
+    if _spec_cells(tag, nums) > MAX_SPEC_CELLS:  # the count may have too many digits to print
+        raise ConstraintError(f"{text!r} has more cells than the budget of {MAX_SPEC_CELLS}")
+    return build(*nums)

@@ -40,6 +40,13 @@ def test_usage_errors_exit_two():
     assert run("rank", "ar:2x3").exit_code == 2
 
 
+def test_a_spec_over_the_cell_budget_exits_two():
+    for spec in ["ad:100000", "hex:10000,10000,10000", "ad:" + "9" * 4000]:
+        result = run("count", spec)
+        assert result.exit_code == 2
+        assert "than the budget" in result.output
+
+
 def test_domain_error_exit_code_survives_optimized_mode():
     src = str(Path(aztecbridge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -1,6 +1,7 @@
 """Product formulas against brute-force enumeration oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,3 +114,44 @@ def test_weighted_formula_resamples_at_q_one():
 def test_weighted_formula_rejects_zero_q():
     with pytest.raises(ValueError):
         weighted_formula_rhs(1, 2, 0, 1, 2, 1, 1, 1, 1, 0)
+
+
+def triple_product_rhs(m1, n1, k, m2, n2, a, b, c, d, q):
+    """The weighted product with its MacMahon ratio as the untelescoped triple product."""
+    g = n1 - m1
+    cst = main_constants(m1, n1, k, m2, n2)
+    total = c ** ((m2 - k + 1) * g) * d ** ((m1 + k) * g)
+    for i in range(m1):
+        total *= (a * d + b * c * q**i) ** (m1 - i)
+    for i in range(m2):
+        total *= (a * d + b * c * q ** (-(i + 1))) ** (m2 - i)
+    e2 = cst.N + (m2 + n2 - 2) * m2 * (m2 + 1) + (k + m2) * m1 * (m1 + 1) - 2 * g * m1 + g * (g - 3)
+    total *= q ** (e2 // 2)
+    for i in range(1, g + 1):
+        for j in range(1, m2 - k + 2):
+            for t in range(1, m1 + k + 1):
+                den = 1 - q ** (i + j + t - 2)
+                if den == 0:
+                    raise ResampleError(f"q^{i + j + t - 2} = 1 at the sampled point q={q}")
+                total *= (1 - q ** (i + j + t - 1)) / den
+    return total
+
+
+def test_telescoped_weighted_formula_equals_the_triple_product():
+    from aztecbridge.verify import small_double_rectangles
+
+    rng = random.Random(3)
+    for tup in small_double_rectangles(60):
+        for q in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
+            vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)] + [q]
+            assert weighted_formula_rhs(*tup, *vals) == triple_product_rhs(*tup, *vals), tup
+        m1, n1 = tup[:2]
+        for q in (Fraction(1), Fraction(-1)):
+            vals = (Fraction(2), Fraction(3), Fraction(5), Fraction(7), q)
+            if n1 == m1:  # no MacMahon ratio, so no pole
+                assert weighted_formula_rhs(*tup, *vals) == triple_product_rhs(*tup, *vals)
+                continue
+            with pytest.raises(ResampleError) as reference:
+                triple_product_rhs(*tup, *vals)
+            with pytest.raises(ResampleError, match=re.escape(str(reference.value))):
+                weighted_formula_rhs(*tup, *vals)

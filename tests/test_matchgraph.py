@@ -13,19 +13,21 @@ from aztecbridge.matchgraph import (
     ar_graph,
     ar_reduce,
     connected_sum,
-    domino_weight,
     dual_graph,
     half_ar_graph,
     matching_genfun,
+    region_matching_sum,
     spider_reduce,
     star_scale,
     vertex_split,
 )
 from aztecbridge.regions import (
+    Cell,
     build_aztec_diamond,
     build_aztec_rectangle,
     build_double_rectangle,
 )
+from aztecbridge.verify import small_double_rectangles
 
 rng = random.Random(5)
 
@@ -242,3 +244,85 @@ def test_graph_neighbour_lists_and_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             WeightedGraph([a, b, c], edges, marked)
+
+
+def test_the_matcher_equals_the_determinant_on_every_double_rectangle_within_its_bound():
+    scheme = WeightScheme(*(Fraction(*v) for v in ((3, 2), (-2, 5), (5, 3), (7, 4), (-3, 7))))
+    tuples = small_double_rectangles(40)
+    assert len(tuples) == 49
+    for tup in tuples:
+        region = build_double_rectangle(*tup)
+        assert matching_genfun(dual_graph(region, scheme)) == region_matching_sum(region, scheme), tup
+
+
+def test_a_rewrite_raises_on_an_edge_it_adds_twice():
+    g, inner = _spider_wheel()
+    tips = [("t", j) for j in range(4)]
+    tips_adjacent = WeightedGraph(g.vertices, g.edge_list() + [(tips[0], tips[1], Fraction(2))])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        spider_reduce(tips_adjacent, inner)
+    # glued vertices adjacent on both sides give the edge twice
+    left = WeightedGraph("ab", [("a", "b", 1)], "ab")
+    right = WeightedGraph("xy", [("x", "y", 2)], "xy")
+    with pytest.raises(ValueError, match="duplicate edge 'a'-'b'|duplicate edge 'b'-'a'"):
+        connected_sum(left, right)
+
+
+def test_a_rewrite_raises_what_the_checked_constructor_raises():
+    g, inner = _spider_wheel()
+    marked_inner = WeightedGraph(g.vertices, g.edge_list(), [inner[0]])
+    with pytest.raises(ValueError, match=r"marked vertex \('i', 0\) missing"):
+        spider_reduce(marked_inner, inner)
+    # a vertex already named like the split copy v' of v
+    clash = WeightedGraph(["v", ("v", "split'"), "w"], [("v", ("v", "split'"), 1), ("v", "w", 1)])
+    with pytest.raises(ValueError, match="bad edge"):
+        vertex_split(clash, "v", [("v", "split'")])
+    # v-a moves onto a-v', which the graph already has
+    clash = WeightedGraph(["v", "a", ("v", "split'")], [("v", "a", 1), ("a", ("v", "split'"), 2)])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        vertex_split(clash, "v", ["a"])
+
+
+def test_rewritten_graphs_are_valid_and_keep_the_edge_order():
+    def rebuilt(graph):
+        edges = [(*key, w) for key, w in graph.edges.items()]
+        return WeightedGraph(graph.vertices, edges, graph.marked)
+
+    for _ in range(10):
+        side = rng.randint(2, 4)
+        host = random_host(side, side)
+        v = host.vertices[0]
+        scheme = WeightScheme(*(abs(rq()) for _ in range(5)))
+        wheel, inner = _spider_wheel()
+        graphs = [
+            vertex_split(host, v, host.neighbors(v)[:1]),
+            star_scale(host, v, abs(rq())),
+            spider_reduce(wheel, inner)[0],
+            connected_sum(random_host(3, 2), ar_graph(1, 3, scheme)),
+            half_ar_graph(2, 3, scheme),
+            dual_graph(build_double_rectangle(1, 2, 1, 1, 2), scheme),
+        ]
+        for graph in graphs:
+            assert all(type(w) is Fraction for w in graph.edges.values())
+            assert list(rebuilt(graph).edges.items()) == list(graph.edges.items())
+            assert rebuilt(graph).marked == graph.marked
+    # vertex_split puts each edge of v where v's edge was
+    g = WeightedGraph("abc", [("a", "b", 1), ("b", "c", 2), ("c", "a", 3)])
+    split = vertex_split(g, "a", ["b"])
+    assert [w for w in split.edges.values()] == [1, 2, 3, 1, 1]
+    assert split.weight("b", ("a", "split'")) == 1 and split.weight("c", ("a", "split''")) == 3
+
+
+def test_dual_graph_edges_come_east_then_north_in_cell_order():
+    region = build_aztec_diamond(2)
+    g = dual_graph(region)
+    expected = [
+        frozenset((c, d))
+        for c in region.sorted_cells
+        for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1))
+        if d in region.cells
+    ]
+    assert list(g.edges) == expected
+    assert set(g.edges.values()) == {1}
+    with pytest.raises(ValueError, match="zero edge weight"):
+        dual_graph(region, WeightScheme(*(Fraction(v) for v in (0, 1, 1, 1, 1))))

@@ -165,9 +165,9 @@ def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
 
 
 def test_decoration_guards_reject_broken_segment_sets():
-    from aztecbridge.paths import DecorationError, PathTables
+    from aztecbridge.paths import DecorationError, PathTables, _family
     from aztecbridge.regions import BoundaryMarkers
-    from aztecbridge.stats import rank_via_area
+    from aztecbridge.stats import _area_rank
 
     region = build_double_rectangle(1, 2, 0, 1, 2)
     # two level paths, (0, 1) -> (2, 1) and (0, 5) -> (2, 5), over stand-in dominoes
@@ -185,13 +185,22 @@ def test_decoration_guards_reject_broken_segment_sets():
     for name, ((x0, y0), (x1, y1), letter) in segments.items():
         starts[(x0, y0)] = starts.get((x0, y0), 0) | bit[name]
         steps[bit[name]] = ((x1, y1), letter, (y0 + y1 - 2) * (x1 - x0))
-    region.__dict__["domino_bit"] = bit
     region.__dict__["path_tables"] = PathTables(starts, steps, sum(steps))
     region.__dict__["minimal_area"] = Fraction(4)  # the level paths at heights 0 and 2
-    family = tiling_to_paths(region, ("low", "high"))
+    # the stand-ins cover no cells, so Region.tiling_mask would reject every
+    # one; the guards are driven through the mask functions that
+    # tiling_to_paths and rank_via_area call after it
+
+    def paths_of(tiling):
+        return _family(region, sum(map(bit.__getitem__, tiling)))
+
+    def rank_of(tiling):
+        return _area_rank(region, sum(map(bit.__getitem__, tiling)))
+
+    family = paths_of(("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]
     assert underneath_area(family) == 4
-    assert rank_via_area(region, ("low", "high")) == 0
+    assert rank_of(("low", "high")) == 0
     broken = [
         (("low",), "path 2 dangles at"),
         (("low", "cross", "on"), "ends at v_1"),
@@ -202,6 +211,6 @@ def test_decoration_guards_reject_broken_segment_sets():
         (("low", "rise", "high"), r"paths branch at \(0, 1\)"),
     ]
     for tiling, message in broken:
-        for entry in (tiling_to_paths, rank_via_area):
+        for entry in (paths_of, rank_of):
             with pytest.raises(DecorationError, match=message):
-                entry(region, tiling)
+                entry(tiling)

@@ -1,6 +1,8 @@
 """Region builders, coloring, markers, and spec parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztecbridge import regions
 from aztecbridge.regions import (
@@ -8,6 +10,8 @@ from aztecbridge.regions import (
     ConstraintError,
     InvariantError,
     KindError,
+    MAX_SPEC_CELLS,
+    Region,
     boundary_markers,
     build_aztec_diamond,
     build_aztec_rectangle,
@@ -100,6 +104,60 @@ def test_parse_spec_round_trip():
     for bad in ["", "xx:1", "ad:x", "dr:1,2", "ar:3"]:
         with pytest.raises(ConstraintError):
             parse_spec(bad)
+
+
+def test_the_spec_budget_counts_cells_from_the_parameters():
+    for text in ["ad:1", "ad:5", "ar:1x1", "ar:2x5", "dr:1,2,0,1,2", "dr:3,6,2,3,6", "hex:1,2,3", "hex:4,3,3"]:
+        region = parse_spec(text)
+        size = len(region.cells) if isinstance(region, Region) else len(region.tris)
+        tag, _, rest = text.partition(":")
+        nums = tuple(int(p) for p in rest.replace("x", ",").split(","))
+        assert regions._spec_cells(tag, nums) == size, text
+    assert regions._spec_cells("ad", (70,)) <= MAX_SPEC_CELLS < regions._spec_cells("ad", (71,))
+
+
+def test_a_spec_over_the_budget_is_rejected_before_any_cell_is_built(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a builder ran")
+
+    for name in ("build_aztec_diamond", "build_aztec_rectangle", "build_double_rectangle", "build_hexagon"):
+        monkeypatch.setattr(regions, name, never)
+    for text in ["ad:100000", "ar:1x5000", "dr:100000,100000,0,1,1", "hex:1,1,2500"]:
+        with pytest.raises(ConstraintError, match=f"the budget of {MAX_SPEC_CELLS}"):
+            parse_spec(text)
+
+
+@settings(max_examples=60, deadline=1000)
+@given(
+    tag=st.sampled_from(["ad", "ar", "dr", "hex"]),
+    big=st.integers(min_value=10**4, max_value=10**300),
+    small=st.integers(min_value=1, max_value=3),
+)
+def test_a_huge_spec_is_rejected_quickly(tag, big, small):
+    text = {
+        "ad": f"ad:{big}",
+        "ar": f"ar:{small}x{big}",
+        "dr": f"dr:{big},{big},0,{small},{small}",
+        "hex": f"hex:{small},{small},{big}",
+    }[tag]
+    with pytest.raises(ConstraintError, match="than the budget"):
+        parse_spec(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=24),
+        st.from_regex(r"\A(ad|ar|dr|hex|xx)?:?[-+ 0-9x,_]{0,24}\Z"),
+    )
+)
+def test_a_malformed_or_huge_spec_raises_constraint_error(text):
+    try:
+        region = parse_spec(text)
+    except ConstraintError:
+        return
+    size = len(region.cells) if isinstance(region, Region) else len(region.tris)
+    assert size <= MAX_SPEC_CELLS
 
 
 def test_overlapping_double_rectangle_parts_raise_invariant_error(monkeypatch):

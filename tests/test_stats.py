@@ -151,9 +151,18 @@ def test_a_foreign_or_repeated_domino_is_rejected_by_name(entry):
     region = build_double_rectangle(2, 3, 1, 2, 3)
     t0 = minimal_tiling(region)
     foreign = (Cell(100, 100), Cell(101, 100))
+    # a domino that carries no path step: without it the paths are still whole
+    dropped = (Cell(3, 3), Cell(4, 3))
+    assert dropped in t0
+    partial = tuple(d for d in t0 if d != dropped)
+    # two distinct dominoes of the region on one cell, with one cell left bare
+    overlap = tuple(sorted(partial + ((Cell(3, 3), Cell(3, 4)),)))
+    shared = next(c for c in (Cell(3, 3), Cell(3, 4)) if any(c in d for d in partial))
     for tiling, message in (
         (t0 + (foreign,), re.escape(f"{foreign} is not a domino of dr:2,3,1,2,3")),
         (t0[:3] + t0[2:], re.escape(f"{t0[2]} is listed twice")),
+        (partial, re.escape("the tiling leaves Cell(x=3, y=3) of dr:2,3,1,2,3 uncovered")),
+        (overlap, re.escape(f"{shared} is covered twice in the tiling")),
     ):
         with pytest.raises(ConstraintError, match=message):
             entry(region, tiling)
