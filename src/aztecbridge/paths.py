@@ -13,16 +13,20 @@ Points live on vertical edge midpoints, stored as (x, y2) with y2 = 2*y + 1,
 so an up step is (+1, +2), a down step (+1, -2) and a level step (+2, 0).
 The ground line is y2 = 1, through the first marker pair.
 
-The walk reads a tiling as its int mask over ``Region.dominoes``: per
-region, one table maps a point to the bits of the decorated dominoes that
-start there and another maps a bit to its step.
+The walk reads a tiling as its int mask over ``Region.dominoes``.  Per
+region, the path points are numbered once, densely, in sorted (x, y2) order,
+and the walk's tables are indexed by those point ids: the bits of the
+decorated dominoes that start at each point, the step of each bit, the ids
+of the u markers and the v marker index of each point.  A walk step is then
+one list index and one int-keyed lookup; a point becomes (x, y2) again only
+in a path it returns or in an error message.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .engine import Tiling
 from .regions import Region
@@ -45,19 +49,44 @@ class PathFamily(NamedTuple):
 
 
 class PathTables(NamedTuple):
-    starts: Mapping  # point -> OR of the bits of the decorated dominoes that start there
-    steps: Mapping  # bit -> (end point, step letter, quarter area of the step)
+    starts: tuple  # point id -> OR of the bits of the decorated dominoes that start there
+    steps: Mapping  # bit -> (end point id, step letter, quarter area of the step)
+    u: tuple  # point id of each u marker
+    v_at: tuple  # point id -> index of the v marker there, or -1
+    points: tuple  # point id -> (x, y2), in sorted order
     decorated: int  # OR of the bits of every decorated domino
 
 
-def _path_tables(region: Region) -> PathTables:
-    """The path step of every decorated domino of the region, keyed by its mask bit.
+def _compile_tables(u: Sequence, v: Sequence, segments: Sequence) -> PathTables:
+    """The walk's tables for the markers u and v and the segments (bit, start, end, letter).
 
-    A step from (x, y2) to (x', y2') adds (y2 + y2' - 2) * (x' - x) quarter
-    cells of area under the path; see ``underneath_area``.
+    Every marker and segment end is numbered, densely and in sorted (x, y2)
+    order.  A step from (x, y2) to (x', y2') adds (y2 + y2' - 2) * (x' - x)
+    quarter cells of area under the path; see ``underneath_area``.
     """
-    starts: dict = {}
-    steps: dict = {}
+    points = tuple(sorted({*u, *v, *(p for _, s, e, _ in segments for p in (s, e))}))
+    pid = {p: i for i, p in enumerate(points)}
+    starts = [0] * len(points)
+    steps = {}
+    for bit, (x0, y0), (x1, y1), letter in segments:
+        starts[pid[(x0, y0)]] |= bit
+        steps[bit] = (pid[(x1, y1)], letter, (y0 + y1 - 2) * (x1 - x0))
+    v_at = [-1] * len(points)
+    for i, p in enumerate(v):
+        v_at[pid[p]] = i
+    return PathTables(
+        tuple(starts),
+        MappingProxyType(steps),
+        tuple(pid[p] for p in u),
+        tuple(v_at),
+        points,
+        sum(steps),
+    )
+
+
+def _path_tables(region: Region) -> PathTables:
+    """The region's walk tables: the path step of every decorated domino, keyed by its mask bit."""
+    segments = []
     white = region.white_parity
     for (c, d), bit in region.domino_bit.items():
         if c.x == d.x:  # vertical: c is the bottom cell
@@ -69,9 +98,9 @@ def _path_tables(region: Region) -> PathTables:
             start, end, letter = (c.x, 2 * c.y + 1), (c.x + 2, 2 * c.y + 1), LEVEL
         else:
             continue
-        starts[start] = starts.get(start, 0) | bit
-        steps[bit] = (end, letter, (start[1] + end[1] - 2) * (end[0] - start[0]))
-    return PathTables(MappingProxyType(starts), MappingProxyType(steps), sum(steps))
+        segments.append((bit, start, end, letter))
+    markers = region.markers
+    return _compile_tables(markers.u, markers.v, segments)
 
 
 def _walk(region: Region, mask: int, paths: list | None = None) -> int:
@@ -86,34 +115,34 @@ def _walk(region: Region, mask: int, paths: list | None = None) -> int:
     was used has met an earlier path, and a point where two unused ones
     start is a branch.  Every step moves right, so a path cannot meet
     itself, and a path that runs onto an earlier path's end marker ends at
-    the wrong one.
+    the wrong one.  The walk runs on point ids; see ``_compile_tables``.
     """
-    starts, steps, decorated = region.path_tables
-    v_index = region.v_index
+    starts, steps, u, v_at, points, decorated = region.path_tables
+    step_of = steps.get
     unused = mask
     quarter = 0
-    for i, p in enumerate(region.markers.u):
+    for i, p in enumerate(u):
         if paths is not None:
-            pts, letters = [p], []
+            pts, letters = [points[p]], []
         while True:
-            here = starts.get(p, 0) & unused
-            step = steps.get(here)  # None unless here is one domino's bit
+            here = starts[p] & unused
+            step = step_of(here)  # None unless here is one domino's bit
             if step is None:
                 break
             unused ^= here
             p, letter, q = step
             quarter += q
             if paths is not None:
-                pts.append(p)
+                pts.append(points[p])
                 letters.append(letter)
-        if here or v_index.get(p) != i:
+        if here or v_at[p] != i:
             if here:
-                raise DecorationError(f"paths branch at {p}")
-            if p in v_index:
-                raise DecorationError(f"path from marker u_{i + 1} ends at v_{v_index[p] + 1}")
-            if starts.get(p, 0) & mask:
-                raise DecorationError(f"paths intersect at {p}")
-            raise DecorationError(f"path {i + 1} dangles at {p}")
+                raise DecorationError(f"paths branch at {points[p]}")
+            if v_at[p] >= 0:
+                raise DecorationError(f"path from marker u_{i + 1} ends at v_{v_at[p] + 1}")
+            if starts[p] & mask:
+                raise DecorationError(f"paths intersect at {points[p]}")
+            raise DecorationError(f"path {i + 1} dangles at {points[p]}")
         if paths is not None:
             paths.append(SchroederPath(tuple(pts), tuple(letters)))
     if unused & decorated:

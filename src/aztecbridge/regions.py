@@ -86,8 +86,8 @@ class Region:
 
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
     derived invariants below (grid edges, dominoes, boundary markers,
-    minimal tiling, its path area, path tables, line weights and deficit
-    masks, rank table) are each computed on first use and kept on the
+    minimal heights and tiling, its path area, path tables, line weights and
+    deficit masks, rank table) are each computed on first use and kept on the
     instance, so no module keeps a cache of its own.  A tiling is a sorted
     tuple of dominoes; the rank and path code works on its int mask over
     ``dominoes`` (``tiling_mask``).
@@ -278,20 +278,22 @@ class Region:
         return BoundaryMarkers(u=u, v=v)
 
     @cached_property
-    def v_index(self) -> MappingProxyType:
-        """Read-only position of each v marker in ``markers.v``."""
-        return MappingProxyType({p: i for i, p in enumerate(self.markers.v)})
-
-    @cached_property
     def path_tables(self) -> tuple:
-        """Read-only path steps of the decorated dominoes, by bit; see ``paths._path_tables``."""
+        """Read-only path walk tables on point ids; see ``paths._compile_tables``."""
         from .paths import _path_tables
 
         return _path_tables(self)
 
     @cached_property
+    def minimal_heights(self) -> MappingProxyType:
+        """Read-only vertex heights of the minimal tiling; see ``stats._extreme_heights``."""
+        from .stats import _extreme_heights
+
+        return MappingProxyType(_extreme_heights(self))
+
+    @cached_property
     def minimal_tiling(self) -> tuple:
-        """The rank-zero tiling; see ``stats.minimal_tiling``."""
+        """The rank-zero tiling, read off ``minimal_heights``; see ``stats.minimal_tiling``."""
         from .stats import _extreme_tiling
 
         return _extreme_tiling(self)

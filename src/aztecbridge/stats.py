@@ -17,18 +17,18 @@ it is live: a domino that crosses the line covers the same row on both
 sides of it, so the masks that can still end in the empty profile are those
 that the same sweep, run over the columns from the right, reaches.
 
-The grid edges, the minimal tiling, the rank table, the line weights and
-the deficit masks are derived once per region and kept on the ``Region``
-instance; this module computes them.  The exponential computations have budgets,
-checked before they start: ``MAX_LISTED_TILINGS`` bounds the tilings the
-flip BFS or an enumeration may list, through the determinant count, and
-``MAX_SWEEP_COLUMN`` bounds the sweep's columns.
+The grid edges, the minimal heights and tiling, the rank table, the line
+weights and the deficit masks are derived once per region and kept on the
+``Region`` instance; this module computes them.  The exponential
+computations have budgets, checked before they start: ``MAX_LISTED_TILINGS``
+bounds the tilings the flip BFS or an enumeration may list, through the
+determinant count, and ``MAX_SWEEP_COLUMN`` bounds the sweep's columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .engine import CapacityError, Tiling, count_tilings, is_vertical, piece
 from .paths import _walk
@@ -108,16 +108,15 @@ def height_function(region: Region, tiling: Tiling) -> dict:
     return {v: hv - m for v, hv in h.items()}
 
 
-def _extreme_tiling(region: Region) -> Tiling:
-    """The tiling whose height function is pointwise largest.
+def _extreme_heights(region: Region) -> dict:
+    """The pointwise largest height function, with the leftmost-lowest vertex at height 0.
 
     Boundary heights are forced; interior heights are relaxed downward
     against the caps h(b) <= h(a) + 1 across a +1 edge and h(b) <= h(a) + 3
     across a -1 edge (the allowed differences are {+1, -3} and {-1, +3}),
     which is a shortest-path problem from the boundary.  With this region
-    coloring the largest height function gives the all-horizontal tiling on
-    a diamond and the unique path-area minimizer on a double rectangle (see
-    tests), so it is the minimal tiling.
+    coloring the largest height function is that of the minimal tiling
+    (``_extreme_tiling``).  ``Region.minimal_heights`` keeps it.
     """
     excess = region.imbalance()
     if excess:
@@ -159,11 +158,22 @@ def _extreme_tiling(region: Region) -> Tiling:
                     val[b] = cap
                     buckets.setdefault(cap, []).append(b)
         level += 1
-    # read the dominoes off the height differences
+    return val
+
+
+def _extreme_tiling(region: Region) -> Tiling:
+    """The tiling whose height function is pointwise largest, read off ``Region.minimal_heights``.
+
+    A domino crosses an edge exactly where the heights differ by 3.  With
+    this region coloring it is the all-horizontal tiling on a diamond and
+    the unique path-area minimizer on a double rectangle (see tests), so it
+    is the minimal tiling.
+    """
+    heights = region.minimal_heights
     pieces = set()
-    for a, moves in edges.items():
+    for a, moves in region.grid_edges.items():
         for b, _, domino in moves:
-            if domino is not None and abs(val[b] - val[a]) == 3:
+            if domino is not None and abs(heights[b] - heights[a]) == 3:
                 pieces.add(domino)
     tiling = tuple(sorted(pieces))
     covered = [c for d in tiling for c in d]
@@ -273,16 +283,22 @@ def rank_via_area(region: Region, tiling: Tiling) -> int:
     """Rank as the underneath-area excess of the path family over minimal."""
     if region.kind != "double_aztec_rectangle":
         raise KindError("area rank is defined for double Aztec rectangles only")
-    return _area_rank(region, region.tiling_mask(tiling))
+    return _area_ranks(region, (region.tiling_mask(tiling),))[0]
 
 
-def _area_rank(region: Region, mask: int) -> int:
-    """``rank_via_area`` of a tiling mask: the area comes from the walk, with no family built."""
-    base = region.minimal_area  # a whole number of quarter cells
-    excess = _walk(region, mask) - base.numerator * 4 // base.denominator
-    if excess % 4:
-        raise InvariantError("area excess must be a whole number of cells")
-    return excess // 4
+def _area_ranks(region: Region, masks: Iterable[int]) -> list[int]:
+    """``rank_via_area`` of each tiling mask: each area comes from the walk, with no family built.
+
+    The minimal area, a whole number of quarter cells, is read once.
+    """
+    base = int(region.minimal_area * 4)
+    ranks = []
+    for mask in masks:
+        excess = _walk(region, mask) - base
+        if excess % 4:
+            raise InvariantError("area excess must be a whole number of cells")
+        ranks.append(excess // 4)
+    return ranks
 
 
 def rank_linear(region: Region, tiling: Tiling) -> int:
@@ -392,7 +408,7 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     w_x[y] = 4 * step times the number of vertices above y in its run and
     C_x the deficit of the walk with no crossing.
     """
-    h0 = height_function(region, region.minimal_tiling)
+    h0 = region.minimal_heights  # only its differences are read
     masks = [0] + _column_masks(region) + [0]
     rows = max(c.y for c in region.cells) + 1
     lines = []

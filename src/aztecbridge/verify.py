@@ -1,10 +1,11 @@
 """Verification suites: each checks one of the paper's identities by at least two methods.
 
 A suite returns a list of JSON-ready cases, each with an ``ok`` key.  Where a
-polynomial method exists the suites use it in place of a listing: the rank
-suite certifies that the flip BFS reached every tiling by the determinant
-count, and the enumerator, which lists them all, is the BFS's oracle in the
-tests only.
+polynomial method exists the suites use it in place of a listing.  The two
+suites that check every tiling, ``rank`` and ``paths``, take the tilings
+from the flip BFS (``stats.rank_table``), and each certifies that the BFS
+reached them all by the determinant count.  The enumerator, which lists
+every tiling, is their oracle in the tests only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .engine import count_lozenge_tilings, count_tilings, enumerate_tilings, is_vertical
+from .engine import count_lozenge_tilings, count_tilings, is_vertical
 from .formulas import (
     ResampleError,
     aztec_count,
@@ -42,7 +43,7 @@ from .planepart import q_genfun_brute
 from .polyring import LaurentPoly2
 from .regions import Region, build_aztec_diamond, build_double_rectangle, build_hexagon
 from .stats import (
-    _area_rank,
+    _area_ranks,
     _linear_rank,
     rank_table,
     require_listing_budget,
@@ -227,7 +228,7 @@ def _rank_case(region: Region) -> dict:
     # every flip of a tiling is a tiling, so the table holds distinct tilings,
     # and it holds all of them exactly when it is as long as the count
     ok = len(table) == count_tilings(region)
-    ranks = [_area_rank(region, m) for m in table]
+    ranks = _area_ranks(region, table)
     ok = ok and ranks == list(table.values())
     ok = ok and ranks == [_linear_rank(region, m) for m in table]
     # the area rank is the area excess over the minimal tiling, so the
@@ -256,6 +257,12 @@ def suite_rank(max_cells: int) -> list[dict]:
 
 
 def suite_paths() -> list[dict]:
+    """SUITE_TUPLES, with the path family of every tiling checked.
+
+    The families must be distinct and satisfy the step-count identities.
+    The tilings are the flip BFS's masks, certified complete by the
+    determinant count as in ``suite_rank``; no tiling is listed.
+    """
     cases = []
     for tup in SUITE_TUPLES:
         m1, n1, k, m2, n2 = tup
@@ -265,10 +272,10 @@ def suite_paths() -> list[dict]:
         )
         region = build_double_rectangle(*tup)
         vertical = sum(bit for d, bit in region.domino_bit.items() if is_vertical(d))
+        table = rank_table(region)
+        ok = len(table) == count_tilings(region)
         seen = set()
-        ok = True
-        for t in enumerate_tilings(region):
-            mask = region.tiling_mask(t)
+        for mask in table:
             family = _family(region, mask)
             key = tuple(p.points for p in family.paths)
             ok = ok and key not in seen

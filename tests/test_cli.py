@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import aztecbridge
-from aztecbridge import cli, stats, verify
+from aztecbridge import cli, engine, stats, verify
 from aztecbridge.cli import main
 
 runner = CliRunner()
@@ -238,8 +238,7 @@ def test_listing_budget_exits_two_before_any_listing(monkeypatch):
         raise AssertionError("listed tilings before checking the budget")
 
     monkeypatch.setattr(stats, "_flip_distances", no_listing)
-    monkeypatch.setattr(cli, "enumerate_tilings", no_listing)
-    monkeypatch.setattr(verify, "enumerate_tilings", no_listing)
+    monkeypatch.setattr(engine, "_matchings", no_listing)
     # dr:1,6,1,3,8 has 150,528 tilings: every index from 100,000 on is over
     for args in (
         ("verify", "rank", "--max", "80"),

@@ -9,11 +9,16 @@ from aztecbridge.paths import (
     DOWN,
     LEVEL,
     UP,
+    DecorationError,
+    SchroederPath,
+    _family,
+    _walk,
     step_counts,
     tiling_to_paths,
     underneath_area,
 )
 from aztecbridge.regions import build_double_rectangle
+from aztecbridge.stats import _area_ranks
 
 TUPLES = [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2), (2, 3, 1, 2, 3)]
 
@@ -111,10 +116,16 @@ def test_wrong_kind_is_rejected():
 
 def test_v_marker_index_is_derived_once_per_region():
     region = build_double_rectangle(2, 3, 1, 2, 3)
-    assert region.v_index is region.v_index
-    assert [region.v_index[p] for p in region.markers.v] == list(range(len(region.markers.v)))
+    tables = region.path_tables
+    assert tables is region.path_tables
+    v_at, points = tables.v_at, tables.points
+    assert len(v_at) == len(points)
+    assert [v_at[points.index(p)] for p in region.markers.v] == list(range(len(region.markers.v)))
+    assert sorted(i for i in v_at if i >= 0) == list(range(len(region.markers.v)))
+    assert [points[i] for i in tables.u] == region.markers.u
+    assert list(points) == sorted(points)
     with pytest.raises(TypeError):
-        region.v_index[(0, 0)] = 0
+        v_at[0] = 0
 
 
 def _old_segments(region, tiling):
@@ -137,8 +148,79 @@ def _old_segments(region, tiling):
 
 def _selected_segments(region, mask):
     """The steps that the region's mask tables select for a tiling mask, by start point."""
-    starts, steps, _ = region.path_tables
-    return {p: steps[bits & mask][:2] for p, bits in starts.items() if bits & mask}
+    tables = region.path_tables
+    points = tables.points
+    selected = {}
+    for p, bits in enumerate(tables.starts):
+        if bits & mask:
+            end, letter, _ = tables.steps[bits & mask]
+            selected[points[p]] = (points[end], letter)
+    return selected
+
+
+def _old_path_tables(region):
+    """The point-keyed tables that the id tables replaced: start point -> bits, bit -> step."""
+    starts, steps = {}, {}
+    white = region.white_parity
+    for (c, d), bit in region.domino_bit.items():
+        if c.x == d.x:
+            if (c.x + c.y) % 2 == white:
+                start, end, letter = (d.x, 2 * d.y + 1), (d.x + 1, 2 * c.y + 1), DOWN
+            else:
+                start, end, letter = (c.x, 2 * c.y + 1), (c.x + 1, 2 * d.y + 1), UP
+        elif (c.x + c.y) % 2 != white:
+            start, end, letter = (c.x, 2 * c.y + 1), (c.x + 2, 2 * c.y + 1), LEVEL
+        else:
+            continue
+        starts[start] = starts.get(start, 0) | bit
+        steps[bit] = (end, letter, (start[1] + end[1] - 2) * (end[0] - start[0]))
+    return starts, steps, sum(steps)
+
+
+def _old_walk(region, mask):
+    """The point-keyed walk that the id tables replaced: its paths and quarter area."""
+    starts, steps, decorated = _old_path_tables(region)
+    v_index = {p: i for i, p in enumerate(region.markers.v)}
+    unused = mask
+    quarter = 0
+    paths = []
+    for i, p in enumerate(region.markers.u):
+        pts, letters = [p], []
+        while True:
+            here = starts.get(p, 0) & unused
+            step = steps.get(here)
+            if step is None:
+                break
+            unused ^= here
+            p, letter, q = step
+            quarter += q
+            pts.append(p)
+            letters.append(letter)
+        if here or v_index.get(p) != i:
+            if here:
+                raise DecorationError(f"paths branch at {p}")
+            if p in v_index:
+                raise DecorationError(f"path from marker u_{i + 1} ends at v_{v_index[p] + 1}")
+            if starts.get(p, 0) & mask:
+                raise DecorationError(f"paths intersect at {p}")
+            raise DecorationError(f"path {i + 1} dangles at {p}")
+        paths.append(SchroederPath(tuple(pts), tuple(letters)))
+    if unused & decorated:
+        raise DecorationError("decorated segments left over after assembly")
+    return paths, quarter
+
+
+def test_the_id_walk_equals_the_point_keyed_walk():
+    walked = 0
+    for tup in TUPLES:
+        region = build_double_rectangle(*tup)
+        for t in enumerate_tilings(region):
+            mask = region.tiling_mask(t)
+            paths = []
+            quarter = _walk(region, mask, paths)
+            assert (paths, quarter) == _old_walk(region, mask)
+            walked += 1
+    assert walked == 8 + 16 + 640
 
 
 def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
@@ -157,7 +239,7 @@ def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
         assert tables is region.path_tables
         assert tables.decorated == sum(tables.steps)
         # the walk stops where no domino starts, which every v marker is
-        assert not set(tables.starts) & set(region.markers.v)
+        assert not any(tables.starts[p] for p, i in enumerate(tables.v_at) if i >= 0)
         for table in (tables.starts, tables.steps):
             with pytest.raises(TypeError):
                 table[next(iter(table))] = None
@@ -165,13 +247,10 @@ def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
 
 
 def test_decoration_guards_reject_broken_segment_sets():
-    from aztecbridge.paths import DecorationError, PathTables, _family
-    from aztecbridge.regions import BoundaryMarkers
-    from aztecbridge.stats import _area_rank
+    from aztecbridge.paths import _compile_tables
 
     region = build_double_rectangle(1, 2, 0, 1, 2)
     # two level paths, (0, 1) -> (2, 1) and (0, 5) -> (2, 5), over stand-in dominoes
-    region.__dict__["markers"] = BoundaryMarkers(u=[(0, 1), (0, 5)], v=[(2, 1), (2, 5)])
     segments = {
         "low": ((0, 1), (2, 1), LEVEL),
         "high": ((0, 5), (2, 5), LEVEL),
@@ -181,11 +260,11 @@ def test_decoration_guards_reject_broken_segment_sets():
         "spare": ((4, 3), (5, 5), UP),
     }
     bit = {name: 1 << i for i, name in enumerate(segments)}
-    starts, steps = {}, {}
-    for name, ((x0, y0), (x1, y1), letter) in segments.items():
-        starts[(x0, y0)] = starts.get((x0, y0), 0) | bit[name]
-        steps[bit[name]] = ((x1, y1), letter, (y0 + y1 - 2) * (x1 - x0))
-    region.__dict__["path_tables"] = PathTables(starts, steps, sum(steps))
+    region.__dict__["path_tables"] = _compile_tables(
+        [(0, 1), (0, 5)],
+        [(2, 1), (2, 5)],
+        [(bit[name], *segment) for name, segment in segments.items()],
+    )
     region.__dict__["minimal_area"] = Fraction(4)  # the level paths at heights 0 and 2
     # the stand-ins cover no cells, so Region.tiling_mask would reject every
     # one; the guards are driven through the mask functions that
@@ -195,7 +274,7 @@ def test_decoration_guards_reject_broken_segment_sets():
         return _family(region, sum(map(bit.__getitem__, tiling)))
 
     def rank_of(tiling):
-        return _area_rank(region, sum(map(bit.__getitem__, tiling)))
+        return _area_ranks(region, [sum(map(bit.__getitem__, tiling))])[0]
 
     family = paths_of(("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]

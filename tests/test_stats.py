@@ -188,6 +188,19 @@ def test_region_invariants_are_derived_once(monkeypatch):
     assert len(calls) == 28 and len(set(calls)) == 28
 
 
+def test_the_kept_minimal_heights_are_the_minimal_tilings_up_to_a_constant():
+    regions = [build_aztec_diamond(n) for n in range(1, 7)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    for region in regions:
+        kept = region.minimal_heights
+        assert kept is region.minimal_heights
+        walked = height_function(region, minimal_tiling(region))
+        assert kept.keys() == walked.keys()
+        assert len({kept[v] - walked[v] for v in walked}) == 1, region.spec_string()
+        with pytest.raises(TypeError):
+            kept[min(kept)] = 0
+
+
 def test_rank_table_is_kept_on_the_region_and_read_only():
     region = build_double_rectangle(1, 2, 0, 1, 2)
     table = rank_table(region)

@@ -1,4 +1,4 @@
-"""The verification module's tuple generator, suite table and rank suite."""
+"""The verification module's tuple generator, suite table, and rank and path suites."""
 
 import itertools
 import json
@@ -8,8 +8,15 @@ from click.testing import CliRunner
 
 from aztecbridge import engine, stats, verify
 from aztecbridge.cli import main
-from aztecbridge.regions import ConstraintError, _check_dr_params
-from aztecbridge.verify import SUITE_TUPLES, small_double_rectangles, suite_rank, suite_tuples
+from aztecbridge.paths import _family, tiling_to_paths
+from aztecbridge.regions import ConstraintError, _check_dr_params, build_double_rectangle
+from aztecbridge.verify import (
+    SUITE_TUPLES,
+    small_double_rectangles,
+    suite_paths,
+    suite_rank,
+    suite_tuples,
+)
 
 
 def _valid(tup):
@@ -59,16 +66,16 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
     assert doc["status"] == "mismatch" and doc["failures"] == 1
 
 
+def _no_listing(later):
+    raise AssertionError("listed tilings outside the flip BFS")
+
+
 def test_suite_rank_builds_and_counts_each_region_once_and_lists_no_tiling(monkeypatch):
     builds, dets = [], []
     build, det = verify.build_double_rectangle, engine._unit_domino_det
-
-    def no_listing(region):
-        raise AssertionError("listed tilings outside the flip BFS")
-
     monkeypatch.setattr(verify, "build_double_rectangle", lambda *t: builds.append(t) or build(*t))
     monkeypatch.setattr(engine, "_unit_domino_det", lambda r: dets.append(r.params) or det(r))
-    monkeypatch.setattr(verify, "enumerate_tilings", no_listing)
+    monkeypatch.setattr(engine, "_matchings", _no_listing)
     cases = suite_rank(32)
     assert len(cases) == 28 and all(c["ok"] for c in cases)
     assert sum(c["tilings"] for c in cases) == 2_468
@@ -87,3 +94,33 @@ def test_suite_rank_releases_each_region_after_its_case(monkeypatch):
 
     monkeypatch.setattr(verify, "_rank_case", checking)
     assert len(suite_rank(24)) == len(refs) > 1
+
+
+def test_suite_paths_lists_no_tiling(monkeypatch):
+    monkeypatch.setattr(engine, "_matchings", _no_listing)
+    cases = suite_paths()
+    assert [c["params"] for c in cases] == [list(t) for t in SUITE_TUPLES]
+    assert all(c["ok"] for c in cases)
+    assert sum(c["tilings"] for c in cases) == 1_464
+
+
+def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
+    real = stats._flip_distances
+
+    def dropping(region):  # one BFS misses a tiling of nonzero rank
+        table = real(region)
+        if region.params == (2, 3, 0, 2, 3):
+            del table[next(t for t, r in table.items() if r)]
+        return table
+
+    monkeypatch.setattr(stats, "_flip_distances", dropping)
+    assert [c["params"] for c in suite_paths() if not c["ok"]] == [[2, 3, 0, 2, 3]]
+
+
+def test_the_bfs_masks_carry_the_families_of_the_enumerated_tilings():
+    for tup in SUITE_TUPLES:
+        region = build_double_rectangle(*tup)
+        bfs = {_family(region, mask) for mask in stats.rank_table(region)}
+        listed = {tiling_to_paths(region, t) for t in engine.enumerate_tilings(region)}
+        assert bfs == listed, tup
+        assert len(bfs) == engine.count_tilings(region)
