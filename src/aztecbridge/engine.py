@@ -110,7 +110,8 @@ def _unit_domino_det(region: Region) -> int:
     """The unweighted determinant, once the region is known to be hole-free.
 
     ``Region.kasteleyn_det`` keeps it, so the hole check and this
-    determinant run at most once per region.
+    determinant run at most once per region.  Every tiling enters with the
+    same sign, so this is that sign times the tiling count.
     """
     cells = region.cells
     blocks = sum(
@@ -119,26 +120,27 @@ def _unit_domino_det(region: Region) -> int:
         if Cell(x + 1, y) in cells and Cell(x, y + 1) in cells and Cell(x + 1, y + 1) in cells
     )
     _require_hole_free(region.neighbours, blocks)
-    return _domino_det(region, lambda c, d: 1)
+    whites, blacks = _colour_classes(region)
+    return _kasteleyn_det(whites, blacks, region.neighbours, _domino_sign)
 
 
-def _domino_det(region: Region, weight: Callable):
-    """det of the Kasteleyn matrix with entries sign * weight(white, black).
-
-    Every tiling enters with the same sign, that of ``Region.kasteleyn_det``,
-    so this is that sign times the sum over tilings of the product of domino
-    weights.  The signs are only valid on a hole-free region: read
-    ``Region.kasteleyn_det`` first, which rejects a region with a hole.
-    """
+def _colour_classes(region: Region) -> tuple[list[Cell], list[Cell]]:
+    """The white cells and the black cells, each in sorted order: the Kasteleyn rows and columns."""
     white = region.white_parity
     ordered = region.sorted_cells
-    whites = [c for c in ordered if (c.x + c.y) % 2 == white]
-    blacks = [c for c in ordered if (c.x + c.y) % 2 != white]
+    return (
+        [c for c in ordered if (c.x + c.y) % 2 == white],
+        [c for c in ordered if (c.x + c.y) % 2 != white],
+    )
 
-    def entry(w: Cell, b: Cell):
-        return -weight(w, b) if w.x == b.x and w.x % 2 else weight(w, b)
 
-    return _kasteleyn_det(whites, blacks, region.neighbours, entry)
+def _domino_sign(w: Cell, b: Cell) -> int:
+    """The Kasteleyn sign of the domino on white cell w and black cell b.
+
+    The signs are only valid on a hole-free region: read
+    ``Region.kasteleyn_det`` first, which rejects a region with a hole.
+    """
+    return -1 if w.x == b.x and w.x % 2 else 1
 
 
 def _require_hole_free(adj: dict, unit_faces: int) -> None:

@@ -8,6 +8,14 @@ M(old) = factor * M(new) can be checked exactly.
 The weighted matching sum of a region's dual graph is a Kasteleyn
 determinant (``region_matching_sum``); the exponential ``matching_genfun``
 serves general graphs, such as the non-planar hosts of the rewrite checks.
+
+Which weight a domino gets splits in two.  Its weight class (orientation,
+diagonal parity and level) depends on the region alone: it is derived once
+per region and kept on it (``Region.weight_classes``), with the dual graph's
+edge keys and the Kasteleyn rows.  A scheme is a small table from class to
+weight, built once per call by ``_level_table``.  The rectangle rewrites take
+prebuilt Aztec rectangles, so a caller that glues the same shape many times
+builds it, and derives its classes, once.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .engine import CapacityError, _domino_det
+from .engine import CapacityError, _colour_classes, _det, _domino_sign
 from .regions import Cell, Region
 
 #: Brute-force matching bound.
@@ -182,30 +190,81 @@ RECT_ANCHOR_PARITY = 1
 _UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
 
 
-def _domino_weights(region: Region, scheme: WeightScheme, anchor_parity: int):
-    """weight(c1, c2) of the domino on cells c1, c2, read from per-level tables.
+class WeightClasses(NamedTuple):
+    """Each domino of a region by weight class; see ``_weight_classes``."""
 
-    Levels count rows from the bottom of the region.  The scheme's weights
-    are computed once per level: d * q^L for a graded vertical domino whose
-    bottom cell is on row L, c * q^(L-1) for a graded horizontal one whose
-    left cell is on row L, and a or b for the others.  q must be nonzero,
+    levels: int
+    vertices: tuple  # the cells, sorted
+    edges: tuple  # (edge key, class) per domino, east then north in cell order
+    marked: tuple  # the bottommost diagonal, southwest to northeast
+    rows: tuple  # per white cell, ((black column, signed class), ...)
+
+
+def _weight_classes(region: Region) -> WeightClasses:
+    """The weight class of every domino, derived once per region.
+
+    ``Region.weight_classes`` keeps it.  A domino's class is
+    (2 * vertical + parity) * levels + level: parity is the diagonal parity
+    of its bottom (vertical) or left (horizontal) cell relative to
+    ``Region.dmin``, and level is that cell's row counted from the bottom.
+    ``_level_table`` gives the weight of each class under a scheme.  In the
+    Kasteleyn rows, a class plus 4 * levels stands for an entry of sign -1.
+    """
+    cells = region.sorted_cells
+    cellset = region.cells
+    dmin, ymin = region.dmin, region.ymin
+    levels = max(c.y for c in cellset) - ymin + 1
+
+    def cls(low: Cell, vertical: bool) -> int:
+        return (2 * vertical + (low.y - low.x - dmin) % 2) * levels + low.y - ymin
+
+    edges = tuple(
+        (frozenset((c, d)), cls(c, vertical))
+        for c in cells
+        for d, vertical in ((Cell(c.x + 1, c.y), False), (Cell(c.x, c.y + 1), True))
+        if d in cellset
+    )
+    whites, blacks = _colour_classes(region)
+    col = {b: j for j, b in enumerate(blacks)}
+    negative = 4 * levels
+    rows = tuple(
+        tuple(
+            (col[b], cls(min(w, b), w.x == b.x) + (negative if _domino_sign(w, b) < 0 else 0))
+            for b in region.neighbours[w]
+        )
+        for w in whites
+    )
+    marked = sorted((c for c in cells if c.y - c.x == dmin), key=lambda c: c.x + c.y)
+    return WeightClasses(levels, tuple(cells), edges, tuple(marked), rows)
+
+
+def _level_table(scheme: WeightScheme, levels: int, anchor_parity: int) -> list[Fraction]:
+    """The weight of each class of ``_weight_classes`` under the scheme.
+
+    Per level L: d * q^L for a graded vertical domino, c * q^(L-1) for a
+    graded horizontal one, and a or b for the others.  q must be nonzero,
     since a graded horizontal domino on the bottom row carries q^-1.
     """
-    a, b, c, d, q = map(Fraction, scheme)
-    levels = range(max(cell.y for cell in region.cells) - region.ymin + 1)
-    # table[vertical][class][level]; class 0 holds the dominoes whose bottom
-    # or left cell has the anchor's diagonal parity
-    table = (
-        ([b] * len(levels), [c * q ** (L - 1) for L in levels]),
-        ([d * q**L for L in levels], [a] * len(levels)),
-    )
-    shift, ymin = region.dmin + anchor_parity, region.ymin
-
-    def weight(c1: Cell, c2: Cell) -> Fraction:
-        low, high = (c1, c2) if c1 < c2 else (c2, c1)
-        return table[low.x == high.x][(low.y - low.x - shift) % 2][low.y - ymin]
-
-    return weight
+    a, b, c, d, q = (v if isinstance(v, Fraction) else Fraction(v) for v in scheme)
+    if not q:
+        raise ZeroDivisionError(
+            "q must be nonzero: a graded horizontal domino on the bottom row carries q^-1"
+        )
+    graded_h, graded_v = [], []
+    power = 1 / q
+    for _ in range(levels):
+        graded_h.append(c * power)
+        power *= q
+        graded_v.append(d * power)
+    # by orientation, the parity class of the anchor's parity comes first
+    horizontal = ([b] * levels, graded_h)
+    vertical = (graded_v, [a] * levels)
+    return [
+        *horizontal[anchor_parity],
+        *horizontal[1 - anchor_parity],
+        *vertical[anchor_parity],
+        *vertical[1 - anchor_parity],
+    ]
 
 
 def dual_graph(
@@ -220,19 +279,12 @@ def dual_graph(
     connected sums.  Edges come cell by cell in sorted order, the east
     neighbour before the north one.
     """
-    cells = region.sorted_cells
-    cellset = region.cells
-    weight = _domino_weights(region, scheme or _UNIT_SCHEME, anchor_parity)
-    edges: dict[frozenset, Fraction] = {}
-    for c in cells:
-        for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1)):
-            if d in cellset:
-                w = weight(c, d)
-                if not w:
-                    raise ValueError("zero edge weight")
-                edges[frozenset((c, d))] = w
-    marked = sorted((c for c in cells if c.y - c.x == region.dmin), key=lambda c: c.x + c.y)
-    return WeightedGraph._derived(tuple(cells), edges, tuple(marked))
+    classes = region.weight_classes
+    table = _level_table(scheme or _UNIT_SCHEME, classes.levels, anchor_parity)
+    edges = {key: table[k] for key, k in classes.edges}
+    if not all(table) and not all(edges.values()):
+        raise ValueError("zero edge weight")
+    return WeightedGraph._derived(classes.vertices, edges, classes.marked)
 
 
 def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
@@ -241,11 +293,17 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     This equals ``matching_genfun(dual_graph(region, scheme))`` in polynomial
     time.  det(K_w) is the weighted sum times a sign shared by every tiling,
     and the region's unweighted determinant, the tiling count times that
-    sign, gives the sign, so negative weights come out right.
+    sign, gives the sign, so negative weights come out right.  A region with
+    no tiling sums to 0.
     """
-    sign = 1 if region.kasteleyn_det > 0 else -1  # also rejects a region with a hole
-    weight = _domino_weights(region, scheme, DOUBLE_ANCHOR_PARITY)
-    return sign * Fraction(_domino_det(region, weight))
+    count = region.kasteleyn_det  # also rejects a region with a hole
+    if not count:
+        return Fraction(0)
+    classes = region.weight_classes
+    table = _level_table(scheme, classes.levels, DOUBLE_ANCHOR_PARITY)
+    table += [-w for w in table]
+    det = _det([{j: table[k] for j, k in row} for row in classes.rows])
+    return det if count > 0 else -det
 
 
 # -- replacement rules ------------------------------------------------------
@@ -345,25 +403,24 @@ def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     return WeightedGraph._derived(vertices, edges, ())
 
 
-def ar_graph(m: int, n: int, scheme: WeightScheme) -> WeightedGraph:
-    """Weighted dual graph of the m x n Aztec rectangle, bottom diagonal marked."""
-    from .regions import build_aztec_rectangle
-
-    return dual_graph(build_aztec_rectangle(m, n), scheme, RECT_ANCHOR_PARITY)
+def ar_graph(rect: Region, scheme: WeightScheme) -> WeightedGraph:
+    """Weighted dual graph of an Aztec rectangle, bottom diagonal marked."""
+    return dual_graph(rect, scheme, RECT_ANCHOR_PARITY)
 
 
-def half_ar_graph(m: int, n: int, scheme: WeightScheme) -> WeightedGraph:
+def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
     """The trimmed rectangle graph appearing on the small side of ar_reduce.
 
-    Built from the (m, n-1) rectangle re-weighted with (a/q, b, c, d): the
-    levels of the smaller rectangle are measured from its own bottom row, and
-    that renormalization already supplies the one-step upward shift, so only
-    the a-weight changes.  The bottommost diagonal of vertices is removed and
-    a unit pendant edge hung from each vertex of the newly exposed diagonal;
-    the pendants are the marked vertices, southwest to northeast.
+    Built from trimmed, the (m, n-1) rectangle, re-weighted with
+    (a/q, b, c, d): the levels of the smaller rectangle are measured from its
+    own bottom row, and that renormalization already supplies the one-step
+    upward shift, so only the a-weight changes.  The bottommost diagonal of
+    vertices is removed and a unit pendant edge hung from each vertex of the
+    newly exposed diagonal; the pendants are the marked vertices, southwest
+    to northeast.
     """
     a, b, c, d, q = scheme
-    inner = ar_graph(m, n - 1, WeightScheme(a / q, b, c, d, q))
+    inner = ar_graph(trimmed, WeightScheme(a / q, b, c, d, q))
     drop = set(inner.marked)
     keep = tuple(v for v in inner.vertices if v not in drop)
     dmin = min(v.y - v.x for v in keep)
@@ -376,18 +433,28 @@ def half_ar_graph(m: int, n: int, scheme: WeightScheme) -> WeightedGraph:
 
 
 def ar_reduce(
-    host: WeightedGraph, m: int, n: int, scheme: WeightScheme
+    host: WeightedGraph, rect: Region, trimmed: Region, scheme: WeightScheme
 ) -> tuple[WeightedGraph, Fraction]:
     """Swap a glued m x n rectangle for its trimmed form, returning the factor.
 
-    M(host # ar_graph(m, n)) = (ad + bc)^m * q^(m(n-1) + m(m-1)/2)
-                             * M(host # half_ar_graph(m, n)).
+    rect is the m x n Aztec rectangle and trimmed the m x (n-1) one; a
+    trimmed of any other shape raises ValueError.
+
+    M(host # ar_graph(rect)) = (ad + bc)^m * q^(m(n-1) + m(m-1)/2)
+                             * M(host # half_ar_graph(trimmed)).
     The returned graph is the right-hand side's connected sum.
     """
+    if rect.kind != "aztec_rectangle":
+        raise ValueError(f"rect must be an Aztec rectangle, got {rect.spec_string()}")
+    m, n = rect.params
+    if trimmed.kind != "aztec_rectangle" or trimmed.params != (m, n - 1):
+        raise ValueError(
+            f"trimmed must be the {m} x {n - 1} Aztec rectangle, got {trimmed.spec_string()}"
+        )
     a, b, c, d, q = (Fraction(v) for v in scheme)
     if len(host.marked) != n:
         raise ValueError(f"host must mark n={n} vertices, has {len(host.marked)}")
     if a * d + b * c == 0:
         raise ZeroDivisionError("ad + bc vanishes")
     factor = (a * d + b * c) ** m * q ** (m * (n - 1) + m * (m - 1) // 2)
-    return connected_sum(host, half_ar_graph(m, n, scheme)), factor
+    return connected_sum(host, half_ar_graph(trimmed, scheme)), factor

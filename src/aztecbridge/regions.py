@@ -86,11 +86,11 @@ class Region:
 
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
     derived invariants below (grid edges, dominoes, boundary markers,
-    minimal heights and tiling, its path area, path tables, line weights and
-    deficit masks, rank table) are each computed on first use and kept on the
-    instance, so no module keeps a cache of its own.  A tiling is a sorted
-    tuple of dominoes; the rank and path code works on its int mask over
-    ``dominoes`` (``tiling_mask``).
+    minimal heights and tiling, its path area, path tables, domino weight
+    classes, line weights and deficit masks, rank table) are each computed on
+    first use and kept on the instance, so no module keeps a cache of its
+    own.  A tiling is a sorted tuple of dominoes; the rank and path code works
+    on its int mask over ``dominoes`` (``tiling_mask``).
     """
 
     kind: str
@@ -231,7 +231,7 @@ class Region:
 
     @cached_property
     def kasteleyn_det(self) -> int:
-        """The unweighted Kasteleyn determinant; see ``engine._domino_det``.
+        """The unweighted Kasteleyn determinant; see ``engine._unit_domino_det``.
 
         Its absolute value is the tiling count, and its sign is the sign with
         which every tiling enters a weighted determinant of the region.  A
@@ -240,6 +240,13 @@ class Region:
         from .engine import _unit_domino_det
 
         return _unit_domino_det(self)
+
+    @cached_property
+    def weight_classes(self) -> tuple:
+        """Read-only weight class of each domino; see ``matchgraph._weight_classes``."""
+        from .matchgraph import _weight_classes
+
+        return _weight_classes(self)
 
     @cached_property
     def line_weights(self) -> tuple:

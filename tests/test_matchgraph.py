@@ -1,12 +1,15 @@
 """Matching sums, the domino weight scheme, and the rewrite lemmas."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from aztecbridge.engine import CapacityError, count_tilings
+from aztecbridge import matchgraph
+from aztecbridge.engine import CapacityError, _kasteleyn_det, count_tilings
 from aztecbridge.matchgraph import (
+    DOUBLE_ANCHOR_PARITY,
     RECT_ANCHOR_PARITY,
     WeightScheme,
     WeightedGraph,
@@ -135,7 +138,7 @@ def test_spider_reduce_factors_out_delta():
 
 def test_half_graph_shape():
     scheme = WeightScheme(*(Fraction(v) for v in (1, 1, 1, 1, 2)))
-    h = half_ar_graph(2, 3, scheme)
+    h = half_ar_graph(build_aztec_rectangle(2, 2), scheme)
     assert len(h.marked) == 3  # one pendant per exposed diagonal vertex
     assert all(len(h.neighbors(p)) == 1 for p in h.marked)
 
@@ -146,8 +149,9 @@ def test_rectangle_reduction_identity():
         n = rng.randint(m + 1, 3)
         scheme = WeightScheme(*(abs(rq()) for _ in range(5)))
         host = random_host(n, n - m)
-        whole = connected_sum(host, ar_graph(m, n, scheme))
-        trimmed, factor = ar_reduce(host, m, n, scheme)
+        rect, trim = build_aztec_rectangle(m, n), build_aztec_rectangle(m, n - 1)
+        whole = connected_sum(host, ar_graph(rect, scheme))
+        trimmed, factor = ar_reduce(host, rect, trim, scheme)
         assert factor == (scheme.a * scheme.d + scheme.b * scheme.c) ** m * scheme.q ** (
             m * (n - 1) + m * (m - 1) // 2
         )
@@ -298,8 +302,8 @@ def test_rewritten_graphs_are_valid_and_keep_the_edge_order():
             vertex_split(host, v, host.neighbors(v)[:1]),
             star_scale(host, v, abs(rq())),
             spider_reduce(wheel, inner)[0],
-            connected_sum(random_host(3, 2), ar_graph(1, 3, scheme)),
-            half_ar_graph(2, 3, scheme),
+            connected_sum(random_host(3, 2), ar_graph(build_aztec_rectangle(1, 3), scheme)),
+            half_ar_graph(build_aztec_rectangle(2, 2), scheme),
             dual_graph(build_double_rectangle(1, 2, 1, 1, 2), scheme),
         ]
         for graph in graphs:
@@ -326,3 +330,123 @@ def test_dual_graph_edges_come_east_then_north_in_cell_order():
     assert set(g.edges.values()) == {1}
     with pytest.raises(ValueError, match="zero edge weight"):
         dual_graph(region, WeightScheme(*(Fraction(v) for v in (0, 1, 1, 1, 1))))
+
+
+def test_a_trimmed_rectangle_of_another_shape_is_rejected():
+    scheme = WeightScheme(*(Fraction(v) for v in (2, 3, 5, 7, 11)))
+    host = random_host(3, 1)
+    rect = build_aztec_rectangle(2, 3)
+    for trimmed in (rect, build_aztec_rectangle(1, 2), build_aztec_rectangle(2, 1), build_aztec_diamond(2)):
+        with pytest.raises(ValueError, match="trimmed must be the 2 x 2 Aztec rectangle"):
+            ar_reduce(host, rect, trimmed, scheme)
+    with pytest.raises(ValueError, match="rect must be an Aztec rectangle"):
+        ar_reduce(host, build_aztec_diamond(3), build_aztec_rectangle(3, 2), scheme)
+
+
+# -- the per-edge construction that the region's weight classes replaced -----
+
+
+def _old_domino_weights(region, scheme, anchor_parity):
+    a, b, c, d, q = map(Fraction, scheme)
+    levels = range(max(cell.y for cell in region.cells) - region.ymin + 1)
+    table = (
+        ([b] * len(levels), [c * q ** (L - 1) for L in levels]),
+        ([d * q**L for L in levels], [a] * len(levels)),
+    )
+    shift, ymin = region.dmin + anchor_parity, region.ymin
+
+    def weight(c1, c2):
+        low, high = (c1, c2) if c1 < c2 else (c2, c1)
+        return table[low.x == high.x][(low.y - low.x - shift) % 2][low.y - ymin]
+
+    return weight
+
+
+def _old_dual_graph(region, scheme, anchor_parity):
+    weight = _old_domino_weights(region, scheme, anchor_parity)
+    cells = region.sorted_cells
+    edges = {
+        frozenset((c, d)): weight(c, d)
+        for c in cells
+        for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1))
+        if d in region.cells
+    }
+    marked = sorted((c for c in cells if c.y - c.x == region.dmin), key=lambda c: c.x + c.y)
+    return WeightedGraph(cells, [(*key, w) for key, w in edges.items()], marked)
+
+
+def _old_matching_sum(region, scheme):
+    weight = _old_domino_weights(region, scheme, DOUBLE_ANCHOR_PARITY)
+    ordered = region.sorted_cells
+    whites = [c for c in ordered if (c.x + c.y) % 2 == region.white_parity]
+    blacks = [c for c in ordered if (c.x + c.y) % 2 != region.white_parity]
+
+    def entry(w, b):
+        return -weight(w, b) if w.x == b.x and w.x % 2 else weight(w, b)
+
+    det = _kasteleyn_det(whites, blacks, region.neighbours, entry)
+    return Fraction(det) if region.kasteleyn_det > 0 else -Fraction(det)
+
+
+def test_dual_graph_and_matching_sum_equal_the_per_edge_construction():
+    gen = random.Random(15)
+    diamonds = [build_aztec_diamond(n) for n in range(1, 5)]
+    rectangles = [build_aztec_rectangle(m, n) for m in range(1, 4) for n in range(1, 5)]
+    doubles = [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    assert len(doubles) == 49
+    cases = [(r, DOUBLE_ANCHOR_PARITY) for r in diamonds + doubles]
+    cases += [(r, RECT_ANCHOR_PARITY) for r in rectangles]
+    negatives = 0
+    for _ in range(20):
+        scheme = WeightScheme(
+            *(Fraction(gen.choice((-1, 1)) * gen.randint(1, 7), gen.randint(1, 5)) for _ in range(5))
+        )
+        negatives += sum(v < 0 for v in scheme)
+        for region, parity in cases:
+            new, old = dual_graph(region, scheme, parity), _old_dual_graph(region, scheme, parity)
+            assert new.vertices == old.vertices, region.spec_string()
+            assert list(new.edges.items()) == list(old.edges.items()), region.spec_string()
+            assert new.marked == old.marked, region.spec_string()
+        for region in diamonds + doubles:
+            assert region_matching_sum(region, scheme) == _old_matching_sum(region, scheme), (
+                region.spec_string()
+            )
+    assert negatives > 20
+
+
+def test_weight_classes_are_derived_once_per_region_and_read_only(monkeypatch):
+    calls = []
+    real = matchgraph._weight_classes
+    monkeypatch.setattr(matchgraph, "_weight_classes", lambda r: calls.append(r) or real(r))
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    rect = build_aztec_rectangle(2, 3)
+    gen = random.Random(3)
+    for _ in range(3):
+        scheme = WeightScheme(*(Fraction(gen.randint(1, 9), gen.randint(1, 4)) for _ in range(5)))
+        graph = dual_graph(region, scheme)
+        graph.edges.clear()  # each graph has its own edge map
+        assert len(dual_graph(region, scheme).edges) == len(region.dominoes)
+        region_matching_sum(region, scheme)
+        ar_graph(rect, scheme)
+    assert calls == [region, rect]
+    classes = region.weight_classes
+    assert classes is region.weight_classes
+    with pytest.raises(AttributeError):
+        classes.levels = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        region.weight_classes = classes
+    for table in (classes.vertices, classes.edges, classes.marked, classes.rows, classes.rows[0]):
+        with pytest.raises(TypeError):
+            table[0] = None
+
+
+def test_q_zero_fails_by_name():
+    scheme = WeightScheme(*(Fraction(v) for v in (2, 3, 5, 7, 0)))
+    region = build_double_rectangle(1, 2, 0, 1, 2)
+    for call in (
+        lambda: dual_graph(region, scheme),
+        lambda: region_matching_sum(region, scheme),
+        lambda: ar_graph(build_aztec_rectangle(1, 2), scheme),
+    ):
+        with pytest.raises(ZeroDivisionError, match="q must be nonzero"):
+            call()

@@ -6,7 +6,7 @@ import weakref
 
 from click.testing import CliRunner
 
-from aztecbridge import engine, stats, verify
+from aztecbridge import engine, regions, stats, verify
 from aztecbridge.cli import main
 from aztecbridge.paths import _family, tiling_to_paths
 from aztecbridge.regions import ConstraintError, _check_dr_params, build_double_rectangle
@@ -81,6 +81,23 @@ def test_suite_rank_builds_and_counts_each_region_once_and_lists_no_tiling(monke
     assert sum(c["tilings"] for c in cases) == 2_468
     assert len(builds) == 28 and sorted(set(builds)) == builds
     assert sorted(dets) == sorted(builds)
+
+
+def test_suite_lemmas_builds_each_rectangle_once(monkeypatch):
+    builds, matched = [], []
+    build, genfun = regions.build_aztec_rectangle, verify.matching_genfun
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "build_aztec_rectangle", counting)
+    monkeypatch.setattr(verify, "build_aztec_rectangle", counting)
+    monkeypatch.setattr(verify, "matching_genfun", lambda g: matched.append(g) or genfun(g))
+    cases = verify.suite_lemmas(100, 20240)
+    assert len(cases) == 4 and all(c["ok"] for c in cases)
+    assert len(builds) <= 5
+    assert len(matched) == 700
 
 
 def test_suite_rank_releases_each_region_after_its_case(monkeypatch):
