@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .engine import CapacityError, count_lozenge_tilings, count_tilings, enumerate_tilings
+from .engine import CapacityError, count_tilings, enumerate_tilings
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
@@ -51,11 +51,7 @@ def main() -> None:
 def count(region_spec: str, out: str | None) -> None:
     """Number of tilings of a region (ad:N, ar:MxN, dr:M1,N1,K,M2,N2, hex:A,B,C)."""
     region = _region_or_usage(region_spec)
-    if isinstance(region, TriRegion):
-        n = count_lozenge_tilings(region)
-    else:
-        n = count_tilings(region)
-    _emit({"region": region.spec_string(), "count": n}, out=out)
+    _emit({"region": region.spec_string(), "count": count_tilings(region)}, out=out)
 
 
 @main.command()
@@ -71,7 +67,7 @@ def count(region_spec: str, out: str | None) -> None:
 def genfun(region_spec: str, convention: str, out: str | None) -> None:
     """Transfer-matrix bivariate sum vs product formula, with a verdict."""
     region = _region_or_usage(region_spec)
-    if isinstance(region, TriRegion) or region.kind == "aztec_rectangle":
+    if region.kind not in ("aztec_diamond", "double_aztec_rectangle"):
         raise click.UsageError("genfun needs an aztec diamond or double rectangle")
     try:
         enum_poly = tq_sum(region)
@@ -173,7 +169,7 @@ def _pick_tiling(region: Region, which: str):
 def paths(region_spec: str, tiling: str, out: str | None) -> None:
     """The non-intersecting path family carried by a double-rectangle tiling."""
     region = _region_or_usage(region_spec)
-    if isinstance(region, TriRegion) or region.kind != "double_aztec_rectangle":
+    if region.kind != "double_aztec_rectangle":
         raise click.UsageError("paths are defined for double rectangles only")
     t = _pick_tiling(region, tiling)
     family = tiling_to_paths(region, t)

@@ -1,10 +1,14 @@
 """Tiling enumeration and exact counting.
 
-One enumerator serves both lattices: it lists the perfect matchings of the
-dual graph (dominoes on cells, lozenges on triangles) by branching on the
-lexicographically first uncovered vertex, which makes the emitted order
-canonical and reproducible.  It is iterative: the covered vertices are the
-bits of one int, and an explicit stack keeps one frame per placed piece.
+One counter and one enumerator serve both lattices: a ``Region`` and a
+``TriRegion`` each derive the same matching-problem invariants (neighbours,
+unit faces, colour classes), and both engines read only those.
+
+The enumerator lists the perfect matchings of the dual graph (dominoes on
+cells, lozenges on triangles) by branching on the lexicographically first
+uncovered vertex, which makes the emitted order canonical and reproducible.
+It is iterative: the covered vertices are the bits of one int, and an
+explicit stack keeps one frame per placed piece.
 
 Counting is Kasteleyn's determinant (Kasteleyn 1961; Kenyon, "Lectures on
 dimers", 2009).  The matrix has a row per white cell (up-triangle) and a
@@ -27,9 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .regions import Cell, InvariantError, Region, Tri, TriRegion, tri_neighbors
+from .regions import Cell, InvariantError, Region, TriRegion
 
 Domino = tuple[Cell, Cell]
 Tiling = tuple  # sorted tuple of pieces
@@ -90,48 +94,33 @@ def _matchings(later: dict) -> Iterator[Tiling]:
         pieces.pop()
 
 
-def enumerate_tilings(region: Region) -> Iterator[Tiling]:
-    """Yield every domino tiling exactly once, in canonical order."""
-    cells = region.cells
-    yield from _matchings(
-        {
-            c: [d for d in (Cell(c.x, c.y + 1), Cell(c.x + 1, c.y)) if d in cells]
-            for c in region.sorted_cells
-        }
-    )
+def enumerate_tilings(region: Region | TriRegion) -> Iterator[Tiling]:
+    """Yield every tiling exactly once, in canonical order."""
+    nbs = region.neighbours
+    yield from _matchings({v: sorted(w for w in nbs[v] if w > v) for v in sorted(nbs)})
 
 
-def count_tilings(region: Region) -> int:
-    """Number of domino tilings: |det| of the region's Kasteleyn matrix."""
+def count_tilings(region: Region | TriRegion) -> int:
+    """Number of tilings: |det| of the region's Kasteleyn matrix."""
     return abs(region.kasteleyn_det)
 
 
-def _unit_domino_det(region: Region) -> int:
+def _unit_det(region: Region | TriRegion) -> int:
     """The unweighted determinant, once the region is known to be hole-free.
 
-    ``Region.kasteleyn_det`` keeps it, so the hole check and this
+    ``kasteleyn_det`` keeps it on the region, so the hole check and this
     determinant run at most once per region.  Every tiling enters with the
-    same sign, so this is that sign times the tiling count.
+    same sign, so this is that sign times the tiling count.  With colour
+    classes of different sizes there is no perfect matching, and it is 0.
     """
-    cells = region.cells
-    blocks = sum(
-        1
-        for x, y in cells
-        if Cell(x + 1, y) in cells and Cell(x, y + 1) in cells and Cell(x + 1, y + 1) in cells
-    )
-    _require_hole_free(region.neighbours, blocks)
-    whites, blacks = _colour_classes(region)
-    return _kasteleyn_det(whites, blacks, region.neighbours, _domino_sign)
-
-
-def _colour_classes(region: Region) -> tuple[list[Cell], list[Cell]]:
-    """The white cells and the black cells, each in sorted order: the Kasteleyn rows and columns."""
-    white = region.white_parity
-    ordered = region.sorted_cells
-    return (
-        [c for c in ordered if (c.x + c.y) % 2 == white],
-        [c for c in ordered if (c.x + c.y) % 2 != white],
-    )
+    nbs = region.neighbours
+    _require_hole_free(nbs, region.unit_faces)
+    whites, blacks = region.colour_classes
+    if len(whites) != len(blacks):
+        return 0
+    col = {b: j for j, b in enumerate(blacks)}
+    sign = (lambda w, b: 1) if isinstance(region, TriRegion) else _domino_sign
+    return _det([{col[b]: sign(w, b) for b in nbs[w]} for w in whites])
 
 
 def _domino_sign(w: Cell, b: Cell) -> int:
@@ -170,18 +159,6 @@ def _require_hole_free(adj: dict, unit_faces: int) -> None:
         raise InvariantError(
             f"region has {faces - unit_faces} hole(s); the Kasteleyn signs need a hole-free region"
         )
-
-
-def _kasteleyn_det(whites: list, blacks: list, adj: dict, entry: Callable):
-    """det of the matrix with rows whites, columns blacks and sparse entries.
-
-    Row w holds entry(w, b) for each neighbour b of w.  With colour classes
-    of different sizes there is no perfect matching, and the value is 0.
-    """
-    if len(whites) != len(blacks):
-        return 0
-    col = {b: j for j, b in enumerate(blacks)}
-    return _det([{col[b]: entry(w, b) for b in adj[w]} for w in whites])
 
 
 def _det(rows: list[dict]):
@@ -238,33 +215,3 @@ def _det(rows: list[dict]):
             scale[j] = pivot
         prev = pivot
     return sign * prev
-
-
-def enumerate_lozenge_tilings(region: TriRegion) -> Iterator[Tiling]:
-    """Yield every lozenge tiling exactly once, in canonical order."""
-    tris = region.tris
-    yield from _matchings(
-        {t: sorted(nb for nb in tri_neighbors(t, tris) if nb > t) for t in region.sorted_tris}
-    )
-
-
-def count_lozenge_tilings(region: TriRegion) -> int:
-    """Number of lozenge tilings: |det| of the up-by-down triangle adjacency."""
-    tris = region.tris
-    adj = {t: tri_neighbors(t, tris) for t in tris}
-    # the six triangles around lattice point (x, y), named from U(x, y)
-    hexagons = sum(
-        1
-        for x, y, up in tris
-        if up
-        and Tri(x - 1, y, True) in tris
-        and Tri(x, y - 1, True) in tris
-        and Tri(x - 1, y, False) in tris
-        and Tri(x, y - 1, False) in tris
-        and Tri(x - 1, y - 1, False) in tris
-    )
-    _require_hole_free(adj, hexagons)
-    ordered = region.sorted_tris
-    ups = [t for t in ordered if t.up]
-    downs = [t for t in ordered if not t.up]
-    return abs(_kasteleyn_det(ups, downs, adj, lambda u, d: 1))

@@ -55,17 +55,23 @@ def macmahon_q(a: int, b: int, c: int, step: int = 1) -> LaurentPoly2:
 
 
 def macmahon_count(a: int, b: int, c: int) -> int:
-    """Number of lozenge tilings of the hexagon with sides a, b, c."""
+    """Number of lozenge tilings of the hexagon with sides a, b, c.
+
+    MacMahon's prod_{i<=a, j<=b, t<=c} (i+j+t-1) / (i+j+t-2) telescopes
+    over t to prod_{i<=a, j<=b} (i+j+c-1) / (i+j-1), computed as one exact
+    division of two integer products.
+    """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")
-    total = Fraction(1)
+    num = den = 1
     for i in range(1, a + 1):
         for j in range(1, b + 1):
-            for t in range(1, c + 1):
-                total *= Fraction(i + j + t - 1, i + j + t - 2)
-    if total.denominator != 1:
-        raise InvariantError(f"MacMahon product {total} for {(a, b, c)} is not an integer")
-    return total.numerator
+            num *= i + j + c - 1
+            den *= i + j - 1
+    total, rest = divmod(num, den)
+    if rest:
+        raise InvariantError(f"MacMahon product {num}/{den} for {(a, b, c)} is not an integer")
+    return total
 
 
 def aztec_count(n: int) -> int:

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .engine import CapacityError, _colour_classes, _det, _domino_sign
+from .engine import CapacityError, _det, _domino_sign
 from .regions import Cell, Region
 
 #: Brute-force matching bound.
@@ -224,7 +224,7 @@ def _weight_classes(region: Region) -> WeightClasses:
         for d, vertical in ((Cell(c.x + 1, c.y), False), (Cell(c.x, c.y + 1), True))
         if d in cellset
     )
-    whites, blacks = _colour_classes(region)
+    whites, blacks = region.colour_classes
     col = {b: j for j, b in enumerate(blacks)}
     negative = 4 * levels
     rows = tuple(

@@ -172,6 +172,26 @@ class Region:
         )
 
     @cached_property
+    def unit_faces(self) -> int:
+        """The 2 x 2 blocks of cells: the unit squares around interior lattice points."""
+        cells = self.cells
+        return sum(
+            1
+            for x, y in cells
+            if Cell(x + 1, y) in cells and Cell(x, y + 1) in cells and Cell(x + 1, y + 1) in cells
+        )
+
+    @cached_property
+    def colour_classes(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+        """The white cells and the black cells, each sorted: the Kasteleyn rows and columns."""
+        white = self.white_parity
+        ordered = self.sorted_cells
+        return (
+            tuple(c for c in ordered if (c.x + c.y) % 2 == white),
+            tuple(c for c in ordered if (c.x + c.y) % 2 != white),
+        )
+
+    @cached_property
     def dominoes(self) -> tuple:
         """Every domino of the region, sorted; bit i of a tiling mask stands for ``dominoes[i]``."""
         return tuple(sorted((c, d) for c, nbs in self.neighbours.items() for d in nbs if c < d))
@@ -231,15 +251,15 @@ class Region:
 
     @cached_property
     def kasteleyn_det(self) -> int:
-        """The unweighted Kasteleyn determinant; see ``engine._unit_domino_det``.
+        """The unweighted Kasteleyn determinant; see ``engine._unit_det``.
 
         Its absolute value is the tiling count, and its sign is the sign with
         which every tiling enters a weighted determinant of the region.  A
         region with a hole raises InvariantError.
         """
-        from .engine import _unit_domino_det
+        from .engine import _unit_det
 
-        return _unit_domino_det(self)
+        return _unit_det(self)
 
     @cached_property
     def weight_classes(self) -> tuple:
@@ -324,18 +344,57 @@ class Region:
 
 @dataclass(frozen=True)
 class TriRegion:
-    """A triangular-lattice region (hexagon)."""
+    """A triangular-lattice region (hexagon).
+
+    Its matching invariants mirror ``Region``'s, with triangles for cells,
+    and are each derived once per instance.
+    """
 
     kind: str
     params: tuple[int, ...]
     tris: frozenset[Tri]
 
-    @property
-    def sorted_tris(self) -> list[Tri]:
-        return sorted(self.tris)
-
     def spec_string(self) -> str:
         return "hex:%d,%d,%d" % self.params
+
+    @cached_property
+    def neighbours(self) -> MappingProxyType:
+        """Read-only map from each triangle to its edge-adjacent triangles."""
+        tris = self.tris
+
+        def around(t: Tri) -> tuple[Tri, ...]:
+            step, other = (-1, False) if t.up else (1, True)
+            return Tri(t.x, t.y, other), Tri(t.x + step, t.y, other), Tri(t.x, t.y + step, other)
+
+        return MappingProxyType({t: tuple(u for u in around(t) if u in tris) for t in tris})
+
+    @cached_property
+    def unit_faces(self) -> int:
+        """The unit hexagons: the six triangles around a lattice point, named from U(x, y)."""
+        tris = self.tris
+        return sum(
+            1
+            for x, y, up in tris
+            if up
+            and Tri(x - 1, y, True) in tris
+            and Tri(x, y - 1, True) in tris
+            and Tri(x - 1, y, False) in tris
+            and Tri(x, y - 1, False) in tris
+            and Tri(x - 1, y - 1, False) in tris
+        )
+
+    @cached_property
+    def colour_classes(self) -> tuple[tuple[Tri, ...], tuple[Tri, ...]]:
+        """The up-triangles and the down-triangles, each sorted: the Kasteleyn rows and columns."""
+        ordered = sorted(self.tris)
+        return tuple(t for t in ordered if t.up), tuple(t for t in ordered if not t.up)
+
+    @cached_property
+    def kasteleyn_det(self) -> int:
+        """The unweighted Kasteleyn determinant; see ``Region.kasteleyn_det``."""
+        from .engine import _unit_det
+
+        return _unit_det(self)
 
 
 def _normalize(cells: set[Cell], *parts: set[Cell]):
@@ -427,15 +486,6 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
     if 2 * ups != len(tris):
         raise InvariantError(f"{ups} up-triangles among {len(tris)}: the counts must match")
     return TriRegion(kind="hexagon", params=(a, b, c), tris=frozenset(tris))
-
-
-def tri_neighbors(t: Tri, tris: frozenset[Tri]) -> list[Tri]:
-    """Edge-adjacent triangles of t inside the region."""
-    if t.up:
-        cand = [Tri(t.x, t.y, False), Tri(t.x - 1, t.y, False), Tri(t.x, t.y - 1, False)]
-    else:
-        cand = [Tri(t.x, t.y, True), Tri(t.x + 1, t.y, True), Tri(t.x, t.y + 1, True)]
-    return [c for c in cand if c in tris]
 
 
 def boundary_markers(region: Region) -> BoundaryMarkers:

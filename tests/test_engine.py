@@ -6,21 +6,12 @@ import pytest
 from hypothesis import given, settings
 from test_kasteleyn import box_regions
 
-from aztecbridge.engine import (
-    count_lozenge_tilings,
-    count_tilings,
-    enumerate_lozenge_tilings,
-    enumerate_tilings,
-    is_vertical,
-)
+from aztecbridge.engine import count_tilings, enumerate_tilings, is_vertical
 from aztecbridge.regions import (
-    Cell,
-    TriRegion,
     build_aztec_diamond,
     build_double_rectangle,
     build_hexagon,
     parse_spec,
-    tri_neighbors,
 )
 
 
@@ -69,7 +60,7 @@ def test_vertical_predicate():
 
 @pytest.mark.parametrize("sides,expected", [((1, 1, 1), 2), ((2, 2, 2), 20)])
 def test_hexagon_counts(sides, expected):
-    assert count_lozenge_tilings(build_hexagon(*sides)) == expected
+    assert count_tilings(build_hexagon(*sides)) == expected
 
 
 @pytest.mark.parametrize(
@@ -83,9 +74,7 @@ def test_hexagon_counts(sides, expected):
 )
 def test_enumeration_order_is_pinned(spec, count, digest):
     # paths and render pick tilings by their index in this order
-    region = parse_spec(spec)
-    enumerate_ = enumerate_lozenge_tilings if isinstance(region, TriRegion) else enumerate_tilings
-    tilings = list(enumerate_(region))
+    tilings = list(enumerate_tilings(parse_spec(spec)))
     assert len(tilings) == count
     assert hashlib.sha256(repr(tilings).encode()).hexdigest()[:16] == digest
 
@@ -114,22 +103,18 @@ def _recursive_matchings(later):
     yield from rec(0)
 
 
+def _later(region):
+    nbs = region.neighbours
+    return {v: sorted(w for w in nbs[v] if w > v) for v in sorted(nbs)}
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(box_regions())
 def test_the_iterative_enumerator_keeps_the_recursive_order(region):
-    cells = region.cells
-    later = {
-        c: [d for d in (Cell(c.x, c.y + 1), Cell(c.x + 1, c.y)) if d in cells]
-        for c in region.sorted_cells
-    }
-    assert list(enumerate_tilings(region)) == list(_recursive_matchings(later))
+    assert list(enumerate_tilings(region)) == list(_recursive_matchings(_later(region)))
 
 
 def test_the_iterative_enumerator_keeps_the_recursive_order_on_hexagons():
     for sides in [(1, 1, 1), (1, 2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 3)]:
         region = build_hexagon(*sides)
-        tris = region.tris
-        later = {
-            t: sorted(nb for nb in tri_neighbors(t, tris) if nb > t) for t in region.sorted_tris
-        }
-        assert list(enumerate_lozenge_tilings(region)) == list(_recursive_matchings(later)), sides
+        assert list(enumerate_tilings(region)) == list(_recursive_matchings(_later(region))), sides

@@ -8,13 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aztecbridge import engine
-from aztecbridge.engine import (
-    _det,
-    count_lozenge_tilings,
-    count_tilings,
-    enumerate_lozenge_tilings,
-    enumerate_tilings,
-)
+from aztecbridge.engine import _det, count_tilings, enumerate_tilings
 from aztecbridge.formulas import ResampleError, macmahon_count, weighted_formula_rhs
 from aztecbridge.matchgraph import (
     WeightScheme,
@@ -88,9 +82,7 @@ def test_lozenge_determinant_equals_enumeration():
         for b in range(1, 4):
             for c in range(1, 4):
                 region = build_hexagon(a, b, c)
-                assert count_lozenge_tilings(region) == sum(
-                    1 for _ in enumerate_lozenge_tilings(region)
-                )
+                assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
 
 
 def test_weighted_determinant_equals_brute_force_with_signed_weights():
@@ -146,20 +138,22 @@ def test_determinant_enumeration_and_brute_force_agree_on_random_regions(region,
 
 def test_the_unweighted_determinant_is_derived_once_per_region(monkeypatch):
     calls = []
-    real = engine._unit_domino_det
-    monkeypatch.setattr(engine, "_unit_domino_det", lambda r: calls.append(r) or real(r))
+    real = engine._unit_det
+    monkeypatch.setattr(engine, "_unit_det", lambda r: calls.append(r) or real(r))
     rng = random.Random(7)
     region = build_double_rectangle(*SUITE_TUPLES[0])
     for _ in range(3):
         scheme = WeightScheme(*(signed_fraction(rng) for _ in range(5)))
         assert region_matching_sum(region, scheme) == matching_genfun(dual_graph(region, scheme))
     assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
-    assert calls == [region]
+    hexagon = build_hexagon(2, 2, 2)
+    assert count_tilings(hexagon) == count_tilings(hexagon) == hexagon.kasteleyn_det == 20
+    assert calls == [region, hexagon]
 
 
 def test_counts_at_scale():
     assert count_tilings(build_aztec_diamond(20)) == 2**210
-    assert count_lozenge_tilings(build_hexagon(8, 8, 8)) == macmahon_count(8, 8, 8)
+    assert count_tilings(build_hexagon(8, 8, 8)) == macmahon_count(8, 8, 8)
 
 
 def test_weighted_formula_at_ninety_cells():
@@ -216,4 +210,4 @@ def test_a_hexagon_with_a_hole_is_rejected():
     assert around <= full.tris
     holed = TriRegion(kind="hexagon", params=(2, 2, 2), tris=full.tris - around)
     with pytest.raises(InvariantError, match="hole"):
-        count_lozenge_tilings(holed)
+        count_tilings(holed)

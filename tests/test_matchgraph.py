@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from aztecbridge import matchgraph
-from aztecbridge.engine import CapacityError, _kasteleyn_det, count_tilings
+from aztecbridge.engine import CapacityError, _det, count_tilings
 from aztecbridge.matchgraph import (
     DOUBLE_ANCHOR_PARITY,
     RECT_ANCHOR_PARITY,
@@ -384,7 +384,8 @@ def _old_matching_sum(region, scheme):
     def entry(w, b):
         return -weight(w, b) if w.x == b.x and w.x % 2 else weight(w, b)
 
-    det = _kasteleyn_det(whites, blacks, region.neighbours, entry)
+    col = {b: j for j, b in enumerate(blacks)}
+    det = _det([{col[b]: entry(w, b) for b in region.neighbours[w]} for w in whites])
     return Fraction(det) if region.kasteleyn_det > 0 else -Fraction(det)
 
 

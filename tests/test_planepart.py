@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aztecbridge.engine import enumerate_lozenge_tilings
+from aztecbridge.engine import enumerate_tilings
 from aztecbridge.formulas import macmahon_count, macmahon_q
 from aztecbridge.planepart import (
     complement,
@@ -73,7 +73,7 @@ def test_bijection_round_trip():
             assert lozenges_to_pp(t, a, b, c) == pp
             tilings.add(t)
         assert len(tilings) == macmahon_count(a, b, c)
-        enumerated = set(enumerate_lozenge_tilings(build_hexagon(a, b, c)))
+        enumerated = set(enumerate_tilings(build_hexagon(a, b, c)))
         assert tilings == enumerated
 
 

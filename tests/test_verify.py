@@ -72,9 +72,9 @@ def _no_listing(later):
 
 def test_suite_rank_builds_and_counts_each_region_once_and_lists_no_tiling(monkeypatch):
     builds, dets = [], []
-    build, det = verify.build_double_rectangle, engine._unit_domino_det
+    build, det = verify.build_double_rectangle, engine._unit_det
     monkeypatch.setattr(verify, "build_double_rectangle", lambda *t: builds.append(t) or build(*t))
-    monkeypatch.setattr(engine, "_unit_domino_det", lambda r: dets.append(r.params) or det(r))
+    monkeypatch.setattr(engine, "_unit_det", lambda r: dets.append(r.params) or det(r))
     monkeypatch.setattr(engine, "_matchings", _no_listing)
     cases = suite_rank(32)
     assert len(cases) == 28 and all(c["ok"] for c in cases)
