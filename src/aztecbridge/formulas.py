@@ -9,7 +9,6 @@ formula cannot pass silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -90,41 +89,14 @@ def aztec_genfun(n: int) -> LaurentPoly2:
     return poly
 
 
-@dataclass(frozen=True)
-class MainConstants:
-    """The exponent constant N and the linear factors of the bivariate product."""
-
-    N: int
-    star: tuple[LaurentPoly2, ...]
-    starp: tuple[LaurentPoly2, ...]
-
-
 def _exponent_n(m1: int, n1: int, k: int, m2: int, n2: int) -> int:
-    """The exponent constant N of ``MainConstants``."""
+    """The exponent constant N of the paper's product formulas."""
     return (
         m1 * (m1 + 1) * (n1 - 1)
         - m2 * (m2 + 1) * (n2 - 1)
         + (n1 - m1)
         * (2 * m2 * m2 + m2 * m1 + m2 * n1 + k * k + 2 * k * m1 + m1 * n1 + k - m2)
     )
-
-
-def main_constants(m1: int, n1: int, k: int, m2: int, n2: int) -> MainConstants:
-    _check_dr_params(m1, n1, k, m2, n2)
-    N = _exponent_n(m1, n1, k, m2, n2)
-    star = tuple(
-        LaurentPoly2({(0, 0): 1, (-2, -2 * (2 * i + 1)): 1}).shift(
-            0, 2 * (2 * m2 + 2 * n2 - 3)
-        )
-        for i in range(m2)
-    )
-    starp = tuple(
-        LaurentPoly2({(0, 0): 1, (-2, 2 * (2 * i + 1)): 1}).shift(
-            0, 2 * (2 * m2 + 2 * k + 1)
-        )
-        for i in range(m1)
-    )
-    return MainConstants(N=N, star=star, starp=starp)
 
 
 def main_genfun(m1: int, n1: int, k: int, m2: int, n2: int) -> LaurentPoly2:
@@ -142,7 +114,7 @@ def main_genfun(m1: int, n1: int, k: int, m2: int, n2: int) -> LaurentPoly2:
     pure q-power (q^6 to q^350 on the double rectangles of at most 60 cells),
     so it breaks that normalization.
     """
-    cst = main_constants(m1, n1, k, m2, n2)
+    _check_dr_params(m1, n1, k, m2, n2)
     t_exp2 = 2 * (comb(m1 + 1, 2) + comb(m2 + 1, 2)) + (n1 - m1) * (m1 + k)
     # minimal q-exponent of prod (starp_i)^(m1-i): the q^(2m2+2k+1) term;
     # of prod (star_i)^(m2-i): the t^(-1) q^(2m2+2n2-4-2i) term.  All
@@ -152,10 +124,12 @@ def main_genfun(m1: int, n1: int, k: int, m2: int, n2: int) -> LaurentPoly2:
         + sum((m2 - i) * (2 * m2 + 2 * n2 - 4 - 2 * i) for i in range(m2))
     )
     poly = LaurentPoly2.monomial(1, t_exp2, q_exp2)
-    for i, f in enumerate(cst.starp):
-        poly = poly * f ** (m1 - i)
-    for i, f in enumerate(cst.star):
-        poly = poly * f ** (m2 - i)
+    for i in range(m1):  # starp_i = q^(2m2+2k+1) (1 + t^(-1) q^(2i+1))
+        starp = LaurentPoly2({(0, 0): 1, (-2, 2 * (2 * i + 1)): 1})
+        poly = poly * starp.shift(0, 2 * (2 * m2 + 2 * k + 1)) ** (m1 - i)
+    for i in range(m2):  # star_i = q^(2m2+2n2-3) (1 + t^(-1) q^(-(2i+1)))
+        star = LaurentPoly2({(0, 0): 1, (-2, -2 * (2 * i + 1)): 1})
+        poly = poly * star.shift(0, 2 * (2 * m2 + 2 * n2 - 3)) ** (m2 - i)
     return poly * macmahon_q(n1 - m1, m2 - k + 1, m1 + k, step=2)
 
 

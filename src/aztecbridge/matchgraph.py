@@ -110,23 +110,6 @@ class WeightedGraph:
             self._neighbors = nbrs
         return list(self._neighbors[v])
 
-    def edge_list(self) -> list[tuple]:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        out = []
-        for key, w in self.edges.items():
-            u, v = sorted(key, key=index.get)
-            out.append((u, v, w))
-        out.sort(key=lambda e: (index[e[0]], index[e[1]]))
-        return out
-
-    def to_json_obj(self) -> dict:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        return {
-            "vertices": len(self.vertices),
-            "edges": [[index[u], index[v], str(w)] for u, v, w in self.edge_list()],
-            "marked": [index[m] for m in self.marked],
-        }
-
 
 def matching_genfun(graph: WeightedGraph) -> Fraction:
     """Sum over perfect matchings of the product of edge weights.

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .engine import Tiling
-from .regions import Region
+from .regions import InvariantError, Region
 
 UP, DOWN, LEVEL = "U", "D", "L"
 
@@ -150,16 +150,28 @@ def _walk(region: Region, mask: int, paths: list | None = None) -> int:
     return quarter
 
 
-def _family(region: Region, mask: int) -> PathFamily:
-    """The marker-joined path family of a tiling mask."""
-    paths: list = []
-    quarter = _walk(region, mask, paths)
-    return PathFamily(tuple(paths), quarter)
+def area_ranks(region: Region, masks: Iterable[int]) -> list[int]:
+    """Rank of each tiling mask as the underneath-area excess of its path family over minimal.
+
+    Each area comes from the walk, which builds no path, and is compared
+    with ``Region.minimal_area``, in quarter cells like the walk's.  A
+    region that is not a double Aztec rectangle raises KindError.
+    """
+    base = region.minimal_area
+    ranks = []
+    for mask in masks:
+        excess = _walk(region, mask) - base
+        if excess % 4:
+            raise InvariantError("area excess must be a whole number of cells")
+        ranks.append(excess // 4)
+    return ranks
 
 
 def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     """Assemble the decorated segments into the marker-joined path family."""
-    return _family(region, region.tiling_mask(tiling))
+    paths: list = []
+    quarter = _walk(region, region.tiling_mask(tiling), paths)
+    return PathFamily(tuple(paths), quarter)
 
 
 def step_counts(family: PathFamily) -> tuple[int, int, int]:

@@ -223,15 +223,11 @@ def _half_power(base: Fraction, root: Fraction | None, e2: int) -> Fraction:
     return 1 / (base ** (-e))
 
 
-def q_integer(n: int, step: Fraction | int = 1) -> LaurentPoly2:
-    """The q-integer 1 + q^step + ... + q^((n-1)*step); step may be a half-integer."""
+def q_integer(n: int, step: int = 1) -> LaurentPoly2:
+    """The q-integer 1 + q^step + ... + q^((n-1)*step)."""
     if n < 1:
         raise ValueError("q_integer requires n >= 1")
-    step2 = Fraction(step) * 2
-    if step2.denominator != 1:
-        raise ValueError("step must be an integer multiple of 1/2")
-    s2 = int(step2)
-    return LaurentPoly2({(0, i * s2): 1 for i in range(n)})
+    return LaurentPoly2({(0, 2 * i * step): 1 for i in range(n)})
 
 
 def one() -> LaurentPoly2:

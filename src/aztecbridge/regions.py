@@ -326,13 +326,11 @@ class Region:
         return _extreme_tiling(self)
 
     @cached_property
-    def minimal_area(self):
-        """Underneath area of the minimal tiling's path family."""
-        from fractions import Fraction
-
+    def minimal_area(self) -> int:
+        """Underneath area of the minimal tiling's path family, in whole quarter cells."""
         from .paths import _walk
 
-        return Fraction(_walk(self, self.tiling_mask(self.minimal_tiling)), 4)
+        return _walk(self, self.tiling_mask(self.minimal_tiling))
 
     @cached_property
     def rank_table(self) -> MappingProxyType:

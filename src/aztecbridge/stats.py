@@ -6,12 +6,14 @@ one corresponds to a unique tiling, and the extreme that makes an Aztec
 diamond come out all-horizontal is the minimal tiling (for the glued double
 rectangle it reproduces the vertical-core decomposition and minimizes path
 area; tests check both).  Rank is the flip distance from the minimal tiling,
-where a flip rotates a 2x2 block of two parallel dominoes.  It is computed
-three ways: by breadth-first search over flips, by path area on a double
-rectangle, and as a linear function of the horizontal dominoes through the
-height deficit, which also weights the q-sweep of ``tq_sum``.  All three run
-on a tiling's int mask over ``Region.dominoes``: the flip BFS lists masks
-and decodes none, and a tiling tuple becomes its mask once, through
+where a flip rotates a 2x2 block of two parallel dominoes.  This module
+computes it two ways: by breadth-first search over flips, and as a linear
+function of the horizontal dominoes through the height deficit
+(``linear_ranks``), which also weights the q-sweep of ``tq_sum``; the third
+way, by path area on a double rectangle, is ``paths.area_ranks``.  All three
+run on a tiling's int mask over ``Region.dominoes``, and the two mask ranks
+take a batch of masks in one call: the flip BFS lists masks and decodes
+none, and a tiling tuple becomes its mask once, through
 ``Region.tiling_mask``.  The sweep keeps a profile mask on a line only when
 it is live: a domino that crosses the line covers the same row on both
 sides of it, so the masks that can still end in the empty profile are those
@@ -31,7 +33,6 @@ from bisect import bisect_left, insort
 from typing import Iterable, Mapping
 
 from .engine import CapacityError, Tiling, count_tilings, is_vertical, piece
-from .paths import _walk
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region
 
@@ -214,8 +215,8 @@ def flips(tiling: Tiling) -> list[Tiling]:
 #: Most tilings of one region that may be listed, by the flip BFS or by
 #: enumeration.  Time and memory grow with the number listed: the 89,600
 #: tilings of dr:2,4,1,3,5, the most of any double rectangle of at most 60
-#: cells, take about 0.33 s to rank by flips (1.0 s with the two other ranks
-#: of ``verify rank``) and 0.3 s to enumerate on a 2-vCPU host, with a peak
+#: cells, take about 0.33 s to rank by flips (1.0 s with the rest of the
+#: ``verify rank`` case) and 0.3 s to enumerate on a 2-vCPU host, with a peak
 #: RSS of 28 MB for the flip BFS, and dr:3,5,1,3,5 has 2,007,040.  The
 #: determinant count is checked against it before anything is listed.
 MAX_LISTED_TILINGS = 100_000
@@ -279,46 +280,24 @@ def _flip_distances(region: Region) -> dict[int, int]:
     return dist
 
 
-def rank_via_area(region: Region, tiling: Tiling) -> int:
-    """Rank as the underneath-area excess of the path family over minimal."""
-    if region.kind != "double_aztec_rectangle":
-        raise KindError("area rank is defined for double Aztec rectangles only")
-    return _area_ranks(region, (region.tiling_mask(tiling),))[0]
-
-
-def _area_ranks(region: Region, masks: Iterable[int]) -> list[int]:
-    """``rank_via_area`` of each tiling mask: each area comes from the walk, with no family built.
-
-    The minimal area, a whole number of quarter cells, is read once.
-    """
-    base = int(region.minimal_area * 4)
-    ranks = []
-    for mask in masks:
-        excess = _walk(region, mask) - base
-        if excess % 4:
-            raise InvariantError("area excess must be a whole number of cells")
-        ranks.append(excess // 4)
-    return ranks
-
-
-def rank_linear(region: Region, tiling: Tiling) -> int:
-    """Rank as a linear function of the tiling's horizontal dominoes.
+def linear_ranks(region: Region, masks: Iterable[int]) -> list[int]:
+    """Rank of each tiling mask as a linear function of its horizontal dominoes.
 
     The total height deficit below the minimal tiling is the sum of the
     line constants C_x plus w_x[y] for each horizontal domino crossing line
     x at row y (see ``_line_weights``); rank is that total divided by 4.
+    It is read with one popcount per distinct weight (``_deficit_masks``).
     """
-    return _linear_rank(region, region.tiling_mask(tiling))
-
-
-def _linear_rank(region: Region, mask: int) -> int:
-    """``rank_linear`` of a tiling mask: one popcount per distinct weight (``_deficit_masks``)."""
-    total, weighted = region.deficit_masks
-    for w, dominoes in weighted:
-        total += w * (mask & dominoes).bit_count()
-    if total < 0 or total % 4:
-        raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
-    return total // 4
+    const, weighted = region.deficit_masks
+    ranks = []
+    for mask in masks:
+        total = const
+        for w, dominoes in weighted:
+            total += w * (mask & dominoes).bit_count()
+        if total < 0 or total % 4:
+            raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
+        ranks.append(total // 4)
+    return ranks
 
 
 # -- bivariate generating function --------------------------------------------

@@ -2,10 +2,12 @@
 
 A suite returns a list of JSON-ready cases, each with an ``ok`` key.  Where a
 polynomial method exists the suites use it in place of a listing.  The two
-suites that check every tiling, ``rank`` and ``paths``, take the tilings
-from the flip BFS (``stats.rank_table``), and each certifies that the BFS
-reached them all by the determinant count.  The enumerator, which lists
-every tiling, is their oracle in the tests only.
+suites that check every tiling, ``rank`` and ``paths``, run one case
+(``_rank_case``) on different tuples.  It takes the tilings from the flip BFS
+(``stats.rank_table``), certifies by the determinant count that the BFS
+reached them all, and checks the three ranks and the path family of each
+tiling mask with no path built.  The enumerator, which lists every tiling,
+is its oracle in the tests only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .matchgraph import (
     star_scale,
     vertex_split,
 )
-from .paths import _family, step_counts
+from .paths import DOWN, LEVEL, UP, area_ranks
 from .planepart import q_genfun_brute
 from .polyring import LaurentPoly2
 from .regions import (
@@ -48,14 +50,7 @@ from .regions import (
     build_double_rectangle,
     build_hexagon,
 )
-from .stats import (
-    _area_ranks,
-    _linear_rank,
-    rank_table,
-    require_listing_budget,
-    require_sweep_budget,
-    tq_sum,
-)
+from .stats import linear_ranks, rank_table, require_listing_budget, require_sweep_budget, tq_sum
 
 #: The double-rectangle parameter tuples a suite checks when given no size bound.
 SUITE_TUPLES = (
@@ -232,34 +227,57 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
     ]
 
 
-def _rank_case(region: Region) -> dict:
-    """Check the flip BFS of one region against its count and the other two ranks.
+def _path_length(m1: int, n1: int, k: int, m2: int, n2: int) -> int:
+    """up + down + 2 * level, the same for the path family of every tiling of the tuple."""
+    g = n1 - m1
+    return m2 * (m2 + 1) + 2 * g * (m2 - k + 1) + g * (m1 + k) + m1 * (m1 + 1)
 
-    The other two rank the BFS's own tiling masks.
+
+def _rank_case(region: Region) -> dict:
+    """Check every tiling of one double rectangle on the flip BFS's masks.
+
+    The determinant count certifies that the BFS reached every tiling.  The
+    area and linear ranks of each mask must equal its flip distance, with
+    one tiling of rank 0.  The area walk raises DecorationError unless the
+    mask's decorated dominoes assemble into marker-joined paths, and a walk
+    that returns has used them all, each as one segment.  So the family is
+    read off the mask with no path built: it is the mask's decorated
+    dominoes, and each step total is a popcount against the dominoes of
+    that letter.  The families must be distinct and meet the step-count
+    identities.
     """
     table = rank_table(region)
     # every flip of a tiling is a tiling, so the table holds distinct tilings,
     # and it holds all of them exactly when it is as long as the count
     ok = len(table) == count_tilings(region)
-    ranks = _area_ranks(region, table)
-    ok = ok and ranks == list(table.values())
-    ok = ok and ranks == [_linear_rank(region, m) for m in table]
+    ranks = area_ranks(region, table)
+    ok = ok and ranks == list(table.values()) and ranks == linear_ranks(region, table)
     # the area rank is the area excess over the minimal tiling, so the
     # minimal tiling has the least area, uniquely, when exactly one
     # tiling has area rank 0 and none has a negative one
     ok = ok and min(ranks) == 0 and ranks.count(0) == 1
+    tables = region.path_tables
+    up, down, level = (
+        sum(bit for bit, (_, step, _) in tables.steps.items() if step == letter)
+        for letter in (UP, DOWN, LEVEL)
+    )
+    vertical = sum(bit for d, bit in region.domino_bit.items() if is_vertical(d))
+    length = _path_length(*region.params)
+    families = [mask & tables.decorated for mask in table]
+    ok = ok and len(set(families)) == len(table)
+    for family, mask in zip(families, table):
+        diagonal = (family & up).bit_count() + (family & down).bit_count()
+        ok = ok and diagonal + 2 * (family & level).bit_count() == length
+        ok = ok and diagonal == (mask & vertical).bit_count()
     return {"params": list(region.params), "tilings": len(table), "ok": ok}
 
 
 def suite_rank(max_cells: int) -> list[dict]:
-    """Every double rectangle of at most max_cells cells, ranked three ways.
+    """Every double rectangle of at most max_cells cells, each checked by ``_rank_case``.
 
-    The flip BFS ranks every tiling it reaches; the determinant count
-    certifies that it reached them all, and the path-area and linear ranks
-    of the same tilings must equal its flip distances.  No tiling is listed
-    outside the BFS: the enumerator checks the BFS in the tests instead.
-    Each region is built and counted once, and every one is checked against
-    the listing budget before the first BFS.
+    No tiling is listed outside the flip BFS: the enumerator checks the BFS
+    in the tests instead.  Each region is built and counted once, and every
+    one is checked against the listing budget before the first BFS.
     """
     regions = []
     for tup in small_double_rectangles(max_cells):  # fail before the first BFS
@@ -270,34 +288,8 @@ def suite_rank(max_cells: int) -> list[dict]:
 
 
 def suite_paths() -> list[dict]:
-    """SUITE_TUPLES, with the path family of every tiling checked.
-
-    The families must be distinct and satisfy the step-count identities.
-    The tilings are the flip BFS's masks, certified complete by the
-    determinant count as in ``suite_rank``; no tiling is listed.
-    """
-    cases = []
-    for tup in SUITE_TUPLES:
-        m1, n1, k, m2, n2 = tup
-        g = n1 - m1
-        expected = (
-            m2 * (m2 + 1) + 2 * g * (m2 - k + 1) + g * (m1 + k) + m1 * (m1 + 1)
-        )
-        region = build_double_rectangle(*tup)
-        vertical = sum(bit for d, bit in region.domino_bit.items() if is_vertical(d))
-        table = rank_table(region)
-        ok = len(table) == count_tilings(region)
-        seen = set()
-        for mask in table:
-            family = _family(region, mask)
-            key = tuple(p.points for p in family.paths)
-            ok = ok and key not in seen
-            seen.add(key)
-            up, down, level = step_counts(family)
-            ok = ok and up + down + 2 * level == expected
-            ok = ok and up + down == (mask & vertical).bit_count()
-        cases.append({"params": list(tup), "tilings": len(seen), "ok": ok})
-    return cases
+    """SUITE_TUPLES, each checked by ``_rank_case``, as ``suite_rank`` checks its tuples."""
+    return [_rank_case(build_double_rectangle(*tup)) for tup in SUITE_TUPLES]
 
 
 #: Seed of the randomized suites when --seed is not given.

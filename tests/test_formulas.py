@@ -8,11 +8,11 @@ import pytest
 
 from aztecbridge.formulas import (
     ResampleError,
+    _exponent_n,
     aztec_genfun,
     corollary_count,
     macmahon_count,
     macmahon_q,
-    main_constants,
     main_genfun,
     weighted_formula_rhs,
 )
@@ -59,12 +59,6 @@ def test_main_genfun_rank_normalization():
     for tup in SMALL_TUPLES:
         poly = main_genfun(*tup)
         assert min(eq for (_, eq), _ in poly.items()) == 0
-
-
-def test_main_constants_are_consistent():
-    cst = main_constants(2, 3, 1, 2, 3)
-    assert len(cst.star) == 2 and len(cst.starp) == 2
-    assert isinstance(cst.N, int)
 
 
 def test_corollary_counts():
@@ -119,13 +113,13 @@ def test_weighted_formula_rejects_zero_q():
 def triple_product_rhs(m1, n1, k, m2, n2, a, b, c, d, q):
     """The weighted product with its MacMahon ratio as the untelescoped triple product."""
     g = n1 - m1
-    cst = main_constants(m1, n1, k, m2, n2)
     total = c ** ((m2 - k + 1) * g) * d ** ((m1 + k) * g)
     for i in range(m1):
         total *= (a * d + b * c * q**i) ** (m1 - i)
     for i in range(m2):
         total *= (a * d + b * c * q ** (-(i + 1))) ** (m2 - i)
-    e2 = cst.N + (m2 + n2 - 2) * m2 * (m2 + 1) + (k + m2) * m1 * (m1 + 1) - 2 * g * m1 + g * (g - 3)
+    e2 = _exponent_n(m1, n1, k, m2, n2)
+    e2 += (m2 + n2 - 2) * m2 * (m2 + 1) + (k + m2) * m1 * (m1 + 1) - 2 * g * m1 + g * (g - 3)
     total *= q ** (e2 // 2)
     for i in range(1, g + 1):
         for j in range(1, m2 - k + 2):

@@ -10,15 +10,15 @@ from aztecbridge.paths import (
     LEVEL,
     UP,
     DecorationError,
+    PathFamily,
     SchroederPath,
-    _family,
     _walk,
+    area_ranks,
     step_counts,
     tiling_to_paths,
     underneath_area,
 )
 from aztecbridge.regions import build_double_rectangle
-from aztecbridge.stats import _area_ranks
 
 TUPLES = [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2), (2, 3, 1, 2, 3)]
 
@@ -100,7 +100,7 @@ def test_underneath_area_is_pinned():
     region = build_double_rectangle(2, 3, 1, 2, 3)
     tilings = list(enumerate_tilings(region))
     area = lambda t: underneath_area(tiling_to_paths(region, t))
-    assert area(minimal_tiling(region)) == region.minimal_area == Fraction(111, 2)
+    assert area(minimal_tiling(region)) == Fraction(region.minimal_area, 4) == Fraction(111, 2)
     assert area(tilings[0]) == Fraction(145, 2)
     assert area(tilings[5]) == Fraction(139, 2)
 
@@ -265,16 +265,18 @@ def test_decoration_guards_reject_broken_segment_sets():
         [(2, 1), (2, 5)],
         [(bit[name], *segment) for name, segment in segments.items()],
     )
-    region.__dict__["minimal_area"] = Fraction(4)  # the level paths at heights 0 and 2
+    region.__dict__["minimal_area"] = 16  # quarter cells: the level paths at heights 0 and 2
     # the stand-ins cover no cells, so Region.tiling_mask would reject every
-    # one; the guards are driven through the mask functions that
-    # tiling_to_paths and rank_via_area call after it
+    # one; the guards are driven through the walk that tiling_to_paths calls
+    # after it and through area_ranks
 
     def paths_of(tiling):
-        return _family(region, sum(map(bit.__getitem__, tiling)))
+        paths = []
+        quarter = _walk(region, sum(map(bit.__getitem__, tiling)), paths)
+        return PathFamily(tuple(paths), quarter)
 
     def rank_of(tiling):
-        return _area_ranks(region, [sum(map(bit.__getitem__, tiling))])[0]
+        return area_ranks(region, [sum(map(bit.__getitem__, tiling))])[0]
 
     family = paths_of(("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]

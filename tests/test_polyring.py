@@ -21,7 +21,6 @@ def test_zero_and_one():
 def test_q_integer_small():
     assert q_integer(1) == one()
     assert q_integer(3) == LaurentPoly2({(0, 0): 1, (0, 2): 1, (0, 4): 1})
-    assert q_integer(2, Fraction(1, 2)) == LaurentPoly2({(0, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError):
         q_integer(0)
 

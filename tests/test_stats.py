@@ -10,7 +10,7 @@ from test_kasteleyn import box_regions
 from aztecbridge import stats
 from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
-from aztecbridge.paths import tiling_to_paths
+from aztecbridge.paths import area_ranks, tiling_to_paths
 from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import (
     Cell,
@@ -24,10 +24,9 @@ from aztecbridge.regions import (
 from aztecbridge.stats import (
     flips,
     height_function,
+    linear_ranks,
     minimal_tiling,
-    rank_linear,
     rank_table,
-    rank_via_area,
     require_sweep_budget,
     tq_sum,
 )
@@ -133,8 +132,8 @@ def test_diamond_rank_multiset_order_two():
 def test_rank_bfs_equals_area_rank():
     for params in [(1, 2, 0, 1, 2), (2, 3, 1, 2, 3)]:
         region = build_double_rectangle(*params)
-        for t in enumerate_tilings(region):
-            assert rank_table(region)[region.tiling_mask(t)] == rank_via_area(region, t)
+        masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
+        assert area_ranks(region, masks) == [rank_table(region)[m] for m in masks]
 
 
 def test_rank_rejects_foreign_tiling():
@@ -145,7 +144,7 @@ def test_rank_rejects_foreign_tiling():
 
 
 @pytest.mark.parametrize(
-    "entry", [tiling_to_paths, rank_via_area, rank_linear], ids=lambda f: f.__name__
+    "entry", [tiling_to_paths, Region.tiling_mask], ids=lambda f: f.__name__
 )
 def test_a_foreign_or_repeated_domino_is_rejected_by_name(entry):
     region = build_double_rectangle(2, 3, 1, 2, 3)
@@ -268,9 +267,9 @@ def test_rank_linear_equals_the_flip_distance():
     tilings = 0
     for region in regions:
         table = rank_table(region)
-        for t in enumerate_tilings(region):
-            assert rank_linear(region, t) == table[region.tiling_mask(t)], region.spec_string()
-            tilings += 1
+        masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
+        assert linear_ranks(region, masks) == [table[m] for m in masks], region.spec_string()
+        tilings += len(masks)
     assert tilings == 3566
 
 
@@ -404,9 +403,9 @@ def test_rank_linear_equals_the_flip_distance_on_random_regions(region):
         tileable = False
     assume(tileable)
     table = rank_table(region)
-    tilings = list(enumerate_tilings(region))
-    assert set(table) == {region.tiling_mask(t) for t in tilings}
-    assert all(rank_linear(region, t) == table[region.tiling_mask(t)] for t in tilings)
+    masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
+    assert set(table) == set(masks)
+    assert linear_ranks(region, masks) == [table[m] for m in masks]
 
 
 def test_a_pinched_region_has_no_minimal_tiling():
@@ -476,11 +475,11 @@ def test_suite_rank_checks_every_tuple_before_the_first_bfs(monkeypatch):
 
 def test_a_fractional_area_excess_trips_the_whole_cell_guard():
     region = build_double_rectangle(1, 2, 0, 1, 2)
-    t0 = minimal_tiling(region)
-    assert rank_via_area(region, t0) == 0
-    region.__dict__["minimal_area"] = region.minimal_area + Fraction(1, 2)
+    t0 = [region.tiling_mask(minimal_tiling(region))]
+    assert area_ranks(region, t0) == [0]
+    region.__dict__["minimal_area"] = region.minimal_area + 2  # quarter cells
     with pytest.raises(InvariantError, match="whole number of cells"):
-        rank_via_area(region, t0)
+        area_ranks(region, t0)
 
 
 def test_deficit_masks_equal_the_line_weights_on_every_domino():
@@ -496,7 +495,7 @@ def test_deficit_masks_equal_the_line_weights_on_every_domino():
         dominoes = [(c, d) for c, nbs in region.neighbours.items() for d in nbs if c < d]
         assert region.dominoes == tuple(sorted(dominoes)), region.spec_string()
         for i, ((ax, ay), (bx, by)) in enumerate(region.dominoes):
-            # the per-line lookup rank_linear made before the masks
+            # the per-line lookup of the linear rank before the masks
             old = lines[max(ax, bx)][1][ay] if ay == by else 0
             holding = [w for w, mask in weighted if mask >> i & 1]
             assert holding == ([old] if old else []), region.spec_string()
@@ -510,7 +509,7 @@ def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(mo
     monkeypatch.setattr(stats, "_deficit_masks", lambda r: calls.append(r) or real(r))
     region = build_double_rectangle(2, 3, 1, 2, 3)
     table = rank_table(region)
-    assert all(stats._linear_rank(region, m) == r for m, r in table.items())
+    assert linear_ranks(region, table) == list(table.values())
     assert calls == [region]
     assert region.deficit_masks is region.deficit_masks
     assert region.dominoes is region.dominoes and region.domino_bit is region.domino_bit

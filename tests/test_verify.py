@@ -4,11 +4,12 @@ import itertools
 import json
 import weakref
 
+import pytest
 from click.testing import CliRunner
 
-from aztecbridge import engine, regions, stats, verify
+from aztecbridge import engine, paths, regions, stats, verify
 from aztecbridge.cli import main
-from aztecbridge.paths import _family, tiling_to_paths
+from aztecbridge.paths import LEVEL, PathFamily, _walk, tiling_to_paths
 from aztecbridge.regions import ConstraintError, _check_dr_params, build_double_rectangle
 from aztecbridge.verify import (
     SUITE_TUPLES,
@@ -134,6 +135,12 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
     assert [c["params"] for c in suite_paths() if not c["ok"]] == [[2, 3, 0, 2, 3]]
 
 
+def _family(region, mask):
+    walked = []
+    quarter = _walk(region, mask, walked)
+    return PathFamily(tuple(walked), quarter)
+
+
 def test_the_bfs_masks_carry_the_families_of_the_enumerated_tilings():
     for tup in SUITE_TUPLES:
         region = build_double_rectangle(*tup)
@@ -141,3 +148,59 @@ def test_the_bfs_masks_carry_the_families_of_the_enumerated_tilings():
         listed = {tiling_to_paths(region, t) for t in engine.enumerate_tilings(region)}
         assert bfs == listed, tup
         assert len(bfs) == engine.count_tilings(region)
+
+
+def test_the_decorated_dominoes_of_a_bfs_mask_are_its_family_and_its_step_counts():
+    for tup in SUITE_TUPLES:
+        region = build_double_rectangle(*tup)
+        tables = region.path_tables
+        for mask in stats.rank_table(region):
+            family = _family(region, mask)
+            segments = [
+                (p, q) for path in family.paths for p, q in zip(path.points, path.points[1:])
+            ]
+            bits = mask & tables.decorated
+            assert len(segments) == len(set(segments)) == bits.bit_count(), tup
+            letters = [tables.steps[1 << i][1] for i in range(bits.bit_length()) if bits >> i & 1]
+            assert sorted(letters) == sorted(s for path in family.paths for s in path.steps)
+
+
+def test_suite_paths_builds_no_path(monkeypatch):
+    def no_path(*args):
+        raise AssertionError("built a path for a BFS mask")
+
+    monkeypatch.setattr(paths, "SchroederPath", no_path)
+    cases = suite_paths()
+    assert len(cases) == 5 and all(c["ok"] for c in cases)
+    assert sum(c["tilings"] for c in cases) == 1_464
+
+
+def _without_level_dominoes(monkeypatch):
+    real = paths._path_tables
+
+    def keyless(region):
+        tables = real(region)
+        level = sum(bit for bit, (_, letter, _) in tables.steps.items() if letter == LEVEL)
+        return tables._replace(decorated=tables.decorated & ~level)
+
+    monkeypatch.setattr(paths, "_path_tables", keyless)
+
+
+def _with_an_empty_up_mask(monkeypatch):
+    monkeypatch.setattr(verify, "UP", "no such letter")
+
+
+def _with_the_path_length_off_by_one(monkeypatch):
+    real = verify._path_length
+    monkeypatch.setattr(verify, "_path_length", lambda *tup: real(*tup) + 1)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_without_level_dominoes, _with_an_empty_up_mask, _with_the_path_length_off_by_one],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_a_broken_path_check_fails_every_case_of_both_suites(monkeypatch, mutate):
+    mutate(monkeypatch)
+    for cases in (suite_rank(24), suite_paths()):
+        assert len(cases) > 1 and not any(c["ok"] for c in cases)
