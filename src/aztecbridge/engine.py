@@ -21,7 +21,8 @@ vertical edge from (x, y) to (x, y + 1), so every unit square has sign
 product -1.  Lozenges: every face is a hexagon, so every sign is +1.  The
 rule needs the faces to be those unit faces only, so a region with a hole
 is rejected up front.  The determinant is exact: fraction-free Bareiss
-elimination over int, with rational rows cleared of denominators first.
+elimination over int.  A caller with rational weights clears each row of
+its denominators first (``matchgraph.region_matching_sum``).
 
 The q-weighted column sweep, with its column fill on integer cell masks,
 lives with ``stats.tq_sum``.
@@ -29,8 +30,6 @@ lives with ``stats.tq_sum``.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterator
 
 from .regions import Cell, InvariantError, Region, TriRegion
@@ -161,13 +160,11 @@ def _require_hole_free(adj: dict, unit_faces: int) -> None:
         )
 
 
-def _det(rows: list[dict]):
-    """Exact determinant of a square matrix given as sparse rows {column: entry}.
+def _det(rows: list[dict]) -> int:
+    """Exact determinant of a square integer matrix given as sparse rows {column: entry}.
 
-    Rational entries are cleared first: each row is multiplied by the least
-    common multiple of its denominators, and the integer determinant is
-    divided by the product of those multipliers.  The integer part is
-    Bareiss elimination: step i replaces each later row's entry by
+    Every entry must be an int; rational rows are the caller's to clear.
+    This is Bareiss elimination: step i replaces each later row's entry by
     (p_i * m_jk - m_ji * m_ik) / p_(i-1) with p_i the current pivot; the
     result is a minor of the original matrix, so the division is exact.  A
     row with no entry in the pivot column is only rescaled by p_i / p_(i-1);
@@ -175,14 +172,6 @@ def _det(rows: list[dict]):
     the pivot it is current against), so a step costs work only in the rows
     it touches.  The last pivot is the determinant.
     """
-    denominator = 1
-    if not all(type(v) is int for row in rows for v in row.values()):
-        cleared = []
-        for row in rows:
-            mult = math.lcm(*(v.denominator for v in row.values()))
-            cleared.append({k: v.numerator * (mult // v.denominator) for k, v in row.items()})
-            denominator *= mult
-        return Fraction(_det(cleared), denominator)
     rows = [dict(row) for row in rows]
     n = len(rows)
     scale = [1] * n

@@ -1,10 +1,11 @@
 """Closed-form product formulas for tiling counts and generating functions.
 
 Everything here is exact: polynomial identities are assembled in the
-doubled-exponent Laurent ring and rational specializations use Fraction
-arithmetic throughout.  Division of product numerators by product
-denominators is checked to leave no remainder, so a typo in a product
-formula cannot pass silently.
+doubled-exponent Laurent ring, and the rational specialization of the
+weighted formula multiplies integer numerators and denominators and
+normalizes once, into one Fraction.  Division of product numerators by
+product denominators is checked to leave no remainder, so a typo in a
+product formula cannot pass silently.
 """
 
 from __future__ import annotations
@@ -166,18 +167,33 @@ def weighted_formula_rhs(
     prod_{i<=g, j<=m2-k+1, t<=m1+k} (1 - q^(i+j+t-1)) / (1 - q^(i+j+t-2))
     telescopes over t to prod_{i, j} (1 - q^(i+j+m1+k-1)) / (1 - q^(i+j-1)).
     A sampled q at which a denominator of the untelescoped ratio vanishes,
-    q = 1 or q = -1 when g > 0, raises ResampleError.
+    q = 1 or q = -1 when g > 0, raises ResampleError.  Each factor is
+    multiplied in as an integer numerator and denominator, and the value is
+    normalized once, into one Fraction.
     """
     _check_dr_params(m1, n1, k, m2, n2)
-    a, b, c, d, q = (Fraction(v) for v in (a, b, c, d, q))
+    a, b, c, d, q = (v if isinstance(v, Fraction) else Fraction(v) for v in (a, b, c, d, q))
     if q == 0:
         raise ValueError("q must be nonzero")
+    qn, qd = q.numerator, q.denominator
+    ad_num, ad_den = a.numerator * d.numerator, a.denominator * d.denominator
+    bc_num, bc_den = b.numerator * c.numerator, b.denominator * c.denominator
+
+    def q_power(e: int) -> tuple[int, int]:
+        return (qn**e, qd**e) if e >= 0 else (qd**-e, qn**-e)
+
+    def linear(e: int) -> tuple[int, int]:  # ad + bc q^e
+        pn, pd = q_power(e)
+        return ad_num * bc_den * pd + bc_num * ad_den * pn, ad_den * bc_den * pd
+
     g = n1 - m1
-    total = c ** ((m2 - k + 1) * g) * d ** ((m1 + k) * g)
-    for i in range(m1):
-        total *= (a * d + b * c * q**i) ** (m1 - i)
-    for i in range(m2):
-        total *= (a * d + b * c * q ** (-(i + 1))) ** (m2 - i)
+    h = m2 - k + 1
+    num = c.numerator ** (h * g) * d.numerator ** ((m1 + k) * g)
+    den = c.denominator ** (h * g) * d.denominator ** ((m1 + k) * g)
+    for e, power in [(i, m1 - i) for i in range(m1)] + [(-(i + 1), m2 - i) for i in range(m2)]:
+        fn, fd = linear(e)
+        num *= fn**power
+        den *= fd**power
     e2 = (
         _exponent_n(m1, n1, k, m2, n2)
         + (m2 + n2 - 2) * m2 * (m2 + 1)
@@ -187,12 +203,19 @@ def weighted_formula_rhs(
     )
     if e2 % 2:
         raise InvariantError(f"monomial exponent {e2}/2 must be an integer")
-    total *= q ** (e2 // 2)
+    pn, pd = q_power(e2 // 2)
+    num *= pn
+    den *= pd
     # the untelescoped exponents i+j+t-2 start 1, 2 and reach g+m1+m2-1 >= 2
     # whenever g > 0, so its first pole is q^1 at q = 1 and q^2 at q = -1
     if g and q in (1, -1):
         raise ResampleError(f"q^{1 if q == 1 else 2} = 1 at the sampled point q={q}")
+    # (1 - q^s) / (1 - q^t) = (qd^s - qn^s) / (qd^t - qn^t) / qd^(s - t),
+    # and s - t = m1 + k in every factor
     for i in range(1, g + 1):
-        for j in range(1, m2 - k + 2):
-            total *= (1 - q ** (i + j + m1 + k - 1)) / (1 - q ** (i + j - 1))
-    return total
+        for j in range(1, h + 1):
+            s, t = i + j + m1 + k - 1, i + j - 1
+            num *= qd**s - qn**s
+            den *= qd**t - qn**t
+    den *= qd ** ((m1 + k) * g * h)
+    return Fraction(num, den)

@@ -8,14 +8,18 @@ M(old) = factor * M(new) can be checked exactly.
 The weighted matching sum of a region's dual graph is a Kasteleyn
 determinant (``region_matching_sum``); the exponential ``matching_genfun``
 serves general graphs, such as the non-planar hosts of the rewrite checks.
+Both work on integers: the determinant clears each row by the lcm of its
+own denominators, the matcher scales every edge by one lcm, and each
+builds one Fraction at the end.
 
 Which weight a domino gets splits in two.  Its weight class (orientation,
 diagonal parity and level) depends on the region alone: it is derived once
 per region and kept on it (``Region.weight_classes``), with the dual graph's
 edge keys and the Kasteleyn rows.  A scheme is a small table from class to
-weight, built once per call by ``_level_table``.  The rectangle rewrites take
-prebuilt Aztec rectangles, so a caller that glues the same shape many times
-builds it, and derives its classes, once.
+weight, built once per call by ``_level_table`` from integer q-powers.  The
+rectangle rewrites take prebuilt Aztec rectangles, so a caller that glues the
+same shape many times builds it, and derives its classes and its half-graph
+shape (``Region.half_classes``), once.
 """
 
 from __future__ import annotations
@@ -130,12 +134,15 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
         )
     if n % 2:
         return Fraction(0)
-    scale = math.lcm(*(w.denominator for w in graph.edges.values()))
+    ratios = [w.as_integer_ratio() for w in graph.edges.values()]
+    scale = math.lcm(*(den for _, den in ratios))
     index = {v: i for i, v in enumerate(graph.vertices)}
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b), w in graph.edges.items():
-        u, v = sorted((index[a], index[b]))
-        later[u].append((1 << v, w.numerator * (scale // w.denominator)))
+    for (a, b), (num, den) in zip(graph.edges, ratios):
+        u, v = index[a], index[b]
+        if u > v:
+            u, v = v, u
+        later[u].append((1 << v, num * (scale // den)))
     memo = {0: 1}
 
     def rec(alive: int) -> int:
@@ -169,8 +176,10 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 DOUBLE_ANCHOR_PARITY = 0
 RECT_ANCHOR_PARITY = 1
 
+_ONE = Fraction(1)
+
 #: The scheme under which every domino weighs 1.
-_UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
+_UNIT_SCHEME = WeightScheme(*(_ONE,) * 5)
 
 
 class WeightClasses(NamedTuple):
@@ -221,24 +230,64 @@ def _weight_classes(region: Region) -> WeightClasses:
     return WeightClasses(levels, tuple(cells), edges, tuple(marked), rows)
 
 
+class HalfClasses(NamedTuple):
+    """The shape of a trimmed rectangle's half graph; see ``_half_classes``."""
+
+    vertices: tuple  # the kept cells in sorted order, then the pendants
+    edges: tuple  # (edge key, class) per kept domino, in dual-graph order
+    pendant_edges: tuple  # edge key per pendant edge, southwest to northeast
+    marked: tuple  # the pendants, southwest to northeast
+
+
+def _half_classes(region: Region) -> HalfClasses:
+    """What ``half_ar_graph`` keeps of a region's dual graph, derived once per region.
+
+    ``Region.half_classes`` keeps it.  The bottommost diagonal is dropped
+    with its dominoes, and a pendant vertex hangs from each cell of the
+    newly exposed diagonal.  This depends on the shape alone, so a scheme
+    only looks up the weights of the kept classes.
+    """
+    classes = region.weight_classes
+    drop = set(classes.marked)
+    keep = tuple(v for v in classes.vertices if v not in drop)
+    dmin = min(v.y - v.x for v in keep)
+    exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
+    pendants = tuple(("pend", i) for i in range(len(exposed)))
+    return HalfClasses(
+        keep + pendants,
+        tuple((key, k) for key, k in classes.edges if key.isdisjoint(drop)),
+        tuple(frozenset(pair) for pair in zip(exposed, pendants)),
+        pendants,
+    )
+
+
+def _rational(v) -> Fraction:
+    """v as a Fraction, without copying one that already is."""
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 def _level_table(scheme: WeightScheme, levels: int, anchor_parity: int) -> list[Fraction]:
     """The weight of each class of ``_weight_classes`` under the scheme.
 
     Per level L: d * q^L for a graded vertical domino, c * q^(L-1) for a
     graded horizontal one, and a or b for the others.  q must be nonzero,
-    since a graded horizontal domino on the bottom row carries q^-1.
+    since a graded horizontal domino on the bottom row carries q^-1.  The
+    graded weights are carried as integer numerators and denominators, level
+    by level, and each becomes one Fraction.
     """
-    a, b, c, d, q = (v if isinstance(v, Fraction) else Fraction(v) for v in scheme)
+    a, b, c, d, q = map(_rational, scheme)
     if not q:
         raise ZeroDivisionError(
             "q must be nonzero: a graded horizontal domino on the bottom row carries q^-1"
         )
+    qn, qd = q.numerator, q.denominator
+    hn, hd = c.numerator * qd, c.denominator * qn  # c * q^-1
+    vn, vd = d.numerator, d.denominator  # d * q^0
     graded_h, graded_v = [], []
-    power = 1 / q
     for _ in range(levels):
-        graded_h.append(c * power)
-        power *= q
-        graded_v.append(d * power)
+        graded_h.append(Fraction(hn, hd))
+        graded_v.append(Fraction(vn, vd))
+        hn, hd, vn, vd = hn * qn, hd * qd, vn * qn, vd * qd
     # by orientation, the parity class of the anchor's parity comes first
     horizontal = ([b] * levels, graded_h)
     vertical = (graded_v, [a] * levels)
@@ -248,6 +297,17 @@ def _level_table(scheme: WeightScheme, levels: int, anchor_parity: int) -> list[
         *vertical[anchor_parity],
         *vertical[1 - anchor_parity],
     ]
+
+
+def _weighted_edges(classes: WeightClasses, table: list[Fraction], keyed: tuple) -> dict:
+    """The edge map {key: table[class]} of the (key, class) pairs keyed.
+
+    keyed is ``classes.edges`` or a part of it; a zero weight on any edge
+    of the whole region raises, as building its dual graph would.
+    """
+    if not all(table) and not all(table[k] for _, k in classes.edges):
+        raise ValueError("zero edge weight")
+    return {key: table[k] for key, k in keyed}
 
 
 def dual_graph(
@@ -264,9 +324,7 @@ def dual_graph(
     """
     classes = region.weight_classes
     table = _level_table(scheme or _UNIT_SCHEME, classes.levels, anchor_parity)
-    edges = {key: table[k] for key, k in classes.edges}
-    if not all(table) and not all(edges.values()):
-        raise ValueError("zero edge weight")
+    edges = _weighted_edges(classes, table, classes.edges)
     return WeightedGraph._derived(classes.vertices, edges, classes.marked)
 
 
@@ -277,16 +335,29 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     time.  det(K_w) is the weighted sum times a sign shared by every tiling,
     and the region's unweighted determinant, the tiling count times that
     sign, gives the sign, so negative weights come out right.  A region with
-    no tiling sums to 0.
+    no tiling sums to 0.  Each weight class is an integer numerator and
+    denominator; each row is multiplied by the lcm of its own denominators,
+    and the integer determinant over the product of those multipliers is
+    the one Fraction built.
     """
     count = region.kasteleyn_det  # also rejects a region with a hole
     if not count:
         return Fraction(0)
     classes = region.weight_classes
     table = _level_table(scheme, classes.levels, DOUBLE_ANCHOR_PARITY)
-    table += [-w for w in table]
-    det = _det([{j: table[k] for j, k in row} for row in classes.rows])
-    return det if count > 0 else -det
+    nums = [w.numerator for w in table]
+    nums += [-v for v in nums]
+    dens = [w.denominator for w in table] * 2
+    # per row, not one lcm for the table: a row then carries only the
+    # q-powers of the levels it touches
+    rows = []
+    multiplier = 1
+    for row in classes.rows:
+        mult = math.lcm(*(dens[k] for _, k in row))
+        rows.append({j: nums[k] * (mult // dens[k]) for j, k in row})
+        multiplier *= mult
+    det = _det(rows)
+    return Fraction(det if count > 0 else -det, multiplier)
 
 
 # -- replacement rules ------------------------------------------------------
@@ -317,15 +388,15 @@ def vertex_split(graph: WeightedGraph, v, part: Iterable) -> WeightedGraph:
             _add_edge(edges, *key, w)
         else:
             edges[key] = w
-    _add_edge(edges, vp, mid, Fraction(1))
-    _add_edge(edges, mid, vpp, Fraction(1))
+    _add_edge(edges, vp, mid, _ONE)
+    _add_edge(edges, mid, vpp, _ONE)
     marked = tuple(vp if m == v else m for m in graph.marked)
     return WeightedGraph._derived(vertices, edges, marked)
 
 
 def star_scale(graph: WeightedGraph, v, factor: Fraction) -> WeightedGraph:
     """Scale every edge at v; M scales by the same factor (must be positive)."""
-    factor = Fraction(factor)
+    factor = _rational(factor)
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     edges = {key: w * factor if v in key else w for key, w in graph.edges.items()}
@@ -377,12 +448,13 @@ def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
         raise ValueError(
             f"marker count mismatch: {len(g.marked)} vs {len(h.marked)}"
         )
-    glue = dict(zip(h.marked, g.marked))
-    relabel = lambda u: glue.get(u, ("h", u))
-    vertices = g.vertices + tuple(relabel(u) for u in h.vertices if u not in glue)
+    relabel = dict(zip(h.marked, g.marked))
+    glued = len(relabel)
+    relabel.update((u, ("h", u)) for u in h.vertices if u not in relabel)
+    vertices = g.vertices + tuple(relabel.values())[glued:]
     edges = dict(g.edges)
     for (u, v), w in h.edges.items():
-        _add_edge(edges, relabel(u), relabel(v), w)
+        _add_edge(edges, relabel[u], relabel[v], w)
     return WeightedGraph._derived(vertices, edges, ())
 
 
@@ -400,19 +472,16 @@ def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
     upward shift, so only the a-weight changes.  The bottommost diagonal of
     vertices is removed and a unit pendant edge hung from each vertex of the
     newly exposed diagonal; the pendants are the marked vertices, southwest
-    to northeast.
+    to northeast.  That shape is derived once per region
+    (``Region.half_classes``), so a scheme costs one table lookup per edge.
     """
     a, b, c, d, q = scheme
-    inner = ar_graph(trimmed, WeightScheme(a / q, b, c, d, q))
-    drop = set(inner.marked)
-    keep = tuple(v for v in inner.vertices if v not in drop)
-    dmin = min(v.y - v.x for v in keep)
-    exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
-    pendants = tuple(("pend", i) for i in range(len(exposed)))
-    edges = {key: w for key, w in inner.edges.items() if key.isdisjoint(drop)}
-    for v, p in zip(exposed, pendants):
-        _add_edge(edges, v, p, Fraction(1))
-    return WeightedGraph._derived(keep + pendants, edges, pendants)
+    classes, half = trimmed.weight_classes, trimmed.half_classes
+    table = _level_table(WeightScheme(a / q, b, c, d, q), classes.levels, RECT_ANCHOR_PARITY)
+    edges = _weighted_edges(classes, table, half.edges)
+    for key in half.pendant_edges:
+        edges[key] = _ONE
+    return WeightedGraph._derived(half.vertices, edges, half.marked)
 
 
 def ar_reduce(
@@ -434,7 +503,7 @@ def ar_reduce(
         raise ValueError(
             f"trimmed must be the {m} x {n - 1} Aztec rectangle, got {trimmed.spec_string()}"
         )
-    a, b, c, d, q = (Fraction(v) for v in scheme)
+    a, b, c, d, q = map(_rational, scheme)
     if len(host.marked) != n:
         raise ValueError(f"host must mark n={n} vertices, has {len(host.marked)}")
     if a * d + b * c == 0:

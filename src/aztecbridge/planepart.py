@@ -68,14 +68,36 @@ def complement(pp: PlanePartition, a: int, b: int, c: int) -> PlanePartition:
 
 
 def q_genfun_brute(a: int, b: int, c: int) -> LaurentPoly2:
-    """Sum of q^volume over the box, by direct enumeration."""
+    """Sum of q^volume over the box, by a walk over every plane partition in it.
+
+    The walk goes row by row with a running volume: the rows that may
+    follow a row are the weakly decreasing rows entrywise at most it, listed
+    with their sums once per row reached.  Each plane partition is one leaf
+    of the walk, which adds 1 to the count of its volume; no partition is
+    built.  ``enumerate_pp`` lists the same partitions, as tuples.
+    """
     if a * b * c > MAX_BRUTE_VOLUME:
         raise CapacityError(f"box volume {a * b * c} exceeds brute-force bound {MAX_BRUTE_VOLUME}")
-    terms: dict[tuple[int, int], int] = {}
-    for pp in enumerate_pp(a, b, c):
-        key = (0, 2 * volume(pp))
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly2(terms)
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("box sides must be nonnegative")
+    if a == 0 or b == 0 or c == 0:
+        return LaurentPoly2({(0, 0): 1})
+    counts = [0] * (a * b * c + 1)
+    below: dict[tuple, list[tuple[tuple, int]]] = {}
+
+    def walk(row: tuple, left: int, vol: int) -> None:
+        under = below.get(row)
+        if under is None:
+            under = below[row] = [(r, sum(r)) for r in _dec_rows(row, b)]
+        if left == 1:
+            for _, s in under:  # the leaves: one per plane partition
+                counts[vol + s] += 1
+        else:
+            for r, s in under:
+                walk(r, left - 1, vol + s)
+
+    walk((c,) * b, a, 0)
+    return LaurentPoly2({(0, 2 * v): n for v, n in enumerate(counts) if n})
 
 
 # -- the bijection with lozenge tilings -------------------------------------

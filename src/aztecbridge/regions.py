@@ -87,10 +87,11 @@ class Region:
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
     derived invariants below (grid edges, dominoes, boundary markers,
     minimal heights and tiling, its path area, path tables, domino weight
-    classes, line weights and deficit masks, rank table) are each computed on
-    first use and kept on the instance, so no module keeps a cache of its
-    own.  A tiling is a sorted tuple of dominoes; the rank and path code works
-    on its int mask over ``dominoes`` (``tiling_mask``).
+    classes, the half-graph shape, line weights and deficit masks, rank
+    table) are each computed on first use and kept on the instance, so no
+    module keeps a cache of its own.  A tiling is a sorted tuple of dominoes;
+    the rank and path code works on its int mask over ``dominoes``
+    (``tiling_mask``).
     """
 
     kind: str
@@ -267,6 +268,13 @@ class Region:
         from .matchgraph import _weight_classes
 
         return _weight_classes(self)
+
+    @cached_property
+    def half_classes(self) -> tuple:
+        """Read-only shape of the half graph of this trimmed rectangle; see ``matchgraph._half_classes``."""
+        from .matchgraph import _half_classes
+
+        return _half_classes(self)
 
     @cached_property
     def line_weights(self) -> tuple:

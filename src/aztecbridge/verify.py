@@ -97,14 +97,28 @@ def compare_conventions(enum_poly: LaurentPoly2, base: LaurentPoly2) -> tuple[di
     return sides, [name for name, poly in sides.items() if poly == enum_poly]
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
+def _draw_table(positive: bool = False) -> dict[tuple[int, int], Fraction]:
+    """Every value num/den that ``_draw`` can return, by (num, den); |num/den| if positive."""
+    return {
+        (num, den): Fraction(abs(num) if positive else num, den)
+        for num in range(-6, 7)
+        for den in range(1, 7)
+    }
+
+
+def _draw(rng: random.Random, table: dict[tuple[int, int], Fraction]) -> Fraction:
+    """A random nonzero num/den with -6 <= num <= 6 and 1 <= den <= 6, looked up in table.
+
+    It makes the same rng calls as Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    retried on 0; the table of ``_draw_table`` saves building the Fraction.
+    """
     while True:
-        v = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        v = table[rng.randint(-6, 6), rng.randint(1, 6)]
         if v:
             return v
 
 
-def _random_host(rng: random.Random, marked: int, partners: int) -> WeightedGraph:
+def _random_host(rng: random.Random, table: dict, marked: int, partners: int) -> WeightedGraph:
     """Bipartite-ish host with the given marked fringe and partner pool."""
     ms = [("m", i) for i in range(marked)]
     ps = [("p", j) for j in range(partners)]
@@ -112,7 +126,7 @@ def _random_host(rng: random.Random, marked: int, partners: int) -> WeightedGrap
     for u in ms:
         for v in ps:
             if rng.random() < 0.8:
-                edges.append((u, v, _rand_fraction(rng)))
+                edges.append((u, v, _draw(rng, table)))
     return WeightedGraph(ms + ps, edges, ms)
 
 
@@ -157,13 +171,14 @@ def suite_main(max_cells: int | None = None) -> list[dict]:
 def suite_weighted(trials: int, seed: int, max_cells: int | None = None) -> list[dict]:
     """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
     rng = random.Random(seed)
+    table = _draw_table()
     cases = []
     for tup in suite_tuples(max_cells):
         region = build_double_rectangle(*tup)
         done = 0
         ok = True
         while done < trials:
-            vals = tuple(_rand_fraction(rng) for _ in range(5))
+            vals = tuple(_draw(rng, table) for _ in range(5))
             try:
                 rhs = weighted_formula_rhs(*tup, *vals)
             except ResampleError:
@@ -179,43 +194,45 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
     """The rewrite lemmas, each on random graphs in every trial.
 
     The Aztec rectangles are built once, before the first trial, and passed
-    down to every trial that glues one on.
+    down to every trial that glues one on.  The random weights come from the
+    tables of ``_draw_table``, built once per call.
     """
     rng = random.Random(seed)
+    signed, positive = _draw_table(), _draw_table(positive=True)
     # every m x n rectangle a trial draws (1 <= m <= 2, m < n <= 3) and its m x (n - 1) trim
     rects = {(m, n): build_aztec_rectangle(m, n) for m in (1, 2) for n in range(m, 4)}
     split_ok = star_ok = spider_ok = reduce_ok = True
     for _ in range(trials):
         # vertex split on a small random graph (balanced so M is often nonzero)
         side = rng.randint(2, 4)
-        g = _random_host(rng, side, side)
+        g = _random_host(rng, signed, side, side)
         v = g.vertices[0]
         nbs = g.neighbors(v)
         part = [u for u in nbs if rng.random() < 0.5]
         base = matching_genfun(g)
         split_ok = split_ok and matching_genfun(vertex_split(g, v, part)) == base
         # star scaling
-        factor = abs(_rand_fraction(rng))
+        factor = _draw(rng, positive)
         star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * base
         # spider on a wheel: 4-cycle with unit spokes to 4 tips, tips matched out
         inner = [("i", j) for j in range(4)]
         tips = [("t", j) for j in range(4)]
         outer = [("o", j) for j in range(4)]
-        cyc = [abs(_rand_fraction(rng)) for _ in range(4)]
+        cyc = [_draw(rng, positive) for _ in range(4)]
         edges = [
             (inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)
         ]
         edges += [(inner[j], tips[j], Fraction(1)) for j in range(4)]
-        edges += [(tips[j], outer[j], _rand_fraction(rng)) for j in range(4)]
-        edges += [(outer[0], outer[1], _rand_fraction(rng))]
+        edges += [(tips[j], outer[j], _draw(rng, signed)) for j in range(4)]
+        edges += [(outer[0], outer[1], _draw(rng, signed))]
         g2 = WeightedGraph(inner + tips + outer, edges)
         reduced, delta = spider_reduce(g2, tuple(inner))
         spider_ok = spider_ok and matching_genfun(g2) == delta * matching_genfun(reduced)
         # rectangle reduction against a random host
         m = rng.randint(1, 2)
         n = rng.randint(m + 1, 3)
-        scheme = WeightScheme(*(abs(_rand_fraction(rng)) for _ in range(5)))
-        host = _random_host(rng, n, n - m)
+        scheme = WeightScheme(*(_draw(rng, positive) for _ in range(5)))
+        host = _random_host(rng, signed, n, n - m)
         whole = connected_sum(host, ar_graph(rects[m, n], scheme))
         trimmed, fac = ar_reduce(host, rects[m, n], rects[m, n - 1], scheme)
         reduce_ok = reduce_ok and matching_genfun(whole) == fac * matching_genfun(trimmed)

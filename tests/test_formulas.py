@@ -149,3 +149,16 @@ def test_telescoped_weighted_formula_equals_the_triple_product():
                 triple_product_rhs(*tup, *vals)
             with pytest.raises(ResampleError, match=re.escape(str(reference.value))):
                 weighted_formula_rhs(*tup, *vals)
+
+
+def test_the_integer_formula_equals_the_triple_product_at_signed_weights_and_q():
+    """q < 0, |q| > 1 and |q| < 1, with the linear factors down to q^-4."""
+    from aztecbridge.verify import small_double_rectangles
+
+    rng = random.Random(19)
+    tuples = small_double_rectangles(60)
+    assert max(tup[3] for tup in tuples) == 4  # the last linear factor carries q^-4
+    for tup in tuples:
+        for q in (Fraction(-2), Fraction(-3, 2), Fraction(7, 3), Fraction(-5, 9)):
+            vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+            assert weighted_formula_rhs(*tup, *vals, q) == triple_product_rhs(*tup, *vals, q), tup

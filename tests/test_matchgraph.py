@@ -1,6 +1,7 @@
 """Matching sums, the domino weight scheme, and the rewrite lemmas."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -378,8 +379,14 @@ def _old_matching_sum(region, scheme):
         return -weight(w, b) if w.x == b.x and w.x % 2 else weight(w, b)
 
     col = {b: j for j, b in enumerate(blacks)}
-    det = _det([{col[b]: entry(w, b) for b in region.neighbours[w]} for w in whites])
-    return Fraction(det) if region.kasteleyn_det > 0 else -Fraction(det)
+    rows = [{col[b]: entry(w, b) for b in region.neighbours[w]} for w in whites]
+    # _det takes integer rows: clear each row by the lcm of its denominators
+    mults = [math.lcm(*(v.denominator for v in row.values())) for row in rows]
+    det = Fraction(
+        _det([{j: int(v * mult) for j, v in row.items()} for row, mult in zip(rows, mults)]),
+        math.prod(mults),
+    )
+    return det if region.kasteleyn_det > 0 else -det
 
 
 def test_dual_graph_and_matching_sum_equal_the_per_edge_construction():
@@ -444,3 +451,60 @@ def test_q_zero_fails_by_name():
     ):
         with pytest.raises(ZeroDivisionError, match="q must be nonzero"):
             call()
+
+
+def _fraction_table(scheme, levels, anchor_parity):
+    """The weight of each class, as products of Fractions."""
+    a, b, c, d, q = scheme
+    horizontal = ([b] * levels, [c * q ** (L - 1) for L in range(levels)])
+    vertical = ([d * q**L for L in range(levels)], [a] * levels)
+    return [
+        *horizontal[anchor_parity],
+        *horizontal[1 - anchor_parity],
+        *vertical[anchor_parity],
+        *vertical[1 - anchor_parity],
+    ]
+
+
+def test_the_level_table_equals_a_fraction_product_table():
+    gen = random.Random(23)
+    for levels in range(1, 9):
+        for parity in (0, 1):
+            for _ in range(10):
+                scheme = WeightScheme(
+                    *(Fraction(gen.choice((-1, 1)) * gen.randint(1, 9), gen.randint(1, 9)) for _ in range(5))
+                )
+                table = matchgraph._level_table(scheme, levels, parity)
+                assert table == _fraction_table(scheme, levels, parity)
+                assert all(type(w) is Fraction for w in table)
+
+
+def _old_half_ar_graph(trimmed, scheme):
+    """The half graph cut out of the trimmed rectangle's dual graph per call."""
+    a, b, c, d, q = scheme
+    inner = ar_graph(trimmed, WeightScheme(a / q, b, c, d, q))
+    drop = set(inner.marked)
+    keep = tuple(v for v in inner.vertices if v not in drop)
+    dmin = min(v.y - v.x for v in keep)
+    exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
+    pendants = tuple(("pend", i) for i in range(len(exposed)))
+    edges = [(*key, w) for key, w in inner.edges.items() if key.isdisjoint(drop)]
+    edges += [(v, p, 1) for v, p in zip(exposed, pendants)]
+    return WeightedGraph(keep + pendants, edges, pendants)
+
+
+def test_the_half_graph_shape_is_derived_once_per_rectangle(monkeypatch):
+    calls = []
+    real = matchgraph._half_classes
+    monkeypatch.setattr(matchgraph, "_half_classes", lambda r: calls.append(r) or real(r))
+    rects = [build_aztec_rectangle(m, n) for m in range(1, 4) for n in range(m, 5)]
+    gen = random.Random(29)
+    for _ in range(4):
+        scheme = WeightScheme(
+            *(Fraction(gen.choice((-1, 1)) * gen.randint(1, 7), gen.randint(1, 5)) for _ in range(5))
+        )
+        for rect in rects:
+            new, old = half_ar_graph(rect, scheme), _old_half_ar_graph(rect, scheme)
+            assert new.vertices == old.vertices and new.marked == old.marked
+            assert list(new.edges.items()) == list(old.edges.items()), rect.spec_string()
+    assert calls == rects

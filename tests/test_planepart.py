@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from aztecbridge.engine import enumerate_tilings
 from aztecbridge.formulas import macmahon_count, macmahon_q
 from aztecbridge.planepart import (
+    MAX_BRUTE_VOLUME,
     complement,
     enumerate_pp,
     lozenges_to_pp,
@@ -16,6 +17,7 @@ from aztecbridge.planepart import (
     q_genfun_brute,
     volume,
 )
+from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import build_hexagon
 
 boxes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
@@ -63,6 +65,24 @@ def test_palindromic_genfun():
 def test_brute_genfun_matches_formula():
     for a, b, c in [(1, 1, 1), (1, 1, 2), (2, 2, 2), (3, 2, 1)]:
         assert q_genfun_brute(a, b, c) == macmahon_q(a, b, c)
+
+
+def test_the_row_walk_equals_the_volumes_of_the_enumerated_partitions():
+    boxes = [
+        (a, b, c)
+        for a in range(1, 37)
+        for b in range(1, 37)
+        for c in range(1, 37)
+        if a * b * c <= MAX_BRUTE_VOLUME
+    ]
+    boxes += [box for box in itertools.product(range(4), repeat=3) if 0 in box]
+    assert len(boxes) == 363 + 37
+    for a, b, c in boxes:
+        terms = {}
+        for pp in enumerate_pp(a, b, c):
+            key = (0, 2 * volume(pp))
+            terms[key] = terms.get(key, 0) + 1
+        assert q_genfun_brute(a, b, c) == LaurentPoly2(terms), (a, b, c)
 
 
 def test_bijection_round_trip():

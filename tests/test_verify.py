@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -99,6 +101,26 @@ def test_suite_lemmas_builds_each_rectangle_once(monkeypatch):
     assert len(cases) == 4 and all(c["ok"] for c in cases)
     assert len(builds) <= 5
     assert len(matched) == 700
+    assert sum(len(g.vertices) for g in matched) == 6_578
+
+
+def test_a_draw_returns_what_building_the_fraction_returned():
+    rng, reference = random.Random(20240), random.Random(20240)
+    signed, positive = verify._draw_table(), verify._draw_table(positive=True)
+    assert len(signed) == len(positive) == 78
+
+    def built():
+        while True:
+            v = Fraction(reference.randint(-6, 6), reference.randint(1, 6))
+            if v:
+                return v
+
+    for i in range(1_000):
+        expected = built()
+        got = verify._draw(rng, positive) if i % 3 == 0 else verify._draw(rng, signed)
+        assert got == (abs(expected) if i % 3 == 0 else expected)
+        assert type(got) is Fraction
+    assert rng.getstate() == reference.getstate()
 
 
 def test_suite_rank_releases_each_region_after_its_case(monkeypatch):
