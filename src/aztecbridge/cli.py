@@ -223,7 +223,8 @@ def verify(
 ) -> None:
     """Run a verification suite; exit 1 if any case fails.
 
-    An option the suite does not read is a usage error.
+    An option the suite does not read, and a bound that admits no case, are
+    usage errors.
     """
     reads, run = SUITES[suite]
     for option, value in (("--max", bound), ("--trials", trials), ("--seed", seed)):
@@ -233,6 +234,8 @@ def verify(
         cases = run(bound, trials, seed)
     except CapacityError as exc:
         raise click.UsageError(str(exc)) from exc
+    if not cases:
+        raise click.UsageError(f"verify {suite} --max {bound} admits no case")
     bad = [c for c in cases if not c["ok"]]
     status = "ok" if not bad else "mismatch"
     _emit({"suite": suite, "cases": cases, "failures": len(bad)}, status=status, out=out)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .regions import Cell, InvariantError, Region, TriRegion
+from .regions import Cell, InvariantError, Region, TriRegion, derived
 
 Domino = tuple[Cell, Cell]
 Tiling = tuple  # sorted tuple of pieces
@@ -101,14 +101,15 @@ def enumerate_tilings(region: Region | TriRegion) -> Iterator[Tiling]:
 
 def count_tilings(region: Region | TriRegion) -> int:
     """Number of tilings: |det| of the region's Kasteleyn matrix."""
-    return abs(region.kasteleyn_det)
+    return abs(_unit_det(region))
 
 
+@derived
 def _unit_det(region: Region | TriRegion) -> int:
-    """The unweighted determinant, once the region is known to be hole-free.
+    """The unweighted Kasteleyn determinant, once the region is known to be hole-free.
 
-    ``kasteleyn_det`` keeps it on the region, so the hole check and this
-    determinant run at most once per region.  Every tiling enters with the
+    It is derived once per region, and with it the hole check, which raises
+    InvariantError on a region with a hole.  Every tiling enters with the
     same sign, so this is that sign times the tiling count.  With colour
     classes of different sizes there is no perfect matching, and it is 0.
     """
@@ -126,7 +127,7 @@ def _domino_sign(w: Cell, b: Cell) -> int:
     """The Kasteleyn sign of the domino on white cell w and black cell b.
 
     The signs are only valid on a hole-free region: read
-    ``Region.kasteleyn_det`` first, which rejects a region with a hole.
+    ``_unit_det`` first, which rejects a region with a hole.
     """
     return -1 if w.x == b.x and w.x % 2 else 1
 

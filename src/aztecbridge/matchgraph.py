@@ -14,12 +14,12 @@ builds one Fraction at the end.
 
 Which weight a domino gets splits in two.  Its weight class (orientation,
 diagonal parity and level) depends on the region alone: it is derived once
-per region and kept on it (``Region.weight_classes``), with the dual graph's
-edge keys and the Kasteleyn rows.  A scheme is a small table from class to
-weight, built once per call by ``_level_table`` from integer q-powers.  The
-rectangle rewrites take prebuilt Aztec rectangles, so a caller that glues the
-same shape many times builds it, and derives its classes and its half-graph
-shape (``Region.half_classes``), once.
+per region (``_weight_classes``), with the dual graph's edge keys and the
+Kasteleyn rows.  A scheme is a small table from class to weight, built once
+per call by ``_level_table`` from integer q-powers.  The rectangle rewrites
+take prebuilt Aztec rectangles, so a caller that glues the same shape many
+times builds it, and derives its classes and its half-graph shape
+(``_half_classes``), once.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .engine import CapacityError, _det, _domino_sign
-from .regions import Cell, Region
+from .engine import CapacityError, _det, _domino_sign, _unit_det
+from .regions import Cell, Region, derived
 
 #: Brute-force matching bound.
 MAX_MATCH_VERTICES = 40
@@ -170,11 +170,10 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 # anchor are graded (weight d * q^level); horizontals are graded on the
 # opposite parity class (weight c * q^(level - 1)).  The remaining classes
 # carry the constant weights a and b.  The anchor parity is a per-family
-# calibration: glued double rectangles use 0 (pinned by the weighted product
-# formula), standalone rectangles use 1 (pinned by the rectangle-reduction
-# factor identity); see tests/test_matchgraph.py.
-DOUBLE_ANCHOR_PARITY = 0
-RECT_ANCHOR_PARITY = 1
+# calibration, read off the region's kind by ``_weight_classes``: glued double
+# rectangles use 0 (pinned by the weighted product formula), standalone
+# rectangles use 1 (pinned by the rectangle-reduction factor identity); see
+# tests/test_matchgraph.py.
 
 _ONE = Fraction(1)
 
@@ -192,23 +191,25 @@ class WeightClasses(NamedTuple):
     rows: tuple  # per white cell, ((black column, signed class), ...)
 
 
+@derived
 def _weight_classes(region: Region) -> WeightClasses:
     """The weight class of every domino, derived once per region.
 
-    ``Region.weight_classes`` keeps it.  A domino's class is
-    (2 * vertical + parity) * levels + level: parity is the diagonal parity
-    of its bottom (vertical) or left (horizontal) cell relative to
-    ``Region.dmin``, and level is that cell's row counted from the bottom.
+    A domino's class is (2 * vertical + parity) * levels + level: parity is
+    the diagonal parity of its bottom (vertical) or left (horizontal) cell
+    relative to the anchor, ``Region.dmin`` plus the anchor parity of the
+    region's kind, and level is that cell's row counted from the bottom.
     ``_level_table`` gives the weight of each class under a scheme.  In the
     Kasteleyn rows, a class plus 4 * levels stands for an entry of sign -1.
     """
     cells = region.sorted_cells
     cellset = region.cells
     dmin, ymin = region.dmin, region.ymin
+    anchor = dmin + (region.kind == "aztec_rectangle")
     levels = max(c.y for c in cellset) - ymin + 1
 
     def cls(low: Cell, vertical: bool) -> int:
-        return (2 * vertical + (low.y - low.x - dmin) % 2) * levels + low.y - ymin
+        return (2 * vertical + (low.y - low.x - anchor) % 2) * levels + low.y - ymin
 
     edges = tuple(
         (frozenset((c, d)), cls(c, vertical))
@@ -239,15 +240,16 @@ class HalfClasses(NamedTuple):
     marked: tuple  # the pendants, southwest to northeast
 
 
+@derived
 def _half_classes(region: Region) -> HalfClasses:
     """What ``half_ar_graph`` keeps of a region's dual graph, derived once per region.
 
-    ``Region.half_classes`` keeps it.  The bottommost diagonal is dropped
-    with its dominoes, and a pendant vertex hangs from each cell of the
-    newly exposed diagonal.  This depends on the shape alone, so a scheme
-    only looks up the weights of the kept classes.
+    The bottommost diagonal is dropped with its dominoes, and a pendant
+    vertex hangs from each cell of the newly exposed diagonal.  This depends
+    on the shape alone, so a scheme only looks up the weights of the kept
+    classes.
     """
-    classes = region.weight_classes
+    classes = _weight_classes(region)
     drop = set(classes.marked)
     keep = tuple(v for v in classes.vertices if v not in drop)
     dmin = min(v.y - v.x for v in keep)
@@ -266,11 +268,12 @@ def _rational(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _level_table(scheme: WeightScheme, levels: int, anchor_parity: int) -> list[Fraction]:
+def _level_table(scheme: WeightScheme, levels: int) -> list[Fraction]:
     """The weight of each class of ``_weight_classes`` under the scheme.
 
-    Per level L: d * q^L for a graded vertical domino, c * q^(L-1) for a
-    graded horizontal one, and a or b for the others.  q must be nonzero,
+    Per level L: b for a horizontal domino of the anchor's parity, c * q^(L-1)
+    for one of the other parity, d * q^L for a vertical domino of the
+    anchor's parity, and a for one of the other parity.  q must be nonzero,
     since a graded horizontal domino on the bottom row carries q^-1.  The
     graded weights are carried as integer numerators and denominators, level
     by level, and each becomes one Fraction.
@@ -288,15 +291,7 @@ def _level_table(scheme: WeightScheme, levels: int, anchor_parity: int) -> list[
         graded_h.append(Fraction(hn, hd))
         graded_v.append(Fraction(vn, vd))
         hn, hd, vn, vd = hn * qn, hd * qd, vn * qn, vd * qd
-    # by orientation, the parity class of the anchor's parity comes first
-    horizontal = ([b] * levels, graded_h)
-    vertical = (graded_v, [a] * levels)
-    return [
-        *horizontal[anchor_parity],
-        *horizontal[1 - anchor_parity],
-        *vertical[anchor_parity],
-        *vertical[1 - anchor_parity],
-    ]
+    return [b] * levels + graded_h + graded_v + [a] * levels
 
 
 def _weighted_edges(classes: WeightClasses, table: list[Fraction], keyed: tuple) -> dict:
@@ -310,11 +305,7 @@ def _weighted_edges(classes: WeightClasses, table: list[Fraction], keyed: tuple)
     return {key: table[k] for key, k in keyed}
 
 
-def dual_graph(
-    region: Region,
-    scheme: WeightScheme | None = None,
-    anchor_parity: int = DOUBLE_ANCHOR_PARITY,
-) -> WeightedGraph:
+def dual_graph(region: Region, scheme: WeightScheme | None = None) -> WeightedGraph:
     """One vertex per cell, one edge per adjacent pair, weighted per scheme.
 
     The cells along the bottommost diagonal (minimal y - x) are marked, in
@@ -322,8 +313,8 @@ def dual_graph(
     connected sums.  Edges come cell by cell in sorted order, the east
     neighbour before the north one.
     """
-    classes = region.weight_classes
-    table = _level_table(scheme or _UNIT_SCHEME, classes.levels, anchor_parity)
+    classes = _weight_classes(region)
+    table = _level_table(scheme or _UNIT_SCHEME, classes.levels)
     edges = _weighted_edges(classes, table, classes.edges)
     return WeightedGraph._derived(classes.vertices, edges, classes.marked)
 
@@ -340,11 +331,11 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     and the integer determinant over the product of those multipliers is
     the one Fraction built.
     """
-    count = region.kasteleyn_det  # also rejects a region with a hole
+    count = _unit_det(region)  # also rejects a region with a hole
     if not count:
         return Fraction(0)
-    classes = region.weight_classes
-    table = _level_table(scheme, classes.levels, DOUBLE_ANCHOR_PARITY)
+    classes = _weight_classes(region)
+    table = _level_table(scheme, classes.levels)
     nums = [w.numerator for w in table]
     nums += [-v for v in nums]
     dens = [w.denominator for w in table] * 2
@@ -458,11 +449,6 @@ def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
     return WeightedGraph._derived(vertices, edges, ())
 
 
-def ar_graph(rect: Region, scheme: WeightScheme) -> WeightedGraph:
-    """Weighted dual graph of an Aztec rectangle, bottom diagonal marked."""
-    return dual_graph(rect, scheme, RECT_ANCHOR_PARITY)
-
-
 def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
     """The trimmed rectangle graph appearing on the small side of ar_reduce.
 
@@ -473,11 +459,11 @@ def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
     vertices is removed and a unit pendant edge hung from each vertex of the
     newly exposed diagonal; the pendants are the marked vertices, southwest
     to northeast.  That shape is derived once per region
-    (``Region.half_classes``), so a scheme costs one table lookup per edge.
+    (``_half_classes``), so a scheme costs one table lookup per edge.
     """
     a, b, c, d, q = scheme
-    classes, half = trimmed.weight_classes, trimmed.half_classes
-    table = _level_table(WeightScheme(a / q, b, c, d, q), classes.levels, RECT_ANCHOR_PARITY)
+    classes, half = _weight_classes(trimmed), _half_classes(trimmed)
+    table = _level_table(WeightScheme(a / q, b, c, d, q), classes.levels)
     edges = _weighted_edges(classes, table, half.edges)
     for key in half.pendant_edges:
         edges[key] = _ONE
@@ -492,8 +478,8 @@ def ar_reduce(
     rect is the m x n Aztec rectangle and trimmed the m x (n-1) one; a
     trimmed of any other shape raises ValueError.
 
-    M(host # ar_graph(rect)) = (ad + bc)^m * q^(m(n-1) + m(m-1)/2)
-                             * M(host # half_ar_graph(trimmed)).
+    M(host # dual_graph(rect, scheme)) = (ad + bc)^m * q^(m(n-1) + m(m-1)/2)
+                                       * M(host # half_ar_graph(trimmed, scheme)).
     The returned graph is the right-hand side's connected sum.
     """
     if rect.kind != "aztec_rectangle":

@@ -14,12 +14,12 @@ so an up step is (+1, +2), a down step (+1, -2) and a level step (+2, 0).
 The ground line is y2 = 1, through the first marker pair.
 
 The walk reads a tiling as its int mask over ``Region.dominoes``.  Per
-region, the path points are numbered once, densely, in sorted (x, y2) order,
-and the walk's tables are indexed by those point ids: the bits of the
-decorated dominoes that start at each point, the step of each bit, the ids
-of the u markers and the v marker index of each point.  A walk step is then
-one list index and one int-keyed lookup; a point becomes (x, y2) again only
-in a path it returns or in an error message.
+region, the path points are numbered once (``regions.derived``), densely, in
+sorted (x, y2) order, and the walk's tables are indexed by those point ids:
+the bits of the decorated dominoes that start at each point, the step of
+each bit, the ids of the u markers and the v marker index of each point.  A
+walk step is then one list index and one int-keyed lookup; a point becomes
+(x, y2) again only in a path it returns or in an error message.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .engine import Tiling
-from .regions import InvariantError, Region
+from .regions import InvariantError, Region, boundary_markers, derived
+from .stats import _extreme_tiling
 
 UP, DOWN, LEVEL = "U", "D", "L"
 
@@ -84,6 +85,7 @@ def _compile_tables(u: Sequence, v: Sequence, segments: Sequence) -> PathTables:
     )
 
 
+@derived
 def _path_tables(region: Region) -> PathTables:
     """The region's walk tables: the path step of every decorated domino, keyed by its mask bit."""
     segments = []
@@ -99,7 +101,7 @@ def _path_tables(region: Region) -> PathTables:
         else:
             continue
         segments.append((bit, start, end, letter))
-    markers = region.markers
+    markers = boundary_markers(region)
     return _compile_tables(markers.u, markers.v, segments)
 
 
@@ -117,7 +119,7 @@ def _walk(region: Region, mask: int, paths: list | None = None) -> int:
     itself, and a path that runs onto an earlier path's end marker ends at
     the wrong one.  The walk runs on point ids; see ``_compile_tables``.
     """
-    starts, steps, u, v_at, points, decorated = region.path_tables
+    starts, steps, u, v_at, points, decorated = _path_tables(region)
     step_of = steps.get
     unused = mask
     quarter = 0
@@ -150,14 +152,20 @@ def _walk(region: Region, mask: int, paths: list | None = None) -> int:
     return quarter
 
 
+@derived
+def _minimal_area(region: Region) -> int:
+    """Underneath area of the minimal tiling's path family, in whole quarter cells."""
+    return _walk(region, region.tiling_mask(_extreme_tiling(region)))
+
+
 def area_ranks(region: Region, masks: Iterable[int]) -> list[int]:
     """Rank of each tiling mask as the underneath-area excess of its path family over minimal.
 
     Each area comes from the walk, which builds no path, and is compared
-    with ``Region.minimal_area``, in quarter cells like the walk's.  A
+    with ``_minimal_area``, in quarter cells like the walk's.  A
     region that is not a double Aztec rectangle raises KindError.
     """
-    base = region.minimal_area
+    base = _minimal_area(region)
     ranks = []
     for mask in masks:
         excess = _walk(region, mask) - base
@@ -172,6 +180,16 @@ def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     paths: list = []
     quarter = _walk(region, region.tiling_mask(tiling), paths)
     return PathFamily(tuple(paths), quarter)
+
+
+@derived
+def step_masks(region: Region) -> tuple[int, int, int]:
+    """The masks, over ``Region.dominoes``, of the decorated dominoes that step up, down and level."""
+    steps = _path_tables(region).steps
+    return tuple(
+        sum(bit for bit, (_, step, _) in steps.items() if step == letter)
+        for letter in (UP, DOWN, LEVEL)
+    )
 
 
 def step_counts(family: PathFamily) -> tuple[int, int, int]:

@@ -21,6 +21,12 @@ PlanePartition = tuple  # tuple of row tuples
 MAX_BRUTE_VOLUME = 36
 
 
+def require_brute_budget(a: int, b: int, c: int) -> None:
+    """Raise CapacityError if the a x b x c box is over ``MAX_BRUTE_VOLUME``."""
+    if a * b * c > MAX_BRUTE_VOLUME:
+        raise CapacityError(f"box volume {a * b * c} exceeds brute-force bound {MAX_BRUTE_VOLUME}")
+
+
 def enumerate_pp(a: int, b: int, c: int) -> Iterator[PlanePartition]:
     """All plane partitions fitting in an a x b x c box (a side of 0 gives one empty pp)."""
     if a < 0 or b < 0 or c < 0:
@@ -76,8 +82,7 @@ def q_genfun_brute(a: int, b: int, c: int) -> LaurentPoly2:
     of the walk, which adds 1 to the count of its volume; no partition is
     built.  ``enumerate_pp`` lists the same partitions, as tuples.
     """
-    if a * b * c > MAX_BRUTE_VOLUME:
-        raise CapacityError(f"box volume {a * b * c} exceeds brute-force bound {MAX_BRUTE_VOLUME}")
+    require_brute_budget(a, b, c)
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")
     if a == 0 or b == 0 or c == 0:

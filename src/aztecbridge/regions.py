@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -57,6 +57,28 @@ class BoundaryMarkers(NamedTuple):
     v: list[tuple[int, int]]
 
 
+def derived(compute):
+    """Decorate ``compute(region)`` so that it runs at most once per region.
+
+    The first call keeps the result on the region instance, keyed by the
+    decorated function, and later calls return it; a call that raises keeps
+    nothing.  Each module derives its own tables of a region this way, so
+    the tables go with the region and no module keeps a cache.  A first
+    call runs ``__wrapped__``, which a test may replace to count the runs.
+    """
+
+    @wraps(compute)
+    def get(region):
+        try:
+            return region.__dict__["_derived"][get]
+        except KeyError:
+            kept = region.__dict__.setdefault("_derived", {})
+            value = kept[get] = get.__wrapped__(region)
+            return value
+
+    return get
+
+
 def _ar_cells(m: int, n: int) -> set[Cell]:
     """Raw Aztec-rectangle cells in diagonal coordinates (untranslated)."""
     cells = set()
@@ -85,13 +107,13 @@ class Region:
     """An immutable square-lattice region with checkerboard coloring.
 
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
-    derived invariants below (grid edges, dominoes, boundary markers,
-    minimal heights and tiling, its path area, path tables, domino weight
-    classes, the half-graph shape, line weights and deficit masks, rank
-    table) are each computed on first use and kept on the instance, so no
-    module keeps a cache of its own.  A tiling is a sorted tuple of dominoes;
-    the rank and path code works on its int mask over ``dominoes``
-    (``tiling_mask``).
+    lattice invariants below (neighbours, unit faces, colour classes,
+    dominoes and their mask bits) are computed on first use and kept on the
+    instance.  Every other table of a region, such as its Kasteleyn
+    determinant, minimal tiling or path tables, is computed by a function of
+    the module that uses it, decorated with ``derived``, and kept on the
+    instance the same way.  A tiling is a sorted tuple of dominoes; the rank
+    and path code works on its int mask over ``dominoes`` (``tiling_mask``).
     """
 
     kind: str
@@ -144,13 +166,6 @@ class Region:
     def ymin(self) -> int:
         """The bottom row."""
         return min(c.y for c in self.cells)
-
-    @cached_property
-    def grid_edges(self) -> dict:
-        """Height steps along the cell edges; see ``stats.height_function``."""
-        from .stats import _grid_edges
-
-        return _grid_edges(self)
 
     @cached_property
     def neighbours(self) -> MappingProxyType:
@@ -250,103 +265,6 @@ class Region:
             )
         return mask
 
-    @cached_property
-    def kasteleyn_det(self) -> int:
-        """The unweighted Kasteleyn determinant; see ``engine._unit_det``.
-
-        Its absolute value is the tiling count, and its sign is the sign with
-        which every tiling enters a weighted determinant of the region.  A
-        region with a hole raises InvariantError.
-        """
-        from .engine import _unit_det
-
-        return _unit_det(self)
-
-    @cached_property
-    def weight_classes(self) -> tuple:
-        """Read-only weight class of each domino; see ``matchgraph._weight_classes``."""
-        from .matchgraph import _weight_classes
-
-        return _weight_classes(self)
-
-    @cached_property
-    def half_classes(self) -> tuple:
-        """Read-only shape of the half graph of this trimmed rectangle; see ``matchgraph._half_classes``."""
-        from .matchgraph import _half_classes
-
-        return _half_classes(self)
-
-    @cached_property
-    def line_weights(self) -> tuple:
-        """Per vertical grid line, the height-deficit weights; see ``stats._line_weights``."""
-        from .stats import _line_weights
-
-        return _line_weights(self)
-
-    @cached_property
-    def deficit_masks(self) -> tuple:
-        """Height deficit as (C, ((w, weight-w domino mask), ...)); see ``stats._deficit_masks``."""
-        from .stats import _deficit_masks
-
-        return _deficit_masks(self)
-
-    @cached_property
-    def markers(self) -> BoundaryMarkers:
-        """Boundary markers of a double Aztec rectangle; see ``boundary_markers``."""
-        if self.kind != "double_aztec_rectangle":
-            raise KindError("boundary markers are defined for double Aztec rectangles only")
-        if self.upper is None or self.lower is None:
-            raise KindError("a double Aztec rectangle needs its upper and lower parts")
-        # u: left edges of the lower SW fringe (minimal x+y diagonal) and of the
-        # upper NW fringe (maximal y-x diagonal); v: right edges of the lower SE
-        # fringe (minimal y-x) and upper NE fringe (maximal x+y).  Each fringe is
-        # ordered bottom-to-top.
-        low_sw = _diagonal_fringe(self.lower, lambda c: c.x + c.y, minimal=True)
-        up_nw = _diagonal_fringe(self.upper, lambda c: c.y - c.x, minimal=False)
-        low_se = _diagonal_fringe(self.lower, lambda c: c.y - c.x, minimal=True)
-        up_ne = _diagonal_fringe(self.upper, lambda c: c.x + c.y, minimal=False)
-        u = [(c.x, 2 * c.y + 1) for c in low_sw + up_nw]
-        v = [(c.x + 1, 2 * c.y + 1) for c in low_se + up_ne]
-        m1, n1, k, m2, n2 = self.params
-        if len(u) != m2 + n1 or len(v) != n2 + m1:
-            raise InvariantError(f"{len(u)} and {len(v)} markers, expected {m2 + n1} and {n2 + m1}")
-        return BoundaryMarkers(u=u, v=v)
-
-    @cached_property
-    def path_tables(self) -> tuple:
-        """Read-only path walk tables on point ids; see ``paths._compile_tables``."""
-        from .paths import _path_tables
-
-        return _path_tables(self)
-
-    @cached_property
-    def minimal_heights(self) -> MappingProxyType:
-        """Read-only vertex heights of the minimal tiling; see ``stats._extreme_heights``."""
-        from .stats import _extreme_heights
-
-        return MappingProxyType(_extreme_heights(self))
-
-    @cached_property
-    def minimal_tiling(self) -> tuple:
-        """The rank-zero tiling, read off ``minimal_heights``; see ``stats.minimal_tiling``."""
-        from .stats import _extreme_tiling
-
-        return _extreme_tiling(self)
-
-    @cached_property
-    def minimal_area(self) -> int:
-        """Underneath area of the minimal tiling's path family, in whole quarter cells."""
-        from .paths import _walk
-
-        return _walk(self, self.tiling_mask(self.minimal_tiling))
-
-    @cached_property
-    def rank_table(self) -> MappingProxyType:
-        """Read-only flip distances from the minimal tiling, by mask; see ``stats.rank_table``."""
-        from .stats import _flip_distances
-
-        return MappingProxyType(_flip_distances(self))
-
 
 @dataclass(frozen=True)
 class TriRegion:
@@ -394,13 +312,6 @@ class TriRegion:
         """The up-triangles and the down-triangles, each sorted: the Kasteleyn rows and columns."""
         ordered = sorted(self.tris)
         return tuple(t for t in ordered if t.up), tuple(t for t in ordered if not t.up)
-
-    @cached_property
-    def kasteleyn_det(self) -> int:
-        """The unweighted Kasteleyn determinant; see ``Region.kasteleyn_det``."""
-        from .engine import _unit_det
-
-        return _unit_det(self)
 
 
 def _normalize(cells: set[Cell], *parts: set[Cell]):
@@ -494,15 +405,32 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
     return TriRegion(kind="hexagon", params=(a, b, c), tris=frozenset(tris))
 
 
+@derived
 def boundary_markers(region: Region) -> BoundaryMarkers:
     """Centers of vertical boundary steps of a double Aztec rectangle.
 
     u lists the lower southwest then upper northwest markers bottom-to-top;
     v lists the lower southeast then upper northeast markers bottom-to-top.
     Points are (x, 2y+1): vertical edge midpoints in half-unit y coordinates.
-    Derived once per region and kept on it.
     """
-    return region.markers
+    if region.kind != "double_aztec_rectangle":
+        raise KindError("boundary markers are defined for double Aztec rectangles only")
+    if region.upper is None or region.lower is None:
+        raise KindError("a double Aztec rectangle needs its upper and lower parts")
+    # u: left edges of the lower SW fringe (minimal x+y diagonal) and of the
+    # upper NW fringe (maximal y-x diagonal); v: right edges of the lower SE
+    # fringe (minimal y-x) and upper NE fringe (maximal x+y).  Each fringe is
+    # ordered bottom-to-top.
+    low_sw = _diagonal_fringe(region.lower, lambda c: c.x + c.y, minimal=True)
+    up_nw = _diagonal_fringe(region.upper, lambda c: c.y - c.x, minimal=False)
+    low_se = _diagonal_fringe(region.lower, lambda c: c.y - c.x, minimal=True)
+    up_ne = _diagonal_fringe(region.upper, lambda c: c.x + c.y, minimal=False)
+    u = [(c.x, 2 * c.y + 1) for c in low_sw + up_nw]
+    v = [(c.x + 1, 2 * c.y + 1) for c in low_se + up_ne]
+    m1, n1, k, m2, n2 = region.params
+    if len(u) != m2 + n1 or len(v) != n2 + m1:
+        raise InvariantError(f"{len(u)} and {len(v)} markers, expected {m2 + n1} and {n2 + m1}")
+    return BoundaryMarkers(u=u, v=v)
 
 
 def _diagonal_fringe(cells: frozenset[Cell], diag, minimal: bool) -> list[Cell]:

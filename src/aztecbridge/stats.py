@@ -20,26 +20,29 @@ sides of it, so the masks that can still end in the empty profile are those
 that the same sweep, run over the columns from the right, reaches.
 
 The grid edges, the minimal heights and tiling, the rank table, the line
-weights and the deficit masks are derived once per region and kept on the
-``Region`` instance; this module computes them.  The exponential
-computations have budgets, checked before they start: ``MAX_LISTED_TILINGS``
-bounds the tilings the flip BFS or an enumeration may list, through the
-determinant count, and ``MAX_SWEEP_COLUMN`` bounds the sweep's columns.
+weights and the deficit masks are derived once per region
+(``regions.derived``) by the functions of this module that compute them.
+The exponential computations have budgets, checked before they start:
+``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an enumeration may
+list, through the determinant count, and ``MAX_SWEEP_COLUMN`` bounds the
+sweep's columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .engine import CapacityError, Tiling, count_tilings, is_vertical, piece
+from .engine import CapacityError, Tiling, _unit_det, count_tilings, is_vertical, piece
 from .polyring import LaurentPoly2
-from .regions import Cell, ConstraintError, InvariantError, KindError, Region
+from .regions import Cell, ConstraintError, InvariantError, KindError, Region, derived
 
 
 # -- height functions -------------------------------------------------------
 
 
+@derived
 def _grid_edges(region: Region) -> dict:
     """Height steps along the unit edges of the region's cells, by start vertex.
 
@@ -91,7 +94,7 @@ def height_function(region: Region, tiling: Tiling) -> dict:
     by 3 (and symmetrically for black).
     """
     dominoes = set(tiling)
-    edges = region.grid_edges
+    edges = _grid_edges(region)
     start = min(edges)
     h = {start: 0}
     stack = [start]
@@ -109,22 +112,23 @@ def height_function(region: Region, tiling: Tiling) -> dict:
     return {v: hv - m for v, hv in h.items()}
 
 
-def _extreme_heights(region: Region) -> dict:
-    """The pointwise largest height function, with the leftmost-lowest vertex at height 0.
+@derived
+def _extreme_heights(region: Region) -> Mapping:
+    """The read-only pointwise largest height function, with the leftmost-lowest vertex at 0.
 
     Boundary heights are forced; interior heights are relaxed downward
     against the caps h(b) <= h(a) + 1 across a +1 edge and h(b) <= h(a) + 3
     across a -1 edge (the allowed differences are {+1, -3} and {-1, +3}),
     which is a shortest-path problem from the boundary.  With this region
     coloring the largest height function is that of the minimal tiling
-    (``_extreme_tiling``).  ``Region.minimal_heights`` keeps it.
+    (``_extreme_tiling``).
     """
     excess = region.imbalance()
     if excess:
         raise ConstraintError(
             f"{region.spec_string()} has {excess:+d} white cells over black, so it has no tilings"
         )
-    edges = region.grid_edges
+    edges = _grid_edges(region)
     # boundary edges carry no domino, so their difference is forced exactly;
     # the leftmost-lowest vertex is on the boundary
     start = min(edges)
@@ -159,20 +163,21 @@ def _extreme_heights(region: Region) -> dict:
                     val[b] = cap
                     buckets.setdefault(cap, []).append(b)
         level += 1
-    return val
+    return MappingProxyType(val)
 
 
+@derived
 def _extreme_tiling(region: Region) -> Tiling:
-    """The tiling whose height function is pointwise largest, read off ``Region.minimal_heights``.
+    """The tiling whose height function is pointwise largest, read off ``_extreme_heights``.
 
     A domino crosses an edge exactly where the heights differ by 3.  With
     this region coloring it is the all-horizontal tiling on a diamond and
     the unique path-area minimizer on a double rectangle (see tests), so it
     is the minimal tiling.
     """
-    heights = region.minimal_heights
+    heights = _extreme_heights(region)
     pieces = set()
-    for a, moves in region.grid_edges.items():
+    for a, moves in _grid_edges(region).items():
         for b, _, domino in moves:
             if domino is not None and abs(heights[b] - heights[a]) == 3:
                 pieces.add(domino)
@@ -187,7 +192,7 @@ def minimal_tiling(region: Region) -> Tiling:
     """The rank-zero tiling (all-horizontal for an Aztec diamond), derived once per region."""
     if region.kind not in ("aztec_diamond", "double_aztec_rectangle", "aztec_rectangle"):
         raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
-    return region.minimal_tiling
+    return _extreme_tiling(region)
 
 
 # -- flips and rank ---------------------------------------------------------
@@ -235,13 +240,14 @@ def rank_table(region: Region) -> Mapping[int, int]:
     """Flip distance from the minimal tiling, for every reachable tiling's mask.
 
     The keys are tiling masks over ``Region.dominoes``; ``Region.tiling_mask``
-    gives the key of a tiling tuple.  The table is derived once per region,
-    kept on it and read-only.
+    gives the key of a tiling tuple.  The table is derived once per region
+    and read-only.
     """
-    return region.rank_table
+    return _flip_distances(region)
 
 
-def _flip_distances(region: Region) -> dict[int, int]:
+@derived
+def _flip_distances(region: Region) -> Mapping[int, int]:
     """Breadth-first search over flips from the minimal tiling, on tiling masks.
 
     A tiling is its int mask over ``Region.dominoes``.  Each 2x2 block of
@@ -262,7 +268,7 @@ def _flip_distances(region: Region) -> dict[int, int]:
             h = bit[(c, right)] | bit[(up, corner)]
             v = bit[(c, up)] | bit[(right, corner)]
             blocks.append((h, v, h | v))
-    start = region.tiling_mask(region.minimal_tiling)
+    start = region.tiling_mask(_extreme_tiling(region))
     dist = {start: 0}
     frontier = [start]
     rank = 0
@@ -277,7 +283,7 @@ def _flip_distances(region: Region) -> dict[int, int]:
                         dist[m2] = rank
                         nxt.append(m2)
         frontier = nxt
-    return dist
+    return MappingProxyType(dist)
 
 
 def linear_ranks(region: Region, masks: Iterable[int]) -> list[int]:
@@ -288,7 +294,7 @@ def linear_ranks(region: Region, masks: Iterable[int]) -> list[int]:
     x at row y (see ``_line_weights``); rank is that total divided by 4.
     It is read with one popcount per distinct weight (``_deficit_masks``).
     """
-    const, weighted = region.deficit_masks
+    const, weighted = _deficit_masks(region)
     ranks = []
     for mask in masks:
         total = const
@@ -374,6 +380,7 @@ def _reach(masks: list[int]) -> list[set[int]]:
     return reach
 
 
+@derived
 def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(C_x, w_x) for every vertical grid line x, left boundary to right.
 
@@ -387,7 +394,7 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     w_x[y] = 4 * step times the number of vertices above y in its run and
     C_x the deficit of the walk with no crossing.
     """
-    h0 = region.minimal_heights  # only its differences are read
+    h0 = _extreme_heights(region)  # only its differences are read
     masks = [0] + _column_masks(region) + [0]
     rows = max(c.y for c in region.cells) + 1
     lines = []
@@ -412,6 +419,7 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(lines)
 
 
+@derived
 def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The height deficit of a tiling mask as C + sum of w * |mask & M_w|.
 
@@ -421,7 +429,7 @@ def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
     weighs 0.  M_w is the mask of the dominoes of weight w, one per
     distinct nonzero weight, in increasing order of w.
     """
-    lines = region.line_weights
+    lines = _line_weights(region)
     masks: dict[int, int] = {}
     for (c, d), bit in region.domino_bit.items():
         if c.y == d.y:
@@ -451,7 +459,7 @@ def tq_sum(region: Region) -> LaurentPoly2:
     1992): the minimal tiling has the pointwise largest height function and
     every flip moves one vertex by 4.  The deficit on the vertical line x is
     linear in the profile mask entering column x, with weights derived once
-    per region (``Region.line_weights``), so a column-profile sweep carries,
+    per region (``_line_weights``), so a column-profile sweep carries,
     per mask, a map from the vertical dominoes so far to a q-packed count:
     the number of partial tilings of rank r sits in bits [r * W, (r + 1) * W)
     with W the bit length of the tiling count.  A line's deficit is then one
@@ -472,9 +480,9 @@ def tq_sum(region: Region) -> LaurentPoly2:
     """
     require_sweep_budget(region)
     t0 = minimal_tiling(region)
-    count = abs(region.kasteleyn_det)
+    count = abs(_unit_det(region))
     width = count.bit_length()
-    lines = region.line_weights
+    lines = _line_weights(region)
     masks = _column_masks(region)
     live = _reach(masks[::-1])[::-1]
     states: dict[int, dict[int, int]] = {0: {0: 1}}

@@ -31,17 +31,17 @@ from .formulas import (
 from .matchgraph import (
     WeightScheme,
     WeightedGraph,
-    ar_graph,
     ar_reduce,
     connected_sum,
+    dual_graph,
     matching_genfun,
     region_matching_sum,
     spider_reduce,
     star_scale,
     vertex_split,
 )
-from .paths import DOWN, LEVEL, UP, area_ranks
-from .planepart import q_genfun_brute
+from .paths import area_ranks, step_masks
+from .planepart import q_genfun_brute, require_brute_budget
 from .polyring import LaurentPoly2
 from .regions import (
     Region,
@@ -131,8 +131,11 @@ def _random_host(rng: random.Random, table: dict, marked: int, partners: int) ->
 
 
 def suite_macmahon(bound: int) -> list[dict]:
+    boxes = list(itertools.product(range(1, bound + 1), repeat=3))
+    for box in boxes:  # fail before the first box, not after the last
+        require_brute_budget(*box)
     cases = []
-    for a, b, c in itertools.product(range(1, bound + 1), repeat=3):
+    for a, b, c in boxes:
         ok = q_genfun_brute(a, b, c) == macmahon_q(a, b, c)
         ok = ok and count_tilings(build_hexagon(a, b, c)) == macmahon_count(a, b, c)
         cases.append({"box": [a, b, c], "ok": ok})
@@ -233,7 +236,7 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
         n = rng.randint(m + 1, 3)
         scheme = WeightScheme(*(_draw(rng, positive) for _ in range(5)))
         host = _random_host(rng, signed, n, n - m)
-        whole = connected_sum(host, ar_graph(rects[m, n], scheme))
+        whole = connected_sum(host, dual_graph(rects[m, n], scheme))
         trimmed, fac = ar_reduce(host, rects[m, n], rects[m, n - 1], scheme)
         reduce_ok = reduce_ok and matching_genfun(whole) == fac * matching_genfun(trimmed)
     return [
@@ -273,14 +276,11 @@ def _rank_case(region: Region) -> dict:
     # minimal tiling has the least area, uniquely, when exactly one
     # tiling has area rank 0 and none has a negative one
     ok = ok and min(ranks) == 0 and ranks.count(0) == 1
-    tables = region.path_tables
-    up, down, level = (
-        sum(bit for bit, (_, step, _) in tables.steps.items() if step == letter)
-        for letter in (UP, DOWN, LEVEL)
-    )
+    up, down, level = step_masks(region)
     vertical = sum(bit for d, bit in region.domino_bit.items() if is_vertical(d))
     length = _path_length(*region.params)
-    families = [mask & tables.decorated for mask in table]
+    decorated = up | down | level
+    families = [mask & decorated for mask in table]
     ok = ok and len(set(families)) == len(table)
     for family, mask in zip(families, table):
         diagonal = (family & up).bit_count() + (family & down).bit_count()

@@ -130,6 +130,26 @@ def test_verify_main_honours_max():
     assert len(json.loads(run("verify", "main").output)["cases"]) == 5
 
 
+@pytest.mark.parametrize("suite", ["rank", "main", "weighted"])
+def test_a_bound_that_admits_no_double_rectangle_exits_two(suite):
+    # the smallest double rectangle, dr:1,1,0,1,1, has 8 cells
+    assert verify.small_double_rectangles(7) == []
+    result = run("verify", suite, "--max", "7")
+    assert result.exit_code == 2
+    assert f"verify {suite} --max 7 admits no case" in result.output
+    assert run("verify", suite, "--max", "8").exit_code == 0
+
+
+def test_verify_macmahon_checks_every_box_before_the_first(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted a box before checking the budget")
+
+    monkeypatch.setattr(verify, "q_genfun_brute", no_count)
+    result = run("verify", "macmahon", "--max", "4")
+    assert result.exit_code == 2
+    assert "box volume 48 exceeds brute-force bound 36" in result.output
+
+
 def test_verify_is_seed_deterministic():
     a = run("verify", "weighted", "--trials", "2", "--seed", "9").output
     b = run("verify", "weighted", "--trials", "2", "--seed", "9").output

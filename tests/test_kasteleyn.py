@@ -134,7 +134,7 @@ nonzero_fractions = st.builds(
 @given(box_regions(), st.lists(nonzero_fractions, min_size=5, max_size=5))
 def test_determinant_enumeration_and_brute_force_agree_on_random_regions(region, weights):
     try:
-        det = region.kasteleyn_det
+        det = engine._unit_det(region)
     except InvariantError:
         assume(False)
     assert abs(det) == sum(1 for _ in enumerate_tilings(region)) == matching_genfun(dual_graph(region))
@@ -144,8 +144,8 @@ def test_determinant_enumeration_and_brute_force_agree_on_random_regions(region,
 
 def test_the_unweighted_determinant_is_derived_once_per_region(monkeypatch):
     calls = []
-    real = engine._unit_det
-    monkeypatch.setattr(engine, "_unit_det", lambda r: calls.append(r) or real(r))
+    real = engine._unit_det.__wrapped__
+    monkeypatch.setattr(engine._unit_det, "__wrapped__", lambda r: calls.append(r) or real(r))
     rng = random.Random(7)
     region = build_double_rectangle(*SUITE_TUPLES[0])
     for _ in range(3):
@@ -153,7 +153,7 @@ def test_the_unweighted_determinant_is_derived_once_per_region(monkeypatch):
         assert region_matching_sum(region, scheme) == matching_genfun(dual_graph(region, scheme))
     assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
     hexagon = build_hexagon(2, 2, 2)
-    assert count_tilings(hexagon) == count_tilings(hexagon) == hexagon.kasteleyn_det == 20
+    assert count_tilings(hexagon) == count_tilings(hexagon) == engine._unit_det(hexagon) == 20
     assert calls == [region, hexagon]
 
 

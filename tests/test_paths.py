@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aztecbridge import paths
 from aztecbridge.engine import enumerate_tilings, is_vertical
 from aztecbridge.paths import (
     DOWN,
@@ -18,7 +19,7 @@ from aztecbridge.paths import (
     tiling_to_paths,
     underneath_area,
 )
-from aztecbridge.regions import build_double_rectangle
+from aztecbridge.regions import boundary_markers, build_double_rectangle
 
 TUPLES = [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2), (2, 3, 1, 2, 3)]
 
@@ -33,8 +34,6 @@ def test_every_tiling_decorates_cleanly():
 
 
 def test_paths_join_matching_marker_indices():
-    from aztecbridge.regions import boundary_markers
-
     region = build_double_rectangle(1, 2, 0, 1, 2)
     markers = boundary_markers(region)
     for t in enumerate_tilings(region):
@@ -100,7 +99,8 @@ def test_underneath_area_is_pinned():
     region = build_double_rectangle(2, 3, 1, 2, 3)
     tilings = list(enumerate_tilings(region))
     area = lambda t: underneath_area(tiling_to_paths(region, t))
-    assert area(minimal_tiling(region)) == Fraction(region.minimal_area, 4) == Fraction(111, 2)
+    minimal_area = Fraction(paths._minimal_area(region), 4)
+    assert area(minimal_tiling(region)) == minimal_area == Fraction(111, 2)
     assert area(tilings[0]) == Fraction(145, 2)
     assert area(tilings[5]) == Fraction(139, 2)
 
@@ -116,13 +116,15 @@ def test_wrong_kind_is_rejected():
 
 def test_v_marker_index_is_derived_once_per_region():
     region = build_double_rectangle(2, 3, 1, 2, 3)
-    tables = region.path_tables
-    assert tables is region.path_tables
+    tables = paths._path_tables(region)
+    assert tables is paths._path_tables(region)
+    markers = boundary_markers(region)
+    assert markers is boundary_markers(region)
     v_at, points = tables.v_at, tables.points
     assert len(v_at) == len(points)
-    assert [v_at[points.index(p)] for p in region.markers.v] == list(range(len(region.markers.v)))
-    assert sorted(i for i in v_at if i >= 0) == list(range(len(region.markers.v)))
-    assert [points[i] for i in tables.u] == region.markers.u
+    assert [v_at[points.index(p)] for p in markers.v] == list(range(len(markers.v)))
+    assert sorted(i for i in v_at if i >= 0) == list(range(len(markers.v)))
+    assert [points[i] for i in tables.u] == markers.u
     assert list(points) == sorted(points)
     with pytest.raises(TypeError):
         v_at[0] = 0
@@ -148,7 +150,7 @@ def _old_segments(region, tiling):
 
 def _selected_segments(region, mask):
     """The steps that the region's mask tables select for a tiling mask, by start point."""
-    tables = region.path_tables
+    tables = paths._path_tables(region)
     points = tables.points
     selected = {}
     for p, bits in enumerate(tables.starts):
@@ -180,11 +182,12 @@ def _old_path_tables(region):
 def _old_walk(region, mask):
     """The point-keyed walk that the id tables replaced: its paths and quarter area."""
     starts, steps, decorated = _old_path_tables(region)
-    v_index = {p: i for i, p in enumerate(region.markers.v)}
+    markers = boundary_markers(region)
+    v_index = {p: i for i, p in enumerate(markers.v)}
     unused = mask
     quarter = 0
-    paths = []
-    for i, p in enumerate(region.markers.u):
+    walked = []
+    for i, p in enumerate(markers.u):
         pts, letters = [p], []
         while True:
             here = starts.get(p, 0) & unused
@@ -204,10 +207,10 @@ def _old_walk(region, mask):
             if starts.get(p, 0) & mask:
                 raise DecorationError(f"paths intersect at {p}")
             raise DecorationError(f"path {i + 1} dangles at {p}")
-        paths.append(SchroederPath(tuple(pts), tuple(letters)))
+        walked.append(SchroederPath(tuple(pts), tuple(letters)))
     if unused & decorated:
         raise DecorationError("decorated segments left over after assembly")
-    return paths, quarter
+    return walked, quarter
 
 
 def test_the_id_walk_equals_the_point_keyed_walk():
@@ -216,27 +219,25 @@ def test_the_id_walk_equals_the_point_keyed_walk():
         region = build_double_rectangle(*tup)
         for t in enumerate_tilings(region):
             mask = region.tiling_mask(t)
-            paths = []
-            quarter = _walk(region, mask, paths)
-            assert (paths, quarter) == _old_walk(region, mask)
+            family = []
+            quarter = _walk(region, mask, family)
+            assert (family, quarter) == _old_walk(region, mask)
             walked += 1
     assert walked == 8 + 16 + 640
 
 
 def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
-    from aztecbridge import paths
-
     calls = []
-    real = paths._path_tables
-    monkeypatch.setattr(paths, "_path_tables", lambda r: calls.append(r) or real(r))
+    real = paths._path_tables.__wrapped__
+    monkeypatch.setattr(paths._path_tables, "__wrapped__", lambda r: calls.append(r) or real(r))
     for tup in TUPLES:
         region = build_double_rectangle(*tup)
         for t in enumerate_tilings(region):
             assert _selected_segments(region, region.tiling_mask(t)) == _old_segments(region, t)
             tiling_to_paths(region, t)
         assert calls[-1] is region
-        tables = region.path_tables
-        assert tables is region.path_tables
+        tables = paths._path_tables(region)
+        assert tables is paths._path_tables(region)
         assert tables.decorated == sum(tables.steps)
         # the walk stops where no domino starts, which every v marker is
         assert not any(tables.starts[p] for p, i in enumerate(tables.v_at) if i >= 0)
@@ -246,7 +247,7 @@ def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
     assert len(calls) == len(TUPLES)
 
 
-def test_decoration_guards_reject_broken_segment_sets():
+def test_decoration_guards_reject_broken_segment_sets(monkeypatch):
     from aztecbridge.paths import _compile_tables
 
     region = build_double_rectangle(1, 2, 0, 1, 2)
@@ -260,20 +261,22 @@ def test_decoration_guards_reject_broken_segment_sets():
         "spare": ((4, 3), (5, 5), UP),
     }
     bit = {name: 1 << i for i, name in enumerate(segments)}
-    region.__dict__["path_tables"] = _compile_tables(
+    tables = _compile_tables(
         [(0, 1), (0, 5)],
         [(2, 1), (2, 5)],
         [(bit[name], *segment) for name, segment in segments.items()],
     )
-    region.__dict__["minimal_area"] = 16  # quarter cells: the level paths at heights 0 and 2
+    monkeypatch.setattr(paths, "_path_tables", lambda r: tables)
+    # quarter cells: the level paths at heights 0 and 2
+    monkeypatch.setattr(paths, "_minimal_area", lambda r: 16)
     # the stand-ins cover no cells, so Region.tiling_mask would reject every
     # one; the guards are driven through the walk that tiling_to_paths calls
     # after it and through area_ranks
 
     def paths_of(tiling):
-        paths = []
-        quarter = _walk(region, sum(map(bit.__getitem__, tiling)), paths)
-        return PathFamily(tuple(paths), quarter)
+        walked = []
+        quarter = _walk(region, sum(map(bit.__getitem__, tiling)), walked)
+        return PathFamily(tuple(walked), quarter)
 
     def rank_of(tiling):
         return area_ranks(region, [sum(map(bit.__getitem__, tiling))])[0]

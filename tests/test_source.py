@@ -1,10 +1,10 @@
-"""Source-level rules: checks survive ``python -O``; the suites live outside the CLI."""
+"""Source-level rules: checks survive ``python -O``; the suites live outside the CLI; imports."""
 
 import ast
 from pathlib import Path
 
 import aztecbridge
-from aztecbridge import cli, verify
+from aztecbridge import cli, regions, verify
 
 
 def test_no_assert_statements_in_the_package():
@@ -25,3 +25,30 @@ def test_the_cli_dispatches_every_suite_through_the_verify_module():
     assert [name for name in defined if name.startswith("suite_")] == []
     (suite,) = [p for p in cli.verify.params if p.name == "suite"]
     assert list(suite.type.choices) == list(verify.SUITES)
+
+
+def _imports(module):
+    """Every import statement of a module's source, at module level or inside a function."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_regions_imports_no_other_module_of_the_package():
+    found = [
+        f"line {node.lineno}"
+        for node in _imports(regions)
+        if (isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("aztecbridge")))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("aztecbridge") for a in node.names))
+    ]
+    assert found == [], "regions imports the package at " + ", ".join(found)
+
+
+def test_verify_imports_no_private_name():
+    found = [
+        alias.name
+        for node in _imports(verify)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

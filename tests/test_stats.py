@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from test_kasteleyn import box_regions
 
-from aztecbridge import stats
+from aztecbridge import engine, paths, stats
 from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.paths import area_ranks, tiling_to_paths
@@ -41,7 +41,7 @@ def test_minimal_diamond_tiling_is_all_horizontal():
 
 def _relaxed_heights(region):
     """Oracle: lower interior heights against the caps until none is violated."""
-    edges = region.grid_edges
+    edges = stats._grid_edges(region)
     boundary = {min(edges): 0}
     stack = [min(edges)]
     while stack:
@@ -69,7 +69,7 @@ def test_the_bucket_queue_finds_the_relaxed_heights():
         val = _relaxed_heights(region)
         pieces = {
             domino
-            for a, moves in region.grid_edges.items()
+            for a, moves in stats._grid_edges(region).items()
             for b, _, domino in moves
             if domino is not None and abs(val[b] - val[a]) == 3
         }
@@ -175,13 +175,13 @@ def test_vertical_halfcount():
 
 def test_region_invariants_are_derived_once(monkeypatch):
     calls = []
-    extreme = stats._extreme_tiling
+    extreme = stats._extreme_tiling.__wrapped__
 
     def counting(region):
         calls.append(region.params)
         return extreme(region)
 
-    monkeypatch.setattr(stats, "_extreme_tiling", counting)
+    monkeypatch.setattr(stats._extreme_tiling, "__wrapped__", counting)
     cases = suite_rank(32)
     assert len(cases) == 28 and all(c["ok"] for c in cases)
     assert len(calls) == 28 and len(set(calls)) == 28
@@ -191,8 +191,8 @@ def test_the_kept_minimal_heights_are_the_minimal_tilings_up_to_a_constant():
     regions = [build_aztec_diamond(n) for n in range(1, 7)]
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
     for region in regions:
-        kept = region.minimal_heights
-        assert kept is region.minimal_heights
+        kept = stats._extreme_heights(region)
+        assert kept is stats._extreme_heights(region)
         walked = height_function(region, minimal_tiling(region))
         assert kept.keys() == walked.keys()
         assert len({kept[v] - walked[v] for v in walked}) == 1, region.spec_string()
@@ -319,7 +319,7 @@ def test_line_weights_equal_the_height_walk_on_every_live_mask():
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(60)]
     checked = 0
     for region in regions:
-        lines = region.line_weights
+        lines = stats._line_weights(region)
         h0 = height_function(region, minimal_tiling(region))
         live = _live_profiles(region)
         assert len(lines) == len(live)
@@ -331,17 +331,19 @@ def test_line_weights_equal_the_height_walk_on_every_live_mask():
     assert checked > 10_000
 
 
-def test_a_too_narrow_packing_trips_the_coefficient_sum_guard():
+def test_a_too_narrow_packing_trips_the_coefficient_sum_guard(monkeypatch):
     region = build_aztec_diamond(3)
-    region.__dict__["kasteleyn_det"] = 7  # 64 tilings; 3-bit slots overflow
+    # ad:3 has 64 tilings, so 3-bit slots overflow
+    monkeypatch.setattr(engine._unit_det, "__wrapped__", lambda r: 7)
     with pytest.raises(InvariantError, match="coefficients sum to"):
         tq_sum(region)
 
 
-def test_a_shifted_rank_trips_the_ground_guard():
+def test_a_shifted_rank_trips_the_ground_guard(monkeypatch):
     region = build_double_rectangle(1, 2, 0, 1, 2)
-    (const, w), *rest = region.line_weights
-    region.__dict__["line_weights"] = ((const + 4, w), *rest)  # every rank + 1
+    (const, w), *rest = stats._line_weights(region)
+    shifted = ((const + 4, w), *rest)  # every rank + 1
+    monkeypatch.setattr(stats, "_line_weights", lambda r: shifted)
     with pytest.raises(InvariantError, match=r"q\^0 part"):
         tq_sum(region)
 
@@ -453,13 +455,13 @@ def test_listing_budget_admits_the_sixty_cell_tuples():
         stats.require_listing_budget(region, stats.MAX_LISTED_TILINGS + 1)
 
 
-def test_an_over_budget_rank_table_fails_before_the_bfs():
+def test_an_over_budget_rank_table_fails_before_the_bfs(monkeypatch):
     square = frozenset(Cell(x, y) for x in range(8) for y in range(8))  # 12,988,816 tilings
     for region, message in (
         (build_aztec_diamond(6), "ad:6: listing 2097152 tilings"),
         (Region(kind="plain", params=(), cells=square, white_parity=0), "64 cells: listing"),
     ):
-        region.__dict__["minimal_tiling"] = None  # a BFS would fail at once on it
+        monkeypatch.setattr(stats, "_extreme_tiling", lambda r: None)  # a BFS would fail at once
         with pytest.raises(CapacityError, match=message):
             rank_table(region)
 
@@ -473,11 +475,12 @@ def test_suite_rank_checks_every_tuple_before_the_first_bfs(monkeypatch):
         suite_rank(80)
 
 
-def test_a_fractional_area_excess_trips_the_whole_cell_guard():
+def test_a_fractional_area_excess_trips_the_whole_cell_guard(monkeypatch):
     region = build_double_rectangle(1, 2, 0, 1, 2)
     t0 = [region.tiling_mask(minimal_tiling(region))]
     assert area_ranks(region, t0) == [0]
-    region.__dict__["minimal_area"] = region.minimal_area + 2  # quarter cells
+    base = paths._minimal_area(region)
+    monkeypatch.setattr(paths, "_minimal_area", lambda r: base + 2)  # quarter cells
     with pytest.raises(InvariantError, match="whole number of cells"):
         area_ranks(region, t0)
 
@@ -487,8 +490,8 @@ def test_deficit_masks_equal_the_line_weights_on_every_domino():
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
     checked = 0
     for region in regions:
-        lines = region.line_weights
-        const, weighted = region.deficit_masks
+        lines = stats._line_weights(region)
+        const, weighted = stats._deficit_masks(region)
         assert const == sum(c for c, _ in lines), region.spec_string()
         weights = [w for w, _ in weighted]
         assert 0 not in weights and weights == sorted(set(weights)), region.spec_string()
@@ -505,15 +508,16 @@ def test_deficit_masks_equal_the_line_weights_on_every_domino():
 
 def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(monkeypatch):
     calls = []
-    real = stats._deficit_masks
-    monkeypatch.setattr(stats, "_deficit_masks", lambda r: calls.append(r) or real(r))
+    real = stats._deficit_masks.__wrapped__
+    monkeypatch.setattr(stats._deficit_masks, "__wrapped__", lambda r: calls.append(r) or real(r))
     region = build_double_rectangle(2, 3, 1, 2, 3)
     table = rank_table(region)
     assert linear_ranks(region, table) == list(table.values())
+    assert linear_ranks(region, table) == list(table.values())
     assert calls == [region]
-    assert region.deficit_masks is region.deficit_masks
+    assert stats._deficit_masks(region) is stats._deficit_masks(region)
     assert region.dominoes is region.dominoes and region.domino_bit is region.domino_bit
     with pytest.raises(TypeError):
-        region.deficit_masks[1][0] = (0, 0)
+        stats._deficit_masks(region)[1][0] = (0, 0)
     with pytest.raises(TypeError):
         region.domino_bit[region.dominoes[0]] = 0

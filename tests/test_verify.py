@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from aztecbridge import engine, paths, regions, stats, verify
 from aztecbridge.cli import main
-from aztecbridge.paths import LEVEL, PathFamily, _walk, tiling_to_paths
+from aztecbridge.paths import DOWN, LEVEL, UP, PathFamily, _walk, tiling_to_paths
 from aztecbridge.regions import ConstraintError, _check_dr_params, build_double_rectangle
 from aztecbridge.verify import (
     SUITE_TUPLES,
@@ -55,7 +55,7 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
     real = stats._flip_distances
 
     def dropping(region):  # one BFS misses a tiling of nonzero rank
-        table = real(region)
+        table = dict(real(region))
         if region.params == (1, 2, 1, 1, 2):
             del table[next(t for t, r in table.items() if r)]
         return table
@@ -75,9 +75,9 @@ def _no_listing(later):
 
 def test_suite_rank_builds_and_counts_each_region_once_and_lists_no_tiling(monkeypatch):
     builds, dets = [], []
-    build, det = verify.build_double_rectangle, engine._unit_det
+    build, det = verify.build_double_rectangle, engine._unit_det.__wrapped__
     monkeypatch.setattr(verify, "build_double_rectangle", lambda *t: builds.append(t) or build(*t))
-    monkeypatch.setattr(engine, "_unit_det", lambda r: dets.append(r.params) or det(r))
+    monkeypatch.setattr(engine._unit_det, "__wrapped__", lambda r: dets.append(r.params) or det(r))
     monkeypatch.setattr(engine, "_matchings", _no_listing)
     cases = suite_rank(32)
     assert len(cases) == 28 and all(c["ok"] for c in cases)
@@ -148,7 +148,7 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
     real = stats._flip_distances
 
     def dropping(region):  # one BFS misses a tiling of nonzero rank
-        table = real(region)
+        table = dict(real(region))
         if region.params == (2, 3, 0, 2, 3):
             del table[next(t for t, r in table.items() if r)]
         return table
@@ -175,7 +175,11 @@ def test_the_bfs_masks_carry_the_families_of_the_enumerated_tilings():
 def test_the_decorated_dominoes_of_a_bfs_mask_are_its_family_and_its_step_counts():
     for tup in SUITE_TUPLES:
         region = build_double_rectangle(*tup)
-        tables = region.path_tables
+        tables = paths._path_tables(region)
+        up, down, level = paths.step_masks(region)
+        masks = {UP: up, DOWN: down, LEVEL: level}
+        assert all(masks[letter] & bit for bit, (_, letter, _) in tables.steps.items())
+        assert up + down + level == tables.decorated
         for mask in stats.rank_table(region):
             family = _family(region, mask)
             segments = [
@@ -198,18 +202,13 @@ def test_suite_paths_builds_no_path(monkeypatch):
 
 
 def _without_level_dominoes(monkeypatch):
-    real = paths._path_tables
-
-    def keyless(region):
-        tables = real(region)
-        level = sum(bit for bit, (_, letter, _) in tables.steps.items() if letter == LEVEL)
-        return tables._replace(decorated=tables.decorated & ~level)
-
-    monkeypatch.setattr(paths, "_path_tables", keyless)
+    real = verify.step_masks
+    monkeypatch.setattr(verify, "step_masks", lambda region: (*real(region)[:2], 0))
 
 
 def _with_an_empty_up_mask(monkeypatch):
-    monkeypatch.setattr(verify, "UP", "no such letter")
+    real = verify.step_masks
+    monkeypatch.setattr(verify, "step_masks", lambda region: (0, *real(region)[1:]))
 
 
 def _with_the_path_length_off_by_one(monkeypatch):
