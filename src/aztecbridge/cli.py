@@ -30,7 +30,9 @@ def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        # not click.echo: on a stream with no declared encoding, such as a
+        # StringIO, its first call imports a codec
+        print(text)
 
 
 def _region_or_usage(spec: str):

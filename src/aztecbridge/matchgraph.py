@@ -1,7 +1,10 @@
 """Weighted graphs, matching sums, and local replacement rewrites.
 
-Vertices are arbitrary hashable labels; weights are exact rationals.  All
-rewrite operations return new graphs and (where applicable) the scalar
+Vertices are arbitrary hashable labels, but edges are keyed by vertex
+index: a graph's ``edges`` map each pair (i, j), i < j, of positions in
+``vertices`` to an integer numerator, in edge order, over the graph's one
+positive common denominator ``den``.  Every rewrite builds a new graph in
+that form directly, in integers, and returns (where applicable) the scalar
 factor by which the matching generating function changes, so the identity
 M(old) = factor * M(new) can be checked exactly.
 
@@ -9,17 +12,17 @@ The weighted matching sum of a region's dual graph is a Kasteleyn
 determinant (``region_matching_sum``); the exponential ``matching_genfun``
 serves general graphs, such as the non-planar hosts of the rewrite checks.
 Both work on integers: the determinant clears each row by the lcm of its
-own denominators, the matcher scales every edge by one lcm, and each
-builds one Fraction at the end.
+own denominators, the matcher multiplies numerators and divides by
+den^(n/2), and each builds one Fraction at the end.
 
 Which weight a domino gets splits in two.  Its weight class (orientation,
 diagonal parity and level) depends on the region alone: it is derived once
-per region (``_weight_classes``), with the dual graph's edge keys and the
-Kasteleyn rows.  A scheme is a small table from class to weight, built once
-per call by ``_level_table`` from integer q-powers.  The rectangle rewrites
-take prebuilt Aztec rectangles, so a caller that glues the same shape many
-times builds it, and derives its classes and its half-graph shape
-(``_half_classes``), once.
+per region (``_weight_classes``), with the dual graph's index-pair edge
+keys and the Kasteleyn rows.  A scheme is a small table from class to an
+integer numerator and denominator, built once per call by ``_level_table``
+from integer q-powers.  The rectangle rewrites take prebuilt Aztec
+rectangles, so a caller that glues the same shape many times builds it, and
+derives its classes and its half-graph shape (``_half_classes``), once.
 """
 
 from __future__ import annotations
@@ -45,87 +48,131 @@ class WeightScheme(NamedTuple):
     q: Fraction
 
 
-def _add_edge(emap: dict, u, v, w: Fraction) -> None:
-    """Put the edge u-v of weight w into emap, checked as every new edge is.
+def _add_edge(edges: dict, vertices: tuple, i: int, j: int, num: int) -> None:
+    """Put the edge i-j of numerator num into edges, checked as every new edge is.
 
-    The caller has checked that u and v are vertices of the graph.
+    i and j are positions in vertices; num is nonzero.
     """
-    if u == v:
-        raise ValueError(f"bad edge ({u!r}, {v!r})")
-    if w == 0:
-        raise ValueError("zero edge weight")
-    key = frozenset((u, v))
-    if key in emap:
-        raise ValueError(f"duplicate edge {u!r}-{v!r}")
-    emap[key] = w
+    if i == j:
+        raise ValueError(f"bad edge ({vertices[i]!r}, {vertices[j]!r})")
+    key = (i, j) if i < j else (j, i)
+    if key in edges:
+        raise ValueError(f"duplicate edge {vertices[i]!r}-{vertices[j]!r}")
+    edges[key] = num
+
+
+def _first_repeat(items: tuple):
+    """The first item that items lists a second time; items has one."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
 
 
 class WeightedGraph:
-    """Immutable simple undirected graph with rational edge weights."""
+    """Immutable simple undirected graph with rational edge weights.
 
-    __slots__ = ("vertices", "edges", "marked", "_neighbors")
+    ``edges`` maps (i, j), i < j positions in ``vertices``, to an integer
+    numerator, in edge order; the weight of that edge is the numerator over
+    the positive common denominator ``den``.  Vertices and marked vertices
+    are distinct labels.
+    """
+
+    __slots__ = ("vertices", "edges", "den", "marked", "_index", "_neighbors")
 
     def __init__(self, vertices: Iterable, edges: Iterable, marked: Iterable = ()):
         self.vertices = tuple(vertices)
-        vs = set(self.vertices)
-        emap: dict[frozenset, Fraction] = {}
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) < len(self.vertices):
+            raise ValueError(f"repeated vertex {_first_repeat(self.vertices)!r}")
+        ratios: dict[tuple[int, int], tuple[int, int]] = {}
         for u, v, w in edges:
-            if not isinstance(w, Fraction):  # Fraction(Fraction) is a slow copy
+            if not isinstance(w, (int, Fraction)):
                 w = Fraction(w)
-            if u not in vs or v not in vs:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None or i == j:
                 raise ValueError(f"bad edge ({u!r}, {v!r})")
-            _add_edge(emap, u, v, w)
-        self.edges = emap
+            ratio = w.as_integer_ratio()
+            if not ratio[0]:
+                raise ValueError("zero edge weight")
+            key = (i, j) if i < j else (j, i)
+            if key in ratios:
+                raise ValueError(f"duplicate edge {u!r}-{v!r}")
+            ratios[key] = ratio
+        den = math.lcm(*(d for _, d in ratios.values()))
+        self.edges = {key: num * (den // d) for key, (num, d) in ratios.items()}
+        self.den = den
         self.marked = tuple(marked)
         for m in self.marked:
-            if m not in vs:
+            if m not in index:
                 raise ValueError(f"marked vertex {m!r} missing")
-        self._neighbors: dict | None = None
+        if len(set(self.marked)) < len(self.marked):
+            raise ValueError(f"marked vertex {_first_repeat(self.marked)!r} repeated")
+        self._index = index
+        self._neighbors: list | None = None
 
     @classmethod
-    def _derived(cls, vertices: tuple, edges: dict, marked: tuple) -> WeightedGraph:
+    def _derived(cls, vertices: tuple, edges: dict, den: int, marked: tuple) -> WeightedGraph:
         """A graph on an edge map that is valid already; nothing is checked again.
 
-        For the rewrites of a valid graph: they copy or filter its edge map,
-        put each edge they add through ``_add_edge``, and check their own
-        marked vertices.
+        For the rewrites of a valid graph: they map its edge map onto the
+        new positions, put each edge they add that could meet an edge
+        already there through ``_add_edge``, and check the vertex labels and
+        marked vertices they add.
         """
         graph = object.__new__(cls)
         graph.vertices = vertices
         graph.edges = edges
+        graph.den = den
         graph.marked = marked
+        graph._index = None
         graph._neighbors = None
         return graph
 
-    def weight(self, u, v) -> Fraction:
-        return self.edges[frozenset((u, v))]
+    def _position(self) -> dict:
+        """Each vertex label's position, built on the first call and kept."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vertices)}
+        return self._index
 
-    def neighbors(self, v) -> list:
-        """The vertices joined to v, in edge order.
+    def _adjacent(self, i: int) -> list[int]:
+        """The positions joined to position i, in edge order.
 
-        Every vertex's list is built in one pass over the edges on the first
-        call and kept on the graph; most graphs are never asked.
+        Every position's list is built in one pass over the edges on the
+        first call and kept on the graph; most graphs are never asked.
         """
         if self._neighbors is None:
-            nbrs: dict = {u: [] for u in self.vertices}
+            nbrs: list[list[int]] = [[] for _ in self.vertices]
             for a, b in self.edges:
                 nbrs[a].append(b)
                 nbrs[b].append(a)
             self._neighbors = nbrs
-        return list(self._neighbors[v])
+        return self._neighbors[i]
+
+    def weight(self, u, v) -> Fraction:
+        index = self._position()
+        i, j = index[u], index[v]
+        return Fraction(self.edges[(i, j) if i < j else (j, i)], self.den)
+
+    def neighbors(self, v) -> list:
+        """The vertices joined to v, in edge order."""
+        vertices = self.vertices
+        return [vertices[j] for j in self._adjacent(self._position()[v])]
 
 
 def matching_genfun(graph: WeightedGraph) -> Fraction:
     """Sum over perfect matchings of the product of edge weights.
 
-    Every perfect matching has n/2 edges, so the weights are scaled once by
-    the least common multiple L of their denominators, the search runs on
-    integers over a bitmask of alive vertices, and the sum is divided by
-    L^(n/2) at the end.  The search matches the lowest alive vertex, whose
-    partner must come after it, and keeps the sum of each alive mask it
-    reaches in a dict local to the call.  On a region's dual graph, whose
-    vertices are the cells in sorted order, an alive mask is a column
-    profile, so the search is a column-profile dynamic programme.
+    Every perfect matching has n/2 edges, so the search multiplies integer
+    numerators over a bitmask of alive vertices, and the sum is divided by
+    den^(n/2) at the end.  It matches the lowest alive vertex, whose
+    partner must come after it, and pushes each alive mask's sum forward
+    one matched pair at a time: layer k holds the masks with k pairs
+    matched, so each mask is expanded once, after every way of reaching it
+    has been added in.  On a region's dual graph, whose vertices are the
+    cells in sorted order, an alive mask is a column profile, so the search
+    is a column-profile dynamic programme.
     """
     n = len(graph.vertices)
     if n > MAX_MATCH_VERTICES:
@@ -134,31 +181,21 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
         )
     if n % 2:
         return Fraction(0)
-    ratios = [w.as_integer_ratio() for w in graph.edges.values()]
-    scale = math.lcm(*(den for _, den in ratios))
-    index = {v: i for i, v in enumerate(graph.vertices)}
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b), (num, den) in zip(graph.edges, ratios):
-        u, v = index[a], index[b]
-        if u > v:
-            u, v = v, u
-        later[u].append((1 << v, num * (scale // den)))
-    memo = {0: 1}
-
-    def rec(alive: int) -> int:
-        low = alive & -alive
-        rest = alive ^ low
-        total = 0
-        for bit, w in later[low.bit_length() - 1]:
-            if rest & bit:
-                sub = memo.get(rest ^ bit)
-                if sub is None:
-                    sub = rec(rest ^ bit)
-                total += w * sub
-        memo[alive] = total
-        return total
-
-    return Fraction(rec((1 << n) - 1) if n else 1, scale ** (n // 2))
+    for (i, j), num in graph.edges.items():
+        later[i].append((1 << j, num))
+    layer = {(1 << n) - 1: 1}
+    for _ in range(n // 2):
+        pushed: dict[int, int] = {}
+        for alive, total in layer.items():
+            low = alive & -alive
+            rest = alive ^ low
+            for bit, num in later[low.bit_length() - 1]:
+                if rest & bit:
+                    key = rest ^ bit
+                    pushed[key] = pushed.get(key, 0) + total * num
+        layer = pushed
+    return Fraction(layer.get(0, 0), graph.den ** (n // 2))
 
 
 # -- the domino weight scheme ----------------------------------------------
@@ -175,10 +212,8 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 # rectangles use 1 (pinned by the rectangle-reduction factor identity); see
 # tests/test_matchgraph.py.
 
-_ONE = Fraction(1)
-
 #: The scheme under which every domino weighs 1.
-_UNIT_SCHEME = WeightScheme(*(_ONE,) * 5)
+_UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
 
 
 class WeightClasses(NamedTuple):
@@ -186,7 +221,7 @@ class WeightClasses(NamedTuple):
 
     levels: int
     vertices: tuple  # the cells, sorted
-    edges: tuple  # (edge key, class) per domino, east then north in cell order
+    edges: tuple  # ((i, j), class) per domino by cell position, east then north in cell order
     marked: tuple  # the bottommost diagonal, southwest to northeast
     rows: tuple  # per white cell, ((black column, signed class), ...)
 
@@ -203,19 +238,20 @@ def _weight_classes(region: Region) -> WeightClasses:
     Kasteleyn rows, a class plus 4 * levels stands for an entry of sign -1.
     """
     cells = region.sorted_cells
-    cellset = region.cells
+    at = {c: i for i, c in enumerate(cells)}
     dmin, ymin = region.dmin, region.ymin
     anchor = dmin + (region.kind == "aztec_rectangle")
-    levels = max(c.y for c in cellset) - ymin + 1
+    levels = max(c.y for c in cells) - ymin + 1
 
     def cls(low: Cell, vertical: bool) -> int:
         return (2 * vertical + (low.y - low.x - anchor) % 2) * levels + low.y - ymin
 
+    # the east and north neighbours of a cell sort after it
     edges = tuple(
-        (frozenset((c, d)), cls(c, vertical))
-        for c in cells
+        ((i, at[d]), cls(c, vertical))
+        for i, c in enumerate(cells)
         for d, vertical in ((Cell(c.x + 1, c.y), False), (Cell(c.x, c.y + 1), True))
-        if d in cellset
+        if d in at
     )
     whites, blacks = region.colour_classes
     col = {b: j for j, b in enumerate(blacks)}
@@ -235,8 +271,8 @@ class HalfClasses(NamedTuple):
     """The shape of a trimmed rectangle's half graph; see ``_half_classes``."""
 
     vertices: tuple  # the kept cells in sorted order, then the pendants
-    edges: tuple  # (edge key, class) per kept domino, in dual-graph order
-    pendant_edges: tuple  # edge key per pendant edge, southwest to northeast
+    edges: tuple  # ((i, j), class) per kept domino by position in vertices, in dual-graph order
+    pendant_edges: tuple  # (i, j) per pendant edge, southwest to northeast
     marked: tuple  # the pendants, southwest to northeast
 
 
@@ -252,57 +288,78 @@ def _half_classes(region: Region) -> HalfClasses:
     classes = _weight_classes(region)
     drop = set(classes.marked)
     keep = tuple(v for v in classes.vertices if v not in drop)
+    at = {v: i for i, v in enumerate(keep)}
+    # dropping vertices keeps the others in order, so every kept key stays ordered
+    moved = [at.get(v) for v in classes.vertices]
     dmin = min(v.y - v.x for v in keep)
     exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
     pendants = tuple(("pend", i) for i in range(len(exposed)))
     return HalfClasses(
         keep + pendants,
-        tuple((key, k) for key, k in classes.edges if key.isdisjoint(drop)),
-        tuple(frozenset(pair) for pair in zip(exposed, pendants)),
+        tuple(
+            ((moved[i], moved[j]), k)
+            for (i, j), k in classes.edges
+            if moved[i] is not None and moved[j] is not None
+        ),
+        tuple((at[v], len(keep) + p) for p, v in enumerate(exposed)),
         pendants,
     )
 
 
-def _rational(v) -> Fraction:
-    """v as a Fraction, without copying one that already is."""
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _ratio(v) -> tuple[int, int]:
+    """The rational v as an integer (numerator, positive denominator) pair in lowest terms."""
+    return (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
 
 
-def _level_table(scheme: WeightScheme, levels: int) -> list[Fraction]:
+def _require_q(qn: int) -> None:
+    """Raise unless q, of numerator qn, is nonzero."""
+    if not qn:
+        raise ZeroDivisionError(
+            "q must be nonzero: a graded horizontal domino on the bottom row carries q^-1"
+        )
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _level_table(scheme: WeightScheme, levels: int) -> list[tuple[int, int]]:
     """The weight of each class of ``_weight_classes`` under the scheme.
 
     Per level L: b for a horizontal domino of the anchor's parity, c * q^(L-1)
     for one of the other parity, d * q^L for a vertical domino of the
     anchor's parity, and a for one of the other parity.  q must be nonzero,
-    since a graded horizontal domino on the bottom row carries q^-1.  The
-    graded weights are carried as integer numerators and denominators, level
-    by level, and each becomes one Fraction.
+    since a graded horizontal domino on the bottom row carries q^-1.  Each
+    weight is a reduced integer (numerator, positive denominator), and the
+    graded ones are carried in integers level by level.
     """
-    a, b, c, d, q = map(_rational, scheme)
-    if not q:
-        raise ZeroDivisionError(
-            "q must be nonzero: a graded horizontal domino on the bottom row carries q^-1"
-        )
-    qn, qd = q.numerator, q.denominator
-    hn, hd = c.numerator * qd, c.denominator * qn  # c * q^-1
-    vn, vd = d.numerator, d.denominator  # d * q^0
+    a, b, (cn, cd), (vn, vd), (qn, qd) = map(_ratio, scheme)  # d * q^0 is d
+    _require_q(qn)
+    hn, hd = _reduced(cn * qd, cd * qn)  # c * q^-1
     graded_h, graded_v = [], []
     for _ in range(levels):
-        graded_h.append(Fraction(hn, hd))
-        graded_v.append(Fraction(vn, vd))
+        graded_h.append(_reduced(hn, hd))
+        graded_v.append(_reduced(vn, vd))
         hn, hd, vn, vd = hn * qn, hd * qd, vn * qn, vd * qd
     return [b] * levels + graded_h + graded_v + [a] * levels
 
 
-def _weighted_edges(classes: WeightClasses, table: list[Fraction], keyed: tuple) -> dict:
-    """The edge map {key: table[class]} of the (key, class) pairs keyed.
+def _weighted_edges(classes: WeightClasses, table: list, keyed: tuple) -> tuple[dict, int]:
+    """The edge map {key: numerator of table[class]} of the (key, class) pairs keyed, and its denominator.
 
-    keyed is ``classes.edges`` or a part of it; a zero weight on any edge
-    of the whole region raises, as building its dual graph would.
+    Every numerator is over the lcm of the table's denominators.  keyed is
+    ``classes.edges`` or a part of it; a zero weight on any edge of the
+    whole region raises, as building its dual graph would.
     """
-    if not all(table) and not all(table[k] for _, k in classes.edges):
+    den = math.lcm(*(d for _, d in table))
+    nums = [n * (den // d) for n, d in table]
+    if not all(nums) and not all(nums[k] for _, k in classes.edges):
         raise ValueError("zero edge weight")
-    return {key: table[k] for key, k in keyed}
+    return {key: nums[k] for key, k in keyed}, den
 
 
 def dual_graph(region: Region, scheme: WeightScheme | None = None) -> WeightedGraph:
@@ -315,8 +372,8 @@ def dual_graph(region: Region, scheme: WeightScheme | None = None) -> WeightedGr
     """
     classes = _weight_classes(region)
     table = _level_table(scheme or _UNIT_SCHEME, classes.levels)
-    edges = _weighted_edges(classes, table, classes.edges)
-    return WeightedGraph._derived(classes.vertices, edges, classes.marked)
+    edges, den = _weighted_edges(classes, table, classes.edges)
+    return WeightedGraph._derived(classes.vertices, edges, den, classes.marked)
 
 
 def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
@@ -336,9 +393,9 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
         return Fraction(0)
     classes = _weight_classes(region)
     table = _level_table(scheme, classes.levels)
-    nums = [w.numerator for w in table]
+    nums = [num for num, _ in table]
     nums += [-v for v in nums]
-    dens = [w.denominator for w in table] * 2
+    dens = [den for _, den in table] * 2
     # per row, not one lcm for the table: a row then carries only the
     # q-powers of the levels it touches
     rows = []
@@ -353,9 +410,18 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
 
 # -- replacement rules ------------------------------------------------------
 #
-# Each rule copies or filters the edge map of a valid graph and checks only
-# the edges it adds, so it raises the same errors as building the result
-# through ``WeightedGraph`` would, and keeps the same edge order.
+# Each rule maps the edge map of a valid graph onto the positions of its
+# result and checks only the edges and labels it adds, so it raises the same
+# errors as building the result through ``WeightedGraph`` would, and keeps
+# the same edge order.
+
+
+def _require_new(graph: WeightedGraph, labels: Iterable) -> None:
+    """Raise as the checked constructor would if a label is a vertex of graph already."""
+    index = graph._position()
+    for label in labels:
+        if label in index:
+            raise ValueError(f"repeated vertex {label!r}")
 
 
 def vertex_split(graph: WeightedGraph, v, part: Iterable) -> WeightedGraph:
@@ -365,33 +431,41 @@ def vertex_split(graph: WeightedGraph, v, part: Iterable) -> WeightedGraph:
     two new unit edges leave the matching generating function unchanged.
     """
     part = set(part)
-    nbs = set(graph.neighbors(v))
-    if not part <= nbs:
+    if not part <= set(graph.neighbors(v)):
         raise ValueError("partition contains non-neighbors of v")
     vp, vpp, mid = (v, "split'"), (v, "split''"), (v, "split-mid")
-    vertices = tuple(u for u in graph.vertices if u != v) + (vp, mid, vpp)
-    edges: dict[frozenset, Fraction] = {}
-    for key, w in graph.edges.items():
-        if v in key:
-            (u,) = key - {v}
-            _add_edge(edges, u, vp if u in part else vpp, w)
-        elif key in edges:  # only if the graph already has a vertex named like v' or v''
-            _add_edge(edges, *key, w)
+    _require_new(graph, (vp, mid, vpp))
+    index = graph._position()
+    at = index[v]
+    to_vp = {index[u] for u in part}
+    # the vertices after v move down one place; v', mid, v'' come last
+    n = len(graph.vertices)
+    at_vp, at_mid, at_vpp = n - 1, n, n + 1
+    edges = {}
+    for (i, j), num in graph.edges.items():
+        if i == at or j == at:
+            u = j if i == at else i
+            edges[u - (u > at), at_vp if u in to_vp else at_vpp] = num
         else:
-            edges[key] = w
-    _add_edge(edges, vp, mid, _ONE)
-    _add_edge(edges, mid, vpp, _ONE)
+            edges[i - (i > at), j - (j > at)] = num
+    edges[at_vp, at_mid] = edges[at_mid, at_vpp] = graph.den
+    vertices = graph.vertices[:at] + graph.vertices[at + 1 :] + (vp, mid, vpp)
     marked = tuple(vp if m == v else m for m in graph.marked)
-    return WeightedGraph._derived(vertices, edges, marked)
+    return WeightedGraph._derived(vertices, edges, graph.den, marked)
 
 
 def star_scale(graph: WeightedGraph, v, factor: Fraction) -> WeightedGraph:
-    """Scale every edge at v; M scales by the same factor (must be positive)."""
-    factor = _rational(factor)
-    if factor <= 0:
+    """Scale every edge at v; M scales by the same factor (must be positive).
+
+    By p/q: the edges at v are multiplied by p, every other edge by q, and
+    the denominator by q.
+    """
+    p, q = _ratio(factor)
+    if p <= 0:
         raise ValueError("scale factor must be positive")
-    edges = {key: w * factor if v in key else w for key, w in graph.edges.items()}
-    return WeightedGraph._derived(graph.vertices, edges, graph.marked)
+    at = graph._position()[v]
+    edges = {key: num * (p if at in key else q) for key, num in graph.edges.items()}
+    return WeightedGraph._derived(graph.vertices, edges, graph.den * q, graph.marked)
 
 
 def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, Fraction]:
@@ -402,51 +476,81 @@ def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, Fr
     x = w(i1,i2), y = w(i2,i3), z = w(i3,i4), t = w(i4,i1) and D = xz + yt,
     the tips A,B,C,D (outside neighbors of i1..i4) get the cycle
     A-B = z/D, B-C = t/D, C-D = x/D, D-A = y/D, and M(old) = D * M(new).
+
+    With numerators X, Y, Z, T over d, D = (XZ + YT)/d^2 and A-B = Z d/(XZ + YT),
+    so the result's denominator is d |XZ + YT|: every kept numerator is
+    multiplied by |XZ + YT|, and A-B gets Z d^2 times the sign of XZ + YT.
     """
-    i1, i2, i3, i4 = inner
-    x = graph.weight(i1, i2)
-    y = graph.weight(i2, i3)
-    z = graph.weight(i3, i4)
-    t = graph.weight(i4, i1)
-    delta = x * z + y * t
-    if delta == 0:
+    index = graph._position()
+    at = [index[i] for i in inner]
+    edges = graph.edges
+
+    def num(i: int, j: int) -> int:
+        return edges[(i, j) if i < j else (j, i)]
+
+    x, y, z, t = (num(at[k], at[(k + 1) % 4]) for k in range(4))
+    big = x * z + y * t
+    if big == 0:
         raise ZeroDivisionError("singular cell: xz + yt = 0")
+    d = graph.den
+    drop = set(at)
     tips = []
-    for i in inner:
-        outside = [u for u in graph.neighbors(i) if u not in inner]
+    for i, label in zip(at, inner):
+        outside = [u for u in graph._adjacent(i) if u not in drop]
         if len(outside) != 1:
-            raise ValueError(f"inner vertex {i!r} must have exactly one tip")
-        if graph.weight(i, outside[0]) != 1:
+            raise ValueError(f"inner vertex {label!r} must have exactly one tip")
+        if num(i, outside[0]) != d:
             raise ValueError("spokes must carry unit weight")
         tips.append(outside[0])
-    a_, b_, c_, d_ = tips
-    drop = set(inner)
-    vertices = tuple(u for u in graph.vertices if u not in drop)
-    edges = {key: w for key, w in graph.edges.items() if key.isdisjoint(drop)}
-    _add_edge(edges, a_, b_, z / delta)
-    _add_edge(edges, b_, c_, t / delta)
-    _add_edge(edges, c_, d_, x / delta)
-    _add_edge(edges, d_, a_, y / delta)
     for m in graph.marked:
-        if m in drop:
+        if index[m] in drop:
             raise ValueError(f"marked vertex {m!r} missing")
-    return WeightedGraph._derived(vertices, edges, graph.marked), delta
+    moved = [None] * len(graph.vertices)
+    kept = [i for i in range(len(graph.vertices)) if i not in drop]
+    for new, old in enumerate(kept):
+        moved[old] = new
+    vertices = tuple(graph.vertices[i] for i in kept)
+    scale = abs(big)
+    reduced = {
+        (moved[i], moved[j]): w * scale
+        for (i, j), w in edges.items()
+        if moved[i] is not None and moved[j] is not None
+    }
+    unit = d * d if big > 0 else -d * d
+    a_, b_, c_, d_ = (moved[u] for u in tips)
+    _add_edge(reduced, vertices, a_, b_, z * unit)
+    _add_edge(reduced, vertices, b_, c_, t * unit)
+    _add_edge(reduced, vertices, c_, d_, x * unit)
+    _add_edge(reduced, vertices, d_, a_, y * unit)
+    return WeightedGraph._derived(vertices, reduced, d * scale, graph.marked), Fraction(big, d * d)
 
 
 def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
-    """Identify the marked vertices of g with those of h, pairwise in order."""
+    """Identify the marked vertices of g with those of h, pairwise in order.
+
+    Both edge maps are rescaled to the lcm of the two denominators.
+    """
     if len(g.marked) != len(h.marked):
         raise ValueError(
             f"marker count mismatch: {len(g.marked)} vs {len(h.marked)}"
         )
-    relabel = dict(zip(h.marked, g.marked))
-    glued = len(relabel)
-    relabel.update((u, ("h", u)) for u in h.vertices if u not in relabel)
-    vertices = g.vertices + tuple(relabel.values())[glued:]
-    edges = dict(g.edges)
-    for (u, v), w in h.edges.items():
-        _add_edge(edges, relabel[u], relabel[v], w)
-    return WeightedGraph._derived(vertices, edges, ())
+    g_at, h_at = g._position(), h._position()
+    moved = [None] * len(h.vertices)
+    for u, v in zip(h.marked, g.marked):
+        moved[h_at[u]] = g_at[v]
+    added = []
+    for i, u in enumerate(h.vertices):
+        if moved[i] is None:
+            moved[i] = len(g.vertices) + len(added)
+            added.append(("h", u))
+    _require_new(g, added)
+    vertices = g.vertices + tuple(added)
+    den = math.lcm(g.den, h.den)
+    g_scale, h_scale = den // g.den, den // h.den
+    edges = {key: num * g_scale for key, num in g.edges.items()}
+    for (i, j), num in h.edges.items():
+        _add_edge(edges, vertices, moved[i], moved[j], num * h_scale)
+    return WeightedGraph._derived(vertices, edges, den, ())
 
 
 def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
@@ -461,13 +565,14 @@ def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
     to northeast.  That shape is derived once per region
     (``_half_classes``), so a scheme costs one table lookup per edge.
     """
-    a, b, c, d, q = scheme
+    (an, ad), *_, (qn, qd) = map(_ratio, scheme)
+    _require_q(qn)
     classes, half = _weight_classes(trimmed), _half_classes(trimmed)
-    table = _level_table(WeightScheme(a / q, b, c, d, q), classes.levels)
-    edges = _weighted_edges(classes, table, half.edges)
+    table = _level_table(WeightScheme(Fraction(an * qd, ad * qn), *scheme[1:]), classes.levels)
+    edges, den = _weighted_edges(classes, table, half.edges)
     for key in half.pendant_edges:
-        edges[key] = _ONE
-    return WeightedGraph._derived(half.vertices, edges, half.marked)
+        edges[key] = den
+    return WeightedGraph._derived(half.vertices, edges, den, half.marked)
 
 
 def ar_reduce(
@@ -489,10 +594,14 @@ def ar_reduce(
         raise ValueError(
             f"trimmed must be the {m} x {n - 1} Aztec rectangle, got {trimmed.spec_string()}"
         )
-    a, b, c, d, q = map(_rational, scheme)
+    (an, ad), (bn, bd), (cn, cd), (dn, dd), (qn, qd) = map(_ratio, scheme)
     if len(host.marked) != n:
         raise ValueError(f"host must mark n={n} vertices, has {len(host.marked)}")
-    if a * d + b * c == 0:
+    _require_q(qn)
+    # ad + bc = sn / sd, and the factor is one Fraction of integer powers
+    sn, sd = an * dn * bd * cd + bn * cn * ad * dd, ad * dd * bd * cd
+    if not sn:
         raise ZeroDivisionError("ad + bc vanishes")
-    factor = (a * d + b * c) ** m * q ** (m * (n - 1) + m * (m - 1) // 2)
+    e = m * (n - 1) + m * (m - 1) // 2
+    factor = Fraction(sn**m * qn**e, sd**m * qd**e)
     return connected_sum(host, half_ar_graph(trimmed, scheme)), factor

@@ -225,7 +225,7 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
         edges = [
             (inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)
         ]
-        edges += [(inner[j], tips[j], Fraction(1)) for j in range(4)]
+        edges += [(inner[j], tips[j], 1) for j in range(4)]
         edges += [(tips[j], outer[j], _draw(rng, signed)) for j in range(4)]
         edges += [(outer[0], outer[1], _draw(rng, signed))]
         g2 = WeightedGraph(inner + tips + outer, edges)

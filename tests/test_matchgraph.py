@@ -39,6 +39,12 @@ def rq() -> Fraction:
             return v
 
 
+def labelled(graph: WeightedGraph) -> list:
+    """The graph's edges as (u, v, weight) by vertex label, in edge order."""
+    vs = graph.vertices
+    return [(vs[i], vs[j], Fraction(num, graph.den)) for (i, j), num in graph.edges.items()]
+
+
 def random_host(marked: int, partners: int) -> WeightedGraph:
     ms = [("m", i) for i in range(marked)]
     ps = [("p", j) for j in range(partners)]
@@ -68,7 +74,7 @@ def test_weight_scheme_uses_all_four_classes():
     region = build_double_rectangle(1, 2, 0, 1, 2)
     scheme = WeightScheme(*(Fraction(v) for v in (2, 3, 5, 7, 11)))
     g = dual_graph(region, scheme)
-    weights = set(g.edges.values())
+    weights = {w for *_, w in labelled(g)}
     assert Fraction(2) in weights and Fraction(3) in weights  # plain classes
     assert any(w % 5 == 0 for w in weights)  # graded horizontal
     assert any(w % 7 == 0 for w in weights)  # graded vertical
@@ -79,7 +85,7 @@ def test_domino_weight_levels():
     scheme = WeightScheme(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(3))
     g = dual_graph(region, scheme)
     # graded verticals at level L carry q^L; the top graded level must exceed 1
-    powers = {w for w in g.edges.values() if w != 1}
+    powers = {w for *_, w in labelled(g) if w != 1}
     assert powers and all(w.denominator <= 3 for w in powers)
 
 
@@ -114,11 +120,13 @@ def test_star_scale_scales_matching_sum():
         assert matching_genfun(star_scale(g, g.vertices[0], factor)) == factor * matching_genfun(g)
 
 
-def _spider_wheel():
+def _spider_wheel(cycle=None):
     inner = [("i", j) for j in range(4)]
     tips = [("t", j) for j in range(4)]
     outer = [("o", j) for j in range(4)]
-    edges = [(inner[j], inner[(j + 1) % 4], abs(rq())) for j in range(4)]
+    if cycle is None:
+        cycle = [abs(rq()) for _ in range(4)]
+    edges = [(inner[j], inner[(j + 1) % 4], cycle[j]) for j in range(4)]
     edges += [(inner[j], tips[j], Fraction(1)) for j in range(4)]
     edges += [(tips[j], outer[j], rq()) for j in range(4)]
     edges += [(outer[0], outer[1], rq()), (outer[2], outer[3], rq())]
@@ -131,6 +139,24 @@ def test_spider_reduce_factors_out_delta():
         reduced, delta = spider_reduce(g, inner)
         assert matching_genfun(g) == delta * matching_genfun(reduced)
         assert len(reduced.vertices) == len(g.vertices) - 4
+
+
+def test_spider_reduce_factors_out_a_negative_delta():
+    # five pairs are left to match in the reduced graph, so a sign lost from
+    # every one of its edges shows in M as well as one lost from the new cycle
+    pendants = [("e", 0), ("e", 1)]
+    negatives = 0
+    for _ in range(40):
+        cycle = [rq() for _ in range(4)]
+        if cycle[0] * cycle[2] + cycle[1] * cycle[3] == 0:
+            continue
+        g, inner = _spider_wheel(cycle)
+        g = WeightedGraph(g.vertices + tuple(pendants), labelled(g) + [(*pendants, rq())])
+        reduced, delta = spider_reduce(g, inner)
+        negatives += delta < 0
+        assert reduced.den > 0
+        assert matching_genfun(g) == delta * matching_genfun(reduced) != 0
+    assert negatives >= 10
 
 
 def test_half_graph_shape():
@@ -162,6 +188,7 @@ def test_connected_sum_marker_mismatch():
 
 def first_vertex_genfun(graph: WeightedGraph) -> Fraction:
     """Reference matching sum: match the first alive vertex every way, in Fractions."""
+    weights = {frozenset((u, v)): w for u, v, w in labelled(graph)}
 
     def rec(alive: tuple) -> Fraction:
         if not alive:
@@ -169,7 +196,7 @@ def first_vertex_genfun(graph: WeightedGraph) -> Fraction:
         v, rest = alive[0], alive[1:]
         total = Fraction(0)
         for i, u in enumerate(rest):
-            w = graph.edges.get(frozenset({v, u}))
+            w = weights.get(frozenset({v, u}))
             if w is not None:
                 total += w * rec(rest[:i] + rest[i + 1 :])
         return total
@@ -234,9 +261,13 @@ def test_graph_neighbour_lists_and_validation():
         ([(a, b, 0)], (), "zero edge weight"),
         ([(a, b, 1), (b, a, 2)], (), "duplicate edge"),
         ([(a, b, 1)], ("z",), "marked vertex 'z' missing"),
+        # a connected sum would glue two of the other graph's marks onto a
+        ([(a, b, 1)], (a, c, a), "marked vertex 'a' repeated"),
     ]:
         with pytest.raises(ValueError, match=message):
             WeightedGraph([a, b, c], edges, marked)
+    with pytest.raises(ValueError, match="repeated vertex 'a'"):
+        WeightedGraph([a, b, a], [(a, b, 1)])
 
 
 def test_the_matcher_equals_the_determinant_on_every_double_rectangle_within_its_bound():
@@ -251,7 +282,7 @@ def test_the_matcher_equals_the_determinant_on_every_double_rectangle_within_its
 def test_a_rewrite_raises_on_an_edge_it_adds_twice():
     g, inner = _spider_wheel()
     tips = [("t", j) for j in range(4)]
-    edges = [(*key, w) for key, w in g.edges.items()]
+    edges = labelled(g)
     tips_adjacent = WeightedGraph(g.vertices, edges + [(tips[0], tips[1], Fraction(2))])
     with pytest.raises(ValueError, match="duplicate edge"):
         spider_reduce(tips_adjacent, inner)
@@ -264,23 +295,30 @@ def test_a_rewrite_raises_on_an_edge_it_adds_twice():
 
 def test_a_rewrite_raises_what_the_checked_constructor_raises():
     g, inner = _spider_wheel()
-    marked_inner = WeightedGraph(g.vertices, [(*key, w) for key, w in g.edges.items()], [inner[0]])
+    marked_inner = WeightedGraph(g.vertices, labelled(g), [inner[0]])
     with pytest.raises(ValueError, match=r"marked vertex \('i', 0\) missing"):
         spider_reduce(marked_inner, inner)
-    # a vertex already named like the split copy v' of v
-    clash = WeightedGraph(["v", ("v", "split'"), "w"], [("v", ("v", "split'"), 1), ("v", "w", 1)])
-    with pytest.raises(ValueError, match="bad edge"):
-        vertex_split(clash, "v", [("v", "split'")])
-    # v-a moves onto a-v', which the graph already has
-    clash = WeightedGraph(["v", "a", ("v", "split'")], [("v", "a", 1), ("a", ("v", "split'"), 2)])
-    with pytest.raises(ValueError, match="duplicate edge"):
-        vertex_split(clash, "v", ["a"])
+    # a vertex already named like the split copy v' of v: the result would list it twice
+    copy = ("v", "split'")
+    for clash, part in [
+        (WeightedGraph(["v", copy, "w"], [("v", copy, 1), ("v", "w", 1)]), [copy]),
+        (WeightedGraph(["v", "a", copy], [("v", "a", 1), ("a", copy, 2)]), ["a"]),
+    ]:
+        with pytest.raises(ValueError, match=r"repeated vertex \('v', \"split'\"\)"):
+            vertex_split(clash, "v", part)
+        result_vertices = [u for u in clash.vertices if u != "v"] + [copy, ("v", "split-mid"), ("v", "split''")]
+        with pytest.raises(ValueError, match=r"repeated vertex \('v', \"split'\"\)"):
+            WeightedGraph(result_vertices, ())
+    # an unmarked vertex of h is renamed ("h", u), which g may have already
+    g = WeightedGraph(["a", ("h", "y")], [("a", ("h", "y"), 1)], ["a"])
+    h = WeightedGraph("xy", [("x", "y", 2)], "x")
+    with pytest.raises(ValueError, match=r"repeated vertex \('h', 'y'\)"):
+        connected_sum(g, h)
 
 
 def test_rewritten_graphs_are_valid_and_keep_the_edge_order():
     def rebuilt(graph):
-        edges = [(*key, w) for key, w in graph.edges.items()]
-        return WeightedGraph(graph.vertices, edges, graph.marked)
+        return WeightedGraph(graph.vertices, labelled(graph), graph.marked)
 
     for _ in range(10):
         side = rng.randint(2, 4)
@@ -297,27 +335,33 @@ def test_rewritten_graphs_are_valid_and_keep_the_edge_order():
             dual_graph(build_double_rectangle(1, 2, 1, 1, 2), scheme),
         ]
         for graph in graphs:
-            assert all(type(w) is Fraction for w in graph.edges.values())
-            assert list(rebuilt(graph).edges.items()) == list(graph.edges.items())
-            assert rebuilt(graph).marked == graph.marked
+            assert type(graph.den) is int and graph.den > 0
+            assert all(type(num) is int for num in graph.edges.values())
+            assert all(0 <= i < j < len(graph.vertices) for i, j in graph.edges)
+            again = rebuilt(graph)
+            assert list(again.edges) == list(graph.edges)
+            assert labelled(again) == labelled(graph)
+            assert again.marked == graph.marked
     # vertex_split puts each edge of v where v's edge was
     g = WeightedGraph("abc", [("a", "b", 1), ("b", "c", 2), ("c", "a", 3)])
     split = vertex_split(g, "a", ["b"])
-    assert [w for w in split.edges.values()] == [1, 2, 3, 1, 1]
+    assert [w for *_, w in labelled(split)] == [1, 2, 3, 1, 1]
     assert split.weight("b", ("a", "split'")) == 1 and split.weight("c", ("a", "split''")) == 3
 
 
 def test_dual_graph_edges_come_east_then_north_in_cell_order():
     region = build_aztec_diamond(2)
     g = dual_graph(region)
+    assert g.vertices == tuple(region.sorted_cells)
+    at = {c: i for i, c in enumerate(g.vertices)}
     expected = [
-        frozenset((c, d))
+        (at[c], at[d])
         for c in region.sorted_cells
         for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1))
         if d in region.cells
     ]
     assert list(g.edges) == expected
-    assert set(g.edges.values()) == {1}
+    assert {w for *_, w in labelled(g)} == {1}
     with pytest.raises(ValueError, match="zero edge weight"):
         dual_graph(region, WeightScheme(*(Fraction(v) for v in (0, 1, 1, 1, 1))))
 
@@ -403,7 +447,8 @@ def test_dual_graph_and_matching_sum_equal_the_per_edge_construction():
         for region, parity in cases:
             new, old = dual_graph(region, scheme), _old_dual_graph(region, scheme, parity)
             assert new.vertices == old.vertices, region.spec_string()
-            assert list(new.edges.items()) == list(old.edges.items()), region.spec_string()
+            assert list(new.edges) == list(old.edges), region.spec_string()
+            assert labelled(new) == labelled(old), region.spec_string()
             assert new.marked == old.marked, region.spec_string()
         for region in diamonds + doubles:
             assert region_matching_sum(region, scheme) == _old_matching_sum(region, scheme), (
@@ -439,10 +484,13 @@ def test_weight_classes_are_derived_once_per_region_and_read_only(monkeypatch):
 def test_q_zero_fails_by_name():
     scheme = WeightScheme(*(Fraction(v) for v in (2, 3, 5, 7, 0)))
     region = build_double_rectangle(1, 2, 0, 1, 2)
+    rect, trim = build_aztec_rectangle(1, 2), build_aztec_rectangle(1, 1)
     for call in (
         lambda: dual_graph(region, scheme),
         lambda: region_matching_sum(region, scheme),
-        lambda: dual_graph(build_aztec_rectangle(1, 2), scheme),
+        lambda: dual_graph(rect, scheme),
+        lambda: half_ar_graph(trim, scheme),
+        lambda: ar_reduce(random_host(2, 1), rect, trim, scheme),
     ):
         with pytest.raises(ZeroDivisionError, match="q must be nonzero"):
             call()
@@ -464,8 +512,9 @@ def test_the_level_table_equals_a_fraction_product_table():
                 *(Fraction(gen.choice((-1, 1)) * gen.randint(1, 9), gen.randint(1, 9)) for _ in range(5))
             )
             table = matchgraph._level_table(scheme, levels)
-            assert table == _fraction_table(scheme, levels)
-            assert all(type(w) is Fraction for w in table)
+            assert [Fraction(num, den) for num, den in table] == _fraction_table(scheme, levels)
+            assert all(type(num) is type(den) is int and den > 0 for num, den in table)
+            assert all(math.gcd(num, den) == 1 for num, den in table)
 
 
 def _old_half_ar_graph(trimmed, scheme):
@@ -477,7 +526,7 @@ def _old_half_ar_graph(trimmed, scheme):
     dmin = min(v.y - v.x for v in keep)
     exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
     pendants = tuple(("pend", i) for i in range(len(exposed)))
-    edges = [(*key, w) for key, w in inner.edges.items() if key.isdisjoint(drop)]
+    edges = [(u, v, w) for u, v, w in labelled(inner) if u not in drop and v not in drop]
     edges += [(v, p, 1) for v, p in zip(exposed, pendants)]
     return WeightedGraph(keep + pendants, edges, pendants)
 
@@ -495,5 +544,6 @@ def test_the_half_graph_shape_is_derived_once_per_rectangle(monkeypatch):
         for rect in rects:
             new, old = half_ar_graph(rect, scheme), _old_half_ar_graph(rect, scheme)
             assert new.vertices == old.vertices and new.marked == old.marked
-            assert list(new.edges.items()) == list(old.edges.items()), rect.spec_string()
+            assert list(new.edges) == list(old.edges), rect.spec_string()
+            assert labelled(new) == labelled(old), rect.spec_string()
     assert calls == rects
