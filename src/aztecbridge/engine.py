@@ -1,28 +1,31 @@
 """Tiling enumeration and exact counting.
 
 One counter and one enumerator serve both lattices: a ``Region`` and a
-``TriRegion`` each derive the same matching-problem invariants (neighbours,
-unit faces, colour classes), and both engines read only those.
+``TriRegion`` each number their cells (triangles) in sorted order and derive
+the same matching tables on those ids (``regions.Lattice``: neighbour ids,
+Kasteleyn signs, unit faces, colour classes), and both engines read only
+those.
 
 The enumerator lists the perfect matchings of the dual graph (dominoes on
 cells, lozenges on triangles) by branching on the lexicographically first
 uncovered vertex, which makes the emitted order canonical and reproducible.
-It is iterative: the covered vertices are the bits of one int, and an
+It is iterative: vertex i is bit i of one int of covered vertices, and an
 explicit stack keeps one frame per placed piece.
 
 Counting is Kasteleyn's determinant (Kasteleyn 1961; Kenyon, "Lectures on
 dimers", 2009).  The matrix has a row per white cell (up-triangle) and a
-column per black cell (down-triangle), both in sorted order, and the signed
+column per black cell (down-triangle), both in id order, and the signed
 edge weight where the two are adjacent.  When the signs around every
 bounded face of length 2k multiply to (-1)^(k+1), every perfect matching
 enters the determinant with the same sign, so |det| counts the tilings in
 polynomial time.  Dominoes: +1 on a horizontal edge and (-1)^x on the
 vertical edge from (x, y) to (x, y + 1), so every unit square has sign
-product -1.  Lozenges: every face is a hexagon, so every sign is +1.  The
-rule needs the faces to be those unit faces only, so a region with a hole
-is rejected up front.  The determinant is exact: fraction-free Bareiss
-elimination over int.  A caller with rational weights clears each row of
-its denominators first (``matchgraph.region_matching_sum``).
+product -1.  Lozenges: every face is a hexagon, so every sign is +1.  Each
+region derives its signs with its ids (``Lattice.signs``).  The rule needs
+the faces to be those unit faces only, so a region with a hole is rejected
+up front.  The determinant is exact: fraction-free Bareiss elimination over
+int.  A caller with rational weights clears each row of its denominators
+first (``matchgraph.region_matching_sum``).
 
 The q-weighted column sweep, with its column fill on integer cell masks,
 lives with ``stats.tq_sum``.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .regions import Cell, InvariantError, Region, TriRegion, derived
+from .regions import Cell, InvariantError, Lattice, Region, TriRegion, derived
 
 Domino = tuple[Cell, Cell]
 Tiling = tuple  # sorted tuple of pieces
@@ -50,21 +53,19 @@ def piece(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _matchings(later: dict) -> Iterator[Tiling]:
+def _matchings(choices: list) -> Iterator[Tiling]:
     """Every perfect matching, as a sorted tuple of (vertex, partner) pieces.
 
-    ``later`` maps each vertex, in sorted order, to its sorted neighbours
-    that come after it.  The first uncovered vertex has every earlier vertex
-    covered, so only those later neighbours can be its partner.  Vertex i
-    is bit i of the ``covered`` mask, so the first uncovered vertex is the
-    lowest clear bit.  The search is iterative: ``stack`` holds one frame
-    (vertex, next choice) per placed piece, and since each piece's first
-    vertex is larger than the one below it, ``pieces`` is always sorted.
+    ``choices[i]`` lists, for vertex i, a pair (bit i | bit j, piece) per
+    neighbour j > i, in increasing j.  The first uncovered vertex has every
+    earlier vertex covered, so only those later neighbours can be its
+    partner.  Vertex i is bit i of the ``covered`` mask, so the first
+    uncovered vertex is the lowest clear bit.  The search is iterative:
+    ``stack`` holds one frame (vertex, next choice) per placed piece, and
+    since each piece's first vertex is larger than the one below it,
+    ``pieces`` is always sorted.
     """
-    order = list(later)
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    choices = [[(bit[v] | bit[w], (v, w)) for w in later[v]] for v in order]
-    full = (1 << len(order)) - 1
+    full = (1 << len(choices)) - 1
     if not full:
         yield ()
         return
@@ -95,8 +96,14 @@ def _matchings(later: dict) -> Iterator[Tiling]:
 
 def enumerate_tilings(region: Region | TriRegion) -> Iterator[Tiling]:
     """Yield every tiling exactly once, in canonical order."""
-    nbs = region.neighbours
-    yield from _matchings({v: sorted(w for w in nbs[v] if w > v) for v in sorted(nbs)})
+    lat = region.lattice
+    cells = lat.cells
+    yield from _matchings(
+        [
+            [(1 << i | 1 << j, (cells[i], cells[j])) for j in sorted(ids) if j > i]
+            for i, ids in enumerate(lat.adjacent)
+        ]
+    )
 
 
 def count_tilings(region: Region | TriRegion) -> int:
@@ -113,48 +120,46 @@ def _unit_det(region: Region | TriRegion) -> int:
     same sign, so this is that sign times the tiling count.  With colour
     classes of different sizes there is no perfect matching, and it is 0.
     """
-    nbs = region.neighbours
-    _require_hole_free(nbs, region.unit_faces)
-    whites, blacks = region.colour_classes
-    if len(whites) != len(blacks):
+    lat = region.lattice
+    _require_hole_free(lat.adjacent, len(lat.faces))
+    if len(lat.white) != len(lat.black):
         return 0
-    col = {b: j for j, b in enumerate(blacks)}
-    sign = (lambda w, b: 1) if isinstance(region, TriRegion) else _domino_sign
-    return _det([{col[b]: sign(w, b) for b in nbs[w]} for w in whites])
+    col = _columns(lat)
+    return _det([{col[b]: s for b, s in zip(lat.adjacent[w], lat.signs[w])} for w in lat.white])
 
 
-def _domino_sign(w: Cell, b: Cell) -> int:
-    """The Kasteleyn sign of the domino on white cell w and black cell b.
+def _columns(lat: Lattice) -> list[int]:
+    """The Kasteleyn column of each black id, by id; white ids get -1."""
+    col = [-1] * len(lat.cells)
+    for j, b in enumerate(lat.black):
+        col[b] = j
+    return col
 
-    The signs are only valid on a hole-free region: read
-    ``_unit_det`` first, which rejects a region with a hole.
-    """
-    return -1 if w.x == b.x and w.x % 2 else 1
 
-
-def _require_hole_free(adj: dict, unit_faces: int) -> None:
+def _require_hole_free(adjacent: tuple, unit_faces: int) -> None:
     """Raise InvariantError unless every bounded face of the graph is a unit face.
 
-    A planar graph with V vertices, E edges and C components has
-    E - V + C bounded faces.  ``unit_faces`` counts the squares (hexagons)
-    around the lattice points with all their cells (triangles) present;
-    any other bounded face surrounds a hole.
+    ``adjacent`` lists the neighbour ids of each vertex id.  A planar graph
+    with V vertices, E edges and C components has E - V + C bounded faces.
+    ``unit_faces`` counts the squares (hexagons) around the lattice points
+    with all their cells (triangles) present; any other bounded face
+    surrounds a hole.
     """
-    seen: set = set()
+    seen = [False] * len(adjacent)
     components = 0
-    for v in adj:
-        if v in seen:
+    for v in range(len(adjacent)):
+        if seen[v]:
             continue
         components += 1
-        seen.add(v)
+        seen[v] = True
         stack = [v]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            for w in adjacent[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-    edges = sum(len(nbs) for nbs in adj.values()) // 2
-    faces = edges - len(adj) + components
+    edges = sum(map(len, adjacent)) // 2
+    faces = edges - len(adjacent) + components
     if faces != unit_faces:
         raise InvariantError(
             f"region has {faces - unit_faces} hole(s); the Kasteleyn signs need a hole-free region"

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .engine import CapacityError, _det, _domino_sign, _unit_det
+from .engine import CapacityError, _columns, _det, _unit_det
 from .regions import Cell, Region, derived
 
 #: Brute-force matching bound.
@@ -237,8 +237,8 @@ def _weight_classes(region: Region) -> WeightClasses:
     ``_level_table`` gives the weight of each class under a scheme.  In the
     Kasteleyn rows, a class plus 4 * levels stands for an entry of sign -1.
     """
-    cells = region.sorted_cells
-    at = {c: i for i, c in enumerate(cells)}
+    lat, grid = region.lattice, region.lattice.grid
+    cells = lat.cells
     dmin, ymin = region.dmin, region.ymin
     anchor = dmin + (region.kind == "aztec_rectangle")
     levels = max(c.y for c in cells) - ymin + 1
@@ -246,25 +246,23 @@ def _weight_classes(region: Region) -> WeightClasses:
     def cls(low: Cell, vertical: bool) -> int:
         return (2 * vertical + (low.y - low.x - anchor) % 2) * levels + low.y - ymin
 
-    # the east and north neighbours of a cell sort after it
-    edges = tuple(
-        ((i, at[d]), cls(c, vertical))
-        for i, c in enumerate(cells)
-        for d, vertical in ((Cell(c.x + 1, c.y), False), (Cell(c.x, c.y + 1), True))
-        if d in at
-    )
-    whites, blacks = region.colour_classes
-    col = {b: j for j, b in enumerate(blacks)}
+    edges = []
+    for i, c in enumerate(cells):  # each cell's east domino, then its north one
+        if grid.east[i]:
+            edges.append(((i, grid.at[grid.pos[i] + grid.stride]), cls(c, False)))
+        if grid.north[i]:
+            edges.append(((i, i + 1), cls(c, True)))
+    col = _columns(lat)
     negative = 4 * levels
     rows = tuple(
         tuple(
-            (col[b], cls(min(w, b), w.x == b.x) + (negative if _domino_sign(w, b) < 0 else 0))
-            for b in region.neighbours[w]
+            (col[b], cls(cells[min(w, b)], cells[w].x == cells[b].x) + (negative if s < 0 else 0))
+            for b, s in zip(lat.adjacent[w], lat.signs[w])
         )
-        for w in whites
+        for w in lat.white
     )
     marked = sorted((c for c in cells if c.y - c.x == dmin), key=lambda c: c.x + c.y)
-    return WeightClasses(levels, tuple(cells), edges, tuple(marked), rows)
+    return WeightClasses(levels, cells, tuple(edges), tuple(marked), rows)
 
 
 class HalfClasses(NamedTuple):

@@ -13,8 +13,10 @@ Points live on vertical edge midpoints, stored as (x, y2) with y2 = 2*y + 1,
 so an up step is (+1, +2), a down step (+1, -2) and a level step (+2, 0).
 The ground line is y2 = 1, through the first marker pair.
 
-The walk reads a tiling as its int mask over ``Region.dominoes``.  Per
-region, the path points are numbered once (``regions.derived``), densely, in
+The walk reads tilings as int masks over ``Region.dominoes``, a batch at a
+time, and yields each one's area as it goes; its segments come from the
+region's dominoes as cell id pairs (``Region.lattice``).  Per region, the
+path points are numbered once (``regions.derived``), densely, in
 sorted (x, y2) order, and the walk's tables are indexed by those point ids:
 the bits of the decorated dominoes that start at each point, the step of
 each bit, the ids of the u markers and the v marker index of each point.  A
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import Tiling
 from .regions import InvariantError, Region, boundary_markers, derived
-from .stats import _extreme_tiling
+from .stats import _minimal_mask
 
 UP, DOWN, LEVEL = "U", "D", "L"
 
@@ -90,7 +92,9 @@ def _path_tables(region: Region) -> PathTables:
     """The region's walk tables: the path step of every decorated domino, keyed by its mask bit."""
     segments = []
     white = region.white_parity
-    for (c, d), bit in region.domino_bit.items():
+    cells = region.lattice.cells
+    for k, (i, j) in enumerate(region.lattice.grid.dominoes):
+        c, d, bit = cells[i], cells[j], 1 << k
         if c.x == d.x:  # vertical: c is the bottom cell
             if (c.x + c.y) % 2 == white:
                 start, end, letter = (d.x, 2 * d.y + 1), (d.x + 1, 2 * c.y + 1), DOWN
@@ -105,80 +109,88 @@ def _path_tables(region: Region) -> PathTables:
     return _compile_tables(markers.u, markers.v, segments)
 
 
-def _walk(region: Region, mask: int, paths: list | None = None) -> int:
-    """Follow every path from its u marker over the decorated dominoes of a tiling mask.
+def _walk(region: Region, masks: Iterable[int], paths: list | None = None) -> Iterator[int]:
+    """Follow every path from its u marker over the decorated dominoes of each tiling mask.
 
-    Returns four times the family's underneath area, summed from the steps'
-    quarter areas.  When ``paths`` is a list, each path is also appended to
-    it as a SchroederPath.  A path takes the one decorated domino of the
-    mask that starts at its point and that no path has used yet, and stops
-    where there is none: no domino starts at a v marker, so a path stops
-    there or dangles.  A path that stops because the domino at its point
-    was used has met an earlier path, and a point where two unused ones
-    start is a branch.  Every step moves right, so a path cannot meet
-    itself, and a path that runs onto an earlier path's end marker ends at
-    the wrong one.  The walk runs on point ids; see ``_compile_tables``.
+    Yields, per mask, four times the family's underneath area, summed from
+    the steps' quarter areas: a generator, so a caller can check each mask
+    in the same pass as its other statistics.  When ``paths`` is a list,
+    each path is also appended to it as a SchroederPath.  A path takes the
+    one decorated domino of the mask that starts at its point and that no
+    path has used yet, and stops where there is none: no domino starts at a
+    v marker, so a path stops there or dangles.  A path that stops because
+    the domino at its point was used has met an earlier path, and a point
+    where two unused ones start is a branch.  Every step moves right, so a
+    path cannot meet itself, and a path that runs onto an earlier path's end
+    marker ends at the wrong one.  The walk runs on point ids; see
+    ``_compile_tables``.
     """
     starts, steps, u, v_at, points, decorated = _path_tables(region)
-    step_of = steps.get
-    unused = mask
-    quarter = 0
-    for i, p in enumerate(u):
-        if paths is not None:
-            pts, letters = [points[p]], []
-        while True:
-            here = starts[p] & unused
-            step = step_of(here)  # None unless here is one domino's bit
-            if step is None:
-                break
-            unused ^= here
-            p, letter, q = step
-            quarter += q
+    step_of = dict(steps).get  # a plain dict's get is faster than the read-only view's
+    for mask in masks:
+        unused = mask
+        quarter = 0
+        for i, p in enumerate(u):
             if paths is not None:
-                pts.append(points[p])
-                letters.append(letter)
-        if here or v_at[p] != i:
-            if here:
-                raise DecorationError(f"paths branch at {points[p]}")
-            if v_at[p] >= 0:
-                raise DecorationError(f"path from marker u_{i + 1} ends at v_{v_at[p] + 1}")
-            if starts[p] & mask:
-                raise DecorationError(f"paths intersect at {points[p]}")
-            raise DecorationError(f"path {i + 1} dangles at {points[p]}")
-        if paths is not None:
-            paths.append(SchroederPath(tuple(pts), tuple(letters)))
-    if unused & decorated:
-        raise DecorationError("decorated segments left over after assembly")
-    return quarter
+                pts, letters = [points[p]], []
+            while True:
+                here = starts[p] & unused
+                step = step_of(here)  # None unless here is one domino's bit
+                if step is None:
+                    break
+                unused ^= here
+                p, letter, q = step
+                quarter += q
+                if paths is not None:
+                    pts.append(points[p])
+                    letters.append(letter)
+            if here or v_at[p] != i:
+                if here:
+                    raise DecorationError(f"paths branch at {points[p]}")
+                if v_at[p] >= 0:
+                    raise DecorationError(f"path from marker u_{i + 1} ends at v_{v_at[p] + 1}")
+                if starts[p] & mask:
+                    raise DecorationError(f"paths intersect at {points[p]}")
+                raise DecorationError(f"path {i + 1} dangles at {points[p]}")
+            if paths is not None:
+                paths.append(SchroederPath(tuple(pts), tuple(letters)))
+        if unused & decorated:
+            raise DecorationError("decorated segments left over after assembly")
+        yield quarter
 
 
 @derived
 def _minimal_area(region: Region) -> int:
     """Underneath area of the minimal tiling's path family, in whole quarter cells."""
-    return _walk(region, region.tiling_mask(_extreme_tiling(region)))
+    (quarter,) = _walk(region, [_minimal_mask(region)])
+    return quarter
 
 
-def area_ranks(region: Region, masks: Iterable[int]) -> list[int]:
+def area_ranks(region: Region, masks: Iterable[int]) -> Iterator[int]:
     """Rank of each tiling mask as the underneath-area excess of its path family over minimal.
 
-    Each area comes from the walk, which builds no path, and is compared
-    with ``_minimal_area``, in quarter cells like the walk's.  A
-    region that is not a double Aztec rectangle raises KindError.
+    The ranks come lazily, in the order of ``masks``, so a caller can check
+    each mask in the same pass as its other statistics.  Each area comes
+    from the walk, which builds no path, and is compared with
+    ``_minimal_area``, in quarter cells like the walk's.  A region that is
+    not a double Aztec rectangle raises KindError at the call.
     """
-    base = _minimal_area(region)
-    ranks = []
-    for mask in masks:
-        excess = _walk(region, mask) - base
+    return _excess_ranks(_walk(region, masks), _minimal_area(region))
+
+
+def _excess_ranks(quarters: Iterable[int], base: int) -> Iterator[int]:
+    """Each quarter-cell area's excess over ``base``, in whole cells."""
+    for quarter in quarters:
+        excess = quarter - base
         if excess % 4:
             raise InvariantError("area excess must be a whole number of cells")
-        ranks.append(excess // 4)
-    return ranks
+        yield excess // 4
 
 
 def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
     """Assemble the decorated segments into the marker-joined path family."""
     paths: list = []
-    quarter = _walk(region, region.tiling_mask(tiling), paths)
+    (quarter,) = _walk(region, [region.tiling_mask(tiling)], paths)
     return PathFamily(tuple(paths), quarter)
 
 

@@ -16,11 +16,21 @@ Triangular-lattice hexagons use skewed axial coordinates: lattice point
 (x, y) sits at x + y/2, y*sqrt(3)/2 in the plane.  An up-triangle U(x, y) has
 corners (x, y), (x+1, y), (x, y+1); a down-triangle D(x, y) has corners
 (x+1, y), (x, y+1), (x+1, y+1).
+
+Each region numbers its cells (triangles) once, in sorted order, and derives
+its matching tables on those ids in one pass over a padded grid
+(``Region.lattice``, ``TriRegion.lattice``): neighbour ids, Kasteleyn signs,
+unit faces and colour classes, and for a square-lattice region the grid
+positions and the dominoes as id pairs with their mask bits.  The counter,
+the enumerator, the height functions, the flip search and the path tables
+read the ids; the ``Cell``-keyed views (``neighbours``, ``dominoes``,
+``domino_bit``, ``sorted_cells``) are built from the same numbering.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from types import MappingProxyType
@@ -51,10 +61,67 @@ class Tri(NamedTuple):
 
 
 class BoundaryMarkers(NamedTuple):
-    """Schroeder-path endpoints: points (x, y2) with y2 = 2*y_actual."""
+    """Schroeder-path endpoints: vertical edge midpoints (x, y2) with y2 = 2y + 1."""
 
     u: list[tuple[int, int]]
     v: list[tuple[int, int]]
+
+
+# Grid and Lattice are plain namedtuples: typing.NamedTuple compiles a
+# forward reference for each annotated field when the module is imported.
+
+
+class Grid(namedtuple("Grid", "stride origin at pos dominoes north east")):
+    """The padded grid of a square-lattice region, and its dominoes on cell ids.
+
+    Cell (x, y) sits at position (x - x0) * stride + y - y0, with (x0, y0)
+    one column left of the leftmost cell and one row below the lowest, and
+    a stride of one more than the number of rows: each column is followed
+    by an empty row, so the W, E, S and N neighbours of the cell at p are at
+    p - stride, p + stride, p - 1 and p + 1 and none wraps onto another
+    column.  Lattice point (x, y), the lower left corner of cell (x, y), has
+    the same position, so the corners of the cell at p are p, p + stride,
+    p + stride + 1 and p + 1.  Positions grow in sorted cell order, so the
+    cell above id i, if there is one, is id i + 1.  The fields:
+
+    - ``stride`` and ``origin`` (x0, y0);
+    - ``at``: position -> id of the cell there, or -1;
+    - ``pos``: id -> position;
+    - ``dominoes``: (i, j), i < j, per domino, sorted: bit k of a tiling
+      mask is ``dominoes[k]``;
+    - ``north`` and ``east``: id -> bit of the domino on the cell and the
+      cell above it (right of it), or 0.
+    """
+
+    __slots__ = ()
+
+    def point(self, p: int) -> tuple[int, int]:
+        """The lattice point (x, y) at position p."""
+        x, y = divmod(p - 1, self.stride)  # a point's row offset runs from 1 to stride
+        return x + self.origin[0], y + 1 + self.origin[1]
+
+
+class Lattice(namedtuple("Lattice", "cells adjacent signs faces white black grid")):
+    """A region's cells (triangles) numbered 0, 1, ... in sorted order, and tables on the ids.
+
+    Both kinds of region derive one, and the counter and the enumerator read
+    only these fields.  A Kasteleyn sign is that of the entry of the edge
+    in the matrix with a row per white cell (up-triangle) and a column per
+    black one: see ``engine``.  The fields:
+
+    - ``cells``: id -> cell (triangle), sorted;
+    - ``adjacent``: id -> ids of the edge-adjacent cells, W, E, S, N for a
+      square lattice (for triangles see ``TriRegion.lattice``);
+    - ``signs``: id -> the Kasteleyn sign of the edge to each id in
+      ``adjacent``;
+    - ``faces``: per unit face, the id of its lower left cell (of U(x, y)
+      for a hexagon);
+    - ``white`` and ``black``: the ids of the white cells (up-triangles) and
+      of the black ones (down-triangles), increasing;
+    - ``grid``: the ``Grid``, or None for a triangular region.
+    """
+
+    __slots__ = ()
 
 
 def derived(compute):
@@ -107,13 +174,15 @@ class Region:
     """An immutable square-lattice region with checkerboard coloring.
 
     A cell (x, y) is white when x + y has the parity ``white_parity``.  The
-    lattice invariants below (neighbours, unit faces, colour classes,
-    dominoes and their mask bits) are computed on first use and kept on the
-    instance.  Every other table of a region, such as its Kasteleyn
-    determinant, minimal tiling or path tables, is computed by a function of
-    the module that uses it, decorated with ``derived``, and kept on the
-    instance the same way.  A tiling is a sorted tuple of dominoes; the rank
-    and path code works on its int mask over ``dominoes`` (``tiling_mask``).
+    lattice invariants below are computed on first use and kept on the
+    instance: ``lattice`` numbers the cells and derives every table on the
+    ids in one pass, and the ``Cell``-keyed views (sorted cells, neighbours,
+    dominoes and their mask bits) are read off it.  Every
+    other table of a region, such as its Kasteleyn determinant, minimal
+    tiling or path tables, is computed by a function of the module that uses
+    it, decorated with ``derived``, and kept on the instance the same way.
+    A tiling is a sorted tuple of dominoes; the rank and path code works on
+    its int mask over ``dominoes`` (``tiling_mask``).
     """
 
     kind: str
@@ -141,10 +210,6 @@ class Region:
         whites = sum(1 for c in self.cells if (c.x + c.y) % 2 == self.white_parity)
         return 2 * whites - len(self.cells)
 
-    @property
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
-
     def spec_string(self) -> str:
         """The spec that parses back to this region; a description for a kind with none."""
         if self.kind == "aztec_diamond":
@@ -168,49 +233,66 @@ class Region:
         return min(c.y for c in self.cells)
 
     @cached_property
+    def lattice(self) -> Lattice:
+        """The cells numbered in sorted order, and every lattice table on the ids, in one pass.
+
+        The cells sit on a padded grid (see ``Grid``).  A cell's neighbours
+        are listed W, E, S, N; the Kasteleyn sign of a horizontal edge is +1
+        and that of the vertical edge from (x, y) to (x, y + 1) is (-1)^x,
+        so the signs around every unit square multiply to -1.  The dominoes
+        come in sorted order, which is that of their (i, j) id pairs, so the
+        domino of a cell and the cell above it (id i + 1) comes before the
+        one of the cell and its right neighbour.
+        """
+        cells = tuple(sorted(self.cells))
+        x0, y0, stride = _padding(cells)
+        pos = tuple((x - x0) * stride + y - y0 for x, y in cells)
+        at = [-1] * ((cells[-1].x - x0 + 2) * stride + 1 if cells else 0)
+        for i, p in enumerate(pos):
+            at[p] = i
+        adjacent, signs, faces, colours = [], [], [], ([], [])
+        dominoes, north, east = [], [0] * len(cells), [0] * len(cells)
+        for i, (p, (x, y)) in enumerate(zip(pos, cells)):
+            up, right = at[p + 1], at[p + stride]
+            vsign = -1 if x % 2 else 1
+            ids, sgn = [], []
+            for j, sign in ((at[p - stride], 1), (right, 1), (at[p - 1], vsign), (up, vsign)):
+                if j >= 0:
+                    ids.append(j)
+                    sgn.append(sign)
+            adjacent.append(tuple(ids))
+            signs.append(tuple(sgn))
+            if up >= 0:
+                north[i] = 1 << len(dominoes)
+                dominoes.append((i, up))
+            if right >= 0:
+                east[i] = 1 << len(dominoes)
+                dominoes.append((i, right))
+                if up >= 0 and at[p + stride + 1] >= 0:
+                    faces.append(i)
+            colours[(x + y) % 2 != self.white_parity].append(i)
+        grid = Grid(stride, (x0, y0), tuple(at), pos, tuple(dominoes), tuple(north), tuple(east))
+        white, black = map(tuple, colours)
+        return Lattice(cells, tuple(adjacent), tuple(signs), tuple(faces), white, black, grid)
+
+    @property
+    def sorted_cells(self) -> tuple[Cell, ...]:
+        """The cells in sorted order: cell id i is ``sorted_cells[i]``."""
+        return self.lattice.cells
+
+    @cached_property
     def neighbours(self) -> MappingProxyType:
         """Read-only map from each cell to its edge-adjacent cells (W, E, S, N)."""
-        cells = self.cells
+        cells = self.lattice.cells
         return MappingProxyType(
-            {
-                c: tuple(
-                    d
-                    for d in (
-                        Cell(c.x - 1, c.y),
-                        Cell(c.x + 1, c.y),
-                        Cell(c.x, c.y - 1),
-                        Cell(c.x, c.y + 1),
-                    )
-                    if d in cells
-                )
-                for c in cells
-            }
-        )
-
-    @cached_property
-    def unit_faces(self) -> int:
-        """The 2 x 2 blocks of cells: the unit squares around interior lattice points."""
-        cells = self.cells
-        return sum(
-            1
-            for x, y in cells
-            if Cell(x + 1, y) in cells and Cell(x, y + 1) in cells and Cell(x + 1, y + 1) in cells
-        )
-
-    @cached_property
-    def colour_classes(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
-        """The white cells and the black cells, each sorted: the Kasteleyn rows and columns."""
-        white = self.white_parity
-        ordered = self.sorted_cells
-        return (
-            tuple(c for c in ordered if (c.x + c.y) % 2 == white),
-            tuple(c for c in ordered if (c.x + c.y) % 2 != white),
+            {c: tuple(cells[j] for j in ids) for c, ids in zip(cells, self.lattice.adjacent)}
         )
 
     @cached_property
     def dominoes(self) -> tuple:
         """Every domino of the region, sorted; bit i of a tiling mask stands for ``dominoes[i]``."""
-        return tuple(sorted((c, d) for c, nbs in self.neighbours.items() for d in nbs if c < d))
+        cells = self.lattice.cells
+        return tuple((cells[i], cells[j]) for i, j in self.lattice.grid.dominoes)
 
     @cached_property
     def domino_bit(self) -> MappingProxyType:
@@ -221,15 +303,15 @@ class Region:
     def _tiling_keys(self) -> dict:
         """Each domino's mask bit, plus its two-cell mask shifted past every domino bit.
 
-        Any numbering of the cells serves.  Summed over distinct dominoes,
+        Cell i is bit i of the cell mask.  Summed over distinct dominoes,
         the low len(dominoes) bits are their tiling mask and the bits above
         are the sum of their cell masks, since the low part cannot carry.
         """
-        cell_bit = {c: 1 << i for i, c in enumerate(self.cells)}
-        shift = len(self.dominoes)
+        cells, pairs = self.lattice.cells, self.lattice.grid.dominoes
+        shift = len(pairs)
         return {
-            d: bit | (cell_bit[d[0]] | cell_bit[d[1]]) << shift
-            for d, bit in self.domino_bit.items()
+            (cells[i], cells[j]): 1 << k | (1 << i | 1 << j) << shift
+            for k, (i, j) in enumerate(pairs)
         }
 
     def tiling_mask(self, tiling) -> int:
@@ -245,7 +327,7 @@ class Region:
             total = sum(map(self._tiling_keys.__getitem__, tiling))
         except KeyError as exc:
             raise ConstraintError(f"{exc.args[0]} is not a domino of {self.spec_string()}") from None
-        shift = len(self.dominoes)
+        shift = len(self.lattice.grid.dominoes)
         mask = total & ((1 << shift) - 1)
         if mask.bit_count() != len(tiling):  # a repeated bit carries into another
             seen: set = set()
@@ -271,7 +353,7 @@ class TriRegion:
     """A triangular-lattice region (hexagon).
 
     Its matching invariants mirror ``Region``'s, with triangles for cells,
-    and are each derived once per instance.
+    and are each derived once per instance from ``lattice``.
     """
 
     kind: str
@@ -282,36 +364,56 @@ class TriRegion:
         return "hex:%d,%d,%d" % self.params
 
     @cached_property
+    def lattice(self) -> Lattice:
+        """The triangles numbered in sorted order, and the matching tables on the ids, in one pass.
+
+        Triangle (x, y, up) sits at position 2 * ((x - x0) * stride + y - y0) + up
+        of a padded grid laid out as ``Grid``'s, with D(x, y) just before
+        U(x, y).  The neighbours of U(x, y) are D(x, y), D(x - 1, y) and
+        D(x, y - 1), at p - 1, p - 2 * stride - 1 and p - 3; those of D(x, y)
+        are U(x, y), U(x + 1, y) and U(x, y + 1), at p + 1, p + 2 * stride + 1
+        and p + 3.  Every face is a hexagon, so every Kasteleyn sign is +1.
+        A unit face is the six triangles around a lattice point, named from
+        U(x, y): U(x - 1, y), U(x, y - 1), D(x - 1, y), D(x, y - 1) and
+        D(x - 1, y - 1) are the others.
+        """
+        tris = tuple(sorted(self.tris))
+        x0, y0, stride = _padding(tris)
+        pos = [2 * ((x - x0) * stride + y - y0) + up for x, y, up in tris]
+        at = [-1] * (2 * (tris[-1].x - x0 + 2) * stride + 4 if tris else 0)
+        for i, p in enumerate(pos):
+            at[p] = i
+        col = 2 * stride  # one column over
+        adjacent, faces, colours = [], [], ([], [])
+        for i, (p, t) in enumerate(zip(pos, tris)):
+            if t.up:
+                around = (at[p - 1], at[p - col - 1], at[p - 3])
+                # U(x - 1, y), U(x, y - 1) and D(x - 1, y - 1), with two of around
+                if min(at[p - col], at[p - 2], at[p - col - 3], *around[1:]) >= 0:
+                    faces.append(i)
+            else:
+                around = (at[p + 1], at[p + col + 1], at[p + 3])
+            adjacent.append(tuple(j for j in around if j >= 0))
+            colours[not t.up].append(i)
+        signs = tuple((1,) * len(ids) for ids in adjacent)
+        ups, downs = map(tuple, colours)
+        return Lattice(tris, tuple(adjacent), signs, tuple(faces), ups, downs, None)
+
+    @cached_property
     def neighbours(self) -> MappingProxyType:
         """Read-only map from each triangle to its edge-adjacent triangles."""
-        tris = self.tris
-
-        def around(t: Tri) -> tuple[Tri, ...]:
-            step, other = (-1, False) if t.up else (1, True)
-            return Tri(t.x, t.y, other), Tri(t.x + step, t.y, other), Tri(t.x, t.y + step, other)
-
-        return MappingProxyType({t: tuple(u for u in around(t) if u in tris) for t in tris})
-
-    @cached_property
-    def unit_faces(self) -> int:
-        """The unit hexagons: the six triangles around a lattice point, named from U(x, y)."""
-        tris = self.tris
-        return sum(
-            1
-            for x, y, up in tris
-            if up
-            and Tri(x - 1, y, True) in tris
-            and Tri(x, y - 1, True) in tris
-            and Tri(x - 1, y, False) in tris
-            and Tri(x, y - 1, False) in tris
-            and Tri(x - 1, y - 1, False) in tris
+        tris = self.lattice.cells
+        return MappingProxyType(
+            {t: tuple(tris[j] for j in ids) for t, ids in zip(tris, self.lattice.adjacent)}
         )
 
-    @cached_property
-    def colour_classes(self) -> tuple[tuple[Tri, ...], tuple[Tri, ...]]:
-        """The up-triangles and the down-triangles, each sorted: the Kasteleyn rows and columns."""
-        ordered = sorted(self.tris)
-        return tuple(t for t in ordered if t.up), tuple(t for t in ordered if not t.up)
+
+def _padding(items: tuple) -> tuple[int, int, int]:
+    """(x0, y0, stride) of the padded grid of sorted cells (triangles): see ``Grid``."""
+    if not items:
+        return 0, 0, 1
+    y0 = min(c.y for c in items) - 1
+    return items[0].x - 1, y0, max(c.y for c in items) - y0 + 1
 
 
 def _normalize(cells: set[Cell], *parts: set[Cell]):

@@ -12,15 +12,20 @@ function of the horizontal dominoes through the height deficit
 (``linear_ranks``), which also weights the q-sweep of ``tq_sum``; the third
 way, by path area on a double rectangle, is ``paths.area_ranks``.  All three
 run on a tiling's int mask over ``Region.dominoes``, and the two mask ranks
-take a batch of masks in one call: the flip BFS lists masks and decodes
-none, and a tiling tuple becomes its mask once, through
-``Region.tiling_mask``.  The sweep keeps a profile mask on a line only when
+take a batch of masks in one call and give the ranks lazily, so a caller
+checks each mask in one pass: the flip BFS lists masks and decodes none,
+and a tiling tuple becomes its mask once, through ``Region.tiling_mask``.
+The sweep keeps a profile mask on a line only when
 it is live: a domino that crosses the line covers the same row on both
 sides of it, so the masks that can still end in the empty profile are those
 that the same sweep, run over the columns from the right, reaches.
 
-The grid edges, the minimal heights and tiling, the rank table, the line
-weights and the deficit masks are derived once per region
+The height functions run on the region's cell numbering (``Region.lattice``):
+a lattice point is numbered by its position on the region's padded grid, so
+the grid edges and the minimal heights are lists indexed by vertex, and a
+grid edge carries the mask bit of the domino that crosses it.  The grid
+edges, the minimal heights, the minimal tiling's mask, the rank table, the
+line weights and the deficit masks are derived once per region
 (``regions.derived``) by the functions of this module that compute them.
 The exponential computations have budgets, checked before they start:
 ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an enumeration may
@@ -32,9 +37,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .engine import CapacityError, Tiling, _unit_det, count_tilings, is_vertical, piece
+from .engine import CapacityError, Tiling, _unit_det, count_tilings, is_vertical
 from .polyring import LaurentPoly2
 from .regions import Cell, ConstraintError, InvariantError, KindError, Region, derived
 
@@ -43,14 +48,16 @@ from .regions import Cell, ConstraintError, InvariantError, KindError, Region, d
 
 
 @derived
-def _grid_edges(region: Region) -> dict:
+def _grid_edges(region: Region) -> list[list]:
     """Height steps along the unit edges of the region's cells, by start vertex.
 
-    Maps each vertex a to its moves (b, step, domino).  Crossing a -> b
-    raises the height by step: +1 when the cell on the left of a -> b is
-    white in the checkerboard (extended past the region), -1 when it is
-    black.  domino is the pair of region cells the edge separates, or None
-    on the region boundary.
+    A vertex is numbered by its position on the region's grid (``Grid``),
+    and entry a lists the moves (b, step, bit) from vertex a; it is empty
+    where there is no vertex.  Crossing a -> b raises the height by step:
+    +1 when the cell on the left of a -> b is white in the checkerboard
+    (extended past the region), -1 when it is black.  bit is the mask bit
+    of the domino of the two region cells the edge separates, or 0 on the
+    region boundary.
 
     A pinched region raises ConstraintError: one with a vertex whose four
     edges are all on the boundary, so that the 2x2 window of cells around it
@@ -58,50 +65,58 @@ def _grid_edges(region: Region) -> dict:
     vertex twice, so it is no single closed walk and does not force the
     boundary heights.
     """
-    cells = region.cells
-    edges: dict = {}
-    for c in cells:
-        x, y = c
+    lat = region.lattice
+    grid = lat.grid
+    at, w = grid.at, grid.stride
+    edges: list[list] = [[] for _ in at]
+    for i, (x, y) in enumerate(lat.cells):
+        p = grid.pos[i]
         step = 1 if (x + y) % 2 == region.white_parity else -1
-        # counterclockwise around c, so c is on the left of each edge
-        corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-        across = (Cell(x, y - 1), Cell(x + 1, y), Cell(x, y + 1), Cell(x - 1, y))
-        for i, other in enumerate(across):
-            if other in cells and other < c:
-                continue  # added from the other side
-            a, b = corners[i], corners[(i + 1) % 4]
-            domino = piece(c, other) if other in cells else None
-            edges.setdefault(a, []).append((b, step, domino))
-            edges.setdefault(b, []).append((a, -step, domino))
+        # counterclockwise around the cell, so it is on the left of each edge;
+        # an edge it shares with the cell below or left of it is that cell's
+        sides = [(p + w, p + w + 1, grid.east[i]), (p + w + 1, p + 1, grid.north[i])]
+        if at[p - 1] < 0:
+            sides.append((p, p + w, 0))
+        if at[p - w] < 0:
+            sides.append((p + 1, p, 0))
+        for a, b, bit in sides:
+            edges[a].append((b, step, bit))
+            edges[b].append((a, -step, bit))
     pinches = [
-        a
-        for a, moves in edges.items()
-        if len(moves) == 4 and all(domino is None for _, _, domino in moves)
+        a for a, moves in enumerate(edges) if len(moves) == 4 and not any(bit for *_, bit in moves)
     ]
     if pinches:
         raise ConstraintError(
-            f"{region.spec_string()} is pinched at vertex {min(pinches)}: two of its cells "
-            "meet only at that corner, so its tilings have no height function"
+            f"{region.spec_string()} is pinched at vertex {grid.point(pinches[0])}: two of its "
+            "cells meet only at that corner, so its tilings have no height function"
         )
     return edges
 
 
+def _first_vertex(edges: list[list]) -> int:
+    """The leftmost-lowest vertex, which is on the boundary."""
+    return next(a for a, moves in enumerate(edges) if moves)
+
+
 def height_function(region: Region, tiling: Tiling) -> dict:
-    """Vertex heights of a tiling, normalized to minimum height 0.
+    """Vertex heights of a tiling, normalized to minimum height 0, keyed by lattice point (x, y).
 
     Crossing an edge with a white cell on the left raises the height by 1,
     unless a domino of the tiling crosses the edge, in which case it drops
     by 3 (and symmetrically for black).
     """
-    dominoes = set(tiling)
+    bit = region.domino_bit
+    mask = 0
+    for domino in set(tiling):
+        mask |= bit.get(domino, 0)
     edges = _grid_edges(region)
-    start = min(edges)
+    start = _first_vertex(edges)
     h = {start: 0}
     stack = [start]
     while stack:
         a = stack.pop()
-        for b, step, domino in edges[a]:
-            hb = h[a] - 3 * step if domino in dominoes else h[a] + step
+        for b, step, crossed in edges[a]:
+            hb = h[a] - 3 * step if crossed & mask else h[a] + step
             if b in h:
                 if h[b] != hb:
                     raise InvariantError("inconsistent height function")
@@ -109,19 +124,21 @@ def height_function(region: Region, tiling: Tiling) -> dict:
                 h[b] = hb
                 stack.append(b)
     m = min(h.values())
-    return {v: hv - m for v, hv in h.items()}
+    point = region.lattice.grid.point
+    return {point(v): hv - m for v, hv in h.items()}
 
 
 @derived
-def _extreme_heights(region: Region) -> Mapping:
-    """The read-only pointwise largest height function, with the leftmost-lowest vertex at 0.
+def _extreme_heights(region: Region) -> tuple:
+    """The pointwise largest height function, by vertex, with the leftmost-lowest vertex at 0.
 
-    Boundary heights are forced; interior heights are relaxed downward
-    against the caps h(b) <= h(a) + 1 across a +1 edge and h(b) <= h(a) + 3
-    across a -1 edge (the allowed differences are {+1, -3} and {-1, +3}),
-    which is a shortest-path problem from the boundary.  With this region
-    coloring the largest height function is that of the minimal tiling
-    (``_extreme_tiling``).
+    Entry a is the height of vertex a of ``_grid_edges``, or None where
+    there is no vertex.  Boundary heights are forced; interior heights are
+    relaxed downward against the caps h(b) <= h(a) + 1 across a +1 edge and
+    h(b) <= h(a) + 3 across a -1 edge (the allowed differences are {+1, -3}
+    and {-1, +3}), which is a shortest-path problem from the boundary.  With
+    this region coloring the largest height function is that of the minimal
+    tiling (``_minimal_mask``).
     """
     excess = region.imbalance()
     if excess:
@@ -131,44 +148,46 @@ def _extreme_heights(region: Region) -> Mapping:
     edges = _grid_edges(region)
     # boundary edges carry no domino, so their difference is forced exactly;
     # the leftmost-lowest vertex is on the boundary
-    start = min(edges)
-    boundary = {start: 0}
+    start = _first_vertex(edges)
+    val = [4 * (len(edges) + 4)] * len(edges)
+    forced = [False] * len(edges)
+    val[start], forced[start] = 0, True
     stack = [start]
     while stack:
         a = stack.pop()
-        for b, step, domino in edges[a]:
-            if domino is not None:
+        for b, step, bit in edges[a]:
+            if bit:
                 continue
-            if b not in boundary:
-                boundary[b] = boundary[a] + step
+            if not forced[b]:
+                val[b], forced[b] = val[a] + step, True
                 stack.append(b)
-            elif boundary[b] != boundary[a] + step:
+            elif val[b] != val[a] + step:
                 raise InvariantError("boundary heights are inconsistent")
     # Dial's bucket queue over height values, seeded with the boundary: every
     # cap raises the height, so the lowest bucket's vertices are settled and
-    # each vertex relaxes its neighbours once
-    val = dict.fromkeys(edges, 4 * (len(edges) + 4))
-    val.update(boundary)
+    # each vertex relaxes its neighbours once.  The cap across a step of +1
+    # or -1 is 2 - step higher.
     buckets: dict[int, list] = {}
-    for v, h in boundary.items():
-        buckets.setdefault(h, []).append(v)
+    for a, fixed in enumerate(forced):
+        if fixed:
+            buckets.setdefault(val[a], []).append(a)
     level = min(buckets)
     while buckets:
         for a in buckets.pop(level, ()):
             if val[a] != level:
                 continue  # lowered after it was queued here
             for b, step, _ in edges[a]:
-                cap = level + (1 if step > 0 else 3)
-                if val[b] > cap and b not in boundary:
+                cap = level + 2 - step
+                if val[b] > cap and not forced[b]:
                     val[b] = cap
                     buckets.setdefault(cap, []).append(b)
         level += 1
-    return MappingProxyType(val)
+    return tuple(h if moves else None for h, moves in zip(val, edges))
 
 
 @derived
-def _extreme_tiling(region: Region) -> Tiling:
-    """The tiling whose height function is pointwise largest, read off ``_extreme_heights``.
+def _minimal_mask(region: Region) -> int:
+    """The mask of the tiling with the pointwise largest height function (``_extreme_heights``).
 
     A domino crosses an edge exactly where the heights differ by 3.  With
     this region coloring it is the all-horizontal tiling on a diamond and
@@ -176,16 +195,26 @@ def _extreme_tiling(region: Region) -> Tiling:
     is the minimal tiling.
     """
     heights = _extreme_heights(region)
-    pieces = set()
-    for a, moves in _grid_edges(region).items():
-        for b, _, domino in moves:
-            if domino is not None and abs(heights[b] - heights[a]) == 3:
-                pieces.add(domino)
-    tiling = tuple(sorted(pieces))
-    covered = [c for d in tiling for c in d]
-    if len(covered) != len(region.cells) or set(covered) != region.cells:
+    mask = 0
+    for a, moves in enumerate(_grid_edges(region)):
+        for b, _, bit in moves:
+            if bit and abs(heights[b] - heights[a]) == 3:
+                mask |= bit
+    covered = 0
+    for k, (i, j) in enumerate(region.lattice.grid.dominoes):
+        if mask >> k & 1:
+            covered |= 1 << i | 1 << j
+    n = len(region.cells)
+    if 2 * mask.bit_count() != n or covered != (1 << n) - 1:
         raise InvariantError("extreme height function did not yield a perfect tiling")
-    return tiling
+    return mask
+
+
+@derived
+def _extreme_tiling(region: Region) -> Tiling:
+    """The minimal tiling as a sorted tuple of dominoes: the dominoes of ``_minimal_mask``."""
+    mask = _minimal_mask(region)
+    return tuple(d for k, d in enumerate(region.dominoes) if mask >> k & 1)
 
 
 def minimal_tiling(region: Region) -> Tiling:
@@ -251,24 +280,26 @@ def _flip_distances(region: Region) -> Mapping[int, int]:
     """Breadth-first search over flips from the minimal tiling, on tiling masks.
 
     A tiling is its int mask over ``Region.dominoes``.  Each 2x2 block of
-    the region is a pair of masks: its two horizontal and its two vertical
-    dominoes.  A block flips when the tiling holds either pair, and the flip
-    toggles all four bits.  The blocks are tried in the order of their lower
-    left cell, as ``flips`` finds them, so the table's order is that of a
-    BFS through ``flips``.  No mask is decoded.  A region with more than
-    ``MAX_LISTED_TILINGS`` tilings raises CapacityError before the search.
+    the region, a unit face of its lattice, is a pair of masks: its two
+    horizontal and its two vertical dominoes.  A block flips when the tiling
+    holds either pair, that is when the pair has no bit in the tiling's
+    complement, and the flip toggles all four bits.  The blocks are tried in
+    the order of their lower left cell, as ``flips`` finds them, so the
+    table's order is that of a BFS through ``flips``.  No mask is decoded.
+    A region with more than ``MAX_LISTED_TILINGS`` tilings raises
+    CapacityError before the search.
     """
     require_listing_budget(region, count_tilings(region))
-    cells = region.cells
-    bit = region.domino_bit
+    lat = region.lattice
+    grid = lat.grid
     blocks = []
-    for c in region.sorted_cells:
-        right, up, corner = Cell(c.x + 1, c.y), Cell(c.x, c.y + 1), Cell(c.x + 1, c.y + 1)
-        if right in cells and up in cells and corner in cells:
-            h = bit[(c, right)] | bit[(up, corner)]
-            v = bit[(c, up)] | bit[(right, corner)]
-            blocks.append((h, v, h | v))
-    start = region.tiling_mask(_extreme_tiling(region))
+    for i in lat.faces:  # the cell above i is i + 1, and e is the one right of i
+        e = grid.at[grid.pos[i] + grid.stride]
+        h = grid.east[i] | grid.east[i + 1]
+        v = grid.north[i] | grid.north[e]
+        blocks.append((h, v, h | v))
+    full = (1 << len(grid.dominoes)) - 1
+    start = _minimal_mask(region)
     dist = {start: 0}
     frontier = [start]
     rank = 0
@@ -276,8 +307,9 @@ def _flip_distances(region: Region) -> Mapping[int, int]:
         rank += 1
         nxt = []
         for m in frontier:
+            free = full ^ m  # not ~m: & with a negative int is slower
             for h, v, both in blocks:
-                if m & h == h or m & v == v:
+                if not h & free or not v & free:
                     m2 = m ^ both
                     if m2 not in dist:
                         dist[m2] = rank
@@ -286,24 +318,28 @@ def _flip_distances(region: Region) -> Mapping[int, int]:
     return MappingProxyType(dist)
 
 
-def linear_ranks(region: Region, masks: Iterable[int]) -> list[int]:
+def linear_ranks(region: Region, masks: Iterable[int]) -> Iterator[int]:
     """Rank of each tiling mask as a linear function of its horizontal dominoes.
 
-    The total height deficit below the minimal tiling is the sum of the
-    line constants C_x plus w_x[y] for each horizontal domino crossing line
-    x at row y (see ``_line_weights``); rank is that total divided by 4.
-    It is read with one popcount per distinct weight (``_deficit_masks``).
+    The ranks come lazily, in the order of ``masks``, so a caller can check
+    each mask in the same pass as its other statistics.  The total height
+    deficit below the minimal tiling is the sum of the line constants C_x
+    plus w_x[y] for each horizontal domino crossing line x at row y (see
+    ``_line_weights``); rank is that total divided by 4.  It is read with
+    one popcount per distinct weight (``_deficit_masks``).
     """
-    const, weighted = _deficit_masks(region)
-    ranks = []
+    return _deficit_ranks(masks, *_deficit_masks(region))
+
+
+def _deficit_ranks(masks: Iterable[int], const: int, weighted: tuple) -> Iterator[int]:
+    """The rank of each mask from the height deficit C + sum of w * |mask & M_w|."""
     for mask in masks:
         total = const
         for w, dominoes in weighted:
             total += w * (mask & dominoes).bit_count()
         if total < 0 or total % 4:
             raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
-        ranks.append(total // 4)
-    return ranks
+        yield total // 4
 
 
 # -- bivariate generating function --------------------------------------------
@@ -395,11 +431,14 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     C_x the deficit of the walk with no crossing.
     """
     h0 = _extreme_heights(region)  # only its differences are read
+    grid = region.lattice.grid
+    x0, y0 = grid.origin
     masks = [0] + _column_masks(region) + [0]
     rows = max(c.y for c in region.cells) + 1
     lines = []
     for x in range(len(masks) - 1):
         edges = masks[x] | masks[x + 1]  # line x borders columns x - 1 and x
+        vertex = (x - x0) * grid.stride - y0  # of point (x, y) is vertex + y
         const, w = 0, [0] * rows
         bottom = 0
         while edges >> bottom:  # one run of edges per pass
@@ -408,11 +447,11 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
             top = bottom
             while edges >> top & 1:
                 top += 1
-            h = h0[(x, bottom)]
+            h = h0[vertex + bottom]
             for y in range(bottom, top):
                 step = 1 if (x - 1 + y) % 2 == region.white_parity else -1
                 h += step
-                const += h0[(x, y + 1)] - h
+                const += h0[vertex + y + 1] - h
                 w[y] = 4 * step * (top - y)
             bottom = top
         lines.append((const, tuple(w)))
@@ -430,12 +469,12 @@ def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
     distinct nonzero weight, in increasing order of w.
     """
     lines = _line_weights(region)
+    lat = region.lattice
     masks: dict[int, int] = {}
-    for (c, d), bit in region.domino_bit.items():
-        if c.y == d.y:
-            w = lines[d.x][1][c.y]
-            if w:
-                masks[w] = masks.get(w, 0) | bit
+    for (x, y), bit in zip(lat.cells, lat.grid.east):
+        w = lines[x + 1][1][y] if bit else 0
+        if w:
+            masks[w] = masks.get(w, 0) | bit
     return sum(const for const, _ in lines), tuple(sorted(masks.items()))
 
 

@@ -6,8 +6,8 @@ suites that check every tiling, ``rank`` and ``paths``, run one case
 (``_rank_case``) on different tuples.  It takes the tilings from the flip BFS
 (``stats.rank_table``), certifies by the determinant count that the BFS
 reached them all, and checks the three ranks and the path family of each
-tiling mask with no path built.  The enumerator, which lists every tiling,
-is its oracle in the tests only.
+tiling mask in one pass over the masks, with no path built.  The enumerator,
+which lists every tiling, is its oracle in the tests only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .engine import count_tilings, is_vertical
+from .engine import count_tilings
 from .formulas import (
     ResampleError,
     aztec_count,
@@ -217,16 +217,20 @@ def suite_lemmas(trials: int, seed: int) -> list[dict]:
         # star scaling
         factor = _draw(rng, positive)
         star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * base
-        # spider on a wheel: 4-cycle with unit spokes to 4 tips, tips matched out
+        # spider on a wheel: 4-cycle with unit spokes to 4 tips, the first two
+        # tips matched out through an outer pair.  The reduced graph has three
+        # pairs to match, so a sign lost from all its edges shows in M, and a
+        # matching of it with one new cycle edge shows a sign lost from those.
         inner = [("i", j) for j in range(4)]
         tips = [("t", j) for j in range(4)]
-        outer = [("o", j) for j in range(4)]
-        cyc = [_draw(rng, positive) for _ in range(4)]
-        edges = [
-            (inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)
-        ]
+        outer = [("o", j) for j in range(2)]
+        # signed cycle weights x, y, z, t, so the cell's xz + yt takes both signs
+        cyc = [_draw(rng, signed) for _ in range(4)]
+        while cyc[0] * cyc[2] + cyc[1] * cyc[3] == 0:  # a singular cell has no reduction
+            cyc = [_draw(rng, signed) for _ in range(4)]
+        edges = [(inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)]
         edges += [(inner[j], tips[j], 1) for j in range(4)]
-        edges += [(tips[j], outer[j], _draw(rng, signed)) for j in range(4)]
+        edges += [(tips[j], outer[j], _draw(rng, signed)) for j in range(2)]
         edges += [(outer[0], outer[1], _draw(rng, signed))]
         g2 = WeightedGraph(inner + tips + outer, edges)
         reduced, delta = spider_reduce(g2, tuple(inner))
@@ -256,36 +260,42 @@ def _path_length(m1: int, n1: int, k: int, m2: int, n2: int) -> int:
 def _rank_case(region: Region) -> dict:
     """Check every tiling of one double rectangle on the flip BFS's masks.
 
-    The determinant count certifies that the BFS reached every tiling.  The
-    area and linear ranks of each mask must equal its flip distance, with
-    one tiling of rank 0.  The area walk raises DecorationError unless the
-    mask's decorated dominoes assemble into marker-joined paths, and a walk
-    that returns has used them all, each as one segment.  So the family is
-    read off the mask with no path built: it is the mask's decorated
-    dominoes, and each step total is a popcount against the dominoes of
-    that letter.  The families must be distinct and meet the step-count
-    identities.
+    The determinant count certifies that the BFS reached every tiling.  One
+    pass over the masks checks that the area and linear ranks of each equal
+    its flip distance, with one tiling of rank 0: both rank functions are
+    lazy, so no call is made per mask.  The area walk raises DecorationError
+    unless the mask's decorated dominoes assemble into marker-joined paths,
+    and a walk that returns has used them all, each as one segment.  So the
+    family is read off the mask with no path built: it is the mask's
+    decorated dominoes, and each step total is a popcount against the
+    dominoes of that letter.  The families must be distinct and meet the
+    step-count identities.
     """
     table = rank_table(region)
     # every flip of a tiling is a tiling, so the table holds distinct tilings,
     # and it holds all of them exactly when it is as long as the count
     ok = len(table) == count_tilings(region)
-    ranks = area_ranks(region, table)
-    ok = ok and ranks == list(table.values()) and ranks == linear_ranks(region, table)
-    # the area rank is the area excess over the minimal tiling, so the
-    # minimal tiling has the least area, uniquely, when exactly one
-    # tiling has area rank 0 and none has a negative one
+    # where the area ranks equal the flip distances, the minimal tiling has
+    # the least area, uniquely, when exactly one rank is 0 and none negative
+    ranks = list(table.values())
     ok = ok and min(ranks) == 0 and ranks.count(0) == 1
     up, down, level = step_masks(region)
-    vertical = sum(bit for d, bit in region.domino_bit.items() if is_vertical(d))
+    diagonal, decorated = up | down, up | down | level
+    vertical = sum(region.lattice.grid.north)
     length = _path_length(*region.params)
-    decorated = up | down | level
-    families = [mask & decorated for mask in table]
-    ok = ok and len(set(families)) == len(table)
-    for family, mask in zip(families, table):
-        diagonal = (family & up).bit_count() + (family & down).bit_count()
-        ok = ok and diagonal + 2 * (family & level).bit_count() == length
-        ok = ok and diagonal == (mask & vertical).bit_count()
+    families = set()
+    for (mask, rank), area, linear in zip(
+        table.items(), area_ranks(region, table), linear_ranks(region, table)
+    ):
+        slanted = (mask & diagonal).bit_count()
+        ok = (
+            ok
+            and area == rank == linear
+            and slanted + 2 * (mask & level).bit_count() == length
+            and slanted == (mask & vertical).bit_count()
+        )
+        families.add(mask & decorated)
+    ok = ok and len(families) == len(table)
     return {"params": list(region.params), "tilings": len(table), "ok": ok}
 
 

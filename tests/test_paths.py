@@ -220,7 +220,7 @@ def test_the_id_walk_equals_the_point_keyed_walk():
         for t in enumerate_tilings(region):
             mask = region.tiling_mask(t)
             family = []
-            quarter = _walk(region, mask, family)
+            (quarter,) = _walk(region, [mask], family)
             assert (family, quarter) == _old_walk(region, mask)
             walked += 1
     assert walked == 8 + 16 + 640
@@ -275,11 +275,12 @@ def test_decoration_guards_reject_broken_segment_sets(monkeypatch):
 
     def paths_of(tiling):
         walked = []
-        quarter = _walk(region, sum(map(bit.__getitem__, tiling)), walked)
+        (quarter,) = _walk(region, [sum(map(bit.__getitem__, tiling))], walked)
         return PathFamily(tuple(walked), quarter)
 
     def rank_of(tiling):
-        return area_ranks(region, [sum(map(bit.__getitem__, tiling))])[0]
+        (rank,) = area_ranks(region, [sum(map(bit.__getitem__, tiling))])
+        return rank
 
     family = paths_of(("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from test_kasteleyn import box_regions
 
 from aztecbridge import engine, paths, stats
-from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
+from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical, piece
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.paths import area_ranks, tiling_to_paths
 from aztecbridge.polyring import LaurentPoly2
@@ -39,9 +39,31 @@ def test_minimal_diamond_tiling_is_all_horizontal():
         assert len(t0) == n * (n + 1) and all(not is_vertical(d) for d in t0)
 
 
-def _relaxed_heights(region):
+def _cell_grid_edges(region):
+    """The Cell-keyed height steps that the grid-position ones replaced.
+
+    Maps each lattice point to its moves (point, step, domino or None).
+    """
+    cells = region.cells
+    edges = {}
+    for c in cells:
+        x, y = c
+        step = 1 if (x + y) % 2 == region.white_parity else -1
+        # counterclockwise around c, so c is on the left of each edge
+        corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+        across = (Cell(x, y - 1), Cell(x + 1, y), Cell(x, y + 1), Cell(x - 1, y))
+        for i, other in enumerate(across):
+            if other in cells and other < c:
+                continue  # added from the other side
+            a, b = corners[i], corners[(i + 1) % 4]
+            domino = piece(c, other) if other in cells else None
+            edges.setdefault(a, []).append((b, step, domino))
+            edges.setdefault(b, []).append((a, -step, domino))
+    return edges
+
+
+def _relaxed_heights(edges):
     """Oracle: lower interior heights against the caps until none is violated."""
-    edges = stats._grid_edges(region)
     boundary = {min(edges): 0}
     stack = [min(edges)]
     while stack:
@@ -62,14 +84,35 @@ def _relaxed_heights(region):
     return val
 
 
+def _by_point(region, table):
+    """A table over grid positions as a dict from lattice point to entry, where there is one."""
+    point = region.lattice.grid.point
+    return {point(a): v for a, v in enumerate(table) if v not in (None, [])}
+
+
 def test_the_bucket_queue_finds_the_relaxed_heights():
-    regions = [build_aztec_diamond(n) for n in range(1, 9)]
-    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(60)]
+    # the grid edges, the heights and the minimal tiling, each against the
+    # Cell-keyed construction it replaced
+    regions = [build_aztec_diamond(n) for n in range(1, 13)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(104)]
     for region in regions:
-        val = _relaxed_heights(region)
+        edges = _cell_grid_edges(region)
+        dominoes = region.dominoes
+        grid_moves = _by_point(region, stats._grid_edges(region))
+        point = region.lattice.grid.point
+        named = {
+            a: sorted(
+                (point(b), step, dominoes[bit.bit_length() - 1] if bit else None)
+                for b, step, bit in m
+            )
+            for a, m in grid_moves.items()
+        }
+        assert named == {a: sorted(m) for a, m in edges.items()}, region.spec_string()
+        val = _relaxed_heights(edges)
+        assert _by_point(region, stats._extreme_heights(region)) == val, region.spec_string()
         pieces = {
             domino
-            for a, moves in stats._grid_edges(region).items()
+            for a, moves in edges.items()
             for b, _, domino in moves
             if domino is not None and abs(val[b] - val[a]) == 3
         }
@@ -133,7 +176,7 @@ def test_rank_bfs_equals_area_rank():
     for params in [(1, 2, 0, 1, 2), (2, 3, 1, 2, 3)]:
         region = build_double_rectangle(*params)
         masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
-        assert area_ranks(region, masks) == [rank_table(region)[m] for m in masks]
+        assert list(area_ranks(region, masks)) == [rank_table(region)[m] for m in masks]
 
 
 def test_rank_rejects_foreign_tiling():
@@ -175,13 +218,13 @@ def test_vertical_halfcount():
 
 def test_region_invariants_are_derived_once(monkeypatch):
     calls = []
-    extreme = stats._extreme_tiling.__wrapped__
+    extreme = stats._minimal_mask.__wrapped__
 
     def counting(region):
         calls.append(region.params)
         return extreme(region)
 
-    monkeypatch.setattr(stats._extreme_tiling, "__wrapped__", counting)
+    monkeypatch.setattr(stats._minimal_mask, "__wrapped__", counting)
     cases = suite_rank(32)
     assert len(cases) == 28 and all(c["ok"] for c in cases)
     assert len(calls) == 28 and len(set(calls)) == 28
@@ -191,13 +234,14 @@ def test_the_kept_minimal_heights_are_the_minimal_tilings_up_to_a_constant():
     regions = [build_aztec_diamond(n) for n in range(1, 7)]
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
     for region in regions:
-        kept = stats._extreme_heights(region)
-        assert kept is stats._extreme_heights(region)
+        table = stats._extreme_heights(region)
+        assert table is stats._extreme_heights(region)
+        kept = _by_point(region, table)
         walked = height_function(region, minimal_tiling(region))
         assert kept.keys() == walked.keys()
         assert len({kept[v] - walked[v] for v in walked}) == 1, region.spec_string()
         with pytest.raises(TypeError):
-            kept[min(kept)] = 0
+            table[0] = 0
 
 
 def test_rank_table_is_kept_on_the_region_and_read_only():
@@ -268,7 +312,7 @@ def test_rank_linear_equals_the_flip_distance():
     for region in regions:
         table = rank_table(region)
         masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
-        assert linear_ranks(region, masks) == [table[m] for m in masks], region.spec_string()
+        assert list(linear_ranks(region, masks)) == [table[m] for m in masks], region.spec_string()
         tilings += len(masks)
     assert tilings == 3566
 
@@ -407,7 +451,7 @@ def test_rank_linear_equals_the_flip_distance_on_random_regions(region):
     table = rank_table(region)
     masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
     assert set(table) == set(masks)
-    assert linear_ranks(region, masks) == [table[m] for m in masks]
+    assert list(linear_ranks(region, masks)) == [table[m] for m in masks]
 
 
 def test_a_pinched_region_has_no_minimal_tiling():
@@ -461,7 +505,7 @@ def test_an_over_budget_rank_table_fails_before_the_bfs(monkeypatch):
         (build_aztec_diamond(6), "ad:6: listing 2097152 tilings"),
         (Region(kind="plain", params=(), cells=square, white_parity=0), "64 cells: listing"),
     ):
-        monkeypatch.setattr(stats, "_extreme_tiling", lambda r: None)  # a BFS would fail at once
+        monkeypatch.setattr(stats, "_minimal_mask", lambda r: None)  # a BFS would fail at once
         with pytest.raises(CapacityError, match=message):
             rank_table(region)
 
@@ -478,11 +522,11 @@ def test_suite_rank_checks_every_tuple_before_the_first_bfs(monkeypatch):
 def test_a_fractional_area_excess_trips_the_whole_cell_guard(monkeypatch):
     region = build_double_rectangle(1, 2, 0, 1, 2)
     t0 = [region.tiling_mask(minimal_tiling(region))]
-    assert area_ranks(region, t0) == [0]
+    assert list(area_ranks(region, t0)) == [0]
     base = paths._minimal_area(region)
     monkeypatch.setattr(paths, "_minimal_area", lambda r: base + 2)  # quarter cells
     with pytest.raises(InvariantError, match="whole number of cells"):
-        area_ranks(region, t0)
+        list(area_ranks(region, t0))
 
 
 def test_deficit_masks_equal_the_line_weights_on_every_domino():
@@ -512,8 +556,8 @@ def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(mo
     monkeypatch.setattr(stats._deficit_masks, "__wrapped__", lambda r: calls.append(r) or real(r))
     region = build_double_rectangle(2, 3, 1, 2, 3)
     table = rank_table(region)
-    assert linear_ranks(region, table) == list(table.values())
-    assert linear_ranks(region, table) == list(table.values())
+    assert list(linear_ranks(region, table)) == list(table.values())
+    assert list(linear_ranks(region, table)) == list(table.values())
     assert calls == [region]
     assert stats._deficit_masks(region) is stats._deficit_masks(region)
     assert region.dominoes is region.dominoes and region.domino_bit is region.domino_bit

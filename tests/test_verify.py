@@ -101,7 +101,23 @@ def test_suite_lemmas_builds_each_rectangle_once(monkeypatch):
     assert len(cases) == 4 and all(c["ok"] for c in cases)
     assert len(builds) <= 5
     assert len(matched) == 700
-    assert sum(len(g.vertices) for g in matched) == 6_578
+    assert sum(len(g.vertices) for g in matched) == 6_050
+
+
+def test_suite_lemmas_reduces_spider_cells_of_both_signs(monkeypatch):
+    deltas = []
+    real = verify.spider_reduce
+
+    def recording(graph, inner):
+        reduced, delta = real(graph, inner)
+        deltas.append(delta)
+        return reduced, delta
+
+    monkeypatch.setattr(verify, "spider_reduce", recording)
+    cases = verify.suite_lemmas(100, 20240)
+    assert len(cases) == 4 and all(c["ok"] for c in cases)
+    assert len(deltas) == 100
+    assert sum(d < 0 for d in deltas) >= 20 and sum(d > 0 for d in deltas) >= 20
 
 
 def test_a_draw_returns_what_building_the_fraction_returned():
@@ -159,7 +175,7 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
 
 def _family(region, mask):
     walked = []
-    quarter = _walk(region, mask, walked)
+    (quarter,) = _walk(region, [mask], walked)
     return PathFamily(tuple(walked), quarter)
 
 
