@@ -2,7 +2,8 @@
 
 Every command prints a single JSON document (schema version 1) to stdout,
 except render, which writes SVG to --out.  Exit codes: 0 for success, 1 when
-a verification finds a mismatch, 2 for usage or domain errors.
+a verification finds a mismatch, 2 for usage or domain errors, among them an
+--out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,9 +18,23 @@ from .engine import CapacityError, count_tilings, enumerate_tilings
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
-from .render import render_tiling, render_to_file
+from .render import render_tiling
 from .stats import minimal_tiling, require_listing_budget, tq_sum
 from .verify import DEFAULT_SEED, SUITES, compare_conventions
+
+
+class _OutputError(click.FileError):
+    """An --out file that cannot be written: a one-line usage error, exit 2."""
+
+    exit_code = 2
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _OutputError(path, exc.strerror) from None
 
 
 def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
@@ -27,8 +42,7 @@ def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
     doc.update(payload)
     text = json.dumps(doc, indent=2, sort_keys=False)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     else:
         # not click.echo: on a stream with no declared encoding, such as a
         # StringIO, its first call imports a codec
@@ -210,7 +224,7 @@ def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
         raise click.UsageError("path overlay needs a double rectangle")
     t = _pick_tiling(region, tiling)
     svg = render_tiling(region, t, overlay_paths=(overlay == "paths"))
-    render_to_file(out, svg)
+    _write(out, svg)
     _emit({"region": region.spec_string(), "tiling": tiling, "file": out})
 
 

@@ -232,14 +232,15 @@ def _weight_classes(region: Region) -> WeightClasses:
 
     A domino's class is (2 * vertical + parity) * levels + level: parity is
     the diagonal parity of its bottom (vertical) or left (horizontal) cell
-    relative to the anchor, ``Region.dmin`` plus the anchor parity of the
-    region's kind, and level is that cell's row counted from the bottom.
-    ``_level_table`` gives the weight of each class under a scheme.  In the
-    Kasteleyn rows, a class plus 4 * levels stands for an entry of sign -1.
+    relative to the anchor, the bottommost diagonal min(y - x) plus the
+    anchor parity of the region's kind, and level is that cell's row
+    counted from the bottom.  ``_level_table`` gives the weight of each
+    class under a scheme.  In the Kasteleyn rows, a class plus 4 * levels
+    stands for an entry of sign -1.
     """
     lat, grid = region.lattice, region.lattice.grid
     cells = lat.cells
-    dmin, ymin = region.dmin, region.ymin
+    dmin, ymin = min(c.y - c.x for c in cells), min(c.y for c in cells)
     anchor = dmin + (region.kind == "aztec_rectangle")
     levels = max(c.y for c in cells) - ymin + 1
 

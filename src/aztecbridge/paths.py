@@ -6,8 +6,12 @@ whose left cell is black carries one length-2 level step (the white-left
 horizontals carry nothing).  A vertical domino steps up when its bottom cell
 is black and down when it is white.  This convention is the unique one of
 the four candidates under which every enumerated tiling yields a family of
-non-intersecting paths joining the i-th southwest marker to the i-th
-southeast marker; see tests/test_paths.py for the calibration.
+non-intersecting paths joining the i-th u marker to the i-th v marker; see
+tests/test_paths.py for the calibration.  Every decorated domino runs from
+the west edge of a black cell to the east edge of a white cell, so the
+markers (``regions.boundary_markers``) are the west edges of the black cells
+with no west neighbour and the east edges of the white cells with no east
+neighbour.
 
 Points live on vertical edge midpoints, stored as (x, y2) with y2 = 2*y + 1,
 so an up step is (+1, +2), a down step (+1, -2) and a level step (+2, 0).

@@ -22,9 +22,8 @@ its matching tables on those ids in one pass over a padded grid
 (``Region.lattice``, ``TriRegion.lattice``): neighbour ids, Kasteleyn signs,
 unit faces and colour classes, and for a square-lattice region the grid
 positions and the dominoes as id pairs with their mask bits.  The counter,
-the enumerator, the height functions, the flip search and the path tables
-read the ids; the ``Cell``-keyed views (``neighbours``, ``dominoes``,
-``domino_bit``, ``sorted_cells``) are built from the same numbering.
+the enumerator, the height functions, the flip search, the path tables and
+the boundary markers read the ids, and ``Region.dominoes`` is built from them.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -61,7 +59,7 @@ class Tri(NamedTuple):
 
 
 class BoundaryMarkers(NamedTuple):
-    """Schroeder-path endpoints: vertical edge midpoints (x, y2) with y2 = 2y + 1."""
+    """Path sources u and sinks v, bottom to top: vertical edge midpoints (x, 2y + 1)."""
 
     u: list[tuple[int, int]]
     v: list[tuple[int, int]]
@@ -165,22 +163,18 @@ _GLUE_DX = -1
 _GLUE_DY = 0
 
 
-def glue_offset(m1: int, n1: int, k: int, m2: int, n2: int) -> tuple[int, int]:
-    return (k - m2 + _GLUE_DX, k + m2 + _GLUE_DY)
-
-
 @dataclass(frozen=True)
 class Region:
     """An immutable square-lattice region with checkerboard coloring.
 
-    A cell (x, y) is white when x + y has the parity ``white_parity``.  The
-    lattice invariants below are computed on first use and kept on the
-    instance: ``lattice`` numbers the cells and derives every table on the
-    ids in one pass, and the ``Cell``-keyed views (sorted cells, neighbours,
-    dominoes and their mask bits) are read off it.  Every
-    other table of a region, such as its Kasteleyn determinant, minimal
-    tiling or path tables, is computed by a function of the module that uses
-    it, decorated with ``derived``, and kept on the instance the same way.
+    A region is its kind, parameters, cells and ``white_parity``: a cell
+    (x, y) is white when x + y has that parity.  The invariants below are
+    computed on first use and kept on the instance: ``lattice`` numbers the
+    cells and derives every table on the ids in one pass, and ``dominoes``
+    is read off it.  Every other table of a region, such as its Kasteleyn
+    determinant, minimal tiling, boundary markers or path tables, is
+    computed by a function of the module that uses it, decorated with
+    ``derived``, and kept on the instance the same way.
     A tiling is a sorted tuple of dominoes; the rank and path code works on
     its int mask over ``dominoes`` (``tiling_mask``).
     """
@@ -189,8 +183,6 @@ class Region:
     params: tuple[int, ...]
     cells: frozenset[Cell]
     white_parity: int
-    upper: frozenset[Cell] | None = None
-    lower: frozenset[Cell] | None = None
 
     def __post_init__(self):
         # A lone m x n Aztec rectangle is imbalanced by n - m; it has no
@@ -221,16 +213,6 @@ class Region:
         return f"a {self.kind} region of {len(self.cells)} cells"
 
     # -- derived invariants -------------------------------------------------
-
-    @cached_property
-    def dmin(self) -> int:
-        """The bottommost diagonal, min(y - x) over the cells."""
-        return min(c.y - c.x for c in self.cells)
-
-    @cached_property
-    def ymin(self) -> int:
-        """The bottom row."""
-        return min(c.y for c in self.cells)
 
     @cached_property
     def lattice(self) -> Lattice:
@@ -275,29 +257,11 @@ class Region:
         white, black = map(tuple, colours)
         return Lattice(cells, tuple(adjacent), tuple(signs), tuple(faces), white, black, grid)
 
-    @property
-    def sorted_cells(self) -> tuple[Cell, ...]:
-        """The cells in sorted order: cell id i is ``sorted_cells[i]``."""
-        return self.lattice.cells
-
-    @cached_property
-    def neighbours(self) -> MappingProxyType:
-        """Read-only map from each cell to its edge-adjacent cells (W, E, S, N)."""
-        cells = self.lattice.cells
-        return MappingProxyType(
-            {c: tuple(cells[j] for j in ids) for c, ids in zip(cells, self.lattice.adjacent)}
-        )
-
     @cached_property
     def dominoes(self) -> tuple:
         """Every domino of the region, sorted; bit i of a tiling mask stands for ``dominoes[i]``."""
         cells = self.lattice.cells
         return tuple((cells[i], cells[j]) for i, j in self.lattice.grid.dominoes)
-
-    @cached_property
-    def domino_bit(self) -> MappingProxyType:
-        """Read-only mask bit of each domino, 1 << its index in ``dominoes``."""
-        return MappingProxyType({d: 1 << i for i, d in enumerate(self.dominoes)})
 
     @cached_property
     def _tiling_keys(self) -> dict:
@@ -399,14 +363,6 @@ class TriRegion:
         ups, downs = map(tuple, colours)
         return Lattice(tris, tuple(adjacent), signs, tuple(faces), ups, downs, None)
 
-    @cached_property
-    def neighbours(self) -> MappingProxyType:
-        """Read-only map from each triangle to its edge-adjacent triangles."""
-        tris = self.lattice.cells
-        return MappingProxyType(
-            {t: tuple(tris[j] for j in ids) for t, ids in zip(tris, self.lattice.adjacent)}
-        )
-
 
 def _padding(items: tuple) -> tuple[int, int, int]:
     """(x0, y0, stride) of the padded grid of sorted cells (triangles): see ``Grid``."""
@@ -416,17 +372,15 @@ def _padding(items: tuple) -> tuple[int, int, int]:
     return items[0].x - 1, y0, max(c.y for c in items) - y0 + 1
 
 
-def _normalize(cells: set[Cell], *parts: set[Cell]):
+def _normalize(cells: set[Cell]) -> tuple[frozenset[Cell], int]:
     """Translate so the minimum x and minimum y are both 0.
 
-    Returns the translated cell set, the translated extra parts, and the
-    parity flip the translation applied to x + y.
+    Returns the translated cells and the parity flip the translation
+    applied to x + y.
     """
     minx = min(c.x for c in cells)
     miny = min(c.y for c in cells)
-    moved = {Cell(c.x - minx, c.y - miny) for c in cells}
-    moved_parts = [{Cell(c.x - minx, c.y - miny) for c in p} for p in parts]
-    return moved, moved_parts, (minx + miny) % 2
+    return frozenset(Cell(c.x - minx, c.y - miny) for c in cells), (minx + miny) % 2
 
 
 def build_aztec_diamond(n: int) -> Region:
@@ -438,31 +392,28 @@ def build_aztec_diamond(n: int) -> Region:
 def build_aztec_rectangle(m: int, n: int, kind: str = "aztec_rectangle", params=None) -> Region:
     if m < 1 or n < 1:
         raise ConstraintError(f"aztec rectangle needs m,n >= 1, got m={m} n={n}")
-    raw = _ar_cells(m, n)
-    cells, _, flip = _normalize(raw)
+    cells, flip = _normalize(_ar_cells(m, n))
     # Raw white convention: x + y even.  Standalone regions just inherit it.
-    return Region(kind=kind, params=params or (m, n), cells=frozenset(cells), white_parity=flip)
+    return Region(kind=kind, params=params or (m, n), cells=cells, white_parity=flip)
 
 
 def build_double_rectangle(m1: int, n1: int, k: int, m2: int, n2: int) -> Region:
     _check_dr_params(m1, n1, k, m2, n2)
     lower = _ar_cells(m2, n2)
-    dx, dy = glue_offset(m1, n1, k, m2, n2)
+    dx, dy = k - m2 + _GLUE_DX, k + m2 + _GLUE_DY
     upper = {Cell(c.x + dx, c.y + dy) for c in _ar_cells(m1, n1)}
     if lower & upper:
         raise InvariantError(
             f"the two parts of dr:{m1},{n1},{k},{m2},{n2} overlap in {len(lower & upper)} cells"
         )
-    cells, (upper_n, lower_n), flip = _normalize(lower | upper, upper, lower)
+    cells, flip = _normalize(lower | upper)
     # The cells along the southwest side of the upper rectangle are white.
-    sw_cell = min(upper_n, key=lambda c: (c.x + c.y, c.x))
+    sw = min(upper, key=lambda c: (c.x + c.y, c.x))
     return Region(
         kind="double_aztec_rectangle",
         params=(m1, n1, k, m2, n2),
-        cells=frozenset(cells),
-        white_parity=(sw_cell.x + sw_cell.y) % 2,
-        upper=frozenset(upper_n),
-        lower=frozenset(lower_n),
+        cells=cells,
+        white_parity=(sw.x + sw.y + flip) % 2,
     )
 
 
@@ -509,35 +460,26 @@ def build_hexagon(a: int, b: int, c: int) -> TriRegion:
 
 @derived
 def boundary_markers(region: Region) -> BoundaryMarkers:
-    """Centers of vertical boundary steps of a double Aztec rectangle.
+    """The sources u and sinks v of the paths of a double Aztec rectangle, read off its lattice.
 
-    u lists the lower southwest then upper northwest markers bottom-to-top;
-    v lists the lower southeast then upper northeast markers bottom-to-top.
-    Points are (x, 2y+1): vertical edge midpoints in half-unit y coordinates.
+    Every decorated domino (see ``paths``) runs from the west edge of a
+    black cell to the east edge of a white cell, so u is the west edge of
+    each black cell with no west neighbour and v the east edge of each white
+    cell with no east neighbour, one per row, bottom to top: u runs up the
+    southwest then northwest sides, v up the southeast then northeast sides.
     """
     if region.kind != "double_aztec_rectangle":
         raise KindError("boundary markers are defined for double Aztec rectangles only")
-    if region.upper is None or region.lower is None:
-        raise KindError("a double Aztec rectangle needs its upper and lower parts")
-    # u: left edges of the lower SW fringe (minimal x+y diagonal) and of the
-    # upper NW fringe (maximal y-x diagonal); v: right edges of the lower SE
-    # fringe (minimal y-x) and upper NE fringe (maximal x+y).  Each fringe is
-    # ordered bottom-to-top.
-    low_sw = _diagonal_fringe(region.lower, lambda c: c.x + c.y, minimal=True)
-    up_nw = _diagonal_fringe(region.upper, lambda c: c.y - c.x, minimal=False)
-    low_se = _diagonal_fringe(region.lower, lambda c: c.y - c.x, minimal=True)
-    up_ne = _diagonal_fringe(region.upper, lambda c: c.x + c.y, minimal=False)
-    u = [(c.x, 2 * c.y + 1) for c in low_sw + up_nw]
-    v = [(c.x + 1, 2 * c.y + 1) for c in low_se + up_ne]
+    lat = region.lattice
+    at, pos, w = lat.grid.at, lat.grid.pos, lat.grid.stride
+    west = sorted((lat.cells[i] for i in lat.black if at[pos[i] - w] < 0), key=lambda c: c.y)
+    east = sorted((lat.cells[i] for i in lat.white if at[pos[i] + w] < 0), key=lambda c: c.y)
+    u = [(c.x, 2 * c.y + 1) for c in west]
+    v = [(c.x + 1, 2 * c.y + 1) for c in east]
     m1, n1, k, m2, n2 = region.params
     if len(u) != m2 + n1 or len(v) != n2 + m1:
         raise InvariantError(f"{len(u)} and {len(v)} markers, expected {m2 + n1} and {n2 + m1}")
     return BoundaryMarkers(u=u, v=v)
-
-
-def _diagonal_fringe(cells: frozenset[Cell], diag, minimal: bool) -> list[Cell]:
-    target = min(diag(c) for c in cells) if minimal else max(diag(c) for c in cells)
-    return sorted((c for c in cells if diag(c) == target), key=lambda c: c.y)
 
 
 #: Most cells a parsed spec may have (triangles, for a hexagon).  It admits

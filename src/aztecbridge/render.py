@@ -25,7 +25,7 @@ MARKER_FILL = "#e31a1c"
 
 def render_tiling(region: Region, tiling: Tiling, overlay_paths: bool = False) -> str:
     """SVG text for a tiling, optionally with its path family on top."""
-    cells = region.sorted_cells
+    cells = region.cells
     minx = min(c.x for c in cells)
     maxx = max(c.x for c in cells) + 1
     miny = min(c.y for c in cells)
@@ -95,8 +95,3 @@ def _path_overlay(region: Region, tiling: Tiling, px, py) -> list[str]:
 def _py_half(py, y2: int) -> int:
     """Pixel row of a half-unit height y2/2; SCALE is even so this is exact."""
     return py(0) - y2 * SCALE // 2
-
-
-def render_to_file(path: str, svg: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)

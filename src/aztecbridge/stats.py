@@ -35,13 +35,12 @@ sweep's columns.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .engine import CapacityError, Tiling, _unit_det, count_tilings, is_vertical
 from .polyring import LaurentPoly2
-from .regions import Cell, ConstraintError, InvariantError, KindError, Region, derived
+from .regions import ConstraintError, InvariantError, KindError, Region, derived
 
 
 # -- height functions -------------------------------------------------------
@@ -93,41 +92,6 @@ def _grid_edges(region: Region) -> list[list]:
     return edges
 
 
-def _first_vertex(edges: list[list]) -> int:
-    """The leftmost-lowest vertex, which is on the boundary."""
-    return next(a for a, moves in enumerate(edges) if moves)
-
-
-def height_function(region: Region, tiling: Tiling) -> dict:
-    """Vertex heights of a tiling, normalized to minimum height 0, keyed by lattice point (x, y).
-
-    Crossing an edge with a white cell on the left raises the height by 1,
-    unless a domino of the tiling crosses the edge, in which case it drops
-    by 3 (and symmetrically for black).
-    """
-    bit = region.domino_bit
-    mask = 0
-    for domino in set(tiling):
-        mask |= bit.get(domino, 0)
-    edges = _grid_edges(region)
-    start = _first_vertex(edges)
-    h = {start: 0}
-    stack = [start]
-    while stack:
-        a = stack.pop()
-        for b, step, crossed in edges[a]:
-            hb = h[a] - 3 * step if crossed & mask else h[a] + step
-            if b in h:
-                if h[b] != hb:
-                    raise InvariantError("inconsistent height function")
-            else:
-                h[b] = hb
-                stack.append(b)
-    m = min(h.values())
-    point = region.lattice.grid.point
-    return {point(v): hv - m for v, hv in h.items()}
-
-
 @derived
 def _extreme_heights(region: Region) -> tuple:
     """The pointwise largest height function, by vertex, with the leftmost-lowest vertex at 0.
@@ -148,7 +112,7 @@ def _extreme_heights(region: Region) -> tuple:
     edges = _grid_edges(region)
     # boundary edges carry no domino, so their difference is forced exactly;
     # the leftmost-lowest vertex is on the boundary
-    start = _first_vertex(edges)
+    start = next(a for a, moves in enumerate(edges) if moves)
     val = [4 * (len(edges) + 4)] * len(edges)
     forced = [False] * len(edges)
     val[start], forced[start] = 0, True
@@ -227,25 +191,6 @@ def minimal_tiling(region: Region) -> Tiling:
 # -- flips and rank ---------------------------------------------------------
 
 
-def flips(tiling: Tiling) -> list[Tiling]:
-    """Tilings one elementary move away (rotating a 2x2 block)."""
-    have = set(tiling)
-    out = []
-    for i, (c1, c2) in enumerate(tiling):
-        # The parallel mate sits to the right of a vertical, above a
-        # horizontal; it sorts after (c1, c2), and (c1, a), (c2, b) are sorted.
-        dx, dy = (1, 0) if c1.x == c2.x else (0, 1)
-        a, b = Cell(c1.x + dx, c1.y + dy), Cell(c2.x + dx, c2.y + dy)
-        if (a, b) in have:
-            flipped = list(tiling)
-            del flipped[bisect_left(tiling, (a, b))]  # the mate, then (c1, c2)
-            del flipped[i]
-            insort(flipped, (c1, a))
-            insort(flipped, (c2, b))
-            out.append(tuple(flipped))
-    return out
-
-
 #: Most tilings of one region that may be listed, by the flip BFS or by
 #: enumeration.  Time and memory grow with the number listed: the 89,600
 #: tilings of dr:2,4,1,3,5, the most of any double rectangle of at most 60
@@ -284,8 +229,9 @@ def _flip_distances(region: Region) -> Mapping[int, int]:
     horizontal and its two vertical dominoes.  A block flips when the tiling
     holds either pair, that is when the pair has no bit in the tiling's
     complement, and the flip toggles all four bits.  The blocks are tried in
-    the order of their lower left cell, as ``flips`` finds them, so the
-    table's order is that of a BFS through ``flips``.  No mask is decoded.
+    the order of their lower left cell, as the tuple flips of the tests
+    (tests/test_stats.py) find them, so the table's order is that of a BFS
+    through those.  No mask is decoded.
     A region with more than ``MAX_LISTED_TILINGS`` tilings raises
     CapacityError before the search.
     """

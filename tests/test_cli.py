@@ -47,6 +47,24 @@ def test_a_spec_over_the_cell_budget_exits_two():
         assert "than the budget" in result.output
 
 
+def _assert_unwritable(result, path):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: ") and repr(str(path)) in line
+
+
+def test_an_unwritable_json_out_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    _assert_unwritable(run("count", "ad:2", "--out", str(out)), out)
+    _assert_unwritable(run("count", "ad:2", "--out", str(tmp_path)), tmp_path)
+
+
+def test_an_unwritable_render_out_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.svg"
+    _assert_unwritable(run("render", "dr:1,2,0,1,2", "--out", str(out)), out)
+
+
 def test_domain_error_exit_code_survives_optimized_mode():
     src = str(Path(aztecbridge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -104,8 +104,8 @@ def _recursive_matchings(later):
 
 
 def _later(region):
-    nbs = region.neighbours
-    return {v: sorted(w for w in nbs[v] if w > v) for v in sorted(nbs)}
+    cells, adjacent = region.lattice.cells, region.lattice.adjacent
+    return {v: sorted(cells[j] for j in ids if cells[j] > v) for v, ids in zip(cells, adjacent)}
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

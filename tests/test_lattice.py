@@ -45,6 +45,11 @@ def _cell_det(region):
     return _det([{col[b]: -1 if w.x == b.x and w.x % 2 else 1 for b in nbs[w]} for w in whites])
 
 
+def _lattice_neighbours(lat):
+    """Each cell's (triangle's) adjacent ones, read off the id tables."""
+    return {c: tuple(lat.cells[j] for j in ids) for c, ids in zip(lat.cells, lat.adjacent)}
+
+
 def _colour_classes(lat):
     return tuple(lat.cells[i] for i in lat.white), tuple(lat.cells[i] for i in lat.black)
 
@@ -60,15 +65,15 @@ def test_the_square_lattice_tables_equal_the_cell_constructions():
     assert len(regions) == 424 + 12 + 20
     for region in regions:
         cells, name = region.cells, region.spec_string()
-        nbs = cell_neighbours(cells)
-        assert dict(region.neighbours) == nbs, name
-        assert region.sorted_cells == tuple(sorted(cells)), name
-        dominoes = tuple(sorted((c, d) for c, ds in nbs.items() for d in ds if c < d))
-        assert region.dominoes == dominoes, name
-        bits = [(d, 1 << i) for i, d in enumerate(dominoes)]
-        assert list(region.domino_bit.items()) == bits, name
         lat = region.lattice
         grid = lat.grid
+        nbs = cell_neighbours(cells)
+        assert _lattice_neighbours(lat) == nbs, name
+        assert lat.cells == tuple(sorted(cells)), name
+        dominoes = tuple(sorted((c, d) for c, ds in nbs.items() for d in ds if c < d))
+        assert region.dominoes == dominoes, name
+        assert tuple((lat.cells[i], lat.cells[j]) for i, j in grid.dominoes) == dominoes, name
+        bits = [(d, 1 << i) for i, d in enumerate(dominoes)]
         assert sum(grid.north) == sum(bit for (c, d), bit in bits if c.x == d.x), name
         assert sum(grid.east) == sum(bit for (c, d), bit in bits if c.y == d.y), name
         faces = sum(
@@ -100,7 +105,7 @@ def test_the_triangular_lattice_tables_equal_the_tri_constructions():
         region = build_hexagon(a, b, c)
         tris = region.tris
         nbs = _tri_neighbours(tris)
-        assert dict(region.neighbours) == nbs, (a, b, c)
+        assert _lattice_neighbours(region.lattice) == nbs, (a, b, c)
         faces = sum(
             1
             for x, y, up in tris

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_lattice import cell_neighbours
 
 from aztecbridge import engine, matchgraph
 from aztecbridge.engine import CapacityError, _det, count_tilings
@@ -352,11 +353,11 @@ def test_rewritten_graphs_are_valid_and_keep_the_edge_order():
 def test_dual_graph_edges_come_east_then_north_in_cell_order():
     region = build_aztec_diamond(2)
     g = dual_graph(region)
-    assert g.vertices == tuple(region.sorted_cells)
+    assert g.vertices == region.lattice.cells
     at = {c: i for i, c in enumerate(g.vertices)}
     expected = [
         (at[c], at[d])
-        for c in region.sorted_cells
+        for c in sorted(region.cells)
         for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1))
         if d in region.cells
     ]
@@ -382,12 +383,13 @@ def test_a_trimmed_rectangle_of_another_shape_is_rejected():
 
 def _old_domino_weights(region, scheme, anchor_parity):
     a, b, c, d, q = map(Fraction, scheme)
-    levels = range(max(cell.y for cell in region.cells) - region.ymin + 1)
+    ymin = min(cell.y for cell in region.cells)
+    levels = range(max(cell.y for cell in region.cells) - ymin + 1)
     table = (
         ([b] * len(levels), [c * q ** (L - 1) for L in levels]),
         ([d * q**L for L in levels], [a] * len(levels)),
     )
-    shift, ymin = region.dmin + anchor_parity, region.ymin
+    shift = min(cell.y - cell.x for cell in region.cells) + anchor_parity
 
     def weight(c1, c2):
         low, high = (c1, c2) if c1 < c2 else (c2, c1)
@@ -398,20 +400,21 @@ def _old_domino_weights(region, scheme, anchor_parity):
 
 def _old_dual_graph(region, scheme, anchor_parity):
     weight = _old_domino_weights(region, scheme, anchor_parity)
-    cells = region.sorted_cells
+    cells = sorted(region.cells)
     edges = {
         frozenset((c, d)): weight(c, d)
         for c in cells
         for d in (Cell(c.x + 1, c.y), Cell(c.x, c.y + 1))
         if d in region.cells
     }
-    marked = sorted((c for c in cells if c.y - c.x == region.dmin), key=lambda c: c.x + c.y)
+    dmin = min(c.y - c.x for c in cells)
+    marked = sorted((c for c in cells if c.y - c.x == dmin), key=lambda c: c.x + c.y)
     return WeightedGraph(cells, [(*key, w) for key, w in edges.items()], marked)
 
 
 def _old_matching_sum(region, scheme):
     weight = _old_domino_weights(region, scheme, 0)
-    ordered = region.sorted_cells
+    ordered = sorted(region.cells)
     whites = [c for c in ordered if (c.x + c.y) % 2 == region.white_parity]
     blacks = [c for c in ordered if (c.x + c.y) % 2 != region.white_parity]
 
@@ -419,7 +422,8 @@ def _old_matching_sum(region, scheme):
         return -weight(w, b) if w.x == b.x and w.x % 2 else weight(w, b)
 
     col = {b: j for j, b in enumerate(blacks)}
-    rows = [{col[b]: entry(w, b) for b in region.neighbours[w]} for w in whites]
+    nbs = cell_neighbours(region.cells)
+    rows = [{col[b]: entry(w, b) for b in nbs[w]} for w in whites]
     # _det takes integer rows: clear each row by the lcm of its denominators
     mults = [math.lcm(*(v.denominator for v in row.values())) for row in rows]
     det = Fraction(

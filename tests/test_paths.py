@@ -164,7 +164,8 @@ def _old_path_tables(region):
     """The point-keyed tables that the id tables replaced: start point -> bits, bit -> step."""
     starts, steps = {}, {}
     white = region.white_parity
-    for (c, d), bit in region.domino_bit.items():
+    for k, (c, d) in enumerate(region.dominoes):
+        bit = 1 << k
         if c.x == d.x:
             if (c.x + c.y) % 2 == white:
                 start, end, letter = (d.x, 2 * d.y + 1), (d.x + 1, 2 * c.y + 1), DOWN

@@ -19,6 +19,7 @@ from aztecbridge.regions import (
     build_hexagon,
     parse_spec,
 )
+from aztecbridge.verify import small_double_rectangles
 
 
 def test_diamond_cell_counts():
@@ -37,14 +38,25 @@ def test_rectangle_cell_count_and_imbalance():
             assert abs(whites - blacks) == n - m
 
 
+def _parts(m1, n1, k, m2, n2):
+    """The upper and lower rectangles of dr:m1,n1,k,m2,n2, translated as the region is."""
+    lower = regions._ar_cells(m2, n2)
+    dx, dy = k - m2 + regions._GLUE_DX, k + m2 + regions._GLUE_DY
+    upper = {Cell(c.x + dx, c.y + dy) for c in regions._ar_cells(m1, n1)}
+    minx = min(c.x for c in lower | upper)
+    miny = min(c.y for c in lower | upper)
+    return tuple(frozenset(Cell(c.x - minx, c.y - miny) for c in part) for part in (upper, lower))
+
+
 def test_double_rectangle_balance_and_parts():
     region = build_double_rectangle(1, 2, 0, 1, 2)
     whites = sum(1 for c in region.cells if (c.x + c.y) % 2 == region.white_parity)
     assert 2 * whites == len(region.cells)
-    assert region.upper | region.lower == region.cells
-    assert not (region.upper & region.lower)
+    upper, lower = _parts(*region.params)
+    assert upper | lower == region.cells
+    assert not (upper & lower)
     # the southwest-most upper cell is white
-    sw = min(region.upper, key=lambda c: (c.x + c.y, c.x))
+    sw = min(upper, key=lambda c: (c.x + c.y, c.x))
     assert (sw.x + sw.y) % 2 == region.white_parity
 
 
@@ -75,6 +87,37 @@ def test_boundary_marker_counts():
     assert len(markers.u) == 10
     with pytest.raises(KindError):
         boundary_markers(build_aztec_diamond(2))
+
+
+def _diagonal_fringe(cells, diag, minimal):
+    target = min(diag(c) for c in cells) if minimal else max(diag(c) for c in cells)
+    return sorted((c for c in cells if diag(c) == target), key=lambda c: c.y)
+
+
+def _fringe_markers(params):
+    """The markers read off the two rectangles' diagonal sides, bottom to top.
+
+    u: the west edges of the lower southwest fringe (least x + y) and of the
+    upper northwest fringe (greatest y - x); v: the east edges of the lower
+    southeast fringe (least y - x) and of the upper northeast fringe
+    (greatest x + y).
+    """
+    upper, lower = _parts(*params)
+    low_sw = _diagonal_fringe(lower, lambda c: c.x + c.y, minimal=True)
+    up_nw = _diagonal_fringe(upper, lambda c: c.y - c.x, minimal=False)
+    low_se = _diagonal_fringe(lower, lambda c: c.y - c.x, minimal=True)
+    up_ne = _diagonal_fringe(upper, lambda c: c.x + c.y, minimal=False)
+    u = [(c.x, 2 * c.y + 1) for c in low_sw + up_nw]
+    v = [(c.x + 1, 2 * c.y + 1) for c in low_se + up_ne]
+    return u, v
+
+
+def test_the_lattice_markers_equal_the_fringes_of_the_two_rectangles():
+    tuples = small_double_rectangles(150)
+    assert len(tuples) == 907
+    for params in tuples:
+        markers = boundary_markers(build_double_rectangle(*params))
+        assert (markers.u, markers.v) == _fringe_markers(params), params
 
 
 def test_markers_sit_on_odd_half_heights():

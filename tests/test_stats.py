@@ -1,6 +1,7 @@
 """Height functions, minimal tilings, flips, the three rank computations and the sweep."""
 
 import re
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,6 @@ from aztecbridge.regions import (
     build_hexagon,
 )
 from aztecbridge.stats import (
-    flips,
-    height_function,
     linear_ranks,
     minimal_tiling,
     rank_table,
@@ -60,6 +59,55 @@ def _cell_grid_edges(region):
             edges.setdefault(a, []).append((b, step, domino))
             edges.setdefault(b, []).append((a, -step, domino))
     return edges
+
+
+def height_function(region, tiling):
+    """Vertex heights of a tiling, normalized to minimum height 0, keyed by lattice point (x, y).
+
+    Crossing an edge with a white cell on the left raises the height by 1,
+    unless a domino of the tiling crosses the edge, in which case it drops
+    by 3 (and symmetrically for black).
+    """
+    bit = {domino: 1 << i for i, domino in enumerate(region.dominoes)}
+    mask = 0
+    for domino in set(tiling):
+        mask |= bit.get(domino, 0)
+    edges = stats._grid_edges(region)
+    start = next(a for a, moves in enumerate(edges) if moves)  # the leftmost-lowest vertex
+    h = {start: 0}
+    stack = [start]
+    while stack:
+        a = stack.pop()
+        for b, step, crossed in edges[a]:
+            hb = h[a] - 3 * step if crossed & mask else h[a] + step
+            if b in h:
+                if h[b] != hb:
+                    raise InvariantError("inconsistent height function")
+            else:
+                h[b] = hb
+                stack.append(b)
+    m = min(h.values())
+    point = region.lattice.grid.point
+    return {point(v): hv - m for v, hv in h.items()}
+
+
+def flips(tiling):
+    """Tilings one elementary move away (rotating a 2x2 block)."""
+    have = set(tiling)
+    out = []
+    for i, (c1, c2) in enumerate(tiling):
+        # The parallel mate sits to the right of a vertical, above a
+        # horizontal; it sorts after (c1, c2), and (c1, a), (c2, b) are sorted.
+        dx, dy = (1, 0) if c1.x == c2.x else (0, 1)
+        a, b = Cell(c1.x + dx, c1.y + dy), Cell(c2.x + dx, c2.y + dy)
+        if (a, b) in have:
+            flipped = list(tiling)
+            del flipped[bisect_left(tiling, (a, b))]  # the mate, then (c1, c2)
+            del flipped[i]
+            insort(flipped, (c1, a))
+            insort(flipped, (c2, b))
+            out.append(tuple(flipped))
+    return out
 
 
 def _relaxed_heights(edges):
@@ -539,7 +587,8 @@ def test_deficit_masks_equal_the_line_weights_on_every_domino():
         assert const == sum(c for c, _ in lines), region.spec_string()
         weights = [w for w, _ in weighted]
         assert 0 not in weights and weights == sorted(set(weights)), region.spec_string()
-        dominoes = [(c, d) for c, nbs in region.neighbours.items() for d in nbs if c < d]
+        cells, adjacent = region.lattice.cells, region.lattice.adjacent
+        dominoes = [(cells[i], cells[j]) for i, ids in enumerate(adjacent) for j in ids if i < j]
         assert region.dominoes == tuple(sorted(dominoes)), region.spec_string()
         for i, ((ax, ay), (bx, by)) in enumerate(region.dominoes):
             # the per-line lookup of the linear rank before the masks
@@ -560,8 +609,6 @@ def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(mo
     assert list(linear_ranks(region, table)) == list(table.values())
     assert calls == [region]
     assert stats._deficit_masks(region) is stats._deficit_masks(region)
-    assert region.dominoes is region.dominoes and region.domino_bit is region.domino_bit
+    assert region.dominoes is region.dominoes
     with pytest.raises(TypeError):
         stats._deficit_masks(region)[1][0] = (0, 0)
-    with pytest.raises(TypeError):
-        region.domino_bit[region.dominoes[0]] = 0
