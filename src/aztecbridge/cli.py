@@ -2,18 +2,24 @@
 
 Every command prints a single JSON document (schema version 1) to stdout,
 except render, which writes SVG to --out.  Exit codes: 0 for success, 1 when
-a verification finds a mismatch, 2 for usage or domain errors, among them an
---out file that cannot be written.
+a verification finds a mismatch, 2 for usage or domain errors.  Every
+subcommand is a ``_Command``, whose ``invoke`` makes a ConstraintError,
+KindError or CapacityError a usage error; the callback of every --out fails
+on a path that cannot be written before any work, and ``_write`` on the rest.
 """
 
 from __future__ import annotations
 
+import errno
+import inspect
 import itertools
 import json
+import os
 import sys
 
 import click
 
+from . import verify as suites
 from .engine import CapacityError, count_tilings, enumerate_tilings
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
@@ -37,6 +43,18 @@ def _write(path: str, text: str) -> None:
         raise _OutputError(path, exc.strerror) from None
 
 
+def _writable(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """An --out callback: fail on a directory, or on a path in no directory, before any work."""
+    if path:
+        if os.path.isdir(path):
+            raise _OutputError(path, os.strerror(errno.EISDIR))
+        try:
+            os.stat(os.path.dirname(path) or ".")
+        except OSError as exc:
+            raise _OutputError(path, exc.strerror) from None
+    return path
+
+
 def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
     doc = {"schema": 1, "status": status}
     doc.update(payload)
@@ -49,11 +67,14 @@ def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
         print(text)
 
 
-def _region_or_usage(spec: str):
-    try:
-        return parse_spec(spec)
-    except ConstraintError as exc:
-        raise click.UsageError(str(exc)) from exc
+class _Command(click.Command):
+    """A subcommand whose domain errors are usage errors: one line, exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConstraintError, KindError, CapacityError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
 
 
 @click.group()
@@ -61,47 +82,40 @@ def main() -> None:
     """Exact tiling enumeration workbench."""
 
 
+main.command_class = _Command
+
+
 @main.command()
 @click.argument("region_spec")
-@click.option("--out", default=None, help="Write the JSON document to a file.")
+@click.option("--out", default=None, callback=_writable, help="Write the JSON document to a file.")
 def count(region_spec: str, out: str | None) -> None:
     """Number of tilings of a region (ad:N, ar:MxN, dr:M1,N1,K,M2,N2, hex:A,B,C)."""
-    region = _region_or_usage(region_spec)
+    region = parse_spec(region_spec)
     _emit({"region": region.spec_string(), "count": count_tilings(region)}, out=out)
 
 
 @main.command()
 @click.argument("region_spec")
-@click.option(
-    "--convention",
-    type=click.Choice(["proof", "statement"]),
-    default="proof",
-    show_default=True,
-    help="Which (t, q) ordering the formula side uses.",
-)
-@click.option("--out", default=None)
-def genfun(region_spec: str, convention: str, out: str | None) -> None:
+@click.option("--out", default=None, callback=_writable)
+def genfun(region_spec: str, out: str | None) -> None:
     """Transfer-matrix bivariate sum vs product formula, with a verdict."""
-    region = _region_or_usage(region_spec)
+    region = parse_spec(region_spec)
     if region.kind not in ("aztec_diamond", "double_aztec_rectangle"):
         raise click.UsageError("genfun needs an aztec diamond or double rectangle")
-    try:
-        enum_poly = tq_sum(region)
-    except CapacityError as exc:
-        raise click.UsageError(str(exc)) from exc
+    enum_poly = tq_sum(region)
     if region.kind == "aztec_diamond":
         base = aztec_genfun(region.params[0])
     else:
         base = main_genfun(*region.params)
-    sides, matched = compare_conventions(enum_poly, base)
-    verdict = "ok" if convention in matched else "mismatch"
+    matched = compare_conventions(enum_poly, base)
+    verdict = "ok" if "proof" in matched else "mismatch"
     _emit(
         {
             "region": region.spec_string(),
-            "convention": convention,
+            "convention": "proof",
             "matched_conventions": matched,
             "enumeration": enum_poly.to_json_obj(),
-            "formula": sides[convention].to_json_obj(),
+            "formula": base.to_json_obj(),
             "verdict": verdict,
         },
         status=verdict,
@@ -113,10 +127,10 @@ def genfun(region_spec: str, convention: str, out: str | None) -> None:
 
 @main.command()
 @click.argument("region_spec")
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_writable)
 def formula(region_spec: str, out: str | None) -> None:
     """Closed-form tiling count of a region, no enumeration."""
-    region = _region_or_usage(region_spec)
+    region = parse_spec(region_spec)
     if isinstance(region, TriRegion):
         value = macmahon_count(*region.params)
     elif region.kind == "aztec_diamond":
@@ -130,16 +144,13 @@ def formula(region_spec: str, out: str | None) -> None:
 
 @main.command()
 @click.argument("region_spec")
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_writable)
 def rank(region_spec: str, out: str | None) -> None:
     """Histogram of flip distances from the minimal tiling."""
-    region = _region_or_usage(region_spec)
+    region = parse_spec(region_spec)
     if isinstance(region, TriRegion):
         raise click.UsageError("rank is defined for square-lattice regions only")
-    try:
-        poly = tq_sum(region)
-    except (KindError, ConstraintError, CapacityError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    poly = tq_sum(region)
     hist: dict[int, int] = {}
     for (_, eq), c in poly.items():  # sum out t; eq is 2 * rank
         hist[eq // 2] = hist.get(eq // 2, 0) + c
@@ -160,10 +171,7 @@ _TILING_ARG = {"ignore_unknown_options": True}
 
 def _pick_tiling(region: Region, which: str):
     if which == "minimal":
-        try:
-            return minimal_tiling(region)
-        except (KindError, ConstraintError) as exc:
-            raise click.UsageError(str(exc)) from exc
+        return minimal_tiling(region)
     try:
         index = int(which)
     except ValueError:
@@ -171,20 +179,17 @@ def _pick_tiling(region: Region, which: str):
     # the determinant count bounds the index before any tiling is listed
     if not 0 <= index < count_tilings(region):
         raise click.UsageError(f"tiling index {index} out of range")
-    try:
-        require_listing_budget(region, index + 1)
-    except CapacityError as exc:
-        raise click.UsageError(str(exc)) from exc
+    require_listing_budget(region, index + 1)
     return next(itertools.islice(enumerate_tilings(region), index, None))
 
 
 @main.command(context_settings=_TILING_ARG)
 @click.argument("region_spec")
 @click.argument("tiling", default="minimal")
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_writable)
 def paths(region_spec: str, tiling: str, out: str | None) -> None:
     """The non-intersecting path family carried by a double-rectangle tiling."""
-    region = _region_or_usage(region_spec)
+    region = parse_spec(region_spec)
     if region.kind != "double_aztec_rectangle":
         raise click.UsageError("paths are defined for double rectangles only")
     t = _pick_tiling(region, tiling)
@@ -214,10 +219,10 @@ def paths(region_spec: str, tiling: str, out: str | None) -> None:
     default="none",
     show_default=True,
 )
-@click.option("--out", default="tiling.svg", show_default=True)
+@click.option("--out", default="tiling.svg", show_default=True, callback=_writable)
 def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
     """Write a deterministic SVG of a tiling, optionally with its paths."""
-    region = _region_or_usage(region_spec)
+    region = parse_spec(region_spec)
     if isinstance(region, TriRegion):
         raise click.UsageError("render supports square-lattice regions only")
     if overlay == "paths" and region.kind != "double_aztec_rectangle":
@@ -229,27 +234,29 @@ def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(list(SUITES)))
+@click.argument("suite", type=click.Choice(SUITES))
 @click.option("--max", "bound", type=click.IntRange(min=1), help="Size bound for the suite.")
 @click.option("--trials", type=click.IntRange(min=1), help="Randomized trial count.")
 @click.option("--seed", type=int, help=f"Seed of weighted and lemmas (default {DEFAULT_SEED}).")
-@click.option("--out", default=None)
+@click.option("--out", default=None, callback=_writable)
 def verify(
     suite: str, bound: int | None, trials: int | None, seed: int | None, out: str | None
 ) -> None:
     """Run a verification suite; exit 1 if any case fails.
 
-    An option the suite does not read, and a bound that admits no case, are
-    usage errors.
+    The suite is ``verify.suite_<name>``, looked up at each run and called
+    with the options given.  An option it does not name (``--max`` is
+    ``bound``), and a bound that admits no case, are usage errors.
     """
-    reads, run = SUITES[suite]
-    for option, value in (("--max", bound), ("--trials", trials), ("--seed", seed)):
-        if value is not None and option not in reads:
+    run = getattr(suites, "suite_" + suite)
+    options = {"bound": bound, "trials": trials, "seed": seed}
+    given = {name: value for name, value in options.items() if value is not None}
+    reads = inspect.signature(run).parameters
+    for name in given:
+        if name not in reads:
+            option = "--max" if name == "bound" else "--" + name
             raise click.UsageError(f"verify {suite} does not read {option}")
-    try:
-        cases = run(bound, trials, seed)
-    except CapacityError as exc:
-        raise click.UsageError(str(exc)) from exc
+    cases = run(**given)
     if not cases:
         raise click.UsageError(f"verify {suite} --max {bound} admits no case")
     bad = [c for c in cases if not c["ok"]]

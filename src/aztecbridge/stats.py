@@ -24,9 +24,11 @@ The height functions run on the region's cell numbering (``Region.lattice``):
 a lattice point is numbered by its position on the region's padded grid, so
 the grid edges and the minimal heights are lists indexed by vertex, and a
 grid edge carries the mask bit of the domino that crosses it.  The grid
-edges, the minimal heights, the minimal tiling's mask, the rank table, the
-line weights and the deficit masks are derived once per region
-(``regions.derived``) by the functions of this module that compute them.
+edges, the minimal heights, the minimal tiling's mask, the line weights and
+the deficit masks are derived once per region (``regions.derived``) by the
+functions of this module that compute them, and so are the two public
+tables: ``minimal_tiling`` and ``rank_table`` are derived functions
+themselves, each the one place its table is computed and kept.
 The exponential computations have budgets, checked before they start:
 ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an enumeration may
 list, through the determinant count, and ``MAX_SWEEP_COLUMN`` bounds the
@@ -175,17 +177,15 @@ def _minimal_mask(region: Region) -> int:
 
 
 @derived
-def _extreme_tiling(region: Region) -> Tiling:
-    """The minimal tiling as a sorted tuple of dominoes: the dominoes of ``_minimal_mask``."""
-    mask = _minimal_mask(region)
-    return tuple(d for k, d in enumerate(region.dominoes) if mask >> k & 1)
-
-
 def minimal_tiling(region: Region) -> Tiling:
-    """The rank-zero tiling (all-horizontal for an Aztec diamond), derived once per region."""
+    """The rank-zero tiling (all-horizontal for an Aztec diamond), derived once per region.
+
+    It is the sorted tuple of the dominoes of ``_minimal_mask``.
+    """
     if region.kind not in ("aztec_diamond", "double_aztec_rectangle", "aztec_rectangle"):
         raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
-    return _extreme_tiling(region)
+    mask = _minimal_mask(region)
+    return tuple(d for k, d in enumerate(region.dominoes) if mask >> k & 1)
 
 
 # -- flips and rank ---------------------------------------------------------
@@ -210,30 +210,21 @@ def require_listing_budget(region: Region, listed: int) -> None:
         )
 
 
+@derived
 def rank_table(region: Region) -> Mapping[int, int]:
     """Flip distance from the minimal tiling, for every reachable tiling's mask.
 
     The keys are tiling masks over ``Region.dominoes``; ``Region.tiling_mask``
     gives the key of a tiling tuple.  The table is derived once per region
-    and read-only.
-    """
-    return _flip_distances(region)
-
-
-@derived
-def _flip_distances(region: Region) -> Mapping[int, int]:
-    """Breadth-first search over flips from the minimal tiling, on tiling masks.
-
-    A tiling is its int mask over ``Region.dominoes``.  Each 2x2 block of
-    the region, a unit face of its lattice, is a pair of masks: its two
-    horizontal and its two vertical dominoes.  A block flips when the tiling
-    holds either pair, that is when the pair has no bit in the tiling's
-    complement, and the flip toggles all four bits.  The blocks are tried in
-    the order of their lower left cell, as the tuple flips of the tests
-    (tests/test_stats.py) find them, so the table's order is that of a BFS
-    through those.  No mask is decoded.
-    A region with more than ``MAX_LISTED_TILINGS`` tilings raises
-    CapacityError before the search.
+    and read-only, by breadth-first search over flips from the minimal
+    tiling.  Each 2x2 block of the region, a unit face of its lattice, is a
+    pair of masks: its two horizontal and its two vertical dominoes.  A block
+    flips when the tiling holds either pair, that is when the pair has no bit
+    in the tiling's complement, and the flip toggles all four bits.  The
+    blocks are tried in the order of their lower left cell, as the tuple
+    flips of the tests (tests/test_stats.py) find them, so the table's order
+    is that of a BFS through those.  No mask is decoded.  A region with more
+    than ``MAX_LISTED_TILINGS`` tilings raises CapacityError before the search.
     """
     require_listing_budget(region, count_tilings(region))
     lat = region.lattice

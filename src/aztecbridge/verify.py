@@ -1,13 +1,16 @@
 """Verification suites: each checks one of the paper's identities by at least two methods.
 
-A suite returns a list of JSON-ready cases, each with an ``ok`` key.  Where a
-polynomial method exists the suites use it in place of a listing.  The two
-suites that check every tiling, ``rank`` and ``paths``, run one case
-(``_rank_case``) on different tuples.  It takes the tilings from the flip BFS
-(``stats.rank_table``), certifies by the determinant count that the BFS
-reached them all, and checks the three ranks and the path family of each
-tiling mask in one pass over the masks, with no path built.  The enumerator,
-which lists every tiling, is its oracle in the tests only.
+Suite x is the function ``suite_x``, and it reads the options its parameters
+name (``bound`` is --max, ``trials``, ``seed``), with its own defaults; the
+CLI passes only the options given.  A suite returns a list of JSON-ready
+cases, each with an ``ok`` key.  Where a polynomial method exists the suites
+use it in place of a listing.  The two suites that check every tiling,
+``rank`` and ``paths``, run one case (``_rank_case``) on different tuples.
+It takes the tilings from the flip BFS (``stats.rank_table``), certifies by
+the determinant count that the BFS reached them all, and checks the three
+ranks and the path family of each tiling mask in one pass over the masks,
+with no path built.  The enumerator, which lists every tiling, is its oracle
+in the tests only.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ from .regions import (
 )
 from .stats import linear_ranks, rank_table, require_listing_budget, require_sweep_budget, tq_sum
 
+#: Seed of the randomized suites when --seed is not given.
+DEFAULT_SEED = 20240
+
+#: Every suite, by name: the CLI runs suite x as ``suite_x`` of this module,
+#: looked up when it runs, with the options given that its parameters name.
+SUITES = ("macmahon", "aztec", "main", "weighted", "lemmas", "rank", "paths")
+
 #: The double-rectangle parameter tuples a suite checks when given no size bound.
 SUITE_TUPLES = (
     (1, 2, 0, 1, 2),
@@ -88,13 +98,13 @@ def suite_tuples(max_cells: int | None) -> Sequence[tuple[int, int, int, int, in
     return SUITE_TUPLES if max_cells is None else small_double_rectangles(max_cells)
 
 
-def compare_conventions(enum_poly: LaurentPoly2, base: LaurentPoly2) -> tuple[dict, list[str]]:
-    """The formula side in each (t, q) ordering, and the orderings equal to enum_poly.
+def compare_conventions(enum_poly: LaurentPoly2, base: LaurentPoly2) -> list[str]:
+    """The (t, q) orderings of the formula side that equal enum_poly.
 
     ``proof`` is the product as proved; ``statement`` swaps t and q.
     """
     sides = {"proof": base, "statement": base.swap_vars()}
-    return sides, [name for name, poly in sides.items() if poly == enum_poly]
+    return [name for name, poly in sides.items() if poly == enum_poly]
 
 
 def _draw_table(positive: bool = False) -> dict[tuple[int, int], Fraction]:
@@ -130,7 +140,7 @@ def _random_host(rng: random.Random, table: dict, marked: int, partners: int) ->
     return WeightedGraph(ms + ps, edges, ms)
 
 
-def suite_macmahon(bound: int) -> list[dict]:
+def suite_macmahon(bound: int = 3) -> list[dict]:
     boxes = list(itertools.product(range(1, bound + 1), repeat=3))
     for box in boxes:  # fail before the first box, not after the last
         require_brute_budget(*box)
@@ -142,7 +152,7 @@ def suite_macmahon(bound: int) -> list[dict]:
     return cases
 
 
-def suite_aztec(bound: int) -> list[dict]:
+def suite_aztec(bound: int = 6) -> list[dict]:
     regions = []
     for n in range(1, bound + 1):  # fail before the first sweep, not after the last
         regions.append(build_aztec_diamond(n))
@@ -155,28 +165,30 @@ def suite_aztec(bound: int) -> list[dict]:
     return cases
 
 
-def suite_main(max_cells: int | None = None) -> list[dict]:
-    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
-    tuples = suite_tuples(max_cells)
+def suite_main(bound: int | None = None) -> list[dict]:
+    """SUITE_TUPLES, or every double rectangle of at most bound cells."""
+    tuples = suite_tuples(bound)
     for tup in tuples:  # fail before the first sweep, not after the last
         require_sweep_budget(build_double_rectangle(*tup))
     cases = []
     for tup in tuples:
         # built again rather than kept, so one region's tables are alive at a time
         region = build_double_rectangle(*tup)
-        _, matched = compare_conventions(tq_sum(region), main_genfun(*tup))
+        matched = compare_conventions(tq_sum(region), main_genfun(*tup))
         ok = "proof" in matched
         ok = ok and count_tilings(region) == corollary_count(*tup)
         cases.append({"params": list(tup), "matched_conventions": matched, "ok": ok})
     return cases
 
 
-def suite_weighted(trials: int, seed: int, max_cells: int | None = None) -> list[dict]:
-    """SUITE_TUPLES, or every double rectangle of at most max_cells cells."""
+def suite_weighted(
+    trials: int = 5, seed: int = DEFAULT_SEED, bound: int | None = None
+) -> list[dict]:
+    """SUITE_TUPLES, or every double rectangle of at most bound cells."""
     rng = random.Random(seed)
     table = _draw_table()
     cases = []
-    for tup in suite_tuples(max_cells):
+    for tup in suite_tuples(bound):
         region = build_double_rectangle(*tup)
         done = 0
         ok = True
@@ -193,7 +205,7 @@ def suite_weighted(trials: int, seed: int, max_cells: int | None = None) -> list
     return cases
 
 
-def suite_lemmas(trials: int, seed: int) -> list[dict]:
+def suite_lemmas(trials: int = 50, seed: int = DEFAULT_SEED) -> list[dict]:
     """The rewrite lemmas, each on random graphs in every trial.
 
     The Aztec rectangles are built once, before the first trial, and passed
@@ -299,15 +311,15 @@ def _rank_case(region: Region) -> dict:
     return {"params": list(region.params), "tilings": len(table), "ok": ok}
 
 
-def suite_rank(max_cells: int) -> list[dict]:
-    """Every double rectangle of at most max_cells cells, each checked by ``_rank_case``.
+def suite_rank(bound: int = 40) -> list[dict]:
+    """Every double rectangle of at most bound cells, each checked by ``_rank_case``.
 
     No tiling is listed outside the flip BFS: the enumerator checks the BFS
     in the tests instead.  Each region is built and counted once, and every
     one is checked against the listing budget before the first BFS.
     """
     regions = []
-    for tup in small_double_rectangles(max_cells):  # fail before the first BFS
+    for tup in small_double_rectangles(bound):  # fail before the first BFS
         regions.append(build_double_rectangle(*tup))
         require_listing_budget(regions[-1], count_tilings(regions[-1]))
     regions.reverse()  # popped in tuple order, so one rank table is alive at a time
@@ -317,32 +329,3 @@ def suite_rank(max_cells: int) -> list[dict]:
 def suite_paths() -> list[dict]:
     """SUITE_TUPLES, each checked by ``_rank_case``, as ``suite_rank`` checks its tuples."""
     return [_rank_case(build_double_rectangle(*tup)) for tup in SUITE_TUPLES]
-
-
-#: Seed of the randomized suites when --seed is not given.
-DEFAULT_SEED = 20240
-
-
-def _given(value: int | None, default: int) -> int:
-    return default if value is None else value
-
-
-#: Each suite as the options it reads and a call on (bound, trials, seed);
-#: an option not given is None.
-SUITES = {
-    "macmahon": (("--max",), lambda bound, trials, seed: suite_macmahon(_given(bound, 3))),
-    "aztec": (("--max",), lambda bound, trials, seed: suite_aztec(_given(bound, 6))),
-    "main": (("--max",), lambda bound, trials, seed: suite_main(bound)),
-    "weighted": (
-        ("--max", "--trials", "--seed"),
-        lambda bound, trials, seed: suite_weighted(
-            _given(trials, 5), _given(seed, DEFAULT_SEED), bound
-        ),
-    ),
-    "lemmas": (
-        ("--trials", "--seed"),
-        lambda bound, trials, seed: suite_lemmas(_given(trials, 50), _given(seed, DEFAULT_SEED)),
-    ),
-    "rank": (("--max",), lambda bound, trials, seed: suite_rank(_given(bound, 40))),
-    "paths": ((), lambda bound, trials, seed: suite_paths()),
-}

@@ -76,7 +76,7 @@ def test_criterion_07_rewrite_lemmas():
 
 
 def test_criterion_08_rank_consistency():
-    cases = suite_rank(max_cells=40)
+    cases = suite_rank(bound=40)
     _report(8, "flip-distance rank equals area rank on all small double rectangles", all(c["ok"] for c in cases))
 
 

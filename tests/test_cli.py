@@ -13,6 +13,8 @@ from click.testing import CliRunner
 import aztecbridge
 from aztecbridge import cli, engine, stats, verify
 from aztecbridge.cli import main
+from aztecbridge.engine import CapacityError
+from aztecbridge.regions import ConstraintError, KindError
 
 runner = CliRunner()
 
@@ -63,6 +65,62 @@ def test_an_unwritable_json_out_is_a_usage_error(tmp_path):
 def test_an_unwritable_render_out_is_a_usage_error(tmp_path):
     out = tmp_path / "missing" / "x.svg"
     _assert_unwritable(run("render", "dr:1,2,0,1,2", "--out", str(out)), out)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("render", "dr:2,3,1,2,3", "600", "--out", "{dir}/missing/x.svg"),  # of 640 tilings
+        ("render", "dr:2,3,1,2,3", "600", "--out", "{dir}"),
+        ("verify", "main", "--max", "104", "--out", "{dir}/missing/x.json"),
+        ("verify", "main", "--max", "104", "--out", "{dir}"),
+    ],
+)
+def test_an_unwritable_out_exits_two_before_any_work(monkeypatch, tmp_path, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    monkeypatch.setattr(verify, "suite_main", no_work)
+    monkeypatch.setattr(engine, "_matchings", no_work)
+    args = [arg.format(dir=tmp_path) for arg in args]
+    start = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - start < 1
+    _assert_unwritable(result, args[-1])
+
+
+@pytest.mark.parametrize("error", [ConstraintError, KindError, CapacityError])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "ad:2"),
+        ("genfun", "ad:2"),
+        ("formula", "ad:2"),
+        ("rank", "ad:2"),
+        ("paths", "dr:1,2,0,1,2"),
+        ("render", "dr:1,2,0,1,2", "--out", os.devnull),
+        ("verify", "paths"),
+    ],
+)
+def test_a_domain_error_in_any_command_is_a_usage_error(monkeypatch, args, error):
+    def fail(*args):
+        raise error("nothing to do here")
+
+    monkeypatch.setattr(cli, "parse_spec", fail)
+    monkeypatch.setattr(verify, "suite_paths", fail)
+    result = run(*args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    lines = result.output.splitlines()
+    assert lines[0].startswith(f"Usage: main {args[0]} ")
+    assert [line for line in lines if line.startswith("Error:")] == ["Error: nothing to do here"]
+
+
+def test_genfun_has_no_convention_option():
+    result = run("genfun", "ad:4", "--convention", "statement")
+    assert result.exit_code == 2
+    (line,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert "No such option" in line and "--convention" in line
 
 
 def test_domain_error_exit_code_survives_optimized_mode():
@@ -275,7 +333,7 @@ def test_listing_budget_exits_two_before_any_listing(monkeypatch):
     def no_listing(*args):
         raise AssertionError("listed tilings before checking the budget")
 
-    monkeypatch.setattr(stats, "_flip_distances", no_listing)
+    monkeypatch.setattr(stats.rank_table, "__wrapped__", no_listing)
     monkeypatch.setattr(engine, "_matchings", no_listing)
     # dr:1,6,1,3,8 has 150,528 tilings: every index from 100,000 on is over
     for args in (

@@ -562,7 +562,7 @@ def test_suite_rank_checks_every_tuple_before_the_first_bfs(monkeypatch):
     def no_bfs(region):
         raise AssertionError("ran a flip BFS before checking every tuple")
 
-    monkeypatch.setattr(stats, "_flip_distances", no_bfs)
+    monkeypatch.setattr(stats.rank_table, "__wrapped__", no_bfs)
     with pytest.raises(CapacityError, match="over the budget"):
         suite_rank(80)
 

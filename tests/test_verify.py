@@ -1,5 +1,6 @@
-"""The verification module's tuple generator, suite table, and rank and path suites."""
+"""The verification module's tuple generator, suite names and defaults, and rank and path suites."""
 
+import inspect
 import itertools
 import json
 import random
@@ -51,8 +52,44 @@ def test_suite_tuples_fall_back_to_the_fixed_tuples():
     assert suite_tuples(30) == small_double_rectangles(30)
 
 
+def test_each_suite_names_the_options_it_reads_with_their_defaults():
+    defaults = {
+        "macmahon": {"bound": 3},
+        "aztec": {"bound": 6},
+        "main": {"bound": None},
+        "weighted": {"trials": 5, "seed": 20240, "bound": None},
+        "lemmas": {"trials": 50, "seed": 20240},
+        "rank": {"bound": 40},
+        "paths": {},
+    }
+    assert verify.SUITES == tuple(defaults)
+    for name in verify.SUITES:
+        params = inspect.signature(getattr(verify, "suite_" + name)).parameters
+        assert set(params) <= {"bound", "trials", "seed"}
+        assert {k: p.default for k, p in params.items()} == defaults[name]
+
+
+def test_verify_runs_the_suite_bound_on_the_module_when_it_runs(monkeypatch):
+    calls = []
+
+    def fake(bound=None, trials=1):
+        calls.append((bound, trials))
+        return [{"fake": True, "ok": True}]
+
+    monkeypatch.setattr(verify, "suite_main", fake)
+    result = CliRunner().invoke(main, ["verify", "main", "--max", "9"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["cases"] == [{"fake": True, "ok": True}]
+    assert calls == [(9, 1)]  # only the options given, the rest by default
+    # the signature of the suite bound now decides which options it reads
+    assert CliRunner().invoke(main, ["verify", "main", "--trials", "2"]).exit_code == 0
+    assert calls == [(9, 1), (None, 2)]
+    result = CliRunner().invoke(main, ["verify", "main", "--seed", "3"])
+    assert result.exit_code == 2 and "verify main does not read --seed" in result.output
+
+
 def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
-    real = stats._flip_distances
+    real = stats.rank_table.__wrapped__
 
     def dropping(region):  # one BFS misses a tiling of nonzero rank
         table = dict(real(region))
@@ -60,7 +97,7 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
             del table[next(t for t, r in table.items() if r)]
         return table
 
-    monkeypatch.setattr(stats, "_flip_distances", dropping)
+    monkeypatch.setattr(stats.rank_table, "__wrapped__", dropping)
     cases = suite_rank(32)
     assert [c["params"] for c in cases if not c["ok"]] == [[1, 2, 1, 1, 2]]
     result = CliRunner().invoke(main, ["verify", "rank", "--max", "32"])
@@ -161,7 +198,7 @@ def test_suite_paths_lists_no_tiling(monkeypatch):
 
 
 def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
-    real = stats._flip_distances
+    real = stats.rank_table.__wrapped__
 
     def dropping(region):  # one BFS misses a tiling of nonzero rank
         table = dict(real(region))
@@ -169,7 +206,7 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
             del table[next(t for t, r in table.items() if r)]
         return table
 
-    monkeypatch.setattr(stats, "_flip_distances", dropping)
+    monkeypatch.setattr(stats.rank_table, "__wrapped__", dropping)
     assert [c["params"] for c in suite_paths() if not c["ok"]] == [[2, 3, 0, 2, 3]]
 
 
