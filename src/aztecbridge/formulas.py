@@ -11,9 +11,9 @@ product formula cannot pass silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from .polyring import LaurentPoly2, one, q_integer
+from .polyring import LaurentPoly2, one
 from .regions import InvariantError, _check_dr_params
 
 
@@ -25,33 +25,50 @@ def macmahon_q(a: int, b: int, c: int, step: int = 1) -> LaurentPoly2:
     """Boxed plane partition generating function as a polynomial in q^step.
 
     The double product of q-integer ratios prod_{i<=a, j<=b}
-    [i+j+c-1] / [i+j-1] is assembled by multiset cancellation of the integer
-    factor sizes, then one exact polynomial division.
+    [i+j+c-1] / [i+j-1] is one integer quotient at x = 2^w (Kronecker
+    substitution), with w the bit length of P = prod (i+j+c-1): each
+    q-integer [n] becomes the repunit (x^n - 1) / (x - 1), and the base-x
+    digits of the quotient of the two integer products are the coefficients
+    of q^(step*e) (``_repunit_quotient``).  This is exact because x > P and
+    the quotient is checked: the division must leave no remainder, and the
+    digits must sum to P / prod (i+j-1).  Then the product of the
+    denominator and the digit polynomial has nonnegative coefficients that
+    sum to P, as the numerator's do, so every coefficient of both is below
+    x, and their equal values at x mean equal polynomials.  A typo in a
+    factor cannot pass: a ratio that is not a polynomial raises
+    InvariantError.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")
-    if a == 0 or b == 0 or c == 0:
-        return one()
-    num: dict[int, int] = {}
-    den: dict[int, int] = {}
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            num[i + j + c - 1] = num.get(i + j + c - 1, 0) + 1
-            den[i + j - 1] = den.get(i + j - 1, 0) + 1
-    for n in list(den):
-        cancel = min(den[n], num.get(n, 0))
-        if cancel:
-            den[n] -= cancel
-            num[n] -= cancel
-    poly = one()
-    for n, mult in sorted(num.items()):
-        for _ in range(mult):
-            poly = poly * q_integer(n, step)
-    divisor = one()
-    for n, mult in sorted(den.items()):
-        for _ in range(mult):
-            divisor = divisor * q_integer(n, step)
-    return poly.divide_exact(divisor)
+    num = [i + j + c - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    den = [i + j - 1 for i in range(1, a + 1) for j in range(1, b + 1)]
+    digits = _repunit_quotient(num, den, prod(num).bit_length())
+    return LaurentPoly2._of({(0, 2 * step * e): d for e, d in enumerate(digits) if d})
+
+
+def _repunit_quotient(num: list[int], den: list[int], width: int) -> list[int]:
+    """The coefficients of prod_n [n] / prod_d [d], from one integer quotient at q = 2^width.
+
+    Exact when 2^width exceeds prod(num), as ``macmahon_q`` explains; an
+    inexact division, or digits that do not sum to prod(num) / prod(den),
+    raise InvariantError.
+    """
+    mask = (1 << width) - 1
+    quo, rest = divmod(
+        prod(((1 << n * width) - 1) // mask for n in num),
+        prod(((1 << d * width) - 1) // mask for d in den),
+    )
+    if rest:
+        raise InvariantError(f"{num} over {den} is not a polynomial ratio of q-integers")
+    digits = []
+    for _ in range(sum(num) - len(num) - sum(den) + len(den) + 1):
+        digits.append(quo & mask)
+        quo >>= width
+    if quo or sum(digits) * prod(den) != prod(num):
+        raise InvariantError(
+            f"the digits of {num} over {den} at q = 2^{width} do not sum to the ratio at q = 1"
+        )
+    return digits
 
 
 def macmahon_count(a: int, b: int, c: int) -> int:

@@ -4,14 +4,24 @@ Exponents may be half-integers (they show up both in the t-exponent of the
 double-rectangle product formula and in q raised to half of an integer
 constant), so every exponent is stored doubled: the term map is keyed by
 ``(2*exponent_of_t, 2*exponent_of_q)`` with arbitrary-precision integer
-coefficients.  Values are immutable and kept in canonical form (no zero
-coefficients).
+coefficients.  Values are immutable and kept in canonical form: int keys and
+no zero coefficient.
+
+``LaurentPoly2(terms)`` is the normalizing entry, for input from outside:
+it converts every key and coefficient to int, merges repeated keys and drops
+zeros.  ``LaurentPoly2._of(terms)`` trusts a map that is canonical already
+and checks nothing; every operation of the ring but ``scale`` builds its
+result that way, dropping a coefficient that cancels as it builds the map,
+and so does ``stats.tq_sum``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple
+from math import comb
+from operator import index
+from typing import Tuple
 
 Key = Tuple[int, int]
 
@@ -33,6 +43,17 @@ class LaurentPoly2:
                 elif k in clean:
                     del clean[k]
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[Key, int]) -> LaurentPoly2:
+        """A polynomial on a term map that is canonical already; nothing is checked.
+
+        The map must have int keys and no zero coefficient, and it is kept,
+        not copied.
+        """
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -90,11 +111,15 @@ class LaurentPoly2:
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         terms = dict(self._terms)
         for k, c in other._terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return LaurentPoly2(terms)
+            c += terms.get(k, 0)
+            if c:
+                terms[k] = c
+            else:  # c was nonzero, so k was a term of self
+                del terms[k]
+        return LaurentPoly2._of(terms)
 
     def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({k: -c for k, c in self._terms.items()})
+        return LaurentPoly2._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         return self + (-other)
@@ -105,30 +130,43 @@ class LaurentPoly2:
             for (a2, b2), c2 in other._terms.items():
                 k = (a1 + a2, b1 + b2)
                 terms[k] = terms.get(k, 0) + c1 * c2
-        return LaurentPoly2(terms)
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        return LaurentPoly2._of(terms)
 
     def scale(self, c: int) -> "LaurentPoly2":
         return LaurentPoly2({k: c * v for k, v in self._terms.items()})
 
     def shift(self, et2: int, eq2: int) -> "LaurentPoly2":
         """Multiply by the monomial t^(et2/2) q^(eq2/2)."""
-        return LaurentPoly2({(a + et2, b + eq2): c for (a, b), c in self._terms.items()})
+        et2, eq2 = index(et2), index(eq2)
+        return LaurentPoly2._of({(a + et2, b + eq2): c for (a, b), c in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly2":
+        """Power of a binomial by the binomial theorem, in one map.
+
+        The n + 1 terms of (c1 m1 + c2 m2)^n have distinct keys, since
+        m1 != m2, and nonzero coefficients, so nothing cancels.  A monomial
+        is a binomial with c2 = 0, and zero one with c1 = c2 = 0 as well;
+        their vanishing terms are dropped.  A longer polynomial raises
+        ValueError: the product formulas raise only binomials to powers.
+        """
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly2.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if len(self._terms) > 2:
+            raise ValueError("only a polynomial of at most two terms has a power here")
+        pad = [((0, 0), 0)] * (2 - len(self._terms))
+        ((a1, b1), c1), ((a2, b2), c2) = [*self._terms.items(), *pad]
+        terms: dict[Key, int] = {}
+        for j in range(n + 1):
+            c = comb(n, j) * c1 ** (n - j) * c2**j
+            if c:
+                terms[a1 * (n - j) + a2 * j, b1 * (n - j) + b2 * j] = c
+        return LaurentPoly2._of(terms)
 
     def swap_vars(self) -> "LaurentPoly2":
         """Exchange the roles of t and q."""
-        return LaurentPoly2({(b, a): c for (a, b), c in self._terms.items()})
+        return LaurentPoly2._of({(b, a): c for (a, b), c in self._terms.items()})
 
     # -- division ----------------------------------------------------------
 
@@ -138,7 +176,8 @@ class LaurentPoly2:
         Terms are eliminated greedily by largest key, which terminates for any
         divisor whose leading term divides all intermediate leading terms over
         the integers (true for the q-integer factors used by the product
-        formulas).
+        formulas).  The leading key falls at every step, so each quotient
+        term is new and nonzero.
         """
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
@@ -153,7 +192,7 @@ class LaurentPoly2:
                 raise ValueError("inexact polynomial division (coefficient)")
             qk = (k[0] - lead_key[0], k[1] - lead_key[1])
             qc = c // lead_coeff
-            quo[qk] = quo.get(qk, 0) + qc
+            quo[qk] = qc
             for dk, dc in divisor._terms.items():
                 kk = (qk[0] + dk[0], qk[1] + dk[1])
                 nc = rem.get(kk, 0) - qc * dc
@@ -161,7 +200,7 @@ class LaurentPoly2:
                     rem[kk] = nc
                 elif kk in rem:
                     del rem[kk]
-        return LaurentPoly2(quo)
+        return LaurentPoly2._of(quo)
 
     # -- evaluation --------------------------------------------------------
 

@@ -492,8 +492,7 @@ def tq_sum(region: Region) -> LaurentPoly2:
         raise InvariantError(
             f"q coefficients sum to {sum(terms.values())}, not the {count} tilings"
         )
-    poly = LaurentPoly2(terms)
-    ground = [(key, c) for key, c in poly.items() if key[1] == 0]
+    ground = sorted((key, c) for key, c in terms.items() if key[1] == 0)
     if ground != [((sum(1 for d in t0 if is_vertical(d)), 0), 1)]:
         raise InvariantError(f"q^0 part {ground} is not the minimal tiling alone")
-    return poly
+    return LaurentPoly2._of(terms)

@@ -1,5 +1,7 @@
 """Product formulas against brute-force enumeration oracles."""
 
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from aztecbridge.formulas import (
     ResampleError,
     _exponent_n,
+    _repunit_quotient,
     aztec_genfun,
     corollary_count,
     macmahon_count,
@@ -18,8 +21,8 @@ from aztecbridge.formulas import (
 )
 from aztecbridge.matchgraph import WeightScheme, dual_graph, matching_genfun
 from aztecbridge.planepart import q_genfun_brute
-from aztecbridge.polyring import LaurentPoly2, one
-from aztecbridge.regions import build_double_rectangle
+from aztecbridge.polyring import LaurentPoly2, one, q_integer
+from aztecbridge.regions import InvariantError, build_double_rectangle
 
 SMALL_TUPLES = [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2), (2, 3, 0, 2, 3), (2, 3, 1, 2, 3), (1, 3, 0, 2, 4)]
 
@@ -30,6 +33,50 @@ def test_macmahon_counts():
     assert macmahon_count(0, 5, 5) == 1
     assert macmahon_q(1, 1, 1) == LaurentPoly2({(0, 0): 1, (0, 2): 1})
     assert macmahon_q(0, 2, 2) == one()
+
+
+def macmahon_q_by_division(a, b, c, step=1):
+    """MacMahon's ratio by multiset cancellation, a product of q-integers and long division."""
+    num, den = {}, {}
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            num[i + j + c - 1] = num.get(i + j + c - 1, 0) + 1
+            den[i + j - 1] = den.get(i + j - 1, 0) + 1
+    for n in list(den):
+        cancel = min(den[n], num.get(n, 0))
+        if cancel:
+            den[n] -= cancel
+            num[n] -= cancel
+    poly = divisor = one()
+    for n, mult in sorted(num.items()):
+        for _ in range(mult):
+            poly = poly * q_integer(n, step)
+    for n, mult in sorted(den.items()):
+        for _ in range(mult):
+            divisor = divisor * q_integer(n, step)
+    return poly.divide_exact(divisor)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_macmahon_q_equals_the_long_division_on_every_box_up_to_4x4x4(step):
+    for a, b, c in itertools.product(range(5), repeat=3):
+        assert macmahon_q(a, b, c, step) == macmahon_q_by_division(a, b, c, step), (a, b, c)
+
+
+def test_a_ratio_of_q_integers_that_is_no_polynomial_raises():
+    for num, den in [([3], [2]), ([4], [3]), ([2, 3], [4]), ([5, 5], [2, 3]), ([6], [4])]:
+        with pytest.raises(InvariantError, match="not a polynomial"):
+            _repunit_quotient(num, den, math.prod(num).bit_length())
+
+
+def test_digits_that_carry_in_a_base_too_narrow_are_caught():
+    # (2,2,2) has a coefficient 4, which carries at q = 2^2 and leaves no
+    # remainder, so only the digit sum tells
+    num = [i + j + 1 for i in (1, 2) for j in (1, 2)]
+    den = [i + j - 1 for i in (1, 2) for j in (1, 2)]
+    assert _repunit_quotient(num, den, 3) == [1, 1, 3, 3, 4, 3, 3, 1, 1]
+    with pytest.raises(InvariantError, match="do not sum"):
+        _repunit_quotient(num, den, 2)
 
 
 def test_macmahon_q_matches_brute_force():

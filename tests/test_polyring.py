@@ -10,6 +10,13 @@ from aztecbridge.polyring import LaurentPoly2, one, q_integer
 
 keys = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 polys = st.dictionaries(keys, st.integers(-9, 9), max_size=6).map(LaurentPoly2)
+# few keys and small signed coefficients, so that sums and products cancel
+close_keys = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+close_polys = st.dictionaries(close_keys, st.integers(-2, 2), max_size=5).map(LaurentPoly2)
+# binomials, and the monomials and zero that the power treats as binomials
+binomials = st.dictionaries(close_keys, st.integers(-5, 5).filter(bool), max_size=2).map(
+    LaurentPoly2
+)
 
 
 def test_zero_and_one():
@@ -84,3 +91,53 @@ def test_power_and_shift():
     p = LaurentPoly2({(0, 0): 1, (2, 2): 1})  # 1 + tq
     assert p**2 == LaurentPoly2({(0, 0): 1, (2, 2): 2, (4, 4): 1})
     assert p.shift(2, 0) == LaurentPoly2({(2, 0): 1, (4, 2): 1})
+
+
+def _product_through_init(p, q):
+    terms = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            terms[a1 + a2, b1 + b2] = terms.get((a1 + a2, b1 + b2), 0) + c1 * c2
+    return LaurentPoly2(terms)
+
+
+def _assert_canonical(result, through_init):
+    assert all(type(a) is int and type(b) is int for a, b in result._terms)
+    assert 0 not in result._terms.values()
+    assert result == LaurentPoly2(dict(result._terms)) == through_init
+
+
+@given(close_polys, close_polys, st.integers(-5, 5), st.integers(-5, 5))
+@settings(max_examples=300)
+def test_every_operation_builds_a_canonical_polynomial(p, q, et2, eq2):
+    raw_p, raw_q = dict(p.items()), dict(q.items())
+    summed = dict(raw_p)
+    for k, v in raw_q.items():
+        summed[k] = summed.get(k, 0) + v
+    _assert_canonical(p + q, LaurentPoly2(summed))
+    _assert_canonical(p + -p, LaurentPoly2())
+    _assert_canonical(-p, LaurentPoly2({k: -v for k, v in raw_p.items()}))
+    negated = [(k, -v) for k, v in raw_q.items()]
+    _assert_canonical(p - q, LaurentPoly2(list(raw_p.items()) + negated))
+    _assert_canonical(p * q, _product_through_init(p, q))
+    shifted = {(a + et2, b + eq2): v for (a, b), v in raw_p.items()}
+    _assert_canonical(p.shift(et2, eq2), LaurentPoly2(shifted))
+    _assert_canonical(p.swap_vars(), LaurentPoly2({(b, a): v for (a, b), v in raw_p.items()}))
+    if q:
+        _assert_canonical((p * q).divide_exact(q), p)
+
+
+@given(binomials, st.integers(0, 12))
+def test_a_binomial_power_equals_repeated_multiplication(p, n):
+    expected = one()
+    for _ in range(n):
+        expected = _product_through_init(expected, p)
+    _assert_canonical(p**n, expected)
+
+
+def test_only_a_polynomial_of_at_most_two_terms_has_a_power():
+    assert LaurentPoly2() ** 0 == one() and LaurentPoly2() ** 3 == LaurentPoly2()
+    with pytest.raises(ValueError):
+        LaurentPoly2({(0, 0): 1, (2, 0): 1, (0, 2): 1}) ** 2
+    with pytest.raises(ValueError):
+        LaurentPoly2({(0, 0): 1, (2, 0): 1}) ** -1

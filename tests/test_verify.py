@@ -1,5 +1,6 @@
 """The verification module's tuple generator, suite names and defaults, and rank and path suites."""
 
+import functools
 import inspect
 import itertools
 import json
@@ -86,6 +87,24 @@ def test_verify_runs_the_suite_bound_on_the_module_when_it_runs(monkeypatch):
     assert calls == [(9, 1), (None, 2)]
     result = CliRunner().invoke(main, ["verify", "main", "--seed", "3"])
     assert result.exit_code == 2 and "verify main does not read --seed" in result.output
+
+
+def test_verify_reads_the_options_of_a_wrapped_suite_off_the_function_it_wraps(monkeypatch):
+    calls = []
+
+    def fake(bound=None):
+        calls.append(bound)
+        return [{"fake": True, "ok": True}]
+
+    @functools.wraps(fake)
+    def wrapper(*args, **kwargs):  # as a tracer or a decorator wraps a suite
+        return fake(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "suite_main", wrapper)
+    assert CliRunner().invoke(main, ["verify", "main", "--max", "9"]).exit_code == 0
+    assert calls == [9]
+    result = CliRunner().invoke(main, ["verify", "main", "--trials", "2"])
+    assert result.exit_code == 2 and "verify main does not read --trials" in result.output
 
 
 def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
