@@ -169,7 +169,8 @@ def rank(region_spec: str, out: str | None) -> None:
 _TILING_ARG = {"ignore_unknown_options": True}
 
 
-def _pick_tiling(region: Region, which: str):
+def _pick_tiling(region: Region, which: str) -> int:
+    """The mask of the minimal tiling, or of the tiling at an index of the enumeration order."""
     if which == "minimal":
         return minimal_tiling(region)
     try:
@@ -192,8 +193,7 @@ def paths(region_spec: str, tiling: str, out: str | None) -> None:
     region = parse_spec(region_spec)
     if region.kind != "double_aztec_rectangle":
         raise click.UsageError("paths are defined for double rectangles only")
-    t = _pick_tiling(region, tiling)
-    family = tiling_to_paths(region, t)
+    family = tiling_to_paths(region, _pick_tiling(region, tiling))
     up, down, level = step_counts(family)
     _emit(
         {
@@ -227,8 +227,7 @@ def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
         raise click.UsageError("render supports square-lattice regions only")
     if overlay == "paths" and region.kind != "double_aztec_rectangle":
         raise click.UsageError("path overlay needs a double rectangle")
-    t = _pick_tiling(region, tiling)
-    svg = render_tiling(region, t, overlay_paths=(overlay == "paths"))
+    svg = render_tiling(region, _pick_tiling(region, tiling), overlay_paths=(overlay == "paths"))
     _write(out, svg)
     _emit({"region": region.spec_string(), "tiling": tiling, "file": out})
 

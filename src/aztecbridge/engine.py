@@ -9,6 +9,7 @@ those.
 The enumerator lists the perfect matchings of the dual graph (dominoes on
 cells, lozenges on triangles) by branching on the lexicographically first
 uncovered vertex, which makes the emitted order canonical and reproducible.
+Each matching is an int mask over the sorted id pairs ``Lattice.pairs``.
 It is iterative: vertex i is bit i of one int of covered vertices, and an
 explicit stack keeps one frame per placed piece.
 
@@ -38,7 +39,6 @@ from typing import Iterator
 from .regions import Cell, InvariantError, Lattice, Region, TriRegion, derived
 
 Domino = tuple[Cell, Cell]
-Tiling = tuple  # sorted tuple of pieces
 
 
 class CapacityError(RuntimeError):
@@ -53,57 +53,51 @@ def piece(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _matchings(choices: list) -> Iterator[Tiling]:
-    """Every perfect matching, as a sorted tuple of (vertex, partner) pieces.
+def _matchings(choices: list) -> Iterator[int]:
+    """Every perfect matching, as the mask of its pieces' bits.
 
-    ``choices[i]`` lists, for vertex i, a pair (bit i | bit j, piece) per
+    ``choices[i]`` lists, for vertex i, a pair (bit i | bit j, piece bit) per
     neighbour j > i, in increasing j.  The first uncovered vertex has every
     earlier vertex covered, so only those later neighbours can be its
     partner.  Vertex i is bit i of the ``covered`` mask, so the first
     uncovered vertex is the lowest clear bit.  The search is iterative:
-    ``stack`` holds one frame (vertex, next choice) per placed piece, and
-    since each piece's first vertex is larger than the one below it,
-    ``pieces`` is always sorted.
+    ``stack`` holds one frame (vertex, next choice, covered, tiling) per
+    placed piece, the masks as they were before it, so taking the piece back
+    restores them.
     """
     full = (1 << len(choices)) - 1
     if not full:
-        yield ()
+        yield 0
         return
-    covered = 0
-    pieces: list = []
-    stack: list[tuple[int, int]] = []
+    covered = tiling = 0
+    stack: list[tuple[int, int, int, int]] = []
     v = choice = 0
     while True:
         options = choices[v]
         while choice < len(options) and covered & options[choice][0]:
             choice += 1
         if choice < len(options):
-            pair, placed = options[choice]
+            pair, bit = options[choice]
+            stack.append((v, choice + 1, covered, tiling))
             covered |= pair
-            pieces.append(placed)
-            stack.append((v, choice + 1))
+            tiling |= bit
             if covered != full:
                 v, choice = (~covered & (covered + 1)).bit_length() - 1, 0
                 continue
-            yield tuple(pieces)
+            yield tiling
         elif not stack:
             return
         # take back the newest piece and try its vertex's next choice
-        v, choice = stack.pop()
-        covered ^= choices[v][choice - 1][0]
-        pieces.pop()
+        v, choice, covered, tiling = stack.pop()
 
 
-def enumerate_tilings(region: Region | TriRegion) -> Iterator[Tiling]:
-    """Yield every tiling exactly once, in canonical order."""
+def enumerate_tilings(region: Region | TriRegion) -> Iterator[int]:
+    """Yield every tiling exactly once, in canonical order, as a mask over ``Lattice.pairs``."""
     lat = region.lattice
-    cells = lat.cells
-    yield from _matchings(
-        [
-            [(1 << i | 1 << j, (cells[i], cells[j])) for j in sorted(ids) if j > i]
-            for i, ids in enumerate(lat.adjacent)
-        ]
-    )
+    choices: list[list] = [[] for _ in lat.cells]
+    for k, (i, j) in enumerate(lat.pairs):  # sorted, so each vertex has its j increasing
+        choices[i].append((1 << i | 1 << j, 1 << k))
+    yield from _matchings(choices)
 
 
 def count_tilings(region: Region | TriRegion) -> int:

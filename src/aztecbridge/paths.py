@@ -17,9 +17,11 @@ Points live on vertical edge midpoints, stored as (x, y2) with y2 = 2*y + 1,
 so an up step is (+1, +2), a down step (+1, -2) and a level step (+2, 0).
 The ground line is y2 = 1, through the first marker pair.
 
-The walk reads tilings as int masks over ``Region.dominoes``, a batch at a
+The walk reads tilings as int masks over ``Lattice.pairs``, a batch at a
 time, and yields each one's area as it goes; its segments come from the
-region's dominoes as cell id pairs (``Region.lattice``).  Per region, the
+region's dominoes as cell id pairs (``Region.lattice``).  A mask from a
+caller enters at ``tiling_to_paths``, which checks that its dominoes cover
+the region once each (``regions.require_cover``).  Per region, the
 path points are numbered once (``regions.derived``), densely, in
 sorted (x, y2) order, and the walk's tables are indexed by those point ids:
 the bits of the decorated dominoes that start at each point, the step of
@@ -34,9 +36,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .engine import Tiling
-from .regions import InvariantError, Region, boundary_markers, derived
-from .stats import _minimal_mask
+from .regions import InvariantError, Region, boundary_markers, derived, require_cover
+from .stats import minimal_tiling
 
 UP, DOWN, LEVEL = "U", "D", "L"
 
@@ -97,7 +98,7 @@ def _path_tables(region: Region) -> PathTables:
     segments = []
     white = region.white_parity
     cells = region.lattice.cells
-    for k, (i, j) in enumerate(region.lattice.grid.dominoes):
+    for k, (i, j) in enumerate(region.lattice.pairs):
         c, d, bit = cells[i], cells[j], 1 << k
         if c.x == d.x:  # vertical: c is the bottom cell
             if (c.x + c.y) % 2 == white:
@@ -166,7 +167,7 @@ def _walk(region: Region, masks: Iterable[int], paths: list | None = None) -> It
 @derived
 def _minimal_area(region: Region) -> int:
     """Underneath area of the minimal tiling's path family, in whole quarter cells."""
-    (quarter,) = _walk(region, [_minimal_mask(region)])
+    (quarter,) = _walk(region, [minimal_tiling(region)])
     return quarter
 
 
@@ -191,16 +192,21 @@ def _excess_ranks(quarters: Iterable[int], base: int) -> Iterator[int]:
         yield excess // 4
 
 
-def tiling_to_paths(region: Region, tiling: Tiling) -> PathFamily:
-    """Assemble the decorated segments into the marker-joined path family."""
+def tiling_to_paths(region: Region, mask: int) -> PathFamily:
+    """Assemble the decorated segments of a tiling mask into the marker-joined path family.
+
+    A mask whose dominoes do not cover the region once each raises
+    ConstraintError (``regions.require_cover``) before the walk.
+    """
+    require_cover(region, mask)
     paths: list = []
-    (quarter,) = _walk(region, [region.tiling_mask(tiling)], paths)
+    (quarter,) = _walk(region, [mask], paths)
     return PathFamily(tuple(paths), quarter)
 
 
 @derived
 def step_masks(region: Region) -> tuple[int, int, int]:
-    """The masks, over ``Region.dominoes``, of the decorated dominoes that step up, down and level."""
+    """The masks, over ``Lattice.pairs``, of the decorated dominoes that step up, down and level."""
     steps = _path_tables(region).steps
     return tuple(
         sum(bit for bit, (_, step, _) in steps.items() if step == letter)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .engine import CapacityError, Tiling, piece
+from .engine import CapacityError, piece
 from .polyring import LaurentPoly2
 from .regions import InvariantError, Tri, build_hexagon
 
 PlanePartition = tuple  # tuple of row tuples
+Tiling = tuple  # sorted tuple of lozenges, each a sorted pair of triangles
 
 #: Brute-force generating-function bound on the box volume.
 MAX_BRUTE_VOLUME = 36
@@ -82,9 +83,9 @@ def q_genfun_brute(a: int, b: int, c: int) -> LaurentPoly2:
     of the walk, which adds 1 to the count of its volume; no partition is
     built.  ``enumerate_pp`` lists the same partitions, as tuples.
     """
-    require_brute_budget(a, b, c)
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")
+    require_brute_budget(a, b, c)
     if a == 0 or b == 0 or c == 0:
         return LaurentPoly2({(0, 0): 1})
     counts = [0] * (a * b * c + 1)

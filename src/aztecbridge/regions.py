@@ -20,15 +20,16 @@ corners (x, y), (x+1, y), (x, y+1); a down-triangle D(x, y) has corners
 Each region numbers its cells (triangles) once, in sorted order, and derives
 its matching tables on those ids in one pass over a padded grid
 (``Region.lattice``, ``TriRegion.lattice``): neighbour ids, Kasteleyn signs,
-unit faces and colour classes, and for a square-lattice region the grid
-positions and the dominoes as id pairs with their mask bits.  The counter,
-the enumerator, the height functions, the flip search, the path tables and
-the boundary markers read the ids, and ``Region.dominoes`` is built from them.
+unit faces, colour classes and the pieces (dominoes, lozenges) as sorted id
+pairs, and for a square-lattice region the grid positions and the mask bit
+of each cell's dominoes.  A tiling is an int mask: bit k stands for piece k
+of ``Lattice.pairs``.  The counter, the enumerator, the height functions,
+the flip search, the path tables and the boundary markers read the ids;
+``Region.dominoes`` decodes a mask's bits into cell pairs.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -69,8 +70,8 @@ class BoundaryMarkers(NamedTuple):
 # forward reference for each annotated field when the module is imported.
 
 
-class Grid(namedtuple("Grid", "stride origin at pos dominoes north east")):
-    """The padded grid of a square-lattice region, and its dominoes on cell ids.
+class Grid(namedtuple("Grid", "stride origin at pos north east")):
+    """The padded grid of a square-lattice region, and the mask bits of its dominoes.
 
     Cell (x, y) sits at position (x - x0) * stride + y - y0, with (x0, y0)
     one column left of the leftmost cell and one row below the lowest, and
@@ -85,8 +86,6 @@ class Grid(namedtuple("Grid", "stride origin at pos dominoes north east")):
     - ``stride`` and ``origin`` (x0, y0);
     - ``at``: position -> id of the cell there, or -1;
     - ``pos``: id -> position;
-    - ``dominoes``: (i, j), i < j, per domino, sorted: bit k of a tiling
-      mask is ``dominoes[k]``;
     - ``north`` and ``east``: id -> bit of the domino on the cell and the
       cell above it (right of it), or 0.
     """
@@ -99,7 +98,7 @@ class Grid(namedtuple("Grid", "stride origin at pos dominoes north east")):
         return x + self.origin[0], y + 1 + self.origin[1]
 
 
-class Lattice(namedtuple("Lattice", "cells adjacent signs faces white black grid")):
+class Lattice(namedtuple("Lattice", "cells adjacent signs faces white black pairs grid")):
     """A region's cells (triangles) numbered 0, 1, ... in sorted order, and tables on the ids.
 
     Both kinds of region derive one, and the counter and the enumerator read
@@ -116,6 +115,8 @@ class Lattice(namedtuple("Lattice", "cells adjacent signs faces white black grid
       for a hexagon);
     - ``white`` and ``black``: the ids of the white cells (up-triangles) and
       of the black ones (down-triangles), increasing;
+    - ``pairs``: (i, j), i < j, per piece (domino, lozenge), sorted: bit k of
+      a tiling mask stands for ``pairs[k]``;
     - ``grid``: the ``Grid``, or None for a triangular region.
     """
 
@@ -175,8 +176,7 @@ class Region:
     determinant, minimal tiling, boundary markers or path tables, is
     computed by a function of the module that uses it, decorated with
     ``derived``, and kept on the instance the same way.
-    A tiling is a sorted tuple of dominoes; the rank and path code works on
-    its int mask over ``dominoes`` (``tiling_mask``).
+    A tiling is an int mask over ``lattice.pairs``; ``dominoes`` decodes it.
     """
 
     kind: str
@@ -233,7 +233,7 @@ class Region:
         for i, p in enumerate(pos):
             at[p] = i
         adjacent, signs, faces, colours = [], [], [], ([], [])
-        dominoes, north, east = [], [0] * len(cells), [0] * len(cells)
+        pairs, north, east = [], [0] * len(cells), [0] * len(cells)
         for i, (p, (x, y)) in enumerate(zip(pos, cells)):
             up, right = at[p + 1], at[p + stride]
             vsign = -1 if x % 2 else 1
@@ -245,71 +245,25 @@ class Region:
             adjacent.append(tuple(ids))
             signs.append(tuple(sgn))
             if up >= 0:
-                north[i] = 1 << len(dominoes)
-                dominoes.append((i, up))
+                north[i] = 1 << len(pairs)
+                pairs.append((i, up))
             if right >= 0:
-                east[i] = 1 << len(dominoes)
-                dominoes.append((i, right))
+                east[i] = 1 << len(pairs)
+                pairs.append((i, right))
                 if up >= 0 and at[p + stride + 1] >= 0:
                     faces.append(i)
             colours[(x + y) % 2 != self.white_parity].append(i)
-        grid = Grid(stride, (x0, y0), tuple(at), pos, tuple(dominoes), tuple(north), tuple(east))
+        grid = Grid(stride, (x0, y0), tuple(at), pos, tuple(north), tuple(east))
         white, black = map(tuple, colours)
-        return Lattice(cells, tuple(adjacent), tuple(signs), tuple(faces), white, black, grid)
+        return Lattice(
+            cells, tuple(adjacent), tuple(signs), tuple(faces), white, black, tuple(pairs), grid
+        )
 
     @cached_property
     def dominoes(self) -> tuple:
-        """Every domino of the region, sorted; bit i of a tiling mask stands for ``dominoes[i]``."""
+        """The cells of each domino, sorted: bit k of a tiling mask stands for ``dominoes[k]``."""
         cells = self.lattice.cells
-        return tuple((cells[i], cells[j]) for i, j in self.lattice.grid.dominoes)
-
-    @cached_property
-    def _tiling_keys(self) -> dict:
-        """Each domino's mask bit, plus its two-cell mask shifted past every domino bit.
-
-        Cell i is bit i of the cell mask.  Summed over distinct dominoes,
-        the low len(dominoes) bits are their tiling mask and the bits above
-        are the sum of their cell masks, since the low part cannot carry.
-        """
-        cells, pairs = self.lattice.cells, self.lattice.grid.dominoes
-        shift = len(pairs)
-        return {
-            (cells[i], cells[j]): 1 << k | (1 << i | 1 << j) << shift
-            for k, (i, j) in enumerate(pairs)
-        }
-
-    def tiling_mask(self, tiling) -> int:
-        """The int mask of a tiling's dominoes over ``dominoes``.
-
-        A domino that is not one of the region's, one listed twice, or
-        dominoes that do not cover the region exactly raise ConstraintError.
-        Distinct dominoes cover it exactly when there are half as many as
-        cells and their cell masks sum to the full mask: a sum of len(cells)
-        powers of two is 2^len(cells) - 1 only if no power is repeated.
-        """
-        try:
-            total = sum(map(self._tiling_keys.__getitem__, tiling))
-        except KeyError as exc:
-            raise ConstraintError(f"{exc.args[0]} is not a domino of {self.spec_string()}") from None
-        shift = len(self.lattice.grid.dominoes)
-        mask = total & ((1 << shift) - 1)
-        if mask.bit_count() != len(tiling):  # a repeated bit carries into another
-            seen: set = set()
-            for domino in tiling:
-                if domino in seen:
-                    raise ConstraintError(f"{domino} is listed twice in the tiling")
-                seen.add(domino)
-        n = len(self.cells)
-        if 2 * len(tiling) != n or total >> shift != (1 << n) - 1:
-            covered: set = set()
-            for cell in itertools.chain.from_iterable(tiling):
-                if cell in covered:
-                    raise ConstraintError(f"{cell} is covered twice in the tiling")
-                covered.add(cell)
-            raise ConstraintError(
-                f"the tiling leaves {min(self.cells - covered)} of {self.spec_string()} uncovered"
-            )
-        return mask
+        return tuple((cells[i], cells[j]) for i, j in self.lattice.pairs)
 
 
 @dataclass(frozen=True)
@@ -361,7 +315,33 @@ class TriRegion:
             colours[not t.up].append(i)
         signs = tuple((1,) * len(ids) for ids in adjacent)
         ups, downs = map(tuple, colours)
-        return Lattice(tris, tuple(adjacent), signs, tuple(faces), ups, downs, None)
+        # every neighbour of a down-triangle comes after it, of an up-triangle before it
+        pairs = tuple((i, j) for i in downs for j in sorted(adjacent[i]))
+        return Lattice(tris, tuple(adjacent), signs, tuple(faces), ups, downs, pairs, None)
+
+
+def require_cover(region, mask: int, error: type[Exception] = ConstraintError) -> None:
+    """Raise ``error`` unless the pieces of a tiling mask cover every cell of the region once.
+
+    The message names the first fault: a bit past the last piece of
+    ``Lattice.pairs``, then a cell covered twice, then a cell left bare.
+    """
+    lat = region.lattice
+    if mask >> len(lat.pairs):
+        spec = region.spec_string()
+        raise error(f"the tiling has a bit past the {len(lat.pairs)} pieces of {spec}")
+    covered = 0
+    for k, (i, j) in enumerate(lat.pairs):
+        if mask >> k & 1:
+            both = 1 << i | 1 << j
+            twice = covered & both
+            if twice:
+                raise error(f"{lat.cells[twice.bit_length() - 1]} is covered twice in the tiling")
+            covered |= both
+    bare = ~covered & ((1 << len(lat.cells)) - 1)
+    if bare:
+        cell = lat.cells[(bare & -bare).bit_length() - 1]
+        raise error(f"the tiling leaves {cell} of {region.spec_string()} bare")
 
 
 def _padding(items: tuple) -> tuple[int, int, int]:

@@ -1,14 +1,15 @@
 """Deterministic SVG pictures of tilings and their path families.
 
-Output is plain hand-assembled SVG text: elements are emitted in sorted
-domino order with integer coordinates only, so identical inputs always
-produce byte-identical files.  The lattice is drawn with y increasing
-upward, which means plane y maps to SVG (height - y).
+Output is plain hand-assembled SVG text: the dominoes of a tiling mask are
+emitted in bit order, which is the sorted order of ``Region.dominoes``, with
+integer coordinates only, so identical inputs always produce byte-identical
+files.  The lattice is drawn with y increasing upward, which means plane y
+maps to SVG (height - y).
 """
 
 from __future__ import annotations
 
-from .engine import Tiling, is_vertical
+from .engine import is_vertical
 from .paths import tiling_to_paths
 from .regions import Region, boundary_markers
 
@@ -23,8 +24,8 @@ PATH_STROKE = "#33a02c"
 MARKER_FILL = "#e31a1c"
 
 
-def render_tiling(region: Region, tiling: Tiling, overlay_paths: bool = False) -> str:
-    """SVG text for a tiling, optionally with its path family on top."""
+def render_tiling(region: Region, mask: int, overlay_paths: bool = False) -> str:
+    """SVG text for a tiling mask, optionally with its path family on top."""
     cells = region.cells
     minx = min(c.x for c in cells)
     maxx = max(c.x for c in cells) + 1
@@ -46,7 +47,9 @@ def render_tiling(region: Region, tiling: Tiling, overlay_paths: bool = False) -
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for d in sorted(tiling):
+    for k, d in enumerate(region.dominoes):
+        if not mask >> k & 1:
+            continue
         c1, c2 = d
         x0 = px(min(c1.x, c2.x))
         y0 = py(max(c1.y, c2.y) + 1)
@@ -59,19 +62,19 @@ def render_tiling(region: Region, tiling: Tiling, overlay_paths: bool = False) -
             f'fill="{fill}" stroke="black" stroke-width="2"/>'
         )
     if overlay_paths:
-        out.extend(_path_overlay(region, tiling, px, py))
+        out.extend(_path_overlay(region, mask, px, py))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def _path_overlay(region: Region, tiling: Tiling, px, py) -> list[str]:
+def _path_overlay(region: Region, mask: int, px, py) -> list[str]:
     """Polylines for the path family plus labelled marker dots.
 
     Path points are stored as (x, 2y+1); halving the doubled coordinate
     against the pixel scale keeps everything an integer.
     """
     out = []
-    family = tiling_to_paths(region, tiling)
+    family = tiling_to_paths(region, mask)
     for path in family.paths:
         coords = []
         for x, y2 in path.points:

@@ -11,21 +11,21 @@ computes it two ways: by breadth-first search over flips, and as a linear
 function of the horizontal dominoes through the height deficit
 (``linear_ranks``), which also weights the q-sweep of ``tq_sum``; the third
 way, by path area on a double rectangle, is ``paths.area_ranks``.  All three
-run on a tiling's int mask over ``Region.dominoes``, and the two mask ranks
-take a batch of masks in one call and give the ranks lazily, so a caller
-checks each mask in one pass: the flip BFS lists masks and decodes none,
-and a tiling tuple becomes its mask once, through ``Region.tiling_mask``.
-The sweep keeps a profile mask on a line only when
-it is live: a domino that crosses the line covers the same row on both
-sides of it, so the masks that can still end in the empty profile are those
-that the same sweep, run over the columns from the right, reaches.
+run on a tiling's int mask over ``Lattice.pairs``, the one tiling format,
+and ``minimal_tiling`` returns one.  The two mask ranks take a batch of
+masks in one call and give the ranks lazily, so a caller checks each mask
+in one pass: the flip BFS lists masks and decodes none.  The sweep keeps a
+profile mask on a line only when it is live: a domino that crosses the line
+covers the same row on both sides of it, so the masks that can still end in
+the empty profile are those that the same sweep, run over the columns from
+the right, reaches.
 
 The height functions run on the region's cell numbering (``Region.lattice``):
 a lattice point is numbered by its position on the region's padded grid, so
 the grid edges and the minimal heights are lists indexed by vertex, and a
 grid edge carries the mask bit of the domino that crosses it.  The grid
-edges, the minimal heights, the minimal tiling's mask, the line weights and
-the deficit masks are derived once per region (``regions.derived``) by the
+edges, the minimal heights, the column masks, the line weights and the
+deficit masks are derived once per region (``regions.derived``) by the
 functions of this module that compute them, and so are the two public
 tables: ``minimal_tiling`` and ``rank_table`` are derived functions
 themselves, each the one place its table is computed and kept.
@@ -40,9 +40,9 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .engine import CapacityError, Tiling, _unit_det, count_tilings, is_vertical
+from .engine import CapacityError, _unit_det, count_tilings
 from .polyring import LaurentPoly2
-from .regions import ConstraintError, InvariantError, KindError, Region, derived
+from .regions import ConstraintError, InvariantError, KindError, Region, derived, require_cover
 
 
 # -- height functions -------------------------------------------------------
@@ -104,7 +104,7 @@ def _extreme_heights(region: Region) -> tuple:
     h(b) <= h(a) + 3 across a -1 edge (the allowed differences are {+1, -3}
     and {-1, +3}), which is a shortest-path problem from the boundary.  With
     this region coloring the largest height function is that of the minimal
-    tiling (``_minimal_mask``).
+    tiling (``minimal_tiling``).
     """
     excess = region.imbalance()
     if excess:
@@ -152,40 +152,26 @@ def _extreme_heights(region: Region) -> tuple:
 
 
 @derived
-def _minimal_mask(region: Region) -> int:
-    """The mask of the tiling with the pointwise largest height function (``_extreme_heights``).
+def minimal_tiling(region: Region) -> int:
+    """The mask of the rank-zero tiling (all-horizontal for an Aztec diamond), derived once.
 
-    A domino crosses an edge exactly where the heights differ by 3.  With
-    this region coloring it is the all-horizontal tiling on a diamond and
-    the unique path-area minimizer on a double rectangle (see tests), so it
-    is the minimal tiling.
+    It is the tiling of the pointwise largest height function
+    (``_extreme_heights``): a domino crosses an edge exactly where the
+    heights differ by 3.  With this region coloring it is the all-horizontal
+    tiling on a diamond and the unique path-area minimizer on a double
+    rectangle (see tests), so it is the minimal tiling.  Its dominoes must
+    cover the region once each, or InvariantError is raised.
     """
+    if not isinstance(region, Region):
+        raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
     heights = _extreme_heights(region)
     mask = 0
     for a, moves in enumerate(_grid_edges(region)):
         for b, _, bit in moves:
             if bit and abs(heights[b] - heights[a]) == 3:
                 mask |= bit
-    covered = 0
-    for k, (i, j) in enumerate(region.lattice.grid.dominoes):
-        if mask >> k & 1:
-            covered |= 1 << i | 1 << j
-    n = len(region.cells)
-    if 2 * mask.bit_count() != n or covered != (1 << n) - 1:
-        raise InvariantError("extreme height function did not yield a perfect tiling")
+    require_cover(region, mask, InvariantError)
     return mask
-
-
-@derived
-def minimal_tiling(region: Region) -> Tiling:
-    """The rank-zero tiling (all-horizontal for an Aztec diamond), derived once per region.
-
-    It is the sorted tuple of the dominoes of ``_minimal_mask``.
-    """
-    if region.kind not in ("aztec_diamond", "double_aztec_rectangle", "aztec_rectangle"):
-        raise KindError(f"no minimal tiling defined for kind {region.kind!r}")
-    mask = _minimal_mask(region)
-    return tuple(d for k, d in enumerate(region.dominoes) if mask >> k & 1)
 
 
 # -- flips and rank ---------------------------------------------------------
@@ -214,17 +200,17 @@ def require_listing_budget(region: Region, listed: int) -> None:
 def rank_table(region: Region) -> Mapping[int, int]:
     """Flip distance from the minimal tiling, for every reachable tiling's mask.
 
-    The keys are tiling masks over ``Region.dominoes``; ``Region.tiling_mask``
-    gives the key of a tiling tuple.  The table is derived once per region
-    and read-only, by breadth-first search over flips from the minimal
-    tiling.  Each 2x2 block of the region, a unit face of its lattice, is a
-    pair of masks: its two horizontal and its two vertical dominoes.  A block
-    flips when the tiling holds either pair, that is when the pair has no bit
-    in the tiling's complement, and the flip toggles all four bits.  The
-    blocks are tried in the order of their lower left cell, as the tuple
-    flips of the tests (tests/test_stats.py) find them, so the table's order
-    is that of a BFS through those.  No mask is decoded.  A region with more
-    than ``MAX_LISTED_TILINGS`` tilings raises CapacityError before the search.
+    The keys are tiling masks over ``Lattice.pairs``.  The table is derived
+    once per region and read-only, by breadth-first search over flips from
+    the minimal tiling.  Each 2x2 block of the region, a unit face of its
+    lattice, is a pair of masks: its two horizontal and its two vertical
+    dominoes.  A block flips when the tiling holds either pair, that is when
+    the pair has no bit in the tiling's complement, and the flip toggles all
+    four bits.  The blocks are tried in the order of their lower left cell,
+    as the tuple flips of the tests (tests/test_stats.py) find them, so the
+    table's order is that of a BFS through those.  No mask is decoded.  A
+    region with more than ``MAX_LISTED_TILINGS`` tilings raises
+    CapacityError before the search.
     """
     require_listing_budget(region, count_tilings(region))
     lat = region.lattice
@@ -235,8 +221,8 @@ def rank_table(region: Region) -> Mapping[int, int]:
         h = grid.east[i] | grid.east[i + 1]
         v = grid.north[i] | grid.north[e]
         blocks.append((h, v, h | v))
-    full = (1 << len(grid.dominoes)) - 1
-    start = _minimal_mask(region)
+    full = (1 << len(lat.pairs)) - 1
+    start = minimal_tiling(region)
     dist = {start: 0}
     frontier = [start]
     rank = 0
@@ -290,8 +276,9 @@ def _deficit_ranks(masks: Iterable[int], const: int, weighted: tuple) -> Iterato
 MAX_SWEEP_COLUMN = 18
 
 
+@derived
 def _column_masks(region: Region) -> list[int]:
-    """Bit y of entry x is set when cell (x, y) is in the region."""
+    """Bit y of entry x is set when cell (x, y) is in the region; derived once per region."""
     masks = [0] * (max(c.x for c in region.cells) + 1)
     for x, y in region.cells:
         masks[x] |= 1 << y
@@ -493,6 +480,7 @@ def tq_sum(region: Region) -> LaurentPoly2:
             f"q coefficients sum to {sum(terms.values())}, not the {count} tilings"
         )
     ground = sorted((key, c) for key, c in terms.items() if key[1] == 0)
-    if ground != [((sum(1 for d in t0 if is_vertical(d)), 0), 1)]:
+    vertical = (t0 & sum(region.lattice.grid.north)).bit_count()
+    if ground != [((vertical, 0), 1)]:
         raise InvariantError(f"q^0 part {ground} is not the minimal tiling alone")
     return LaurentPoly2._of(terms)

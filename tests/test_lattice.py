@@ -50,6 +50,11 @@ def _lattice_neighbours(lat):
     return {c: tuple(lat.cells[j] for j in ids) for c, ids in zip(lat.cells, lat.adjacent)}
 
 
+def _pieces(lat):
+    """The pairs of cells (triangles) that ``Lattice.pairs`` numbers."""
+    return tuple((lat.cells[i], lat.cells[j]) for i, j in lat.pairs)
+
+
 def _colour_classes(lat):
     return tuple(lat.cells[i] for i in lat.white), tuple(lat.cells[i] for i in lat.black)
 
@@ -72,7 +77,8 @@ def test_the_square_lattice_tables_equal_the_cell_constructions():
         assert lat.cells == tuple(sorted(cells)), name
         dominoes = tuple(sorted((c, d) for c, ds in nbs.items() for d in ds if c < d))
         assert region.dominoes == dominoes, name
-        assert tuple((lat.cells[i], lat.cells[j]) for i, j in grid.dominoes) == dominoes, name
+        assert _pieces(lat) == dominoes, name
+        assert list(lat.pairs) == sorted(lat.pairs) and all(i < j for i, j in lat.pairs), name
         bits = [(d, 1 << i) for i, d in enumerate(dominoes)]
         assert sum(grid.north) == sum(bit for (c, d), bit in bits if c.x == d.x), name
         assert sum(grid.east) == sum(bit for (c, d), bit in bits if c.y == d.y), name
@@ -106,6 +112,10 @@ def test_the_triangular_lattice_tables_equal_the_tri_constructions():
         tris = region.tris
         nbs = _tri_neighbours(tris)
         assert _lattice_neighbours(region.lattice) == nbs, (a, b, c)
+        lozenges = tuple(sorted((t, u) for t, us in nbs.items() for u in us if t < u))
+        pairs = region.lattice.pairs
+        assert _pieces(region.lattice) == lozenges, (a, b, c)
+        assert list(pairs) == sorted(pairs) and all(i < j for i, j in pairs), (a, b, c)
         faces = sum(
             1
             for x, y, up in tris

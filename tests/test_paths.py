@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from test_engine import decode
 
 from aztecbridge import paths
 from aztecbridge.engine import enumerate_tilings, is_vertical
@@ -81,7 +82,7 @@ def test_diagonal_steps_count_vertical_dominoes():
         region = build_double_rectangle(*tup)
         for t in enumerate_tilings(region):
             up, down, _ = step_counts(tiling_to_paths(region, t))
-            assert up + down == sum(map(is_vertical, t))
+            assert up + down == sum(map(is_vertical, decode(region, t)))
 
 
 def test_area_is_a_half_integer_and_rank_difference_whole():
@@ -218,8 +219,7 @@ def test_the_id_walk_equals_the_point_keyed_walk():
     walked = 0
     for tup in TUPLES:
         region = build_double_rectangle(*tup)
-        for t in enumerate_tilings(region):
-            mask = region.tiling_mask(t)
+        for mask in enumerate_tilings(region):
             family = []
             (quarter,) = _walk(region, [mask], family)
             assert (family, quarter) == _old_walk(region, mask)
@@ -233,9 +233,9 @@ def test_path_tables_are_derived_once_per_region_and_read_only(monkeypatch):
     monkeypatch.setattr(paths._path_tables, "__wrapped__", lambda r: calls.append(r) or real(r))
     for tup in TUPLES:
         region = build_double_rectangle(*tup)
-        for t in enumerate_tilings(region):
-            assert _selected_segments(region, region.tiling_mask(t)) == _old_segments(region, t)
-            tiling_to_paths(region, t)
+        for mask in enumerate_tilings(region):
+            assert _selected_segments(region, mask) == _old_segments(region, decode(region, mask))
+            tiling_to_paths(region, mask)
         assert calls[-1] is region
         tables = paths._path_tables(region)
         assert tables is paths._path_tables(region)
@@ -270,9 +270,9 @@ def test_decoration_guards_reject_broken_segment_sets(monkeypatch):
     monkeypatch.setattr(paths, "_path_tables", lambda r: tables)
     # quarter cells: the level paths at heights 0 and 2
     monkeypatch.setattr(paths, "_minimal_area", lambda r: 16)
-    # the stand-ins cover no cells, so Region.tiling_mask would reject every
-    # one; the guards are driven through the walk that tiling_to_paths calls
-    # after it and through area_ranks
+    # the stand-ins cover no cells, so the cover check of tiling_to_paths
+    # would reject every one; the guards are driven through the walk that it
+    # calls after the check and through area_ranks
 
     def paths_of(tiling):
         walked = []

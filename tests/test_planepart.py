@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_engine import decode
 
-from aztecbridge.engine import enumerate_tilings
+from aztecbridge.engine import CapacityError, enumerate_tilings
 from aztecbridge.formulas import macmahon_count, macmahon_q
 from aztecbridge.planepart import (
     MAX_BRUTE_VOLUME,
@@ -85,6 +86,15 @@ def test_the_row_walk_equals_the_volumes_of_the_enumerated_partitions():
         assert q_genfun_brute(a, b, c) == LaurentPoly2(terms), (a, b, c)
 
 
+def test_a_negative_side_is_rejected_before_the_budget():
+    # a box of volume (-7) * (-7) * 1 = 49 is over the brute-force bound
+    for sides in ((-7, -7, 1), (-1, 2, 3)):
+        with pytest.raises(ValueError, match="box sides must be nonnegative"):
+            q_genfun_brute(*sides)
+    with pytest.raises(CapacityError, match="box volume 49"):
+        q_genfun_brute(7, 7, 1)
+
+
 def test_bijection_round_trip():
     for a, b, c in [(1, 1, 1), (2, 2, 2), (1, 2, 2)]:
         tilings = set()
@@ -93,7 +103,8 @@ def test_bijection_round_trip():
             assert lozenges_to_pp(t, a, b, c) == pp
             tilings.add(t)
         assert len(tilings) == macmahon_count(a, b, c)
-        enumerated = set(enumerate_tilings(build_hexagon(a, b, c)))
+        region = build_hexagon(a, b, c)
+        enumerated = {decode(region, mask) for mask in enumerate_tilings(region)}
         assert tilings == enumerated
 
 

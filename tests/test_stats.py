@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from test_engine import decode
 from test_kasteleyn import box_regions
 
 from aztecbridge import engine, paths, stats
@@ -17,6 +18,7 @@ from aztecbridge.regions import (
     Cell,
     ConstraintError,
     InvariantError,
+    KindError,
     Region,
     build_aztec_diamond,
     build_double_rectangle,
@@ -34,7 +36,8 @@ from aztecbridge.verify import small_double_rectangles, suite_rank
 
 def test_minimal_diamond_tiling_is_all_horizontal():
     for n in (1, 2, 3, 20):
-        t0 = minimal_tiling(build_aztec_diamond(n))
+        region = build_aztec_diamond(n)
+        t0 = decode(region, minimal_tiling(region))
         assert len(t0) == n * (n + 1) and all(not is_vertical(d) for d in t0)
 
 
@@ -61,17 +64,13 @@ def _cell_grid_edges(region):
     return edges
 
 
-def height_function(region, tiling):
-    """Vertex heights of a tiling, normalized to minimum height 0, keyed by lattice point (x, y).
+def height_function(region, mask):
+    """Vertex heights of a tiling mask, normalized to minimum height 0, keyed by lattice point.
 
     Crossing an edge with a white cell on the left raises the height by 1,
     unless a domino of the tiling crosses the edge, in which case it drops
     by 3 (and symmetrically for black).
     """
-    bit = {domino: 1 << i for i, domino in enumerate(region.dominoes)}
-    mask = 0
-    for domino in set(tiling):
-        mask |= bit.get(domino, 0)
     edges = stats._grid_edges(region)
     start = next(a for a, moves in enumerate(edges) if moves)  # the leftmost-lowest vertex
     h = {start: 0}
@@ -89,6 +88,12 @@ def height_function(region, tiling):
     m = min(h.values())
     point = region.lattice.grid.point
     return {point(v): hv - m for v, hv in h.items()}
+
+
+def encode(region, tiling):
+    """The mask of a tuple of the region's dominoes."""
+    bit = {domino: 1 << k for k, domino in enumerate(region.dominoes)}
+    return sum(map(bit.__getitem__, tiling))
 
 
 def flips(tiling):
@@ -164,7 +169,7 @@ def test_the_bucket_queue_finds_the_relaxed_heights():
             for b, _, domino in moves
             if domino is not None and abs(val[b] - val[a]) == 3
         }
-        assert minimal_tiling(region) == tuple(sorted(pieces)), region.spec_string()
+        assert decode(region, minimal_tiling(region)) == tuple(sorted(pieces)), region.spec_string()
 
 
 def test_minimal_tiling_has_rank_zero_and_least_area():
@@ -173,7 +178,7 @@ def test_minimal_tiling_has_rank_zero_and_least_area():
     region = build_double_rectangle(1, 2, 0, 1, 2)
     t0 = minimal_tiling(region)
     table = rank_table(region)
-    assert table[region.tiling_mask(t0)] == 0
+    assert table[t0] == 0
     areas = {
         t: underneath_area(tiling_to_paths(region, t)) for t in enumerate_tilings(region)
     }
@@ -191,14 +196,15 @@ def test_height_function_is_consistent():
 
 def test_flip_count_of_all_horizontal_diamond():
     region = build_aztec_diamond(2)
-    t0 = minimal_tiling(region)
+    t0 = decode(region, minimal_tiling(region))
     # the 2x2 flippable blocks of the all-horizontal tiling
     assert len(flips(t0)) == 2
 
 
 def test_flips_are_involutive_neighbors():
     region = build_double_rectangle(1, 2, 0, 1, 2)
-    for t in enumerate_tilings(region):
+    for mask in enumerate_tilings(region):
+        t = decode(region, mask)
         for t2 in flips(t):
             assert t in flips(t2)
 
@@ -209,8 +215,7 @@ def test_rank_table_covers_all_tilings():
     assert len(tuples) == 28
     for params in tuples:
         region = build_double_rectangle(*params)
-        masks = {region.tiling_mask(t) for t in enumerate_tilings(region)}
-        assert set(rank_table(region)) == masks, params
+        assert set(rank_table(region)) == set(enumerate_tilings(region)), params
 
 
 def test_diamond_rank_multiset_order_two():
@@ -223,56 +228,61 @@ def test_diamond_rank_multiset_order_two():
 def test_rank_bfs_equals_area_rank():
     for params in [(1, 2, 0, 1, 2), (2, 3, 1, 2, 3)]:
         region = build_double_rectangle(*params)
-        masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
+        masks = list(enumerate_tilings(region))
         assert list(area_ranks(region, masks)) == [rank_table(region)[m] for m in masks]
 
 
-def test_rank_rejects_foreign_tiling():
-    region = build_double_rectangle(1, 2, 0, 1, 2)
-    other = minimal_tiling(build_double_rectangle(1, 2, 1, 1, 2))
-    with pytest.raises(ConstraintError, match=r"\(Cell\(x=0, y=2\), Cell\(x=0, y=3\)\) is not"):
-        region.tiling_mask(other)
-
-
-@pytest.mark.parametrize(
-    "entry", [tiling_to_paths, Region.tiling_mask], ids=lambda f: f.__name__
-)
-def test_a_foreign_or_repeated_domino_is_rejected_by_name(entry):
+def test_a_mask_that_does_not_cover_the_region_once_is_rejected():
     region = build_double_rectangle(2, 3, 1, 2, 3)
     t0 = minimal_tiling(region)
-    foreign = (Cell(100, 100), Cell(101, 100))
+    bit = {domino: 1 << k for k, domino in enumerate(region.dominoes)}
     # a domino that carries no path step: without it the paths are still whole
-    dropped = (Cell(3, 3), Cell(4, 3))
-    assert dropped in t0
-    partial = tuple(d for d in t0 if d != dropped)
+    dropped = bit[(Cell(3, 3), Cell(4, 3))]
+    assert t0 & dropped
+    partial = t0 ^ dropped
+    assert len(list(paths._walk(region, [partial]))) == 1  # the walk alone takes it
     # two distinct dominoes of the region on one cell, with one cell left bare
-    overlap = tuple(sorted(partial + ((Cell(3, 3), Cell(3, 4)),)))
-    shared = next(c for c in (Cell(3, 3), Cell(3, 4)) if any(c in d for d in partial))
-    for tiling, message in (
-        (t0 + (foreign,), re.escape(f"{foreign} is not a domino of dr:2,3,1,2,3")),
-        (t0[:3] + t0[2:], re.escape(f"{t0[2]} is listed twice")),
-        (partial, re.escape("the tiling leaves Cell(x=3, y=3) of dr:2,3,1,2,3 uncovered")),
+    overlap = partial | bit[(Cell(3, 3), Cell(3, 4))]
+    covered = {c for d in decode(region, partial) for c in d}
+    (shared,) = (c for c in (Cell(3, 3), Cell(3, 4)) if c in covered)
+    past = f"the tiling has a bit past the {len(bit)} pieces of dr:2,3,1,2,3"
+    for mask, message in (
+        (t0 | 1 << len(bit), re.escape(past)),
+        (partial, re.escape("the tiling leaves Cell(x=3, y=3) of dr:2,3,1,2,3 bare")),
         (overlap, re.escape(f"{shared} is covered twice in the tiling")),
     ):
         with pytest.raises(ConstraintError, match=message):
-            entry(region, tiling)
+            tiling_to_paths(region, mask)
+
+
+def test_a_minimal_tiling_that_is_no_cover_trips_its_guard(monkeypatch):
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    # flat heights: no edge has a difference of 3, so no domino is placed
+    flat = lambda r: [0] * len(stats._grid_edges(r))
+    monkeypatch.setattr(stats._extreme_heights, "__wrapped__", flat)
+    message = f"the tiling leaves {min(region.cells)} of dr:2,3,1,2,3 bare"
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        minimal_tiling(region)
 
 
 def test_vertical_halfcount():
     region = build_aztec_diamond(1)
-    halves = sorted(Fraction(sum(map(is_vertical, t)), 2) for t in enumerate_tilings(region))
+    halves = sorted(
+        Fraction(sum(map(is_vertical, decode(region, mask))), 2)
+        for mask in enumerate_tilings(region)
+    )
     assert halves == [Fraction(0), Fraction(1)]
 
 
 def test_region_invariants_are_derived_once(monkeypatch):
     calls = []
-    extreme = stats._minimal_mask.__wrapped__
+    extreme = stats.minimal_tiling.__wrapped__
 
     def counting(region):
         calls.append(region.params)
         return extreme(region)
 
-    monkeypatch.setattr(stats._minimal_mask, "__wrapped__", counting)
+    monkeypatch.setattr(stats.minimal_tiling, "__wrapped__", counting)
     cases = suite_rank(32)
     assert len(cases) == 28 and all(c["ok"] for c in cases)
     assert len(calls) == 28 and len(set(calls)) == 28
@@ -299,12 +309,10 @@ def test_rank_table_is_kept_on_the_region_and_read_only():
     assert rank_table(build_double_rectangle(1, 2, 0, 1, 2)) is not table
     assert minimal_tiling(region) is minimal_tiling(region)
     with pytest.raises(TypeError):
-        table[region.tiling_mask(minimal_tiling(region))] = 1
+        table[minimal_tiling(region)] = 1
 
 
 def test_minimal_tiling_wrong_kind():
-    from aztecbridge.regions import KindError
-
     with pytest.raises(KindError):
         minimal_tiling(build_hexagon(1, 1, 1))
 
@@ -313,8 +321,8 @@ def _tq_sum_by_enumeration(region):
     """Oracle: list every tiling and rank it through the flip BFS table."""
     table = rank_table(region)
     terms = {}
-    for t in enumerate_tilings(region):
-        key = (sum(1 for d in t if is_vertical(d)), 2 * table[region.tiling_mask(t)])
+    for mask in enumerate_tilings(region):
+        key = (sum(1 for d in decode(region, mask) if is_vertical(d)), 2 * table[mask])
         terms[key] = terms.get(key, 0) + 1
     return LaurentPoly2(terms)
 
@@ -336,7 +344,8 @@ def test_tq_sum_matches_the_product_beyond_enumeration():
 
 def test_flips_swap_exactly_one_block_and_stay_sorted():
     region = build_double_rectangle(2, 3, 1, 2, 3)
-    for t in enumerate_tilings(region):
+    for mask in enumerate_tilings(region):
+        t = decode(region, mask)
         for t2 in flips(t):
             assert t2 == tuple(sorted(t2))
             assert all(type(c).__name__ == "Cell" for d in t2 for c in d)
@@ -359,7 +368,7 @@ def test_rank_linear_equals_the_flip_distance():
     tilings = 0
     for region in regions:
         table = rank_table(region)
-        masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
+        masks = list(enumerate_tilings(region))
         assert list(linear_ranks(region, masks)) == [table[m] for m in masks], region.spec_string()
         tilings += len(masks)
     assert tilings == 3566
@@ -396,9 +405,9 @@ def test_the_reach_from_both_sides_is_the_set_of_crossing_masks_of_the_tilings()
     for region in regions:
         live = _live_profiles(region)
         crossings = [set() for _ in live]
-        for t in enumerate_tilings(region):
+        for mask in enumerate_tilings(region):
             profile = [0] * len(live)
-            for c, d in t:
+            for c, d in decode(region, mask):
                 if c.y == d.y:  # a horizontal domino crosses line d.x in row c.y
                     profile[d.x] |= 1 << c.y
             for seen, mask in zip(crossings, profile):
@@ -497,7 +506,7 @@ def test_rank_linear_equals_the_flip_distance_on_random_regions(region):
         tileable = False
     assume(tileable)
     table = rank_table(region)
-    masks = [region.tiling_mask(t) for t in enumerate_tilings(region)]
+    masks = list(enumerate_tilings(region))
     assert set(table) == set(masks)
     assert list(linear_ranks(region, masks)) == [table[m] for m in masks]
 
@@ -524,16 +533,16 @@ def test_the_bitmask_bfs_is_a_bfs_layering_under_flips():
     for region in regions:
         table = rank_table(region)
         assert len(table) == count_tilings(region), region.spec_string()
-        assert table[region.tiling_mask(minimal_tiling(region))] == 0
+        assert table[minimal_tiling(region)] == 0
         dominoes = region.dominoes
         assert type(dominoes) is tuple and dominoes == tuple(sorted(dominoes))
         assert all(type(d) is tuple and len(d) == 2 for d in dominoes)
         assert all(type(c) is Cell for d in dominoes for c in d)
         for m, r in table.items():
             assert type(m) is int
-            t = tuple(d for i, d in enumerate(dominoes) if m >> i & 1)
-            assert region.tiling_mask(t) == m
-            ranks = [table[region.tiling_mask(t2)] for t2 in flips(t)]
+            t = decode(region, m)
+            assert encode(region, t) == m
+            ranks = [table[encode(region, t2)] for t2 in flips(t)]
             assert all(abs(r2 - r) == 1 for r2 in ranks), region.spec_string()
             assert r == 0 or r - 1 in ranks, region.spec_string()
 
@@ -553,7 +562,7 @@ def test_an_over_budget_rank_table_fails_before_the_bfs(monkeypatch):
         (build_aztec_diamond(6), "ad:6: listing 2097152 tilings"),
         (Region(kind="plain", params=(), cells=square, white_parity=0), "64 cells: listing"),
     ):
-        monkeypatch.setattr(stats, "_minimal_mask", lambda r: None)  # a BFS would fail at once
+        monkeypatch.setattr(stats, "minimal_tiling", lambda r: None)  # a BFS would fail at once
         with pytest.raises(CapacityError, match=message):
             rank_table(region)
 
@@ -569,7 +578,7 @@ def test_suite_rank_checks_every_tuple_before_the_first_bfs(monkeypatch):
 
 def test_a_fractional_area_excess_trips_the_whole_cell_guard(monkeypatch):
     region = build_double_rectangle(1, 2, 0, 1, 2)
-    t0 = [region.tiling_mask(minimal_tiling(region))]
+    t0 = [minimal_tiling(region)]
     assert list(area_ranks(region, t0)) == [0]
     base = paths._minimal_area(region)
     monkeypatch.setattr(paths, "_minimal_area", lambda r: base + 2)  # quarter cells
@@ -612,3 +621,13 @@ def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(mo
     assert region.dominoes is region.dominoes
     with pytest.raises(TypeError):
         stats._deficit_masks(region)[1][0] = (0, 0)
+
+
+def test_the_column_masks_are_derived_once_per_sweep(monkeypatch):
+    calls = []
+    real = stats._column_masks.__wrapped__
+    monkeypatch.setattr(stats._column_masks, "__wrapped__", lambda r: calls.append(r) or real(r))
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    assert tq_sum(region) == main_genfun(2, 3, 1, 2, 3)
+    assert calls == [region]
+    assert stats._column_masks(region) is stats._column_masks(region)
