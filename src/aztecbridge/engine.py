@@ -24,9 +24,11 @@ vertical edge from (x, y) to (x, y + 1), so every unit square has sign
 product -1.  Lozenges: every face is a hexagon, so every sign is +1.  Each
 region derives its signs with its ids (``Lattice.signs``).  The rule needs
 the faces to be those unit faces only, so a region with a hole is rejected
-up front.  The determinant is exact: fraction-free Bareiss elimination over
-int.  A caller with rational weights clears each row of its denominators
-first (``matchgraph.region_matching_sum``).
+up front.  One skeleton of the matrix, each entry's column, sign and piece,
+is derived per region (``_kasteleyn_rows``): the count fills in the signs,
+and a weighted sum the signs times the weights of the pieces, each row
+cleared of its denominators (``matchgraph.region_matching_sum``).  The
+determinant is exact: fraction-free Bareiss elimination over int.
 
 The q-weighted column sweep, with its column fill on integer cell masks,
 lives with ``stats.tq_sum``.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .regions import Cell, InvariantError, Lattice, Region, TriRegion, derived
+from .regions import Cell, InvariantError, Region, TriRegion, derived
 
 Domino = tuple[Cell, Cell]
 
@@ -47,10 +49,6 @@ class CapacityError(RuntimeError):
 
 def is_vertical(d: Domino) -> bool:
     return d[0].x == d[1].x
-
-
-def piece(a, b):
-    return (a, b) if a <= b else (b, a)
 
 
 def _matchings(choices: list) -> Iterator[int]:
@@ -107,27 +105,37 @@ def count_tilings(region: Region | TriRegion) -> int:
 
 @derived
 def _unit_det(region: Region | TriRegion) -> int:
-    """The unweighted Kasteleyn determinant, once the region is known to be hole-free.
+    """The unweighted Kasteleyn determinant, derived once per region.
 
-    It is derived once per region, and with it the hole check, which raises
-    InvariantError on a region with a hole.  Every tiling enters with the
-    same sign, so this is that sign times the tiling count.  With colour
-    classes of different sizes there is no perfect matching, and it is 0.
+    Every tiling enters with the same sign, so this is that sign times the
+    tiling count.  With colour classes of different sizes there is no
+    perfect matching, and it is 0.
+    """
+    rows = _kasteleyn_rows(region)  # also rejects a region with a hole
+    if len(rows) != len(region.lattice.black):
+        return 0
+    return _det([{j: s for j, s, _ in row} for row in rows])
+
+
+@derived
+def _kasteleyn_rows(region: Region | TriRegion) -> tuple:
+    """The Kasteleyn matrix's skeleton: per white id, (column, sign, piece) per black neighbour.
+
+    The column is the black id's place in ``Lattice.black`` and the piece
+    is the index in ``Lattice.pairs`` of the domino (lozenge) on the two
+    ids.  It is derived once per region, and with it the hole check, which
+    raises InvariantError on a region with a hole.
     """
     lat = region.lattice
     _require_hole_free(lat.adjacent, len(lat.faces))
-    if len(lat.white) != len(lat.black):
-        return 0
-    col = _columns(lat)
-    return _det([{col[b]: s for b, s in zip(lat.adjacent[w], lat.signs[w])} for w in lat.white])
-
-
-def _columns(lat: Lattice) -> list[int]:
-    """The Kasteleyn column of each black id, by id; white ids get -1."""
-    col = [-1] * len(lat.cells)
-    for j, b in enumerate(lat.black):
-        col[b] = j
-    return col
+    col = {b: j for j, b in enumerate(lat.black)}
+    piece = {pair: k for k, pair in enumerate(lat.pairs)}
+    adjacent, signs = lat.adjacent, lat.signs
+    # list comprehensions frozen into tuples: faster than tuple() over generators
+    return tuple([
+        tuple([(col[b], s, piece[(w, b) if w < b else (b, w)]) for b, s in zip(adjacent[w], signs[w])])
+        for w in lat.white
+    ])
 
 
 def _require_hole_free(adjacent: tuple, unit_faces: int) -> None:

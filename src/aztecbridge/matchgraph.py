@@ -17,12 +17,14 @@ den^(n/2), and each builds one Fraction at the end.
 
 Which weight a domino gets splits in two.  Its weight class (orientation,
 diagonal parity and level) depends on the region alone: it is derived once
-per region (``_weight_classes``), with the dual graph's index-pair edge
-keys and the Kasteleyn rows.  A scheme is a small table from class to an
-integer numerator and denominator, built once per call by ``_level_table``
-from integer q-powers.  The rectangle rewrites take prebuilt Aztec
-rectangles, so a caller that glues the same shape many times builds it, and
-derives its classes and its half-graph shape (``_half_classes``), once.
+per region for each domino of ``Lattice.pairs`` (``_weight_classes``), and
+the dual graph's edges and the entries of the Kasteleyn skeleton
+(``engine._kasteleyn_rows``) look it up by the domino's index.  A scheme
+is a small table from class to an integer numerator and denominator, built
+once per call by ``_level_table`` from integer q-powers.  The rectangle
+rewrites take prebuilt Aztec rectangles, so a caller that glues the same
+shape many times builds it, and derives its classes and its half-graph
+shape (``_half_classes``), once.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .engine import CapacityError, _columns, _det, _unit_det
-from .regions import Cell, Region, derived
+from .engine import CapacityError, _det, _kasteleyn_rows, _unit_det
+from .regions import Region, derived
 
 #: Brute-force matching bound.
 MAX_MATCH_VERTICES = 40
@@ -220,10 +222,8 @@ class WeightClasses(NamedTuple):
     """Each domino of a region by weight class; see ``_weight_classes``."""
 
     levels: int
-    vertices: tuple  # the cells, sorted
-    edges: tuple  # ((i, j), class) per domino by cell position, east then north in cell order
+    of: tuple  # the class of each domino, by its index in Lattice.pairs
     marked: tuple  # the bottommost diagonal, southwest to northeast
-    rows: tuple  # per white cell, ((black column, signed class), ...)
 
 
 @derived
@@ -231,46 +231,30 @@ def _weight_classes(region: Region) -> WeightClasses:
     """The weight class of every domino, derived once per region.
 
     A domino's class is (2 * vertical + parity) * levels + level: parity is
-    the diagonal parity of its bottom (vertical) or left (horizontal) cell
-    relative to the anchor, the bottommost diagonal min(y - x) plus the
-    anchor parity of the region's kind, and level is that cell's row
-    counted from the bottom.  ``_level_table`` gives the weight of each
-    class under a scheme.  In the Kasteleyn rows, a class plus 4 * levels
-    stands for an entry of sign -1.
+    the diagonal parity of its bottom (vertical) or left (horizontal) cell,
+    the first of its pair, relative to the anchor, the bottommost diagonal
+    min(y - x) plus the anchor parity of the region's kind, and level is
+    that cell's row counted from the bottom.  ``_level_table`` gives the
+    weight of each class under a scheme.
     """
-    lat, grid = region.lattice, region.lattice.grid
-    cells = lat.cells
+    cells = region.lattice.cells
     dmin, ymin = min(c.y - c.x for c in cells), min(c.y for c in cells)
     anchor = dmin + (region.kind == "aztec_rectangle")
     levels = max(c.y for c in cells) - ymin + 1
-
-    def cls(low: Cell, vertical: bool) -> int:
-        return (2 * vertical + (low.y - low.x - anchor) % 2) * levels + low.y - ymin
-
-    edges = []
-    for i, c in enumerate(cells):  # each cell's east domino, then its north one
-        if grid.east[i]:
-            edges.append(((i, grid.at[grid.pos[i] + grid.stride]), cls(c, False)))
-        if grid.north[i]:
-            edges.append(((i, i + 1), cls(c, True)))
-    col = _columns(lat)
-    negative = 4 * levels
-    rows = tuple(
-        tuple(
-            (col[b], cls(cells[min(w, b)], cells[w].x == cells[b].x) + (negative if s < 0 else 0))
-            for b, s in zip(lat.adjacent[w], lat.signs[w])
-        )
-        for w in lat.white
-    )
+    of = []
+    for i, j in region.lattice.pairs:
+        low = cells[i]
+        vertical = low.x == cells[j].x
+        of.append((2 * vertical + (low.y - low.x - anchor) % 2) * levels + low.y - ymin)
     marked = sorted((c for c in cells if c.y - c.x == dmin), key=lambda c: c.x + c.y)
-    return WeightClasses(levels, cells, tuple(edges), tuple(marked), rows)
+    return WeightClasses(levels, tuple(of), tuple(marked))
 
 
 class HalfClasses(NamedTuple):
     """The shape of a trimmed rectangle's half graph; see ``_half_classes``."""
 
     vertices: tuple  # the kept cells in sorted order, then the pendants
-    edges: tuple  # ((i, j), class) per kept domino by position in vertices, in dual-graph order
+    edges: tuple  # ((i, j), class) per kept domino by position in vertices, in Lattice.pairs order
     pendant_edges: tuple  # (i, j) per pendant edge, southwest to northeast
     marked: tuple  # the pendants, southwest to northeast
 
@@ -284,12 +268,12 @@ def _half_classes(region: Region) -> HalfClasses:
     on the shape alone, so a scheme only looks up the weights of the kept
     classes.
     """
-    classes = _weight_classes(region)
+    classes, cells = _weight_classes(region), region.lattice.cells
     drop = set(classes.marked)
-    keep = tuple(v for v in classes.vertices if v not in drop)
+    keep = tuple(v for v in cells if v not in drop)
     at = {v: i for i, v in enumerate(keep)}
     # dropping vertices keeps the others in order, so every kept key stays ordered
-    moved = [at.get(v) for v in classes.vertices]
+    moved = [at.get(v) for v in cells]
     dmin = min(v.y - v.x for v in keep)
     exposed = sorted((v for v in keep if v.y - v.x == dmin), key=lambda v: v.x + v.y)
     pendants = tuple(("pend", i) for i in range(len(exposed)))
@@ -297,7 +281,7 @@ def _half_classes(region: Region) -> HalfClasses:
         keep + pendants,
         tuple(
             ((moved[i], moved[j]), k)
-            for (i, j), k in classes.edges
+            for (i, j), k in zip(region.lattice.pairs, classes.of)
             if moved[i] is not None and moved[j] is not None
         ),
         tuple((at[v], len(keep) + p) for p, v in enumerate(exposed)),
@@ -347,16 +331,17 @@ def _level_table(scheme: WeightScheme, levels: int) -> list[tuple[int, int]]:
     return [b] * levels + graded_h + graded_v + [a] * levels
 
 
-def _weighted_edges(classes: WeightClasses, table: list, keyed: tuple) -> tuple[dict, int]:
+def _weighted_edges(classes: WeightClasses, table: list, keyed: Iterable) -> tuple[dict, int]:
     """The edge map {key: numerator of table[class]} of the (key, class) pairs keyed, and its denominator.
 
-    Every numerator is over the lcm of the table's denominators.  keyed is
-    ``classes.edges`` or a part of it; a zero weight on any edge of the
-    whole region raises, as building its dual graph would.
+    Every numerator is over the lcm of the table's denominators.  keyed
+    pairs each domino of the region, or of a part of it, with its class; a
+    zero weight on any domino of the whole region raises, as building its
+    dual graph would.
     """
     den = math.lcm(*(d for _, d in table))
     nums = [n * (den // d) for n, d in table]
-    if not all(nums) and not all(nums[k] for _, k in classes.edges):
+    if not all(nums) and not all(nums[k] for k in classes.of):
         raise ValueError("zero edge weight")
     return {key: nums[k] for key, k in keyed}, den
 
@@ -366,13 +351,13 @@ def dual_graph(region: Region, scheme: WeightScheme | None = None) -> WeightedGr
 
     The cells along the bottommost diagonal (minimal y - x) are marked, in
     southwest-to-northeast order; they are the attachment points for
-    connected sums.  Edges come cell by cell in sorted order, the east
-    neighbour before the north one.
+    connected sums.  The vertices are ``Lattice.cells`` and the edges the
+    dominoes of ``Lattice.pairs``, in that order.
     """
-    classes = _weight_classes(region)
+    lat, classes = region.lattice, _weight_classes(region)
     table = _level_table(scheme or _UNIT_SCHEME, classes.levels)
-    edges, den = _weighted_edges(classes, table, classes.edges)
-    return WeightedGraph._derived(classes.vertices, edges, den, classes.marked)
+    edges, den = _weighted_edges(classes, table, zip(lat.pairs, classes.of))
+    return WeightedGraph._derived(lat.cells, edges, den, classes.marked)
 
 
 def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
@@ -382,7 +367,8 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     time.  det(K_w) is the weighted sum times a sign shared by every tiling,
     and the region's unweighted determinant, the tiling count times that
     sign, gives the sign, so negative weights come out right.  A region with
-    no tiling sums to 0.  Each weight class is an integer numerator and
+    no tiling sums to 0.  Each entry of the Kasteleyn skeleton gets its sign
+    times the weight of its domino's class, an integer numerator and
     denominator; each row is multiplied by the lcm of its own denominators,
     and the integer determinant over the product of those multipliers is
     the one Fraction built.
@@ -392,16 +378,15 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
         return Fraction(0)
     classes = _weight_classes(region)
     table = _level_table(scheme, classes.levels)
-    nums = [num for num, _ in table]
-    nums += [-v for v in nums]
-    dens = [den for _, den in table] * 2
+    nums = [table[k][0] for k in classes.of]
+    dens = [table[k][1] for k in classes.of]
     # per row, not one lcm for the table: a row then carries only the
     # q-powers of the levels it touches
     rows = []
     multiplier = 1
-    for row in classes.rows:
-        mult = math.lcm(*(dens[k] for _, k in row))
-        rows.append({j: nums[k] * (mult // dens[k]) for j, k in row})
+    for row in _kasteleyn_rows(region):
+        mult = math.lcm(*(dens[p] for _, _, p in row))
+        rows.append({j: s * nums[p] * (mult // dens[p]) for j, s, p in row})
         multiplier *= mult
     det = _det(rows)
     return Fraction(det if count > 0 else -det, multiplier)

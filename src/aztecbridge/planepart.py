@@ -4,19 +4,20 @@ A plane partition is stored as a tuple of row tuples (a rows, b columns,
 entries <= c, rows and columns weakly decreasing).  Its 3-D reading is a
 stack of unit cubes in the corner of an a x b x c box; the stepped surface of
 the stack, projected isometrically, is a lozenge tiling of the hexagon with
-sides a, b, c.
+sides a, b, c: ``pp_to_lozenges`` gives it as a mask over the hexagon's
+``Lattice.pairs``, as every tiling is given, and ``lozenges_to_pp`` reads
+one back.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .engine import CapacityError, piece
+from .engine import CapacityError
 from .polyring import LaurentPoly2
-from .regions import InvariantError, Tri, build_hexagon
+from .regions import Tri, build_hexagon
 
 PlanePartition = tuple  # tuple of row tuples
-Tiling = tuple  # sorted tuple of lozenges, each a sorted pair of triangles
 
 #: Brute-force generating-function bound on the box volume.
 MAX_BRUTE_VOLUME = 36
@@ -107,120 +108,69 @@ def q_genfun_brute(a: int, b: int, c: int) -> LaurentPoly2:
 
 
 # -- the bijection with lozenge tilings -------------------------------------
-
-# Isometric projection of the three axes onto the skewed triangular lattice;
-# the three images are unit vectors at mutual 120-degree angles and sum to 0.
-_U = (0, -1)  # x-axis of the box
-_V = (1, 0)  # y-axis
-_W = (-1, 1)  # z-axis
-
-
-def _proj(x: int, y: int, z: int) -> tuple[int, int]:
-    return (
-        x * _U[0] + y * _V[0] + z * _W[0],
-        x * _U[1] + y * _V[1] + z * _W[1],
-    )
+#
+# Box point (x, y, z) projects to lattice point (y - z, a + z - x) of
+# build_hexagon(a, b, c): the three axes go to unit vectors at mutual
+# 120-degree angles, and the empty box's floor and walls cover the hexagon.
+# A unit face of the surface is then a lozenge, an up-triangle and the
+# down-triangle across one of its three sides, and each face type has one
+# closed form.
 
 
-def _face_lozenge(base: tuple[int, int, int], e1, e2) -> tuple[Tri, Tri]:
-    """The lozenge covered by the projected unit face base + span(e1, e2)."""
-    pts = {
-        _proj(*base),
-        _proj(base[0] + e1[0], base[1] + e1[1], base[2] + e1[2]),
-        _proj(base[0] + e2[0], base[1] + e2[1], base[2] + e2[2]),
-        _proj(base[0] + e1[0] + e2[0], base[1] + e1[1] + e2[1], base[2] + e1[2] + e2[2]),
-    }
-    anchors = {(x - dx, y - dy) for x, y in pts for dx in (0, 1) for dy in (0, 1)}
-    tris = []
-    for x, y in sorted(anchors):
-        if {(x, y), (x + 1, y), (x, y + 1)} <= pts:
-            tris.append(Tri(x, y, True))
-        if {(x + 1, y), (x, y + 1), (x + 1, y + 1)} <= pts:
-            tris.append(Tri(x, y, False))
-    if len(tris) != 2:
-        raise InvariantError(f"face does not project to a lozenge: {sorted(pts)}")
-    return piece(*tris)
+def _top(i: int, j: int, h: int, a: int) -> tuple[Tri, Tri]:
+    """The top face of column (i, j) at height h: D(X, Y) and U(X, Y) at X = j - h, Y = a + h - i - 1."""
+    x, y = j - h, a + h - i - 1
+    return Tri(x, y, False), Tri(x, y, True)
 
 
-_EX, _EY, _EZ = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+def _surface(pp: PlanePartition, a: int, b: int, c: int) -> Iterator[tuple[Tri, Tri]]:
+    """The lozenges, (down, up), of the stepped surface of the stack pp on build_hexagon(a, b, c).
+
+    Past the box's back and side the height is c, past its front 0.  The
+    wall faces at box point (i, j, z), which projects to (X, Y) =
+    (j - z, a + z - i), are D(X - 1, Y) and U(X, Y) across x = i, and
+    D(X - 1, Y - 1) and U(X - 1, Y) across y = j.
+    """
+    for i, row in enumerate(pp):
+        for j, h in enumerate(row):
+            yield _top(i, j, h, a)
+        for j, (high, low) in enumerate(zip((c, *row), (*row, 0))):  # across y = j
+            for z in range(low, high):
+                yield Tri(j - z - 1, a + z - i - 1, False), Tri(j - z - 1, a + z - i, True)
+    for i, (back, front) in enumerate(zip(((c,) * b, *pp), (*pp, (0,) * b))):  # across x = i
+        for j, (high, low) in enumerate(zip(back, front)):
+            for z in range(low, high):
+                yield Tri(j - z - 1, a + z - i, False), Tri(j - z, a + z - i, True)
 
 
-def _surface_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> list:
-    """Lozenges of the stepped surface of the stack, in raw projected coordinates."""
-    h = [list(row) for row in pp]
-    pieces = []
-    for i in range(a):
-        for j in range(b):
-            pieces.append(_face_lozenge((i, j, h[i][j]), _EX, _EY))  # top face
-    for j in range(b):  # faces perpendicular to the x-axis, plus the back wall
-        prev = c
-        for i in range(a + 1):
-            cur = h[i][j] if i < a else 0
-            for z in range(cur, prev):
-                pieces.append(_face_lozenge((i, j, z), _EY, _EZ))
-            prev = cur
-    for i in range(a):  # faces perpendicular to the y-axis, plus the side wall
-        prev = c
-        for j in range(b + 1):
-            cur = h[i][j] if j < b else 0
-            for z in range(cur, prev):
-                pieces.append(_face_lozenge((i, j, z), _EX, _EZ))
-            prev = cur
-    return pieces
+def _lozenge_bits(a: int, b: int, c: int) -> dict:
+    """The mask bit of each lozenge of build_hexagon(a, b, c), keyed by its (down, up) triangles."""
+    lat = build_hexagon(a, b, c).lattice
+    return {(lat.cells[i], lat.cells[j]): 1 << k for k, (i, j) in enumerate(lat.pairs)}
 
 
-def _hex_offset(a: int, b: int, c: int) -> tuple[int, int]:
-    """Translation taking raw projected surface coordinates onto build_hexagon(a, b, c)."""
-    region = build_hexagon(a, b, c)
-    zero = tuple(tuple(0 for _ in range(b)) for _ in range(a))
-    raw = set()
-    for t1, t2 in _surface_lozenges(zero, a, b, c):
-        raw.add(t1)
-        raw.add(t2)
-    dx = min(t.x for t in region.tris) - min(t.x for t in raw)
-    dy = min(t.y for t in region.tris) - min(t.y for t in raw)
-    moved = {Tri(t.x + dx, t.y + dy, t.up) for t in raw}
-    if moved != region.tris:
-        raise InvariantError("projected surface must tile the hexagon exactly")
-    return dx, dy
+def pp_to_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> int:
+    """The tiling of build_hexagon(a, b, c), a mask over its ``Lattice.pairs``, of the plane partition pp."""
+    bits = _lozenge_bits(a, b, c)
+    return sum(bits[lozenge] for lozenge in _surface(pp, a, b, c))
 
 
-def pp_to_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> Tiling:
-    """The lozenge tiling of build_hexagon(a, b, c) encoding the stack pp."""
-    dx, dy = _hex_offset(a, b, c)
-    out = []
-    for t1, t2 in _surface_lozenges(pp, a, b, c):
-        out.append(piece(Tri(t1.x + dx, t1.y + dy, t1.up), Tri(t2.x + dx, t2.y + dy, t2.up)))
-    return tuple(sorted(out))
-
-
-def lozenges_to_pp(tiling: Tiling, a: int, b: int, c: int) -> PlanePartition:
+def lozenges_to_pp(mask: int, a: int, b: int, c: int) -> PlanePartition:
     """Inverse of pp_to_lozenges; raises ValueError if no stack matches."""
-    dx, dy = _hex_offset(a, b, c)
-    have = set(tiling)
-    rows: list[list[int]] = []
+    bits = _lozenge_bits(a, b, c)
+    rows: list[tuple[int, ...]] = []
     for i in range(a):
         row: list[int] = []
         for j in range(b):
-            # The projection identifies (i, j, h) with (i+s, j+s, h+s), so cap
-            # the search by the monotonicity bound from recovered neighbors.
-            cap = min(
-                c,
-                row[j - 1] if j > 0 else c,
-                rows[i - 1][j] if i > 0 else c,
-            )
-            for h in range(cap, -1, -1):
-                t1, t2 = _face_lozenge((i, j, h), _EX, _EY)
-                loz = piece(
-                    Tri(t1.x + dx, t1.y + dy, t1.up), Tri(t2.x + dx, t2.y + dy, t2.up)
-                )
-                if loz in have:
-                    row.append(h)
-                    break
-            else:
+            # (i, j, h) and (i + s, j + s, h + s) project alike, so the search
+            # starts at the monotonicity bound from the recovered neighbours
+            cap = min(c, row[j - 1] if j else c, rows[i - 1][j] if i else c)
+            h = next((h for h in range(cap, -1, -1) if mask & bits[_top(i, j, h, a)]), None)
+            if h is None:
                 raise ValueError(f"no top face found for column {(i, j)}")
-        rows.append(row)
-    pp = tuple(tuple(r) for r in rows)
-    if pp_to_lozenges(pp, a, b, c) != tuple(sorted(tiling)):
+            row.append(h)
+        rows.append(tuple(row))
+    pp = tuple(rows)
+    if sum(bits[lozenge] for lozenge in _surface(pp, a, b, c)) != mask:
         raise ValueError("tiling is not the surface of any plane partition")
     return pp

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .engine import is_vertical
 from .paths import tiling_to_paths
-from .regions import Region, boundary_markers
+from .regions import Region, boundary_markers, require_cover
 
 #: Pixels per unit cell.
 SCALE = 20
@@ -25,7 +25,8 @@ MARKER_FILL = "#e31a1c"
 
 
 def render_tiling(region: Region, mask: int, overlay_paths: bool = False) -> str:
-    """SVG text for a tiling mask, optionally with its path family on top."""
+    """SVG text for a tiling mask that covers the region once, optionally with its paths on top."""
+    require_cover(region, mask)
     cells = region.cells
     minx = min(c.x for c in cells)
     maxx = max(c.x for c in cells) + 1

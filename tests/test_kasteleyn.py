@@ -24,8 +24,10 @@ from aztecbridge.regions import (
     Tri,
     TriRegion,
     build_aztec_diamond,
+    build_aztec_rectangle,
     build_double_rectangle,
     build_hexagon,
+    parse_spec,
 )
 from aztecbridge.stats import tq_sum
 from aztecbridge.verify import SUITE_TUPLES, small_double_rectangles
@@ -155,6 +157,28 @@ def test_the_unweighted_determinant_is_derived_once_per_region(monkeypatch):
     hexagon = build_hexagon(2, 2, 2)
     assert count_tilings(hexagon) == count_tilings(hexagon) == engine._unit_det(hexagon) == 20
     assert calls == [region, hexagon]
+
+
+def test_the_kasteleyn_skeleton_keys_each_entry_by_its_piece():
+    for spec in ("ad:3", "dr:2,3,1,2,3", "hex:2,2,2"):
+        region = parse_spec(spec)
+        lat = region.lattice
+        rows = engine._kasteleyn_rows(region)
+        assert rows is engine._kasteleyn_rows(region)
+        assert len(rows) == len(lat.white) == len(lat.black)
+        for w, row in zip(lat.white, rows):
+            assert [lat.black[j] for j, _, _ in row] == list(lat.adjacent[w]), spec
+            for j, sign, k in row:
+                b = lat.black[j]
+                assert lat.pairs[k] == tuple(sorted((w, b))), spec
+                # -1 on a vertical edge in an odd column; every lozenge sign is +1
+                c, d = lat.cells[w], lat.cells[b]
+                assert sign == (-1 if isinstance(region, Region) and c.x == d.x and c.x % 2 else 1)
+        assert sorted(k for row in rows for _, _, k in row) == list(range(len(lat.pairs))), spec
+    # a lone rectangle is imbalanced: its skeleton is not square and its count is 0
+    rect = build_aztec_rectangle(2, 3)
+    assert len(engine._kasteleyn_rows(rect)) != len(rect.lattice.black)
+    assert count_tilings(rect) == 0
 
 
 def test_counts_at_scale():

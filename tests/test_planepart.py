@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_engine import decode
 
 from aztecbridge.engine import CapacityError, enumerate_tilings
 from aztecbridge.formulas import macmahon_count, macmahon_q
@@ -96,16 +95,25 @@ def test_a_negative_side_is_rejected_before_the_budget():
 
 
 def test_bijection_round_trip():
-    for a, b, c in [(1, 1, 1), (2, 2, 2), (1, 2, 2)]:
+    # A top face is a lozenge whose two triangles share (x, y); the one of
+    # column (i, j) at height h has y = a + h - i - 1, so on every partition
+    # of a box the volume minus the top faces' y is -b * a(a - 1) / 2.
+    total = 0
+    for a, b, c in itertools.product(range(1, 4), repeat=3):
+        region = build_hexagon(a, b, c)
+        lat = region.lattice
+        tops = [k for k, (i, j) in enumerate(lat.pairs) if lat.cells[i][:2] == lat.cells[j][:2]]
         tilings = set()
         for pp in enumerate_pp(a, b, c):
             t = pp_to_lozenges(pp, a, b, c)
-            assert lozenges_to_pp(t, a, b, c) == pp
+            assert type(t) is int and lozenges_to_pp(t, a, b, c) == pp
+            ys = sum(lat.cells[lat.pairs[k][0]].y for k in tops if t >> k & 1)
+            assert volume(pp) - ys == -b * a * (a - 1) // 2, (a, b, c, pp)
             tilings.add(t)
         assert len(tilings) == macmahon_count(a, b, c)
-        region = build_hexagon(a, b, c)
-        enumerated = {decode(region, mask) for mask in enumerate_tilings(region)}
-        assert tilings == enumerated
+        assert tilings == set(enumerate_tilings(region)), (a, b, c)
+        total += len(tilings)
+    assert total == 1836
 
 
 def test_zero_partition_is_the_floor():
@@ -118,3 +126,13 @@ def test_foreign_tiling_is_rejected():
     with pytest.raises(ValueError):
         t = pp_to_lozenges(((1,),), 1, 1, 1)
         lozenges_to_pp(t, 1, 1, 2)
+    # every mask one bit off a tiling, and one with a bit past the last piece
+    a, b, c = 2, 2, 2
+    pieces = len(build_hexagon(a, b, c).lattice.pairs)
+    for pp in enumerate_pp(a, b, c):
+        mask = pp_to_lozenges(pp, a, b, c)
+        for k in range(pieces):
+            with pytest.raises(ValueError):
+                lozenges_to_pp(mask ^ 1 << k, a, b, c)
+        with pytest.raises(ValueError, match="not the surface"):
+            lozenges_to_pp(mask | 1 << pieces, a, b, c)

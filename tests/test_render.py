@@ -1,7 +1,9 @@
 """SVG output: structure and byte-level determinism."""
 
+import pytest
+
 from aztecbridge.engine import enumerate_tilings
-from aztecbridge.regions import build_aztec_diamond, build_double_rectangle
+from aztecbridge.regions import ConstraintError, build_aztec_diamond, build_double_rectangle, parse_spec
 from aztecbridge.render import render_tiling
 from aztecbridge.stats import minimal_tiling
 
@@ -43,3 +45,14 @@ def test_integer_coordinates_only():
     # no fractional pixel positions anywhere outside the XML version header
     body = svg.split("\n", 1)[1]
     assert not re.search(r"\d\.\d", body)
+
+
+def test_a_mask_that_does_not_cover_the_region_once_is_not_drawn():
+    region = parse_spec("ad:2")
+    lat = region.lattice
+    # two dominoes on cell 0: the one up from it and the one right of it
+    first, second = (k for k, (i, _) in enumerate(lat.pairs) if i == 0)
+    for mask, message in ((1 << 999, "a bit past the 16 pieces"), (1 << first | 1 << second, "covered twice")):
+        for overlay in (False, True):
+            with pytest.raises(ConstraintError, match=message):
+                render_tiling(region, mask, overlay)

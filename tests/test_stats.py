@@ -10,7 +10,7 @@ from test_engine import decode
 from test_kasteleyn import box_regions
 
 from aztecbridge import engine, paths, stats
-from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical, piece
+from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.paths import area_ranks, tiling_to_paths
 from aztecbridge.polyring import LaurentPoly2
@@ -58,7 +58,7 @@ def _cell_grid_edges(region):
             if other in cells and other < c:
                 continue  # added from the other side
             a, b = corners[i], corners[(i + 1) % 4]
-            domino = piece(c, other) if other in cells else None
+            domino = (c, other) if other in cells else None  # other > c: the sorted pair
             edges.setdefault(a, []).append((b, step, domino))
             edges.setdefault(b, []).append((a, -step, domino))
     return edges
