@@ -6,6 +6,13 @@ a verification finds a mismatch, 2 for usage or domain errors.  Every
 subcommand is a ``_Command``, whose ``invoke`` makes a ConstraintError,
 KindError or CapacityError a usage error; the callback of every --out fails
 on a path that cannot be written before any work, and ``_write`` on the rest.
+
+Each process runs one command, so its start counts: the package import is
+most of a small command's time.  Nothing is imported while a command runs.
+The group and every subcommand build their own ``--help`` option
+(``_OwnHelp``), because click's calls ``gettext`` on each process's first
+parse, which imports ``locale`` and looks for a message catalog; and
+``_emit`` prints rather than calls ``click.echo``.
 """
 
 from __future__ import annotations
@@ -67,7 +74,42 @@ def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
         print(text)
 
 
-class _Command(click.Command):
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+class _OwnHelp:
+    """A command whose ``--help`` option is built here, once per command object.
+
+    click's own builds its help text with ``gettext`` on the first parse of
+    each process, which imports ``locale`` (0.7 ms in a fresh interpreter)
+    and looks for a message catalog.  The option is kept in an attribute of
+    its own, because click before 8.1.8 has no ``_help_option``, and is the
+    same object on every call, because click 8.1.8 and later order the eager
+    parameters by identity.
+    """
+
+    _help_flag: click.Option | None = None
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        names = self.get_help_option_names(ctx)
+        if not names or not self.add_help_option:
+            return None
+        if self._help_flag is None:
+            self._help_flag = click.Option(
+                names,
+                is_flag=True,
+                expose_value=False,
+                is_eager=True,
+                help="Show this message and exit.",
+                callback=_show_help,
+            )
+        return self._help_flag
+
+
+class _Command(_OwnHelp, click.Command):
     """A subcommand whose domain errors are usage errors: one line, exit 2."""
 
     def invoke(self, ctx: click.Context):
@@ -77,12 +119,13 @@ class _Command(click.Command):
             raise click.UsageError(str(exc), ctx) from exc
 
 
-@click.group()
+class _Group(_OwnHelp, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact tiling enumeration workbench."""
-
-
-main.command_class = _Command
 
 
 @main.command()

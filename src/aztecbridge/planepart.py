@@ -150,7 +150,23 @@ def _lozenge_bits(a: int, b: int, c: int) -> dict:
 
 
 def pp_to_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> int:
-    """The tiling of build_hexagon(a, b, c), a mask over its ``Lattice.pairs``, of the plane partition pp."""
+    """The tiling of build_hexagon(a, b, c), a mask over its ``Lattice.pairs``, of the plane partition pp.
+
+    Before any lozenge is found, pp is checked to be a plane partition in
+    the box: the shape (a rows of b entries), then entry by entry, row by
+    row, the range 0..c and no rise from the entry to the left or from the
+    one above.  The first fault raises ValueError.
+    """
+    if len(pp) != a or any(len(row) != b for row in pp):
+        raise ValueError(f"the partition's shape is not {a} x {b}, the base of the box {(a, b, c)}")
+    for i, row in enumerate(pp):
+        for j, h in enumerate(row):
+            if not 0 <= h <= c:
+                raise ValueError(f"entry {(i, j)} is {h}, outside 0..{c}")
+            if j and h > row[j - 1]:
+                raise ValueError(f"row {i} rises from {row[j - 1]} to {h} at column {j}")
+            if i and h > pp[i - 1][j]:
+                raise ValueError(f"column {j} rises from {pp[i - 1][j]} to {h} at row {i}")
     bits = _lozenge_bits(a, b, c)
     return sum(bits[lozenge] for lozenge in _surface(pp, a, b, c))
 

@@ -31,7 +31,6 @@ the flip search, the path tables and the boundary markers read the ids;
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import NamedTuple
 
@@ -164,8 +163,44 @@ _GLUE_DX = -1
 _GLUE_DY = 0
 
 
-@dataclass(frozen=True)
-class Region:
+class _Record:
+    """Read-only fields set once in ``__init__``, compared, hashed and shown by value.
+
+    It gives a region what ``@dataclass(frozen=True)`` would, without its
+    cost at every start of the command line: the import of ``dataclasses``
+    and ``copy``, and the source that ``dataclass`` writes and compiles per
+    class, about 0.4 ms each in a fresh interpreter.  ``__match_args__``
+    names the fields in order, as a dataclass's does.  Assigning or
+    deleting any attribute raises AttributeError; ``cached_property`` and
+    ``derived`` write to the instance ``__dict__`` directly, and a weak
+    reference to an instance is allowed.
+    """
+
+    __match_args__: tuple[str, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Region(_Record):
     """An immutable square-lattice region with checkerboard coloring.
 
     A region is its kind, parameters, cells and ``white_parity``: a cell
@@ -177,14 +212,20 @@ class Region:
     computed by a function of the module that uses it, decorated with
     ``derived``, and kept on the instance the same way.
     A tiling is an int mask over ``lattice.pairs``; ``dominoes`` decodes it.
+    The fields are read-only and a region equals another of the same
+    fields; see ``_Record``, which stands in for a frozen dataclass.
     """
 
+    __match_args__ = ("kind", "params", "cells", "white_parity")
     kind: str
     params: tuple[int, ...]
     cells: frozenset[Cell]
     white_parity: int
 
-    def __post_init__(self):
+    def __init__(
+        self, kind: str, params: tuple[int, ...], cells: frozenset[Cell], white_parity: int
+    ):
+        vars(self).update(kind=kind, params=params, cells=cells, white_parity=white_parity)
         # A lone m x n Aztec rectangle is imbalanced by n - m; it has no
         # tilings of its own but still serves as a matching-graph building
         # block, so the balance guard applies to the other kinds only.
@@ -266,17 +307,21 @@ class Region:
         return tuple((cells[i], cells[j]) for i, j in self.lattice.pairs)
 
 
-@dataclass(frozen=True)
-class TriRegion:
+class TriRegion(_Record):
     """A triangular-lattice region (hexagon).
 
     Its matching invariants mirror ``Region``'s, with triangles for cells,
-    and are each derived once per instance from ``lattice``.
+    and are each derived once per instance from ``lattice``.  Like a
+    ``Region`` it is a ``_Record``: read-only fields, equal by value.
     """
 
+    __match_args__ = ("kind", "params", "tris")
     kind: str
     params: tuple[int, ...]
     tris: frozenset[Tri]
+
+    def __init__(self, kind: str, params: tuple[int, ...], tris: frozenset[Tri]):
+        vars(self).update(kind=kind, params=params, tris=tris)
 
     def spec_string(self) -> str:
         return "hex:%d,%d,%d" % self.params

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -123,18 +124,75 @@ def test_genfun_has_no_convention_option():
     assert "No such option" in line and "--convention" in line
 
 
-def test_domain_error_exit_code_survives_optimized_mode():
+def _fresh(*args):
+    """Run a fresh interpreter on args, with the package's source directory on its path."""
     src = str(Path(aztecbridge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "aztecbridge.cli", "rank", "ar:2x3"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_domain_error_exit_code_survives_optimized_mode():
+    proc = _fresh("-O", "-m", "aztecbridge.cli", "rank", "ar:2x3")
     assert proc.returncode == 2, proc.stderr
     assert "no tilings" in proc.stderr
+
+
+def test_importing_the_cli_imports_no_dataclasses():
+    proc = _fresh("-c", "import sys, aztecbridge.cli; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+#: Imports the command line, runs one command and prints the modules the run imported.
+_NEW_MODULES = """
+import contextlib, io, sys
+from aztecbridge.cli import main
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:], standalone_mode=False)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "ad:2"),
+        ("formula", "dr:1,2,0,1,2"),
+        ("genfun", "ad:2"),
+        ("rank", "dr:1,2,0,1,2"),
+        ("paths", "dr:1,2,0,1,2", "3"),
+        ("render", "dr:1,2,0,1,2", "minimal", "--overlay", "paths", "--out", "{dir}/t.svg"),
+        ("verify", "macmahon", "--max", "1"),
+        ("verify", "aztec", "--max", "2"),
+        ("verify", "main", "--max", "20"),
+        ("verify", "weighted", "--max", "20", "--trials", "1"),
+        ("verify", "lemmas", "--trials", "2"),
+        ("verify", "rank", "--max", "12"),
+        ("verify", "paths"),
+    ],
+)
+def test_a_command_imports_no_module_while_it_runs(tmp_path, args):
+    proc = _fresh("-c", _NEW_MODULES, *(a.format(dir=tmp_path) for a in args))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_each_command_builds_its_help_option_once():
+    for command in (main, *main.commands.values()):
+        ctx = click.Context(command)
+        assert command.get_help_option(ctx) is command.get_help_option(ctx) is not None
+
+
+@pytest.mark.parametrize("command", [(), *((name,) for name in sorted(main.commands))])
+def test_help_exits_zero_with_its_own_help_line(command):
+    proc = _fresh("-m", "aztecbridge.cli", *command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"Usage: python -m aztecbridge.cli {' '.join(command)}".rstrip())
+    (line,) = [line for line in proc.stdout.splitlines() if "--help" in line]
+    assert line.split() == ["--help", "Show", "this", "message", "and", "exit."]
 
 
 def test_genfun_reports_convention():

@@ -136,3 +136,19 @@ def test_foreign_tiling_is_rejected():
                 lozenges_to_pp(mask ^ 1 << k, a, b, c)
         with pytest.raises(ValueError, match="not the surface"):
             lozenges_to_pp(mask | 1 << pieces, a, b, c)
+
+
+@pytest.mark.parametrize(
+    "pp, box, fault",
+    [
+        (((0, 1),), (1, 2, 1), "row 0 rises from 0 to 1 at column 1"),  # gave a 6-lozenge mask
+        (((2,),), (1, 1, 1), r"entry \(0, 0\) is 2, outside 0..1"),  # raised a bare KeyError
+        (((1, 1),), (1, 1, 1), r"shape is not 1 x 1"),  # raised a bare KeyError
+        (((1,), (2,)), (2, 1, 2), "column 0 rises from 1 to 2 at row 1"),
+        (((1,),), (2, 1, 1), r"shape is not 2 x 1"),
+        (((-1,),), (1, 1, 1), r"entry \(0, 0\) is -1, outside 0..1"),
+    ],
+)
+def test_a_stack_that_is_no_plane_partition_in_the_box_is_rejected(pp, box, fault):
+    with pytest.raises(ValueError, match=fault):
+        pp_to_lozenges(pp, *box)

@@ -1,4 +1,8 @@
-"""Region builders, coloring, markers, and spec parsing."""
+"""Region builders, coloring, markers, spec parsing, and regions as values."""
+
+import gc
+import weakref
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from aztecbridge.regions import (
     KindError,
     MAX_SPEC_CELLS,
     Region,
+    TriRegion,
     boundary_markers,
     build_aztec_diamond,
     build_aztec_rectangle,
@@ -209,3 +214,93 @@ def test_overlapping_double_rectangle_parts_raise_invariant_error(monkeypatch):
     monkeypatch.setattr(regions, "_GLUE_DY", -1)
     with pytest.raises(InvariantError, match="dr:1,2,0,1,2 overlap"):
         build_double_rectangle(1, 2, 0, 1, 2)
+
+
+#: One spec of each kind, and neighbours that differ from one in a parameter.
+VALUE_SPECS = [
+    "ad:2", "ad:3", "ar:2x2", "ar:2x3", "dr:1,2,0,1,2", "dr:1,2,1,1,2", "hex:1,1,1", "hex:1,2,1"
+]
+
+
+def _fields(region):
+    return [getattr(region, name) for name in region.__match_args__]
+
+
+@pytest.mark.parametrize("spec", VALUE_SPECS)
+def test_two_builds_of_one_spec_are_equal_and_hash_alike(spec):
+    one, two = parse_spec(spec), parse_spec(spec)
+    assert one is not two
+    assert one == two and not one != two and hash(one) == hash(two)
+    by_name = dict(zip(one.__match_args__, _fields(one)))
+    assert type(one)(*_fields(one)) == one == type(one)(**by_name)
+    one.lattice  # a table kept on one region is no field
+    assert one == two and hash(one) == hash(two)
+
+
+def test_regions_of_different_specs_or_kinds_are_unequal():
+    built = [parse_spec(spec) for spec in VALUE_SPECS]
+    for i, one in enumerate(built):
+        for two in built[i + 1 :]:
+            assert one != two and not one == two, (one.spec_string(), two.spec_string())
+    # each field alone tells two regions apart
+    diamond, hexagon = parse_spec("ad:2"), parse_spec("hex:1,1,1")
+    kind, params, cells, parity = _fields(diamond)
+    assert diamond != Region("plain", params, cells, parity)
+    assert diamond != Region(kind, (3,), cells, parity)
+    assert diamond != Region(kind, params, parse_spec("ad:3").cells, parity)
+    assert diamond != Region(kind, params, cells, 1 - parity)
+    kind, params, tris = _fields(hexagon)
+    assert hexagon != TriRegion("plain", params, tris)
+    assert hexagon != TriRegion(kind, (1, 1, 2), tris)
+    assert hexagon != TriRegion(kind, params, parse_spec("hex:1,1,2").tris)
+    # equal fields in another class, or as a tuple, are no region
+    assert hexagon != Region(kind, params, frozenset(), 0)
+    assert diamond != tuple(_fields(diamond)) and hexagon != tuple(_fields(hexagon))
+
+
+@pytest.mark.parametrize("spec", ["ad:1", "ar:1x2", "dr:1,2,0,1,2", "hex:1,1,1"])
+def test_the_repr_is_that_of_the_frozen_dataclass(spec):
+    region = parse_spec(spec)
+    frozen = make_dataclass(type(region).__name__, region.__match_args__, frozen=True)
+    assert repr(region) == repr(frozen(*_fields(region)))
+
+
+def test_the_fields_are_the_constructor_arguments_in_order():
+    assert Region.__match_args__ == ("kind", "params", "cells", "white_parity")
+    assert TriRegion.__match_args__ == ("kind", "params", "tris")
+    match parse_spec("ar:2x3"):
+        case Region(kind, params):
+            assert (kind, params) == ("aztec_rectangle", (2, 3))
+
+
+@pytest.mark.parametrize("spec", ["ad:2", "hex:1,1,1"])
+def test_a_region_is_read_only(spec):
+    region = parse_spec(spec)
+    lattice = region.lattice
+    for name in (*region.__match_args__, "lattice", "anything"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(region, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(region, name)
+    assert region == parse_spec(spec) and region.lattice is lattice
+
+
+@pytest.mark.parametrize("spec", ["ad:2", "hex:1,1,1"])
+def test_a_region_takes_a_weak_reference(spec):
+    region = parse_spec(spec)
+    region.lattice  # a table kept on the region holds no reference to it
+    ref = weakref.ref(region)
+    assert ref() is region
+    del region
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("kind", ["aztec_diamond", "double_aztec_rectangle", "plain"])
+def test_an_imbalanced_region_of_any_kind_but_a_lone_rectangle_is_rejected(kind):
+    lone = build_aztec_rectangle(2, 3)  # one white cell more than black
+    assert lone.imbalance() == 1
+    fields = {"params": lone.params, "cells": lone.cells, "white_parity": lone.white_parity}
+    with pytest.raises(ConstraintError, match="color imbalance: 9 white vs 8 black"):
+        Region(kind=kind, **fields)
+    assert Region(kind="aztec_rectangle", **fields) == lone
