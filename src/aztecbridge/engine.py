@@ -24,11 +24,13 @@ vertical edge from (x, y) to (x, y + 1), so every unit square has sign
 product -1.  Lozenges: every face is a hexagon, so every sign is +1.  Each
 region derives its signs with its ids (``Lattice.signs``).  The rule needs
 the faces to be those unit faces only, so a region with a hole is rejected
-up front.  One skeleton of the matrix, each entry's column, sign and piece,
-is derived per region (``_kasteleyn_rows``): the count fills in the signs,
-and a weighted sum the signs times the weights of the pieces, each row
-cleared of its denominators (``matchgraph.region_matching_sum``).  The
-determinant is exact: fraction-free Bareiss elimination over int.
+up front.  A count builds the matrix of signs and keeps only its
+determinant (``_unit_det``).  Only a weighted sum keeps a skeleton of the
+matrix on the region, each entry's column, sign and piece
+(``_kasteleyn_rows``), and fills in the signs times the weights of the
+pieces, each row cleared of its denominators
+(``matchgraph.region_matching_sum``).  The determinant is exact:
+fraction-free Bareiss elimination over int.
 
 The q-weighted column sweep, with its column fill on integer cell masks,
 lives with ``stats.tq_sum``.
@@ -109,12 +111,17 @@ def _unit_det(region: Region | TriRegion) -> int:
 
     Every tiling enters with the same sign, so this is that sign times the
     tiling count.  With colour classes of different sizes there is no
-    perfect matching, and it is 0.
+    perfect matching, and it is 0.  A region with a hole raises
+    InvariantError.  The matrix of signs is built here and dropped: a
+    count keeps no skeleton on the region (``_kasteleyn_rows``).
     """
-    rows = _kasteleyn_rows(region)  # also rejects a region with a hole
-    if len(rows) != len(region.lattice.black):
+    lat = region.lattice
+    _require_hole_free(lat.adjacent, len(lat.faces))
+    if len(lat.white) != len(lat.black):
         return 0
-    return _det([{j: s for j, s, _ in row} for row in rows])
+    col = {b: j for j, b in enumerate(lat.black)}
+    adjacent, signs = lat.adjacent, lat.signs
+    return _det([{col[b]: s for b, s in zip(adjacent[w], signs[w])} for w in lat.white])
 
 
 @derived
@@ -123,11 +130,11 @@ def _kasteleyn_rows(region: Region | TriRegion) -> tuple:
 
     The column is the black id's place in ``Lattice.black`` and the piece
     is the index in ``Lattice.pairs`` of the domino (lozenge) on the two
-    ids.  It is derived once per region, and with it the hole check, which
-    raises InvariantError on a region with a hole.
+    ids.  It is derived once per region, for the weighted sums only; the
+    signs are Kasteleyn's on a hole-free region, which ``_unit_det``
+    checks first.
     """
     lat = region.lattice
-    _require_hole_free(lat.adjacent, len(lat.faces))
     col = {b: j for j, b in enumerate(lat.black)}
     piece = {pair: k for k, pair in enumerate(lat.pairs)}
     adjacent, signs = lat.adjacent, lat.signs

@@ -26,8 +26,9 @@ path points are numbered once (``regions.derived``), densely, in
 sorted (x, y2) order, and the walk's tables are indexed by those point ids:
 the bits of the decorated dominoes that start at each point, the step of
 each bit, the ids of the u markers and the v marker index of each point.  A
-walk step is then one list index and one int-keyed lookup; a point becomes
-(x, y2) again only in a path it returns or in an error message.
+walk step is then one list index and one int-keyed lookup.  The walk
+builds no path, so a point becomes (x, y2) again only in an error message
+or in the family that ``tiling_to_paths`` reads off a checked mask.
 """
 
 from __future__ import annotations
@@ -114,41 +115,38 @@ def _path_tables(region: Region) -> PathTables:
     return _compile_tables(markers.u, markers.v, segments)
 
 
-def _walk(region: Region, masks: Iterable[int], paths: list | None = None) -> Iterator[int]:
+def _walk(region: Region, masks: Iterable[int]) -> Iterator[int]:
     """Follow every path from its u marker over the decorated dominoes of each tiling mask.
 
     Yields, per mask, four times the family's underneath area, summed from
     the steps' quarter areas: a generator, so a caller can check each mask
-    in the same pass as its other statistics.  When ``paths`` is a list,
-    each path is also appended to it as a SchroederPath.  A path takes the
-    one decorated domino of the mask that starts at its point and that no
-    path has used yet, and stops where there is none: no domino starts at a
-    v marker, so a path stops there or dangles.  A path that stops because
-    the domino at its point was used has met an earlier path, and a point
-    where two unused ones start is a branch.  Every step moves right, so a
-    path cannot meet itself, and a path that runs onto an earlier path's end
-    marker ends at the wrong one.  The walk runs on point ids; see
-    ``_compile_tables``.
+    in the same pass as its other statistics.  No path is built; a caller
+    that wants the family assembles it once the walk has returned
+    (``tiling_to_paths``).  A path takes the one decorated domino of the
+    mask that starts at its point and that no path has used yet, and stops
+    where there is none: no domino starts at a v marker, so a path stops
+    there or dangles.  A path that stops because the domino at its point was
+    used has met an earlier path, and a point where two unused ones start
+    is a branch.  Every step moves right, so a path cannot meet itself, and
+    a path that runs onto an earlier path's end marker ends at the wrong
+    one.  The walk runs on point ids; see ``_compile_tables``.
     """
     starts, steps, u, v_at, points, decorated = _path_tables(region)
-    step_of = dict(steps).get  # a plain dict's get is faster than the read-only view's
+    # a plain dict's get is faster than the read-only view's; the step
+    # letter is not read here
+    step_of = {bit: (end, q) for bit, (end, _, q) in steps.items()}.get
     for mask in masks:
         unused = mask
         quarter = 0
         for i, p in enumerate(u):
-            if paths is not None:
-                pts, letters = [points[p]], []
             while True:
                 here = starts[p] & unused
                 step = step_of(here)  # None unless here is one domino's bit
                 if step is None:
                     break
                 unused ^= here
-                p, letter, q = step
+                p, q = step
                 quarter += q
-                if paths is not None:
-                    pts.append(points[p])
-                    letters.append(letter)
             if here or v_at[p] != i:
                 if here:
                     raise DecorationError(f"paths branch at {points[p]}")
@@ -157,8 +155,6 @@ def _walk(region: Region, masks: Iterable[int], paths: list | None = None) -> It
                 if starts[p] & mask:
                     raise DecorationError(f"paths intersect at {points[p]}")
                 raise DecorationError(f"path {i + 1} dangles at {points[p]}")
-            if paths is not None:
-                paths.append(SchroederPath(tuple(pts), tuple(letters)))
         if unused & decorated:
             raise DecorationError("decorated segments left over after assembly")
         yield quarter
@@ -196,12 +192,25 @@ def tiling_to_paths(region: Region, mask: int) -> PathFamily:
     """Assemble the decorated segments of a tiling mask into the marker-joined path family.
 
     A mask whose dominoes do not cover the region once each raises
-    ConstraintError (``regions.require_cover``) before the walk.
+    ConstraintError (``regions.require_cover``) before the walk, and the
+    walk raises DecorationError unless the decorated dominoes assemble into
+    marker-joined paths.  Then each path is read off the mask from its u
+    marker: every decorated domino starts at the west edge of its black
+    cell, so in a tiling at most one starts at each point, and the path
+    follows ``starts[p] & mask`` until none does, at its v marker.
     """
     require_cover(region, mask)
-    paths: list = []
-    (quarter,) = _walk(region, [mask], paths)
-    return PathFamily(tuple(paths), quarter)
+    (quarter,) = _walk(region, [mask])
+    starts, steps, u, _, points, _ = _path_tables(region)
+    family = []
+    for p in u:
+        pts, letters = [points[p]], []
+        while here := starts[p] & mask:
+            p, letter, _ = steps[here]
+            pts.append(points[p])
+            letters.append(letter)
+        family.append(SchroederPath(tuple(pts), tuple(letters)))
+    return PathFamily(tuple(family), quarter)
 
 
 @derived
@@ -232,6 +241,6 @@ def underneath_area(family: PathFamily) -> Fraction:
     height h counts 2h and a diagonal step h + 1/2 or h - 1/2.  With
     h = (y2 - 1) / 2 each step adds (y2 + y2' - 2) * run / 4, so the sum is
     kept in integer quarter units, read per step from the region's path
-    tables and added up by the walk that assembles the family.
+    tables and added up by the walk that checks the family.
     """
     return Fraction(family.quarter_area, 4)

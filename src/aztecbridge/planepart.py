@@ -29,27 +29,6 @@ def require_brute_budget(a: int, b: int, c: int) -> None:
         raise CapacityError(f"box volume {a * b * c} exceeds brute-force bound {MAX_BRUTE_VOLUME}")
 
 
-def enumerate_pp(a: int, b: int, c: int) -> Iterator[PlanePartition]:
-    """All plane partitions fitting in an a x b x c box (a side of 0 gives one empty pp)."""
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box sides must be nonnegative")
-    if a == 0 or b == 0 or c == 0:
-        yield tuple(() for _ in range(a)) if a else ()
-        return
-
-    def rows(prev: tuple, remaining: int) -> Iterator[list[tuple]]:
-        if remaining == 0:
-            yield []
-            return
-        for row in _dec_rows(prev, b):
-            for rest in rows(row, remaining - 1):
-                yield [row] + rest
-
-    top = tuple([c] * b)
-    for body in rows(top, a):
-        yield tuple(body)
-
-
 def _dec_rows(bound: tuple, width: int) -> Iterator[tuple]:
     """Weakly decreasing rows of the given width, entrywise <= bound."""
 
@@ -68,13 +47,6 @@ def volume(pp: PlanePartition) -> int:
     return sum(sum(row) for row in pp)
 
 
-def complement(pp: PlanePartition, a: int, b: int, c: int) -> PlanePartition:
-    """The complementary stack in the box, rotated back into a plane partition."""
-    return tuple(
-        tuple(c - pp[a - 1 - i][b - 1 - j] for j in range(b)) for i in range(a)
-    )
-
-
 def q_genfun_brute(a: int, b: int, c: int) -> LaurentPoly2:
     """Sum of q^volume over the box, by a walk over every plane partition in it.
 
@@ -82,7 +54,7 @@ def q_genfun_brute(a: int, b: int, c: int) -> LaurentPoly2:
     follow a row are the weakly decreasing rows entrywise at most it, listed
     with their sums once per row reached.  Each plane partition is one leaf
     of the walk, which adds 1 to the count of its volume; no partition is
-    built.  ``enumerate_pp`` lists the same partitions, as tuples.
+    built.  The tests list the same partitions, as tuples, as its oracle.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box sides must be nonnegative")

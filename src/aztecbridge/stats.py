@@ -25,7 +25,7 @@ a lattice point is numbered by its position on the region's padded grid, so
 the grid edges and the minimal heights are lists indexed by vertex, and a
 grid edge carries the mask bit of the domino that crosses it.  The grid
 edges, the minimal heights, the column masks, the line weights and the
-deficit masks are derived once per region (``regions.derived``) by the
+deficit planes are derived once per region (``regions.derived``) by the
 functions of this module that compute them, and so are the two public
 tables: ``minimal_tiling`` and ``rank_table`` are derived functions
 themselves, each the one place its table is computed and kept.
@@ -180,7 +180,7 @@ def minimal_tiling(region: Region) -> int:
 #: Most tilings of one region that may be listed, by the flip BFS or by
 #: enumeration.  Time and memory grow with the number listed: the 89,600
 #: tilings of dr:2,4,1,3,5, the most of any double rectangle of at most 60
-#: cells, take about 0.33 s to rank by flips (1.0 s with the rest of the
+#: cells, take about 0.16 s to rank by flips (0.5 s with the rest of the
 #: ``verify rank`` case) and 0.3 s to enumerate on a 2-vCPU host, with a peak
 #: RSS of 28 MB for the flip BFS, and dr:3,5,1,3,5 has 2,007,040.  The
 #: determinant count is checked against it before anything is listed.
@@ -196,32 +196,54 @@ def require_listing_budget(region: Region, listed: int) -> None:
         )
 
 
+def _raising_flips(region: Region) -> list[tuple[int, int]]:
+    """Per 2x2 block, (the pair a flip that raises the rank starts from, all four bits).
+
+    Each block of the region, a unit face of its lattice, is a pair of
+    masks: its two horizontal and its two vertical dominoes.  A flip moves
+    the height of the block's centre vertex by 4 and no other, so it changes
+    the rank by exactly 1: it raises the rank when it turns a vertical pair
+    horizontal on a block whose lower left cell is white, and a horizontal
+    pair vertical on one whose lower left cell is black.  The blocks are in
+    the order of their lower left cell.
+    """
+    lat = region.lattice
+    grid = lat.grid
+    white = region.white_parity
+    blocks = []
+    for i in lat.faces:  # the cell above i is i + 1, and e is the one right of i
+        e = grid.at[grid.pos[i] + grid.stride]
+        h = grid.east[i] | grid.east[i + 1]
+        v = grid.north[i] | grid.north[e]
+        x, y = lat.cells[i]
+        blocks.append((v if (x + y) % 2 == white else h, h | v))
+    return blocks
+
+
 @derived
 def rank_table(region: Region) -> Mapping[int, int]:
     """Flip distance from the minimal tiling, for every reachable tiling's mask.
 
     The keys are tiling masks over ``Lattice.pairs``.  The table is derived
     once per region and read-only, by breadth-first search over flips from
-    the minimal tiling.  Each 2x2 block of the region, a unit face of its
-    lattice, is a pair of masks: its two horizontal and its two vertical
-    dominoes.  A block flips when the tiling holds either pair, that is when
-    the pair has no bit in the tiling's complement, and the flip toggles all
-    four bits.  The blocks are tried in the order of their lower left cell,
-    as the tuple flips of the tests (tests/test_stats.py) find them, so the
-    table's order is that of a BFS through those.  No mask is decoded.  A
-    region with more than ``MAX_LISTED_TILINGS`` tilings raises
-    CapacityError before the search.
+    the minimal tiling.  A block flips when the tiling holds one of its two
+    pairs, that is when the pair has no bit in the tiling's complement, and
+    the flip toggles all four bits.  The search tries only the flips that
+    raise the rank (``_raising_flips``), one pair per block, and that is
+    still the flip distance: every flip changes the rank by exactly 1, and
+    every tiling but the minimal one has a flip that lowers it (Thurston
+    1990; the tilings form Propp's distributive lattice under flips),
+    so a tiling of rank r + 1 is one raising flip from a tiling of rank r.
+    A lowering flip could only reach a tiling already in the table, so the
+    table and its order are those of the search over flips in both
+    directions, with the blocks tried in the order of their lower left
+    cell, as the tuple flips of the tests (tests/test_stats.py) find them.
+    No mask is decoded.  A region with more than ``MAX_LISTED_TILINGS``
+    tilings raises CapacityError before the search.
     """
     require_listing_budget(region, count_tilings(region))
-    lat = region.lattice
-    grid = lat.grid
-    blocks = []
-    for i in lat.faces:  # the cell above i is i + 1, and e is the one right of i
-        e = grid.at[grid.pos[i] + grid.stride]
-        h = grid.east[i] | grid.east[i + 1]
-        v = grid.north[i] | grid.north[e]
-        blocks.append((h, v, h | v))
-    full = (1 << len(lat.pairs)) - 1
+    blocks = _raising_flips(region)
+    full = (1 << len(region.lattice.pairs)) - 1
     start = minimal_tiling(region)
     dist = {start: 0}
     frontier = [start]
@@ -231,8 +253,8 @@ def rank_table(region: Region) -> Mapping[int, int]:
         nxt = []
         for m in frontier:
             free = full ^ m  # not ~m: & with a negative int is slower
-            for h, v, both in blocks:
-                if not h & free or not v & free:
+            for pair, both in blocks:
+                if not pair & free:
                     m2 = m ^ both
                     if m2 not in dist:
                         dist[m2] = rank
@@ -248,10 +270,11 @@ def linear_ranks(region: Region, masks: Iterable[int]) -> Iterator[int]:
     each mask in the same pass as its other statistics.  The total height
     deficit below the minimal tiling is the sum of the line constants C_x
     plus w_x[y] for each horizontal domino crossing line x at row y (see
-    ``_line_weights``); rank is that total divided by 4.  It is read with
-    one popcount per distinct weight (``_deficit_masks``).
+    ``_line_weights``); rank is that total divided by 4.  It is read by bit
+    planes of the weights (``_deficit_planes``), about five popcounts a
+    mask rather than one per distinct weight.
     """
-    return _deficit_ranks(masks, *_deficit_masks(region))
+    return _deficit_ranks(masks, *_deficit_planes(region))
 
 
 def _deficit_ranks(masks: Iterable[int], const: int, weighted: tuple) -> Iterator[int]:
@@ -382,7 +405,6 @@ def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(lines)
 
 
-@derived
 def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The height deficit of a tiling mask as C + sum of w * |mask & M_w|.
 
@@ -400,6 +422,31 @@ def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
         if w:
             masks[w] = masks.get(w, 0) | bit
     return sum(const for const, _ in lines), tuple(sorted(masks.items()))
+
+
+@derived
+def _deficit_planes(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The height deficit of ``_deficit_masks`` as C + sum of w * |mask & P| over bit planes.
+
+    Every weight is a multiple of 4.  With lo the least of 0 and every
+    w / 4, each w / 4 - lo is written in binary: P_b is the mask of the dominoes whose
+    w / 4 - lo has bit b set, and A the mask of every weighted domino.  So
+    the deficit is C + 4 * (lo * |mask & A| + sum of 2^b * |mask & P_b|),
+    given here as pairs (4 * lo, A) and (4 * 2^b, P_b), a handful where the
+    distinct weights are a dozen.  Derived once per region.
+    """
+    const, weighted = _deficit_masks(region)
+    lo = min(0, weighted[0][0] // 4) if weighted else 0
+    planes: dict[int, int] = {}
+    for w, dominoes in weighted:
+        k = w // 4 - lo
+        while k:
+            low = k & -k
+            planes[4 * low] = planes.get(4 * low, 0) | dominoes
+            k ^= low
+    if lo:
+        planes[4 * lo] = sum(dominoes for _, dominoes in weighted)
+    return const, tuple(sorted(planes.items()))
 
 
 def _deficit(line: tuple[int, tuple[int, ...]], mask: int) -> int:

@@ -272,10 +272,12 @@ def _path_length(m1: int, n1: int, k: int, m2: int, n2: int) -> int:
 def _rank_case(region: Region) -> dict:
     """Check every tiling of one double rectangle on the flip BFS's masks.
 
-    The determinant count certifies that the BFS reached every tiling.  One
-    pass over the masks checks that the area and linear ranks of each equal
-    its flip distance, with one tiling of rank 0: both rank functions are
-    lazy, so no call is made per mask.  The area walk raises DecorationError
+    The BFS tries only rank-raising flips, and the determinant count
+    certifies that it reached every tiling: a BFS that took a wrong
+    direction would stop short of the count.  One pass over the masks
+    checks that the area and linear ranks of each equal its flip distance,
+    with one tiling of rank 0: both rank functions are lazy, so no call is
+    made per mask.  The area walk builds no path; it raises DecorationError
     unless the mask's decorated dominoes assemble into marker-joined paths,
     and a walk that returns has used them all, each as one segment.  So the
     family is read off the mask with no path built: it is the mask's

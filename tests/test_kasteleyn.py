@@ -181,6 +181,21 @@ def test_the_kasteleyn_skeleton_keys_each_entry_by_its_piece():
     assert count_tilings(rect) == 0
 
 
+def test_a_count_keeps_no_kasteleyn_skeleton_and_a_weighted_sum_keeps_one():
+    rng = random.Random(11)
+    for tup in SUITE_TUPLES:
+        region = build_double_rectangle(*tup)
+        assert count_tilings(region) > 0
+        kept = region.__dict__["_derived"]
+        assert engine._unit_det in kept and engine._kasteleyn_rows not in kept, tup
+        scheme = WeightScheme(*(signed_fraction(rng) for _ in range(5)))
+        assert region_matching_sum(region, scheme) == matching_genfun(dual_graph(region, scheme))
+        assert engine._kasteleyn_rows in kept, tup
+    hexagon = build_hexagon(2, 2, 2)
+    assert count_tilings(hexagon) == 20
+    assert engine._kasteleyn_rows not in hexagon.__dict__["_derived"]
+
+
 def test_counts_at_scale():
     assert count_tilings(build_aztec_diamond(20)) == 2**210
     assert count_tilings(build_hexagon(8, 8, 8)) == macmahon_count(8, 8, 8)

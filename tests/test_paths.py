@@ -12,7 +12,6 @@ from aztecbridge.paths import (
     LEVEL,
     UP,
     DecorationError,
-    PathFamily,
     SchroederPath,
     _walk,
     area_ranks,
@@ -220,9 +219,10 @@ def test_the_id_walk_equals_the_point_keyed_walk():
     for tup in TUPLES:
         region = build_double_rectangle(*tup)
         for mask in enumerate_tilings(region):
-            family = []
-            (quarter,) = _walk(region, [mask], family)
-            assert (family, quarter) == _old_walk(region, mask)
+            family = tiling_to_paths(region, mask)
+            (quarter,) = _walk(region, [mask])
+            assert (list(family.paths), quarter) == _old_walk(region, mask)
+            assert family.quarter_area == quarter
             walked += 1
     assert walked == 8 + 16 + 640
 
@@ -271,13 +271,16 @@ def test_decoration_guards_reject_broken_segment_sets(monkeypatch):
     # quarter cells: the level paths at heights 0 and 2
     monkeypatch.setattr(paths, "_minimal_area", lambda r: 16)
     # the stand-ins cover no cells, so the cover check of tiling_to_paths
-    # would reject every one; the guards are driven through the walk that it
-    # calls after the check and through area_ranks
+    # would reject every one; the guards are driven through the walk itself
+    # and through area_ranks, and a whole family is assembled with the check off
+    monkeypatch.setattr(paths, "require_cover", lambda *args: None)
 
     def paths_of(tiling):
-        walked = []
-        (quarter,) = _walk(region, [sum(map(bit.__getitem__, tiling))], walked)
-        return PathFamily(tuple(walked), quarter)
+        mask = sum(map(bit.__getitem__, tiling))
+        (quarter,) = _walk(region, [mask])
+        family = tiling_to_paths(region, mask)
+        assert family.quarter_area == quarter
+        return family
 
     def rank_of(tiling):
         (rank,) = area_ranks(region, [sum(map(bit.__getitem__, tiling))])

@@ -23,6 +23,7 @@ from aztecbridge.regions import (
     build_aztec_diamond,
     build_double_rectangle,
     build_hexagon,
+    parse_spec,
 )
 from aztecbridge.stats import (
     linear_ranks,
@@ -113,6 +114,40 @@ def flips(tiling):
             insort(flipped, (c2, b))
             out.append(tuple(flipped))
     return out
+
+
+def two_way_rank_table(region):
+    """Oracle: the flip BFS over flips in both directions, as the rank table was first built.
+
+    Each block flips when the tiling holds either of its pairs, and the
+    blocks are tried in the order of their lower left cell.
+    """
+    lat = region.lattice
+    grid = lat.grid
+    blocks = []
+    for i in lat.faces:
+        e = grid.at[grid.pos[i] + grid.stride]
+        h = grid.east[i] | grid.east[i + 1]
+        v = grid.north[i] | grid.north[e]
+        blocks.append((h, v, h | v))
+    full = (1 << len(lat.pairs)) - 1
+    start = minimal_tiling(region)
+    dist = {start: 0}
+    frontier = [start]
+    rank = 0
+    while frontier:
+        rank += 1
+        nxt = []
+        for m in frontier:
+            free = full ^ m
+            for h, v, both in blocks:
+                if not h & free or not v & free:
+                    m2 = m ^ both
+                    if m2 not in dist:
+                        dist[m2] = rank
+                        nxt.append(m2)
+        frontier = nxt
+    return dist
 
 
 def _relaxed_heights(edges):
@@ -608,19 +643,73 @@ def test_deficit_masks_equal_the_line_weights_on_every_domino():
     assert checked > 1_000
 
 
-def test_deficit_masks_and_dominoes_are_derived_once_per_region_and_read_only(monkeypatch):
+def test_deficit_planes_and_dominoes_are_derived_once_per_region_and_read_only(monkeypatch):
     calls = []
-    real = stats._deficit_masks.__wrapped__
-    monkeypatch.setattr(stats._deficit_masks, "__wrapped__", lambda r: calls.append(r) or real(r))
+    real = stats._deficit_planes.__wrapped__
+    monkeypatch.setattr(stats._deficit_planes, "__wrapped__", lambda r: calls.append(r) or real(r))
     region = build_double_rectangle(2, 3, 1, 2, 3)
     table = rank_table(region)
     assert list(linear_ranks(region, table)) == list(table.values())
     assert list(linear_ranks(region, table)) == list(table.values())
     assert calls == [region]
-    assert stats._deficit_masks(region) is stats._deficit_masks(region)
+    assert stats._deficit_planes(region) is stats._deficit_planes(region)
     assert region.dominoes is region.dominoes
     with pytest.raises(TypeError):
-        stats._deficit_masks(region)[1][0] = (0, 0)
+        stats._deficit_planes(region)[1][0] = (0, 0)
+
+
+def _rank_suite_regions():
+    """The 68 regions whose rank tables are checked against both-way flips and weights."""
+    regions = [build_aztec_diamond(n) for n in range(1, 6)]
+    regions += [parse_spec(f"ar:{n}x{n}") for n in range(1, 5)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(44)]
+    assert len(regions) == 68
+    return regions
+
+
+def test_the_raising_flip_bfs_lists_the_table_of_the_two_way_bfs_in_order():
+    for region in _rank_suite_regions():
+        table = rank_table(region)
+        assert list(table.items()) == list(two_way_rank_table(region).items()), region.spec_string()
+        assert len(table) == count_tilings(region), region.spec_string()
+
+
+def test_each_block_raises_the_rank_from_one_pair_by_the_colour_of_its_lower_left_cell():
+    for region in _rank_suite_regions()[:20]:
+        table = rank_table(region)
+        blocks = stats._raising_flips(region)
+        assert len(blocks) == len(region.lattice.faces)
+        full = (1 << len(region.lattice.pairs)) - 1
+        for m, r in table.items():
+            for pair, both in blocks:
+                if not pair & (full ^ m):
+                    assert table[m ^ both] == r + 1, region.spec_string()
+                elif not (both ^ pair) & (full ^ m):
+                    assert table[m ^ both] == r - 1, region.spec_string()
+
+
+def test_the_bit_plane_rank_is_the_per_weight_deficit_on_every_bfs_mask():
+    negative = checked = 0
+    for region in _rank_suite_regions():
+        const, weighted = stats._deficit_masks(region)
+        negative += weighted[0][0] < 0
+        table = rank_table(region)
+        for mask, rank in zip(table, linear_ranks(region, table)):
+            total = const + sum(w * (mask & dominoes).bit_count() for w, dominoes in weighted)
+            assert total == 4 * rank == 4 * table[mask], region.spec_string()
+            checked += 1
+    assert negative > 0 and checked == 67_904
+
+
+@pytest.mark.parametrize("shift", [1, -4], ids=["constant-off-by-one", "deficit-negative"])
+def test_a_shifted_deficit_constant_trips_the_linear_rank_guard(monkeypatch, shift):
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    table = rank_table(region)
+    const, planes = stats._deficit_planes(region)
+    # -4 puts the minimal tiling, deficit 0, at -4
+    monkeypatch.setattr(stats, "_deficit_planes", lambda r: (const + shift, planes))
+    with pytest.raises(InvariantError, match="height deficit"):
+        list(linear_ranks(region, table))
 
 
 def test_the_column_masks_are_derived_once_per_sweep(monkeypatch):

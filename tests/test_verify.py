@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from aztecbridge import engine, paths, regions, stats, verify
 from aztecbridge.cli import main
-from aztecbridge.paths import DOWN, LEVEL, UP, PathFamily, _walk, tiling_to_paths
+from aztecbridge.paths import DOWN, LEVEL, UP, tiling_to_paths
 from aztecbridge.regions import ConstraintError, _check_dr_params, build_double_rectangle
 from aztecbridge.verify import (
     SUITE_TUPLES,
@@ -229,16 +229,23 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_paths_case(monkeypatch):
     assert [c["params"] for c in suite_paths() if not c["ok"]] == [[2, 3, 0, 2, 3]]
 
 
-def _family(region, mask):
-    walked = []
-    (quarter,) = _walk(region, [mask], walked)
-    return PathFamily(tuple(walked), quarter)
+def test_an_inverted_colour_rule_stops_the_bfs_at_the_minimal_tiling(monkeypatch):
+    real = stats._raising_flips
+    inverted = lambda region: [(both ^ pair, both) for pair, both in real(region)]
+    monkeypatch.setattr(stats, "_raising_flips", inverted)
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    assert list(stats.rank_table(region)) == [stats.minimal_tiling(region)]
+    assert not verify._rank_case(region)["ok"]
+    result = CliRunner().invoke(main, ["verify", "rank", "--max", "20"])
+    assert result.exit_code == 1
+    cases = json.loads(result.output)["cases"]
+    assert cases and not any(c["ok"] for c in cases)
 
 
 def test_the_bfs_masks_carry_the_families_of_the_enumerated_tilings():
     for tup in SUITE_TUPLES:
         region = build_double_rectangle(*tup)
-        bfs = {_family(region, mask) for mask in stats.rank_table(region)}
+        bfs = {tiling_to_paths(region, mask) for mask in stats.rank_table(region)}
         listed = {tiling_to_paths(region, t) for t in engine.enumerate_tilings(region)}
         assert bfs == listed, tup
         assert len(bfs) == engine.count_tilings(region)
@@ -253,7 +260,7 @@ def test_the_decorated_dominoes_of_a_bfs_mask_are_its_family_and_its_step_counts
         assert all(masks[letter] & bit for bit, (_, letter, _) in tables.steps.items())
         assert up + down + level == tables.decorated
         for mask in stats.rank_table(region):
-            family = _family(region, mask)
+            family = tiling_to_paths(region, mask)
             segments = [
                 (p, q) for path in family.paths for p, q in zip(path.points, path.points[1:])
             ]
