@@ -2,29 +2,35 @@
 
 Every command prints a single JSON document (schema version 1) to stdout,
 except render, which writes SVG to --out.  Exit codes: 0 for success, 1 when
-a verification finds a mismatch, 2 for usage or domain errors.  Every
-subcommand is a ``_Command``, whose ``invoke`` makes a ConstraintError,
-KindError or CapacityError a usage error; the callback of every --out fails
-on a path that cannot be written before any work, and ``_write`` on the rest.
+a verification finds a mismatch, 2 for usage or domain errors.
+
+``main`` dispatches through ``COMMANDS``, one entry per command: its
+function, its positional arguments with their defaults, and its options with
+a converter each.  The parser accepts ``--opt value`` and ``--opt=value``,
+options before, between and after the arguments, ``--`` to end the options,
+and ``--help`` on the group and on every command.  A token that starts with
+a minus sign and a digit is an argument, so a negative tiling index reaches
+the range check.  A usage error, and a ConstraintError, KindError or
+CapacityError from a command, exits 2 and writes ``Usage:``, ``Try '...
+--help' for help.`` and ``Error:`` lines to stderr, as click did.  The --out
+converter fails on a path that cannot be written before any work, and
+``_write`` on the rest, each in a single ``Error:`` line.
 
 Each process runs one command, so its start counts: the package import is
-most of a small command's time.  Nothing is imported while a command runs.
-The group and every subcommand build their own ``--help`` option
-(``_OwnHelp``), because click's calls ``gettext`` on each process's first
-parse, which imports ``locale`` and looks for a message catalog; and
-``_emit`` prints rather than calls ``click.echo``.
+most of a small command's time.  The command line was built on click, which
+with ``inspect`` took two thirds of this module's import (click imports
+``uuid``, ``platform`` and ``datetime``), and whose two-level parse cost more
+than a millisecond per command; the table does the same work without them.
+Nothing is imported while a command runs.
 """
 
 from __future__ import annotations
 
 import errno
-import inspect
 import itertools
 import json
 import os
 import sys
-
-import click
 
 from . import verify as suites
 from .engine import CapacityError, count_tilings, enumerate_tilings
@@ -36,10 +42,16 @@ from .stats import minimal_tiling, require_listing_budget, tq_sum
 from .verify import DEFAULT_SEED, SUITES, compare_conventions
 
 
-class _OutputError(click.FileError):
-    """An --out file that cannot be written: a one-line usage error, exit 2."""
+class UsageError(Exception):
+    """A usage or domain error: exit 2.  ``usage`` False leaves out the Usage and Try lines."""
 
-    exit_code = 2
+    def __init__(self, message: str, usage: bool = True):
+        super().__init__(message)
+        self.usage = usage
+
+
+def _unwritable(path: str, reason: str) -> UsageError:
+    return UsageError(f"Could not open file {path!r}: {reason}", usage=False)
 
 
 def _write(path: str, text: str) -> None:
@@ -47,19 +59,42 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _OutputError(path, exc.strerror) from None
+        raise _unwritable(path, exc.strerror) from None
 
 
-def _writable(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
-    """An --out callback: fail on a directory, or on a path in no directory, before any work."""
+def _writable(path: str) -> str:
+    """The --out converter: fail on a directory, or on a path in no directory, before any work."""
     if path:
         if os.path.isdir(path):
-            raise _OutputError(path, os.strerror(errno.EISDIR))
+            raise _unwritable(path, os.strerror(errno.EISDIR))
         try:
             os.stat(os.path.dirname(path) or ".")
         except OSError as exc:
-            raise _OutputError(path, exc.strerror) from None
+            raise _unwritable(path, exc.strerror) from None
     return path
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer.") from None
+
+
+def _positive(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"{value} is not in the range x>=1.")
+    return value
+
+
+class _Choice(tuple):
+    """A converter that accepts only its own items."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, self))}.")
+        return text
 
 
 def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
@@ -69,82 +104,20 @@ def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
     if out:
         _write(out, text + "\n")
     else:
-        # not click.echo: on a stream with no declared encoding, such as a
-        # StringIO, its first call imports a codec
         print(text)
 
 
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    if value and not ctx.resilient_parsing:
-        click.echo(ctx.get_help(), color=ctx.color)
-        ctx.exit()
-
-
-class _OwnHelp:
-    """A command whose ``--help`` option is built here, once per command object.
-
-    click's own builds its help text with ``gettext`` on the first parse of
-    each process, which imports ``locale`` (0.7 ms in a fresh interpreter)
-    and looks for a message catalog.  The option is kept in an attribute of
-    its own, because click before 8.1.8 has no ``_help_option``, and is the
-    same object on every call, because click 8.1.8 and later order the eager
-    parameters by identity.
-    """
-
-    _help_flag: click.Option | None = None
-
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        names = self.get_help_option_names(ctx)
-        if not names or not self.add_help_option:
-            return None
-        if self._help_flag is None:
-            self._help_flag = click.Option(
-                names,
-                is_flag=True,
-                expose_value=False,
-                is_eager=True,
-                help="Show this message and exit.",
-                callback=_show_help,
-            )
-        return self._help_flag
-
-
-class _Command(_OwnHelp, click.Command):
-    """A subcommand whose domain errors are usage errors: one line, exit 2."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (ConstraintError, KindError, CapacityError) as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-
-
-class _Group(_OwnHelp, click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Exact tiling enumeration workbench."""
-
-
-@main.command()
-@click.argument("region_spec")
-@click.option("--out", default=None, callback=_writable, help="Write the JSON document to a file.")
 def count(region_spec: str, out: str | None) -> None:
     """Number of tilings of a region (ad:N, ar:MxN, dr:M1,N1,K,M2,N2, hex:A,B,C)."""
     region = parse_spec(region_spec)
     _emit({"region": region.spec_string(), "count": count_tilings(region)}, out=out)
 
 
-@main.command()
-@click.argument("region_spec")
-@click.option("--out", default=None, callback=_writable)
 def genfun(region_spec: str, out: str | None) -> None:
     """Transfer-matrix bivariate sum vs product formula, with a verdict."""
     region = parse_spec(region_spec)
     if region.kind not in ("aztec_diamond", "double_aztec_rectangle"):
-        raise click.UsageError("genfun needs an aztec diamond or double rectangle")
+        raise UsageError("genfun needs an aztec diamond or double rectangle")
     enum_poly = tq_sum(region)
     if region.kind == "aztec_diamond":
         base = aztec_genfun(region.params[0])
@@ -168,9 +141,6 @@ def genfun(region_spec: str, out: str | None) -> None:
         sys.exit(1)
 
 
-@main.command()
-@click.argument("region_spec")
-@click.option("--out", default=None, callback=_writable)
 def formula(region_spec: str, out: str | None) -> None:
     """Closed-form tiling count of a region, no enumeration."""
     region = parse_spec(region_spec)
@@ -181,18 +151,15 @@ def formula(region_spec: str, out: str | None) -> None:
     elif region.kind == "double_aztec_rectangle":
         value = corollary_count(*region.params)
     else:
-        raise click.UsageError("no closed-form count for a lone aztec rectangle")
+        raise UsageError("no closed-form count for a lone aztec rectangle")
     _emit({"region": region.spec_string(), "count": value}, out=out)
 
 
-@main.command()
-@click.argument("region_spec")
-@click.option("--out", default=None, callback=_writable)
 def rank(region_spec: str, out: str | None) -> None:
     """Histogram of flip distances from the minimal tiling."""
     region = parse_spec(region_spec)
     if isinstance(region, TriRegion):
-        raise click.UsageError("rank is defined for square-lattice regions only")
+        raise UsageError("rank is defined for square-lattice regions only")
     poly = tq_sum(region)
     hist: dict[int, int] = {}
     for (_, eq), c in poly.items():  # sum out t; eq is 2 * rank
@@ -207,11 +174,6 @@ def rank(region_spec: str, out: str | None) -> None:
     )
 
 
-#: Lets a negative tiling index such as -1 through as an argument, so that it
-#: reaches the range check instead of failing as an unknown option.
-_TILING_ARG = {"ignore_unknown_options": True}
-
-
 def _pick_tiling(region: Region, which: str) -> int:
     """The mask of the minimal tiling, or of the tiling at an index of the enumeration order."""
     if which == "minimal":
@@ -219,23 +181,19 @@ def _pick_tiling(region: Region, which: str) -> int:
     try:
         index = int(which)
     except ValueError:
-        raise click.UsageError(f"tiling index must be an integer or 'minimal', got {which!r}")
+        raise UsageError(f"tiling index must be an integer or 'minimal', got {which!r}")
     # the determinant count bounds the index before any tiling is listed
     if not 0 <= index < count_tilings(region):
-        raise click.UsageError(f"tiling index {index} out of range")
+        raise UsageError(f"tiling index {index} out of range")
     require_listing_budget(region, index + 1)
     return next(itertools.islice(enumerate_tilings(region), index, None))
 
 
-@main.command(context_settings=_TILING_ARG)
-@click.argument("region_spec")
-@click.argument("tiling", default="minimal")
-@click.option("--out", default=None, callback=_writable)
 def paths(region_spec: str, tiling: str, out: str | None) -> None:
     """The non-intersecting path family carried by a double-rectangle tiling."""
     region = parse_spec(region_spec)
     if region.kind != "double_aztec_rectangle":
-        raise click.UsageError("paths are defined for double rectangles only")
+        raise UsageError("paths are defined for double rectangles only")
     family = tiling_to_paths(region, _pick_tiling(region, tiling))
     up, down, level = step_counts(family)
     _emit(
@@ -253,54 +211,41 @@ def paths(region_spec: str, tiling: str, out: str | None) -> None:
     )
 
 
-@main.command(context_settings=_TILING_ARG)
-@click.argument("region_spec")
-@click.argument("tiling", default="minimal")
-@click.option(
-    "--overlay",
-    type=click.Choice(["none", "paths"]),
-    default="none",
-    show_default=True,
-)
-@click.option("--out", default="tiling.svg", show_default=True, callback=_writable)
 def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
     """Write a deterministic SVG of a tiling, optionally with its paths."""
     region = parse_spec(region_spec)
     if isinstance(region, TriRegion):
-        raise click.UsageError("render supports square-lattice regions only")
+        raise UsageError("render supports square-lattice regions only")
     if overlay == "paths" and region.kind != "double_aztec_rectangle":
-        raise click.UsageError("path overlay needs a double rectangle")
+        raise UsageError("path overlay needs a double rectangle")
     svg = render_tiling(region, _pick_tiling(region, tiling), overlay_paths=(overlay == "paths"))
     _write(out, svg)
     _emit({"region": region.spec_string(), "tiling": tiling, "file": out})
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(SUITES))
-@click.option("--max", "bound", type=click.IntRange(min=1), help="Size bound for the suite.")
-@click.option("--trials", type=click.IntRange(min=1), help="Randomized trial count.")
-@click.option("--seed", type=int, help=f"Seed of weighted and lemmas (default {DEFAULT_SEED}).")
-@click.option("--out", default=None, callback=_writable)
 def verify(
     suite: str, bound: int | None, trials: int | None, seed: int | None, out: str | None
 ) -> None:
     """Run a verification suite; exit 1 if any case fails.
 
-    The suite is ``verify.suite_<name>``, looked up at each run and called
-    with the options given.  An option it does not name (``--max`` is
-    ``bound``), and a bound that admits no case, are usage errors.
+    The suite is ``verify.suite_<name>``, looked up at each run and called with
+    the options given.  An option it does not name (``--max`` is ``bound``), and
+    a bound that admits no case, are usage errors.
     """
     run = getattr(suites, "suite_" + suite)
     options = {"bound": bound, "trials": trials, "seed": seed}
     given = {name: value for name, value in options.items() if value is not None}
-    reads = inspect.signature(run).parameters
+    named = run
+    while hasattr(named, "__wrapped__"):  # a tracer or a decorator wraps the suite
+        named = named.__wrapped__
+    reads = named.__code__.co_varnames[: named.__code__.co_argcount]
     for name in given:
         if name not in reads:
             option = "--max" if name == "bound" else "--" + name
-            raise click.UsageError(f"verify {suite} does not read {option}")
+            raise UsageError(f"verify {suite} does not read {option}")
     cases = run(**given)
     if not cases:
-        raise click.UsageError(f"verify {suite} --max {bound} admits no case")
+        raise UsageError(f"verify {suite} --max {bound} admits no case")
     bad = [c for c in cases if not c["ok"]]
     status = "ok" if not bad else "mismatch"
     _emit({"suite": suite, "cases": cases, "failures": len(bad)}, status=status, out=out)
@@ -308,5 +253,171 @@ def verify(
         sys.exit(1)
 
 
+_SPEC = (("REGION_SPEC", None, str),)
+_TILING = (*_SPEC, ("TILING", "minimal", str))
+_OUT = ("out", "TEXT", _writable, None, "")
+_MAX_HELP = "Size bound for the suite.  [x>=1]"
+_TRIALS_HELP = "Randomized trial count.  [x>=1]"
+_SEED_HELP = f"Seed of weighted and lemmas (default {DEFAULT_SEED})."
+
+#: Each command's function; its positional arguments, passed in order, as
+#: (metavar, default, converter), where a default of None makes one
+#: required; and its options, as flag -> (parameter, metavar, converter,
+#: default, help).  A default that is not None is converted too.
+COMMANDS = {
+    "count": (
+        count,
+        _SPEC,
+        {"--out": ("out", "TEXT", _writable, None, "Write the JSON document to a file.")},
+    ),
+    "formula": (formula, _SPEC, {"--out": _OUT}),
+    "genfun": (genfun, _SPEC, {"--out": _OUT}),
+    "paths": (paths, _TILING, {"--out": _OUT}),
+    "rank": (rank, _SPEC, {"--out": _OUT}),
+    "render": (
+        render,
+        _TILING,
+        {
+            "--overlay": (
+                "overlay", "[none|paths]", _Choice(("none", "paths")), "none", "[default: none]"
+            ),
+            "--out": ("out", "TEXT", _writable, "tiling.svg", "[default: tiling.svg]"),
+        },
+    ),
+    "verify": (
+        verify,
+        (("{" + "|".join(SUITES) + "}", None, _Choice(SUITES)),),
+        {
+            "--max": ("bound", "INTEGER RANGE", _positive, None, _MAX_HELP),
+            "--trials": ("trials", "INTEGER RANGE", _positive, None, _TRIALS_HELP),
+            "--seed": ("seed", "INTEGER", _integer, None, _SEED_HELP),
+            "--out": _OUT,
+        },
+    ),
+}
+
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+
+def _convert(convert, text: str, name: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise UsageError(f"Invalid value for '{name}': {exc}") from None
+
+
+def _parse(arguments: tuple, options: dict, tokens: list[str]) -> tuple[list, dict] | None:
+    """The converted arguments and options that tokens give a command, or None for --help."""
+    given, positional = {}, []
+    rest = iter(tokens)
+    for token in rest:
+        if token == "--":
+            positional.extend(rest)
+        elif token.startswith("-") and token != "-" and not token[1:2].isdigit():
+            flag, eq, value = token.partition("=")
+            if flag == "--help":
+                return None
+            if flag not in options:
+                raise UsageError(f"No such option '{flag}'.")
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError(f"Option '{flag}' requires an argument.")
+            given[flag] = value
+        else:
+            positional.append(token)
+    for metavar, default, _ in arguments[len(positional) :]:
+        if default is None:
+            raise UsageError(f"Missing argument '{metavar}'.")
+        positional.append(default)
+    values = [_convert(convert, text, m) for (m, _, convert), text in zip(arguments, positional)]
+    params = {}
+    for flag, (param, _, convert, default, _) in options.items():
+        value = given.get(flag, default)
+        params[param] = None if value is None else _convert(convert, value, flag)
+    extra = positional[len(arguments) :]
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    return values, params
+
+
+def _usage(prog: str, name: str | None) -> str:
+    if name is None:
+        return f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    metavars = [m if default is None else f"[{m}]" for m, default, _ in COMMANDS[name][1]]
+    return f"{prog} {name} [OPTIONS] {' '.join(metavars)}"
+
+
+def _table(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left:<{width}}  {text}".rstrip() for left, text in rows]
+
+
+def _help(prog: str, name: str | None) -> str:
+    """A command's help, or with name None the group's, laid out as click laid it out."""
+    if name is None:
+        summary, body, rows = "Exact tiling enumeration workbench.", [], [_HELP_ROW]
+        limit = 74 - max(map(len, COMMANDS))  # click's room for a summary in 80 columns
+        shorts = []
+        for command, (run, _, _) in COMMANDS.items():
+            short = (run.__doc__ or "").partition("\n")[0]
+            if len(short) > limit:
+                short = short[: limit - 3].rsplit(" ", 1)[0] + "..."
+            shorts.append((command, short))
+        tail = ["", "Commands:", *_table(shorts)]
+    else:
+        run, _, options = COMMANDS[name]
+        summary, _, body = (run.__doc__ or "").partition("\n")
+        body = [line[4:] for line in body.rstrip().splitlines()]
+        rows = [(f"{flag} {option[1]}", option[4]) for flag, option in options.items()]
+        rows.append(_HELP_ROW)
+        tail = []
+    text = [f"  {line}" if line else "" for line in (summary, *body)]
+    lines = [f"Usage: {_usage(prog, name)}", "", *text, "", "Options:", *_table(rows), *tail]
+    return "\n".join(lines)
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None,
+         standalone_mode: bool = True) -> None:
+    """Run the command that args name (by default the process's arguments).
+
+    In standalone mode a usage error is reported and exits 2; otherwise it
+    is raised, as click's ``main`` did.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or os.path.basename(sys.argv[0])
+    name = None
+    try:
+        if not args or args[0] == "--help":
+            print(_help(prog, None), file=sys.stdout if args else sys.stderr)
+            if not args:
+                sys.exit(2)
+            return
+        if args[0].startswith("-"):
+            raise UsageError(f"No such option '{args[0].partition('=')[0]}'.")
+        if args[0] not in COMMANDS:
+            raise UsageError(f"No such command '{args[0]}'.")
+        name = args[0]
+        run, arguments, options = COMMANDS[name]
+        parsed = _parse(arguments, options, args[1:])
+        if parsed is None:
+            print(_help(prog, name))
+            return
+        try:
+            run(*parsed[0], **parsed[1])
+        except (ConstraintError, KindError, CapacityError) as exc:
+            raise UsageError(str(exc)) from exc
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        if exc.usage:
+            command = prog if name is None else f"{prog} {name}"
+            print(f"Usage: {_usage(prog, name)}", file=sys.stderr)
+            print(f"Try '{command} --help' for help.\n", file=sys.stderr)
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m aztecbridge.cli")

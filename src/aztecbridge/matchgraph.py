@@ -30,8 +30,9 @@ shape (``_half_classes``), once.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .engine import CapacityError, _det, _kasteleyn_rows, _unit_det
 from .regions import Region, derived
@@ -40,14 +41,10 @@ from .regions import Region, derived
 MAX_MATCH_VERTICES = 40
 
 
-class WeightScheme(NamedTuple):
-    """Domino weights: the four classes get a, b, c*q^(level-1), d*q^level."""
+class WeightScheme(namedtuple("WeightScheme", "a b c d q")):
+    """Domino weights as Fractions: the four classes get a, b, c*q^(level-1), d*q^level."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    q: Fraction
+    __slots__ = ()
 
 
 def _add_edge(edges: dict, vertices: tuple, i: int, j: int, num: int) -> None:
@@ -218,12 +215,14 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 _UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
 
 
-class WeightClasses(NamedTuple):
-    """Each domino of a region by weight class; see ``_weight_classes``."""
+class WeightClasses(namedtuple("WeightClasses", "levels of marked")):
+    """Each domino of a region by weight class; see ``_weight_classes``.
 
-    levels: int
-    of: tuple  # the class of each domino, by its index in Lattice.pairs
-    marked: tuple  # the bottommost diagonal, southwest to northeast
+    ``of`` holds the class of each domino, by its index in Lattice.pairs, and
+    ``marked`` the bottommost diagonal, southwest to northeast.
+    """
+
+    __slots__ = ()
 
 
 @derived
@@ -250,13 +249,17 @@ def _weight_classes(region: Region) -> WeightClasses:
     return WeightClasses(levels, tuple(of), tuple(marked))
 
 
-class HalfClasses(NamedTuple):
-    """The shape of a trimmed rectangle's half graph; see ``_half_classes``."""
+class HalfClasses(namedtuple("HalfClasses", "vertices edges pendant_edges marked")):
+    """The shape of a trimmed rectangle's half graph; see ``_half_classes``.  The fields:
 
-    vertices: tuple  # the kept cells in sorted order, then the pendants
-    edges: tuple  # ((i, j), class) per kept domino by position in vertices, in Lattice.pairs order
-    pendant_edges: tuple  # (i, j) per pendant edge, southwest to northeast
-    marked: tuple  # the pendants, southwest to northeast
+    - ``vertices``: the kept cells in sorted order, then the pendants;
+    - ``edges``: ((i, j), class) per kept domino by position in vertices, in
+      Lattice.pairs order;
+    - ``pendant_edges``: (i, j) per pendant edge, southwest to northeast;
+    - ``marked``: the pendants, southwest to northeast.
+    """
+
+    __slots__ = ()
 
 
 @derived

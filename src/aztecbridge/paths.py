@@ -33,9 +33,10 @@ or in the family that ``tiling_to_paths`` reads off a checked mask.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .regions import InvariantError, Region, boundary_markers, derived, require_cover
 from .stats import minimal_tiling
@@ -47,23 +48,30 @@ class DecorationError(RuntimeError):
     """The decorated segments do not assemble into marker-to-marker paths."""
 
 
-class SchroederPath(NamedTuple):
-    points: tuple  # (x, y2) vertices, left to right
-    steps: tuple  # step letters, len(points) - 1
+class SchroederPath(namedtuple("SchroederPath", "points steps")):
+    """``points``: the (x, y2) vertices, left to right; ``steps``: the step letters between them."""
+
+    __slots__ = ()
 
 
-class PathFamily(NamedTuple):
-    paths: tuple  # SchroederPath, one per marker index
-    quarter_area: int  # four times ``underneath_area``, summed by the walk
+class PathFamily(namedtuple("PathFamily", "paths quarter_area")):
+    """A SchroederPath per marker index, and four times ``underneath_area``, summed by the walk."""
+
+    __slots__ = ()
 
 
-class PathTables(NamedTuple):
-    starts: tuple  # point id -> OR of the bits of the decorated dominoes that start there
-    steps: Mapping  # bit -> (end point id, step letter, quarter area of the step)
-    u: tuple  # point id of each u marker
-    v_at: tuple  # point id -> index of the v marker there, or -1
-    points: tuple  # point id -> (x, y2), in sorted order
-    decorated: int  # OR of the bits of every decorated domino
+class PathTables(namedtuple("PathTables", "starts steps u v_at points decorated")):
+    """The walk's tables.  The fields:
+
+    - ``starts``: point id -> OR of the bits of the decorated dominoes that start there;
+    - ``steps``: bit -> (end point id, step letter, quarter area of the step);
+    - ``u``: point id of each u marker;
+    - ``v_at``: point id -> index of the v marker there, or -1;
+    - ``points``: point id -> (x, y2), in sorted order;
+    - ``decorated``: OR of the bits of every decorated domino.
+    """
+
+    __slots__ = ()
 
 
 def _compile_tables(u: Sequence, v: Sequence, segments: Sequence) -> PathTables:

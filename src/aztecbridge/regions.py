@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, wraps
-from typing import NamedTuple
 
 
 class ConstraintError(ValueError):
@@ -47,26 +46,23 @@ class InvariantError(RuntimeError):
     """An identity that guards a computed result does not hold."""
 
 
-class Cell(NamedTuple):
-    x: int
-    y: int
+# The records of the package are plain namedtuples: typing.NamedTuple
+# compiles a forward reference for each annotated field when its module is
+# imported.
 
 
-class Tri(NamedTuple):
-    x: int
-    y: int
-    up: bool
+class Cell(namedtuple("Cell", "x y")):
+    __slots__ = ()
 
 
-class BoundaryMarkers(NamedTuple):
+class Tri(namedtuple("Tri", "x y up")):
+    __slots__ = ()
+
+
+class BoundaryMarkers(namedtuple("BoundaryMarkers", "u v")):
     """Path sources u and sinks v, bottom to top: vertical edge midpoints (x, 2y + 1)."""
 
-    u: list[tuple[int, int]]
-    v: list[tuple[int, int]]
-
-
-# Grid and Lattice are plain namedtuples: typing.NamedTuple compiles a
-# forward reference for each annotated field when the module is imported.
+    __slots__ = ()
 
 
 class Grid(namedtuple("Grid", "stride origin at pos north east")):

@@ -23,8 +23,8 @@ def test_the_cli_dispatches_every_suite_through_the_verify_module():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     assert [name for name in defined if name.startswith("suite_")] == []
-    (suite,) = [p for p in cli.verify.params if p.name == "suite"]
-    assert list(suite.type.choices) == list(verify.SUITES)
+    _, ((_, _, suite),), _ = cli.COMMANDS["verify"]
+    assert list(suite) == list(verify.SUITES)
 
 
 def _imports(module):

@@ -9,10 +9,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from aztecbridge import engine, paths, regions, stats, verify
-from aztecbridge.cli import main
 from aztecbridge.paths import DOWN, LEVEL, UP, tiling_to_paths
 from aztecbridge.regions import ConstraintError, _check_dr_params, build_double_rectangle
 from aztecbridge.verify import (
@@ -22,6 +20,7 @@ from aztecbridge.verify import (
     suite_rank,
     suite_tuples,
 )
+from test_cli import run
 
 
 def _valid(tup):
@@ -78,14 +77,14 @@ def test_verify_runs_the_suite_bound_on_the_module_when_it_runs(monkeypatch):
         return [{"fake": True, "ok": True}]
 
     monkeypatch.setattr(verify, "suite_main", fake)
-    result = CliRunner().invoke(main, ["verify", "main", "--max", "9"])
+    result = run("verify", "main", "--max", "9")
     assert result.exit_code == 0
     assert json.loads(result.output)["cases"] == [{"fake": True, "ok": True}]
     assert calls == [(9, 1)]  # only the options given, the rest by default
     # the signature of the suite bound now decides which options it reads
-    assert CliRunner().invoke(main, ["verify", "main", "--trials", "2"]).exit_code == 0
+    assert run("verify", "main", "--trials", "2").exit_code == 0
     assert calls == [(9, 1), (None, 2)]
-    result = CliRunner().invoke(main, ["verify", "main", "--seed", "3"])
+    result = run("verify", "main", "--seed", "3")
     assert result.exit_code == 2 and "verify main does not read --seed" in result.output
 
 
@@ -101,9 +100,9 @@ def test_verify_reads_the_options_of_a_wrapped_suite_off_the_function_it_wraps(m
         return fake(*args, **kwargs)
 
     monkeypatch.setattr(verify, "suite_main", wrapper)
-    assert CliRunner().invoke(main, ["verify", "main", "--max", "9"]).exit_code == 0
+    assert run("verify", "main", "--max", "9").exit_code == 0
     assert calls == [9]
-    result = CliRunner().invoke(main, ["verify", "main", "--trials", "2"])
+    result = run("verify", "main", "--trials", "2")
     assert result.exit_code == 2 and "verify main does not read --trials" in result.output
 
 
@@ -119,7 +118,7 @@ def test_a_flip_bfs_that_misses_a_tiling_fails_its_case(monkeypatch):
     monkeypatch.setattr(stats.rank_table, "__wrapped__", dropping)
     cases = suite_rank(32)
     assert [c["params"] for c in cases if not c["ok"]] == [[1, 2, 1, 1, 2]]
-    result = CliRunner().invoke(main, ["verify", "rank", "--max", "32"])
+    result = run("verify", "rank", "--max", "32")
     assert result.exit_code == 1
     doc = json.loads(result.output)
     assert doc["status"] == "mismatch" and doc["failures"] == 1
@@ -236,7 +235,7 @@ def test_an_inverted_colour_rule_stops_the_bfs_at_the_minimal_tiling(monkeypatch
     region = build_double_rectangle(2, 3, 1, 2, 3)
     assert list(stats.rank_table(region)) == [stats.minimal_tiling(region)]
     assert not verify._rank_case(region)["ok"]
-    result = CliRunner().invoke(main, ["verify", "rank", "--max", "20"])
+    result = run("verify", "rank", "--max", "20")
     assert result.exit_code == 1
     cases = json.loads(result.output)["cases"]
     assert cases and not any(c["ok"] for c in cases)
