@@ -32,8 +32,8 @@ pieces, each row cleared of its denominators
 (``matchgraph.region_matching_sum``).  The determinant is exact:
 fraction-free Bareiss elimination over int.
 
-The q-weighted column sweep, with its column fill on integer cell masks,
-lives with ``stats.tq_sum``.
+The q-weighted frontier sweep, which places one cell at a time with
+per-piece rank weights, lives with ``stats.tq_sum``.
 """
 
 from __future__ import annotations

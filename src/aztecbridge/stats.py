@@ -9,34 +9,33 @@ area; tests check both).  Rank is the flip distance from the minimal tiling,
 where a flip rotates a 2x2 block of two parallel dominoes.  This module
 computes it two ways: by breadth-first search over flips, and as a linear
 function of the horizontal dominoes through the height deficit
-(``linear_ranks``), which also weights the q-sweep of ``tq_sum``; the third
-way, by path area on a double rectangle, is ``paths.area_ranks``.  All three
-run on a tiling's int mask over ``Lattice.pairs``, the one tiling format,
-and ``minimal_tiling`` returns one.  The two mask ranks take a batch of
-masks in one call and give the ranks lazily, so a caller checks each mask
-in one pass: the flip BFS lists masks and decodes none.  The sweep keeps a
-profile mask on a line only when it is live: a domino that crosses the line
-covers the same row on both sides of it, so the masks that can still end in
-the empty profile are those that the same sweep, run over the columns from
-the right, reaches.
+(``linear_ranks``); the third way, by path area on a double rectangle, is
+``paths.area_ranks``.  All three run on a tiling's int mask over
+``Lattice.pairs``, the one tiling format, and ``minimal_tiling`` returns
+one.  The two mask ranks take a batch of masks in one call and give the
+ranks lazily, so a caller checks each mask in one pass: the flip BFS lists
+masks and decodes none.  The deficit, gauged to a weight of at least 0 per
+piece (``rank_weights``), drives ``tq_sum``: a frontier sweep of the (t, q)
+sum that places one cell at a time.
 
 The height functions run on the region's cell numbering (``Region.lattice``):
 a lattice point is numbered by its position on the region's padded grid, so
 the grid edges and the minimal heights are lists indexed by vertex, and a
 grid edge carries the mask bit of the domino that crosses it.  The grid
-edges, the minimal heights, the column masks, the line weights and the
-deficit planes are derived once per region (``regions.derived``) by the
-functions of this module that compute them, and so are the two public
-tables: ``minimal_tiling`` and ``rank_table`` are derived functions
-themselves, each the one place its table is computed and kept.
-The exponential computations have budgets, checked before they start:
-``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an enumeration may
-list, through the determinant count, and ``MAX_SWEEP_COLUMN`` bounds the
-sweep's columns.
+edges, the minimal heights, the column masks, the line weights, the deficit
+planes, the rank weights and the cell orders are derived once per region
+(``regions.derived``) by the functions of this module that compute them,
+and so are the two public tables: ``minimal_tiling`` and ``rank_table`` are
+derived functions themselves, each the one place its table is computed and
+kept.  The exponential computations have budgets, checked before they
+start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an
+enumeration may list, through the determinant count, and
+``MAX_SWEEP_COST`` bounds the sweep's states times its cells cubed.
 """
 
 from __future__ import annotations
 
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -288,17 +287,6 @@ def _deficit_ranks(masks: Iterable[int], const: int, weighted: tuple) -> Iterato
         yield total // 4
 
 
-# -- bivariate generating function --------------------------------------------
-
-#: Tallest column, in cells, that the q-weighted sweep accepts.  The number of
-#: live profile masks on a line, and with it the sweep's time and memory,
-#: grows with the column height: ad:9, with columns of 18 cells, takes about
-#: 3 s and 160 MB on a 2-vCPU host, and each further diamond order costs
-#: several times more of both.  Every double rectangle of at most 104 cells
-#: has columns of at most 17 cells.
-MAX_SWEEP_COLUMN = 18
-
-
 @derived
 def _column_masks(region: Region) -> list[int]:
     """Bit y of entry x is set when cell (x, y) is in the region; derived once per region."""
@@ -306,61 +294,6 @@ def _column_masks(region: Region) -> list[int]:
     for x, y in region.cells:
         masks[x] |= 1 << y
     return masks
-
-
-def require_sweep_budget(region: Region) -> None:
-    """Raise CapacityError if a column is taller than ``MAX_SWEEP_COLUMN``."""
-    tallest = max(mask.bit_count() for mask in _column_masks(region))
-    if tallest > MAX_SWEEP_COLUMN:
-        raise CapacityError(
-            f"{region.spec_string()} has a column of {tallest} cells; "
-            f"the q-weighted sweep is bounded at {MAX_SWEEP_COLUMN}"
-        )
-
-
-def _fill_column(free: int, there: int, memo: dict[int, list[int]]) -> list[int]:
-    """Outgoing masks of every way to cover the cells of the mask ``free``.
-
-    ``free`` holds the column's cells that no incoming domino covers, and
-    ``there`` the cells of the next column.  The lowest free cell takes a
-    vertical domino with the cell above it or a horizontal one into the
-    next column.  The rest depends only on the cells still free, so the
-    answers are kept in ``memo``, one per column, and shared between the
-    incoming masks.  Every free cell not in the outgoing mask is half of a
-    vertical domino, so the outgoing mask fixes the vertical count.
-    """
-    if not free:
-        return [0]
-    outs = memo.get(free)
-    if outs is None:
-        low = free & -free
-        outs = []
-        if free & low << 1:
-            outs += _fill_column(free ^ low ^ low << 1, there, memo)
-        if there & low:
-            outs += [out | low for out in _fill_column(free ^ low, there, memo)]
-        memo[free] = outs
-    return outs
-
-
-def _reach(masks: list[int]) -> list[set[int]]:
-    """Per line, the profile masks the empty profile reaches, sweeping ``masks`` in order.
-
-    Entry x holds the rows in which a domino of some partial tiling of the
-    first x columns crosses into column x, so entry 0 is the empty profile.
-    A domino that crosses a line covers the same row on both sides of it, so
-    the sweep over the reversed columns reaches, on each line, exactly the
-    masks that can still end in the empty profile on the right: liveness is
-    ``_reach(masks[::-1])[::-1]``.  Each column has its own ``_fill_column``
-    memo, and no move is kept.
-    """
-    reach = [{0}]
-    for here, there in zip(masks, masks[1:] + [0]):
-        memo: dict[int, list[int]] = {}
-        reach.append(
-            {out for incoming in reach[-1] for out in _fill_column(here & ~incoming, there, memo)}
-        )
-    return reach
 
 
 @derived
@@ -449,85 +382,151 @@ def _deficit_planes(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
     return const, tuple(sorted(planes.items()))
 
 
-def _deficit(line: tuple[int, tuple[int, ...]], mask: int) -> int:
-    """Height deficit summed over a line whose crossings are the mask's bits."""
-    deficit, w = line
-    while mask:
-        low = mask & -mask
-        deficit += w[low.bit_length() - 1]
-        mask ^= low
-    if deficit < 0 or deficit % 4:
-        raise InvariantError(f"height deficit {deficit} is not a non-negative multiple of 4")
-    return deficit
+@derived
+def rank_weights(region: Region) -> tuple[int, ...]:
+    """Per piece of ``Lattice.pairs``, a weight c_k >= 0, 0 on the minimal tiling t0.
+
+    The rank is C / 4 plus a_k = w / 4 per piece (``_deficit_masks``), and
+    a_k + d(white) - d(black) changes every tiling by one constant.  d is
+    the dual of the minimum-weight matching (Kuhn 1955): Bellman-Ford on
+    t0's residual graph (arcs black -> white of cost -a_k on t0's pieces,
+    white -> black of cost a_k on the rest), then each black cell takes its
+    t0 partner's d plus their a_k.  So c_k = 0 on t0, and c_k >= 0 on the
+    rest; as t0 has rank 0, a tiling's rank is the sum of its c_k.  A
+    negative cycle, a negative c_k or a nonzero c_k on t0 is InvariantError.
+    """
+    lat = region.lattice
+    weighted = _deficit_masks(region)[1]
+    a = [next((w // 4 for w, m in weighted if m >> k & 1), 0) for k in range(len(lat.pairs))]
+    t0 = minimal_tiling(region)
+    white = set(lat.white)
+    pieces = [(i, j) if i in white else (j, i) for i, j in lat.pairs]  # (white, black)
+    arcs = [(b, w, -a[k]) if t0 >> k & 1 else (w, b, a[k]) for k, (w, b) in enumerate(pieces)]
+    d = [0] * len(lat.cells)
+    for _ in range(len(d) + 1):
+        changed = False
+        for u, v, cost in arcs:
+            if d[u] + cost < d[v]:
+                d[v], changed = d[u] + cost, True
+        if not changed:
+            break
+    else:
+        raise InvariantError(f"{region.spec_string()}: t0's residual graph has a negative cycle")
+    for k, (w, b) in enumerate(pieces):
+        if t0 >> k & 1:
+            d[b] = d[w] + a[k]
+    weights = tuple(a[k] + d[w] - d[b] for k, (w, b) in enumerate(pieces))
+    if min(weights, default=0) < 0 or any(c for k, c in enumerate(weights) if t0 >> k & 1):
+        raise InvariantError(f"{region.spec_string()}: a rank weight is negative or off t0")
+    return weights
+
+
+# -- bivariate generating function --------------------------------------------
+
+#: Cell orders for the sweep: cells sorted by (a x + b y, c x + d y) for each
+#: ((a, b), (c, d)), that is by columns, by rows and along both diagonals.
+_ORDERS = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 0)), ((1, -1), (1, 0)))
+
+
+@derived
+def _cell_orders(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(width, place) per order of ``_ORDERS``, cell id i at step place[i], narrowest first.
+
+    No piece spans more steps than the width; orders of equal width keep
+    the order of ``_ORDERS``.  Derived once per region.
+    """
+    lat = region.lattice
+    out = []
+    for (a, b), (c, d) in _ORDERS:
+        keys = [(a * x + b * y, c * x + d * y) for x, y in lat.cells]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        place = tuple(sorted(range(len(keys)), key=order.__getitem__))  # the inverse of order
+        out.append((max((abs(place[i] - place[j]) for i, j in lat.pairs), default=0), place))
+    return tuple(sorted(out, key=lambda order: order[0]))
+
+
+#: Most work the sweep may take on, C(w, w // 2) * N**3 for N cells at width
+#: w: a state's bits lie among the w cells ahead, with a fixed surplus of
+#: black over white (each piece has one of each), so C(w, w // 2) bounds the
+#: states, and N stands for the vertical counts, the largest rank and the
+#: slot width of a state's packed ints.  Fresh process, 2-vCPU host: ad:10
+#: (cost 4.9e9) 0.4 s and 41 MB, ad:11 (1.7e10) 1.2 s and 100 MB, ad:12
+#: (5.2e10) 4.1 s and 300 MB.  Double rectangles of <= 200 cells: <= 1.4e10.
+MAX_SWEEP_COST = 2 * 10**10
+
+
+def require_frontier_budget(region: Region) -> None:
+    """Raise CapacityError if the sweep costs more than ``MAX_SWEEP_COST``; takes no determinant."""
+    width = _cell_orders(region)[0][0]
+    cost = comb(width, width // 2) * len(region.cells) ** 3
+    if cost > MAX_SWEEP_COST:
+        budget = f"over the budget of {MAX_SWEEP_COST:.0e}"
+        raise CapacityError(f"{region.spec_string()}: sweep cost {cost:.2e} is {budget}")
+
+
+def _sweep(region: Region, place: tuple[int, ...], bits: int) -> dict[int, int]:
+    """Per vertical count, the tilings' q-count packed in slots of ``bits`` bits.
+
+    Before step p the state is the mask of the later cells that earlier
+    pieces cover, shifted so that the cell of step p is bit 0.  A free cell
+    takes each piece to a later free cell q: set bit q - p, add 1 to the
+    vertical count if it is vertical, and shift the packed count left by its
+    rank weight times ``bits`` (never negative).  A state fixes its partial
+    tilings' futures, so one that cannot finish merges with none that can,
+    and a slot of the result, which counts tilings, cannot overflow.
+    """
+    lat = region.lattice
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in place]
+    for (i, j), c in zip(lat.pairs, rank_weights(region)):
+        lo, hi = sorted((place[i], place[j]))
+        moves[lo].append((1 << hi - lo, lat.cells[i][0] == lat.cells[j][0], c * bits))
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for here in moves:
+        nxt: dict[int, dict[int, int]] = {}
+        for state, terms in states.items():
+            if state & 1:  # covered: one successor, which may take the map itself
+                sink = nxt.setdefault(state >> 1, terms)
+                if sink is not terms:
+                    for vt, packed in terms.items():
+                        sink[vt] = sink.get(vt, 0) + packed
+                continue
+            for bit, vertical, shift in here:
+                if state & bit:
+                    continue
+                key = (state | bit) >> 1
+                sink = nxt.get(key)
+                if sink is None:
+                    nxt[key] = {vt + vertical: packed << shift for vt, packed in terms.items()}
+                else:
+                    for vt, packed in terms.items():
+                        sink[vt + vertical] = sink.get(vt + vertical, 0) + (packed << shift)
+        states = nxt
+    return states.get(0, {})
 
 
 def tq_sum(region: Region) -> LaurentPoly2:
-    """Sum of t^(vertical/2) q^rank over all tilings, by a q-weighted column sweep.
+    """Sum of t^(vertical/2) q^rank over all tilings, by a frontier sweep (``_sweep``).
 
-    Rank is the height deficit below the minimal tiling summed over all
-    vertices, divided by 4 (Thurston 1990; Elkies-Kuperberg-Larsen-Propp
-    1992): the minimal tiling has the pointwise largest height function and
-    every flip moves one vertex by 4.  The deficit on the vertical line x is
-    linear in the profile mask entering column x, with weights derived once
-    per region (``_line_weights``), so a column-profile sweep carries,
-    per mask, a map from the vertical dominoes so far to a q-packed count:
-    the number of partial tilings of rank r sits in bits [r * W, (r + 1) * W)
-    with W the bit length of the tiling count.  A line's deficit is then one
-    shift, and a move one add per vertical count.  No tiling is listed and
-    no flip is made.
-
-    The packing is safe because every state is both reachable and live.
-    The sweep reaches each of its masks from the left, and it drops every
-    outgoing mask that the same sweep, run over the columns from the right
-    (``_reach``), does not reach: such a partial tiling cannot end in the
-    empty profile, and it may rise above the minimal tiling's heights,
-    which the deficit check rejects.  Distinct live partial tilings extend
-    to distinct tilings, so no slot ever exceeds the tiling count.  A slot
-    that did overflow would carry into the next and lower the coefficient
-    sum, which is checked against the determinant count, as is the q^0 part
-    (the minimal tiling alone).  A region with a column taller than
-    ``MAX_SWEEP_COLUMN`` raises CapacityError before any column is filled.
+    The rank is the sum of the pieces' ``rank_weights``; the cells are swept
+    in the narrowest order of ``_ORDERS``, and the count of rank r sits in
+    bits [r W, (r + 1) W), W the determinant count's bit length.  Guards:
+    the coefficients sum to that count (an overflowing slot would carry and
+    lower the sum), and q^0 is the minimal tiling alone.  A region over
+    ``MAX_SWEEP_COST`` raises CapacityError before the determinant.
     """
-    require_sweep_budget(region)
-    t0 = minimal_tiling(region)
+    require_frontier_budget(region)
     count = abs(_unit_det(region))
-    width = count.bit_length()
-    lines = _line_weights(region)
-    masks = _column_masks(region)
-    live = _reach(masks[::-1])[::-1]
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for line, here, there, ahead in zip(lines, masks, masks[1:] + [0], live[1:]):
-        memo: dict[int, list[int]] = {}
-        nxt: dict[int, dict[int, int]] = {}
-        for incoming, terms in states.items():
-            shift = _deficit(line, incoming) // 4 * width
-            shifted = [(vt, packed << shift) for vt, packed in terms.items()]
-            free = here & ~incoming
-            for outgoing in _fill_column(free, there, memo):
-                if outgoing not in ahead:
-                    continue
-                nv = (free.bit_count() - outgoing.bit_count()) // 2
-                sink = nxt.setdefault(outgoing, {})
-                for vt, packed in shifted:
-                    sink[vt + nv] = sink.get(vt + nv, 0) + packed
-        states = nxt
-    shift = _deficit(lines[-1], 0) // 4 * width
-    slot = (1 << width) - 1
+    bits = count.bit_length()
+    slot = (1 << bits) - 1
     terms = {}
-    for vt, packed in states.get(0, {}).items():
-        packed <<= shift
-        r = 0
-        while packed:
-            if packed & slot:
-                terms[(vt, 2 * r)] = packed & slot
-            packed >>= width
-            r += 1
+    for vt, packed in _sweep(region, _cell_orders(region)[0][1], bits).items():
+        for r in range(-(-packed.bit_length() // bits)):
+            if c := packed >> r * bits & slot:
+                terms[(vt, 2 * r)] = c
     if sum(terms.values()) != count:
-        raise InvariantError(
-            f"q coefficients sum to {sum(terms.values())}, not the {count} tilings"
-        )
+        raise InvariantError(f"q coefficients sum to {sum(terms.values())}, not {count}")
     ground = sorted((key, c) for key, c in terms.items() if key[1] == 0)
-    vertical = (t0 & sum(region.lattice.grid.north)).bit_count()
+    vertical = (minimal_tiling(region) & sum(region.lattice.grid.north)).bit_count()
     if ground != [((vertical, 0), 1)]:
         raise InvariantError(f"q^0 part {ground} is not the minimal tiling alone")
     return LaurentPoly2._of(terms)

@@ -53,7 +53,7 @@ from .regions import (
     build_double_rectangle,
     build_hexagon,
 )
-from .stats import linear_ranks, rank_table, require_listing_budget, require_sweep_budget, tq_sum
+from .stats import linear_ranks, rank_table, require_frontier_budget, require_listing_budget, tq_sum
 
 #: Seed of the randomized suites when --seed is not given.
 DEFAULT_SEED = 20240
@@ -156,7 +156,7 @@ def suite_aztec(bound: int = 6) -> list[dict]:
     regions = []
     for n in range(1, bound + 1):  # fail before the first sweep, not after the last
         regions.append(build_aztec_diamond(n))
-        require_sweep_budget(regions[-1])
+        require_frontier_budget(regions[-1])
     cases = []
     for n, region in enumerate(regions, 1):
         ok = count_tilings(region) == aztec_count(n)
@@ -169,7 +169,7 @@ def suite_main(bound: int | None = None) -> list[dict]:
     """SUITE_TUPLES, or every double rectangle of at most bound cells."""
     tuples = suite_tuples(bound)
     for tup in tuples:  # fail before the first sweep, not after the last
-        require_sweep_budget(build_double_rectangle(*tup))
+        require_frontier_budget(build_double_rectangle(*tup))
     cases = []
     for tup in tuples:
         # built again rather than kept, so one region's tables are alive at a time

@@ -469,21 +469,21 @@ def test_a_negative_tiling_index_needs_no_double_dash(tmp_path):
 
 
 def test_sweep_budget_exits_two_before_any_sweep(monkeypatch):
-    def no_fill(*args):
-        raise AssertionError("filled a column before checking the budget")
+    def no_sweep(*args):
+        raise AssertionError("swept before checking the budget")
 
-    monkeypatch.setattr(stats, "_fill_column", no_fill)
-    # dr:4,5,5,5,6, the first tuple over the budget at 120 cells, has a column of 19
+    monkeypatch.setattr(stats, "_sweep", no_sweep)
+    # dr:1,2,0,11,12, the 77th tuple of at most 300 cells, is the first over the budget
     for args in (
-        ("genfun", "ad:11"),
-        ("verify", "aztec", "--max", "11"),
-        ("verify", "main", "--max", "120"),
+        ("genfun", "ad:12"),
+        ("verify", "aztec", "--max", "12"),
+        ("verify", "main", "--max", "300"),
     ):
         start = time.perf_counter()
         result = run(*args)
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
-        assert "the q-weighted sweep is bounded at" in result.output
+        assert "sweep cost" in result.output and "over the budget" in result.output
 
 
 def test_listing_budget_exits_two_before_any_listing(monkeypatch):

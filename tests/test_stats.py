@@ -3,6 +3,7 @@
 import re
 from bisect import bisect_left, insort
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +30,8 @@ from aztecbridge.stats import (
     linear_ranks,
     minimal_tiling,
     rank_table,
-    require_sweep_budget,
+    rank_weights,
+    require_frontier_budget,
     tq_sum,
 )
 from aztecbridge.verify import small_double_rectangles, suite_rank
@@ -427,10 +429,56 @@ def _old_line_q2(region, h0, x, mask):
     return deficit // 2
 
 
+def _fill_column(free, there, memo):
+    """Outgoing masks of every way to cover the cells of the column mask ``free``.
+
+    ``there`` holds the cells of the next column.  The lowest free cell
+    takes a vertical domino with the cell above it or a horizontal one into
+    the next column; ``memo`` keeps the answers of one column.
+    """
+    if not free:
+        return [0]
+    outs = memo.get(free)
+    if outs is None:
+        low = free & -free
+        outs = []
+        if free & low << 1:
+            outs += _fill_column(free ^ low ^ low << 1, there, memo)
+        if there & low:
+            outs += [out | low for out in _fill_column(free ^ low, there, memo)]
+        memo[free] = outs
+    return outs
+
+
+def _reach(masks):
+    """Per line, the profile masks the empty profile reaches, sweeping column ``masks`` in order.
+
+    Entry x holds the rows in which a domino of some partial tiling of the
+    first x columns crosses into column x: the states of a column sweep.
+    """
+    reach = [{0}]
+    for here, there in zip(masks, masks[1:] + [0]):
+        memo = {}
+        reach.append(
+            {out for incoming in reach[-1] for out in _fill_column(here & ~incoming, there, memo)}
+        )
+    return reach
+
+
 def _live_profiles(region):
-    """Per line, the masks the sweep reaches from the left that are live from the right."""
+    """Per line, the masks the column sweep reaches from the left that are live from the right."""
     masks = stats._column_masks(region)
-    return [a & b for a, b in zip(stats._reach(masks), stats._reach(masks[::-1])[::-1])]
+    return [a & b for a, b in zip(_reach(masks), _reach(masks[::-1])[::-1])]
+
+
+def _line_deficit(line, mask):
+    """Height deficit summed over a line whose crossings are the mask's bits."""
+    deficit, w = line
+    for y, wy in enumerate(w):
+        if mask >> y & 1:
+            deficit += wy
+    assert deficit >= 0 and deficit % 4 == 0
+    return deficit
 
 
 def test_the_reach_from_both_sides_is_the_set_of_crossing_masks_of_the_tilings():
@@ -461,7 +509,7 @@ def test_line_weights_equal_the_height_walk_on_every_live_mask():
         assert len(lines) == len(live)
         for x, masks in enumerate(live):
             for mask in masks:
-                q2 = stats._deficit(lines[x], mask) // 2
+                q2 = _line_deficit(lines[x], mask) // 2
                 assert q2 == _old_line_q2(region, h0, x, mask), (region.spec_string(), x, mask)
                 checked += 1
     assert checked > 10_000
@@ -477,30 +525,25 @@ def test_a_too_narrow_packing_trips_the_coefficient_sum_guard(monkeypatch):
 
 def test_a_shifted_rank_trips_the_ground_guard(monkeypatch):
     region = build_double_rectangle(1, 2, 0, 1, 2)
-    (const, w), *rest = stats._line_weights(region)
-    shifted = ((const + 4, w), *rest)  # every rank + 1
-    monkeypatch.setattr(stats, "_line_weights", lambda r: shifted)
+    shifted = tuple(c + 1 for c in rank_weights(region))  # every rank + 7, one per domino
+    monkeypatch.setattr(stats, "rank_weights", lambda r: shifted)
     with pytest.raises(InvariantError, match=r"q\^0 part"):
         tq_sum(region)
 
 
-def test_the_deficit_guard_rejects_a_negative_or_fractional_deficit():
-    for line in ((-4, (0, 0)), (2, (0, 0)), (0, (-4, 0))):
-        with pytest.raises(InvariantError, match="height deficit"):
-            stats._deficit(line, 1)
+def test_frontier_budget_admits_ad11_and_the_checked_tuples_and_rejects_ad12(monkeypatch):
+    require_frontier_budget(build_aztec_diamond(11))
+    for tup in small_double_rectangles(120):
+        require_frontier_budget(build_double_rectangle(*tup))
 
+    def no_work(*args):
+        raise AssertionError("took a determinant or swept over the budget")
 
-def test_sweep_budget_admits_the_checked_regions_and_rejects_ad11(monkeypatch):
-    require_sweep_budget(build_aztec_diamond(9))
-    for tup in small_double_rectangles(104):
-        require_sweep_budget(build_double_rectangle(*tup))
-
-    def no_fill(*args):
-        raise AssertionError("filled a column over the budget")
-
-    monkeypatch.setattr(stats, "_fill_column", no_fill)
-    with pytest.raises(CapacityError, match="22 cells"):
-        tq_sum(build_aztec_diamond(11))
+    monkeypatch.setattr(stats, "_sweep", no_work)
+    monkeypatch.setattr(engine._unit_det, "__wrapped__", no_work)
+    monkeypatch.setattr(stats.rank_weights, "__wrapped__", no_work)
+    with pytest.raises(CapacityError, match="over the budget"):
+        tq_sum(build_aztec_diamond(12))
 
 
 def _four_connected(cells):
@@ -720,3 +763,94 @@ def test_the_column_masks_are_derived_once_per_sweep(monkeypatch):
     assert tq_sum(region) == main_genfun(2, 3, 1, 2, 3)
     assert calls == [region]
     assert stats._column_masks(region) is stats._column_masks(region)
+
+
+def test_rank_weights_are_non_negative_zero_on_the_minimal_tiling_and_sum_to_the_rank():
+    checked = 0
+    for region in _rank_suite_regions():
+        weights = rank_weights(region)
+        t0 = minimal_tiling(region)
+        assert len(weights) == len(region.lattice.pairs), region.spec_string()
+        assert min(weights) >= 0, region.spec_string()
+        assert not any(c for k, c in enumerate(weights) if t0 >> k & 1), region.spec_string()
+        by_weight = {}
+        for k, c in enumerate(weights):
+            by_weight[c] = by_weight.get(c, 0) | 1 << k
+        for mask, rank in rank_table(region).items():
+            assert sum(c * (mask & m).bit_count() for c, m in by_weight.items()) == rank
+            checked += 1
+    assert checked == 67_904
+
+
+def test_a_minimal_tiling_of_more_than_least_weight_trips_the_gauge(monkeypatch):
+    region = build_aztec_diamond(3)
+    table = rank_table(region)
+    highest = max(table, key=table.get)
+    monkeypatch.setattr(stats, "minimal_tiling", lambda r: highest)
+    with pytest.raises(InvariantError, match="negative cycle"):
+        rank_weights(region)
+
+
+def test_every_cell_order_covers_each_cell_once_and_gives_the_same_polynomial():
+    regions = [build_aztec_diamond(n) for n in range(1, 5)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(32)]
+    for region in regions:
+        slot = count_tilings(region).bit_length()
+        orders = stats._cell_orders(region)
+        assert len(orders) == 4
+        assert all(sorted(place) == list(range(len(region.cells))) for _, place in orders)
+        sweeps = [stats._sweep(region, place, slot) for _, place in orders]
+        assert sweeps[0] and all(sweep == sweeps[0] for sweep in sweeps), region.spec_string()
+
+
+def test_a_diamond_is_narrowest_along_a_diagonal():
+    for n in range(1, 8):
+        widths = [width for width, _ in stats._cell_orders(build_aztec_diamond(n))]
+        assert widths == [n + 1, n + 1, 2 * n, 2 * n]
+
+
+def test_the_sweep_equals_the_product_on_every_tuple_of_104_cells_and_on_ad1_to_ad10():
+    tuples = small_double_rectangles(104)
+    assert len(tuples) == 424
+    for tup in tuples:
+        assert tq_sum(build_double_rectangle(*tup)) == main_genfun(*tup), tup
+    for n in range(1, 11):
+        assert tq_sum(build_aztec_diamond(n)) == aztec_genfun(n), n
+
+
+def test_a_weight_off_by_one_changes_the_sum(monkeypatch):
+    region = build_double_rectangle(2, 3, 1, 2, 3)
+    t0 = minimal_tiling(region)
+    weights = list(rank_weights(region))
+    weights[next(k for k in range(len(weights)) if not t0 >> k & 1)] += 1
+    monkeypatch.setattr(stats, "rank_weights", lambda r: tuple(weights))
+    assert tq_sum(region) != main_genfun(2, 3, 1, 2, 3)
+
+
+def _peak_states(region, place):
+    """The most states the sweep over ``place`` holds after a step, by a states-only pass."""
+    ahead = [[] for _ in place]
+    for i, j in region.lattice.pairs:
+        lo, hi = sorted((place[i], place[j]))
+        ahead[lo].append(1 << hi - lo)
+    states, most = {0}, 1
+    for bits in ahead:
+        states = {
+            (state | bit) >> 1
+            for state in states
+            for bit in ([0] if state & 1 else bits)
+            if not state & bit
+        }
+        most = max(most, len(states))
+    return most
+
+
+def test_the_central_binomial_of_the_width_bounds_the_states_and_is_exact_on_diamonds():
+    for n in range(1, 9):
+        region = build_aztec_diamond(n)
+        width, place = stats._cell_orders(region)[0]
+        assert _peak_states(region, place) == comb(width, width // 2), n
+    for tup in small_double_rectangles(60):
+        region = build_double_rectangle(*tup)
+        for width, place in stats._cell_orders(region):
+            assert _peak_states(region, place) <= comb(width, width // 2), tup
