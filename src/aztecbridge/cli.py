@@ -27,18 +27,17 @@ Nothing is imported while a command runs.
 from __future__ import annotations
 
 import errno
-import itertools
 import json
 import os
 import sys
 
 from . import verify as suites
-from .engine import CapacityError, count_tilings, enumerate_tilings
+from .engine import CapacityError, count_tilings, require_index_budget, tiling_at
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling
-from .stats import minimal_tiling, require_listing_budget, tq_sum
+from .stats import minimal_tiling, tq_sum
 from .verify import DEFAULT_SEED, SUITES, compare_conventions
 
 
@@ -175,18 +174,22 @@ def rank(region_spec: str, out: str | None) -> None:
 
 
 def _pick_tiling(region: Region, which: str) -> int:
-    """The mask of the minimal tiling, or of the tiling at an index of the enumeration order."""
+    """The mask of the minimal tiling, or of the tiling at an index of the enumeration order.
+
+    The index is unranked from completion counts (``engine.tiling_at``), so
+    no tiling is listed.  Its budget is checked before the determinant
+    count, and the count bounds the index before any pass.
+    """
     if which == "minimal":
         return minimal_tiling(region)
     try:
         index = int(which)
     except ValueError:
         raise UsageError(f"tiling index must be an integer or 'minimal', got {which!r}")
-    # the determinant count bounds the index before any tiling is listed
+    require_index_budget(region)
     if not 0 <= index < count_tilings(region):
         raise UsageError(f"tiling index {index} out of range")
-    require_listing_budget(region, index + 1)
-    return next(itertools.islice(enumerate_tilings(region), index, None))
+    return tiling_at(region, index)
 
 
 def paths(region_spec: str, tiling: str, out: str | None) -> None:

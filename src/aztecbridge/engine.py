@@ -11,7 +11,12 @@ cells, lozenges on triangles) by branching on the lexicographically first
 uncovered vertex, which makes the emitted order canonical and reproducible.
 Each matching is an int mask over the sorted id pairs ``Lattice.pairs``.
 It is iterative: vertex i is bit i of one int of covered vertices, and an
-explicit stack keeps one frame per placed piece.
+explicit stack keeps one frame per placed piece.  The enumerator serves the
+tests as an oracle.  A tiling index needs no listing: ``tiling_at`` unranks
+it in the same order from completion counts, a transfer-matrix sweep over
+the ids that keeps, per step, the number of ways to finish each frontier
+state.  Both branch on one table (``_later_pieces``), so the two orders
+cannot drift apart.
 
 Counting is Kasteleyn's determinant (Kasteleyn 1961; Kenyon, "Lectures on
 dimers", 2009).  The matrix has a row per white cell (up-triangle) and a
@@ -38,6 +43,7 @@ per-piece rank weights, lives with ``stats.tq_sum``.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
 from .regions import Cell, InvariantError, Region, TriRegion, derived
@@ -91,13 +97,138 @@ def _matchings(choices: list) -> Iterator[int]:
         v, choice, covered, tiling = stack.pop()
 
 
+@derived
+def _later_pieces(region: Region | TriRegion) -> tuple:
+    """The branching order: per id i, (j, k) per piece k = (i, j) of ``Lattice.pairs`` with j > i.
+
+    ``Lattice.pairs`` is sorted, so each id's later neighbours come in
+    increasing j.  The enumerator and ``tiling_at`` both branch on this
+    table, so their orders are one.  Derived once per region.
+    """
+    later: list[list] = [[] for _ in region.lattice.cells]
+    for k, (i, j) in enumerate(region.lattice.pairs):
+        later[i].append((j, k))
+    return tuple(map(tuple, later))
+
+
 def enumerate_tilings(region: Region | TriRegion) -> Iterator[int]:
     """Yield every tiling exactly once, in canonical order, as a mask over ``Lattice.pairs``."""
-    lat = region.lattice
-    choices: list[list] = [[] for _ in lat.cells]
-    for k, (i, j) in enumerate(lat.pairs):  # sorted, so each vertex has its j increasing
-        choices[i].append((1 << i | 1 << j, 1 << k))
+    choices = [
+        [(1 << i | 1 << j, 1 << k) for j, k in here] for i, here in enumerate(_later_pieces(region))
+    ]
     yield from _matchings(choices)
+
+
+def state_bound(width: int) -> int:
+    """C(w, w // 2): a bound on the states of a cell-by-cell sweep at width w.
+
+    A state's bits lie among the w cells ahead, with a fixed surplus of
+    black over white (each piece has one cell of each), so at most
+    C(w, w // 2) states share a step.  The index budget (``MAX_INDEX_COST``)
+    and the (t, q) sweep's (``stats.MAX_SWEEP_COST``) both read it.
+    """
+    return comb(width, width // 2)
+
+
+#: Most work ``tiling_at`` may take on, ``state_bound(w)`` times the cells,
+#: w the largest j - i over ``Lattice.pairs``: a bound on the states its
+#: passes keep, a set or a dict per step.  One index, the whole command in a
+#: fresh process, 2-vCPU host: ad:9 (cost 8.8e6) 0.35 s and 64 MB peak RSS,
+#: dr:4,5,5,5,6 (1.1e7) 0.26 s and 48 MB; ad:10 (4.1e7) took 1.2 s and
+#: 226 MB, and is rejected.
+MAX_INDEX_COST = 2 * 10**7
+
+
+def require_index_budget(region: Region | TriRegion) -> None:
+    """Raise CapacityError if ``tiling_at`` costs over ``MAX_INDEX_COST``; takes no determinant."""
+    lat = region.lattice
+    width = max((j - i for i, j in lat.pairs), default=0)
+    cost = state_bound(width) * len(lat.cells)
+    if cost > MAX_INDEX_COST:
+        budget = f"over the budget of {MAX_INDEX_COST:.0e}"
+        raise CapacityError(f"{region.spec_string()}: tiling index cost {cost:.2e} is {budget}")
+
+
+@derived
+def _completions(region: Region | TriRegion) -> list[dict[int, int]]:
+    """Per step i, the number of ways to finish the tiling from each state that can, derived once.
+
+    The sweep runs over the ids in order, which is the enumerator's
+    branching order (``_later_pieces``).  Before step i the state is the
+    mask of the later ids that earlier pieces cover, shifted so that id i is
+    bit 0.  A covered id shifts; a free id takes a piece to each later free
+    neighbour j, setting bit j - i.  A forward pass collects the states each
+    step reaches, and a backward pass counts each one's completions, keeping
+    only states with some.  Entry 0 holds the tiling count, which must equal
+    the Kasteleyn count, or InvariantError is raised.
+    """
+    moves = [tuple(1 << j - i for j, _ in here) for i, here in enumerate(_later_pieces(region))]
+    layers = [{0}]
+    for here in moves:
+        nxt = set()
+        add = nxt.add
+        for state in layers[-1]:
+            if state & 1:
+                add(state >> 1)
+            else:
+                for bit in here:
+                    if not state & bit:
+                        add((state | bit) >> 1)
+        layers.append(nxt)
+    layers.pop()  # the last step's: no id is left to cover, so only state 0 finishes
+    counts = [{0: 1}]
+    for here in reversed(moves):
+        get = counts[-1].get
+        now = {}
+        for state in layers.pop():
+            if state & 1:
+                c = get(state >> 1, 0)
+            else:
+                c = 0
+                for bit in here:
+                    if not state & bit:
+                        c += get((state | bit) >> 1, 0)
+            if c:
+                now[state] = c
+        counts.append(now)
+    counts.reverse()
+    total, expected = counts[0].get(0, 0), abs(_unit_det(region))
+    if total != expected:
+        raise InvariantError(f"completion counts give {total} tilings, the determinant {expected}")
+    return counts
+
+
+def tiling_at(region: Region | TriRegion, index: int) -> int:
+    """The mask of the tiling at ``index`` in ``enumerate_tilings``'s order, listing none before it.
+
+    Walk the ids in order with the completion counts of ``_completions``: a
+    free id takes the first of its options, in the enumerator's order, whose
+    completions exceed what is left of the index, less the completions of
+    each option it skips.  A region over ``MAX_INDEX_COST`` raises
+    CapacityError before any determinant or pass; an index outside
+    [0, count) raises IndexError.
+    """
+    require_index_budget(region)
+    counts = _completions(region)
+    if not 0 <= index < counts[0].get(0, 0):
+        raise IndexError(f"tiling index {index} out of range")
+    state = mask = 0
+    for i, here in enumerate(_later_pieces(region)):
+        if state & 1:
+            state >>= 1
+            continue
+        after = counts[i + 1]
+        for j, k in here:
+            bit = 1 << j - i
+            if state & bit:
+                continue
+            c = after.get((state | bit) >> 1, 0)
+            if index < c:
+                state = (state | bit) >> 1
+                mask |= 1 << k
+                break
+            index -= c
+    return mask
 
 
 def count_tilings(region: Region | TriRegion) -> int:

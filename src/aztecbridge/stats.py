@@ -28,18 +28,18 @@ planes, the rank weights and the cell orders are derived once per region
 and so are the two public tables: ``minimal_tiling`` and ``rank_table`` are
 derived functions themselves, each the one place its table is computed and
 kept.  The exponential computations have budgets, checked before they
-start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS or an
-enumeration may list, through the determinant count, and
-``MAX_SWEEP_COST`` bounds the sweep's states times its cells cubed.
+start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS may list,
+through the determinant count, and ``MAX_SWEEP_COST`` bounds the sweep's
+states times its cells cubed.  A tiling index lists nothing: it is
+``engine.tiling_at``, under ``engine.MAX_INDEX_COST``.
 """
 
 from __future__ import annotations
 
-from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .engine import CapacityError, _unit_det, count_tilings
+from .engine import CapacityError, _unit_det, count_tilings, state_bound
 from .polyring import LaurentPoly2
 from .regions import ConstraintError, InvariantError, KindError, Region, derived, require_cover
 
@@ -176,13 +176,13 @@ def minimal_tiling(region: Region) -> int:
 # -- flips and rank ---------------------------------------------------------
 
 
-#: Most tilings of one region that may be listed, by the flip BFS or by
-#: enumeration.  Time and memory grow with the number listed: the 89,600
-#: tilings of dr:2,4,1,3,5, the most of any double rectangle of at most 60
-#: cells, take about 0.16 s to rank by flips (0.5 s with the rest of the
-#: ``verify rank`` case) and 0.3 s to enumerate on a 2-vCPU host, with a peak
-#: RSS of 28 MB for the flip BFS, and dr:3,5,1,3,5 has 2,007,040.  The
-#: determinant count is checked against it before anything is listed.
+#: Most tilings of one region that the flip BFS may list.  Time and memory
+#: grow with the number listed: the 89,600 tilings of dr:2,4,1,3,5, the most
+#: of any double rectangle of at most 60 cells, take about 0.16 s to rank by
+#: flips (0.5 s with the rest of the ``verify rank`` case) on a 2-vCPU host,
+#: with a peak RSS of 28 MB, and dr:3,5,1,3,5 has 2,007,040.  The
+#: determinant count is checked against it before anything is listed.  A
+#: tiling index is not bounded by it (``engine.tiling_at``).
 MAX_LISTED_TILINGS = 100_000
 
 
@@ -445,20 +445,18 @@ def _cell_orders(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(sorted(out, key=lambda order: order[0]))
 
 
-#: Most work the sweep may take on, C(w, w // 2) * N**3 for N cells at width
-#: w: a state's bits lie among the w cells ahead, with a fixed surplus of
-#: black over white (each piece has one of each), so C(w, w // 2) bounds the
-#: states, and N stands for the vertical counts, the largest rank and the
-#: slot width of a state's packed ints.  Fresh process, 2-vCPU host: ad:10
-#: (cost 4.9e9) 0.4 s and 41 MB, ad:11 (1.7e10) 1.2 s and 100 MB, ad:12
-#: (5.2e10) 4.1 s and 300 MB.  Double rectangles of <= 200 cells: <= 1.4e10.
+#: Most work the sweep may take on, ``engine.state_bound(w)`` * N**3 for N
+#: cells at width w: the state bound times N for each of the vertical
+#: counts, the largest rank and the slot width of a state's packed ints.
+#: Fresh process, 2-vCPU host: ad:10 (cost 4.9e9) 0.4 s and 41 MB, ad:11
+#: (1.7e10) 1.2 s and 100 MB, ad:12 (5.2e10) 4.1 s and 300 MB.  Double
+#: rectangles of <= 200 cells: <= 1.4e10.
 MAX_SWEEP_COST = 2 * 10**10
 
 
 def require_frontier_budget(region: Region) -> None:
     """Raise CapacityError if the sweep costs more than ``MAX_SWEEP_COST``; takes no determinant."""
-    width = _cell_orders(region)[0][0]
-    cost = comb(width, width // 2) * len(region.cells) ** 3
+    cost = state_bound(_cell_orders(region)[0][0]) * len(region.cells) ** 3
     if cost > MAX_SWEEP_COST:
         budget = f"over the budget of {MAX_SWEEP_COST:.0e}"
         raise CapacityError(f"{region.spec_string()}: sweep cost {cost:.2e} is {budget}")

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -441,10 +442,10 @@ def test_verify_seed_defaults_for_the_randomized_suites():
 
 
 def test_tiling_index_is_bounded_before_enumeration(monkeypatch):
-    def no_enumeration(region):
-        raise AssertionError("enumerated an out-of-range index")
+    def no_unranking(region, index):
+        raise AssertionError("unranked an out-of-range index")
 
-    monkeypatch.setattr(cli, "enumerate_tilings", no_enumeration)
+    monkeypatch.setattr(cli, "tiling_at", no_unranking)
     for index in ("-1", "640", "99999"):
         result = run("paths", "dr:2,3,1,2,3", "--", index)
         assert result.exit_code == 2
@@ -486,20 +487,51 @@ def test_sweep_budget_exits_two_before_any_sweep(monkeypatch):
         assert "sweep cost" in result.output and "over the budget" in result.output
 
 
-def test_listing_budget_exits_two_before_any_listing(monkeypatch):
+def test_listing_budget_exits_two_before_any_listing(monkeypatch, tmp_path):
     def no_listing(*args):
         raise AssertionError("listed tilings before checking the budget")
 
     monkeypatch.setattr(stats.rank_table, "__wrapped__", no_listing)
     monkeypatch.setattr(engine, "_matchings", no_listing)
-    # dr:1,6,1,3,8 has 150,528 tilings: every index from 100,000 on is over
+    start = time.perf_counter()
+    result = run("verify", "rank", "--max", "80")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert "over the budget of 100000" in result.output
+    # a tiling index lists nothing: dr:1,6,1,3,8 has 150,528 tilings, and
+    # indices past the listing budget give the enumerator's tilings
+    picks = (
+        ("paths", "dr:1,6,1,3,8", "100000", "--out", "{out}.json"),
+        ("render", "dr:1,6,1,3,8", "150527", "--out", "{out}.svg"),
+    )
+    for args in picks:
+        result = run(*(a.format(out=tmp_path / "unranked") for a in args))
+        assert result.exit_code == 0, result.output
+    monkeypatch.undo()
+
+    def listed(region, index):
+        return next(itertools.islice(engine.enumerate_tilings(region), index, None))
+
+    monkeypatch.setattr(cli, "tiling_at", listed)
+    for args in picks:
+        assert run(*(a.format(out=tmp_path / "listed") for a in args)).exit_code == 0
+    for suffix in (".json", ".svg"):
+        unranked = (tmp_path / "unranked").with_suffix(suffix).read_bytes()
+        assert unranked == (tmp_path / "listed").with_suffix(suffix).read_bytes()
+
+
+def test_index_budget_exits_two_before_any_determinant(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("took a determinant or a pass before checking the budget")
+
+    monkeypatch.setattr(engine._unit_det, "__wrapped__", no_work)
+    monkeypatch.setattr(engine._completions, "__wrapped__", no_work)
     for args in (
-        ("verify", "rank", "--max", "80"),
-        ("paths", "dr:1,6,1,3,8", "100000"),
-        ("render", "dr:1,6,1,3,8", "150527", "--out", os.devnull),
+        ("render", "ad:10", "0", "--out", os.devnull),
+        ("paths", "dr:5,8,3,6,9", "0"),
     ):
         start = time.perf_counter()
         result = run(*args)
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
-        assert "over the budget of 100000" in result.output
+        assert "tiling index cost" in result.output and "over the budget of 2e+07" in result.output

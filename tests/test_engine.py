@@ -1,18 +1,30 @@
 """Enumeration vs counting, on both lattices."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from test_kasteleyn import box_regions
 
-from aztecbridge.engine import count_tilings, enumerate_tilings, is_vertical
+from aztecbridge import engine
+from aztecbridge.engine import (
+    CapacityError,
+    count_tilings,
+    enumerate_tilings,
+    is_vertical,
+    require_index_budget,
+    tiling_at,
+)
 from aztecbridge.regions import (
+    InvariantError,
     build_aztec_diamond,
     build_double_rectangle,
     build_hexagon,
     parse_spec,
+    require_cover,
 )
+from aztecbridge.verify import small_double_rectangles
 
 
 def decode(region, mask):
@@ -129,3 +141,78 @@ def test_the_iterative_enumerator_keeps_the_recursive_order_on_hexagons():
         region = build_hexagon(*sides)
         listed = [decode(region, mask) for mask in enumerate_tilings(region)]
         assert listed == list(_recursive_matchings(_later(region))), sides
+
+
+def index_of(region, mask):
+    """The inverse of ``tiling_at``: the index of a tiling mask, from the same completion counts."""
+    counts = engine._completions(region)
+    state = index = 0
+    for i, here in enumerate(engine._later_pieces(region)):
+        if state & 1:
+            state >>= 1
+            continue
+        for j, k in here:
+            if state >> (j - i) & 1:
+                continue
+            nxt = (state | 1 << (j - i)) >> 1
+            if mask >> k & 1:
+                state = nxt
+                break
+            index += counts[i + 1].get(nxt, 0)
+        else:
+            raise ValueError(f"mask {mask} leaves cell id {i} bare")
+    return index
+
+
+def _unranking_regions():
+    yield from (build_aztec_diamond(n) for n in range(1, 5))
+    yield from (build_double_rectangle(*params) for params in small_double_rectangles(36))
+    yield from (build_hexagon(a, a, a) for a in (2, 3))
+
+
+def test_tiling_at_equals_the_enumerator_at_every_index():
+    for region in _unranking_regions():
+        listed = list(enumerate_tilings(region))
+        assert [tiling_at(region, i) for i in range(len(listed))] == listed, region.spec_string()
+        assert [index_of(region, mask) for mask in listed] == list(range(len(listed)))
+
+
+@pytest.mark.parametrize("spec", ["ad:9", "dr:4,5,5,5,6", "dr:1,6,1,3,8"])
+def test_unranking_inverts_past_the_listing_budget(spec):
+    region = parse_spec(spec)
+    total = count_tilings(region)
+    rng = random.Random(20240)
+    indices = [100_000, total - 1] + [rng.randrange(100_000, total) for _ in range(20)]
+    for index in indices:
+        mask = tiling_at(region, index)
+        require_cover(region, mask, AssertionError)
+        assert index_of(region, mask) == index
+
+
+def test_tiling_at_rejects_an_index_out_of_range():
+    region = parse_spec("dr:2,3,1,2,3")
+    for index in (-1, 640):
+        with pytest.raises(IndexError, match=f"tiling index {index} out of range"):
+            tiling_at(region, index)
+
+
+def test_index_budget_admits_ad9_and_dr45556_and_rejects_ad10():
+    for spec in ("ad:9", "dr:4,5,5,5,6", "hex:3,3,3"):
+        require_index_budget(parse_spec(spec))
+    for spec in ("ad:10", "dr:5,8,3,6,9"):
+        with pytest.raises(CapacityError, match="tiling index cost .* over the budget"):
+            require_index_budget(parse_spec(spec))
+
+
+def test_a_dropped_move_trips_the_determinant_guard(monkeypatch):
+    original = engine._later_pieces.__wrapped__
+
+    def dropped(region):
+        later = list(original(region))
+        later[0] = later[0][1:]  # id 0 loses its first piece
+        return tuple(later)
+
+    monkeypatch.setattr(engine._later_pieces, "__wrapped__", dropped)
+    guard = "completion counts give 48 tilings, the determinant 160"
+    with pytest.raises(InvariantError, match=guard):
+        tiling_at(parse_spec("dr:1,3,0,2,4"), 0)
