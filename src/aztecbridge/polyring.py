@@ -263,12 +263,5 @@ def _half_power(base: Fraction, root: Fraction | None, e2: int) -> Fraction:
     return 1 / (base ** (-e))
 
 
-def q_integer(n: int, step: int = 1) -> LaurentPoly2:
-    """The q-integer 1 + q^step + ... + q^((n-1)*step)."""
-    if n < 1:
-        raise ValueError("q_integer requires n >= 1")
-    return LaurentPoly2({(0, 2 * i * step): 1 for i in range(n)})
-
-
 def one() -> LaurentPoly2:
     return LaurentPoly2.const(1)

@@ -7,25 +7,23 @@ diamond come out all-horizontal is the minimal tiling (for the glued double
 rectangle it reproduces the vertical-core decomposition and minimizes path
 area; tests check both).  Rank is the flip distance from the minimal tiling,
 where a flip rotates a 2x2 block of two parallel dominoes.  This module
-computes it two ways: by breadth-first search over flips, and as a linear
-function of the horizontal dominoes through the height deficit
-(``linear_ranks``); the third way, by path area on a double rectangle, is
-``paths.area_ranks``.  All three run on a tiling's int mask over
-``Lattice.pairs``, the one tiling format, and ``minimal_tiling`` returns
-one.  The two mask ranks take a batch of masks in one call and give the
+computes it two ways: by breadth-first search over flips, and as the sum
+of its pieces' rank weights (``linear_ranks``), a weight of at least 0 per
+piece and 0 on the minimal tiling (``rank_weights``); the third way, by
+path area on a double rectangle, is ``paths.area_ranks``.  All three run
+on a tiling's int mask over ``Lattice.pairs``, the one tiling format, and
+``minimal_tiling`` returns one.  The two mask ranks take a batch of masks in one call and give the
 ranks lazily, so a caller checks each mask in one pass: the flip BFS lists
-masks and decodes none.  The deficit, gauged to a weight of at least 0 per
-piece (``rank_weights``), drives ``tq_sum``: a frontier sweep of the (t, q)
-sum that places one cell at a time.
+masks and decodes none.  The same weights drive ``tq_sum``: a frontier
+sweep of the (t, q) sum that places one cell at a time.
 
 The height functions run on the region's cell numbering (``Region.lattice``):
 a lattice point is numbered by its position on the region's padded grid, so
 the grid edges and the minimal heights are lists indexed by vertex, and a
 grid edge carries the mask bit of the domino that crosses it.  The grid
-edges, the minimal heights, the column masks, the line weights, the deficit
-planes, the rank weights and the cell orders are derived once per region
-(``regions.derived``) by the functions of this module that compute them,
-and so are the two public tables: ``minimal_tiling`` and ``rank_table`` are
+edges, the minimal heights, the rank weights, their bit planes and the
+cell orders are derived once per region (``regions.derived``) by the
+functions of this module that compute them, and so are the two public tables: ``minimal_tiling`` and ``rank_table`` are
 derived functions themselves, each the one place its table is computed and
 kept.  The exponential computations have budgets, checked before they
 start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS may list,
@@ -263,132 +261,69 @@ def rank_table(region: Region) -> Mapping[int, int]:
 
 
 def linear_ranks(region: Region, masks: Iterable[int]) -> Iterator[int]:
-    """Rank of each tiling mask as a linear function of its horizontal dominoes.
+    """Rank of each tiling mask as the sum of its pieces' ``rank_weights``.
 
     The ranks come lazily, in the order of ``masks``, so a caller can check
-    each mask in the same pass as its other statistics.  The total height
-    deficit below the minimal tiling is the sum of the line constants C_x
-    plus w_x[y] for each horizontal domino crossing line x at row y (see
-    ``_line_weights``); rank is that total divided by 4.  It is read by bit
-    planes of the weights (``_deficit_planes``), about five popcounts a
-    mask rather than one per distinct weight.
+    each mask in the same pass as its other statistics.  The weights are
+    read by bit planes (``_rank_planes``): a rank is the sum of 2^b times
+    the mask's pieces in plane b.
     """
-    return _deficit_ranks(masks, *_deficit_planes(region))
-
-
-def _deficit_ranks(masks: Iterable[int], const: int, weighted: tuple) -> Iterator[int]:
-    """The rank of each mask from the height deficit C + sum of w * |mask & M_w|."""
+    planes = _rank_planes(region)
     for mask in masks:
-        total = const
-        for w, dominoes in weighted:
-            total += w * (mask & dominoes).bit_count()
-        if total < 0 or total % 4:
-            raise InvariantError(f"height deficit {total} is not a non-negative multiple of 4")
-        yield total // 4
+        rank = 0
+        for weight, plane in planes:
+            rank += weight * (mask & plane).bit_count()
+        yield rank
 
 
 @derived
-def _column_masks(region: Region) -> list[int]:
-    """Bit y of entry x is set when cell (x, y) is in the region; derived once per region."""
-    masks = [0] * (max(c.x for c in region.cells) + 1)
-    for x, y in region.cells:
-        masks[x] |= 1 << y
-    return masks
-
-
-@derived
-def _line_weights(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(C_x, w_x) for every vertical grid line x, left boundary to right.
-
-    Line x runs between columns x - 1 and x.  Its edges form runs, and each
-    run starts at a boundary vertex, whose height is the same in every
-    tiling.  Going up an edge raises the height by ``step`` (+1 with a white
-    cell on its left, else -1), or lowers it by 3 * step when a horizontal
-    domino crosses the edge: 4 * step less than the walk with no crossing.
-    So the height deficit below the minimal tiling, summed over the line's
-    vertices, is C_x plus w_x[y] for each crossing at row y, with
-    w_x[y] = 4 * step times the number of vertices above y in its run and
-    C_x the deficit of the walk with no crossing.
-    """
-    h0 = _extreme_heights(region)  # only its differences are read
-    grid = region.lattice.grid
-    x0, y0 = grid.origin
-    masks = [0] + _column_masks(region) + [0]
-    rows = max(c.y for c in region.cells) + 1
-    lines = []
-    for x in range(len(masks) - 1):
-        edges = masks[x] | masks[x + 1]  # line x borders columns x - 1 and x
-        vertex = (x - x0) * grid.stride - y0  # of point (x, y) is vertex + y
-        const, w = 0, [0] * rows
-        bottom = 0
-        while edges >> bottom:  # one run of edges per pass
-            while not edges >> bottom & 1:
-                bottom += 1
-            top = bottom
-            while edges >> top & 1:
-                top += 1
-            h = h0[vertex + bottom]
-            for y in range(bottom, top):
-                step = 1 if (x - 1 + y) % 2 == region.white_parity else -1
-                h += step
-                const += h0[vertex + y + 1] - h
-                w[y] = 4 * step * (top - y)
-            bottom = top
-        lines.append((const, tuple(w)))
-    return tuple(lines)
-
-
-def _deficit_masks(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The height deficit of a tiling mask as C + sum of w * |mask & M_w|.
-
-    C is the sum of the line constants C_x of ``_line_weights``.  A
-    horizontal domino crosses line x at row y, where x is the column of its
-    right cell, and weighs w_x[y]; a vertical domino crosses no line and
-    weighs 0.  M_w is the mask of the dominoes of weight w, one per
-    distinct nonzero weight, in increasing order of w.
-    """
-    lines = _line_weights(region)
-    lat = region.lattice
-    masks: dict[int, int] = {}
-    for (x, y), bit in zip(lat.cells, lat.grid.east):
-        w = lines[x + 1][1][y] if bit else 0
-        if w:
-            masks[w] = masks.get(w, 0) | bit
-    return sum(const for const, _ in lines), tuple(sorted(masks.items()))
-
-
-@derived
-def _deficit_planes(region: Region) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The height deficit of ``_deficit_masks`` as C + sum of w * |mask & P| over bit planes.
-
-    Every weight is a multiple of 4.  With lo the least of 0 and every
-    w / 4, each w / 4 - lo is written in binary: P_b is the mask of the dominoes whose
-    w / 4 - lo has bit b set, and A the mask of every weighted domino.  So
-    the deficit is C + 4 * (lo * |mask & A| + sum of 2^b * |mask & P_b|),
-    given here as pairs (4 * lo, A) and (4 * 2^b, P_b), a handful where the
-    distinct weights are a dozen.  Derived once per region.
-    """
-    const, weighted = _deficit_masks(region)
-    lo = min(0, weighted[0][0] // 4) if weighted else 0
+def _rank_planes(region: Region) -> tuple[tuple[int, int], ...]:
+    """(2^b, the mask of the pieces whose rank weight has bit b set), by increasing b."""
     planes: dict[int, int] = {}
-    for w, dominoes in weighted:
-        k = w // 4 - lo
-        while k:
-            low = k & -k
-            planes[4 * low] = planes.get(4 * low, 0) | dominoes
-            k ^= low
-    if lo:
-        planes[4 * lo] = sum(dominoes for _, dominoes in weighted)
-    return const, tuple(sorted(planes.items()))
+    for k, c in enumerate(rank_weights(region)):
+        while c:
+            low = c & -c
+            planes[low] = planes.get(low, 0) | 1 << k
+            c ^= low
+    return tuple(sorted(planes.items()))
+
+
+def _crossing_weights(region: Region) -> list[int]:
+    """Per piece of ``Lattice.pairs``, a_k: each piece of a tiling takes 4 a_k off its heights' sum.
+
+    A horizontal domino crosses the vertical grid line between its cells
+    at its row y, and weighs step times the number of the line's vertices
+    above y in the run of the line's edges through row y; step is +1 when
+    its left cell is white and -1 when black.  A vertical domino weighs 0.
+    Why: each run starts at a boundary vertex, whose height is the same in
+    every tiling, and going up an edge raises the height by step, or lowers
+    it by 3 step where a domino crosses the edge, 4 step less.  So a
+    crossing lowers each vertex above it in its run by 4 step, and every
+    vertex is on one vertical line.
+    """
+    lat = region.lattice
+    grid = lat.grid
+    at, w = grid.at, grid.stride
+    a = [0] * len(lat.pairs)
+    for (x, y), p, bit in zip(lat.cells, grid.pos, grid.east):
+        if bit:
+            above = 1  # the edges of the run end at the first row with no cell on either side
+            while at[p + above] >= 0 or at[p + w + above] >= 0:
+                above += 1
+            a[bit.bit_length() - 1] = above if (x + y) % 2 == region.white_parity else -above
+    return a
 
 
 @derived
 def rank_weights(region: Region) -> tuple[int, ...]:
     """Per piece of ``Lattice.pairs``, a weight c_k >= 0, 0 on the minimal tiling t0.
 
-    The rank is C / 4 plus a_k = w / 4 per piece (``_deficit_masks``), and
-    a_k + d(white) - d(black) changes every tiling by one constant.  d is
-    the dual of the minimum-weight matching (Kuhn 1955): Bellman-Ford on
+    t0's heights are the largest (``_extreme_heights``), and every raising
+    flip lowers one vertex by 4 (``_raising_flips``), so a tiling's rank is
+    its height deficit below t0 over 4: the sum of its ``_crossing_weights``
+    a_k less t0's.
+    And a_k + d(white) - d(black) changes every tiling by one constant.  d
+    is the dual of the minimum-weight matching (Kuhn 1955): Bellman-Ford on
     t0's residual graph (arcs black -> white of cost -a_k on t0's pieces,
     white -> black of cost a_k on the rest), then each black cell takes its
     t0 partner's d plus their a_k.  So c_k = 0 on t0, and c_k >= 0 on the
@@ -396,8 +331,7 @@ def rank_weights(region: Region) -> tuple[int, ...]:
     negative cycle, a negative c_k or a nonzero c_k on t0 is InvariantError.
     """
     lat = region.lattice
-    weighted = _deficit_masks(region)[1]
-    a = [next((w // 4 for w, m in weighted if m >> k & 1), 0) for k in range(len(lat.pairs))]
+    a = _crossing_weights(region)
     t0 = minimal_tiling(region)
     white = set(lat.white)
     pieces = [(i, j) if i in white else (j, i) for i, j in lat.pairs]  # (white, black)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecbridge.polyring import LaurentPoly2, one, q_integer
+from aztecbridge.polyring import LaurentPoly2, one
 
 keys = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 polys = st.dictionaries(keys, st.integers(-9, 9), max_size=6).map(LaurentPoly2)
@@ -17,6 +17,13 @@ close_polys = st.dictionaries(close_keys, st.integers(-2, 2), max_size=5).map(La
 binomials = st.dictionaries(close_keys, st.integers(-5, 5).filter(bool), max_size=2).map(
     LaurentPoly2
 )
+
+
+def q_integer(n, step=1):
+    """The q-integer 1 + q^step + ... + q^((n-1)*step), an oracle factor of ``macmahon_q``."""
+    if n < 1:
+        raise ValueError("q_integer requires n >= 1")
+    return LaurentPoly2({(0, 2 * i * step): 1 for i in range(n)})
 
 
 def test_zero_and_one():

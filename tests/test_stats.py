@@ -34,7 +34,7 @@ from aztecbridge.stats import (
     require_frontier_budget,
     tq_sum,
 )
-from aztecbridge.verify import small_double_rectangles, suite_rank
+from aztecbridge.verify import _rank_case, small_double_rectangles, suite_rank
 
 
 def test_minimal_diamond_tiling_is_all_horizontal():
@@ -411,108 +411,29 @@ def test_rank_linear_equals_the_flip_distance():
     assert tilings == 3566
 
 
-def _old_line_q2(region, h0, x, mask):
-    """The height walk the sweep used before its line weights were linear."""
-    cells = region.cells
-    rows = max(c.y for c in cells) + 1
-    deficit = 0
-    h = None
-    for y in range(rows):
-        if Cell(x - 1, y) not in cells and Cell(x, y) not in cells:
-            h = None
-            continue
-        if h is None:
-            h = h0[(x, y)]
-        step = 1 if (x - 1 + y) % 2 == region.white_parity else -1
-        h += -3 * step if mask >> y & 1 else step
-        deficit += h0[(x, y + 1)] - h
-    return deficit // 2
+def _anchored(heights):
+    """Heights less that of the leftmost-lowest vertex, which is on the boundary."""
+    base = heights[min(heights)]
+    return {v: h - base for v, h in heights.items()}
 
 
-def _fill_column(free, there, memo):
-    """Outgoing masks of every way to cover the cells of the column mask ``free``.
-
-    ``there`` holds the cells of the next column.  The lowest free cell
-    takes a vertical domino with the cell above it or a horizontal one into
-    the next column; ``memo`` keeps the answers of one column.
-    """
-    if not free:
-        return [0]
-    outs = memo.get(free)
-    if outs is None:
-        low = free & -free
-        outs = []
-        if free & low << 1:
-            outs += _fill_column(free ^ low ^ low << 1, there, memo)
-        if there & low:
-            outs += [out | low for out in _fill_column(free ^ low, there, memo)]
-        memo[free] = outs
-    return outs
-
-
-def _reach(masks):
-    """Per line, the profile masks the empty profile reaches, sweeping column ``masks`` in order.
-
-    Entry x holds the rows in which a domino of some partial tiling of the
-    first x columns crosses into column x: the states of a column sweep.
-    """
-    reach = [{0}]
-    for here, there in zip(masks, masks[1:] + [0]):
-        memo = {}
-        reach.append(
-            {out for incoming in reach[-1] for out in _fill_column(here & ~incoming, there, memo)}
-        )
-    return reach
-
-
-def _live_profiles(region):
-    """Per line, the masks the column sweep reaches from the left that are live from the right."""
-    masks = stats._column_masks(region)
-    return [a & b for a, b in zip(_reach(masks), _reach(masks[::-1])[::-1])]
-
-
-def _line_deficit(line, mask):
-    """Height deficit summed over a line whose crossings are the mask's bits."""
-    deficit, w = line
-    for y, wy in enumerate(w):
-        if mask >> y & 1:
-            deficit += wy
-    assert deficit >= 0 and deficit % 4 == 0
-    return deficit
-
-
-def test_the_reach_from_both_sides_is_the_set_of_crossing_masks_of_the_tilings():
+def test_the_crossing_weights_are_the_height_deficit_over_4_on_every_tiling():
     regions = [build_aztec_diamond(n) for n in range(1, 6)]
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
     assert len(regions) == 54
+    tilings = 0
     for region in regions:
-        live = _live_profiles(region)
-        crossings = [set() for _ in live]
+        a = stats._crossing_weights(region)
+        assert len(a) == len(region.lattice.pairs), region.spec_string()
+        t0 = minimal_tiling(region)
+        h0 = _anchored(height_function(region, t0))
+        weight0 = sum(c for k, c in enumerate(a) if t0 >> k & 1)
         for mask in enumerate_tilings(region):
-            profile = [0] * len(live)
-            for c, d in decode(region, mask):
-                if c.y == d.y:  # a horizontal domino crosses line d.x in row c.y
-                    profile[d.x] |= 1 << c.y
-            for seen, mask in zip(crossings, profile):
-                seen.add(mask)
-        assert crossings == live, region.spec_string()
-
-
-def test_line_weights_equal_the_height_walk_on_every_live_mask():
-    regions = [build_aztec_diamond(n) for n in range(1, 7)]
-    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(60)]
-    checked = 0
-    for region in regions:
-        lines = stats._line_weights(region)
-        h0 = height_function(region, minimal_tiling(region))
-        live = _live_profiles(region)
-        assert len(lines) == len(live)
-        for x, masks in enumerate(live):
-            for mask in masks:
-                q2 = _line_deficit(lines[x], mask) // 2
-                assert q2 == _old_line_q2(region, h0, x, mask), (region.spec_string(), x, mask)
-                checked += 1
-    assert checked > 10_000
+            h = _anchored(height_function(region, mask))
+            weight = sum(c for k, c in enumerate(a) if mask >> k & 1)
+            assert sum(h0[v] - h[v] for v in h0) == 4 * (weight - weight0), region.spec_string()
+            tilings += 1
+    assert tilings == 48_982
 
 
 def test_a_too_narrow_packing_trips_the_coefficient_sum_guard(monkeypatch):
@@ -664,43 +585,6 @@ def test_a_fractional_area_excess_trips_the_whole_cell_guard(monkeypatch):
         list(area_ranks(region, t0))
 
 
-def test_deficit_masks_equal_the_line_weights_on_every_domino():
-    regions = [build_aztec_diamond(n) for n in range(1, 6)]
-    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
-    checked = 0
-    for region in regions:
-        lines = stats._line_weights(region)
-        const, weighted = stats._deficit_masks(region)
-        assert const == sum(c for c, _ in lines), region.spec_string()
-        weights = [w for w, _ in weighted]
-        assert 0 not in weights and weights == sorted(set(weights)), region.spec_string()
-        cells, adjacent = region.lattice.cells, region.lattice.adjacent
-        dominoes = [(cells[i], cells[j]) for i, ids in enumerate(adjacent) for j in ids if i < j]
-        assert region.dominoes == tuple(sorted(dominoes)), region.spec_string()
-        for i, ((ax, ay), (bx, by)) in enumerate(region.dominoes):
-            # the per-line lookup of the linear rank before the masks
-            old = lines[max(ax, bx)][1][ay] if ay == by else 0
-            holding = [w for w, mask in weighted if mask >> i & 1]
-            assert holding == ([old] if old else []), region.spec_string()
-            checked += 1
-    assert checked > 1_000
-
-
-def test_deficit_planes_and_dominoes_are_derived_once_per_region_and_read_only(monkeypatch):
-    calls = []
-    real = stats._deficit_planes.__wrapped__
-    monkeypatch.setattr(stats._deficit_planes, "__wrapped__", lambda r: calls.append(r) or real(r))
-    region = build_double_rectangle(2, 3, 1, 2, 3)
-    table = rank_table(region)
-    assert list(linear_ranks(region, table)) == list(table.values())
-    assert list(linear_ranks(region, table)) == list(table.values())
-    assert calls == [region]
-    assert stats._deficit_planes(region) is stats._deficit_planes(region)
-    assert region.dominoes is region.dominoes
-    with pytest.raises(TypeError):
-        stats._deficit_planes(region)[1][0] = (0, 0)
-
-
 def _rank_suite_regions():
     """The 68 regions whose rank tables are checked against both-way flips and weights."""
     regions = [build_aztec_diamond(n) for n in range(1, 6)]
@@ -731,38 +615,32 @@ def test_each_block_raises_the_rank_from_one_pair_by_the_colour_of_its_lower_lef
                     assert table[m ^ both] == r - 1, region.spec_string()
 
 
-def test_the_bit_plane_rank_is_the_per_weight_deficit_on_every_bfs_mask():
-    negative = checked = 0
+def test_linear_ranks_are_the_flip_distance_on_every_bfs_mask_of_the_rank_suite():
+    checked = 0
     for region in _rank_suite_regions():
-        const, weighted = stats._deficit_masks(region)
-        negative += weighted[0][0] < 0
         table = rank_table(region)
-        for mask, rank in zip(table, linear_ranks(region, table)):
-            total = const + sum(w * (mask & dominoes).bit_count() for w, dominoes in weighted)
-            assert total == 4 * rank == 4 * table[mask], region.spec_string()
-            checked += 1
-    assert negative > 0 and checked == 67_904
+        assert list(linear_ranks(region, table)) == list(table.values()), region.spec_string()
+        checked += len(table)
+    assert checked == 67_904
 
 
-@pytest.mark.parametrize("shift", [1, -4], ids=["constant-off-by-one", "deficit-negative"])
-def test_a_shifted_deficit_constant_trips_the_linear_rank_guard(monkeypatch, shift):
+def test_the_rank_weights_and_their_planes_are_derived_once_per_region(monkeypatch):
+    calls = []
+    for derive in (stats.rank_weights, stats._rank_planes):
+        real = derive.__wrapped__
+        counting = lambda r, name=derive.__name__, real=real: calls.append(name) or real(r)
+        monkeypatch.setattr(derive, "__wrapped__", counting)
     region = build_double_rectangle(2, 3, 1, 2, 3)
     table = rank_table(region)
-    const, planes = stats._deficit_planes(region)
-    # -4 puts the minimal tiling, deficit 0, at -4
-    monkeypatch.setattr(stats, "_deficit_planes", lambda r: (const + shift, planes))
-    with pytest.raises(InvariantError, match="height deficit"):
-        list(linear_ranks(region, table))
-
-
-def test_the_column_masks_are_derived_once_per_sweep(monkeypatch):
-    calls = []
-    real = stats._column_masks.__wrapped__
-    monkeypatch.setattr(stats._column_masks, "__wrapped__", lambda r: calls.append(r) or real(r))
-    region = build_double_rectangle(2, 3, 1, 2, 3)
+    assert list(linear_ranks(region, table)) == list(table.values())
+    assert list(linear_ranks(region, table)) == list(table.values())
     assert tq_sum(region) == main_genfun(2, 3, 1, 2, 3)
-    assert calls == [region]
-    assert stats._column_masks(region) is stats._column_masks(region)
+    assert sorted(calls) == ["_rank_planes", "rank_weights"]
+    planes = stats._rank_planes(region)
+    assert planes is stats._rank_planes(region)
+    assert type(planes) is tuple and all(type(plane) is tuple for plane in planes)
+    with pytest.raises(TypeError):
+        planes[0] = (0, 0)
 
 
 def test_rank_weights_are_non_negative_zero_on_the_minimal_tiling_and_sum_to_the_rank():
@@ -825,6 +703,16 @@ def test_a_weight_off_by_one_changes_the_sum(monkeypatch):
     weights[next(k for k in range(len(weights)) if not t0 >> k & 1)] += 1
     monkeypatch.setattr(stats, "rank_weights", lambda r: tuple(weights))
     assert tq_sum(region) != main_genfun(2, 3, 1, 2, 3)
+
+
+def test_a_rank_weight_off_by_one_fails_the_rank_case(monkeypatch):
+    assert _rank_case(build_double_rectangle(2, 3, 1, 2, 3))["ok"]
+    region = build_double_rectangle(2, 3, 1, 2, 3)  # fresh: no bit planes derived yet
+    t0 = minimal_tiling(region)
+    weights = list(rank_weights(region))
+    weights[next(k for k in range(len(weights)) if not t0 >> k & 1)] += 1
+    monkeypatch.setattr(stats, "rank_weights", lambda r: tuple(weights))
+    assert not _rank_case(region)["ok"]
 
 
 def _peak_states(region, place):
