@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import verify as suites
-from .engine import CapacityError, count_tilings, require_index_budget, tiling_at
+from .engine import CapacityError, count_tilings, tiling_at
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
@@ -177,8 +177,7 @@ def _pick_tiling(region: Region, which: str) -> int:
     """The mask of the minimal tiling, or of the tiling at an index of the enumeration order.
 
     The index is unranked from completion counts (``engine.tiling_at``), so
-    no tiling is listed.  Its budget is checked before the determinant
-    count, and the count bounds the index before any pass.
+    no tiling is listed; an index out of range is a usage error.
     """
     if which == "minimal":
         return minimal_tiling(region)
@@ -186,10 +185,10 @@ def _pick_tiling(region: Region, which: str) -> int:
         index = int(which)
     except ValueError:
         raise UsageError(f"tiling index must be an integer or 'minimal', got {which!r}")
-    require_index_budget(region)
-    if not 0 <= index < count_tilings(region):
-        raise UsageError(f"tiling index {index} out of range")
-    return tiling_at(region, index)
+    try:
+        return tiling_at(region, index)
+    except IndexError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def paths(region_spec: str, tiling: str, out: str | None) -> None:

@@ -13,10 +13,16 @@ Each matching is an int mask over the sorted id pairs ``Lattice.pairs``.
 It is iterative: vertex i is bit i of one int of covered vertices, and an
 explicit stack keeps one frame per placed piece.  The enumerator serves the
 tests as an oracle.  A tiling index needs no listing: ``tiling_at`` unranks
-it in the same order from completion counts, a transfer-matrix sweep over
-the ids that keeps, per step, the number of ways to finish each frontier
-state.  Both branch on one table (``_later_pieces``), so the two orders
-cannot drift apart.
+it in the same order from completion counts (``_completions``).
+
+The frontier.  ``_completions`` and the (t, q) sweep ``_sweep`` place one
+cell per step.  Before a step the state is the mask of the later cells that
+earlier pieces cover, shifted so that the step's cell is bit 0: a covered
+cell shifts, and a free one takes a piece to each later free cell.  Every
+pass reads its moves from one table (``_moves``).  The id order's
+(``_id_moves``) is the enumerator's branching order too; the sweep runs on
+the narrowest of four cell orders (``_cell_orders``).  ``state_bound``
+bounds the states at a step for both budgets.
 
 Counting is Kasteleyn's determinant (Kasteleyn 1961; Kenyon, "Lectures on
 dimers", 2009).  The matrix has a row per white cell (up-triangle) and a
@@ -36,15 +42,12 @@ matrix on the region, each entry's column, sign and piece
 pieces, each row cleared of its denominators
 (``matchgraph.region_matching_sum``).  The determinant is exact:
 fraction-free Bareiss elimination over int.
-
-The q-weighted frontier sweep, which places one cell at a time with
-per-piece rank weights, lives with ``stats.tq_sum``.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .regions import Cell, InvariantError, Region, TriRegion, derived
 
@@ -97,35 +100,37 @@ def _matchings(choices: list) -> Iterator[int]:
         v, choice, covered, tiling = stack.pop()
 
 
-@derived
-def _later_pieces(region: Region | TriRegion) -> tuple:
-    """The branching order: per id i, (j, k) per piece k = (i, j) of ``Lattice.pairs`` with j > i.
+def _moves(region: Region | TriRegion, place: Sequence[int]) -> tuple:
+    """Per step of the order with id i at step place[i], (1 << gap, k) per piece k starting there.
 
-    ``Lattice.pairs`` is sorted, so each id's later neighbours come in
-    increasing j.  The enumerator and ``tiling_at`` both branch on this
-    table, so their orders are one.  Derived once per region.
+    gap is the steps to the piece's other cell; a step's moves keep ``Lattice.pairs`` order.
     """
-    later: list[list] = [[] for _ in region.lattice.cells]
+    moves: list[list] = [[] for _ in place]
     for k, (i, j) in enumerate(region.lattice.pairs):
-        later[i].append((j, k))
-    return tuple(map(tuple, later))
+        p, q = place[i], place[j]
+        moves[p if p < q else q].append((1 << abs(p - q), k))
+    return tuple(map(tuple, moves))
+
+
+@derived
+def _id_moves(region: Region | TriRegion) -> tuple:
+    """``_moves`` in id order, derived once per region: the enumerator's branching order."""
+    return _moves(region, range(len(region.lattice.cells)))
 
 
 def enumerate_tilings(region: Region | TriRegion) -> Iterator[int]:
     """Yield every tiling exactly once, in canonical order, as a mask over ``Lattice.pairs``."""
     choices = [
-        [(1 << i | 1 << j, 1 << k) for j, k in here] for i, here in enumerate(_later_pieces(region))
+        [((bit | 1) << i, 1 << k) for bit, k in here] for i, here in enumerate(_id_moves(region))
     ]
     yield from _matchings(choices)
 
 
 def state_bound(width: int) -> int:
-    """C(w, w // 2): a bound on the states of a cell-by-cell sweep at width w.
+    """C(w, w // 2): a bound on the frontier's states at a step of an order of width w.
 
-    A state's bits lie among the w cells ahead, with a fixed surplus of
-    black over white (each piece has one cell of each), so at most
-    C(w, w // 2) states share a step.  The index budget (``MAX_INDEX_COST``)
-    and the (t, q) sweep's (``stats.MAX_SWEEP_COST``) both read it.
+    A state's bits lie among the w cells ahead, with a fixed surplus of black
+    over white (a piece covers one of each): at most C(w, w // 2) share a step.
     """
     return comb(width, width // 2)
 
@@ -151,18 +156,14 @@ def require_index_budget(region: Region | TriRegion) -> None:
 
 @derived
 def _completions(region: Region | TriRegion) -> list[dict[int, int]]:
-    """Per step i, the number of ways to finish the tiling from each state that can, derived once.
+    """Per step of the id order, the ways to finish the tiling from each state that can.
 
-    The sweep runs over the ids in order, which is the enumerator's
-    branching order (``_later_pieces``).  Before step i the state is the
-    mask of the later ids that earlier pieces cover, shifted so that id i is
-    bit 0.  A covered id shifts; a free id takes a piece to each later free
-    neighbour j, setting bit j - i.  A forward pass collects the states each
-    step reaches, and a backward pass counts each one's completions, keeping
-    only states with some.  Entry 0 holds the tiling count, which must equal
-    the Kasteleyn count, or InvariantError is raised.
+    Derived once per region: a forward pass over ``_id_moves`` collects the
+    states each step reaches, and a backward pass counts each one's
+    completions.  Entry 0 holds the tiling count, which must equal the
+    Kasteleyn count, or InvariantError is raised.
     """
-    moves = [tuple(1 << j - i for j, _ in here) for i, here in enumerate(_later_pieces(region))]
+    moves = _id_moves(region)
     layers = [{0}]
     for here in moves:
         nxt = set()
@@ -171,7 +172,7 @@ def _completions(region: Region | TriRegion) -> list[dict[int, int]]:
             if state & 1:
                 add(state >> 1)
             else:
-                for bit in here:
+                for bit, _ in here:
                     if not state & bit:
                         add((state | bit) >> 1)
         layers.append(nxt)
@@ -185,7 +186,7 @@ def _completions(region: Region | TriRegion) -> list[dict[int, int]]:
                 c = get(state >> 1, 0)
             else:
                 c = 0
-                for bit in here:
+                for bit, _ in here:
                     if not state & bit:
                         c += get((state | bit) >> 1, 0)
             if c:
@@ -201,25 +202,21 @@ def _completions(region: Region | TriRegion) -> list[dict[int, int]]:
 def tiling_at(region: Region | TriRegion, index: int) -> int:
     """The mask of the tiling at ``index`` in ``enumerate_tilings``'s order, listing none before it.
 
-    Walk the ids in order with the completion counts of ``_completions``: a
-    free id takes the first of its options, in the enumerator's order, whose
-    completions exceed what is left of the index, less the completions of
-    each option it skips.  A region over ``MAX_INDEX_COST`` raises
-    CapacityError before any determinant or pass; an index outside
-    [0, count) raises IndexError.
+    Walk the ids with the completion counts of ``_completions``: a free id
+    takes the first of its moves whose completions exceed what is left of
+    the index, less those of each move it skips.  Over ``MAX_INDEX_COST``
+    it raises CapacityError before any determinant, and for an index
+    outside [0, count) IndexError before any pass.
     """
     require_index_budget(region)
-    counts = _completions(region)
-    if not 0 <= index < counts[0].get(0, 0):
+    if not 0 <= index < count_tilings(region):
         raise IndexError(f"tiling index {index} out of range")
     state = mask = 0
-    for i, here in enumerate(_later_pieces(region)):
+    for here, after in zip(_id_moves(region), _completions(region)[1:]):
         if state & 1:
             state >>= 1
             continue
-        after = counts[i + 1]
-        for j, k in here:
-            bit = 1 << j - i
+        for bit, k in here:
             if state & bit:
                 continue
             c = after.get((state | bit) >> 1, 0)
@@ -229,6 +226,78 @@ def tiling_at(region: Region | TriRegion, index: int) -> int:
                 break
             index -= c
     return mask
+
+
+#: Cell orders for the sweep: cells sorted by (a x + b y, c x + d y) for each
+#: ((a, b), (c, d)), that is by columns, by rows and along both diagonals.
+_ORDERS = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 0)), ((1, -1), (1, 0)))
+
+
+@derived
+def _cell_orders(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(width, place) per order of ``_ORDERS``, cell id i at step place[i], narrowest first.
+
+    No piece spans more steps than the width; orders of equal width keep
+    the order of ``_ORDERS``.  Derived once per region.
+    """
+    lat = region.lattice
+    out = []
+    for (a, b), (c, d) in _ORDERS:
+        keys = [(a * x + b * y, c * x + d * y) for x, y in lat.cells]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        place = tuple(sorted(range(len(keys)), key=order.__getitem__))  # the inverse of order
+        out.append((max((abs(place[i] - place[j]) for i, j in lat.pairs), default=0), place))
+    return tuple(sorted(out, key=lambda order: order[0]))
+
+
+#: Most work the sweep may take on, ``state_bound(w)`` * N**3 for N cells at
+#: width w: the state bound times N for each of the vertical counts, the
+#: largest rank and the slot width of a state's packed ints.  Fresh
+#: process, 2-vCPU host: ad:10 (cost 4.9e9) 0.4 s and 41 MB, ad:11 (1.7e10)
+#: 1.2 s and 100 MB, ad:12 (5.2e10) 4.1 s and 300 MB.  Double rectangles of
+#: <= 200 cells: <= 1.4e10.
+MAX_SWEEP_COST = 2 * 10**10
+
+
+def require_frontier_budget(region: Region) -> None:
+    """Raise CapacityError if the sweep costs more than ``MAX_SWEEP_COST``; takes no determinant."""
+    cost = state_bound(_cell_orders(region)[0][0]) * len(region.cells) ** 3
+    if cost > MAX_SWEEP_COST:
+        budget = f"over the budget of {MAX_SWEEP_COST:.0e}"
+        raise CapacityError(f"{region.spec_string()}: sweep cost {cost:.2e} is {budget}")
+
+
+def _sweep(moves: tuple, vertical: Sequence[int], shifts: Sequence[int]) -> dict[int, int]:
+    """Per vertical count, the sum over tilings of 1 << (the sum of their pieces' shifts).
+
+    A pass over ``moves`` (``_moves``) in which piece k adds vertical[k] to
+    the vertical count and shifts[k] >= 0 to the shift.  A state fixes its
+    partial tilings' futures, so one that cannot finish merges with none
+    that can: the result sums over tilings only.
+    """
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for here in moves:
+        nxt: dict[int, dict[int, int]] = {}
+        for state, terms in states.items():
+            if state & 1:  # covered: one successor, which may take the map itself
+                sink = nxt.setdefault(state >> 1, terms)
+                if sink is not terms:
+                    for vt, packed in terms.items():
+                        sink[vt] = sink.get(vt, 0) + packed
+                continue
+            for bit, k in here:
+                if state & bit:
+                    continue
+                key = (state | bit) >> 1
+                up, shift = vertical[k], shifts[k]
+                sink = nxt.get(key)
+                if sink is None:
+                    nxt[key] = {vt + up: packed << shift for vt, packed in terms.items()}
+                else:
+                    for vt, packed in terms.items():
+                        sink[vt + up] = sink.get(vt + up, 0) + (packed << shift)
+        states = nxt
+    return states.get(0, {})
 
 
 def count_tilings(region: Region | TriRegion) -> int:

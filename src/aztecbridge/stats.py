@@ -1,4 +1,4 @@
-"""Tiling statistics: minimal tiling, flip distance, the q-weighted sweep.
+"""Tiling statistics: minimal tiling, flip distance, the (t, q) sum.
 
 The minimal tiling is built through the height function of the region: among
 all height functions with the fixed boundary values, the pointwise extreme
@@ -12,24 +12,24 @@ of its pieces' rank weights (``linear_ranks``), a weight of at least 0 per
 piece and 0 on the minimal tiling (``rank_weights``); the third way, by
 path area on a double rectangle, is ``paths.area_ranks``.  All three run
 on a tiling's int mask over ``Lattice.pairs``, the one tiling format, and
-``minimal_tiling`` returns one.  The two mask ranks take a batch of masks in one call and give the
-ranks lazily, so a caller checks each mask in one pass: the flip BFS lists
-masks and decodes none.  The same weights drive ``tq_sum``: a frontier
-sweep of the (t, q) sum that places one cell at a time.
+``minimal_tiling`` returns one.  The two mask ranks take a batch of masks
+in one call and give the ranks lazily, so a caller checks each mask in one
+pass: the flip BFS lists masks and decodes none.  The same weights drive
+``tq_sum``, the (t, q) sum by ``engine``'s frontier sweep.
 
 The height functions run on the region's cell numbering (``Region.lattice``):
 a lattice point is numbered by its position on the region's padded grid, so
 the grid edges and the minimal heights are lists indexed by vertex, and a
 grid edge carries the mask bit of the domino that crosses it.  The grid
-edges, the minimal heights, the rank weights, their bit planes and the
-cell orders are derived once per region (``regions.derived``) by the
-functions of this module that compute them, and so are the two public tables: ``minimal_tiling`` and ``rank_table`` are
-derived functions themselves, each the one place its table is computed and
-kept.  The exponential computations have budgets, checked before they
-start: ``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS may list,
-through the determinant count, and ``MAX_SWEEP_COST`` bounds the sweep's
-states times its cells cubed.  A tiling index lists nothing: it is
-``engine.tiling_at``, under ``engine.MAX_INDEX_COST``.
+edges, the minimal heights, the rank weights and their bit planes are
+derived once per region (``regions.derived``) by the functions of this
+module that compute them, and so are the two public tables:
+``minimal_tiling`` and ``rank_table`` are derived functions themselves,
+each the one place its table is computed and kept.  The exponential
+computations have budgets, checked before they start:
+``MAX_LISTED_TILINGS`` bounds the tilings the flip BFS may list, through
+the determinant count.  The sweep and a tiling index list none; their
+budgets are ``engine``'s.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .engine import CapacityError, _unit_det, count_tilings, state_bound
+from .engine import (
+    CapacityError,
+    _cell_orders,
+    _moves,
+    _sweep,
+    count_tilings,
+    require_frontier_budget,
+)
 from .polyring import LaurentPoly2
 from .regions import ConstraintError, InvariantError, KindError, Region, derived, require_cover
 
@@ -357,108 +364,32 @@ def rank_weights(region: Region) -> tuple[int, ...]:
 
 # -- bivariate generating function --------------------------------------------
 
-#: Cell orders for the sweep: cells sorted by (a x + b y, c x + d y) for each
-#: ((a, b), (c, d)), that is by columns, by rows and along both diagonals.
-_ORDERS = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 0)), ((1, -1), (1, 0)))
-
-
-@derived
-def _cell_orders(region: Region) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(width, place) per order of ``_ORDERS``, cell id i at step place[i], narrowest first.
-
-    No piece spans more steps than the width; orders of equal width keep
-    the order of ``_ORDERS``.  Derived once per region.
-    """
-    lat = region.lattice
-    out = []
-    for (a, b), (c, d) in _ORDERS:
-        keys = [(a * x + b * y, c * x + d * y) for x, y in lat.cells]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        place = tuple(sorted(range(len(keys)), key=order.__getitem__))  # the inverse of order
-        out.append((max((abs(place[i] - place[j]) for i, j in lat.pairs), default=0), place))
-    return tuple(sorted(out, key=lambda order: order[0]))
-
-
-#: Most work the sweep may take on, ``engine.state_bound(w)`` * N**3 for N
-#: cells at width w: the state bound times N for each of the vertical
-#: counts, the largest rank and the slot width of a state's packed ints.
-#: Fresh process, 2-vCPU host: ad:10 (cost 4.9e9) 0.4 s and 41 MB, ad:11
-#: (1.7e10) 1.2 s and 100 MB, ad:12 (5.2e10) 4.1 s and 300 MB.  Double
-#: rectangles of <= 200 cells: <= 1.4e10.
-MAX_SWEEP_COST = 2 * 10**10
-
-
-def require_frontier_budget(region: Region) -> None:
-    """Raise CapacityError if the sweep costs more than ``MAX_SWEEP_COST``; takes no determinant."""
-    cost = state_bound(_cell_orders(region)[0][0]) * len(region.cells) ** 3
-    if cost > MAX_SWEEP_COST:
-        budget = f"over the budget of {MAX_SWEEP_COST:.0e}"
-        raise CapacityError(f"{region.spec_string()}: sweep cost {cost:.2e} is {budget}")
-
-
-def _sweep(region: Region, place: tuple[int, ...], bits: int) -> dict[int, int]:
-    """Per vertical count, the tilings' q-count packed in slots of ``bits`` bits.
-
-    Before step p the state is the mask of the later cells that earlier
-    pieces cover, shifted so that the cell of step p is bit 0.  A free cell
-    takes each piece to a later free cell q: set bit q - p, add 1 to the
-    vertical count if it is vertical, and shift the packed count left by its
-    rank weight times ``bits`` (never negative).  A state fixes its partial
-    tilings' futures, so one that cannot finish merges with none that can,
-    and a slot of the result, which counts tilings, cannot overflow.
-    """
-    lat = region.lattice
-    moves: list[list[tuple[int, int, int]]] = [[] for _ in place]
-    for (i, j), c in zip(lat.pairs, rank_weights(region)):
-        lo, hi = sorted((place[i], place[j]))
-        moves[lo].append((1 << hi - lo, lat.cells[i][0] == lat.cells[j][0], c * bits))
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for here in moves:
-        nxt: dict[int, dict[int, int]] = {}
-        for state, terms in states.items():
-            if state & 1:  # covered: one successor, which may take the map itself
-                sink = nxt.setdefault(state >> 1, terms)
-                if sink is not terms:
-                    for vt, packed in terms.items():
-                        sink[vt] = sink.get(vt, 0) + packed
-                continue
-            for bit, vertical, shift in here:
-                if state & bit:
-                    continue
-                key = (state | bit) >> 1
-                sink = nxt.get(key)
-                if sink is None:
-                    nxt[key] = {vt + vertical: packed << shift for vt, packed in terms.items()}
-                else:
-                    for vt, packed in terms.items():
-                        sink[vt + vertical] = sink.get(vt + vertical, 0) + (packed << shift)
-        states = nxt
-    return states.get(0, {})
-
-
 def tq_sum(region: Region) -> LaurentPoly2:
-    """Sum of t^(vertical/2) q^rank over all tilings, by a frontier sweep (``_sweep``).
+    """Sum of t^(vertical/2) q^rank over all tilings, by ``engine``'s frontier sweep (``_sweep``).
 
     The rank is the sum of the pieces' ``rank_weights``; the cells are swept
-    in the narrowest order of ``_ORDERS``, and the count of rank r sits in
+    in the narrowest order of ``engine._ORDERS``, and the count of rank r sits in
     bits [r W, (r + 1) W), W the determinant count's bit length.  Guards:
     the coefficients sum to that count (an overflowing slot would carry and
     lower the sum), and q^0 is the minimal tiling alone.  A region over
-    ``MAX_SWEEP_COST`` raises CapacityError before the determinant.
+    ``engine.MAX_SWEEP_COST`` raises CapacityError before the determinant.
     """
     require_frontier_budget(region)
-    count = abs(_unit_det(region))
+    count = count_tilings(region)
     bits = count.bit_length()
     slot = (1 << bits) - 1
+    shifts = [c * bits for c in rank_weights(region)]
+    north = sum(region.lattice.grid.north)  # the mask of the vertical pieces
+    vertical = [north >> k & 1 for k in range(len(shifts))]
     terms = {}
-    for vt, packed in _sweep(region, _cell_orders(region)[0][1], bits).items():
+    for vt, packed in _sweep(_moves(region, _cell_orders(region)[0][1]), vertical, shifts).items():
         for r in range(-(-packed.bit_length() // bits)):
             if c := packed >> r * bits & slot:
                 terms[(vt, 2 * r)] = c
     if sum(terms.values()) != count:
         raise InvariantError(f"q coefficients sum to {sum(terms.values())}, not {count}")
     ground = sorted((key, c) for key, c in terms.items() if key[1] == 0)
-    vertical = (minimal_tiling(region) & sum(region.lattice.grid.north)).bit_count()
-    if ground != [((vertical, 0), 1)]:
+    t0_vertical = (minimal_tiling(region) & north).bit_count()
+    if ground != [((t0_vertical, 0), 1)]:
         raise InvariantError(f"q^0 part {ground} is not the minimal tiling alone")
     return LaurentPoly2._of(terms)

@@ -20,7 +20,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .engine import count_tilings
+from .engine import count_tilings, require_frontier_budget
 from .formulas import (
     ResampleError,
     aztec_count,
@@ -53,7 +53,7 @@ from .regions import (
     build_double_rectangle,
     build_hexagon,
 )
-from .stats import linear_ranks, rank_table, require_frontier_budget, require_listing_budget, tq_sum
+from .stats import linear_ranks, rank_table, require_listing_budget, tq_sum
 
 #: Seed of the randomized suites when --seed is not given.
 DEFAULT_SEED = 20240

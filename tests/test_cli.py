@@ -442,10 +442,10 @@ def test_verify_seed_defaults_for_the_randomized_suites():
 
 
 def test_tiling_index_is_bounded_before_enumeration(monkeypatch):
-    def no_unranking(region, index):
+    def no_unranking(region):
         raise AssertionError("unranked an out-of-range index")
 
-    monkeypatch.setattr(cli, "tiling_at", no_unranking)
+    monkeypatch.setattr(engine._completions, "__wrapped__", no_unranking)
     for index in ("-1", "640", "99999"):
         result = run("paths", "dr:2,3,1,2,3", "--", index)
         assert result.exit_code == 2

@@ -147,14 +147,14 @@ def index_of(region, mask):
     """The inverse of ``tiling_at``: the index of a tiling mask, from the same completion counts."""
     counts = engine._completions(region)
     state = index = 0
-    for i, here in enumerate(engine._later_pieces(region)):
+    for i, here in enumerate(engine._id_moves(region)):
         if state & 1:
             state >>= 1
             continue
-        for j, k in here:
-            if state >> (j - i) & 1:
+        for bit, k in here:
+            if state & bit:
                 continue
-            nxt = (state | 1 << (j - i)) >> 1
+            nxt = (state | bit) >> 1
             if mask >> k & 1:
                 state = nxt
                 break
@@ -196,6 +196,17 @@ def test_tiling_at_rejects_an_index_out_of_range():
             tiling_at(region, index)
 
 
+def test_an_index_out_of_range_runs_no_pass(monkeypatch):
+    def no_pass(region):
+        raise AssertionError("ran a pass for an index out of range")
+
+    monkeypatch.setattr(engine._completions, "__wrapped__", no_pass)
+    region = parse_spec("dr:2,3,1,2,3")
+    for index in (-1, 640, 10**30):
+        with pytest.raises(IndexError, match=f"tiling index {index} out of range"):
+            tiling_at(region, index)
+
+
 def test_index_budget_admits_ad9_and_dr45556_and_rejects_ad10():
     for spec in ("ad:9", "dr:4,5,5,5,6", "hex:3,3,3"):
         require_index_budget(parse_spec(spec))
@@ -205,14 +216,14 @@ def test_index_budget_admits_ad9_and_dr45556_and_rejects_ad10():
 
 
 def test_a_dropped_move_trips_the_determinant_guard(monkeypatch):
-    original = engine._later_pieces.__wrapped__
+    original = engine._id_moves.__wrapped__
 
     def dropped(region):
-        later = list(original(region))
-        later[0] = later[0][1:]  # id 0 loses its first piece
-        return tuple(later)
+        moves = list(original(region))
+        moves[0] = moves[0][1:]  # id 0 loses its first piece
+        return tuple(moves)
 
-    monkeypatch.setattr(engine._later_pieces, "__wrapped__", dropped)
+    monkeypatch.setattr(engine._id_moves, "__wrapped__", dropped)
     guard = "completion counts give 48 tilings, the determinant 160"
     with pytest.raises(InvariantError, match=guard):
         tiling_at(parse_spec("dr:1,3,0,2,4"), 0)

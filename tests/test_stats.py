@@ -11,7 +11,13 @@ from test_engine import decode
 from test_kasteleyn import box_regions
 
 from aztecbridge import engine, paths, stats
-from aztecbridge.engine import CapacityError, count_tilings, enumerate_tilings, is_vertical
+from aztecbridge.engine import (
+    CapacityError,
+    count_tilings,
+    enumerate_tilings,
+    is_vertical,
+    require_frontier_budget,
+)
 from aztecbridge.formulas import aztec_genfun, main_genfun
 from aztecbridge.paths import area_ranks, tiling_to_paths
 from aztecbridge.polyring import LaurentPoly2
@@ -31,7 +37,6 @@ from aztecbridge.stats import (
     minimal_tiling,
     rank_table,
     rank_weights,
-    require_frontier_budget,
     tq_sum,
 )
 from aztecbridge.verify import _rank_case, small_double_rectangles, suite_rank
@@ -394,23 +399,6 @@ def test_flips_swap_exactly_one_block_and_stay_sorted():
             assert len(block) == 4 and len(xs) == len(ys) == 2
 
 
-def _rank_regions():
-    regions = [build_aztec_diamond(n) for n in range(1, 5)]
-    return regions + [build_double_rectangle(*tup) for tup in small_double_rectangles(32)]
-
-
-def test_rank_linear_equals_the_flip_distance():
-    regions = _rank_regions()
-    assert len(regions) == 32
-    tilings = 0
-    for region in regions:
-        table = rank_table(region)
-        masks = list(enumerate_tilings(region))
-        assert list(linear_ranks(region, masks)) == [table[m] for m in masks], region.spec_string()
-        tilings += len(masks)
-    assert tilings == 3566
-
-
 def _anchored(heights):
     """Heights less that of the leftmost-lowest vertex, which is on the boundary."""
     base = heights[min(heights)]
@@ -674,17 +662,60 @@ def test_every_cell_order_covers_each_cell_once_and_gives_the_same_polynomial():
     regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(32)]
     for region in regions:
         slot = count_tilings(region).bit_length()
-        orders = stats._cell_orders(region)
+        every_piece = decode(region, (1 << len(region.lattice.pairs)) - 1)
+        vertical = [int(is_vertical(d)) for d in every_piece]
+        shifts = [c * slot for c in rank_weights(region)]
+        orders = engine._cell_orders(region)
         assert len(orders) == 4
         assert all(sorted(place) == list(range(len(region.cells))) for _, place in orders)
-        sweeps = [stats._sweep(region, place, slot) for _, place in orders]
+        sweeps = [
+            engine._sweep(engine._moves(region, place), vertical, shifts) for _, place in orders
+        ]
         assert sweeps[0] and all(sweep == sweeps[0] for sweep in sweeps), region.spec_string()
 
 
 def test_a_diamond_is_narrowest_along_a_diagonal():
     for n in range(1, 8):
-        widths = [width for width, _ in stats._cell_orders(build_aztec_diamond(n))]
+        widths = [width for width, _ in engine._cell_orders(build_aztec_diamond(n))]
         assert widths == [n + 1, n + 1, 2 * n, 2 * n]
+
+
+def _keyed_order(region, key):
+    """(width, place) of the cells sorted by ((a, b), (c, d)) = key: by (a x + b y, c x + d y)."""
+    (a, b), (c, d) = key
+    keys = [(a * x + b * y, c * x + d * y) for x, y in region.lattice.cells]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    place = [0] * len(keys)
+    for step, i in enumerate(order):
+        place[i] = step
+    width = max(abs(place[i] - place[j]) for i, j in region.lattice.pairs)
+    return width, tuple(place)
+
+
+COLUMNS, ROWS = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+SUM, DIFFERENCE = ((1, 1), (1, 0)), ((1, -1), (1, 0))
+
+
+def test_the_column_order_is_the_id_order_so_its_moves_are_the_enumerators():
+    regions = [build_aztec_diamond(n) for n in range(1, 6)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    assert len(regions) == 54
+    for region in regions:
+        width, place = _keyed_order(region, COLUMNS)
+        assert place == tuple(range(len(region.cells))), region.spec_string()
+        assert (width, place) in engine._cell_orders(region), region.spec_string()
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [("ad:4", SUM), ("dr:3,3,1,3,3", DIFFERENCE), ("dr:4,5,5,5,6", ROWS), ("dr:4,6,6,6,8", ROWS)],
+)
+def test_the_sweep_runs_on_the_first_order_of_least_width(spec, key):
+    region = parse_spec(spec)
+    orders = [COLUMNS, ROWS, SUM, DIFFERENCE]
+    widths = [_keyed_order(region, k)[0] for k in orders]
+    assert orders[widths.index(min(widths))] == key
+    assert engine._cell_orders(region)[0] == _keyed_order(region, key)
 
 
 def test_the_sweep_equals_the_product_on_every_tuple_of_104_cells_and_on_ad1_to_ad10():
@@ -717,16 +748,12 @@ def test_a_rank_weight_off_by_one_fails_the_rank_case(monkeypatch):
 
 def _peak_states(region, place):
     """The most states the sweep over ``place`` holds after a step, by a states-only pass."""
-    ahead = [[] for _ in place]
-    for i, j in region.lattice.pairs:
-        lo, hi = sorted((place[i], place[j]))
-        ahead[lo].append(1 << hi - lo)
     states, most = {0}, 1
-    for bits in ahead:
+    for here in engine._moves(region, place):
         states = {
             (state | bit) >> 1
             for state in states
-            for bit in ([0] if state & 1 else bits)
+            for bit in ([0] if state & 1 else [bit for bit, _ in here])
             if not state & bit
         }
         most = max(most, len(states))
@@ -736,9 +763,9 @@ def _peak_states(region, place):
 def test_the_central_binomial_of_the_width_bounds_the_states_and_is_exact_on_diamonds():
     for n in range(1, 9):
         region = build_aztec_diamond(n)
-        width, place = stats._cell_orders(region)[0]
+        width, place = engine._cell_orders(region)[0]
         assert _peak_states(region, place) == comb(width, width // 2), n
     for tup in small_double_rectangles(60):
         region = build_double_rectangle(*tup)
-        for width, place in stats._cell_orders(region):
+        for width, place in engine._cell_orders(region):
             assert _peak_states(region, place) <= comb(width, width // 2), tup
