@@ -4,6 +4,15 @@ Every command prints a single JSON document (schema version 1) to stdout,
 except render, which writes SVG to --out.  Exit codes: 0 for success, 1 when
 a verification finds a mismatch, 2 for usage or domain errors.
 
+A document's bytes are those of ``json.dumps(doc, indent=2)``, strings
+escaped to ASCII, and one newline.  ``_dumps`` writes them in one pass, in
+place of ``json``'s pure-Python indenting encoder: it takes dicts, lists,
+tuples, str, int, bool, None and ``LaurentPoly2``, which it writes as its
+sorted ``[2*t_exp, 2*q_exp, "coeff"]`` terms, each in one f-string; any
+other value raises TypeError.  ``genfun`` hands its sum to both keys when
+the verdict is ok (the two term maps are equal), so its text is formatted
+once, and the formula's own terms on a mismatch.
+
 ``main`` dispatches through ``COMMANDS``, one entry per command: its
 function, its positional arguments with their defaults, and its options with
 a converter each.  The parser accepts ``--opt value`` and ``--opt=value``,
@@ -27,14 +36,15 @@ Nothing is imported while a command runs.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import verify as suites
 from .engine import CapacityError, count_tilings, tiling_at
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
+from .polyring import LaurentPoly2
 from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling
 from .stats import minimal_tiling, tq_sum
@@ -96,10 +106,65 @@ class _Choice(tuple):
         return text
 
 
+def _dumps(doc) -> str:
+    """The text ``json.dumps(doc, indent=2)`` gives, in one pass (see the module docstring).
+
+    Strings and keys go through ``json``'s own ASCII escaping.  A polynomial
+    object is formatted once per document and depth; where it is held
+    again, its text is written again.
+    """
+    parts: list[str] = []
+    write = parts.append
+    polys: dict[tuple[int, str], str] = {}
+
+    def encode(obj, indent: str) -> None:  # indent: newline and spaces of obj's own line
+        if isinstance(obj, str):
+            write(_quote(obj))
+        elif obj is None:
+            write("null")
+        elif obj is True:
+            write("true")
+        elif obj is False:
+            write("false")
+        elif isinstance(obj, int):
+            write(int.__repr__(obj))
+        elif isinstance(obj, dict):
+            inner = indent + "  "
+            sep = "{" + inner
+            for key, value in obj.items():
+                write(f"{sep}{_quote(key)}: ")
+                encode(value, inner)
+                sep = "," + inner
+            write("{}" if not obj else indent + "}")
+        elif isinstance(obj, (list, tuple)):
+            inner = indent + "  "
+            sep = "[" + inner
+            for value in obj:
+                write(sep)
+                encode(value, inner)
+                sep = "," + inner
+            write("[]" if not obj else indent + "]")
+        elif isinstance(obj, LaurentPoly2):
+            text = polys.get((id(obj), indent))
+            if text is None:
+                inner = indent + "  "
+                leaf = inner + "  "
+                terms = f",{inner}".join(
+                    f'[{leaf}{et},{leaf}{eq},{leaf}"{c}"{inner}]' for (et, eq), c in obj.items()
+                )
+                text = polys[id(obj), indent] = f"[{inner}{terms}{indent}]" if terms else "[]"
+            write(text)
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    encode(doc, "\n")
+    return "".join(parts)
+
+
 def _emit(payload: dict, status: str = "ok", out: str | None = None) -> None:
     doc = {"schema": 1, "status": status}
     doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=False)
+    text = _dumps(doc)
     if out:
         _write(out, text + "\n")
     else:
@@ -129,8 +194,9 @@ def genfun(region_spec: str, out: str | None) -> None:
             "region": region.spec_string(),
             "convention": "proof",
             "matched_conventions": matched,
-            "enumeration": enum_poly.to_json_obj(),
-            "formula": base.to_json_obj(),
+            "enumeration": enum_poly,
+            # equal to the enumeration when ok: one object, so its text is formatted once
+            "formula": enum_poly if verdict == "ok" else base,
             "verdict": verdict,
         },
         status=verdict,

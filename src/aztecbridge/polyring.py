@@ -223,12 +223,6 @@ class LaurentPoly2:
             total += c * _half_power(t0, rt, et) * _half_power(q0, rq, eq)
         return total
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> list[list]:
-        """Canonical JSON form: list of [2*t_exp, 2*q_exp, coeff-as-string]."""
-        return [[et, eq, str(c)] for (et, eq), c in self.items()]
-
 
 def _exact_sqrt(x: Fraction) -> Fraction:
     """Square root of a rational that must be a perfect square."""

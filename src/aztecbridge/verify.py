@@ -166,14 +166,20 @@ def suite_aztec(bound: int = 6) -> list[dict]:
 
 
 def suite_main(bound: int | None = None) -> list[dict]:
-    """SUITE_TUPLES, or every double rectangle of at most bound cells."""
-    tuples = suite_tuples(bound)
-    for tup in tuples:  # fail before the first sweep, not after the last
-        require_frontier_budget(build_double_rectangle(*tup))
+    """SUITE_TUPLES, or every double rectangle of at most bound cells.
+
+    Each region is built once, and every one is checked against the sweep
+    budget before the first sweep, as ``suite_rank`` does.
+    """
+    regions = []
+    for tup in suite_tuples(bound):  # fail before the first sweep, not after the last
+        regions.append(build_double_rectangle(*tup))
+        require_frontier_budget(regions[-1])
+    regions.reverse()  # popped in tuple order, so one region's sweep tables are alive at a time
     cases = []
-    for tup in tuples:
-        # built again rather than kept, so one region's tables are alive at a time
-        region = build_double_rectangle(*tup)
+    while regions:
+        region = regions.pop()
+        tup = region.params
         matched = compare_conventions(tq_sum(region), main_genfun(*tup))
         ok = "proof" in matched
         ok = ok and count_tilings(region) == corollary_count(*tup)

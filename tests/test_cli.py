@@ -12,11 +12,16 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_polyring import polys, to_json_obj
 
 import aztecbridge
 from aztecbridge import cli, engine, stats, verify
 from aztecbridge.cli import main
 from aztecbridge.engine import CapacityError
+from aztecbridge.formulas import main_genfun
+from aztecbridge.polyring import LaurentPoly2
 from aztecbridge.regions import ConstraintError, KindError
 
 Result = namedtuple("Result", "exit_code output exception")
@@ -305,6 +310,23 @@ def test_genfun_reports_convention():
     assert doc["enumeration"] == [[0, 0, "1"], [2, 2, "1"]]  # 1 + tq
 
 
+def test_a_genfun_mismatch_writes_the_formulas_own_terms(monkeypatch):
+    enumeration = json.loads(run("genfun", "dr:2,3,1,3,4").output)["enumeration"]
+    for other, matched in (
+        (LaurentPoly2({(0, 0): 7, (2, 4): -3}), []),
+        # the product with t and q swapped equals the sum in the statement's convention only
+        (main_genfun(2, 3, 1, 3, 4).swap_vars(), ["statement"]),
+    ):
+        monkeypatch.setattr(cli, "main_genfun", lambda *params: other)
+        result = run("genfun", "dr:2,3,1,3,4")
+        assert result.exit_code == 1
+        doc = json.loads(result.output)
+        assert doc["status"] == doc["verdict"] == "mismatch"
+        assert doc["matched_conventions"] == matched
+        assert doc["formula"] == to_json_obj(other) != enumeration
+        assert doc["enumeration"] == enumeration
+
+
 def test_genfun_double_rectangle_proof_convention():
     result = run("genfun", "dr:1,2,0,1,2")
     doc = json.loads(result.output)
@@ -535,3 +557,92 @@ def test_index_budget_exits_two_before_any_determinant(monkeypatch):
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
         assert "tiling index cost" in result.output and "over the budget of 2e+07" in result.output
+
+
+# strings that json escapes: quotes, backslashes, control characters, non-ASCII
+texts = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é\u2028😀"])
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | texts,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(texts, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(json_docs)
+@example({"": [], "empty": {}, "tuple": (), "true": True, "one": 1, "none": None})
+@example([True, 1, False, 0, -(10**30), '"\\/\b\f\n\r\t\x01é\u2028😀', {"é": ["\x7f"]}])
+def test_the_emitter_writes_the_text_of_json_dumps_indent_2(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@given(polys, polys)
+def test_the_emitter_writes_a_polynomial_as_its_json_form_at_any_depth(p, q):
+    doc = {"p": p, "list": [q, {"p": p}], "q": q}
+    p_obj, q_obj = to_json_obj(p), to_json_obj(q)
+    oracle = {"p": p_obj, "list": [q_obj, {"p": p_obj}], "q": q_obj}
+    assert cli._dumps(doc) == json.dumps(oracle, indent=2)
+    assert cli._dumps(p) == json.dumps(to_json_obj(p), indent=2)
+
+
+def test_the_emitter_formats_a_polynomial_once_per_depth():
+    formatted = []
+
+    class Counted(LaurentPoly2):
+        def items(self):
+            formatted.append(self)
+            return super().items()
+
+    p = Counted({(0, 0): 1, (2, 2): 3})
+    oracle = json.dumps({"enumeration": to_json_obj(p), "formula": to_json_obj(p)}, indent=2)
+    formatted.clear()
+    assert cli._dumps({"enumeration": p, "formula": p}) == oracle
+    assert len(formatted) == 1
+    cli._dumps({"enumeration": p, "nested": [p]})
+    assert len(formatted) == 3
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, object(), [0, {"x": 0.0}], {"x": frozenset()}])
+def test_the_emitter_rejects_any_other_type(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._dumps({"value": value})
+
+
+EMITTED = [
+    ("count", "ad:4"),
+    ("formula", "dr:2,3,1,3,4"),
+    ("genfun", "dr:2,3,1,3,4"),
+    ("paths", "dr:2,3,1,2,3", "639"),
+    ("rank", "dr:2,4,1,2,4"),
+    ("verify", "aztec", "--max", "4"),
+    ("verify", "main", "--max", "30"),
+    ("verify", "macmahon", "--max", "2"),
+    ("verify", "weighted", "--trials", "1"),
+    ("verify", "lemmas", "--trials", "3"),
+    ("verify", "rank", "--max", "24"),
+    ("verify", "paths"),
+]
+
+
+def _canonical(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", EMITTED, ids=" ".join)
+def test_every_json_document_is_the_text_of_json_dumps_indent_2(args, tmp_path):
+    result = run(*args)
+    assert result.exit_code == 0
+    assert result.output == _canonical(result.output)
+    out = tmp_path / "doc.json"
+    result = run(*args, "--out", str(out))
+    assert result.exit_code == 0 and result.output == ""
+    text = out.read_text(encoding="utf-8")
+    assert text == _canonical(text)
+
+
+def test_the_emitted_documents_cover_every_command(tmp_path):
+    assert {args[0] for args in EMITTED} | {"render"} == set(cli.COMMANDS)
+    result = run("render", "dr:2,3,1,2,3", "17", "--out", str(tmp_path / "t.svg"))
+    assert result.exit_code == 0
+    assert result.output == _canonical(result.output)

@@ -19,6 +19,17 @@ def test_no_assert_statements_in_the_package():
     assert found == [], "python -O strips these asserts: " + ", ".join(found)
 
 
+def test_no_call_in_the_package_indents_json():
+    """``json.dumps(indent=...)`` runs json's pure-Python encoder; ``cli._dumps`` writes its bytes."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(aztecbridge.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
+
+
 def test_the_cli_dispatches_every_suite_through_the_verify_module():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
