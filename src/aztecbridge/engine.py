@@ -46,8 +46,8 @@ fraction-free Bareiss elimination over int.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from math import comb
-from typing import Iterator, Sequence
 
 from .regions import Cell, InvariantError, Region, TriRegion, derived
 

@@ -30,21 +30,23 @@ shape (``_half_classes``), once.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .engine import CapacityError, _det, _kasteleyn_rows, _unit_det
-from .regions import Region, derived
+from .regions import Region, _Tuple, _tuple_new, derived
 
 #: Brute-force matching bound.
 MAX_MATCH_VERTICES = 40
 
 
-class WeightScheme(namedtuple("WeightScheme", "a b c d q")):
+class WeightScheme(_Tuple):
     """Domino weights as Fractions: the four classes get a, b, c*q^(level-1), d*q^level."""
 
     __slots__ = ()
+
+    def __new__(cls, a, b, c, d, q):
+        return _tuple_new(cls, (a, b, c, d, q))
 
 
 def _add_edge(edges: dict, vertices: tuple, i: int, j: int, num: int) -> None:
@@ -215,7 +217,7 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 _UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
 
 
-class WeightClasses(namedtuple("WeightClasses", "levels of marked")):
+class WeightClasses(_Tuple):
     """Each domino of a region by weight class; see ``_weight_classes``.
 
     ``of`` holds the class of each domino, by its index in Lattice.pairs, and
@@ -223,6 +225,9 @@ class WeightClasses(namedtuple("WeightClasses", "levels of marked")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, levels, of, marked):
+        return _tuple_new(cls, (levels, of, marked))
 
 
 @derived
@@ -249,7 +254,7 @@ def _weight_classes(region: Region) -> WeightClasses:
     return WeightClasses(levels, tuple(of), tuple(marked))
 
 
-class HalfClasses(namedtuple("HalfClasses", "vertices edges pendant_edges marked")):
+class HalfClasses(_Tuple):
     """The shape of a trimmed rectangle's half graph; see ``_half_classes``.  The fields:
 
     - ``vertices``: the kept cells in sorted order, then the pendants;
@@ -260,6 +265,9 @@ class HalfClasses(namedtuple("HalfClasses", "vertices edges pendant_edges marked
     """
 
     __slots__ = ()
+
+    def __new__(cls, vertices, edges, pendant_edges, marked):
+        return _tuple_new(cls, (vertices, edges, pendant_edges, marked))
 
 
 @derived

@@ -33,12 +33,19 @@ or in the family that ``tiling_to_paths`` reads off a checked mask.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence
 
-from .regions import InvariantError, Region, boundary_markers, derived, require_cover
+from .regions import (
+    InvariantError,
+    Region,
+    _Tuple,
+    _tuple_new,
+    boundary_markers,
+    derived,
+    require_cover,
+)
 from .stats import minimal_tiling
 
 UP, DOWN, LEVEL = "U", "D", "L"
@@ -48,19 +55,25 @@ class DecorationError(RuntimeError):
     """The decorated segments do not assemble into marker-to-marker paths."""
 
 
-class SchroederPath(namedtuple("SchroederPath", "points steps")):
+class SchroederPath(_Tuple):
     """``points``: the (x, y2) vertices, left to right; ``steps``: the step letters between them."""
 
     __slots__ = ()
 
+    def __new__(cls, points, steps):
+        return _tuple_new(cls, (points, steps))
 
-class PathFamily(namedtuple("PathFamily", "paths quarter_area")):
+
+class PathFamily(_Tuple):
     """A SchroederPath per marker index, and four times ``underneath_area``, summed by the walk."""
 
     __slots__ = ()
 
+    def __new__(cls, paths, quarter_area):
+        return _tuple_new(cls, (paths, quarter_area))
 
-class PathTables(namedtuple("PathTables", "starts steps u v_at points decorated")):
+
+class PathTables(_Tuple):
     """The walk's tables.  The fields:
 
     - ``starts``: point id -> OR of the bits of the decorated dominoes that start there;
@@ -72,6 +85,9 @@ class PathTables(namedtuple("PathTables", "starts steps u v_at points decorated"
     """
 
     __slots__ = ()
+
+    def __new__(cls, starts, steps, u, v_at, points, decorated):
+        return _tuple_new(cls, (starts, steps, u, v_at, points, decorated))
 
 
 def _compile_tables(u: Sequence, v: Sequence, segments: Sequence) -> PathTables:

@@ -11,7 +11,7 @@ one back.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .engine import CapacityError
 from .polyring import LaurentPoly2

@@ -22,9 +22,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import comb
 from operator import index
-from typing import Tuple
 
-Key = Tuple[int, int]
+Key = tuple[int, int]
 
 
 class LaurentPoly2:

@@ -30,7 +30,7 @@ the flip search, the path tables and the boundary markers read the ids;
 
 from __future__ import annotations
 
-from collections import namedtuple
+from _collections import _tuplegetter
 from functools import cached_property, wraps
 
 
@@ -46,26 +46,64 @@ class InvariantError(RuntimeError):
     """An identity that guards a computed result does not hold."""
 
 
-# The records of the package are plain namedtuples: typing.NamedTuple
-# compiles a forward reference for each annotated field when its module is
-# imported.
+_tuple_new = tuple.__new__
 
 
-class Cell(namedtuple("Cell", "x y")):
+class _Tuple(tuple):
+    """A record: a tuple with a read-only field per item, shown as ``Cell(x=3, y=3)``.
+
+    It gives a record what ``collections.namedtuple`` would, without the
+    ``__new__`` that namedtuple writes and ``eval``s per class, 60-90 us each
+    when its module is imported.  A subclass defines ``__slots__ = ()`` and
+    its own ``__new__(cls, x, y)`` returning ``_tuple_new(cls, (x, y))``;
+    the parameters after ``cls`` name the fields, in order.  Each field is
+    read by namedtuple's own ``_tuplegetter`` descriptor, and ``_fields``,
+    ``__match_args__``, ``__repr__`` and ``__getnewargs__`` (which copy and
+    pickle call) are namedtuple's.  A record compares, hashes and slices as
+    a plain tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__new__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+class Cell(_Tuple):
     __slots__ = ()
 
+    def __new__(cls, x, y):
+        return _tuple_new(cls, (x, y))
 
-class Tri(namedtuple("Tri", "x y up")):
+
+class Tri(_Tuple):
     __slots__ = ()
 
+    def __new__(cls, x, y, up):
+        return _tuple_new(cls, (x, y, up))
 
-class BoundaryMarkers(namedtuple("BoundaryMarkers", "u v")):
+
+class BoundaryMarkers(_Tuple):
     """Path sources u and sinks v, bottom to top: vertical edge midpoints (x, 2y + 1)."""
 
     __slots__ = ()
 
+    def __new__(cls, u, v):
+        return _tuple_new(cls, (u, v))
 
-class Grid(namedtuple("Grid", "stride origin at pos north east")):
+
+class Grid(_Tuple):
     """The padded grid of a square-lattice region, and the mask bits of its dominoes.
 
     Cell (x, y) sits at position (x - x0) * stride + y - y0, with (x0, y0)
@@ -87,13 +125,16 @@ class Grid(namedtuple("Grid", "stride origin at pos north east")):
 
     __slots__ = ()
 
+    def __new__(cls, stride, origin, at, pos, north, east):
+        return _tuple_new(cls, (stride, origin, at, pos, north, east))
+
     def point(self, p: int) -> tuple[int, int]:
         """The lattice point (x, y) at position p."""
         x, y = divmod(p - 1, self.stride)  # a point's row offset runs from 1 to stride
         return x + self.origin[0], y + 1 + self.origin[1]
 
 
-class Lattice(namedtuple("Lattice", "cells adjacent signs faces white black pairs grid")):
+class Lattice(_Tuple):
     """A region's cells (triangles) numbered 0, 1, ... in sorted order, and tables on the ids.
 
     Both kinds of region derive one, and the counter and the enumerator read
@@ -116,6 +157,9 @@ class Lattice(namedtuple("Lattice", "cells adjacent signs faces white black pair
     """
 
     __slots__ = ()
+
+    def __new__(cls, cells, adjacent, signs, faces, white, black, pairs, grid):
+        return _tuple_new(cls, (cells, adjacent, signs, faces, white, black, pairs, grid))
 
 
 def derived(compute):

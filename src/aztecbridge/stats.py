@@ -34,8 +34,8 @@ budgets are ``engine``'s.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 from .engine import (
     CapacityError,

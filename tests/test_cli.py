@@ -249,9 +249,18 @@ def test_domain_error_exit_code_survives_optimized_mode():
     assert "no tilings" in proc.stderr
 
 
+#: Prints the modules of a start-up cost that importing the command line brings in.
+_HEAVY_IMPORTS = """
+import sys
+before = set(sys.modules)
+import aztecbridge.cli
+print(sorted({'click', 'dataclasses', 'inspect', 'json', 'typing'} & (set(sys.modules) - before)))
+"""
+
+
 def test_importing_the_cli_imports_no_dataclasses():
-    heavy = "{'click', 'inspect', 'dataclasses'}"
-    proc = _fresh("-c", f"import sys, aztecbridge.cli; print(sorted({heavy} & set(sys.modules)))")
+    """Nor json, typing, inspect or click.  Under -S no ``site`` module runs first to import one."""
+    proc = _fresh("-S", "-c", _HEAVY_IMPORTS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -30,6 +30,25 @@ def test_no_call_in_the_package_indents_json():
     assert found == []
 
 
+def test_no_namedtuple_call_or_typing_import_in_the_package():
+    """Both cost every start: namedtuple ``eval``s a ``__new__`` per class (see ``regions._Tuple``)."""
+    found = []
+    for path in sorted(Path(aztecbridge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                bad = name == "namedtuple"
+            elif isinstance(node, ast.Import):
+                bad = any(a.name.partition(".")[0] == "typing" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = not node.level and node.module.partition(".")[0] == "typing"
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_cli_dispatches_every_suite_through_the_verify_module():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
