@@ -45,11 +45,11 @@ import sys
 from _json import encode_basestring_ascii as _quote
 
 from . import verify as suites
-from .engine import CapacityError, count_tilings, tiling_at
+from .engine import count_tilings, tiling_at
 from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .polyring import LaurentPoly2
-from .regions import ConstraintError, KindError, Region, TriRegion, parse_spec
+from .regions import CapacityError, ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling
 from .stats import minimal_tiling, tq_sum
 from .verify import DEFAULT_SEED, SUITES, compare_conventions

@@ -1,10 +1,9 @@
-"""Tiling enumeration and exact counting.
+"""Tiling enumeration, exact counting, and the two weighted sums over tilings.
 
 One counter and one enumerator serve both lattices: a ``Region`` and a
 ``TriRegion`` each number their cells (triangles) in sorted order and derive
 the same matching tables on those ids (``regions.Lattice``: neighbour ids,
-Kasteleyn signs, unit faces, colour classes), and both engines read only
-those.
+Kasteleyn signs, unit faces, colours), and both engines read only those.
 
 The enumerator lists the perfect matchings of the dual graph (dominoes on
 cells, lozenges on triangles) by branching on the lexicographically first
@@ -15,14 +14,15 @@ explicit stack keeps one frame per placed piece.  The enumerator serves the
 tests as an oracle.  A tiling index needs no listing: ``tiling_at`` unranks
 it in the same order from completion counts (``_completions``).
 
-The frontier.  ``_completions`` and the (t, q) sweep ``_sweep`` place one
-cell per step.  Before a step the state is the mask of the later cells that
-earlier pieces cover, shifted so that the step's cell is bit 0: a covered
-cell shifts, and a free one takes a piece to each later free cell.  Every
-pass reads its moves from one table (``_moves``).  The id order's
+The frontier.  ``_completions`` and the sweep ``_sweep`` place one cell per
+step.  Before a step the state is the mask of the later cells that earlier
+pieces cover, shifted so that the step's cell is bit 0: a covered cell
+shifts, and a free one takes a piece to each later free cell.  Every pass
+reads its moves from one table (``_moves``).  The id order's
 (``_id_moves``) is the enumerator's branching order too; the sweep runs on
 the narrowest of four cell orders (``_cell_orders``).  ``state_bound``
-bounds the states at a step for both budgets.
+bounds the states at a step for both budgets.  The sweep's public entry,
+``frontier_sum``, packs its states and picks its order; no caller does.
 
 Counting is Kasteleyn's determinant (Kasteleyn 1961; Kenyon, "Lectures on
 dimers", 2009).  The matrix has a row per white cell (up-triangle) and a
@@ -36,26 +36,20 @@ product -1.  Lozenges: every face is a hexagon, so every sign is +1.  Each
 region derives its signs with its ids (``Lattice.signs``).  The rule needs
 the faces to be those unit faces only, so a region with a hole is rejected
 up front.  A count builds the matrix of signs and keeps only its
-determinant (``_unit_det``).  Only a weighted sum keeps a skeleton of the
-matrix on the region, each entry's column, sign and piece
-(``_kasteleyn_rows``), and fills in the signs times the weights of the
-pieces, each row cleared of its denominators
-(``matchgraph.region_matching_sum``).  The determinant is exact:
-fraction-free Bareiss elimination over int.
+determinant (``_unit_det``); only the weighted sum ``kasteleyn_sum`` keeps
+the matrix's skeleton on the region (``_kasteleyn_rows``).  The determinant
+is exact: fraction-free Bareiss elimination over int (``_det``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
-from .regions import Cell, InvariantError, Region, TriRegion, derived
+from .regions import CapacityError, Cell, InvariantError, Region, TriRegion, derived
 
 Domino = tuple[Cell, Cell]
-
-
-class CapacityError(RuntimeError):
-    """Region exceeds a documented size bound of the requested engine."""
 
 
 def is_vertical(d: Domino) -> bool:
@@ -300,6 +294,30 @@ def _sweep(moves: tuple, vertical: Sequence[int], shifts: Sequence[int]) -> dict
     return states.get(0, {})
 
 
+def frontier_sum(region: Region, vertical: Sequence[int], weights: Sequence[int]) -> dict:
+    """{(vertical count, total weight): tilings}, by ``_sweep`` on the narrowest cell order.
+
+    Piece k adds vertical[k] and weights[k] >= 0.  A packed int holds the
+    tilings of weight r in bits [r W, (r + 1) W), W the bit length of the
+    determinant count, which they must sum to (a slot that overflowed
+    would carry and lower the sum), or InvariantError is raised.  Over
+    ``MAX_SWEEP_COST`` it raises CapacityError before the determinant.
+    """
+    require_frontier_budget(region)
+    count = count_tilings(region)
+    bits = count.bit_length()
+    slot = (1 << bits) - 1
+    shifts = [c * bits for c in weights]
+    terms = {}
+    for vt, packed in _sweep(_moves(region, _cell_orders(region)[0][1]), vertical, shifts).items():
+        for r in range(-(-packed.bit_length() // bits)):
+            if c := packed >> r * bits & slot:
+                terms[(vt, r)] = c
+    if sum(terms.values()) != count:
+        raise InvariantError(f"q coefficients sum to {sum(terms.values())}, not {count}")
+    return terms
+
+
 def count_tilings(region: Region | TriRegion) -> int:
     """Number of tilings: |det| of the region's Kasteleyn matrix."""
     return abs(_unit_det(region))
@@ -310,10 +328,8 @@ def _unit_det(region: Region | TriRegion) -> int:
     """The unweighted Kasteleyn determinant, derived once per region.
 
     Every tiling enters with the same sign, so this is that sign times the
-    tiling count.  With colour classes of different sizes there is no
-    perfect matching, and it is 0.  A region with a hole raises
-    InvariantError.  The matrix of signs is built here and dropped: a
-    count keeps no skeleton on the region (``_kasteleyn_rows``).
+    tiling count, or 0 with colour classes of different sizes.  A region
+    with a hole raises InvariantError.  The matrix is not kept.
     """
     lat = region.lattice
     _require_hole_free(lat.adjacent, len(lat.faces))
@@ -330,9 +346,7 @@ def _kasteleyn_rows(region: Region | TriRegion) -> tuple:
 
     The column is the black id's place in ``Lattice.black`` and the piece
     is the index in ``Lattice.pairs`` of the domino (lozenge) on the two
-    ids.  It is derived once per region, for the weighted sums only; the
-    signs are Kasteleyn's on a hole-free region, which ``_unit_det``
-    checks first.
+    ids.  It is derived once per region, for ``kasteleyn_sum`` only.
     """
     lat = region.lattice
     col = {b: j for j, b in enumerate(lat.black)}
@@ -343,6 +357,30 @@ def _kasteleyn_rows(region: Region | TriRegion) -> tuple:
         tuple([(col[b], s, piece[(w, b) if w < b else (b, w)]) for b, s in zip(adjacent[w], signs[w])])
         for w in lat.white
     ])
+
+
+def kasteleyn_sum(region: Region | TriRegion, weights: Sequence[tuple[int, int]]) -> Fraction:
+    """Sum over tilings of the product of their pieces' weights, as one determinant.
+
+    weights[k] is piece k's (numerator, positive denominator).  Each entry
+    of the skeleton gets its sign times its piece's weight, and each row is
+    cleared by the lcm of its own denominators.  det(K_w) is the sum times
+    a sign every tiling shares, which ``_unit_det`` gives, so negative
+    weights come out right.  A region with no tiling sums to 0; a hole
+    raises InvariantError.
+    """
+    count = _unit_det(region)
+    if not count:
+        return Fraction(0)
+    nums = [n for n, _ in weights]
+    dens = [d for _, d in weights]
+    rows, multiplier = [], 1
+    for row in _kasteleyn_rows(region):
+        mult = lcm(*(dens[p] for _, _, p in row))
+        rows.append({j: s * nums[p] * (mult // dens[p]) for j, s, p in row})
+        multiplier *= mult
+    det = _det(rows)
+    return Fraction(det if count > 0 else -det, multiplier)
 
 
 def _require_hole_free(adjacent: tuple, unit_faces: int) -> None:

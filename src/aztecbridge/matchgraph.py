@@ -9,22 +9,20 @@ factor by which the matching generating function changes, so the identity
 M(old) = factor * M(new) can be checked exactly.
 
 The weighted matching sum of a region's dual graph is a Kasteleyn
-determinant (``region_matching_sum``); the exponential ``matching_genfun``
-serves general graphs, such as the non-planar hosts of the rewrite checks.
-Both work on integers: the determinant clears each row by the lcm of its
-own denominators, the matcher multiplies numerators and divides by
-den^(n/2), and each builds one Fraction at the end.
+determinant (``region_matching_sum``, which hands each domino's weight to
+``engine.kasteleyn_sum``); the exponential ``matching_genfun`` serves
+general graphs, such as the non-planar hosts of the rewrite checks.  It
+multiplies integer numerators and divides by den^(n/2) at the end.
 
 Which weight a domino gets splits in two.  Its weight class (orientation,
 diagonal parity and level) depends on the region alone: it is derived once
 per region for each domino of ``Lattice.pairs`` (``_weight_classes``), and
-the dual graph's edges and the entries of the Kasteleyn skeleton
-(``engine._kasteleyn_rows``) look it up by the domino's index.  A scheme
-is a small table from class to an integer numerator and denominator, built
-once per call by ``_level_table`` from integer q-powers.  The rectangle
-rewrites take prebuilt Aztec rectangles, so a caller that glues the same
-shape many times builds it, and derives its classes and its half-graph
-shape (``_half_classes``), once.
+the dual graph's edges and the determinant's weights look it up by the
+domino's index.  A scheme is a small table from class to an integer
+numerator and denominator, built once per call by ``_level_table`` from
+integer q-powers.  The rectangle rewrites take prebuilt Aztec rectangles,
+so a caller that glues the same shape many times builds it, and derives
+its classes and its half-graph shape (``_half_classes``), once.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .engine import CapacityError, _det, _kasteleyn_rows, _unit_det
-from .regions import Region, _Tuple, _tuple_new, derived
+from .engine import kasteleyn_sum
+from .regions import CapacityError, Region, _Tuple, _tuple_new, derived
 
 #: Brute-force matching bound.
 MAX_MATCH_VERTICES = 40
@@ -375,32 +373,12 @@ def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
     """Sum over tilings of the product of domino weights, as a determinant.
 
     This equals ``matching_genfun(dual_graph(region, scheme))`` in polynomial
-    time.  det(K_w) is the weighted sum times a sign shared by every tiling,
-    and the region's unweighted determinant, the tiling count times that
-    sign, gives the sign, so negative weights come out right.  A region with
-    no tiling sums to 0.  Each entry of the Kasteleyn skeleton gets its sign
-    times the weight of its domino's class, an integer numerator and
-    denominator; each row is multiplied by the lcm of its own denominators,
-    and the integer determinant over the product of those multipliers is
-    the one Fraction built.
+    time: each domino weighs its class's entry of the scheme's table, and
+    ``engine.kasteleyn_sum`` takes the determinant.
     """
-    count = _unit_det(region)  # also rejects a region with a hole
-    if not count:
-        return Fraction(0)
     classes = _weight_classes(region)
     table = _level_table(scheme, classes.levels)
-    nums = [table[k][0] for k in classes.of]
-    dens = [table[k][1] for k in classes.of]
-    # per row, not one lcm for the table: a row then carries only the
-    # q-powers of the levels it touches
-    rows = []
-    multiplier = 1
-    for row in _kasteleyn_rows(region):
-        mult = math.lcm(*(dens[p] for _, _, p in row))
-        rows.append({j: s * nums[p] * (mult // dens[p]) for j, s, p in row})
-        multiplier *= mult
-    det = _det(rows)
-    return Fraction(det if count > 0 else -det, multiplier)
+    return kasteleyn_sum(region, [table[k] for k in classes.of])
 
 
 # -- replacement rules ------------------------------------------------------

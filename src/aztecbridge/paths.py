@@ -121,16 +121,15 @@ def _compile_tables(u: Sequence, v: Sequence, segments: Sequence) -> PathTables:
 def _path_tables(region: Region) -> PathTables:
     """The region's walk tables: the path step of every decorated domino, keyed by its mask bit."""
     segments = []
-    white = region.white_parity
-    cells = region.lattice.cells
+    cells, colour = region.lattice.cells, region.lattice.colour
     for k, (i, j) in enumerate(region.lattice.pairs):
         c, d, bit = cells[i], cells[j], 1 << k
         if c.x == d.x:  # vertical: c is the bottom cell
-            if (c.x + c.y) % 2 == white:
-                start, end, letter = (d.x, 2 * d.y + 1), (d.x + 1, 2 * c.y + 1), DOWN
-            else:
+            if colour[i]:
                 start, end, letter = (c.x, 2 * c.y + 1), (c.x + 1, 2 * d.y + 1), UP
-        elif (c.x + c.y) % 2 != white:  # horizontal with a black left cell
+            else:
+                start, end, letter = (d.x, 2 * d.y + 1), (d.x + 1, 2 * c.y + 1), DOWN
+        elif colour[i]:  # horizontal with a black left cell
             start, end, letter = (c.x, 2 * c.y + 1), (c.x + 2, 2 * c.y + 1), LEVEL
         else:
             continue

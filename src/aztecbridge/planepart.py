@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .engine import CapacityError
 from .polyring import LaurentPoly2
-from .regions import Tri, build_hexagon
+from .regions import CapacityError, Tri, build_hexagon
 
 PlanePartition = tuple  # tuple of row tuples
 

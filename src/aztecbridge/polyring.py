@@ -12,7 +12,7 @@ it converts every key and coefficient to int, merges repeated keys and drops
 zeros.  ``LaurentPoly2._of(terms)`` trusts a map that is canonical already
 and checks nothing; every operation of the ring but ``scale`` builds its
 result that way, dropping a coefficient that cancels as it builds the map,
-and so does ``stats.tq_sum``, whose frontier sweep unpacks only nonzero
+and so does ``stats.tq_sum``: ``engine.frontier_sum`` unpacks only nonzero
 coefficients.
 """
 

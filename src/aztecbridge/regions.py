@@ -20,7 +20,8 @@ corners (x, y), (x+1, y), (x, y+1); a down-triangle D(x, y) has corners
 Each region numbers its cells (triangles) once, in sorted order, and derives
 its matching tables on those ids in one pass over a padded grid
 (``Region.lattice``, ``TriRegion.lattice``): neighbour ids, Kasteleyn signs,
-unit faces, colour classes and the pieces (dominoes, lozenges) as sorted id
+unit faces, colours (``Lattice.colour``, so no other module reads
+``Region.white_parity``) and the pieces (dominoes, lozenges) as sorted id
 pairs, and for a square-lattice region the grid positions and the mask bit
 of each cell's dominoes.  A tiling is an int mask: bit k stands for piece k
 of ``Lattice.pairs``.  The counter, the enumerator, the height functions,
@@ -44,6 +45,10 @@ class KindError(TypeError):
 
 class InvariantError(RuntimeError):
     """An identity that guards a computed result does not hold."""
+
+
+class CapacityError(RuntimeError):
+    """Region exceeds a documented size bound of the requested engine."""
 
 
 _tuple_new = tuple.__new__
@@ -151,6 +156,7 @@ class Lattice(_Tuple):
       for a hexagon);
     - ``white`` and ``black``: the ids of the white cells (up-triangles) and
       of the black ones (down-triangles), increasing;
+    - ``colour``: id -> 0 if white (an up-triangle), 1 if black (a down-triangle);
     - ``pairs``: (i, j), i < j, per piece (domino, lozenge), sorted: bit k of
       a tiling mask stands for ``pairs[k]``;
     - ``grid``: the ``Grid``, or None for a triangular region.
@@ -158,8 +164,8 @@ class Lattice(_Tuple):
 
     __slots__ = ()
 
-    def __new__(cls, cells, adjacent, signs, faces, white, black, pairs, grid):
-        return _tuple_new(cls, (cells, adjacent, signs, faces, white, black, pairs, grid))
+    def __new__(cls, cells, adjacent, signs, faces, white, black, colour, pairs, grid):
+        return _tuple_new(cls, (cells, adjacent, signs, faces, white, black, colour, pairs, grid))
 
 
 def derived(compute):
@@ -313,7 +319,7 @@ class Region(_Record):
         at = [-1] * ((cells[-1].x - x0 + 2) * stride + 1 if cells else 0)
         for i, p in enumerate(pos):
             at[p] = i
-        adjacent, signs, faces, colours = [], [], [], ([], [])
+        adjacent, signs, faces, colour = [], [], [], []
         pairs, north, east = [], [0] * len(cells), [0] * len(cells)
         for i, (p, (x, y)) in enumerate(zip(pos, cells)):
             up, right = at[p + 1], at[p + stride]
@@ -333,11 +339,12 @@ class Region(_Record):
                 pairs.append((i, right))
                 if up >= 0 and at[p + stride + 1] >= 0:
                     faces.append(i)
-            colours[(x + y) % 2 != self.white_parity].append(i)
+            colour.append((x + y + self.white_parity) % 2)
         grid = Grid(stride, (x0, y0), tuple(at), pos, tuple(north), tuple(east))
-        white, black = map(tuple, colours)
+        white, black = (tuple(i for i, c in enumerate(colour) if c == k) for k in (0, 1))
         return Lattice(
-            cells, tuple(adjacent), tuple(signs), tuple(faces), white, black, tuple(pairs), grid
+            cells, tuple(adjacent), tuple(signs), tuple(faces), white, black, tuple(colour),
+            tuple(pairs), grid,
         )
 
     @cached_property
@@ -387,7 +394,7 @@ class TriRegion(_Record):
         for i, p in enumerate(pos):
             at[p] = i
         col = 2 * stride  # one column over
-        adjacent, faces, colours = [], [], ([], [])
+        adjacent, faces, colour = [], [], []
         for i, (p, t) in enumerate(zip(pos, tris)):
             if t.up:
                 around = (at[p - 1], at[p - col - 1], at[p - 3])
@@ -397,12 +404,13 @@ class TriRegion(_Record):
             else:
                 around = (at[p + 1], at[p + col + 1], at[p + 3])
             adjacent.append(tuple(j for j in around if j >= 0))
-            colours[not t.up].append(i)
+            colour.append(0 if t.up else 1)
         signs = tuple((1,) * len(ids) for ids in adjacent)
-        ups, downs = map(tuple, colours)
+        ups, downs = (tuple(i for i, c in enumerate(colour) if c == k) for k in (0, 1))
         # every neighbour of a down-triangle comes after it, of an up-triangle before it
         pairs = tuple((i, j) for i in downs for j in sorted(adjacent[i]))
-        return Lattice(tris, tuple(adjacent), signs, tuple(faces), ups, downs, pairs, None)
+        colour = tuple(colour)
+        return Lattice(tris, tuple(adjacent), signs, tuple(faces), ups, downs, colour, pairs, None)
 
 
 def require_cover(region, mask: int, error: type[Exception] = ConstraintError) -> None:

@@ -15,7 +15,8 @@ on a tiling's int mask over ``Lattice.pairs``, the one tiling format, and
 ``minimal_tiling`` returns one.  The two mask ranks take a batch of masks
 in one call and give the ranks lazily, so a caller checks each mask in one
 pass: the flip BFS lists masks and decodes none.  The same weights drive
-``tq_sum``, the (t, q) sum by ``engine``'s frontier sweep.
+``tq_sum``, the (t, q) sum by ``engine.frontier_sum``.  Every function
+here reads a cell's checkerboard colour from ``Lattice.colour``.
 
 The height functions run on the region's cell numbering (``Region.lattice``):
 a lattice point is numbered by its position on the region's padded grid, so
@@ -37,14 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 
-from .engine import (
-    CapacityError,
-    _cell_orders,
-    _moves,
-    _sweep,
-    count_tilings,
-    require_frontier_budget,
-)
+from .engine import CapacityError, count_tilings, frontier_sum, require_frontier_budget
 from .polyring import LaurentPoly2
 from .regions import ConstraintError, InvariantError, KindError, Region, derived, require_cover
 
@@ -74,9 +68,8 @@ def _grid_edges(region: Region) -> list[list]:
     grid = lat.grid
     at, w = grid.at, grid.stride
     edges: list[list] = [[] for _ in at]
-    for i, (x, y) in enumerate(lat.cells):
-        p = grid.pos[i]
-        step = 1 if (x + y) % 2 == region.white_parity else -1
+    for i, (p, black) in enumerate(zip(grid.pos, lat.colour)):
+        step = -1 if black else 1
         # counterclockwise around the cell, so it is on the left of each edge;
         # an edge it shares with the cell below or left of it is that cell's
         sides = [(p + w, p + w + 1, grid.east[i]), (p + w + 1, p + 1, grid.north[i])]
@@ -213,14 +206,12 @@ def _raising_flips(region: Region) -> list[tuple[int, int]]:
     """
     lat = region.lattice
     grid = lat.grid
-    white = region.white_parity
     blocks = []
     for i in lat.faces:  # the cell above i is i + 1, and e is the one right of i
         e = grid.at[grid.pos[i] + grid.stride]
         h = grid.east[i] | grid.east[i + 1]
         v = grid.north[i] | grid.north[e]
-        x, y = lat.cells[i]
-        blocks.append((v if (x + y) % 2 == white else h, h | v))
+        blocks.append((h if lat.colour[i] else v, h | v))
     return blocks
 
 
@@ -312,12 +303,12 @@ def _crossing_weights(region: Region) -> list[int]:
     grid = lat.grid
     at, w = grid.at, grid.stride
     a = [0] * len(lat.pairs)
-    for (x, y), p, bit in zip(lat.cells, grid.pos, grid.east):
+    for black, p, bit in zip(lat.colour, grid.pos, grid.east):
         if bit:
             above = 1  # the edges of the run end at the first row with no cell on either side
             while at[p + above] >= 0 or at[p + w + above] >= 0:
                 above += 1
-            a[bit.bit_length() - 1] = above if (x + y) % 2 == region.white_parity else -above
+            a[bit.bit_length() - 1] = -above if black else above
     return a
 
 
@@ -340,8 +331,8 @@ def rank_weights(region: Region) -> tuple[int, ...]:
     lat = region.lattice
     a = _crossing_weights(region)
     t0 = minimal_tiling(region)
-    white = set(lat.white)
-    pieces = [(i, j) if i in white else (j, i) for i, j in lat.pairs]  # (white, black)
+    colour = lat.colour
+    pieces = [(j, i) if colour[i] else (i, j) for i, j in lat.pairs]  # (white, black)
     arcs = [(b, w, -a[k]) if t0 >> k & 1 else (w, b, a[k]) for k, (w, b) in enumerate(pieces)]
     d = [0] * len(lat.cells)
     for _ in range(len(d) + 1):
@@ -365,29 +356,17 @@ def rank_weights(region: Region) -> tuple[int, ...]:
 # -- bivariate generating function --------------------------------------------
 
 def tq_sum(region: Region) -> LaurentPoly2:
-    """Sum of t^(vertical/2) q^rank over all tilings, by ``engine``'s frontier sweep (``_sweep``).
+    """Sum of t^(vertical/2) q^rank over all tilings, by ``engine.frontier_sum``.
 
-    The rank is the sum of the pieces' ``rank_weights``; the cells are swept
-    in the narrowest order of ``engine._ORDERS``, and the count of rank r sits in
-    bits [r W, (r + 1) W), W the determinant count's bit length.  Guards:
-    the coefficients sum to that count (an overflowing slot would carry and
-    lower the sum), and q^0 is the minimal tiling alone.  A region over
-    ``engine.MAX_SWEEP_COST`` raises CapacityError before the determinant.
+    The rank is the sum of the pieces' ``rank_weights``.  Guard: q^0 is the
+    minimal tiling alone.  A region over ``engine.MAX_SWEEP_COST`` raises
+    CapacityError before its rank weights or any determinant.
     """
     require_frontier_budget(region)
-    count = count_tilings(region)
-    bits = count.bit_length()
-    slot = (1 << bits) - 1
-    shifts = [c * bits for c in rank_weights(region)]
+    weights = rank_weights(region)
     north = sum(region.lattice.grid.north)  # the mask of the vertical pieces
-    vertical = [north >> k & 1 for k in range(len(shifts))]
-    terms = {}
-    for vt, packed in _sweep(_moves(region, _cell_orders(region)[0][1]), vertical, shifts).items():
-        for r in range(-(-packed.bit_length() // bits)):
-            if c := packed >> r * bits & slot:
-                terms[(vt, 2 * r)] = c
-    if sum(terms.values()) != count:
-        raise InvariantError(f"q coefficients sum to {sum(terms.values())}, not {count}")
+    vertical = [north >> k & 1 for k in range(len(weights))]
+    terms = {(vt, 2 * r): c for (vt, r), c in frontier_sum(region, vertical, weights).items()}
     ground = sorted((key, c) for key, c in terms.items() if key[1] == 0)
     t0_vertical = (minimal_tiling(region) & north).bit_count()
     if ground != [((t0_vertical, 0), 1)]:

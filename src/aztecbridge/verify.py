@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .engine import count_tilings, require_frontier_budget
@@ -152,13 +152,25 @@ def suite_macmahon(bound: int = 3) -> list[dict]:
     return cases
 
 
+def _admitted(regions: Iterable[Region], require: Callable) -> Iterator[Region]:
+    """Yield the regions in order once ``require`` has passed each as it was built.
+
+    So a suite fails before its first case and builds each region once; a
+    yielded region is not kept here, so its derived tables go with its case.
+    """
+    kept = []
+    for region in regions:
+        require(region)
+        kept.append(region)
+    kept.reverse()
+    while kept:
+        yield kept.pop()
+
+
 def suite_aztec(bound: int = 6) -> list[dict]:
-    regions = []
-    for n in range(1, bound + 1):  # fail before the first sweep, not after the last
-        regions.append(build_aztec_diamond(n))
-        require_frontier_budget(regions[-1])
     cases = []
-    for n, region in enumerate(regions, 1):
+    diamonds = map(build_aztec_diamond, range(1, bound + 1))
+    for n, region in enumerate(_admitted(diamonds, require_frontier_budget), 1):
         ok = count_tilings(region) == aztec_count(n)
         ok = ok and tq_sum(region) == aztec_genfun(n)
         cases.append({"order": n, "ok": ok})
@@ -166,19 +178,10 @@ def suite_aztec(bound: int = 6) -> list[dict]:
 
 
 def suite_main(bound: int | None = None) -> list[dict]:
-    """SUITE_TUPLES, or every double rectangle of at most bound cells.
-
-    Each region is built once, and every one is checked against the sweep
-    budget before the first sweep, as ``suite_rank`` does.
-    """
-    regions = []
-    for tup in suite_tuples(bound):  # fail before the first sweep, not after the last
-        regions.append(build_double_rectangle(*tup))
-        require_frontier_budget(regions[-1])
-    regions.reverse()  # popped in tuple order, so one region's sweep tables are alive at a time
+    """SUITE_TUPLES, or every double rectangle of at most bound cells, each within budget."""
+    regions = (build_double_rectangle(*tup) for tup in suite_tuples(bound))
     cases = []
-    while regions:
-        region = regions.pop()
+    for region in _admitted(regions, require_frontier_budget):
         tup = region.params
         matched = compare_conventions(tq_sum(region), main_genfun(*tup))
         ok = "proof" in matched
@@ -323,15 +326,11 @@ def suite_rank(bound: int = 40) -> list[dict]:
     """Every double rectangle of at most bound cells, each checked by ``_rank_case``.
 
     No tiling is listed outside the flip BFS: the enumerator checks the BFS
-    in the tests instead.  Each region is built and counted once, and every
-    one is checked against the listing budget before the first BFS.
+    in the tests instead.  Each region is counted once, for its budget.
     """
-    regions = []
-    for tup in small_double_rectangles(bound):  # fail before the first BFS
-        regions.append(build_double_rectangle(*tup))
-        require_listing_budget(regions[-1], count_tilings(regions[-1]))
-    regions.reverse()  # popped in tuple order, so one rank table is alive at a time
-    return [_rank_case(regions.pop()) for _ in range(len(regions))]
+    regions = (build_double_rectangle(*tup) for tup in small_double_rectangles(bound))
+    listable = _admitted(regions, lambda r: require_listing_budget(r, count_tilings(r)))
+    return [_rank_case(region) for region in listable]
 
 
 def suite_paths() -> list[dict]:

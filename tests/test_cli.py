@@ -504,7 +504,7 @@ def test_sweep_budget_exits_two_before_any_sweep(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept before checking the budget")
 
-    monkeypatch.setattr(stats, "_sweep", no_sweep)
+    monkeypatch.setattr(engine, "_sweep", no_sweep)
     # dr:1,2,0,11,12, the 77th tuple of at most 300 cells, is the first over the budget
     for args in (
         ("genfun", "ad:12"),

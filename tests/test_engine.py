@@ -12,6 +12,7 @@ from aztecbridge.engine import (
     CapacityError,
     count_tilings,
     enumerate_tilings,
+    frontier_sum,
     is_vertical,
     require_index_budget,
     tiling_at,
@@ -227,3 +228,17 @@ def test_a_dropped_move_trips_the_determinant_guard(monkeypatch):
     guard = "completion counts give 48 tilings, the determinant 160"
     with pytest.raises(InvariantError, match=guard):
         tiling_at(parse_spec("dr:1,3,0,2,4"), 0)
+
+
+def test_frontier_sum_with_zero_weights_is_the_enumerators_vertical_histogram():
+    regions = [build_aztec_diamond(n) for n in range(1, 6)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    for region in regions:
+        north = sum(region.lattice.grid.north)
+        pieces = len(region.lattice.pairs)
+        histogram = {}
+        for mask in enumerate_tilings(region):
+            key = ((mask & north).bit_count(), 0)
+            histogram[key] = histogram.get(key, 0) + 1
+        vertical = [north >> k & 1 for k in range(pieces)]
+        assert frontier_sum(region, vertical, [0] * pieces) == histogram, region.spec_string()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aztecbridge import engine
 from aztecbridge.engine import _det, count_tilings, enumerate_tilings
-from aztecbridge.formulas import ResampleError, macmahon_count, weighted_formula_rhs
+from aztecbridge.formulas import ResampleError, macmahon_count, macmahon_q, weighted_formula_rhs
 from aztecbridge.matchgraph import (
     WeightScheme,
     dual_graph,
@@ -256,3 +256,23 @@ def test_a_hexagon_with_a_hole_is_rejected():
     holed = TriRegion(kind="hexagon", params=(2, 2, 2), tris=full.tris - around)
     with pytest.raises(InvariantError, match="hole"):
         count_tilings(holed)
+
+
+def test_lozenges_weighted_by_two_to_their_row_sum_to_macmahons_q_product_at_two():
+    """A lozenge whose two triangles D(x, y), U(x, y) share (x, y) weighs 2^y, every other 1.
+
+    The sum is then 2^e0 times MacMahon's q-product at q = 2, e0 = b a (a - 1) / 2:
+    the volume statistic of the plane partitions, on boxes far past the brute-force bound.
+    """
+    for a, b, c in ((1, 1, 1), (2, 2, 2), (2, 3, 4), (4, 3, 3), (3, 3, 3), (6, 6, 6), (8, 8, 8)):
+        region = build_hexagon(a, b, c)
+        tris = region.lattice.cells
+        weights = []
+        for i, j in region.lattice.pairs:  # i a down-triangle, j an up-triangle
+            down, up = tris[i], tris[j]
+            weights.append((2**down.y if (down.x, down.y) == (up.x, up.y) else 1, 1))
+        e0 = b * a * (a - 1) // 2
+        expected = 2**e0 * macmahon_q(a, b, c).eval_rational(1, 2)
+        assert engine.kasteleyn_sum(region, weights) == expected, (a, b, c)
+    rect = build_aztec_rectangle(2, 3)  # imbalanced: no tiling, so the sum is 0
+    assert engine.kasteleyn_sum(rect, [(2, 1)] * len(rect.lattice.pairs)) == 0

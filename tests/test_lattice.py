@@ -134,3 +134,21 @@ def test_the_triangular_lattice_tables_equal_the_tri_constructions():
         col = {t: j for j, t in enumerate(downs)}
         rows = [{col[d]: 1 for d in nbs[u]} for u in ups]
         assert engine._unit_det(region) == _det(rows), (a, b, c)
+
+
+def test_the_colour_of_each_id_agrees_with_the_colour_classes_and_the_parity_rule():
+    regions = [build_aztec_diamond(n) for n in range(1, 6)]
+    regions += [build_aztec_rectangle(m, n) for m in range(1, 5) for n in range(1, 5)]
+    regions += [build_double_rectangle(*tup) for tup in small_double_rectangles(40)]
+    boxes = [(a, b, c) for a in range(1, 4) for b in range(1, 4) for c in range(1, 4)]
+    regions += [build_hexagon(*box) for box in boxes]
+    for region in regions:
+        lat = region.lattice
+        assert len(lat.colour) == len(lat.cells), region.spec_string()
+        assert [i for i, c in enumerate(lat.colour) if c == 0] == list(lat.white)
+        assert [i for i, c in enumerate(lat.colour) if c == 1] == list(lat.black)
+        if region.kind == "hexagon":
+            rule = [0 if t.up else 1 for t in lat.cells]
+        else:  # white, colour 0, where x + y has the region's white parity
+            rule = [(x + y - region.white_parity) % 2 for x, y in lat.cells]
+        assert list(lat.colour) == rule, region.spec_string()

@@ -16,7 +16,7 @@ RECORDS = [
     (Tri, "x y up"),
     (BoundaryMarkers, "u v"),
     (Grid, "stride origin at pos north east"),
-    (Lattice, "cells adjacent signs faces white black pairs grid"),
+    (Lattice, "cells adjacent signs faces white black colour pairs grid"),
     (WeightScheme, "a b c d q"),
     (WeightClasses, "levels of marked"),
     (HalfClasses, "vertices edges pendant_edges marked"),

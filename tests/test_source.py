@@ -82,3 +82,36 @@ def test_verify_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def _package_trees():
+    """(file name, parsed source) of every module of the package."""
+    for path in sorted(Path(aztecbridge.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_module_but_engine_imports_a_private_name_of_engine():
+    """The sweep's packing, cell orders and move tables and the Kasteleyn skeleton are engine's."""
+    found = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _package_trees()
+        if name != "engine.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "engine" and node.level == 1 or node.module == "aztecbridge.engine")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_no_module_but_regions_reads_the_white_parity():
+    """Every other module reads a cell's colour from ``Lattice.colour``, derived once."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        if name != "regions.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "white_parity"
+    ]
+    assert found == []

@@ -448,7 +448,7 @@ def test_frontier_budget_admits_ad11_and_the_checked_tuples_and_rejects_ad12(mon
     def no_work(*args):
         raise AssertionError("took a determinant or swept over the budget")
 
-    monkeypatch.setattr(stats, "_sweep", no_work)
+    monkeypatch.setattr(engine, "_sweep", no_work)
     monkeypatch.setattr(engine._unit_det, "__wrapped__", no_work)
     monkeypatch.setattr(stats.rank_weights, "__wrapped__", no_work)
     with pytest.raises(CapacityError, match="over the budget"):
