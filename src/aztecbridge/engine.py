@@ -44,9 +44,9 @@ is exact: fraction-free Bareiss elimination over int (``_det``).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from math import comb, lcm
 
+from .rational import reduced
 from .regions import CapacityError, Cell, InvariantError, Region, TriRegion, derived
 
 Domino = tuple[Cell, Cell]
@@ -359,8 +359,8 @@ def _kasteleyn_rows(region: Region | TriRegion) -> tuple:
     ])
 
 
-def kasteleyn_sum(region: Region | TriRegion, weights: Sequence[tuple[int, int]]) -> Fraction:
-    """Sum over tilings of the product of their pieces' weights, as one determinant.
+def kasteleyn_sum(region: Region | TriRegion, weights: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Sum over tilings of the product of their pieces' weights, a reduced pair, by one determinant.
 
     weights[k] is piece k's (numerator, positive denominator).  Each entry
     of the skeleton gets its sign times its piece's weight, and each row is
@@ -371,7 +371,7 @@ def kasteleyn_sum(region: Region | TriRegion, weights: Sequence[tuple[int, int]]
     """
     count = _unit_det(region)
     if not count:
-        return Fraction(0)
+        return 0, 1
     nums = [n for n, _ in weights]
     dens = [d for _, d in weights]
     rows, multiplier = [], 1
@@ -380,7 +380,7 @@ def kasteleyn_sum(region: Region | TriRegion, weights: Sequence[tuple[int, int]]
         rows.append({j: s * nums[p] * (mult // dens[p]) for j, s, p in row})
         multiplier *= mult
     det = _det(rows)
-    return Fraction(det if count > 0 else -det, multiplier)
+    return reduced(det if count > 0 else -det, multiplier)
 
 
 def _require_hole_free(adjacent: tuple, unit_faces: int) -> None:

@@ -3,17 +3,17 @@
 Everything here is exact: polynomial identities are assembled in the
 doubled-exponent Laurent ring, and the rational specialization of the
 weighted formula multiplies integer numerators and denominators and
-normalizes once, into one Fraction.  Division of product numerators by
-product denominators is checked to leave no remainder, so a typo in a
-product formula cannot pass silently.
+normalizes once, into one reduced pair (``rational``).  Division of product
+numerators by product denominators is checked to leave no remainder, so a
+typo in a product formula cannot pass silently.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, prod
 
 from .polyring import LaurentPoly2, one
+from .rational import as_pair, reduced
 from .regions import InvariantError, _check_dr_params
 
 
@@ -165,13 +165,15 @@ def weighted_formula_rhs(
     k: int,
     m2: int,
     n2: int,
-    a: Fraction,
-    b: Fraction,
-    c: Fraction,
-    d: Fraction,
-    q: Fraction,
-) -> Fraction:
-    """Exact value of the weighted tiling sum product formula.
+    a,
+    b,
+    c,
+    d,
+    q,
+) -> tuple[int, int]:
+    """Exact value of the weighted tiling sum product formula, as a reduced pair.
+
+    The weights a, b, c, d and q are exact rationals (``rational.as_pair``).
 
     The form is the one calibrated against exhaustive weighted
     matching sums (exact symbolic agreement over 53 parameter tuples; see
@@ -186,15 +188,14 @@ def weighted_formula_rhs(
     A sampled q at which a denominator of the untelescoped ratio vanishes,
     q = 1 or q = -1 when g > 0, raises ResampleError.  Each factor is
     multiplied in as an integer numerator and denominator, and the value is
-    normalized once, into one Fraction.
+    normalized once.
     """
     _check_dr_params(m1, n1, k, m2, n2)
-    a, b, c, d, q = (v if isinstance(v, Fraction) else Fraction(v) for v in (a, b, c, d, q))
-    if q == 0:
+    (an, ad), (bn, bd), (cn, cd), (dn, dd), (qn, qd) = map(as_pair, (a, b, c, d, q))
+    if not qn:
         raise ValueError("q must be nonzero")
-    qn, qd = q.numerator, q.denominator
-    ad_num, ad_den = a.numerator * d.numerator, a.denominator * d.denominator
-    bc_num, bc_den = b.numerator * c.numerator, b.denominator * c.denominator
+    ad_num, ad_den = an * dn, ad * dd
+    bc_num, bc_den = bn * cn, bd * cd
 
     def q_power(e: int) -> tuple[int, int]:
         return (qn**e, qd**e) if e >= 0 else (qd**-e, qn**-e)
@@ -205,8 +206,8 @@ def weighted_formula_rhs(
 
     g = n1 - m1
     h = m2 - k + 1
-    num = c.numerator ** (h * g) * d.numerator ** ((m1 + k) * g)
-    den = c.denominator ** (h * g) * d.denominator ** ((m1 + k) * g)
+    num = cn ** (h * g) * dn ** ((m1 + k) * g)
+    den = cd ** (h * g) * dd ** ((m1 + k) * g)
     for e, power in [(i, m1 - i) for i in range(m1)] + [(-(i + 1), m2 - i) for i in range(m2)]:
         fn, fd = linear(e)
         num *= fn**power
@@ -225,8 +226,8 @@ def weighted_formula_rhs(
     den *= pd
     # the untelescoped exponents i+j+t-2 start 1, 2 and reach g+m1+m2-1 >= 2
     # whenever g > 0, so its first pole is q^1 at q = 1 and q^2 at q = -1
-    if g and q in (1, -1):
-        raise ResampleError(f"q^{1 if q == 1 else 2} = 1 at the sampled point q={q}")
+    if g and qd == 1 and qn in (1, -1):
+        raise ResampleError(f"q^{1 if qn == 1 else 2} = 1 at the sampled point q={qn}")
     # (1 - q^s) / (1 - q^t) = (qd^s - qn^s) / (qd^t - qn^t) / qd^(s - t),
     # and s - t = m1 + k in every factor
     for i in range(1, g + 1):
@@ -235,4 +236,4 @@ def weighted_formula_rhs(
             num *= qd**s - qn**s
             den *= qd**t - qn**t
     den *= qd ** ((m1 + k) * g * h)
-    return Fraction(num, den)
+    return reduced(num, den)

@@ -6,7 +6,8 @@ index: a graph's ``edges`` map each pair (i, j), i < j, of positions in
 positive common denominator ``den``.  Every rewrite builds a new graph in
 that form directly, in integers, and returns (where applicable) the scalar
 factor by which the matching generating function changes, so the identity
-M(old) = factor * M(new) can be checked exactly.
+M(old) = factor * M(new) can be checked exactly.  Every sum and factor is a
+reduced (numerator, positive denominator) pair (``rational``).
 
 The weighted matching sum of a region's dual graph is a Kasteleyn
 determinant (``region_matching_sum``, which hands each domino's weight to
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .engine import kasteleyn_sum
+from .rational import as_pair, reduced
 from .regions import CapacityError, Region, _Tuple, _tuple_new, derived
 
 #: Brute-force matching bound.
@@ -39,7 +40,7 @@ MAX_MATCH_VERTICES = 40
 
 
 class WeightScheme(_Tuple):
-    """Domino weights as Fractions: the four classes get a, b, c*q^(level-1), d*q^level."""
+    """Domino weights, exact rationals: the four classes get a, b, c*q^(level-1), d*q^level."""
 
     __slots__ = ()
 
@@ -72,6 +73,7 @@ def _first_repeat(items: tuple):
 class WeightedGraph:
     """Immutable simple undirected graph with rational edge weights.
 
+    Each weight given is an exact rational that ``rational.as_pair`` takes.
     ``edges`` maps (i, j), i < j positions in ``vertices``, to an integer
     numerator, in edge order; the weight of that edge is the numerator over
     the positive common denominator ``den``.  Vertices and marked vertices
@@ -87,12 +89,10 @@ class WeightedGraph:
             raise ValueError(f"repeated vertex {_first_repeat(self.vertices)!r}")
         ratios: dict[tuple[int, int], tuple[int, int]] = {}
         for u, v, w in edges:
-            if not isinstance(w, (int, Fraction)):
-                w = Fraction(w)
+            ratio = as_pair(w)
             i, j = index.get(u), index.get(v)
             if i is None or j is None or i == j:
                 raise ValueError(f"bad edge ({u!r}, {v!r})")
-            ratio = w.as_integer_ratio()
             if not ratio[0]:
                 raise ValueError("zero edge weight")
             key = (i, j) if i < j else (j, i)
@@ -149,10 +149,11 @@ class WeightedGraph:
             self._neighbors = nbrs
         return self._neighbors[i]
 
-    def weight(self, u, v) -> Fraction:
+    def weight(self, u, v) -> tuple[int, int]:
+        """The weight of the edge u-v as a reduced (numerator, denominator) pair."""
         index = self._position()
         i, j = index[u], index[v]
-        return Fraction(self.edges[(i, j) if i < j else (j, i)], self.den)
+        return reduced(self.edges[(i, j) if i < j else (j, i)], self.den)
 
     def neighbors(self, v) -> list:
         """The vertices joined to v, in edge order."""
@@ -160,8 +161,8 @@ class WeightedGraph:
         return [vertices[j] for j in self._adjacent(self._position()[v])]
 
 
-def matching_genfun(graph: WeightedGraph) -> Fraction:
-    """Sum over perfect matchings of the product of edge weights.
+def matching_genfun(graph: WeightedGraph) -> tuple[int, int]:
+    """Sum over perfect matchings of the product of edge weights, as a reduced pair.
 
     Every perfect matching has n/2 edges, so the search multiplies integer
     numerators over a bitmask of alive vertices, and the sum is divided by
@@ -179,7 +180,7 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
             f"{n} vertices exceed the brute-force bound {MAX_MATCH_VERTICES}"
         )
     if n % 2:
-        return Fraction(0)
+        return 0, 1
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), num in graph.edges.items():
         later[i].append((1 << j, num))
@@ -194,7 +195,7 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
                     key = rest ^ bit
                     pushed[key] = pushed.get(key, 0) + total * num
         layer = pushed
-    return Fraction(layer.get(0, 0), graph.den ** (n // 2))
+    return reduced(layer.get(0, 0), graph.den ** (n // 2))
 
 
 # -- the domino weight scheme ----------------------------------------------
@@ -212,7 +213,7 @@ def matching_genfun(graph: WeightedGraph) -> Fraction:
 # tests/test_matchgraph.py.
 
 #: The scheme under which every domino weighs 1.
-_UNIT_SCHEME = WeightScheme(*(Fraction(1),) * 5)
+_UNIT_SCHEME = WeightScheme(*(1,) * 5)
 
 
 class WeightClasses(_Tuple):
@@ -298,25 +299,12 @@ def _half_classes(region: Region) -> HalfClasses:
     )
 
 
-def _ratio(v) -> tuple[int, int]:
-    """The rational v as an integer (numerator, positive denominator) pair in lowest terms."""
-    return (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
-
-
 def _require_q(qn: int) -> None:
     """Raise unless q, of numerator qn, is nonzero."""
     if not qn:
         raise ZeroDivisionError(
             "q must be nonzero: a graded horizontal domino on the bottom row carries q^-1"
         )
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms with a positive denominator."""
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
 
 
 def _level_table(scheme: WeightScheme, levels: int) -> list[tuple[int, int]]:
@@ -329,13 +317,13 @@ def _level_table(scheme: WeightScheme, levels: int) -> list[tuple[int, int]]:
     weight is a reduced integer (numerator, positive denominator), and the
     graded ones are carried in integers level by level.
     """
-    a, b, (cn, cd), (vn, vd), (qn, qd) = map(_ratio, scheme)  # d * q^0 is d
+    a, b, (cn, cd), (vn, vd), (qn, qd) = map(as_pair, scheme)  # d * q^0 is d
     _require_q(qn)
-    hn, hd = _reduced(cn * qd, cd * qn)  # c * q^-1
+    hn, hd = reduced(cn * qd, cd * qn)  # c * q^-1
     graded_h, graded_v = [], []
     for _ in range(levels):
-        graded_h.append(_reduced(hn, hd))
-        graded_v.append(_reduced(vn, vd))
+        graded_h.append(reduced(hn, hd))
+        graded_v.append(reduced(vn, vd))
         hn, hd, vn, vd = hn * qn, hd * qd, vn * qn, vd * qd
     return [b] * levels + graded_h + graded_v + [a] * levels
 
@@ -369,8 +357,8 @@ def dual_graph(region: Region, scheme: WeightScheme | None = None) -> WeightedGr
     return WeightedGraph._derived(lat.cells, edges, den, classes.marked)
 
 
-def region_matching_sum(region: Region, scheme: WeightScheme) -> Fraction:
-    """Sum over tilings of the product of domino weights, as a determinant.
+def region_matching_sum(region: Region, scheme: WeightScheme) -> tuple[int, int]:
+    """Sum over tilings of the product of domino weights, a reduced pair, as a determinant.
 
     This equals ``matching_genfun(dual_graph(region, scheme))`` in polynomial
     time: each domino weighs its class's entry of the scheme's table, and
@@ -427,13 +415,13 @@ def vertex_split(graph: WeightedGraph, v, part: Iterable) -> WeightedGraph:
     return WeightedGraph._derived(vertices, edges, graph.den, marked)
 
 
-def star_scale(graph: WeightedGraph, v, factor: Fraction) -> WeightedGraph:
+def star_scale(graph: WeightedGraph, v, factor) -> WeightedGraph:
     """Scale every edge at v; M scales by the same factor (must be positive).
 
     By p/q: the edges at v are multiplied by p, every other edge by q, and
     the denominator by q.
     """
-    p, q = _ratio(factor)
+    p, q = as_pair(factor)
     if p <= 0:
         raise ValueError("scale factor must be positive")
     at = graph._position()[v]
@@ -441,7 +429,7 @@ def star_scale(graph: WeightedGraph, v, factor: Fraction) -> WeightedGraph:
     return WeightedGraph._derived(graph.vertices, edges, graph.den * q, graph.marked)
 
 
-def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, Fraction]:
+def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, tuple[int, int]]:
     """Replace an inner 4-cycle with unit spokes by a 4-cycle on its tips.
 
     inner = (i1, i2, i3, i4) in cyclic order; each i_j has exactly one
@@ -484,18 +472,18 @@ def spider_reduce(graph: WeightedGraph, inner: tuple) -> tuple[WeightedGraph, Fr
         moved[old] = new
     vertices = tuple(graph.vertices[i] for i in kept)
     scale = abs(big)
-    reduced = {
+    kept_edges = {
         (moved[i], moved[j]): w * scale
         for (i, j), w in edges.items()
         if moved[i] is not None and moved[j] is not None
     }
     unit = d * d if big > 0 else -d * d
     a_, b_, c_, d_ = (moved[u] for u in tips)
-    _add_edge(reduced, vertices, a_, b_, z * unit)
-    _add_edge(reduced, vertices, b_, c_, t * unit)
-    _add_edge(reduced, vertices, c_, d_, x * unit)
-    _add_edge(reduced, vertices, d_, a_, y * unit)
-    return WeightedGraph._derived(vertices, reduced, d * scale, graph.marked), Fraction(big, d * d)
+    _add_edge(kept_edges, vertices, a_, b_, z * unit)
+    _add_edge(kept_edges, vertices, b_, c_, t * unit)
+    _add_edge(kept_edges, vertices, c_, d_, x * unit)
+    _add_edge(kept_edges, vertices, d_, a_, y * unit)
+    return WeightedGraph._derived(vertices, kept_edges, d * scale, graph.marked), reduced(big, d * d)
 
 
 def connected_sum(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
@@ -538,10 +526,10 @@ def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
     to northeast.  That shape is derived once per region
     (``_half_classes``), so a scheme costs one table lookup per edge.
     """
-    (an, ad), *_, (qn, qd) = map(_ratio, scheme)
+    (an, ad), *_, (qn, qd) = map(as_pair, scheme)
     _require_q(qn)
     classes, half = _weight_classes(trimmed), _half_classes(trimmed)
-    table = _level_table(WeightScheme(Fraction(an * qd, ad * qn), *scheme[1:]), classes.levels)
+    table = _level_table(WeightScheme((an * qd, ad * qn), *scheme[1:]), classes.levels)
     edges, den = _weighted_edges(classes, table, half.edges)
     for key in half.pendant_edges:
         edges[key] = den
@@ -550,7 +538,7 @@ def half_ar_graph(trimmed: Region, scheme: WeightScheme) -> WeightedGraph:
 
 def ar_reduce(
     host: WeightedGraph, rect: Region, trimmed: Region, scheme: WeightScheme
-) -> tuple[WeightedGraph, Fraction]:
+) -> tuple[WeightedGraph, tuple[int, int]]:
     """Swap a glued m x n rectangle for its trimmed form, returning the factor.
 
     rect is the m x n Aztec rectangle and trimmed the m x (n-1) one; a
@@ -567,14 +555,14 @@ def ar_reduce(
         raise ValueError(
             f"trimmed must be the {m} x {n - 1} Aztec rectangle, got {trimmed.spec_string()}"
         )
-    (an, ad), (bn, bd), (cn, cd), (dn, dd), (qn, qd) = map(_ratio, scheme)
+    (an, ad), (bn, bd), (cn, cd), (dn, dd), (qn, qd) = map(as_pair, scheme)
     if len(host.marked) != n:
         raise ValueError(f"host must mark n={n} vertices, has {len(host.marked)}")
     _require_q(qn)
-    # ad + bc = sn / sd, and the factor is one Fraction of integer powers
+    # ad + bc = sn / sd, and the factor is one reduced pair of integer powers
     sn, sd = an * dn * bd * cd + bn * cn * ad * dd, ad * dd * bd * cd
     if not sn:
         raise ZeroDivisionError("ad + bc vanishes")
     e = m * (n - 1) + m * (m - 1) // 2
-    factor = Fraction(sn**m * qn**e, sd**m * qd**e)
+    factor = reduced(sn**m * qn**e, sd**m * qd**e)
     return connected_sum(host, half_ar_graph(trimmed, scheme)), factor

@@ -34,7 +34,6 @@ or in the family that ``tiling_to_paths`` reads off a checked mask.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 from types import MappingProxyType
 
 from .regions import (
@@ -65,7 +64,7 @@ class SchroederPath(_Tuple):
 
 
 class PathFamily(_Tuple):
-    """A SchroederPath per marker index, and four times ``underneath_area``, summed by the walk."""
+    """A SchroederPath per marker index, and the area under them in quarter cells, summed by the walk."""
 
     __slots__ = ()
 
@@ -256,14 +255,15 @@ def step_counts(family: PathFamily) -> tuple[int, int, int]:
     return up, down, level
 
 
-def underneath_area(family: PathFamily) -> Fraction:
-    """Total lattice area between the paths and the ground line y2 = 1.
+def underneath_area(family: PathFamily) -> int:
+    """Total lattice area between the paths and the ground line y2 = 1, in quarter cells.
 
     A step at heights h -> h' (in whole units above the ground) contributes
     the trapezoid (h + h')/2 per unit of horizontal run, so a level step at
     height h counts 2h and a diagonal step h + 1/2 or h - 1/2.  With
     h = (y2 - 1) / 2 each step adds (y2 + y2' - 2) * run / 4, so the sum is
     kept in integer quarter units, read per step from the region's path
-    tables and added up by the walk that checks the family.
+    tables and added up by the walk that checks the family.  The area in
+    cells is ``rational.reduced(quarters, 4)``.
     """
-    return Fraction(family.quarter_area, 4)
+    return family.quarter_area

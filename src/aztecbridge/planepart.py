@@ -5,8 +5,7 @@ entries <= c, rows and columns weakly decreasing).  Its 3-D reading is a
 stack of unit cubes in the corner of an a x b x c box; the stepped surface of
 the stack, projected isometrically, is a lozenge tiling of the hexagon with
 sides a, b, c: ``pp_to_lozenges`` gives it as a mask over the hexagon's
-``Lattice.pairs``, as every tiling is given, and ``lozenges_to_pp`` reads
-one back.
+``Lattice.pairs``, as every tiling is given (the tests read one back).
 """
 
 from __future__ import annotations
@@ -141,23 +140,3 @@ def pp_to_lozenges(pp: PlanePartition, a: int, b: int, c: int) -> int:
     bits = _lozenge_bits(a, b, c)
     return sum(bits[lozenge] for lozenge in _surface(pp, a, b, c))
 
-
-def lozenges_to_pp(mask: int, a: int, b: int, c: int) -> PlanePartition:
-    """Inverse of pp_to_lozenges; raises ValueError if no stack matches."""
-    bits = _lozenge_bits(a, b, c)
-    rows: list[tuple[int, ...]] = []
-    for i in range(a):
-        row: list[int] = []
-        for j in range(b):
-            # (i, j, h) and (i + s, j + s, h + s) project alike, so the search
-            # starts at the monotonicity bound from the recovered neighbours
-            cap = min(c, row[j - 1] if j else c, rows[i - 1][j] if i else c)
-            h = next((h for h in range(cap, -1, -1) if mask & bits[_top(i, j, h, a)]), None)
-            if h is None:
-                raise ValueError(f"no top face found for column {(i, j)}")
-            row.append(h)
-        rows.append(tuple(row))
-    pp = tuple(rows)
-    if sum(bits[lozenge] for lozenge in _surface(pp, a, b, c)) != mask:
-        raise ValueError("tiling is not the surface of any plane partition")
-    return pp

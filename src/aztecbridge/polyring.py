@@ -19,9 +19,10 @@ coefficients.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from operator import index
+
+from .rational import as_pair, pair_str, reduced
 
 Key = tuple[int, int]
 
@@ -100,9 +101,9 @@ class LaurentPoly2:
         for (et, eq), c in self.items():
             part = str(c)
             if et:
-                part += f"*t^{Fraction(et, 2)}"
+                part += f"*t^{pair_str(reduced(et, 2))}"
             if eq:
-                part += f"*q^{Fraction(eq, 2)}"
+                part += f"*q^{pair_str(reduced(eq, 2))}"
             bits.append(part)
         return "LaurentPoly2(" + " + ".join(bits) + ")"
 
@@ -204,56 +205,53 @@ class LaurentPoly2:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_rational(self, t0: Fraction | int, q0: Fraction | int) -> Fraction:
-        """Exact value at rational t=t0, q=q0.
+    def eval_rational(self, t0, q0) -> tuple[int, int]:
+        """Exact value at rational t=t0, q=q0, as a reduced pair.
 
-        When any half-integer exponent is present the corresponding base must
-        be a perfect square of a rational so the half-power stays rational.
-        A zero base with a negative exponent raises ValueError.
+        t0 and q0 are exact rationals (``rational.as_pair``).  When any
+        half-integer exponent of a variable is present its value must be a
+        perfect square of a rational so the half-power stays rational.  A
+        zero base with a negative exponent raises ValueError.  Every term is
+        an integer over one common denominator, so the sum is reduced once.
         """
-        t0 = Fraction(t0)
-        q0 = Fraction(q0)
-        need_half_t = any(et % 2 for (et, _), _ in self.items())
-        need_half_q = any(eq % 2 for (_, eq), _ in self.items())
-        rt = _exact_sqrt(t0) if need_half_t else None
-        rq = _exact_sqrt(q0) if need_half_q else None
-        total = Fraction(0)
-        for (et, eq), c in self.items():
-            total += c * _half_power(t0, rt, et) * _half_power(q0, rq, eq)
-        return total
+        keys = self._terms.keys()
+        t_nums, t_den = _half_powers(as_pair(t0), [et for et, _ in keys])
+        q_nums, q_den = _half_powers(as_pair(q0), [eq for _, eq in keys])
+        total = sum(c * x * y for c, x, y in zip(self._terms.values(), t_nums, q_nums))
+        return reduced(total, t_den * q_den)
 
 
-def _exact_sqrt(x: Fraction) -> Fraction:
-    """Square root of a rational that must be a perfect square."""
-    if x < 0:
+def _half_powers(x: tuple[int, int], e2s: list[int]) -> tuple[list[int], int]:
+    """x^(e2/2) for each doubled exponent e2 of e2s, as integer numerators over one denominator.
+
+    The base is x with exponents e2 // 2 when every e2 is even, else the
+    exact square root of x with exponents e2.  With base n/d and
+    lo <= 0 <= hi bounding the exponents, base^e is n^(e - lo) d^(hi - e)
+    over n^-lo d^hi.
+    """
+    if any(e2 % 2 for e2 in e2s):
+        (n, d), exps = _exact_sqrt(x), e2s
+    else:
+        (n, d), exps = x, [e2 // 2 for e2 in e2s]
+    lo, hi = min([0, *exps]), max([0, *exps])
+    if lo < 0 and not n:
+        raise ValueError("zero base with negative exponent")
+    return [n ** (e - lo) * d ** (hi - e) for e in exps], n**-lo * d**hi
+
+
+def _exact_sqrt(x: tuple[int, int]) -> tuple[int, int]:
+    """Square root of a reduced pair that must be a perfect square."""
+    num, den = x
+    if num < 0:
         raise ValueError("negative base for a half-integer exponent")
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    return Fraction(num, den)
+    return _isqrt_exact(num), _isqrt_exact(den)
 
 
 def _isqrt_exact(n: int) -> int:
-    import math
-
-    r = math.isqrt(n)
+    r = isqrt(n)
     if r * r != n:
         raise ValueError(f"{n} is not a perfect square; half-integer exponents need square bases")
     return r
-
-
-def _half_power(base: Fraction, root: Fraction | None, e2: int) -> Fraction:
-    """base^(e2/2) as an exact rational."""
-    if e2 % 2 == 0:
-        e = e2 // 2
-    elif root is None:
-        raise ValueError(f"the half-integer exponent {e2}/2 needs the square root of the base")
-    else:
-        base, e = root, e2
-    if e < 0 and base == 0:
-        raise ValueError("zero base with negative exponent")
-    if e >= 0:
-        return base**e
-    return 1 / (base ** (-e))
 
 
 def one() -> LaurentPoly2:

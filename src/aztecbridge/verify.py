@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
-
 from .engine import count_tilings, require_frontier_budget
 from .formulas import (
     ResampleError,
@@ -46,6 +44,7 @@ from .matchgraph import (
 from .paths import area_ranks, step_masks
 from .planepart import q_genfun_brute, require_brute_budget
 from .polyring import LaurentPoly2
+from .rational import pair_mul, reduced
 from .regions import (
     Region,
     build_aztec_diamond,
@@ -107,24 +106,25 @@ def compare_conventions(enum_poly: LaurentPoly2, base: LaurentPoly2) -> list[str
     return [name for name, poly in sides.items() if poly == enum_poly]
 
 
-def _draw_table(positive: bool = False) -> dict[tuple[int, int], Fraction]:
-    """Every value num/den that ``_draw`` can return, by (num, den); |num/den| if positive."""
+def _draw_table(positive: bool = False) -> dict[tuple[int, int], tuple[int, int]]:
+    """Every value num/den that ``_draw`` can return, a reduced pair, by (num, den); |num/den| if positive."""
     return {
-        (num, den): Fraction(abs(num) if positive else num, den)
+        (num, den): reduced(abs(num) if positive else num, den)
         for num in range(-6, 7)
         for den in range(1, 7)
     }
 
 
-def _draw(rng: random.Random, table: dict[tuple[int, int], Fraction]) -> Fraction:
+def _draw(rng: random.Random, table: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
     """A random nonzero num/den with -6 <= num <= 6 and 1 <= den <= 6, looked up in table.
 
-    It makes the same rng calls as Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-    retried on 0; the table of ``_draw_table`` saves building the Fraction.
+    It makes the same rng calls as (rng.randint(-6, 6), rng.randint(1, 6))
+    retried on a zero numerator; the table of ``_draw_table`` saves reducing
+    the pair.
     """
     while True:
         v = table[rng.randint(-6, 6), rng.randint(1, 6)]
-        if v:
+        if v[0]:
             return v
 
 
@@ -237,7 +237,7 @@ def suite_lemmas(trials: int = 50, seed: int = DEFAULT_SEED) -> list[dict]:
         split_ok = split_ok and matching_genfun(vertex_split(g, v, part)) == base
         # star scaling
         factor = _draw(rng, positive)
-        star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == factor * base
+        star_ok = star_ok and matching_genfun(star_scale(g, v, factor)) == pair_mul(factor, base)
         # spider on a wheel: 4-cycle with unit spokes to 4 tips, the first two
         # tips matched out through an outer pair.  The reduced graph has three
         # pairs to match, so a sign lost from all its edges shows in M, and a
@@ -245,17 +245,20 @@ def suite_lemmas(trials: int = 50, seed: int = DEFAULT_SEED) -> list[dict]:
         inner = [("i", j) for j in range(4)]
         tips = [("t", j) for j in range(4)]
         outer = [("o", j) for j in range(2)]
-        # signed cycle weights x, y, z, t, so the cell's xz + yt takes both signs
-        cyc = [_draw(rng, signed) for _ in range(4)]
-        while cyc[0] * cyc[2] + cyc[1] * cyc[3] == 0:  # a singular cell has no reduction
+        # signed cycle weights x, y, z, t, so the cell's xz + yt takes both signs;
+        # a singular cell, xz + yt = 0, has no reduction and is drawn again
+        while True:
             cyc = [_draw(rng, signed) for _ in range(4)]
+            (xn, xd), (yn, yd), (zn, zd), (tn, td) = cyc
+            if xn * zn * yd * td + yn * tn * xd * zd:
+                break
         edges = [(inner[j], inner[(j + 1) % 4], cyc[j]) for j in range(4)]
         edges += [(inner[j], tips[j], 1) for j in range(4)]
         edges += [(tips[j], outer[j], _draw(rng, signed)) for j in range(2)]
         edges += [(outer[0], outer[1], _draw(rng, signed))]
         g2 = WeightedGraph(inner + tips + outer, edges)
-        reduced, delta = spider_reduce(g2, tuple(inner))
-        spider_ok = spider_ok and matching_genfun(g2) == delta * matching_genfun(reduced)
+        smaller, delta = spider_reduce(g2, tuple(inner))
+        spider_ok = spider_ok and matching_genfun(g2) == pair_mul(delta, matching_genfun(smaller))
         # rectangle reduction against a random host
         m = rng.randint(1, 2)
         n = rng.randint(m + 1, 3)
@@ -263,7 +266,7 @@ def suite_lemmas(trials: int = 50, seed: int = DEFAULT_SEED) -> list[dict]:
         host = _random_host(rng, signed, n, n - m)
         whole = connected_sum(host, dual_graph(rects[m, n], scheme))
         trimmed, fac = ar_reduce(host, rects[m, n], rects[m, n - 1], scheme)
-        reduce_ok = reduce_ok and matching_genfun(whole) == fac * matching_genfun(trimmed)
+        reduce_ok = reduce_ok and matching_genfun(whole) == pair_mul(fac, matching_genfun(trimmed))
     return [
         {"lemma": "vertex-split", "trials": trials, "ok": split_ok},
         {"lemma": "star-scale", "trials": trials, "ok": star_ok},

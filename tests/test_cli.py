@@ -254,12 +254,12 @@ _HEAVY_IMPORTS = """
 import sys
 before = set(sys.modules)
 import aztecbridge.cli
-print(sorted({'click', 'dataclasses', 'inspect', 'json', 'typing'} & (set(sys.modules) - before)))
+print(sorted({'click', 'dataclasses', 'decimal', 'fractions', 'inspect', 'json', 'numbers', 'typing'} & (set(sys.modules) - before)))
 """
 
 
 def test_importing_the_cli_imports_no_dataclasses():
-    """Nor json, typing, inspect or click.  Under -S no ``site`` module runs first to import one."""
+    """Nor json, typing, inspect, click, fractions, decimal or numbers; under -S no ``site`` imports one first."""
     proc = _fresh("-S", "-c", _HEAVY_IMPORTS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from test_polyring import q_integer
+from test_rational import as_fraction
 
 from aztecbridge.formulas import (
     ResampleError,
@@ -87,7 +88,7 @@ def test_macmahon_q_matches_brute_force():
 
 def test_macmahon_q_counts_at_one():
     for a, b, c in [(2, 2, 2), (3, 2, 2), (1, 3, 3)]:
-        assert macmahon_q(a, b, c).eval_rational(1, 1) == macmahon_count(a, b, c)
+        assert as_fraction(macmahon_q(a, b, c).eval_rational(1, 1)) == macmahon_count(a, b, c)
 
 
 def test_aztec_genfun_order_one():
@@ -119,9 +120,9 @@ def test_corollary_counts():
 
 def test_weighted_formula_frozen_points():
     # values frozen from exhaustive weighted matching sums
-    assert weighted_formula_rhs(1, 2, 0, 1, 2, 2, 3, 1, 1, 2) == 980
-    assert weighted_formula_rhs(
-        2, 3, 1, 2, 3, 1, 1, 2, 1, Fraction(1, 2)
+    assert as_fraction(weighted_formula_rhs(1, 2, 0, 1, 2, 2, 3, 1, 1, 2)) == 980
+    assert as_fraction(
+        weighted_formula_rhs(2, 3, 1, 2, 3, 1, 1, 2, 1, Fraction(1, 2))
     ) == Fraction(313875, 4294967296)
 
 
@@ -186,12 +187,12 @@ def test_telescoped_weighted_formula_equals_the_triple_product():
     for tup in small_double_rectangles(60):
         for q in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
             vals = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)] + [q]
-            assert weighted_formula_rhs(*tup, *vals) == triple_product_rhs(*tup, *vals), tup
+            assert as_fraction(weighted_formula_rhs(*tup, *vals)) == triple_product_rhs(*tup, *vals), tup
         m1, n1 = tup[:2]
         for q in (Fraction(1), Fraction(-1)):
             vals = (Fraction(2), Fraction(3), Fraction(5), Fraction(7), q)
             if n1 == m1:  # no MacMahon ratio, so no pole
-                assert weighted_formula_rhs(*tup, *vals) == triple_product_rhs(*tup, *vals)
+                assert as_fraction(weighted_formula_rhs(*tup, *vals)) == triple_product_rhs(*tup, *vals)
                 continue
             with pytest.raises(ResampleError) as reference:
                 triple_product_rhs(*tup, *vals)
@@ -209,4 +210,27 @@ def test_the_integer_formula_equals_the_triple_product_at_signed_weights_and_q()
     for tup in tuples:
         for q in (Fraction(-2), Fraction(-3, 2), Fraction(7, 3), Fraction(-5, 9)):
             vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
-            assert weighted_formula_rhs(*tup, *vals, q) == triple_product_rhs(*tup, *vals, q), tup
+            assert as_fraction(weighted_formula_rhs(*tup, *vals, q)) == triple_product_rhs(*tup, *vals, q), tup
+
+
+def test_weighted_formula_rhs_equals_a_term_by_term_fraction_evaluation_up_to_forty_cells():
+    """Weights given as Fractions, pairs and ints alike; q = 1 and q = -1 resample on both sides."""
+    from aztecbridge.verify import small_double_rectangles
+
+    gen = random.Random(47)
+    tuples = small_double_rectangles(40)
+    assert len(tuples) == 49
+    for tup in tuples:
+        for q in (Fraction(2), Fraction(-1, 3), Fraction(5, 7), Fraction(-9, 4), Fraction(1), Fraction(-1)):
+            vals = [Fraction(gen.choice((-1, 1)) * gen.randint(1, 12), gen.randint(1, 12)) for _ in range(4)] + [q]
+            given_as = [v.as_integer_ratio() if i % 2 else v for i, v in enumerate(vals)]
+            if q.denominator == 1:
+                given_as[4] = q.numerator
+            try:
+                expected = triple_product_rhs(*tup, *vals)
+            except ResampleError:
+                with pytest.raises(ResampleError):
+                    weighted_formula_rhs(*tup, *given_as)
+                continue
+            assert as_fraction(weighted_formula_rhs(*tup, *given_as)) == expected, (tup, vals)
+    assert as_fraction(weighted_formula_rhs(1, 2, 0, 1, 2, 2, 3, 1, 1, 2)) == 980

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_matchgraph import first_vertex_genfun
+from test_rational import as_fraction
 
 from aztecbridge import engine
 from aztecbridge.engine import _det, count_tilings, enumerate_tilings
 from aztecbridge.formulas import ResampleError, macmahon_count, macmahon_q, weighted_formula_rhs
 from aztecbridge.matchgraph import (
     WeightScheme,
+    WeightedGraph,
     dual_graph,
     matching_genfun,
     region_matching_sum,
@@ -139,7 +142,7 @@ def test_determinant_enumeration_and_brute_force_agree_on_random_regions(region,
         det = engine._unit_det(region)
     except InvariantError:
         assume(False)
-    assert abs(det) == sum(1 for _ in enumerate_tilings(region)) == matching_genfun(dual_graph(region))
+    assert abs(det) == sum(1 for _ in enumerate_tilings(region)) == as_fraction(matching_genfun(dual_graph(region)))
     scheme = WeightScheme(*weights)
     assert region_matching_sum(region, scheme) == matching_genfun(dual_graph(region, scheme))
 
@@ -272,7 +275,55 @@ def test_lozenges_weighted_by_two_to_their_row_sum_to_macmahons_q_product_at_two
             down, up = tris[i], tris[j]
             weights.append((2**down.y if (down.x, down.y) == (up.x, up.y) else 1, 1))
         e0 = b * a * (a - 1) // 2
-        expected = 2**e0 * macmahon_q(a, b, c).eval_rational(1, 2)
-        assert engine.kasteleyn_sum(region, weights) == expected, (a, b, c)
+        expected = 2**e0 * as_fraction(macmahon_q(a, b, c).eval_rational(1, 2))
+        assert as_fraction(engine.kasteleyn_sum(region, weights)) == expected, (a, b, c)
     rect = build_aztec_rectangle(2, 3)  # imbalanced: no tiling, so the sum is 0
-    assert engine.kasteleyn_sum(rect, [(2, 1)] * len(rect.lattice.pairs)) == 0
+    assert as_fraction(engine.kasteleyn_sum(rect, [(2, 1)] * len(rect.lattice.pairs))) == 0
+
+
+# -- oracle parity: the pairs of both matching sums against Fraction sums over the tilings --
+
+
+def _fraction_tiling_sum(region, weights) -> Fraction:
+    """Sum over the enumerated tilings of the product of their pieces' Fraction weights."""
+    total = Fraction(0)
+    for mask in enumerate_tilings(region):
+        term = Fraction(1)
+        for k, w in enumerate(weights):
+            if mask >> k & 1:
+                term *= w
+        total += term
+    return total
+
+
+def test_matching_genfun_and_kasteleyn_sum_equal_fraction_sums_on_hexagons():
+    gen = random.Random(41)
+    for box in ((1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 3), (2, 2, 3)):
+        region = build_hexagon(*box)
+        lat = region.lattice
+        for _ in range(3):
+            ws = [signed_fraction(gen) for _ in lat.pairs]
+            expected = _fraction_tiling_sum(region, ws)
+            pairs = [w.as_integer_ratio() for w in ws]
+            assert as_fraction(engine.kasteleyn_sum(region, pairs)) == expected, box
+            cells = lat.cells
+            graph = WeightedGraph(cells, [(cells[i], cells[j], w) for (i, j), w in zip(lat.pairs, ws)])
+            assert as_fraction(matching_genfun(graph)) == expected, box
+            for (i, j), w in zip(lat.pairs, ws):
+                assert as_fraction(graph.weight(cells[j], cells[i])) == w
+
+
+def test_matching_genfun_and_kasteleyn_sum_equal_fraction_sums_on_random_small_graphs():
+    gen = random.Random(43)
+    for trial in range(60):
+        n = gen.randint(0, 10)
+        edges = [
+            (u, v, signed_fraction(gen)) for u in range(n) for v in range(u + 1, n) if gen.random() < 0.5
+        ]
+        graph = WeightedGraph(range(n), edges)
+        assert as_fraction(matching_genfun(graph)) == first_vertex_genfun(graph), trial
+    for tup in small_double_rectangles(24):
+        region = build_double_rectangle(*tup)
+        ws = [signed_fraction(gen) for _ in region.lattice.pairs]
+        pairs = [w.as_integer_ratio() for w in ws]
+        assert as_fraction(engine.kasteleyn_sum(region, pairs)) == _fraction_tiling_sum(region, ws), tup

@@ -1,8 +1,10 @@
 """Path decoration: bijectivity, step counts, and area."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from test_cli import run
 from test_engine import decode
 
 from aztecbridge import paths
@@ -20,6 +22,7 @@ from aztecbridge.paths import (
     underneath_area,
 )
 from aztecbridge.regions import boundary_markers, build_double_rectangle
+from aztecbridge.verify import SUITE_TUPLES
 
 TUPLES = [(1, 2, 0, 1, 2), (1, 2, 1, 1, 2), (2, 3, 1, 2, 3)]
 
@@ -87,7 +90,7 @@ def test_diagonal_steps_count_vertical_dominoes():
 def test_area_is_a_half_integer_and_rank_difference_whole():
     region = build_double_rectangle(1, 2, 1, 1, 2)
     areas = [
-        underneath_area(tiling_to_paths(region, t)) for t in enumerate_tilings(region)
+        Fraction(underneath_area(tiling_to_paths(region, t)), 4) for t in enumerate_tilings(region)
     ]
     base = min(areas)
     assert all(((a - base) * 1).denominator == 1 for a in areas)
@@ -98,7 +101,7 @@ def test_underneath_area_is_pinned():
 
     region = build_double_rectangle(2, 3, 1, 2, 3)
     tilings = list(enumerate_tilings(region))
-    area = lambda t: underneath_area(tiling_to_paths(region, t))
+    area = lambda t: Fraction(underneath_area(tiling_to_paths(region, t)), 4)
     minimal_area = Fraction(paths._minimal_area(region), 4)
     assert area(minimal_tiling(region)) == minimal_area == Fraction(111, 2)
     assert area(tilings[0]) == Fraction(145, 2)
@@ -288,7 +291,7 @@ def test_decoration_guards_reject_broken_segment_sets(monkeypatch):
 
     family = paths_of(("low", "high"))
     assert [p.steps for p in family.paths] == [(LEVEL,), (LEVEL,)]
-    assert underneath_area(family) == 4
+    assert Fraction(underneath_area(family), 4) == 4
     assert rank_of(("low", "high")) == 0
     broken = [
         (("low",), "path 2 dangles at"),
@@ -303,3 +306,19 @@ def test_decoration_guards_reject_broken_segment_sets(monkeypatch):
         for entry in (paths_of, rank_of):
             with pytest.raises(DecorationError, match=message):
                 entry(tiling)
+
+
+def test_the_area_text_is_the_fraction_text_on_every_tiling_of_the_suite_tuples():
+    texts = set()
+    for tup in SUITE_TUPLES:
+        region = build_double_rectangle(*tup)
+        spec = region.spec_string()
+        for index, mask in enumerate(enumerate_tilings(region)):
+            quarters = underneath_area(tiling_to_paths(region, mask))
+            result = run("paths", spec, str(index))
+            assert result.exit_code == 0, result.output
+            area = json.loads(result.output)["area"]
+            assert area == str(Fraction(quarters, 4)), (spec, index)
+            texts.add(area)
+    # whole and half areas both occur
+    assert any("/" in t for t in texts) and any("/" not in t for t in texts)

@@ -11,7 +11,9 @@ from aztecbridge.formulas import macmahon_count, macmahon_q
 from aztecbridge.planepart import (
     MAX_BRUTE_VOLUME,
     _dec_rows,
-    lozenges_to_pp,
+    _lozenge_bits,
+    _surface,
+    _top,
     pp_to_lozenges,
     q_genfun_brute,
     volume,
@@ -117,6 +119,27 @@ def test_a_negative_side_is_rejected_before_the_budget():
             q_genfun_brute(*sides)
     with pytest.raises(CapacityError, match="box volume 49"):
         q_genfun_brute(7, 7, 1)
+
+
+def lozenges_to_pp(mask: int, a: int, b: int, c: int) -> tuple:
+    """Oracle: the inverse of pp_to_lozenges; raises ValueError if no stack matches."""
+    bits = _lozenge_bits(a, b, c)
+    rows: list[tuple[int, ...]] = []
+    for i in range(a):
+        row: list[int] = []
+        for j in range(b):
+            # (i, j, h) and (i + s, j + s, h + s) project alike, so the search
+            # starts at the monotonicity bound from the recovered neighbours
+            cap = min(c, row[j - 1] if j else c, rows[i - 1][j] if i else c)
+            h = next((h for h in range(cap, -1, -1) if mask & bits[_top(i, j, h, a)]), None)
+            if h is None:
+                raise ValueError(f"no top face found for column {(i, j)}")
+            row.append(h)
+        rows.append(tuple(row))
+    pp = tuple(rows)
+    if sum(bits[lozenge] for lozenge in _surface(pp, a, b, c)) != mask:
+        raise ValueError("tiling is not the surface of any plane partition")
+    return pp
 
 
 def test_bijection_round_trip():

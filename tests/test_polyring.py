@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_rational import as_fraction
 
 from aztecbridge.polyring import LaurentPoly2, one
 
@@ -56,8 +57,9 @@ def test_evaluation_is_a_ring_map(p, q):
     # integer exponents only, so no square roots are needed
     pe = LaurentPoly2({(2 * a, 2 * b): c for (a, b), c in p.items()})
     qe = LaurentPoly2({(2 * a, 2 * b): c for (a, b), c in q.items()})
-    assert (pe * qe).eval_rational(t0, q0) == pe.eval_rational(t0, q0) * qe.eval_rational(t0, q0)
-    assert (pe + qe).eval_rational(t0, q0) == pe.eval_rational(t0, q0) + qe.eval_rational(t0, q0)
+    value = lambda poly: as_fraction(poly.eval_rational(t0, q0))
+    assert value(pe * qe) == value(pe) * value(qe)
+    assert value(pe + qe) == value(pe) + value(qe)
 
 
 @given(polys, polys)
@@ -95,9 +97,39 @@ def test_json_round_trip(p):
     assert LaurentPoly2({(et, eq): int(c) for et, eq, c in obj}) == p
 
 
+@given(
+    polys,
+    st.integers(-4, 4).filter(bool),
+    st.integers(1, 4),
+    st.integers(-4, 4).filter(bool),
+    st.integers(1, 4),
+)
+def test_evaluation_equals_a_term_by_term_fraction_sum(p, tn, td, qn, qd):
+    """At squares, half-integer and negative exponents included; at signed bases, whole exponents."""
+    rt, rq = Fraction(tn, td), Fraction(qn, qd)
+    at_squares = sum((c * abs(rt) ** et * abs(rq) ** eq for (et, eq), c in p.items()), Fraction(0))
+    assert as_fraction(p.eval_rational(rt**2, (qn**2, qd**2))) == at_squares
+    whole = LaurentPoly2({(2 * et, 2 * eq): c for (et, eq), c in p.items()})
+    at_signed = sum((c * rt**et * rq**eq for (et, eq), c in p.items()), Fraction(0))
+    assert as_fraction(whole.eval_rational(rt, rq.as_integer_ratio())) == at_signed
+
+
+def test_evaluation_at_zero_and_at_bases_with_no_rational_root():
+    assert as_fraction(LaurentPoly2({(0, 0): 3, (2, 4): 5}).eval_rational(0, 7)) == 3
+    assert as_fraction(LaurentPoly2({}).eval_rational(0, 0)) == 0
+    with pytest.raises(ValueError, match="zero base with negative exponent"):
+        LaurentPoly2.monomial(1, -2, 0).eval_rational(0, 1)
+    with pytest.raises(ValueError, match="zero base with negative exponent"):
+        LaurentPoly2.monomial(1, 0, -1).eval_rational(1, 0)
+    with pytest.raises(ValueError, match="negative base"):
+        LaurentPoly2.monomial(1, 0, 1).eval_rational(1, Fraction(-1, 4))
+    with pytest.raises(ValueError, match="3 is not a perfect square"):
+        LaurentPoly2.monomial(1, 1, 0).eval_rational(Fraction(3, 4), 1)
+
+
 def test_half_exponent_evaluation():
     p = LaurentPoly2.monomial(1, 1, 0)  # t^(1/2)
-    assert p.eval_rational(Fraction(9, 4), 1) == Fraction(3, 2)
+    assert as_fraction(p.eval_rational(Fraction(9, 4), 1)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         p.eval_rational(Fraction(2), 1)
 

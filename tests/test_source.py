@@ -115,3 +115,16 @@ def test_no_module_but_regions_reads_the_white_parity():
         if isinstance(node, ast.Attribute) and node.attr == "white_parity"
     ]
     assert found == []
+
+
+def test_no_module_of_the_package_imports_fractions_or_decimal():
+    """Rationals are reduced int pairs (``rational``); ``fractions`` with ``decimal`` cost every start."""
+    heavy = {"fractions", "decimal"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] in heavy for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] in heavy
+    ]
+    assert found == []
