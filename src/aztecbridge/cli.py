@@ -49,14 +49,14 @@ from _json import encode_basestring_ascii as _quote
 
 from . import verify as suites
 from .engine import count_tilings, tiling_at
-from .formulas import aztec_count, aztec_genfun, corollary_count, macmahon_count, main_genfun
+from .formulas import aztec_count, corollary_count, macmahon_count
 from .paths import step_counts, tiling_to_paths, underneath_area
 from .polyring import LaurentPoly2
 from .rational import pair_str, reduced
 from .regions import CapacityError, ConstraintError, KindError, Region, TriRegion, parse_spec
 from .render import render_tiling
 from .stats import minimal_tiling, tq_sum
-from .verify import DEFAULT_SEED, SUITES, compare_conventions
+from .verify import DEFAULT_SEED, SUITES
 
 
 class UsageError(Exception):
@@ -187,16 +187,9 @@ def count(region_spec: str, out: str | None) -> None:
 
 
 def genfun(region_spec: str, out: str | None) -> None:
-    """Transfer-matrix bivariate sum vs product formula, with a verdict."""
+    """Frontier-sweep bivariate sum vs product formula, with a verdict."""
     region = parse_spec(region_spec)
-    if region.kind not in ("aztec_diamond", "double_aztec_rectangle"):
-        raise UsageError("genfun needs an aztec diamond or double rectangle")
-    enum_poly = tq_sum(region)
-    if region.kind == "aztec_diamond":
-        base = aztec_genfun(region.params[0])
-    else:
-        base = main_genfun(*region.params)
-    matched = compare_conventions(enum_poly, base)
+    enum_poly, base, matched = suites.genfun_check(region)
     verdict = "ok" if "proof" in matched else "mismatch"
     _emit(
         {
@@ -267,7 +260,11 @@ def _pick_tiling(region: Region, which: str) -> int:
 
 
 def paths(region_spec: str, tiling: str, out: str | None) -> None:
-    """The non-intersecting path family carried by a double-rectangle tiling."""
+    """The non-intersecting path family carried by a double-rectangle tiling.
+
+    TILING is 'minimal' (the default), the tiling of least rank, or an index
+    from 0 into the order in which the region's tilings are enumerated.
+    """
     region = parse_spec(region_spec)
     if region.kind != "double_aztec_rectangle":
         raise UsageError("paths are defined for double rectangles only")
@@ -289,7 +286,11 @@ def paths(region_spec: str, tiling: str, out: str | None) -> None:
 
 
 def render(region_spec: str, tiling: str, overlay: str, out: str) -> None:
-    """Write a deterministic SVG of a tiling, optionally with its paths."""
+    """Write a deterministic SVG of a tiling, optionally with its paths.
+
+    TILING is 'minimal' (the default), the tiling of least rank, or an index
+    from 0 into the order in which the region's tilings are enumerated.
+    """
     region = parse_spec(region_spec)
     if isinstance(region, TriRegion):
         raise UsageError("render supports square-lattice regions only")
@@ -305,10 +306,12 @@ def verify(
 ) -> None:
     """Run a verification suite; exit 1 if any case fails.
 
-    The suite is ``verify.suite_<name>``, looked up at each run and called with
-    the options given.  An option it does not name (``--max`` is ``bound``), and
-    a bound that admits no case, are usage errors.
+    --max bounds the sizes a suite checks; --trials and --seed drive the
+    randomized suites, weighted and lemmas.  An option the suite does not
+    read, and a --max that admits no case, exit 2.
     """
+    # the suite is verify.suite_<name>, looked up at each run and called with
+    # the options given; the options it reads are its parameters (bound is --max)
     run = getattr(suites, "suite_" + suite)
     options = {"bound": bound, "trials": trials, "seed": seed}
     given = {name: value for name, value in options.items() if value is not None}
@@ -332,7 +335,7 @@ def verify(
 
 _SPEC = (("REGION_SPEC", None, str),)
 _TILING = (*_SPEC, ("TILING", "minimal", str))
-_OUT = ("out", "TEXT", _writable, None, "")
+_OUT = ("out", "TEXT", _writable, None, "Write the JSON document to a file.")
 _MAX_HELP = "Size bound for the suite.  [x>=1]"
 _TRIALS_HELP = "Randomized trial count.  [x>=1]"
 _SEED_HELP = f"Seed of weighted and lemmas (default {DEFAULT_SEED})."
@@ -342,11 +345,7 @@ _SEED_HELP = f"Seed of weighted and lemmas (default {DEFAULT_SEED})."
 #: required; and its options, as flag -> (parameter, metavar, converter,
 #: default, help).  A default that is not None is converted too.
 COMMANDS = {
-    "count": (
-        count,
-        _SPEC,
-        {"--out": ("out", "TEXT", _writable, None, "Write the JSON document to a file.")},
-    ),
+    "count": (count, _SPEC, {"--out": _OUT}),
     "formula": (formula, _SPEC, {"--out": _OUT}),
     "genfun": (genfun, _SPEC, {"--out": _OUT}),
     "paths": (paths, _TILING, {"--out": _OUT}),

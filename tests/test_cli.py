@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -234,12 +235,15 @@ def test_run_as_a_module_the_usage_names_python_m():
     ]
 
 
-def _fresh(*args):
-    """Run a fresh interpreter on args, with the package's source directory on its path."""
+def _fresh(*args, **options):
+    """Run a fresh interpreter on args, with the package's source directory on its path.
+
+    The options go to ``subprocess.run``.
+    """
     src = str(Path(aztecbridge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60, **options
     )
 
 
@@ -326,7 +330,7 @@ def test_a_genfun_mismatch_writes_the_formulas_own_terms(monkeypatch):
         # the product with t and q swapped equals the sum in the statement's convention only
         (main_genfun(2, 3, 1, 3, 4).swap_vars(), ["statement"]),
     ):
-        monkeypatch.setattr(cli, "main_genfun", lambda *params: other)
+        monkeypatch.setattr(verify, "main_genfun", lambda *params: other)
         result = run("genfun", "dr:2,3,1,3,4")
         assert result.exit_code == 1
         doc = json.loads(result.output)
@@ -398,7 +402,7 @@ def test_verify_main_honours_max():
 @pytest.mark.parametrize("suite", ["rank", "main", "weighted"])
 def test_a_bound_that_admits_no_double_rectangle_exits_two(suite):
     # the smallest double rectangle, dr:1,1,0,1,1, has 8 cells
-    assert verify.small_double_rectangles(7) == []
+    assert list(verify.small_double_rectangles(7)) == []
     result = run("verify", suite, "--max", "7")
     assert result.exit_code == 2
     assert f"verify {suite} --max 7 admits no case" in result.output
@@ -413,6 +417,62 @@ def test_verify_macmahon_checks_every_box_before_the_first(monkeypatch):
     result = run("verify", "macmahon", "--max", "4")
     assert result.exit_code == 2
     assert "box volume 48 exceeds brute-force bound 36" in result.output
+
+
+def _one_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("macmahon", "--max", "2000"), "box volume 37 exceeds brute-force bound 36"),
+        (("main", "--max", "100000"), "a bound of 100000 cells is over the spec budget of 10000"),
+        (("rank", "--max", "100000"), "a bound of 100000 cells is over the spec budget of 10000"),
+        (("weighted", "--max", "100000"), "a bound of 100000 cells is over the spec budget of 10000"),
+    ],
+    ids=["macmahon", "main", "rank", "weighted"],
+)
+def test_a_huge_bound_exits_two_at_once_with_no_case_listed(args, error):
+    # under 1 GiB of address space a suite that lists its cases up front
+    # fails fast with MemoryError (exit 1) instead of swapping
+    start = time.perf_counter()
+    proc = _fresh("-O", "-m", "aztecbridge.cli", "verify", *args, preexec_fn=_one_gib_of_address_space)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert [line for line in proc.stderr.splitlines() if line.startswith("Error:")] == [f"Error: {error}"]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, calls",
+    [(("genfun", "dr:2,3,1,3,4"), 1), (("verify", "aztec", "--max", "2"), 2), (("verify", "main"), 5)],
+    ids=["genfun", "aztec", "main"],
+)
+def test_genfun_and_the_aztec_and_main_suites_share_one_tq_check(monkeypatch, args, calls):
+    checked = []
+    shared = verify.genfun_check
+
+    def counted(region):
+        checked.append(region.params)
+        return shared(region)
+
+    monkeypatch.setattr(verify, "genfun_check", counted)
+    result = run(*args)
+    assert result.exit_code == 0, result.output
+    assert len(checked) == calls
+    assert not {"compare_conventions", "aztec_genfun", "main_genfun"} & set(vars(cli))
+
+
+def test_genfun_check_rejects_other_kinds_before_the_sweep(monkeypatch):
+    def no_sweep(region):
+        raise AssertionError("swept a region of the wrong kind")
+
+    monkeypatch.setattr(verify, "tq_sum", no_sweep)
+    for spec in ("ar:3x3", "hex:2,2,2"):
+        with pytest.raises(KindError, match="genfun needs an aztec diamond or double rectangle"):
+            verify.genfun_check(cli.parse_spec(spec))
 
 
 def test_verify_is_seed_deterministic():

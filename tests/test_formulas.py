@@ -205,7 +205,7 @@ def test_the_integer_formula_equals_the_triple_product_at_signed_weights_and_q()
     from aztecbridge.verify import small_double_rectangles
 
     rng = random.Random(19)
-    tuples = small_double_rectangles(60)
+    tuples = list(small_double_rectangles(60))
     assert max(tup[3] for tup in tuples) == 4  # the last linear factor carries q^-4
     for tup in tuples:
         for q in (Fraction(-2), Fraction(-3, 2), Fraction(7, 3), Fraction(-5, 9)):
@@ -218,7 +218,7 @@ def test_weighted_formula_rhs_equals_a_term_by_term_fraction_evaluation_up_to_fo
     from aztecbridge.verify import small_double_rectangles
 
     gen = random.Random(47)
-    tuples = small_double_rectangles(40)
+    tuples = list(small_double_rectangles(40))
     assert len(tuples) == 49
     for tup in tuples:
         for q in (Fraction(2), Fraction(-1, 3), Fraction(5, 7), Fraction(-9, 4), Fraction(1), Fraction(-1)):

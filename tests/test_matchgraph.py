@@ -281,7 +281,7 @@ def test_graph_neighbour_lists_and_validation():
 
 def test_the_matcher_equals_the_determinant_on_every_double_rectangle_within_its_bound():
     scheme = WeightScheme(*(Fraction(*v) for v in ((3, 2), (-2, 5), (5, 3), (7, 4), (-3, 7))))
-    tuples = small_double_rectangles(40)
+    tuples = list(small_double_rectangles(40))
     assert len(tuples) == 49
     for tup in tuples:
         region = build_double_rectangle(*tup)

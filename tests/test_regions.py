@@ -118,7 +118,7 @@ def _fringe_markers(params):
 
 
 def test_the_lattice_markers_equal_the_fringes_of_the_two_rectangles():
-    tuples = small_double_rectangles(150)
+    tuples = list(small_double_rectangles(150))
     assert len(tuples) == 907
     for params in tuples:
         markers = boundary_markers(build_double_rectangle(*params))

@@ -253,7 +253,7 @@ def test_flips_are_involutive_neighbors():
 
 def test_rank_table_covers_all_tilings():
     # the enumerator is the flip BFS's oracle; the rank suite relies on the count
-    tuples = small_double_rectangles(32)
+    tuples = list(small_double_rectangles(32))
     assert len(tuples) == 28
     for params in tuples:
         region = build_double_rectangle(*params)
@@ -719,7 +719,7 @@ def test_the_sweep_runs_on_the_first_order_of_least_width(spec, key):
 
 
 def test_the_sweep_equals_the_product_on_every_tuple_of_104_cells_and_on_ad1_to_ad10():
-    tuples = small_double_rectangles(104)
+    tuples = list(small_double_rectangles(104))
     assert len(tuples) == 424
     for tup in tuples:
         assert tq_sum(build_double_rectangle(*tup)) == main_genfun(*tup), tup

@@ -43,14 +43,23 @@ def test_the_generator_yields_every_valid_tuple_in_a_box():
             for k in side
             if _valid((m1, n1, k, m2, n2))
         ]
-        assert small_double_rectangles(max_cells) == sorted(brute)
-    assert len(small_double_rectangles(48)) == 80
-    assert len(small_double_rectangles(60)) == 118
+        assert list(small_double_rectangles(max_cells)) == sorted(brute)
+    assert len(list(small_double_rectangles(48))) == 80
+    assert len(list(small_double_rectangles(60))) == 118
+
+
+def test_the_generator_is_lazy_sorted_and_within_the_spec_budget():
+    tuples = list(small_double_rectangles(300))
+    assert tuples == sorted(set(tuples))
+    # the first tuple of the largest bound comes with no later one listed
+    assert next(small_double_rectangles(regions.MAX_SPEC_CELLS)) == (1, 1, 0, 1, 1)
+    with pytest.raises(ConstraintError, match="over the spec budget of 10000"):
+        next(small_double_rectangles(regions.MAX_SPEC_CELLS + 1))
 
 
 def test_suite_tuples_fall_back_to_the_fixed_tuples():
     assert suite_tuples(None) is SUITE_TUPLES
-    assert suite_tuples(30) == small_double_rectangles(30)
+    assert list(suite_tuples(30)) == list(small_double_rectangles(30))
 
 
 def test_each_suite_names_the_options_it_reads_with_their_defaults():
